@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci fmt fmt-fix vet build test race bench bench-smoke \
+.PHONY: ci fmt fmt-fix vet build test race bench bench-compare bench-quick bench-smoke \
 	loadgen loadgen-chaos loadgen-smoke docs-check fuzz-smoke \
 	deviation-matrix deviation-matrix-short cover-gate \
 	crash-bench crash-smoke ws-smoke loadgen-ws chaos-bench chaos-smoke \
-	batch-bench batch-smoke dist-bench dist-smoke obs-bench obs-smoke clean
+	batch-smoke dist-bench dist-smoke obs-bench obs-smoke clean
 
-ci: fmt vet build test race bench-smoke loadgen-smoke crash-smoke \
+ci: fmt vet build test race bench-smoke bench-quick loadgen-smoke crash-smoke \
 	ws-smoke chaos-smoke batch-smoke dist-smoke obs-smoke docs-check fuzz-smoke deviation-matrix-short cover-gate
 
 fmt:
@@ -22,23 +22,36 @@ vet:
 build:
 	$(GO) build ./...
 
+# Every test runs on 1, 2 and 4 Ps: the registry, the shard loops and the
+# group committer interleave differently on each, and a suite that is only
+# green on one core count proves less than it claims.
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./...
 
 # One iteration per benchmark: a bit-rot smoke, not a measurement. CI runs
 # this — it fails on build/bench errors, never on timing noise.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The tracked baseline: per-driver play benchmarks with -benchmem, parsed
-# into BENCH_PR2.json (ns/play, B/play, allocs/play per driver). Commit the
-# artifact so future PRs have a trajectory to beat.
+# The benchmark ledger (bench/README.md, BENCHMARK.json): four workloads,
+# seven end-to-end metrics each, the per-layer rows; one result file under
+# bench_out/ (~2 min).
 bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkPlay' -benchmem -benchtime 2000x -count 1 . \
-		| $(GO) run ./cmd/benchfmt -out BENCH_PR2.json
+	$(GO) run ./bench
+
+# Two sets of result files (a directory of result-*.json, or one file)
+# against the bounds in BENCHMARK.json: make bench-compare A=dirA B=dirB.
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
+# CI-sized ledger run: one tiny window per workload with every output
+# check on (twin digests, crash/recover digests, deviants convicted and
+# nobody else fouled). Fails on a failed check, never on timing.
+bench-quick:
+	$(GO) run ./bench -quick > /dev/null
 
 # The many-session load harness: 1000 concurrent sessions across the full
 # scenario mix and all four drivers, both in-process and (selfserve) over
@@ -96,26 +109,14 @@ chaos-smoke:
 	$(GO) run ./cmd/loadgen -sessions 24 -plays 6 -conns 4 -seed 1 -chaos-disk 0.05 -chaos-net 0.05 > /dev/null
 	$(GO) run ./cmd/loadgen -sessions 24 -plays 6 -conns 4 -seed 1 -chaos-disk 0.2 -chaos-net 0 -batch 3 > /dev/null
 
-# The durability-tax benchmark (DESIGN.md §12): the same 300-session
-# scenario mix volatile, durable with batched plays + WAL group commit at
-# an equal shape, and durable through a crash/recover cycle. The tracked
-# BENCH_PR8.json artifact asserts the headline: durable batched throughput
-# stays within 2x of the volatile baseline.
-batch-bench:
-	@dir=$$(mktemp -d); \
-	( $(GO) run ./cmd/loadgen -sessions 300 -plays 24 -seed 1; \
-	  $(GO) run ./cmd/loadgen -sessions 300 -plays 24 -batch 24 -data-dir $$dir -seed 1; \
-	  $(GO) run ./cmd/loadgen -sessions 300 -plays 12 -batch 6 -crash 1 -seed 1 ) \
-		| $(GO) run ./cmd/benchfmt -command "make batch-bench" -out BENCH_PR8.json; \
-	status=$$?; rm -rf $$dir; exit $$status
-
 # CI-sized batch smoke: the PlayN equivalence battery (every catalog game
 # x four drivers x Mem/File stores), crash-mid-batch recovery, the fsync
-# regression gate, and a batched durable loadgen run crossing one
-# crash/recover cycle. Fails on any divergence, never on timing.
+# regression gate, the group committer's protocol tests, and a batched
+# durable loadgen run crossing one crash/recover cycle. Fails on any
+# divergence, never on timing.
 batch-smoke:
 	$(GO) test -run 'TestPlayNEquivalence|TestCrashBetweenCommitEpochs|TestCrashInsideBatchAppend|TestBatchAppendFaults|TestGroupCommitFsyncGate' .
-	$(GO) test -run 'TestBatchRecordRoundTrip|TestFileTornBatchTail|TestGroupCommitEpochs|TestGroupCommitCloseReleasesParked' ./internal/store
+	$(GO) test -run 'TestBatchRecordRoundTrip|TestFileTornBatchTail|TestGroupCommit' ./internal/store
 	$(GO) run ./cmd/loadgen -sessions 32 -plays 8 -batch 4 -crash 1 > /dev/null
 
 # The distributed-only scenario mix: the Byzantine families (fork-choice

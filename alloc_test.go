@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	ga "gameauthority"
+	"gameauthority/internal/core"
 )
 
 // Allocation budgets per driver, enforced by TestAllocsPerPlay. The pure
@@ -27,6 +28,10 @@ const (
 	// play closure but must not allocate per round, so a whole pure batch
 	// stays within this constant regardless of batch size.
 	playNOverheadBudget = 2
+	// hashResultAllocBudget is the journal's per-play transcript hash: the
+	// canonical line and the digest live on the stack, so the returned hex
+	// string is the only allocation a journaled play pays for it.
+	hashResultAllocBudget = 1
 )
 
 func TestAllocsPerPlayPure(t *testing.T) {
@@ -151,4 +156,23 @@ func TestAllocsPerPlayDistributed(t *testing.T) {
 		t.Fatalf("distributed play allocates %v times, budget %d", allocs, distAllocBudget)
 	}
 	t.Logf("distributed play: %v allocs (budget %d)", allocs, distAllocBudget)
+}
+
+func TestAllocsHashResult(t *testing.T) {
+	s, err := ga.New(ga.PrisonersDilemma(), ga.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Play(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if core.HashResult(res) == "" {
+			t.Fatal("empty hash")
+		}
+	})
+	if allocs > hashResultAllocBudget {
+		t.Fatalf("HashResult allocates %v times, budget %d", allocs, hashResultAllocBudget)
+	}
 }

@@ -93,7 +93,9 @@ type Authority struct {
 	// after options by NewAuthority, wrapping the durable store.
 	faultPlan *FaultPlan
 	// gcWindow/gcMaxBatch configure WAL group commit (WithGroupCommit):
-	// enabled by NewAuthority on the unwrapped store, before any fault
+	// a positive gcWindow arms the store's committer — nothing ever waits
+	// on it — and gcMaxBatch caps the appends one commit epoch may take.
+	// NewAuthority arms it on the unwrapped store, before any fault
 	// decorator, when the backend supports it.
 	gcWindow   time.Duration
 	gcMaxBatch int

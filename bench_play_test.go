@@ -1,8 +1,8 @@
 // Per-driver play benchmarks: the tracked performance baseline of the
-// middleware hot path. `make bench` runs exactly these (with -benchmem)
-// and persists the results to BENCH_PR2.json so future changes have a
-// trajectory to beat; see DESIGN.md §"Performance model" for how to read
-// the artifact. The experiment-level benchmarks live in bench_test.go.
+// middleware hot path. BENCH_PR2.json holds exactly these (with -benchmem,
+// piped through cmd/benchfmt) so future changes have a trajectory to
+// beat; see DESIGN.md §"Performance model" for the command and how to
+// read the artifact. The experiment-level benchmarks live in bench_test.go.
 package gameauthority_test
 
 import (

@@ -8,8 +8,8 @@
 // The artifact records ns/op, B/op, allocs/op, and any custom
 // b.ReportMetric pairs per benchmark, plus the host fingerprint lines
 // (goos/goarch/cpu) and the GOMAXPROCS the run used — without that
-// context a baseline number is meaningless. `make bench` is the canonical
-// invocation; see DESIGN.md §"Performance model" for how to read the file.
+// context a baseline number is meaningless. See DESIGN.md §"Performance
+// model" for how to read the file.
 package main
 
 import (
@@ -49,7 +49,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	out := flag.String("out", "BENCH_PR2.json", "path of the JSON baseline to write")
-	command := flag.String("command", "make bench", "canonical invocation recorded in the artifact")
+	command := flag.String("command", "go test -bench '^BenchmarkPlay' -benchmem", "canonical invocation recorded in the artifact")
 	flag.Parse()
 
 	base := Baseline{

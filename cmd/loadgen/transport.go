@@ -20,9 +20,10 @@ import (
 // flat memory footprint.
 const historyLimit = 8
 
-// Group-commit shape for batched durable runs: a short coalescing window
-// keeps per-batch latency low while still merging appends from hundreds
-// of concurrent sessions into shared fsync epochs.
+// Group-commit shape for batched durable runs. The committer is
+// leader/follower: the window only arms it (no append waits on it), and
+// appends from concurrent sessions that land during one flush share the
+// next fsync epoch, up to groupCommitMaxBatch of them.
 const (
 	groupCommitWindow   = time.Millisecond
 	groupCommitMaxBatch = 256

@@ -130,14 +130,19 @@ func WithSnapshotEvery(n int) AuthorityOption {
 	return func(a *Authority) { a.snapshotEvery = n }
 }
 
-// WithGroupCommit enables WAL group commit on a file-backed store:
-// journal appends from every durable session park on a shared commit
-// ticket, and a single background committer fsyncs all dirty session
-// logs once per epoch — so every acknowledged append is OS-crash
-// durable at a per-play fsync cost amortized over the whole epoch. An
-// epoch flushes every window or as soon as maxBatch appends are parked
-// on it, whichever comes first (maxBatch ≤ 0 means window-only). The
-// option is a no-op on backends without a committer (the in-memory
+// WithGroupCommit enables WAL group commit on a file-backed store, so
+// every acknowledged append is OS-crash durable. The protocol is
+// leader/follower and has no timer: a journal append that finds no flush
+// in flight flushes at once, alone; appends that land while a flush is
+// in flight share the next commit epoch, which one of them leads as soon
+// as that flush ends — one fsync per dirty session log per epoch, or one
+// syncfs for all of them on Linux. An idle store costs nothing and a lone
+// session waits only for its own barrier; under load the flush's own
+// duration sets how many appends share it. A positive window arms the
+// committer and is otherwise unused (no append ever waits on it; ≤ 0
+// leaves group commit off); maxBatch caps the appends one epoch may
+// take, later arrivals forming the epoch after it (≤ 0 means uncapped).
+// The option is a no-op on backends without a committer (the in-memory
 // store, custom decorators) and composes with WithFaultPlan in either
 // order: faults are injected above the committer, so an injected append
 // failure never reaches the fsync path. Epoch and fsync counts surface

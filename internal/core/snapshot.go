@@ -102,8 +102,13 @@ func appendIntSlice(b []byte, xs []int) []byte {
 // the write-ahead log journals per play and recovery re-checks per
 // replayed play.
 func HashResult(res RoundResult) string {
-	sum := sha256.Sum256(appendResultLine(nil, &res))
-	return hex.EncodeToString(sum[:])
+	// The line of a typical play fits the stack buffer, so the only
+	// allocation is the returned string.
+	var line [256]byte
+	sum := sha256.Sum256(appendResultLine(line[:0], &res))
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
 }
 
 // buildSnapshot assembles the snapshot and its state digest from a

@@ -58,7 +58,7 @@ type Counters struct {
 	// PlayN path) rather than one record per play.
 	BatchedPlays atomic.Int64
 	// CommitEpochs counts group-commit fsync epochs flushed by the store's
-	// background committer.
+	// committer (each by the append that led it).
 	CommitEpochs atomic.Int64
 	// Fsyncs counts WAL-handle fsyncs issued by group-commit epochs.
 	Fsyncs atomic.Int64

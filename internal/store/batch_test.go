@@ -3,9 +3,7 @@ package store
 import (
 	"fmt"
 	"os"
-	"sync"
 	"testing"
-	"time"
 )
 
 func batchRec(first, n int) Record {
@@ -160,101 +158,5 @@ func TestFileTornBatchTail(t *testing.T) {
 	}
 	if got := state.Tail[0]; got.LastRound() != 4 || len(got.Plays) != 5 {
 		t.Fatalf("surviving batch mangled: %+v", got)
-	}
-}
-
-// TestGroupCommitEpochs exercises the committer directly: appends park on
-// shared epochs, the window and the maxBatch kick both close epochs, the
-// counters advance, and re-arming is a no-op.
-func TestGroupCommitEpochs(t *testing.T) {
-	f, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var epochs, syncedTotal, parkedTotal int
-	var mu sync.Mutex
-	f.SetGroupCommit(time.Millisecond, 4, func(synced, parked int) {
-		mu.Lock()
-		epochs++
-		syncedTotal += synced
-		parkedTotal += parked
-		mu.Unlock()
-	})
-	f.SetGroupCommit(time.Hour, 1, nil) // second arm: ignored
-	f.SetGroupCommit(0, 0, nil)         // non-positive window: ignored
-
-	const sessions = 3
-	for i := 0; i < sessions; i++ {
-		if err := f.CreateSession(fmt.Sprintf("s%d", i), []byte(`{}`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			for r := 0; r < 8; r++ {
-				if err := f.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(fmt.Sprintf("s%d", i))
-	}
-	wg.Wait()
-
-	if got := f.CommitEpochs(); got == 0 {
-		t.Fatal("no commit epochs flushed")
-	}
-	if got := f.Fsyncs(); got == 0 || got > f.CommitEpochs()*sessions {
-		t.Fatalf("fsyncs %d outside (0, epochs*%d]", got, sessions)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if int64(epochs) != f.CommitEpochs() {
-		t.Fatalf("onEpoch saw %d epochs, store counted %d", epochs, f.CommitEpochs())
-	}
-	if parkedTotal != sessions*8 {
-		t.Fatalf("onEpoch released %d parked appends, want %d", parkedTotal, sessions*8)
-	}
-	if int64(syncedTotal) != f.Fsyncs() {
-		t.Fatalf("onEpoch synced %d handles, store counted %d fsyncs", syncedTotal, f.Fsyncs())
-	}
-}
-
-// TestGroupCommitCloseReleasesParked closes the store while appends are
-// parked on an epoch: the committer's final drain must release every one
-// of them — none may hang — and Close must still fsync and shut cleanly.
-func TestGroupCommitCloseReleasesParked(t *testing.T) {
-	f, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A huge window: nothing flushes until Close forces the final drain.
-	f.SetGroupCommit(time.Hour, 0, nil)
-	if err := f.CreateSession("p", []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(r int) {
-			done <- f.Append("p", Record{Type: RecordPlay, Round: r, Hash: "h"})
-		}(i)
-	}
-	time.Sleep(5 * time.Millisecond) // let the appends park
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("parked append errored on close: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("append still parked after Close — final drain leaked a ticket")
-		}
 	}
 }

@@ -194,16 +194,24 @@ func (f *File) checkOpen() error {
 
 // Append implements Store. With group commit enabled (SetGroupCommit)
 // the record is written immediately — surviving a process kill exactly
-// like the direct path — and the call then parks on the current commit
-// epoch's ticket until the background committer fsyncs the session's WAL
-// handle, so on return the record also survives an OS crash at a cost
-// amortized over every append sharing the epoch.
+// like the direct path — and the call then takes a ticket on a commit
+// epoch: it either leads the epoch's flush itself or parks until the
+// epoch's leader has flushed, so on return the record also survives an OS
+// crash at a cost shared with every append on the same epoch.
 func (f *File) Append(id string, rec Record) error {
 	if !validID(id) {
 		return fmt.Errorf("%w: invalid id %q", ErrUnknownSession, id)
 	}
 	t0 := time.Now()
 	span := obs.DefaultTracer.Begin("wal.append", "store", 0, int64(rec.LastRound()))
+	err := f.appendRecord(id, rec)
+	span.End()
+	walAppendLatency.Record(time.Since(t0))
+	return err
+}
+
+// appendRecord is Append between its span's two ends.
+func (f *File) appendRecord(id string, rec Record) error {
 	line, err := appendWALLine(nil, rec)
 	if err != nil {
 		return err
@@ -212,19 +220,14 @@ func (f *File) Append(id string, rec Record) error {
 	if err != nil {
 		return err
 	}
-	// Park outside the stripe lock: other sessions on the stripe (and
+	// Commit outside the stripe lock: other sessions on the stripe (and
 	// later appends to this one — ordering is the caller's journal mutex)
-	// must not serialize behind a commit window.
+	// must not serialize behind a flush.
 	if gc := f.gc.Load(); gc != nil {
-		if e := gc.enlist(wh); e != nil {
-			<-e.done
-			if e.err != nil {
-				return fmt.Errorf("store: commit %q: %w", id, e.err)
-			}
+		if err := gc.commit(wh); err != nil {
+			return fmt.Errorf("store: commit %q: %w", id, err)
 		}
 	}
-	span.End()
-	walAppendLatency.Record(time.Since(t0))
 	return nil
 }
 
@@ -351,15 +354,12 @@ func (f *File) handle(id string) (*walHandle, error) {
 // handle already removed from the cache (eviction). Under a syncfs-armed
 // committer the fsync is skipped: every acknowledged record on the
 // handle already crossed an epoch barrier, and any unacknowledged tail
-// is covered by the epoch its appender is parked on — syncfs flushes a
-// closed fd's dirty pages all the same. Without that skip, handle-cache
+// is covered by the epoch its appender holds a ticket on — syncfs flushes
+// a closed fd's dirty pages all the same. Without that skip, handle-cache
 // churn above max sessions costs one fsync per append and dominates the
 // durable write path.
 func (f *File) closeHandle(wh *walHandle) {
-	syncfs := false
-	if gc := f.gc.Load(); gc != nil && gc.syncfsOK.Load() {
-		syncfs = true
-	}
+	syncfs := f.gc.Load().syncfs()
 	wh.mu.Lock()
 	defer wh.mu.Unlock()
 	if wh.f != nil {
@@ -679,7 +679,7 @@ func (f *File) Sync() error {
 	// Under a syncfs-armed committer one filesystem barrier covers every
 	// handle — cached, evicted, or closed — in a single journal commit.
 	// A private dir fd avoids racing the committer's own (closed on stop).
-	if gc := f.gc.Load(); gc != nil && gc.syncfsOK.Load() {
+	if f.gc.Load().syncfs() {
 		if d, err := os.Open(f.dir); err == nil {
 			ok, serr := syncFilesystem(d.Fd())
 			d.Close()
@@ -706,9 +706,9 @@ func (f *File) Sync() error {
 	return first
 }
 
-// Close implements Store: stop the group committer (releasing any parked
-// appends), sync, release every handle, and refuse further writes.
-// Idempotent.
+// Close implements Store: stop the group committer (every queued commit
+// epoch drains first, so no parked append leaks), sync, release every
+// handle, and refuse further writes. Idempotent.
 func (f *File) Close() error {
 	f.stopCommitter()
 	f.mu.Lock()
@@ -737,51 +737,72 @@ func (f *File) Close() error {
 
 // --- Group commit --------------------------------------------------------------
 
-// commitEpoch is one coalesced fsync barrier: every append since the
-// previous flush registers its WAL handle in dirty and parks on done.
-// The committer fsyncs each distinct dirty handle exactly once, stores
-// the first failure in err, and releases every parked caller together.
+// Group commit is leader/follower, with no clock and no goroutine of its
+// own. One flush runs at a time; whoever runs it holds the baton
+// (groupCommitter.flushing). An append that finds the baton free takes it
+// and flushes at once, alone. An append that finds it taken takes a ticket
+// on the newest queued epoch instead — the first ticket of an epoch is its
+// leader, the rest its followers — and parks. When a flush ends the baton
+// goes to the leader of the oldest queued epoch, which flushes and releases
+// its followers; with nothing queued the baton goes back to free. So an
+// idle committer costs nothing, a lone appender waits only for its own
+// barrier, and under load an epoch holds whatever arrived during the flush
+// before it: the device's latency, not a timer, sets the batch size.
+
+// commitEpoch is one queued fsync barrier: the appends that arrived while
+// an earlier flush was in flight. Its first ticket parks on lead and runs
+// the flush; every other ticket parks on done and reads err afterwards.
+// Epochs are recycled through groupCommitter.free once the last ticket has
+// let go, so a follower epoch allocates nothing after the first few.
 type commitEpoch struct {
-	dirty   map[*walHandle]struct{}
 	tickets int
-	done    chan struct{}
-	err     error
+	// dirty is the set of handles to fsync; nil under syncfs, where one
+	// barrier covers every handle.
+	dirty map[*walHandle]struct{}
+	lead  chan struct{}  // capacity 1: the baton, handed to the epoch's leader
+	done  sync.WaitGroup // holds 1 until the epoch has flushed
+	err   error          // written by the leader before done opens
+	refs  atomic.Int32   // tickets still holding the epoch after done opened
+	next  *commitEpoch   // queue link, then free-list link
 }
 
-// groupCommitter is the single background goroutine coalescing appends
-// from many sessions into shared fsync epochs.
+// groupCommitter coalesces appends from many sessions into shared fsync
+// epochs (see the protocol above).
 type groupCommitter struct {
 	f        *File
-	window   time.Duration
 	maxBatch int
 	onEpoch  func(synced, parked int)
 
-	mu      sync.Mutex // guards cur and stopped
-	cur     *commitEpoch
-	stopped bool
-
 	// dir is the open sessions directory used as the syncfs(2) anchor:
 	// when non-nil, an epoch flushes with one filesystem-wide barrier
-	// instead of one fsync per dirty handle. Only the committer goroutine
-	// touches it after SetGroupCommit (stopCommitter closes it after the
-	// goroutine exits). syncfsOK mirrors dir != nil for lock-free reads
-	// from the eviction and Sync paths.
-	dir      *os.File
-	syncfsOK atomic.Bool
+	// instead of one fsync per dirty handle. It is probed once when the
+	// committer is armed and never changes afterwards — pinning the flush
+	// mode for the committer's lifetime is what lets closeHandle skip its
+	// fsync — and is closed by stopCommitter after the last flush.
+	dir *os.File
 
-	kick chan struct{} // signaled when an epoch reaches maxBatch tickets
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu       sync.Mutex
+	flushing bool         // the baton: a flush is in flight or being handed over
+	head     *commitEpoch // oldest queued epoch, next to flush
+	tail     *commitEpoch // newest queued epoch, the one open to new tickets
+	queued   int          // tickets on queued epochs
+	free     *commitEpoch
+	stopped  bool
+	idle     sync.Cond // on mu; signaled when the baton goes back to free
 }
 
-// SetGroupCommit turns on group commit: appends park on a shared commit
-// ticket and return OS-crash durable, with the background committer
-// issuing at most one fsync per dirty session per epoch. An epoch closes
-// every window or as soon as maxBatch appends have parked on it,
-// whichever comes first (maxBatch <= 0 means window-only). onEpoch, when
-// non-nil, observes every flushed epoch with the number of handles
-// fsynced and appends released. A non-positive window is a no-op; the
-// committer stops (releasing any parked appends) on Close.
+// SetGroupCommit turns on group commit: every append returns OS-crash
+// durable, having either flushed its own commit epoch or parked on one
+// that another append led, with at most one fsync per dirty session per
+// epoch (one syncfs for all of them where the kernel has it). There is no
+// commit timer: a positive window only arms the committer, and how many
+// appends share an epoch is set by how many arrive while the previous
+// flush is in flight. maxBatch caps the tickets one epoch may take; later
+// arrivals form the epoch after it (maxBatch <= 0 means uncapped).
+// onEpoch, when non-nil, observes every flushed epoch with the number of
+// barriers issued and appends released; it runs on the goroutine of the
+// append that led the epoch, one call at a time. A non-positive window
+// and a second arm are no-ops; the committer stops on Close.
 func (f *File) SetGroupCommit(window time.Duration, maxBatch int, onEpoch func(synced, parked int)) {
 	if window <= 0 || f.gc.Load() != nil {
 		return
@@ -789,22 +810,13 @@ func (f *File) SetGroupCommit(window time.Duration, maxBatch int, onEpoch func(s
 	if err := f.checkOpen(); err != nil {
 		return
 	}
-	gc := &groupCommitter{
-		f:        f,
-		window:   window,
-		maxBatch: maxBatch,
-		onEpoch:  onEpoch,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-	}
+	gc := &groupCommitter{f: f, maxBatch: maxBatch, onEpoch: onEpoch}
+	gc.idle.L = &gc.mu
 	// Probe syncfs support up front (the probe itself is a harmless
-	// barrier): committing to one flush mode for the committer's lifetime
-	// is what lets evictions skip their fsync safely. A nil dir just
-	// means per-handle fsyncs.
+	// barrier). A nil dir just means per-handle fsyncs.
 	if d, err := os.Open(f.dir); err == nil {
 		if ok, serr := syncFilesystem(d.Fd()); ok && serr == nil {
 			gc.dir = d
-			gc.syncfsOK.Store(true)
 		} else {
 			d.Close()
 		}
@@ -815,13 +827,15 @@ func (f *File) SetGroupCommit(window time.Duration, maxBatch int, onEpoch func(s
 		}
 		return
 	}
-	// Scrape-time queue depth: appends parked on the open epoch. The
-	// newest armed committer owns the series; a stopped committer reads 0.
+	// Scrape-time queue depth: appends parked on queued epochs. The newest
+	// armed committer owns the series; a stopped committer reads 0.
 	obs.RegisterGaugeFunc("gameauthority_group_commit_queue_depth",
-		"Appends parked on the open group-commit epoch.",
-		func() float64 { return float64(gc.pendingTickets()) })
-	gc.wg.Add(1)
-	go gc.run()
+		"Appends parked on queued group-commit epochs.",
+		func() float64 {
+			gc.mu.Lock()
+			defer gc.mu.Unlock()
+			return float64(gc.queued)
+		})
 }
 
 // Fsyncs reports the total fsyncs issued against session WAL handles —
@@ -831,95 +845,127 @@ func (f *File) Fsyncs() int64 { return f.fsyncs.Load() }
 // CommitEpochs reports how many group-commit epochs have been flushed.
 func (f *File) CommitEpochs() int64 { return f.epochs.Load() }
 
-// stopCommitter shuts the committer down, flushing the pending epoch so
-// no parked append leaks. Idempotent.
+// stopCommitter shuts the committer down: appends from now on fall back
+// to the direct-append contract, the flush in flight and every queued
+// epoch drain in order (each one's leader is already parked and is handed
+// the baton in turn), and only then is the syncfs anchor closed.
+// Idempotent.
 func (f *File) stopCommitter() {
 	gc := f.gc.Swap(nil)
 	if gc == nil {
 		return
 	}
-	close(gc.stop)
-	gc.wg.Wait()
+	gc.mu.Lock()
+	gc.stopped = true
+	for gc.flushing {
+		gc.idle.Wait()
+	}
+	gc.mu.Unlock()
 	if gc.dir != nil {
 		gc.dir.Close()
 	}
 }
 
-// enlist registers a successful append on the current epoch. It returns
-// nil when the committer has stopped — the caller falls back to the
-// direct-append contract (Close fsyncs everything anyway).
-func (gc *groupCommitter) enlist(wh *walHandle) *commitEpoch {
+// syncfs reports whether the committer flushes with one filesystem-wide
+// barrier; false for a nil (unarmed or stopped) committer.
+func (gc *groupCommitter) syncfs() bool { return gc != nil && gc.dir != nil }
+
+// commit makes the caller's append — already written to wh — durable and
+// returns the flush error of the epoch that covered it. It returns nil
+// without a barrier once the committer has stopped: the caller falls back
+// to the direct-append contract (Close fsyncs everything anyway).
+//
+// The barrier that covers an append always starts after the append's
+// write: a lone leader starts its own, and a ticket is only ever taken on
+// a queued epoch, which cannot start flushing before the flush already in
+// flight has ended.
+func (gc *groupCommitter) commit(wh *walHandle) error {
 	gc.mu.Lock()
 	if gc.stopped {
 		gc.mu.Unlock()
 		return nil
 	}
-	e := gc.cur
-	if e == nil {
-		e = &commitEpoch{dirty: make(map[*walHandle]struct{}), done: make(chan struct{})}
-		gc.cur = e
+	if !gc.flushing {
+		gc.flushing = true
+		gc.mu.Unlock()
+		err := gc.flush(wh, nil, 1)
+		gc.handoff()
+		return err
 	}
-	e.dirty[wh] = struct{}{}
+	e := gc.tail
+	leader := e == nil || (gc.maxBatch > 0 && e.tickets >= gc.maxBatch)
+	if leader {
+		e = gc.enqueue()
+	}
 	e.tickets++
-	full := gc.maxBatch > 0 && e.tickets >= gc.maxBatch
+	gc.queued++
+	if e.dirty != nil {
+		e.dirty[wh] = struct{}{}
+	}
 	gc.mu.Unlock()
-	if full {
-		select {
-		case gc.kick <- struct{}{}:
-		default:
+
+	if leader {
+		// handoff dequeued e before sending: nobody can take a ticket on
+		// it any more, so its fields are ours to read.
+		<-e.lead
+		e.err = gc.flush(nil, e.dirty, e.tickets)
+		gc.handoff()
+		e.refs.Store(int32(e.tickets))
+		e.done.Done()
+	} else {
+		e.done.Wait()
+	}
+	err := e.err
+	if e.refs.Add(-1) == 0 {
+		gc.mu.Lock()
+		e.next, gc.free = gc.free, e
+		gc.mu.Unlock()
+	}
+	return err
+}
+
+// enqueue appends an empty epoch — recycled when one is free — to the
+// queue. The caller holds gc.mu.
+func (gc *groupCommitter) enqueue() *commitEpoch {
+	e := gc.free
+	if e != nil {
+		gc.free = e.next
+		e.tickets, e.err, e.next = 0, nil, nil
+		clear(e.dirty)
+	} else {
+		e = &commitEpoch{lead: make(chan struct{}, 1)}
+		if gc.dir == nil {
+			e.dirty = make(map[*walHandle]struct{})
 		}
 	}
+	e.done.Add(1)
+	if gc.tail != nil {
+		gc.tail.next = e
+	} else {
+		gc.head = e
+	}
+	gc.tail = e
 	return e
 }
 
-// run is the committer goroutine: flush on every window tick or maxBatch
-// kick, then drain one final epoch on stop. Between window ticks it polls
-// at a quarter-window cadence and flushes early once the epoch has gone
-// quiet (no new append parked for a full poll interval): the window is a
-// ceiling for coalescing steady load, not a debt a lone straggler must
-// pay — without the early close, the last appends of a run leave the CPU
-// idle for the window's remainder while their callers sit parked.
-func (gc *groupCommitter) run() {
-	defer gc.wg.Done()
-	quiet := gc.window / 4
-	if quiet < 50*time.Microsecond {
-		quiet = 50 * time.Microsecond
-	}
-	ticker := time.NewTicker(gc.window)
-	defer ticker.Stop()
-	poll := time.NewTicker(quiet)
-	defer poll.Stop()
-	last := 0 // tickets observed at the previous quiet poll
-	for {
-		select {
-		case <-ticker.C:
-			gc.flush(false)
-			last = 0
-		case <-poll.C:
-			n := gc.pendingTickets()
-			if n > 0 && n == last {
-				gc.flush(false)
-				n = 0
-			}
-			last = n
-		case <-gc.kick:
-			gc.flush(false)
-			last = 0
-		case <-gc.stop:
-			gc.flush(true)
-			return
-		}
-	}
-}
-
-// pendingTickets reports how many appends are parked on the open epoch.
-func (gc *groupCommitter) pendingTickets() int {
+// handoff ends the caller's turn with the baton: the leader of the oldest
+// queued epoch gets it, or nobody does.
+func (gc *groupCommitter) handoff() {
 	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	if gc.cur == nil {
-		return 0
+	e := gc.head
+	if e == nil {
+		gc.flushing = false
+		gc.idle.Broadcast()
+		gc.mu.Unlock()
+		return
 	}
-	return gc.cur.tickets
+	if gc.head = e.next; gc.head == nil {
+		gc.tail = nil
+	}
+	e.next = nil
+	gc.queued -= e.tickets
+	gc.mu.Unlock()
+	e.lead <- struct{}{}
 }
 
 // flushFanout bounds how many dirty handles an epoch fsyncs concurrently.
@@ -928,105 +974,93 @@ func (gc *groupCommitter) pendingTickets() int {
 // instead of one per dirty session.
 const flushFanout = 64
 
-// flush detaches the pending epoch, fsyncs its dirty handles, and wakes
-// every parked append. A handle already closed by eviction or
-// invalidation is skipped: its close fsynced everything it held. Every
-// appender parked on the epoch is already waiting on done, so holding the
-// dirty handles' locks across the concurrent fsyncs cannot deadlock.
-func (gc *groupCommitter) flush(final bool) {
-	gc.mu.Lock()
-	e := gc.cur
-	gc.cur = nil
-	if final {
-		gc.stopped = true
-	}
-	gc.mu.Unlock()
-	if e == nil {
-		return
-	}
+// flush issues one epoch's barrier — syncfs, or an fsync of lone (a lone
+// leader's handle) or of every handle in dirty — and accounts for it. The
+// caller holds the baton.
+func (gc *groupCommitter) flush(lone *walHandle, dirty map[*walHandle]struct{}, tickets int) error {
 	t0 := time.Now()
-	span := obs.DefaultTracer.Begin("commit.epoch", "store", 0, int64(e.tickets))
-	defer func() {
-		span.End()
-		commitEpochLatency.Record(time.Since(t0))
-	}()
-	var first error
-	synced := 0
-	if gc.dir != nil {
+	span := obs.DefaultTracer.Begin("commit.epoch", "store", 0, int64(tickets))
+	var (
+		synced int
+		err    error
+	)
+	switch {
+	case gc.dir != nil:
 		// One syncfs barrier commits every dirty WAL in the epoch with a
 		// single filesystem journal commit — the flat-cost flush that
-		// makes the epoch price independent of how many sessions parked.
-		// It also covers page-cache data of handles the cache evicted (a
-		// closed fd's dirty pages still belong to the filesystem), which
-		// is why closeHandle skips its fsync in this mode.
+		// makes the epoch price independent of how many sessions share
+		// it. It also covers page-cache data of handles the cache evicted
+		// (a closed fd's dirty pages still belong to the filesystem),
+		// which is why closeHandle skips its fsync in this mode.
 		ts := time.Now()
-		ok, err := syncFilesystem(gc.dir.Fd())
-		if ok {
-			fsyncLatency.Record(time.Since(ts))
-			gc.f.fsyncs.Add(1)
-			e.err = err
-			gc.f.epochs.Add(1)
-			if gc.onEpoch != nil {
-				gc.onEpoch(1, e.tickets)
-			}
-			close(e.done)
-			return
-		}
-		// Unreachable after a successful arm-time probe, but stay safe:
-		// fall back to per-handle fsyncs for the rest of the run.
-		gc.syncfsOK.Store(false)
-		gc.dir.Close()
-		gc.dir = nil
-	}
-	syncOne := func(wh *walHandle) (did bool, err error) {
-		wh.mu.Lock()
-		defer wh.mu.Unlock()
-		if wh.f == nil {
-			return false, nil
-		}
-		ts := time.Now()
-		err = wh.f.Sync()
+		ok, serr := syncFilesystem(gc.dir.Fd())
 		fsyncLatency.Record(time.Since(ts))
 		gc.f.fsyncs.Add(1)
-		return true, err
-	}
-	if len(e.dirty) == 1 {
-		for wh := range e.dirty {
-			did, err := syncOne(wh)
-			if did {
-				synced++
-			}
-			first = err
+		if !ok {
+			// The arm-time probe succeeded, so this cannot happen; and the
+			// mode is pinned, so it is an error, not a fallback.
+			serr = errors.ErrUnsupported
 		}
-	} else {
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, flushFanout)
-		for wh := range e.dirty {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(wh *walHandle) {
-				defer wg.Done()
-				did, err := syncOne(wh)
-				<-sem
-				mu.Lock()
-				if did {
-					synced++
-				}
-				if err != nil && first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}(wh)
-		}
-		wg.Wait()
+		synced, err = 1, serr
+	case lone != nil:
+		synced, err = gc.syncHandle(lone)
+	default:
+		synced, err = gc.syncHandles(dirty)
 	}
-	e.err = first
 	gc.f.epochs.Add(1)
 	if gc.onEpoch != nil {
-		gc.onEpoch(synced, e.tickets)
+		gc.onEpoch(synced, tickets)
 	}
-	close(e.done)
+	span.End()
+	commitEpochLatency.Record(time.Since(t0))
+	return err
+}
+
+// syncHandle fsyncs one handle. A handle already closed by eviction or
+// invalidation is skipped: its close fsynced everything it held.
+func (gc *groupCommitter) syncHandle(wh *walHandle) (synced int, err error) {
+	wh.mu.Lock()
+	defer wh.mu.Unlock()
+	if wh.f == nil {
+		return 0, nil
+	}
+	ts := time.Now()
+	err = wh.f.Sync()
+	fsyncLatency.Record(time.Since(ts))
+	gc.f.fsyncs.Add(1)
+	return 1, err
+}
+
+// syncHandles fsyncs every handle of an epoch, flushFanout at a time, and
+// returns how many it reached and the first failure. Every appender with
+// a ticket on the epoch is parked, so holding the handles' locks across
+// the concurrent fsyncs cannot deadlock.
+func (gc *groupCommitter) syncHandles(dirty map[*walHandle]struct{}) (synced int, first error) {
+	if len(dirty) == 1 {
+		for wh := range dirty {
+			return gc.syncHandle(wh)
+		}
+	}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, flushFanout)
+	for wh := range dirty {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(wh *walHandle) {
+			defer wg.Done()
+			n, err := gc.syncHandle(wh)
+			<-sem
+			mu.Lock()
+			synced += n
+			if err != nil && first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}(wh)
+	}
+	wg.Wait()
+	return synced, first
 }
 
 // --- File helpers --------------------------------------------------------------

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gameauthority/internal/obs"
 )
 
 // backends builds one fresh store per backend for table-driven tests.
@@ -443,5 +445,28 @@ func TestFileRejectsEscapingIDs(t *testing.T) {
 		if err := st.CreateSession(id, nil); err == nil {
 			t.Fatalf("id %q accepted", id)
 		}
+	}
+}
+
+// TestFileAppendFailureStillObserved: an append that fails — at the write,
+// or at its commit epoch — still ends its wal.append span and records its
+// latency sample, so a traced fault run accounts for every append.
+func TestFileAppendFailureStillObserved(t *testing.T) {
+	st, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	obs.DefaultTracer.Enable(64, 1)
+	defer obs.DefaultTracer.Disable()
+	samples, spans := walAppendLatency.Count(), obs.DefaultTracer.Len()
+	if err := st.Append("nobody", Record{Type: RecordPlay}); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("append to a missing session: %v, want ErrUnknownSession", err)
+	}
+	if got := walAppendLatency.Count() - samples; got != 1 {
+		t.Fatalf("failed append recorded %d latency samples, want 1", got)
+	}
+	if got := obs.DefaultTracer.Len() - spans; got != 1 {
+		t.Fatalf("failed append completed %d spans, want its wal.append", got)
 	}
 }
