@@ -137,7 +137,6 @@ func TestAllocsPerPlayDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := ga.New(g4, ga.WithDistributed(4, 1, nil),
-		ga.WithPulseWorkers(1), // lockstep: measure protocol allocations, not scheduler noise
 		ga.WithSeed(1),
 		ga.WithHistoryLimit(16))
 	if err != nil {

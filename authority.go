@@ -295,7 +295,7 @@ func (a *Authority) Create(id string, g Game, opts ...Option) (*HostedSession, e
 	if err != nil {
 		// A concurrent Create won the ID between the pre-check and the
 		// shard lock; release the freshly built session (a distributed one
-		// owns a worker pool) instead of leaking it.
+		// at n ≥ 10 owns a worker pool) instead of leaking it.
 		_ = s.Close()
 		return nil, err
 	}

@@ -1,13 +1,13 @@
-// Per-driver play benchmarks: the tracked performance baseline of the
-// middleware hot path. BENCH_PR2.json holds exactly these (with -benchmem,
-// piped through cmd/benchfmt) so future changes have a trajectory to
-// beat; see DESIGN.md §"Performance model" for the command and how to
-// read the artifact. The experiment-level benchmarks live in bench_test.go.
+// Per-driver play benchmarks of the middleware hot path, for measuring
+// while you work (`go test -run '^$' -bench '^BenchmarkPlay' -benchmem .`).
+// The numbers of record are the benchmark ledger's core.pure_play_ns and
+// core.dist_play_n{4,7}_us rows (bench/README.md); `make bench-smoke` runs
+// these once each so they cannot rot. The experiment-level benchmarks live
+// in bench_test.go.
 package gameauthority_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	ga "gameauthority"
@@ -93,17 +93,16 @@ func BenchmarkPlayRRA(b *testing.B) {
 	}
 }
 
-// benchDistributed measures one full distributed play — clock sync plus
-// four interactive consistencies over the synchronous network — with the
-// given pulse-engine width (1 = lockstep, 0 = auto-parallel).
-func benchDistributed(b *testing.B, workers int) {
+// BenchmarkPlayDistributed measures one full distributed play — clock
+// sync plus four interactive consistencies over the synchronous network —
+// at n=4, f=1, which the driver steps on the lockstep engine.
+func BenchmarkPlayDistributed(b *testing.B) {
 	ctx := context.Background()
 	g4, err := ga.PublicGoods(4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s, err := ga.New(g4, ga.WithDistributed(4, 1, nil),
-		ga.WithPulseWorkers(workers),
 		ga.WithSeed(1),
 		ga.WithHistoryLimit(warmPlays))
 	if err != nil {
@@ -118,16 +117,4 @@ func benchDistributed(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
-
-// BenchmarkPlayDistributedLockstep is the single-threaded reference
-// engine.
-func BenchmarkPlayDistributedLockstep(b *testing.B) { benchDistributed(b, 1) }
-
-// BenchmarkPlayDistributedParallel runs the worker-pool pulse engine at
-// the host's core count. On a multi-core host this is the wall-clock win
-// the parallel engine buys; on a single core it shows the pool's overhead
-// floor (compare the gomaxprocs metric when reading results).
-func BenchmarkPlayDistributedParallel(b *testing.B) { benchDistributed(b, 0) }

@@ -28,31 +28,14 @@ import (
 // B's expected gain without the authority (≈ +4/round) and with it (≈ 0).
 func BenchmarkEF1MatchingPennies(b *testing.B) {
 	const rounds = 2000
-	strategies := func(int, ga.Profile) ga.MixedProfile {
-		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-	}
 	var gainUnsup, gainSup float64
 	for i := 0; i < b.N; i++ {
-		manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-		unsup, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Mode: ga.AuditOff, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		unsup := mixedDriver(b, ga.MatchingPennies(), fig1Options(uint64(i), ga.WithAudit(ga.AuditOff))...)
 		if err := unsup.Play(rounds); err != nil {
 			b.Fatal(err)
 		}
-		sup, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Scheme: ga.NewDisconnectScheme(2, 0), Mode: ga.AuditPerRound, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		sup := mixedDriver(b, ga.MatchingPennies(), fig1Options(uint64(i),
+			ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), ga.WithAudit(ga.AuditPerRound))...)
 		if err := sup.Play(rounds); err != nil {
 			b.Fatal(err)
 		}
@@ -143,10 +126,7 @@ func BenchmarkET5RRA(b *testing.B) {
 	)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		h, err := ga.NewSupervisedRRA(n, bb, uint64(i), ga.NewDisconnectScheme(n, 0), true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		h := rraDriver(b, n, bb, uint64(i))
 		if err := h.Play(k); err != nil {
 			b.Fatal(err)
 		}
@@ -207,14 +187,9 @@ func BenchmarkEPoMInoculation(b *testing.B) {
 // disciplines' agreement overhead for 64 rounds.
 func BenchmarkEAUDAuditing(b *testing.B) {
 	const rounds = 64
-	strategies := func(int, ga.Profile) ga.MixedProfile {
-		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-	}
-	run := func(mode ga.MixedConfig) float64 {
-		s, err := ga.NewMixedSession(mode)
-		if err != nil {
-			b.Fatal(err)
-		}
+	run := func(seed uint64, audit ga.Option) float64 {
+		s := mixedDriver(b, ga.MatchingPennies(), ga.WithStrategies(uniform2),
+			ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), audit, ga.WithSeed(seed))
 		if err := s.Play(rounds); err != nil {
 			b.Fatal(err)
 		}
@@ -225,16 +200,8 @@ func BenchmarkEAUDAuditing(b *testing.B) {
 	}
 	var perRound, batched float64
 	for i := 0; i < b.N; i++ {
-		perRound = run(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Strategies: strategies,
-			Agents: []*ga.MixedAgent{nil, nil}, Scheme: ga.NewDisconnectScheme(2, 0),
-			Mode: ga.AuditPerRound, Seed: uint64(i),
-		})
-		batched = run(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Strategies: strategies,
-			Agents: []*ga.MixedAgent{nil, nil}, Scheme: ga.NewDisconnectScheme(2, 0),
-			Mode: ga.AuditBatched, EpochLen: 16, Seed: uint64(i),
-		})
+		perRound = run(uint64(i), ga.WithAudit(ga.AuditPerRound))
+		batched = run(uint64(i), ga.WithAudit(ga.AuditBatched, ga.EpochLen(16)))
 	}
 	b.ReportMetric(perRound/rounds, "agreements/round(per-round)")
 	b.ReportMetric(batched/rounds, "agreements/round(batched-T16)")
@@ -243,19 +210,9 @@ func BenchmarkEAUDAuditing(b *testing.B) {
 // BenchmarkEPUNPunishment compares how many rounds each scheme needs to
 // neutralize the Fig. 1 manipulator.
 func BenchmarkEPUNPunishment(b *testing.B) {
-	strategies := func(int, ga.Profile) ga.MixedProfile {
-		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-	}
 	roundsTo := func(scheme ga.PunishmentScheme, seed uint64) float64 {
-		manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-		s, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Scheme: scheme, Mode: ga.AuditPerRound, Seed: seed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := mixedDriver(b, ga.MatchingPennies(), fig1Options(seed,
+			ga.WithPunishment(scheme), ga.WithAudit(ga.AuditPerRound))...)
 		for r := 1; r <= 200; r++ {
 			if _, err := s.PlayRound(); err != nil {
 				b.Fatal(err)
@@ -345,14 +302,8 @@ func BenchmarkEBAPAgreement(b *testing.B) {
 // BenchmarkDistributedPlay measures full distributed plays (4 processors,
 // f=1: clock sync + 4 interactive consistencies per play).
 func BenchmarkDistributedPlay(b *testing.B) {
-	g := ga.PrisonersDilemma()
-	_ = g
 	// A 4-player dominant-strategy game (one player per processor).
-	g4 := benchNPD{n: 4}
-	s, err := ga.NewDistributedSession(4, 1, g4, make([]*ga.Agent, 4), 7, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := distDriver(b, benchNPD{n: 4}, 4, 1, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.RunPlays(1)
@@ -366,21 +317,11 @@ func BenchmarkDistributedPlay(b *testing.B) {
 // BenchmarkEEXTSampled measures the §1.1 sampled-audit extension: detection
 // latency of the Fig. 1 manipulator at a 20% spot-check rate.
 func BenchmarkEEXTSampled(b *testing.B) {
-	strategies := func(int, ga.Profile) ga.MixedProfile {
-		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-	}
 	var latency float64
 	for i := 0; i < b.N; i++ {
-		manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-		s, err := ga.NewMixedSession(ga.MixedConfig{
-			Elected: ga.MatchingPennies(), Actual: ga.MatchingPenniesManipulated(),
-			Strategies: strategies, Agents: []*ga.MixedAgent{nil, manip},
-			Scheme: ga.NewDisconnectScheme(2, 0), Mode: ga.AuditSampled,
-			SampleProb: 0.2, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := mixedDriver(b, ga.MatchingPennies(), fig1Options(uint64(i),
+			ga.WithPunishment(ga.NewDisconnectScheme(2, 0)),
+			ga.WithAudit(ga.AuditSampled, ga.SampleProb(0.2)))...)
 		latency = 201
 		for r := 1; r <= 200; r++ {
 			if _, err := s.PlayRound(); err != nil {

@@ -118,10 +118,6 @@ func runChaos(cfg config) error {
 		return fmt.Errorf("-sessions %d is below the mix's %d scenarios; raise -sessions or narrow -mix",
 			cfg.sessions, len(mix))
 	}
-	if cfg.pulseWorkers < 0 {
-		return fmt.Errorf("-pulse-workers %d must be non-negative", cfg.pulseWorkers)
-	}
-	mix = applyPulseWorkers(mix, cfg.pulseWorkers)
 
 	// The faulty server: a memory-backed durable authority whose store is
 	// wrapped by a seeded disk plan, behind a loopback HTTP server whose

@@ -13,14 +13,11 @@
 //     over the JSON API (-selfserve starts a loopback server in-process,
 //     so the HTTP path is measurable hermetically).
 //
-// Output is go-bench formatted on stdout so it pipes straight into
-// cmd/benchfmt for the tracked artifact:
-//
-//	go run ./cmd/loadgen | go run ./cmd/benchfmt -command "make loadgen" -out BENCH_PR3.json
-//
-// `make loadgen` is the canonical invocation (1000 sessions); `make
-// loadgen-smoke` is the CI-sized variant. See DESIGN.md §7 for how to
-// read the numbers.
+// Output is go-bench formatted on stdout. loadgen is a correctness
+// harness — `make loadgen-smoke` and the other CI smokes run it at small
+// sizes and fail on harness errors, never on timing; the measured numbers
+// are the benchmark ledger's (bench/README.md). See DESIGN.md §7 for the
+// scenario mix and how to read a run.
 package main
 
 import (
@@ -53,8 +50,6 @@ func main() {
 	flag.StringVar(&cfg.transport, "transport", "",
 		"transport to drive: inproc, http, or ws (default: http when -http/-selfserve is set, else inproc)")
 	flag.IntVar(&cfg.conns, "conns", 16, "ws transport: number of multiplexed WebSocket connections")
-	flag.IntVar(&cfg.pulseWorkers, "pulse-workers", 0,
-		"distributed pulse engine width: 0 driver default, 1 lockstep, >1 worker pool (needs GOMAXPROCS>1 to pay off)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "root seed; session i uses seed+i")
 	flag.Float64Var(&cfg.deviants, "deviants", 0,
 		"fraction of sessions carrying one selfish deviant player (0..1); strategies rotate through the deviation catalog")
@@ -101,9 +96,6 @@ type config struct {
 	chaosNet  float64 // seeded network-fault rate for chaos mode
 	crash     int
 	dataDir   string
-	// pulseWorkers overrides the distributed sessions' pulse engine width
-	// (0 keeps the driver default).
-	pulseWorkers int
 	// obs reports server-side latency percentiles from the in-process
 	// observability histograms alongside the client-side numbers.
 	obs  bool
@@ -264,34 +256,6 @@ func distScenario(label, game string, n, f, weight int) scenario {
 			return req
 		},
 	}
-}
-
-// applyPulseWorkers overrides the pulse engine width on every distributed
-// scenario in the mix, both in-process (option) and over the wire
-// (request field). workers ≤ 0 leaves the mix untouched.
-func applyPulseWorkers(mix []scenario, workers int) []scenario {
-	if workers <= 0 {
-		return mix
-	}
-	for i := range mix {
-		if mix[i].driver != "distributed" {
-			continue
-		}
-		sc := mix[i]
-		mix[i].build = func(seed uint64) (ga.Game, []ga.Option, error) {
-			g, opts, err := sc.build(seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			return g, append(opts, ga.WithPulseWorkers(workers)), nil
-		}
-		mix[i].request = func(id string, seed uint64) ga.CreateSessionRequest {
-			req := sc.request(id, seed)
-			req.PulseWorkers = workers
-			return req
-		}
-	}
-	return mix
 }
 
 // catalogScenario lifts a scenario-catalog family onto the pure driver.
@@ -483,9 +447,6 @@ func run(cfg config) error {
 	if cfg.crash > 0 && cfg.chaos {
 		return fmt.Errorf("-crash cannot compose with -chaos: network adversaries are in-process closures a recovered session cannot rebuild from its journaled spec")
 	}
-	if cfg.pulseWorkers < 0 {
-		return fmt.Errorf("-pulse-workers %d must be non-negative", cfg.pulseWorkers)
-	}
 	mix, err := applyMix(loadMix(), cfg.mix)
 	if err != nil {
 		return err
@@ -496,7 +457,6 @@ func run(cfg config) error {
 		return fmt.Errorf("-sessions %d is below the mix's %d scenarios; raise -sessions or narrow -mix",
 			cfg.sessions, len(mix))
 	}
-	mix = applyPulseWorkers(mix, cfg.pulseWorkers)
 
 	durable := cfg.crash > 0 || cfg.dataDir != ""
 	var tr transport
@@ -559,16 +519,13 @@ func run(cfg config) error {
 	defer tr.shutdown()
 
 	// Row names carry the write-path shape so volatile, durable, and
-	// durable-batched runs land as distinct rows in one BENCH artifact.
+	// durable-batched runs read as distinct rows.
 	label := "Loadgen/transport=" + tmode
 	if durable {
 		label += "/durable"
 	}
 	if cfg.batch > 1 {
 		label += fmt.Sprintf("/batch=%d", cfg.batch)
-	}
-	if cfg.pulseWorkers > 0 {
-		label += fmt.Sprintf("/pulse-workers=%d", cfg.pulseWorkers)
 	}
 	if cfg.obs {
 		label += "/obs"
@@ -768,8 +725,7 @@ func run(cfg config) error {
 		float64(len(all))/playDur.Seconds())
 
 	// Bench names carry the transport label so WS-vs-HTTP runs land as
-	// separate rows with their own p50/p99 split in the BENCH_*.json
-	// artifacts.
+	// separate rows with their own p50/p99 split.
 	fmt.Fprintf(cfg.out, "goos: %s\ngoarch: %s\n", runtime.GOOS, runtime.GOARCH)
 	for i, sc := range mix {
 		writeBenchLine(cfg.out, label+"/scenario="+sc.name+"/driver="+sc.driver,
@@ -849,8 +805,7 @@ func deviantNames() []string {
 
 // writeBenchLine emits one go-bench formatted line: iterations = plays,
 // ns/op = mean latency, plus plays/s throughput over the concurrent play
-// window, latency percentiles, and the session count as custom metrics —
-// exactly what cmd/benchfmt parses into the BENCH_*.json artifact.
+// window, latency percentiles, and the session count as custom metrics.
 func writeBenchLine(w io.Writer, name string, lat []float64, sessions int, window time.Duration) {
 	if len(lat) == 0 {
 		return

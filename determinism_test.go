@@ -71,12 +71,11 @@ func determinismScenarios(t *testing.T) map[string]func() (ga.Session, int) {
 				ga.WithPunishment(ga.NewDisconnectScheme(8, 0))), 16
 		},
 		"dist-publicgoods": func() (ga.Session, int) {
-			// The lockstep engine is pinned here; the worker pool is
+			// n = 4 steps on the lockstep engine; the worker pool is
 			// proven execution-identical by core's equivalence property
 			// tests, so this transcript covers both.
 			return mustNew(pg, ga.WithSeed(42),
-				ga.WithDistributed(4, 1, nil),
-				ga.WithPulseWorkers(1)), 6
+				ga.WithDistributed(4, 1, nil)), 6
 		},
 	}
 }

@@ -35,22 +35,9 @@ func TestFacadeTableGames(t *testing.T) {
 }
 
 func TestFacadeSampledAudit(t *testing.T) {
-	manip := &ga.MixedAgent{Override: func(int, int) int { return ga.ManipulateAction }}
-	s, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected: ga.MatchingPennies(),
-		Actual:  ga.MatchingPenniesManipulated(),
-		Strategies: func(int, ga.Profile) ga.MixedProfile {
-			return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-		},
-		Agents:     []*ga.MixedAgent{nil, manip},
-		Scheme:     ga.NewDisconnectScheme(2, 0),
-		Mode:       ga.AuditSampled,
-		SampleProb: 0.5,
-		Seed:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mixedDriver(t, ga.MatchingPennies(), fig1Options(3,
+		ga.WithPunishment(ga.NewDisconnectScheme(2, 0)),
+		ga.WithAudit(ga.AuditSampled, ga.SampleProb(0.5)))...)
 	if err := s.Play(100); err != nil {
 		t.Fatal(err)
 	}
@@ -61,21 +48,12 @@ func TestFacadeSampledAudit(t *testing.T) {
 
 func TestFacadeStatisticalAudit(t *testing.T) {
 	biased := &ga.MixedAgent{Override: func(int, int) int { return 0 }}
-	s, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected: ga.MatchingPennies(),
-		Strategies: func(int, ga.Profile) ga.MixedProfile {
-			return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-		},
-		Agents:       []*ga.MixedAgent{nil, biased},
-		Scheme:       ga.NewReputationScheme(2, 0.5, 0.4, 0),
-		Mode:         ga.AuditStatistical,
-		Window:       50,
-		ChiThreshold: 6.63,
-		Seed:         4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mixedDriver(t, ga.MatchingPennies(),
+		ga.WithStrategies(uniform2),
+		ga.WithMixedAgents(nil, biased),
+		ga.WithPunishment(ga.NewReputationScheme(2, 0.5, 0.4, 0)),
+		ga.WithAudit(ga.AuditStatistical, ga.Window(50), ga.ChiThreshold(6.63)),
+		ga.WithSeed(4))
 	if err := s.Play(600); err != nil {
 		t.Fatal(err)
 	}

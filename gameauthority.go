@@ -29,14 +29,9 @@
 //     keyed by ID behind a sync-safe registry; NewServer exposes it as an
 //     HTTP/JSON API (see cmd/gameauthd -serve).
 //
-// The four historical constructors (NewPureSession, NewMixedSession,
-// NewSupervisedRRA, NewDistributedSession) remain as deprecated wrappers
-// around the same drivers; New with the same seed replays their results
-// exactly.
-//
 // All randomness is seeded and replayable; see DESIGN.md for the system
-// inventory, the new API surface, and the constructor→option migration
-// table, and EXPERIMENTS.md for the reproduced results.
+// inventory and the API surface, and EXPERIMENTS.md for the reproduced
+// results.
 package gameauthority
 
 import (
@@ -349,33 +344,21 @@ type Agent = core.Agent
 func HonestPure(g Game, id int) *Agent { return core.HonestPure(g, id) }
 
 // PureSession is the trusted driver for repeated pure-strategy supervised
-// play (§3.3).
+// play (§3.3); AsPure recovers it from a Session built by New.
 type PureSession = core.PureSession
 
 // RoundResult records one audited play of a PureSession.
 type RoundResult = core.RoundResult
 
-// NewPureSession builds a supervised repeated-play session. scheme may be
-// nil for an unsupervised baseline.
-//
-// Deprecated: use New(g, WithAgents(agents...), WithPunishment(scheme),
-// WithSeed(seed)) — same driver, same seeded results, plus context support
-// and the observer stream.
-func NewPureSession(g Game, agents []*Agent, scheme PunishmentScheme, seed uint64) (*PureSession, error) {
-	return core.NewPureSession(g, agents, scheme, seed)
-}
-
 // MixedAgent is a participant's behaviour in a mixed-strategy session (§5).
 type MixedAgent = core.MixedAgent
 
-// MixedConfig configures a mixed-strategy session.
-type MixedConfig = core.MixedConfig
-
 // MixedSession is the trusted driver for repeated mixed-strategy play with
-// committed-randomness auditing (§5.3).
+// committed-randomness auditing (§5.3); AsMixed recovers it from a Session
+// built by New.
 type MixedSession = core.MixedSession
 
-// Audit modes for MixedConfig.
+// Audit modes for WithAudit.
 const (
 	// AuditOff disables the authority (price-of-malice baselines).
 	AuditOff = core.AuditOff
@@ -392,28 +375,10 @@ const (
 	AuditStatistical = core.AuditStatistical
 )
 
-// NewMixedSession builds a mixed-strategy session.
-//
-// Deprecated: use New(elected, WithStrategies(...), WithMixedAgents(...),
-// WithActual(actual), WithPunishment(scheme), WithAudit(mode, ...),
-// WithSeed(seed)) — same driver, same seeded results.
-func NewMixedSession(cfg MixedConfig) (*MixedSession, error) {
-	return core.NewMixedSession(cfg)
-}
-
 // SupervisedRRA runs the §6 repeated resource allocation game under the
-// authority.
+// authority; AsRRA recovers it from a Session built by New with WithRRA,
+// for load measurements.
 type SupervisedRRA = core.RRASupervised
-
-// NewSupervisedRRA builds the Theorem 5 harness. supervise=false with a nil
-// scheme is the unsupervised baseline.
-//
-// Deprecated: use New(nil, WithRRA(n, b), WithPunishment(scheme),
-// WithSeed(seed)) — supervision is on exactly when a punishment scheme is
-// installed; AsRRA recovers the harness for load measurements.
-func NewSupervisedRRA(n, b int, seed uint64, scheme PunishmentScheme, supervise bool) (*SupervisedRRA, error) {
-	return core.NewRRASupervised(n, b, seed, scheme, supervise)
-}
 
 // HogChooser returns the malicious RRA behaviour that always loads the
 // most-loaded resource.
@@ -464,6 +429,8 @@ func DeviantByName(name string) (DeviantStrategy, bool) { return deviate.ByName(
 
 // DistributedSession is the full middleware over a synchronous Byzantine
 // network: self-stabilizing clock + interactive consistency per phase.
+// AsDistributed recovers it from a Session built by New with
+// WithDistributed, for fault injection and consistency checks.
 type DistributedSession = core.DistSession
 
 // Adversary rewrites a Byzantine processor's outgoing traffic.
@@ -479,16 +446,6 @@ func DropAdversary(seed uint64, p float64) Adversary { return sim.DropAdversary(
 // ReplayAdversary sends the previous pulse's outbox instead of the
 // current one.
 func ReplayAdversary() Adversary { return sim.ReplayAdversary() }
-
-// NewDistributedSession wires n processors (behaviours[i] nil = honest)
-// over a full mesh; byz installs network-level adversaries.
-//
-// Deprecated: use New(g, WithDistributed(n, f, byz), WithAgents(...),
-// WithSeed(seed)) — AsDistributed recovers the network session for fault
-// injection and consistency checks.
-func NewDistributedSession(n, f int, g Game, behaviors []*Agent, seed uint64, byz map[int]Adversary) (*DistributedSession, error) {
-	return core.NewDistSession(n, f, g, behaviors, seed, byz)
-}
 
 // PulsesPerPlay returns how many network pulses one play takes in the
 // distributed driver.

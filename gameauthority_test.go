@@ -7,42 +7,60 @@ import (
 	ga "gameauthority"
 )
 
+// mixedDriver, rraDriver and distDriver build a session with New and hand
+// back the raw driver behind it, for the tests and experiment benchmarks
+// that read what only the driver exposes (per-agent payoffs, protocol
+// counters, resource loads, replica consistency).
+func mixedDriver(tb testing.TB, elected ga.Game, opts ...ga.Option) *ga.MixedSession {
+	tb.Helper()
+	s, err := ga.New(elected, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ga.AsMixed(s)
+}
+
+func rraDriver(tb testing.TB, n, b int, seed uint64) *ga.SupervisedRRA {
+	tb.Helper()
+	s, err := ga.New(nil, ga.WithRRA(n, b),
+		ga.WithPunishment(ga.NewDisconnectScheme(n, 0)), ga.WithSeed(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ga.AsRRA(s)
+}
+
+func distDriver(tb testing.TB, g ga.Game, n, f int, seed uint64) *ga.DistributedSession {
+	tb.Helper()
+	s, err := ga.New(g, ga.WithDistributed(n, f, nil), ga.WithSeed(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ga.AsDistributed(s)
+}
+
+// fig1Options is the paper's Fig. 1 scenario: matching pennies elected,
+// agent B secretly holding the Manipulate strategy and always playing it.
+func fig1Options(seed uint64, more ...ga.Option) []ga.Option {
+	return append([]ga.Option{
+		ga.WithActual(ga.MatchingPenniesManipulated()),
+		ga.WithStrategies(uniform2),
+		ga.WithMixedAgents(nil, manipulator()),
+		ga.WithSeed(seed),
+	}, more...)
+}
+
 // TestEndToEndFig1 exercises the full public API on the paper's headline
 // scenario: the Fig. 1 hidden manipulation, unsupervised vs supervised.
 func TestEndToEndFig1(t *testing.T) {
 	const rounds = 5000
-	strategies := func(int, ga.Profile) ga.MixedProfile {
-		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
-	}
-	manipulator := &ga.MixedAgent{Override: func(round, honest int) int { return ga.ManipulateAction }}
-
-	unsup, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected:    ga.MatchingPennies(),
-		Actual:     ga.MatchingPenniesManipulated(),
-		Strategies: strategies,
-		Agents:     []*ga.MixedAgent{nil, manipulator},
-		Mode:       ga.AuditOff,
-		Seed:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	unsup := mixedDriver(t, ga.MatchingPennies(), fig1Options(1, ga.WithAudit(ga.AuditOff))...)
 	if err := unsup.Play(rounds); err != nil {
 		t.Fatal(err)
 	}
 
-	sup, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected:    ga.MatchingPennies(),
-		Actual:     ga.MatchingPenniesManipulated(),
-		Strategies: strategies,
-		Agents:     []*ga.MixedAgent{nil, manipulator},
-		Scheme:     ga.NewDisconnectScheme(2, 0),
-		Mode:       ga.AuditPerRound,
-		Seed:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup := mixedDriver(t, ga.MatchingPennies(), fig1Options(2,
+		ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), ga.WithAudit(ga.AuditPerRound))...)
 	if err := sup.Play(rounds); err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +81,10 @@ func TestEndToEndFig1(t *testing.T) {
 // TestEndToEndDistributed runs the full distributed middleware through the
 // facade: an agent playing outside Π is convicted by every honest replica.
 func TestEndToEndDistributed(t *testing.T) {
-	g := ga.PrisonersDilemma()
-	behaviors := make([]*ga.Agent, 2)
 	// Two-player game on a 4-processor network is not supported (one
 	// player per processor), so use the 2-processor degenerate bound:
 	// f must be 0 (n > 3f).
-	s, err := ga.NewDistributedSession(2, 0, g, behaviors, 11, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := distDriver(t, ga.PrisonersDilemma(), 2, 0, 11)
 	s.RunPlays(4)
 	if err := s.ConsistentResults(3); err != nil {
 		t.Fatal(err)
@@ -94,10 +107,7 @@ func TestEndToEndRRATheorem5(t *testing.T) {
 		n, b = 8, 4
 		k    = 2000
 	)
-	h, err := ga.NewSupervisedRRA(n, b, 3, ga.NewDisconnectScheme(n, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := rraDriver(t, n, b, 3)
 	if err := h.Play(k); err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,19 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"gameauthority/internal/prng"
 	"gameauthority/internal/sim"
 )
 
 // buildEquivSession constructs one distributed session with an
-// equivocating network adversary on processor 3 and the given pulse
-// engine width.
-func buildEquivSession(t *testing.T, workers int) Session {
+// equivocating network adversary on processor 3. At n = 4 the driver picks
+// the lockstep engine; pool overrides that through the driver's step
+// function so both engines stay under test at a size where a play is cheap.
+func buildEquivSession(t *testing.T, pool bool) Session {
 	t.Helper()
 	n, f := 4, 1
 	g := &nPlayerPD{n: n}
@@ -31,10 +34,13 @@ func buildEquivSession(t *testing.T, workers int) Session {
 	})}
 	s, err := NewSession(SessionConfig{
 		Game: g, Seed: 9, DistProcs: n, DistFaults: f, DistByz: byz,
-		DistWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pool {
+		d := s.(*distDriver)
+		d.step = d.s.Net.StepConcurrent
 	}
 	return s
 }
@@ -45,8 +51,8 @@ func buildEquivSession(t *testing.T, workers int) Session {
 func TestDistEngineEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const plays = 5
-	lock := buildEquivSession(t, 1)
-	pool := buildEquivSession(t, 4)
+	lock := buildEquivSession(t, false)
+	pool := buildEquivSession(t, true)
 	defer pool.Close()
 	for i := 0; i < plays; i++ {
 		a, err := lock.Play(ctx)
@@ -77,8 +83,8 @@ func TestDistEngineEquivalence(t *testing.T) {
 // point, covering the §4 recovery path on the pool engine.
 func TestDistEngineEquivalenceUnderCorruption(t *testing.T) {
 	ctx := context.Background()
-	lock := buildEquivSession(t, 1)
-	pool := buildEquivSession(t, 3)
+	lock := buildEquivSession(t, false)
+	pool := buildEquivSession(t, true)
 	defer pool.Close()
 	play := func(s Session) RoundResult {
 		t.Helper()
@@ -110,4 +116,56 @@ func TestDistEngineEquivalenceUnderCorruption(t *testing.T) {
 				i, a.Outcome, a.Pulse, b.Outcome, b.Pulse)
 		}
 	}
+}
+
+// TestDistEngineByProcessorCount pins the one rule that picks the pulse
+// engine and the Close contract that goes with it: below poolMinProcs a
+// session steps on its caller's goroutine and starts none of its own; from
+// poolMinProcs up it owns a worker pool, and Close releases it.
+func TestDistEngineByProcessorCount(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		n, f int
+		pool bool
+	}{
+		{4, 1, false},
+		{7, 2, false},
+		{poolMinProcs, 1, true},
+	} {
+		base := settledGoroutines()
+		s, err := NewSession(SessionConfig{Game: &nPlayerPD{n: tc.n}, Seed: 5, DistProcs: tc.n, DistFaults: tc.f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := s.Play(ctx); err != nil {
+				t.Fatalf("n=%d play %d: %v", tc.n, i, err)
+			}
+		}
+		if started := runtime.NumGoroutine() > base; started != tc.pool {
+			t.Errorf("n=%d f=%d: %d goroutines before, %d after 3 plays; want a pool: %v",
+				tc.n, tc.f, base, runtime.NumGoroutine(), tc.pool)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if now := settledGoroutines(); now > base {
+			t.Errorf("n=%d f=%d: %d goroutines before the session, %d after Close", tc.n, tc.f, base, now)
+		}
+	}
+}
+
+// settledGoroutines reads the goroutine count once it has stopped falling:
+// a closed pool's workers exit on their own, when the scheduler next runs
+// them, so a read taken right after Close (this test's or an earlier
+// one's) can still count them.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for quiet := 0; quiet < 20; quiet++ {
+		time.Sleep(time.Millisecond)
+		if now := runtime.NumGoroutine(); now < n {
+			n, quiet = now, 0
+		}
+	}
+	return n
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -91,10 +90,10 @@ type Session interface {
 	// Snapshot works on open and closed sessions alike.
 	Snapshot() SessionSnapshot
 	// Close finalizes the session: a batched-audit mixed session audits
-	// its trailing partial epoch, and a distributed session releases its
-	// pulse-engine worker pool. Close is idempotent; after a successful
-	// Close, Play fails with ErrClosed while Results, ResultAt and Stats
-	// keep answering.
+	// its trailing partial epoch, and a distributed session at n ≥ 10
+	// releases its pulse-engine worker pool. Close is idempotent; after a
+	// successful Close, Play fails with ErrClosed while Results, ResultAt
+	// and Stats keep answering.
 	Close() error
 }
 
@@ -193,11 +192,6 @@ type SessionConfig struct {
 	// for a play to complete (0 = a generous default). Exhaustion returns
 	// ErrPulseBudget, which is recoverable: the next Play keeps stepping.
 	DistPulseBudget int
-	// DistWorkers selects the pulse engine: 0 = auto (parallel on
-	// min(GOMAXPROCS, n) workers when more than one core is available),
-	// 1 = the lockstep reference engine, w > 1 = a worker pool of that
-	// width. Both engines produce identical executions.
-	DistWorkers int
 }
 
 // inferKind resolves the driver from the configuration.
@@ -408,9 +402,6 @@ func newPureDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	if cfg.DistPulseBudget != 0 {
 		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
 	}
-	if cfg.DistWorkers != 0 {
-		return nil, fmt.Errorf("%w: pulse workers apply to distributed sessions", ErrConfig)
-	}
 	n := cfg.Game.NumPlayers()
 	agents := cfg.Agents
 	if agents == nil {
@@ -439,7 +430,7 @@ func newPureDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	return &pureDriver{s: s, n: n, hub: hub, before: make([]bool, n)}, nil
 }
 
-// Pure exposes the wrapped driver for measurements and legacy helpers.
+// Pure exposes the wrapped driver for measurements.
 func (d *pureDriver) Pure() *PureSession { return d.s }
 
 // Play emits events while still holding the play mutex so concurrent
@@ -559,9 +550,6 @@ func newMixedDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	if cfg.DistPulseBudget != 0 {
 		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
 	}
-	if cfg.DistWorkers != 0 {
-		return nil, fmt.Errorf("%w: pulse workers apply to distributed sessions", ErrConfig)
-	}
 	n := cfg.Game.NumPlayers()
 	agents := make([]*MixedAgent, n)
 	if cfg.MixedAgents != nil {
@@ -609,7 +597,7 @@ func newMixedDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	return d, nil
 }
 
-// Mixed exposes the wrapped driver for measurements and legacy helpers.
+// Mixed exposes the wrapped driver for measurements.
 func (d *mixedDriver) Mixed() *MixedSession { return d.s }
 
 // Play emits events under the play mutex; see pureDriver.Play.
@@ -791,9 +779,6 @@ func newRRADriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	if cfg.DistPulseBudget != 0 {
 		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
 	}
-	if cfg.DistWorkers != 0 {
-		return nil, fmt.Errorf("%w: pulse workers apply to distributed sessions", ErrConfig)
-	}
 	h, err := NewRRASupervised(cfg.RRAAgents, cfg.RRAResources, cfg.Seed, cfg.Scheme, cfg.Scheme != nil)
 	if err != nil {
 		return nil, err
@@ -821,7 +806,7 @@ func newRRADriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	return d, nil
 }
 
-// Harness exposes the wrapped driver for measurements and legacy helpers.
+// Harness exposes the wrapped driver for measurements.
 func (d *rraDriver) Harness() *RRASupervised { return d.h }
 
 // Play emits events under the play mutex; see pureDriver.Play.
@@ -923,9 +908,36 @@ func (d *rraDriver) Close() error {
 
 // --- Distributed driver --------------------------------------------------------
 
+// poolMinProcs is the processor count from which a distributed session
+// steps its pulses on sim's worker pool (width min(GOMAXPROCS, n)) instead
+// of on the caller's goroutine. The two engines execute identically; which
+// one runs is decided here, from n alone, and nowhere else.
+//
+// Sized by a sweep of PublicGoods(n, 2) on the real driver (2-core host,
+// GOMAXPROCS=2, one session, second core idle — the pool's best case; ms
+// per play, range over 2–3 runs):
+//
+//	n, f    lockstep       pool (w=2)     pool vs lockstep
+//	 4, 1   0.111–0.123    0.172–0.203    1.6× slower
+//	 7, 2   1.91–2.21      1.93–2.26      tie
+//	10, 1   1.81–1.95      1.76–1.89      tie
+//	10, 2   11.6–13.3      8.4–11.4       ≈ 1.25× faster
+//	16, 1   11.1–11.4      8.1            1.4× faster
+//	13, 2   52.6–60.2      34.8–34.9      1.6× faster
+//	10, 3   93.8–113       58.0–72.9      1.7× faster
+//	16, 2   184–192        93.5–97.5      1.95× faster
+//	13, 4   14.0–19.1 s    6.2–7.7 s      2.4× faster
+//
+// Below 10 a pulse's per-processor work is microseconds, the hand-off
+// costs more than it buys, and a host that runs many such sessions has no
+// idle core to hand off to (its shard loops already spread sessions over
+// the cores).
+const poolMinProcs = 10
+
 type distDriver struct {
 	mu          sync.Mutex
 	s           *DistSession
+	step        func() // one network pulse on the engine poolMinProcs selects
 	g           game.Game
 	n, f        int
 	hub         *observerHub
@@ -985,16 +997,12 @@ func newDistDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 	if budget <= 0 {
 		budget = 50 * PulsesPerPlay(f)
 	}
-	if cfg.DistWorkers < 0 {
-		return nil, fmt.Errorf("%w: negative pulse workers %d", ErrConfig, cfg.DistWorkers)
+	step := s.Net.StepLockstep
+	if n >= poolMinProcs {
+		step = s.Net.StepConcurrent
 	}
-	workers := cfg.DistWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0) // auto: use the cores we have
-	}
-	s.Net.SetWorkers(workers)
 	d := &distDriver{
-		s: s, g: cfg.Game, n: n, f: f, hub: hub, budget: budget,
+		s: s, g: cfg.Game, n: n, f: f, hub: hub, budget: budget, step: step,
 		before:  make([]bool, n),
 		costs:   make([]float64, n),
 		cumCost: make([]float64, n),
@@ -1045,7 +1053,7 @@ func (d *distDriver) playLocked(ctx context.Context) (RoundResult, error) {
 		if steps >= d.budget {
 			return RoundResult{}, fmt.Errorf("%w (budget %d pulses)", ErrPulseBudget, d.budget)
 		}
-		d.s.Net.Step()
+		d.step()
 	}
 	r := ref.resultRef(d.seen)
 	d.seen++
@@ -1129,9 +1137,9 @@ func (d *distDriver) Stats() SessionStats {
 
 func (d *distDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
 
-// Close finalizes the session and releases the pulse engine's worker pool.
-// Further plays fail with ErrClosed; Results, ResultAt and Stats keep
-// answering. Close is idempotent.
+// Close finalizes the session and, at n ≥ 10 (poolMinProcs), releases the
+// pulse engine's worker pool. Further plays fail with ErrClosed; Results,
+// ResultAt and Stats keep answering. Close is idempotent.
 func (d *distDriver) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

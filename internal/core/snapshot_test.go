@@ -62,11 +62,10 @@ func snapshotConfigs(t *testing.T) map[string]func() SessionConfig {
 		},
 		"distributed": func() SessionConfig {
 			return SessionConfig{
-				Game:        pg,
-				Seed:        3,
-				DistProcs:   4,
-				DistFaults:  1,
-				DistWorkers: 1,
+				Game:       pg,
+				Seed:       3,
+				DistProcs:  4,
+				DistFaults: 1,
 			}
 		},
 	}

@@ -7,12 +7,16 @@
 //
 // The package provides two execution engines with identical semantics:
 //
-//   - Lockstep: a deterministic single-goroutine loop (the reference model;
-//     all experiments use it).
-//   - Concurrent: a persistent worker pool steps the processors of each
-//     pulse in parallel behind a pulse barrier, using the cores the host
-//     has. A property test asserts both engines produce identical
-//     executions, pulse for pulse and message for message.
+//   - Lockstep (StepLockstep, Run): a deterministic single-goroutine loop
+//     (the reference model; all experiments use it).
+//   - Concurrent (StepConcurrent, RunConcurrent, Close): a persistent worker
+//     pool steps the processors of each pulse in parallel behind a pulse
+//     barrier, using the cores the host has. A property test asserts both
+//     engines produce identical executions, pulse for pulse and message
+//     for message.
+//
+// The network holds no engine setting: the caller picks by which method it
+// calls (core's distributed driver does, from the processor count).
 //
 // Both engines recycle the per-destination inbox buffers between pulses,
 // so a steady-state pulse allocates only what the processes themselves

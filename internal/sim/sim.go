@@ -71,13 +71,11 @@ type Network struct {
 	spare     [][]Message // recycled inbox buffers from the previous pulse
 	outboxes  [][]Message // per-pulse outbox headers, reused
 
-	// Concurrent-engine state: workers is the configured pool width
-	// (0 = auto, ≤1 = lockstep semantics on the caller's goroutine);
-	// pool is created lazily and released by Close. stepFn is the
-	// persistent per-processor job closure (reading the current pulse's
-	// inboxes through stepInboxes), so a concurrent pulse allocates
-	// nothing on the scheduling path.
-	workers     int
+	// Concurrent-engine state: pool is created by the first
+	// StepConcurrent and released by Close. stepFn is the persistent
+	// per-processor job closure (reading the current pulse's inboxes
+	// through stepInboxes), so a concurrent pulse allocates nothing on
+	// the scheduling path.
 	pool        *workerPool
 	stepFn      func(i int)
 	stepInboxes [][]Message
@@ -244,75 +242,20 @@ func (nw *Network) route(outboxes [][]Message) {
 	}
 }
 
-// Run advances the system by pulses pulses using the configured engine
-// (lockstep unless SetWorkers enabled the pool).
+// Run advances the system by pulses pulses on the lockstep engine.
 func (nw *Network) Run(pulses int) {
 	for i := 0; i < pulses; i++ {
-		nw.Step()
-	}
-}
-
-// Step advances the system by one pulse on the configured engine. Both
-// engines produce identical executions; SetWorkers only chooses how the
-// processors of a pulse are scheduled onto OS threads.
-func (nw *Network) Step() {
-	if nw.effectiveWorkers() > 1 {
-		nw.StepConcurrent()
-	} else {
 		nw.StepLockstep()
 	}
-}
-
-// SetWorkers configures the concurrent pulse engine: w > 1 steps each
-// pulse's processors on a persistent pool of min(w, n) workers; w == 1
-// pins the lockstep engine; w == 0 (the default) picks lockstep for Step
-// but lets StepConcurrent/RunConcurrent auto-size the pool to
-// min(GOMAXPROCS, n). Call before running; reconfiguring releases any
-// existing pool.
-func (nw *Network) SetWorkers(w int) {
-	if w < 0 {
-		w = 0
-	}
-	if w == nw.workers {
-		return
-	}
-	nw.workers = w
-	nw.Close()
-}
-
-// effectiveWorkers resolves the pool width Step would use.
-func (nw *Network) effectiveWorkers() int {
-	w := nw.workers
-	if w == 0 {
-		return 1 // auto engages only via StepConcurrent/RunConcurrent
-	}
-	if w > nw.N() {
-		w = nw.N()
-	}
-	return w
-}
-
-// autoWorkers resolves the pool width for explicit concurrent runs.
-func (nw *Network) autoWorkers() int {
-	w := nw.workers
-	if w <= 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > nw.N() {
-		w = nw.N()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // StepConcurrent advances the system by one pulse with the worker pool,
 // creating it on first use. Execution is identical to StepLockstep: the
 // pool only parallelizes the independent per-processor Step calls; routing
-// stays sequential and deterministic.
+// stays sequential and deterministic. The pool has one worker per core,
+// never more than there are processors to step.
 func (nw *Network) StepConcurrent() {
-	w := nw.autoWorkers()
+	w := min(runtime.GOMAXPROCS(0), nw.N())
 	if nw.pool == nil || nw.pool.workers != w {
 		nw.Close()
 		nw.pool = newWorkerPool(w)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"gameauthority/internal/prng"
@@ -259,11 +260,14 @@ func TestCorruptPayloadAdversary(t *testing.T) {
 	}
 }
 
-// runEngines builds two identical echo networks, drives one per engine
-// configuration, and asserts identical executions (state histories and
-// traffic stats).
+// assertEnginesAgree builds two identical echo networks, drives one with
+// StepLockstep and one with StepConcurrent on a pool of min(workers, n)
+// goroutines, and asserts identical executions (state histories and
+// traffic stats). The pool takes its width from GOMAXPROCS, so that is
+// what the test sets.
 func assertEnginesAgree(t *testing.T, topo func() *Graph, byz func(nw *Network), pulses int, workers int) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	mk := func() (*Network, []*echoProc) {
 		procs := make([]Process, 4)
 		raw := make([]*echoProc, 4)
@@ -283,9 +287,8 @@ func assertEnginesAgree(t *testing.T, topo func() *Graph, byz func(nw *Network),
 	a, rawA := mk()
 	b, rawB := mk()
 	a.Run(pulses) // lockstep reference
-	b.SetWorkers(workers)
 	defer b.Close()
-	b.Run(pulses)
+	b.RunConcurrent(pulses)
 	if a.Stats != b.Stats {
 		t.Fatalf("stats diverge: lockstep %+v, pool(%d) %+v", a.Stats, workers, b.Stats)
 	}
@@ -336,14 +339,12 @@ func TestWorkerPoolMatchesLockstep(t *testing.T) {
 
 func TestStepDispatchAndClose(t *testing.T) {
 	nw, raw := newEchoNet(t, nil)
-	nw.SetWorkers(3)
-	nw.Step() // pool engine
+	nw.StepConcurrent()
 	nw.Close()
-	nw.Step() // pool recreated on demand
+	nw.StepConcurrent() // pool recreated on demand
 	nw.Close()
-	nw.Close() // idempotent
-	nw.SetWorkers(1)
-	nw.Step() // lockstep again
+	nw.Close()        // idempotent
+	nw.StepLockstep() // the engines interleave on one network
 	if nw.Pulse() != 3 {
 		t.Fatalf("pulse = %d, want 3", nw.Pulse())
 	}
@@ -395,24 +396,6 @@ func TestProcessAccessor(t *testing.T) {
 	for i, want := range raw {
 		if got := nw.Process(i); got != Process(want) {
 			t.Fatalf("Process(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestSetWorkersClampsAndReconfigures(t *testing.T) {
-	nw, raw := newEchoNet(t, nil)
-	nw.SetWorkers(-3) // negative clamps to auto (0)
-	nw.Step()         // lockstep: auto engages only via StepConcurrent
-	nw.SetWorkers(0)  // same effective value: no pool churn
-	nw.SetWorkers(2)
-	nw.SetWorkers(2) // reconfiguring to the current width is a no-op
-	nw.Step()        // pool engine
-	if nw.Pulse() != 2 {
-		t.Fatalf("pulse = %d, want 2", nw.Pulse())
-	}
-	for i, p := range raw {
-		if len(p.heard) != 2 {
-			t.Fatalf("proc %d stepped %d times, want 2", i, len(p.heard))
 		}
 	}
 }

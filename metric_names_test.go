@@ -1,8 +1,20 @@
-// Command metriclint enforces the repository's metric naming
-// conventions (make obs-smoke). It stands up a real in-process server —
-// so every package-level registration and every Authority/store/hub
-// gauge is live — scrapes GET /metrics, and asserts for every declared
-// family:
+package gameauthority_test
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	ga "gameauthority"
+)
+
+// TestMetricNames enforces the metric naming conventions on a live
+// server — durable, group-committed and sharded, so every package-level
+// registration and every Authority/store/hub gauge is present in the
+// scrape. For every family GET /metrics declares:
 //
 //   - the name starts with the gameauthority_ prefix;
 //   - counters end in _total;
@@ -10,77 +22,33 @@
 //   - gauges do not end in _total (that suffix is reserved for
 //     monotonic counters).
 //
-// A violation prints every offending family and exits non-zero, so a
-// new metric with a nonconforming name fails CI rather than shipping.
-package main
-
-import (
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"strings"
-	"time"
-
-	ga "gameauthority"
-)
-
-func main() {
-	body, err := scrape()
+// A new metric with a nonconforming name fails here rather than shipping.
+func TestMetricNames(t *testing.T) {
+	st, err := ga.NewFileStore(t.TempDir())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "metriclint: %v\n", err)
-		os.Exit(1)
+		t.Fatal(err)
 	}
-	problems, families := lint(body)
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "metriclint: %s\n", p)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("metriclint: %d metric families conform\n", families)
-}
-
-// scrape builds a durable, sharded authority behind the HTTP server and
-// returns one /metrics exposition — the union of the host counters and
-// the observability registry.
-func scrape() (string, error) {
-	dir, err := os.MkdirTemp("", "metriclint-*")
-	if err != nil {
-		return "", err
-	}
-	defer os.RemoveAll(dir)
-	st, err := ga.NewFileStore(dir)
-	if err != nil {
-		return "", err
-	}
-	authority := ga.NewAuthority(
+	a := ga.NewAuthority(
 		ga.WithStore(st),
 		ga.WithGroupCommit(time.Millisecond, 64),
 		ga.WithShards(2),
 	)
-	defer authority.Close()
-	srv := httptest.NewServer(ga.NewServer(authority))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		return "", err
+	t.Cleanup(func() { a.Close() })
+	srv := httptest.NewServer(ga.NewServer(a))
+	t.Cleanup(srv.Close)
+
+	problems, families := lintMetricNames(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
+	for _, p := range problems {
+		t.Error(p)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
+	if families == 0 {
+		t.Error("the scrape declared no metric family")
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("scrape: status %d", resp.StatusCode)
-	}
-	return string(body), nil
 }
 
-// lint applies the naming rules to every `# TYPE name type` declaration
-// and checks each sample line belongs to a declared family.
-func lint(body string) (problems []string, families int) {
+// lintMetricNames applies the naming rules to every `# TYPE name type`
+// declaration and checks each sample line belongs to a declared family.
+func lintMetricNames(body string) (problems []string, families int) {
 	types := map[string]string{}
 	for _, line := range strings.Split(body, "\n") {
 		switch {

@@ -88,10 +88,6 @@ type AuditOption func(*core.SessionConfig)
 // WithElection replaces g (pass nil) with a robust commit-reveal election
 // among candidate games. WithPunishment installs the executive service's
 // sanction policy on any driver.
-//
-// The four legacy constructors (NewPureSession, NewMixedSession,
-// NewSupervisedRRA, NewDistributedSession) remain as deprecated wrappers;
-// a session built here with the same seed replays their results exactly.
 func New(g Game, opts ...Option) (Session, error) {
 	cfg := core.SessionConfig{Game: g}
 	for _, opt := range opts {
@@ -290,16 +286,6 @@ func WithNetworkAdversary(proc int, adv Adversary) Option {
 // lets callers observe §4 recovery in progress.
 func WithPulseBudget(pulses int) Option {
 	return func(c *core.SessionConfig) { c.DistPulseBudget = pulses }
-}
-
-// WithPulseWorkers selects the distributed session's pulse engine: 0 (the
-// default) parallelizes each pulse across min(GOMAXPROCS, n) workers when
-// more than one core is available; 1 pins the lockstep reference engine;
-// w > 1 forces a worker pool of that width. Both engines produce
-// identical executions — a property test proves it — so this is purely a
-// scheduling choice.
-func WithPulseWorkers(workers int) Option {
-	return func(c *core.SessionConfig) { c.DistWorkers = workers }
 }
 
 // --- Accessors and helpers ------------------------------------------------------

@@ -59,8 +59,7 @@ func playnScenarios(t *testing.T) []playnScenario {
 
 		dist := ga.CreateSessionRequest{
 			Game: entry.Name, Players: players, Seed: uint64(300 + i),
-			PulseBudget:  1000 * ga.PulsesPerPlay(1),
-			PulseWorkers: 1, // lockstep keeps the heavy driver cheap and pinned
+			PulseBudget: 1000 * ga.PulsesPerPlay(1),
 		}
 		dist.Distributed = &struct {
 			N int `json:"n"`

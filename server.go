@@ -133,11 +133,7 @@ func NewServer(a *Authority, opts ...ServerOption) http.Handler {
 	})
 	route(mux, "DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := a.Remove(r.PathValue("id")); err != nil {
-			status := http.StatusNotFound
-			if errors.Is(err, ErrDurability) {
-				status = http.StatusServiceUnavailable
-			}
-			writeError(w, status, err)
+			writeError(w, classify(err, classInternal).status, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -250,9 +246,6 @@ type CreateSessionRequest struct {
 	// WithDeviant. Any session kind accepts it.
 	Deviant     *DeviantSpec `json:"deviant,omitempty"`
 	PulseBudget int          `json:"pulse_budget,omitempty"`
-	// PulseWorkers selects the distributed pulse engine (0 auto, 1
-	// lockstep, >1 worker-pool width).
-	PulseWorkers int `json:"pulse_workers,omitempty"`
 	// HistoryLimit bounds the retained play history (0 = unbounded); any
 	// session kind accepts it.
 	HistoryLimit int `json:"history_limit,omitempty"`
@@ -355,16 +348,7 @@ func handleCreate(a *Authority, w http.ResponseWriter, r *http.Request) {
 	// the session durable; without a store it is exactly build+Create.
 	h, err := a.CreateFromSpec(req)
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrSessionExists):
-			status = http.StatusConflict
-		case errors.Is(err, ErrDurability):
-			// The request was valid; the durable store could not record
-			// it — a server-side condition, not a client error.
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, classify(err, classBadSpec).status, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, infoFor(h))
@@ -434,9 +418,6 @@ func (req *CreateSessionRequest) build() (Game, []Option, error) {
 	if kind != "distributed" && req.PulseBudget != 0 {
 		return nil, nil, reject("pulse_budget", "distributed")
 	}
-	if kind != "distributed" && req.PulseWorkers != 0 {
-		return nil, nil, reject("pulse_workers", "distributed")
-	}
 	if req.HistoryLimit != 0 {
 		opts = append(opts, WithHistoryLimit(req.HistoryLimit))
 	}
@@ -479,11 +460,6 @@ func (req *CreateSessionRequest) build() (Game, []Option, error) {
 		opts = append(opts, WithDistributed(req.Distributed.N, req.Distributed.F, nil))
 		if req.PulseBudget > 0 {
 			opts = append(opts, WithPulseBudget(req.PulseBudget))
-		}
-		if req.PulseWorkers != 0 {
-			// Pass negatives through too: core rejects them with ErrConfig
-			// so the client gets a 400 instead of a silently-coerced engine.
-			opts = append(opts, WithPulseWorkers(req.PulseWorkers))
 		}
 		players = req.Distributed.N
 	default:
@@ -636,12 +612,7 @@ func withSession(a *Authority, w http.ResponseWriter, r *http.Request,
 	// the durable store before the request is answered.
 	h, err := a.GetOrRecover(r.Context(), r.PathValue("id"))
 	if err != nil {
-		status := http.StatusNotFound
-		if errors.Is(err, ErrDurability) {
-			// The store couldn't answer; the session may well exist.
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, classify(err, classInternal).status, err)
 		return
 	}
 	fn(h, w, r)
@@ -774,28 +745,14 @@ func handlePlay(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // the client is gone; nothing to report to
 		}
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrBreakerOpen):
-			// The breaker failed the play fast — no round executed, no
-			// result to report. The client backs off and retries after
-			// the cooldown.
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, ErrPulseBudget):
-			// Documented-recoverable: the session is healthy but still
-			// re-converging; the client should simply retry.
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, ErrDurability):
+		if partial != nil && errors.Is(err, ErrDurability) {
 			// The play executed — the session advanced a round — but
 			// its journal write failed. Report the result so the
-			// client's view stays consistent, with 503 marking the
-			// degraded store.
-			status = http.StatusServiceUnavailable
-			if partial != nil {
-				results = append(results, roundFor(*partial))
-			}
+			// client's view stays consistent; the 503 marks the degraded
+			// store.
+			results = append(results, roundFor(*partial))
 		}
-		writeJSON(w, status, map[string]any{
+		writeJSON(w, classify(err, classInternal).status, map[string]any{
 			"error":   err.Error(),
 			"results": results,
 		})
@@ -834,8 +791,6 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": subscribed %s\n\n", h.ID())
-	flusher.Flush()
 
 	// Like Events, but counts overflow instead of dropping silently: a
 	// slow reader sees a "lag" event naming how many events it missed, so
@@ -869,6 +824,10 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		closed = true
 		mu.Unlock()
 	}()
+	// Announce only once the observer is registered: a client that plays
+	// on seeing this line must find its events on the stream.
+	fmt.Fprintf(w, ": subscribed %s\n\n", h.ID())
+	flusher.Flush()
 
 	// Bound every write: a subscriber only buffers 256 events of lag, and
 	// one that cannot absorb a write within the deadline is truly dead —

@@ -273,3 +273,49 @@ func TestServerRestoreOnMiss(t *testing.T) {
 	}
 	durGet(t, srv2.URL+"/sessions/lost", http.StatusNotFound)
 }
+
+// TestRetiredEngineFieldIsIgnored: hosts before the pulse engine became
+// the driver's own decision accepted, and journaled, a spec field that
+// chose it (the last one in spec below). Such a ledger must still restore,
+// to the digest a spec without the field reaches, and a client that still
+// sends the field must still get its session.
+func TestRetiredEngineFieldIsIgnored(t *testing.T) {
+	ctx := context.Background()
+	const (
+		spec   = `{"id":"old","game":"publicgoods","players":4,"seed":9,"distributed":{"n":4,"f":1},"pulse_workers":4}`
+		rounds = 5
+	)
+	st, err := ga.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateSession("old", []byte(spec)); err != nil {
+		t.Fatal(err)
+	}
+	a1 := ga.NewAuthority(ga.WithStore(st))
+	h, err := a1.GetOrRecover(ctx, "old")
+	if err != nil {
+		t.Fatalf("restore a spec carrying the retired field: %v", err)
+	}
+	if _, err := h.Run(ctx, rounds); err != nil {
+		t.Fatal(err)
+	}
+	a1.DetachStore() // crash: the journaled plays must replay from the old spec
+
+	a2 := ga.NewAuthority(ga.WithStore(st))
+	defer a2.Close()
+	h, err = a2.GetOrRecover(ctx, "old")
+	if err != nil {
+		t.Fatalf("replay a ledger whose spec carries the retired field: %v", err)
+	}
+	var req ga.CreateSessionRequest
+	if err := json.Unmarshal([]byte(spec), &req); err != nil {
+		t.Fatal(err)
+	}
+	verifyAgainstTwin(t, h, req, rounds)
+
+	_, srv := storeServer(t, ga.NewMemStore())
+	posted := strings.Replace(spec, `"old"`, `"posted"`, 1)
+	durPost(t, srv.URL+"/sessions", json.RawMessage(posted), http.StatusCreated)
+	durPost(t, srv.URL+"/sessions/posted/play", map[string]int{"rounds": 1}, http.StatusOK)
+}

@@ -409,24 +409,6 @@ func TestServerPlayResultsSurviveEvictionInBatch(t *testing.T) {
 	}
 }
 
-// TestServerRejectsNegativePulseWorkers pins the 400 on malformed
-// pulse_workers instead of a silent coercion to the auto engine.
-func TestServerRejectsNegativePulseWorkers(t *testing.T) {
-	srv := httptest.NewServer(ga.NewServer(ga.NewAuthority()))
-	defer srv.Close()
-	resp, body := postJSON(t, srv.URL+"/sessions", ga.CreateSessionRequest{
-		ID: "neg", Game: "publicgoods", Players: 4,
-		Distributed: &struct {
-			N int `json:"n"`
-			F int `json:"f"`
-		}{N: 4, F: 1},
-		PulseWorkers: -4,
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative pulse_workers: %d %v, want 400", resp.StatusCode, body)
-	}
-}
-
 // TestServerResolvesCatalogGames pins the POST /sessions fallback onto
 // the scenario catalog: every registry name creates a playable session at
 // the requested (canonicalized) size, and unknown names still 400.

@@ -3,7 +3,6 @@ package gameauthority_test
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	ga "gameauthority"
@@ -68,183 +67,6 @@ func TestNewOptionValidation(t *testing.T) {
 				t.Fatalf("New accepted invalid config, built %T", s)
 			}
 		})
-	}
-}
-
-// TestEquivalencePure proves the deprecated constructor and the options
-// API replay identical seeded results.
-func TestEquivalencePure(t *testing.T) {
-	const rounds = 12
-	g := ga.PrisonersDilemma()
-	stubborn := func() *ga.Agent {
-		return &ga.Agent{Choose: func(int, ga.Profile) int { return 0 }}
-	}
-
-	old, err := ga.NewPureSession(g,
-		[]*ga.Agent{ga.HonestPure(g, 0), stubborn()},
-		ga.NewReputationScheme(2, 0.5, 0.2, 0.01), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rounds; i++ {
-		if _, err := old.PlayRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s, err := ga.New(g,
-		ga.WithAgents(nil, stubborn()),
-		ga.WithPunishment(ga.NewReputationScheme(2, 0.5, 0.2, 0.01)),
-		ga.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background(), rounds); err != nil {
-		t.Fatal(err)
-	}
-
-	oldHist, newHist := old.History(), s.Results()
-	if len(newHist) != rounds || len(oldHist) != rounds {
-		t.Fatalf("history lengths: old=%d new=%d", len(oldHist), len(newHist))
-	}
-	for i := range oldHist {
-		if !oldHist[i].Outcome.Equal(newHist[i].Outcome) {
-			t.Fatalf("round %d: old outcome %v, new outcome %v", i, oldHist[i].Outcome, newHist[i].Outcome)
-		}
-		for p, c := range oldHist[i].Costs {
-			if math.Abs(c-newHist[i].Costs[p]) > 1e-12 {
-				t.Fatalf("round %d: costs diverge (%v vs %v)", i, oldHist[i].Costs, newHist[i].Costs)
-			}
-		}
-	}
-	st := s.Stats()
-	for i := 0; i < 2; i++ {
-		if math.Abs(st.CumulativeCost[i]-old.CumulativeCost(i)) > 1e-12 {
-			t.Fatalf("cumulative cost %d: old %v new %v", i, old.CumulativeCost(i), st.CumulativeCost[i])
-		}
-		if st.Excluded[i] != old.Excluded(i) {
-			t.Fatalf("excluded flag %d diverges", i)
-		}
-	}
-}
-
-// TestEquivalenceMixed proves seeded equivalence on the Fig. 1 scenario.
-func TestEquivalenceMixed(t *testing.T) {
-	const rounds = 300
-	old, err := ga.NewMixedSession(ga.MixedConfig{
-		Elected:    ga.MatchingPennies(),
-		Actual:     ga.MatchingPenniesManipulated(),
-		Strategies: uniform2,
-		Agents:     []*ga.MixedAgent{nil, manipulator()},
-		Scheme:     ga.NewDisconnectScheme(2, 0),
-		Mode:       ga.AuditPerRound,
-		Seed:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := ga.New(ga.MatchingPennies(),
-		ga.WithActual(ga.MatchingPenniesManipulated()),
-		ga.WithStrategies(uniform2),
-		ga.WithMixedAgents(nil, manipulator()),
-		ga.WithPunishment(ga.NewDisconnectScheme(2, 0)),
-		ga.WithAudit(ga.AuditPerRound),
-		ga.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background(), rounds); err != nil {
-		t.Fatal(err)
-	}
-
-	st := s.Stats()
-	for i := 0; i < 2; i++ {
-		if math.Abs(st.CumulativeCost[i]-old.CumulativeCost(i)) > 1e-9 {
-			t.Fatalf("agent %d cumulative cost: old %v new %v", i, old.CumulativeCost(i), st.CumulativeCost[i])
-		}
-	}
-	if !st.Excluded[1] || !old.Excluded(1) {
-		t.Fatal("manipulator not excluded on both paths")
-	}
-	if got := st.Protocol; got != old.Stats() {
-		t.Fatalf("protocol stats diverge: old %+v new %+v", old.Stats(), got)
-	}
-}
-
-// TestEquivalenceRRA proves seeded equivalence of the Theorem 5 harness.
-func TestEquivalenceRRA(t *testing.T) {
-	const (
-		n, b, k = 8, 4, 400
-	)
-	old, err := ga.NewSupervisedRRA(n, b, 3, ga.NewDisconnectScheme(n, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Play(k); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := ga.New(nil,
-		ga.WithRRA(n, b),
-		ga.WithPunishment(ga.NewDisconnectScheme(n, 0)),
-		ga.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background(), k); err != nil {
-		t.Fatal(err)
-	}
-	h := ga.AsRRA(s)
-	if h == nil {
-		t.Fatal("AsRRA returned nil for an RRA session")
-	}
-	if h.RRA().MaxLoad() != old.RRA().MaxLoad() {
-		t.Fatalf("max load: old %d new %d", old.RRA().MaxLoad(), h.RRA().MaxLoad())
-	}
-	oldLoads, newLoads := old.RRA().Loads(), h.RRA().Loads()
-	for i := range oldLoads {
-		if oldLoads[i] != newLoads[i] {
-			t.Fatalf("loads diverge: old %v new %v", oldLoads, newLoads)
-		}
-	}
-}
-
-// TestEquivalenceDistributed proves the distributed driver records the
-// same plays through both entry points.
-func TestEquivalenceDistributed(t *testing.T) {
-	const plays = 4
-	g := ga.PrisonersDilemma()
-
-	old, err := ga.NewDistributedSession(2, 0, g, make([]*ga.Agent, 2), 11, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.RunPlays(plays)
-	oldRes := old.Procs[0].Results()
-
-	s, err := ga.New(g, ga.WithDistributed(2, 0, nil), ga.WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background(), plays); err != nil {
-		t.Fatal(err)
-	}
-	newRes := s.Results()
-	if len(newRes) != plays {
-		t.Fatalf("completed %d plays, want %d", len(newRes), plays)
-	}
-	if ga.AsDistributed(s) == nil {
-		t.Fatal("AsDistributed returned nil for a distributed session")
-	}
-	for i := 0; i < len(oldRes) && i < len(newRes); i++ {
-		if !oldRes[i].Outcome.Equal(newRes[i].Outcome) || oldRes[i].Pulse != newRes[i].Pulse {
-			t.Fatalf("play %d diverges: old %v@%d new %v@%d",
-				i, oldRes[i].Outcome, oldRes[i].Pulse, newRes[i].Outcome, newRes[i].Pulse)
-		}
 	}
 }
 

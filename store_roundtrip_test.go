@@ -111,7 +111,6 @@ func roundTripCases(t *testing.T) []roundTripCase {
 				return g, []ga.Option{
 					ga.WithSeed(23),
 					ga.WithDistributed(4, 1, nil),
-					ga.WithPulseWorkers(1),
 				}, nil
 			},
 		},

@@ -3,7 +3,6 @@ package gameauthority
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -65,8 +64,8 @@ func (a *Authority) streamHub() *hub.Hub {
 	})
 }
 
-// wsBackend adapts the Authority to the hub's Backend interface, mapping
-// registry errors onto wire error codes.
+// wsBackend adapts the Authority to the hub's Backend interface, coding
+// its errors through errorTable.
 type wsBackend struct{ a *Authority }
 
 func (b wsBackend) Create(spec []byte) (hub.Handle, error) {
@@ -76,7 +75,7 @@ func (b wsBackend) Create(spec []byte) (hub.Handle, error) {
 	}
 	h, err := b.a.CreateFromSpec(req)
 	if err != nil {
-		return nil, hub.Coded{Code: wsErrCode(err, wire.CodeBadRequest), Err: err}
+		return nil, hub.Coded{Code: classify(err, classBadSpec).code, Err: err}
 	}
 	return wsHandle{h}, nil
 }
@@ -84,37 +83,16 @@ func (b wsBackend) Create(spec []byte) (hub.Handle, error) {
 func (b wsBackend) Attach(ctx context.Context, id string) (hub.Handle, error) {
 	h, err := b.a.GetOrRecover(ctx, id)
 	if err != nil {
-		return nil, hub.Coded{Code: wsErrCode(err, wire.CodeInternal), Err: err}
+		return nil, hub.Coded{Code: classify(err, classInternal).code, Err: err}
 	}
 	return wsHandle{h}, nil
 }
 
 func (b wsBackend) Remove(id string) error {
 	if err := b.a.Remove(id); err != nil {
-		return hub.Coded{Code: wsErrCode(err, wire.CodeInternal), Err: err}
+		return hub.Coded{Code: classify(err, classInternal).code, Err: err}
 	}
 	return nil
-}
-
-// wsErrCode maps authority errors onto wire codes, with a fallback for
-// errors with no specific mapping.
-func wsErrCode(err error, fallback uint64) uint64 {
-	switch {
-	case errors.Is(err, ErrSessionExists):
-		return wire.CodeExists
-	case errors.Is(err, ErrSessionNotFound):
-		return wire.CodeNotFound
-	case errors.Is(err, ErrSessionID):
-		return wire.CodeBadRequest
-	case errors.Is(err, ErrBreakerOpen):
-		return wire.CodeBreakerOpen
-	case errors.Is(err, ErrDurability), errors.Is(err, ErrPulseBudget):
-		return wire.CodeUnavailable
-	case errors.Is(err, ErrClosed):
-		return wire.CodeClosed
-	default:
-		return fallback
-	}
 }
 
 // wsHandle adapts a hosted session for the hub. Play is the direct form:
@@ -128,7 +106,7 @@ func (w wsHandle) ID() string { return w.h.ID() }
 func (w wsHandle) Play(ctx context.Context) (core.RoundResult, error) {
 	res, err := w.h.playDirect(ctx)
 	if err != nil {
-		return res, hub.Coded{Code: wsErrCode(err, wire.CodeInternal), Err: err}
+		return res, hub.Coded{Code: classify(err, classInternal).code, Err: err}
 	}
 	return res, nil
 }
@@ -138,7 +116,7 @@ func (w wsHandle) Play(ctx context.Context) (core.RoundResult, error) {
 func (w wsHandle) PlayN(ctx context.Context, n int, sink func(core.RoundResult) error) (core.RoundResult, error) {
 	res, err := w.h.playNDirect(ctx, n, sink)
 	if err != nil {
-		return res, hub.Coded{Code: wsErrCode(err, wire.CodeInternal), Err: err}
+		return res, hub.Coded{Code: classify(err, classInternal).code, Err: err}
 	}
 	return res, nil
 }
