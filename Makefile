@@ -1,13 +1,9 @@
 GO ?= go
 
 .PHONY: ci fmt fmt-fix vet build test race hammer bench bench-compare bench-quick bench-smoke \
-	loadgen-smoke docs-check fuzz-smoke \
-	deviation-matrix deviation-matrix-short cover-gate \
-	crash-smoke ws-smoke chaos-smoke \
-	batch-smoke dist-smoke obs-smoke clean
+	docs-check fuzz-smoke deviation-matrix cover-gate clean
 
-ci: fmt vet build test race hammer bench-smoke bench-quick loadgen-smoke crash-smoke \
-	ws-smoke chaos-smoke batch-smoke dist-smoke obs-smoke docs-check fuzz-smoke deviation-matrix-short cover-gate
+ci: fmt vet build test race hammer bench-smoke bench-quick docs-check fuzz-smoke cover-gate
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -24,7 +20,12 @@ build:
 
 # Every test runs on 1, 2 and 4 Ps: the registry, the shard loops and the
 # group committer interleave differently on each, and a suite that is only
-# green on one core count proves less than it claims.
+# green on one core count proves less than it claims. This is also where
+# the end-to-end acceptance table runs (TestAcceptance: the scenario fleet
+# over every transport, the chaos twins, the crash/recover rows), the
+# observability assertions (TestObservabilityUnderLoad), and the PlayN,
+# group-commit, allocation and deviation-matrix gates. One row alone is
+# `go test -run 'TestAcceptance/<row>' -v .`.
 test:
 	$(GO) test -cpu 1,2,4 ./...
 
@@ -59,78 +60,13 @@ bench-compare:
 bench-quick:
 	$(GO) run ./bench -quick > /dev/null
 
-# CI-sized loadgen: exercises every scenario, every driver, and both
-# transports; fails on harness errors, never on timing.
-loadgen-smoke:
-	$(GO) run ./cmd/loadgen -sessions 64 -plays 4 > /dev/null
-	$(GO) run ./cmd/loadgen -selfserve -sessions 16 -plays 2 > /dev/null
-	$(GO) run ./cmd/loadgen -sessions 64 -plays 4 -deviants 0.25 -chaos > /dev/null
-
-# CI-sized streaming smoke: the full scenario mix over the /ws binary
-# transport, many sessions multiplexed onto four connections; fails on
-# any transport error, never on timing.
-ws-smoke:
-	$(GO) run ./cmd/loadgen -transport ws -selfserve -sessions 64 -plays 4 -conns 4 > /dev/null
-
-# CI-sized chaos smoke: one run at a 5% disk + 5% net fault rate; fails
-# on any verdict loss, digest mismatch, or unhealed connection, never on
-# timing.
-chaos-smoke:
-	$(GO) run ./cmd/loadgen -sessions 24 -plays 6 -conns 4 -seed 1 -chaos-disk 0.05 -chaos-net 0.05 > /dev/null
-	$(GO) run ./cmd/loadgen -sessions 24 -plays 6 -conns 4 -seed 1 -chaos-disk 0.2 -chaos-net 0 -batch 3 > /dev/null
-
-# CI-sized batch smoke: the PlayN equivalence battery (every catalog game
-# x four drivers x Mem/File stores), crash-mid-batch recovery, the fsync
-# regression gate, the group committer's protocol tests, and a batched
-# durable loadgen run crossing one crash/recover cycle. Fails on any
-# divergence, never on timing.
-batch-smoke:
-	$(GO) test -run 'TestPlayNEquivalence|TestCrashBetweenCommitEpochs|TestCrashInsideBatchAppend|TestBatchAppendFaults|TestGroupCommitFsyncGate' .
-	$(GO) test -run 'TestBatchRecordRoundTrip|TestFileTornBatchTail|TestGroupCommit' ./internal/store
-	$(GO) run ./cmd/loadgen -sessions 32 -plays 8 -batch 4 -crash 1 > /dev/null
-
-# The distributed-only scenario mix: the Byzantine families (fork-choice
-# mining, committee attestation) plus the public-goods baseline on the
-# replicated driver, everything else zeroed out.
-DIST_MIX = congestion=0,braess=0,coordination-n=0,publicgoods-punish=0,minority=0,firstprice=0,secondprice=0,pd=0,mixed-pennies=0,rra=0,dist-publicgoods=1,dist-mining=1,dist-committee=1
-
-# CI-sized distributed smoke (DESIGN.md §13): the hard per-pulse allocation
-# gates (a warm interactive-consistency phase must not allocate; the
-# distributed play budget is pinned at measured+10%), cross-driver
-# determinism, the pulse engines' equivalence and the rule that picks
-# between them, and short Byzantine scenario rows. Fails on allocation or
-# agreement regressions, never on timing.
-dist-smoke:
-	$(GO) test -run 'TestICEngine|TestDolevStrong' ./internal/bap
-	$(GO) test -run 'TestDistEngine' ./internal/core
-	$(GO) test -run 'TestAllocsPerPlayDistributed|TestCrossDriverDeterminism' .
-	$(GO) run ./cmd/loadgen -sessions 12 -plays 8 -seed 1 -mix "$(DIST_MIX)" > /dev/null
-
-# CI-sized observability smoke (DESIGN.md §14): obssmoke scrapes
-# /metrics under real load and asserts every histogram and gauge family
-# renders, parses, and is internally consistent, then captures one
-# distributed-play trace and validates its per-pulse spans. (The metric
-# naming conventions are TestMetricNames, in the ordinary test run.) Fails
-# on violations, never on timing.
-obs-smoke:
-	$(GO) run ./cmd/obssmoke
-
-# CI-sized crash smoke: every scenario family and driver crosses one
-# crash/recover cycle; fails on any lost or diverging session, never on
-# timing.
-crash-smoke:
-	$(GO) run ./cmd/loadgen -sessions 48 -plays 4 -crash 1 > /dev/null
-
 # The deviation-profit verification matrix (DESIGN.md §8): every catalog
 # game × driver × punishment scheme × selfish strategy, with the profit
 # auditor asserting that punished deviation never nets positive utility.
-# The short variant runs the same cells at reduced rounds/seeds on every
-# push.
+# `make test` already runs the full sweep; this is its verbose form, which
+# prints every cell.
 deviation-matrix:
 	$(GO) test -run TestDeviationMatrix -v .
-
-deviation-matrix-short:
-	$(GO) test -run TestDeviationMatrix -short .
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each HTTP
 # fuzz target a short live burst. Fails on panics/regressions, never on

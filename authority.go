@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gameauthority/internal/bap"
+	"gameauthority/internal/core"
 	"gameauthority/internal/hub"
 	"gameauthority/internal/metrics"
 	"gameauthority/internal/obs"
@@ -24,7 +26,19 @@ var (
 	ErrSessionNotFound = errors.New("gameauthority: session not found")
 	// ErrSessionID is returned for malformed session IDs (see Host).
 	ErrSessionID = errors.New("gameauthority: invalid session id")
+	// ErrAgreementCost is returned when creating a distributed session
+	// whose (n, f) prices above agreementBudget.
+	ErrAgreementCost = errors.New("gameauthority: distributed (n, f) exceeds the agreement cost budget")
 )
+
+// agreementBudget is the largest bap.Cost(n, f) a create admits. Cost is
+// exponential in f, and the shapes either side of the line were timed on
+// the reference host (DESIGN.md §13): (7,2), (10,2) and (16,1) play in
+// 8–13 ms and price under it; (10,3) at ≈ 100 ms, (13,2) and (13,4) at
+// 6–19 s a play price over it. Restore does not re-check: a ledger exists
+// only for a spec that passed this door, and one journaled under an
+// older, larger budget must keep recovering.
+const agreementBudget = 100_000
 
 // validSessionID restricts registry keys so every hosted session stays
 // addressable by the single-segment HTTP routes (/sessions/{id}): 1–64
@@ -287,7 +301,14 @@ func (a *Authority) Create(id string, g Game, opts ...Option) (*HostedSession, e
 			return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 		}
 	}
-	s, err := New(g, opts...)
+	cfg := sessionConfig(g, opts)
+	if cost := bap.Cost(cfg.DistProcs, cfg.DistFaults); cost > agreementBudget {
+		// Priced before any EIG layout is built: a play at this shape
+		// would hold its shard loop for seconds, or exhaust memory here.
+		return nil, fmt.Errorf("%w: n=%d, f=%d prices at %.0f (EIG nodes × n²), the budget is %d",
+			ErrAgreementCost, cfg.DistProcs, cfg.DistFaults, cost, agreementBudget)
+	}
+	s, err := core.NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}

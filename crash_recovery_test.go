@@ -13,6 +13,7 @@ import (
 
 	ga "gameauthority"
 	"gameauthority/internal/core"
+	"gameauthority/internal/invariant"
 )
 
 // crashSpecs builds the ≥ 200-session fleet for the crash-recovery
@@ -61,10 +62,7 @@ func crashSpecs() ([]ga.CreateSessionRequest, []int) {
 			Seed:       uint64(3000 + i),
 			Punishment: &ga.PunishmentSpec{Scheme: "disconnect"},
 		}
-		req.RRA = &struct {
-			Agents    int `json:"agents"`
-			Resources int `json:"resources"`
-		}{Agents: 4 + i%4, Resources: 2}
+		req.RRA = invariant.RRAShape(4+i%4, 2)
 		specs = append(specs, req)
 		rounds = append(rounds, 2+i%5)
 	}
@@ -77,10 +75,7 @@ func crashSpecs() ([]ga.CreateSessionRequest, []int) {
 			Seed:        uint64(4000 + i),
 			PulseBudget: 1000 * ga.PulsesPerPlay(1),
 		}
-		req.Distributed = &struct {
-			N int `json:"n"`
-			F int `json:"f"`
-		}{N: 4, F: 1}
+		req.Distributed = invariant.DistShape(4, 1)
 		specs = append(specs, req)
 		rounds = append(rounds, 1+i%2)
 	}
@@ -132,71 +127,27 @@ func TestCrashRecovery200Sessions(t *testing.T) {
 		t.Fatalf("victim hosts %d sessions, want %d", victim.Len(), len(specs))
 	}
 
-	// SIGKILL: detach the store un-synced and abandon the authority. The
-	// corpse is closed only after recovery (resource hygiene; the detach
-	// guarantees it cannot touch the ledger).
-	detached := victim.DetachStore()
-	defer victim.Close()
-
-	recovered := ga.NewAuthority(ga.WithStore(detached))
-	report, err := recovered.Recover(ctx)
+	// SIGKILL: the store is detached un-synced and the authority
+	// abandoned; every journaled session must restore.
+	recovered, report, err := invariant.CrashRecover(ctx, victim)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(report.Failed) > 0 {
-		t.Fatalf("recovery failed for %d sessions, first: %s", len(report.Failed), report.Failed[0])
 	}
 	if report.Sessions != len(specs) {
 		t.Fatalf("recovered %d sessions, want %d", report.Sessions, len(specs))
 	}
 	t.Logf("recovered %d sessions, %d plays replayed in %v", report.Sessions, report.Rounds, report.Elapsed)
 
-	// Every recovered session's future must match its uninterrupted twin
-	// hash-for-hash.
-	const k = 3
 	for i, spec := range specs {
 		wg.Add(1)
 		go func(spec ga.CreateSessionRequest, plays int) {
 			defer wg.Done()
 			h, err := recovered.Get(spec.ID)
+			if err == nil {
+				err = againstTwin(ctx, h, spec, plays)
+			}
 			if err != nil {
 				errCh <- err
-				return
-			}
-			if got := h.Stats().Rounds; got != plays {
-				errCh <- fmt.Errorf("%s: recovered at round %d, want %d", spec.ID, got, plays)
-				return
-			}
-			spec.ID = "" // twins host under fresh auto ids on a throwaway volatile host
-			twinHost := ga.NewAuthority()
-			defer twinHost.Close()
-			twin, err := twinHost.CreateFromSpec(spec)
-			if err != nil {
-				errCh <- fmt.Errorf("twin %s: %w", spec.ID, err)
-				return
-			}
-			if _, err := twin.Run(ctx, plays); err != nil {
-				errCh <- err
-				return
-			}
-			for r := 0; r < k; r++ {
-				want, err := twin.Play(ctx)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				got, err := h.Play(ctx)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if wh, gh := core.HashResult(want), core.HashResult(got); wh != gh {
-					errCh <- fmt.Errorf("%s: post-recovery play %d hash %s, twin %s", h.ID(), r, gh, wh)
-					return
-				}
-			}
-			if w, g := twin.Snapshot().Digest, h.Snapshot().Digest; w != g {
-				errCh <- fmt.Errorf("%s: final digest diverged from twin", h.ID())
 			}
 		}(spec, rounds[i])
 	}
@@ -211,42 +162,41 @@ func TestCrashRecovery200Sessions(t *testing.T) {
 	}
 }
 
-// verifyAgainstTwin checks that a recovered session sits at wantRounds
-// and that its future matches a fresh seeded twin advanced to the same
-// round, hash-for-hash, ending digest-equal.
-func verifyAgainstTwin(t *testing.T, h *ga.HostedSession, spec ga.CreateSessionRequest, wantRounds int) {
-	t.Helper()
-	ctx := context.Background()
-	if got := h.Stats().Rounds; got != wantRounds {
-		t.Fatalf("%s: recovered at round %d, want %d", h.ID(), got, wantRounds)
-	}
-	spec.ID = ""
-	twinHost := ga.NewAuthority()
-	defer twinHost.Close()
-	twin, err := twinHost.CreateFromSpec(spec)
+// againstTwin holds a recovered session to its uninterrupted seeded twin:
+// it sits at wantRounds with the twin's digest, its next three plays match
+// the twin's hash-for-hash, and the two end digest-equal.
+func againstTwin(ctx context.Context, h *ga.HostedSession, spec ga.CreateSessionRequest, wantRounds int) error {
+	twin, err := invariant.Twin(ctx, spec, wantRounds)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if wantRounds > 0 {
-		if _, err := twin.Run(ctx, wantRounds); err != nil {
-			t.Fatal(err)
-		}
+	defer twin.Close()
+	if err := invariant.CheckTwinState(invariant.StateOf(twin), invariant.StateOf(h)); err != nil {
+		return fmt.Errorf("%s: recovered: %w", h.ID(), err)
 	}
 	for r := 0; r < 3; r++ {
 		want, err := twin.Play(ctx)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		got, err := h.Play(ctx)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if wh, gh := core.HashResult(want), core.HashResult(got); wh != gh {
-			t.Fatalf("%s: post-recovery play %d hash %s, twin %s", h.ID(), r, gh, wh)
+			return fmt.Errorf("%s: post-recovery play %d hash %s, twin %s", h.ID(), r, gh, wh)
 		}
 	}
-	if w, g := twin.Snapshot().Digest, h.Snapshot().Digest; w != g {
-		t.Fatalf("%s: final digest diverged from twin", h.ID())
+	if err := invariant.CheckTwinState(invariant.StateOf(twin), invariant.StateOf(h)); err != nil {
+		return fmt.Errorf("%s: after three more plays: %w", h.ID(), err)
+	}
+	return nil
+}
+
+func verifyAgainstTwin(t *testing.T, h *ga.HostedSession, spec ga.CreateSessionRequest, wantRounds int) {
+	t.Helper()
+	if err := againstTwin(context.Background(), h, spec, wantRounds); err != nil {
+		t.Fatal(err)
 	}
 }
 

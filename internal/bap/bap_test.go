@@ -523,6 +523,33 @@ func TestEIGTreeSizeGrowsPerRound(t *testing.T) {
 	}
 }
 
+// TestCostMatchesLayout holds the closed form to the layout it prices,
+// on shapes small enough to build, and pins the anchors the create door's
+// budget was chosen between.
+func TestCostMatchesLayout(t *testing.T) {
+	for _, s := range [][2]int{{4, 1}, {5, 0}, {7, 2}, {10, 2}, {10, 3}} {
+		n, f := s[0], s[1]
+		want := float64(buildLayout(n, f).nodes() * n * n)
+		if got := Cost(n, f); got != want {
+			t.Errorf("Cost(%d,%d) = %.0f, layout says %.0f", n, f, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		n, f int
+		want float64
+	}{{16, 1, 65792}, {13, 2, 318734}, {13, 4, 29319134}} {
+		if got := Cost(tc.n, tc.f); got != tc.want {
+			t.Errorf("Cost(%d,%d) = %.0f, want %.0f", tc.n, tc.f, got, tc.want)
+		}
+	}
+	// Absurd shapes price as huge, promptly, without wrapping around.
+	for _, s := range [][2]int{{64, 21}, {1 << 40, 1}, {1 << 62, 1 << 62}} {
+		if got := Cost(s[0], s[1]); !(got > Cost(13, 4)) {
+			t.Errorf("Cost(%d,%d) = %g, want it beyond any budget", s[0], s[1], got)
+		}
+	}
+}
+
 func TestProcCorruptRecoversViaRestart(t *testing.T) {
 	// A corrupted single-instance EIG Proc must not panic on arbitrary
 	// state and must keep stepping (the ssba layer handles true

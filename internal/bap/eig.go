@@ -22,6 +22,20 @@ var (
 // Rounds returns the number of communication rounds EIG needs: f+1.
 func Rounds(f int) int { return f + 1 }
 
+// Cost is the closed-form size of one interactive-consistency phase at
+// (n, f): the EIG tree's Σₖ₌₀^{f+1} n!/(n−k)! nodes, held by n instances
+// on each of n processors. No layout is built, so a door can price a
+// shape before paying for it. A float, so an absurd shape prices as huge
+// instead of overflowing; every shape worth building is exact.
+func Cost(n, f int) float64 {
+	nodes, level := 1.0, 1.0
+	for k := 0; k <= f && k < n && level < 1e18; k++ {
+		level *= float64(n - k)
+		nodes += level
+	}
+	return nodes * float64(n) * float64(n)
+}
+
 // eigLayout is the shared, immutable shape of the EIG tree for one (n, f)
 // pair: every distinct-processor label up to length f+1, enumerated level
 // by level in lexicographic order, with precomputed label strings, a

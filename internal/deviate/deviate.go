@@ -23,7 +23,7 @@ import (
 // deviation, which is what makes ProfitAudit's utility deltas meaningful.
 
 // Registry returns one instance of every strategy with its default
-// parameterization, ordered by name. cmd/loadgen's chaos mode draws from
+// parameterization, ordered by name. cmd/loadgen -deviants draws from
 // here, and the HTTP API resolves these names in POST /sessions.
 func Registry() []core.Deviant {
 	return []core.Deviant{

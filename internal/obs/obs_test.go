@@ -272,22 +272,3 @@ func TestRuntimeGauges(t *testing.T) {
 		}
 	}
 }
-
-// TestMergedQuantile checks HistogramQuantile merges all series of one
-// name.
-func TestMergedQuantile(t *testing.T) {
-	r := NewRegistry()
-	a := r.Histogram("gameauthority_m_seconds", "test.", Label{"driver", "pure"})
-	b := r.Histogram("gameauthority_m_seconds", "test.", Label{"driver", "rra"})
-	for i := 0; i < 50; i++ {
-		a.Record(2 * time.Microsecond)
-		b.Record(2 * time.Microsecond)
-	}
-	ns, count := r.HistogramQuantile("gameauthority_m_seconds", 0.5)
-	if count != 100 {
-		t.Fatalf("merged count = %d, want 100", count)
-	}
-	if ns < 1024 || ns > 4096 {
-		t.Fatalf("merged p50 = %v ns, want within the 2µs bucket", ns)
-	}
-}

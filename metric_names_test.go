@@ -1,14 +1,18 @@
 package gameauthority_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	ga "gameauthority"
+	"gameauthority/internal/invariant"
 )
 
 // TestMetricNames enforces the metric naming conventions on a live
@@ -24,6 +28,21 @@ import (
 //
 // A new metric with a nonconforming name fails here rather than shipping.
 func TestMetricNames(t *testing.T) {
+	srv := metricsServer(t)
+	problems, types := lintMetricNames(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
+	for _, p := range problems {
+		t.Error(p)
+	}
+	if len(types) == 0 {
+		t.Error("the scrape declared no metric family")
+	}
+}
+
+// metricsServer is a durable, group-committed, sharded authority behind
+// the full HTTP server with the debug routes on: every layer that
+// registers a metric or emits a span is in the process.
+func metricsServer(t *testing.T) *httptest.Server {
+	t.Helper()
 	st, err := ga.NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -34,22 +53,183 @@ func TestMetricNames(t *testing.T) {
 		ga.WithShards(2),
 	)
 	t.Cleanup(func() { a.Close() })
-	srv := httptest.NewServer(ga.NewServer(a))
+	srv := httptest.NewServer(ga.NewServer(a, ga.WithDebug(true)))
 	t.Cleanup(srv.Close)
+	return srv
+}
 
-	problems, families := lintMetricNames(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
-	for _, p := range problems {
-		t.Error(p)
+// TestObservabilityUnderLoad drives plays on the pure and distributed
+// drivers, single and batched, on the same kind of server and holds the
+// observability plane (DESIGN.md §14) to what it promises an operator:
+//
+//   - GET /metrics is a parseable exposition carrying every histogram and
+//     gauge family, each histogram's +Inf bucket equal to its _count, and
+//     the series the load must have moved actually moved;
+//   - GET /debug/trace captures a distributed play end to end as Chrome
+//     trace_event JSON: the root play span, the per-pulse protocol spans
+//     and the store's.
+func TestObservabilityUnderLoad(t *testing.T) {
+	srv := metricsServer(t)
+	durPost(t, srv.URL+"/sessions", ga.CreateSessionRequest{ID: "obs-pure", Game: "congestion"}, http.StatusCreated)
+	durPost(t, srv.URL+"/sessions", ga.CreateSessionRequest{ID: "obs-dist", Game: "publicgoods", Players: 4,
+		Distributed: invariant.DistShape(4, 1)}, http.StatusCreated)
+	// A batched request populates the PlayN histogram; the single plays
+	// populate the per-driver latencies and the WAL and commit-epoch series.
+	durPost(t, srv.URL+"/sessions/obs-pure/play?n=8", nil, http.StatusOK)
+	durPost(t, srv.URL+"/sessions/obs-pure/play", map[string]int{"rounds": 4}, http.StatusOK)
+
+	// The capture races the plays on purpose — that is how an operator
+	// uses it: the request arms the tracer, the plays below feed it, and
+	// the second traced play completes the response.
+	type capture struct {
+		body []byte
+		err  error
 	}
-	if families == 0 {
-		t.Error("the scrape declared no metric family")
+	captured := make(chan capture, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/debug/trace?plays=2&wait=30s")
+		if err != nil {
+			captured <- capture{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		captured <- capture{body, err}
+	}()
+	var trace capture
+	for trace.body == nil {
+		durPost(t, srv.URL+"/sessions/obs-dist/play", nil, http.StatusOK)
+		select {
+		case trace = <-captured:
+			if trace.err != nil {
+				t.Fatalf("trace capture: %v", trace.err)
+			}
+		default:
+		}
+	}
+
+	var tf struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.body, &tf); err != nil {
+		t.Fatalf("trace is not trace_event JSON: %v", err)
+	}
+	spans := map[string]bool{}
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph != "X" {
+			t.Errorf("span %q: phase %q, want the complete-event phase X", ev.Name, ev.Ph)
+		}
+		spans[ev.Name] = true
+	}
+	for _, name := range []string{"play", "pulse.clock-sync", "pulse.dolev-strong", "pulse.eig-resolve", "wal.append"} {
+		if !spans[name] {
+			t.Errorf("the trace of a distributed play lacks the %q span", name)
+		}
+	}
+
+	body := string(durGet(t, srv.URL+"/metrics", http.StatusOK))
+	problems, types := lintMetricNames(body)
+	for _, p := range append(problems, lintScrape(body, types)...) {
+		t.Error(p)
 	}
 }
 
+// lintScrape holds an exposition taken after TestObservabilityUnderLoad's
+// load, and the family types lintMetricNames read from it, to its
+// content: every sample parses, every expected family is declared with
+// its type and renders a series, every histogram is internally
+// consistent, and the load landed where it should.
+func lintScrape(body string, types map[string]string) (problems []string) {
+	bad := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	samples := map[string]float64{} // series (name + labels) → value
+	families := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		idx := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[idx+1:], 64)
+		if idx < 0 || err != nil {
+			bad("unparseable sample line %q", line)
+			continue
+		}
+		samples[line[:idx]] = v
+		name, _, _ := strings.Cut(line[:idx], "{")
+		families[name] = true
+	}
+	// All of these register at package init or when the server is built,
+	// whatever the workload.
+	for _, name := range []string{
+		"gameauthority_play_latency_seconds",
+		"gameauthority_playn_batch_seconds",
+		"gameauthority_restore_seconds",
+		"gameauthority_wal_append_seconds",
+		"gameauthority_fsync_seconds",
+		"gameauthority_commit_epoch_seconds",
+		"gameauthority_http_request_seconds",
+		"gameauthority_ws_roundtrip_seconds",
+	} {
+		if types[name] != "histogram" || !families[name+"_count"] {
+			bad("histogram family %s: TYPE %q, renders a _count: %v", name, types[name], families[name+"_count"])
+		}
+	}
+	for _, name := range []string{
+		"gameauthority_group_commit_queue_depth",
+		"gameauthority_shard_sessions",
+		"gameauthority_shard_loop_queue_depth",
+		"gameauthority_breaker_open_sessions",
+		"gameauthority_hub_outbox_depth",
+		"gameauthority_goroutines",
+		"gameauthority_heap_alloc_bytes",
+		"gameauthority_heap_objects",
+		"gameauthority_gc_cycles",
+		"gameauthority_gc_pause_total_seconds",
+	} {
+		if types[name] != "gauge" || !families[name] {
+			bad("gauge family %s: TYPE %q, renders a series: %v", name, types[name], families[name])
+		}
+	}
+	// Every histogram series' +Inf bucket holds exactly its _count.
+	for series, count := range samples {
+		name, labels, labelled := strings.Cut(series, "{")
+		base, ok := strings.CutSuffix(name, "_count")
+		if !ok || types[base] != "histogram" {
+			continue
+		}
+		inf := base + `_bucket{le="+Inf"}`
+		if labelled {
+			inf = base + "_bucket{" + strings.TrimSuffix(labels, "}") + `,le="+Inf"}`
+		}
+		if got, ok := samples[inf]; !ok || got != count {
+			bad("histogram series %s: +Inf bucket %v (present: %v), _count %v", series, got, ok, count)
+		}
+	}
+	for _, moved := range []string{
+		`gameauthority_play_latency_seconds_count{driver="pure"}`,
+		`gameauthority_play_latency_seconds_count{driver="distributed"}`,
+		`gameauthority_playn_batch_seconds_count`,
+		`gameauthority_wal_append_seconds_count`,
+		`gameauthority_commit_epoch_seconds_count`,
+		`gameauthority_http_request_seconds_count{route="POST /sessions/{id}/play"}`,
+	} {
+		if samples[moved] == 0 {
+			bad("series %s recorded nothing under load", moved)
+		}
+	}
+	return problems
+}
+
 // lintMetricNames applies the naming rules to every `# TYPE name type`
-// declaration and checks each sample line belongs to a declared family.
-func lintMetricNames(body string) (problems []string, families int) {
-	types := map[string]string{}
+// declaration and checks each sample line belongs to a declared family;
+// it returns the declared types by family name.
+func lintMetricNames(body string) (problems []string, types map[string]string) {
+	types = map[string]string{}
 	for _, line := range strings.Split(body, "\n") {
 		switch {
 		case line == "" || strings.HasPrefix(line, "# HELP "):
@@ -104,5 +284,5 @@ func lintMetricNames(body string) (problems []string, families int) {
 			problems = append(problems, fmt.Sprintf("%s has unsupported type %s", name, typ))
 		}
 	}
-	return problems, len(types)
+	return problems, types
 }

@@ -89,11 +89,16 @@ type AuditOption func(*core.SessionConfig)
 // among candidate games. WithPunishment installs the executive service's
 // sanction policy on any driver.
 func New(g Game, opts ...Option) (Session, error) {
+	return core.NewSession(sessionConfig(g, opts))
+}
+
+// sessionConfig applies opts, in order, to g's configuration.
+func sessionConfig(g Game, opts []Option) core.SessionConfig {
 	cfg := core.SessionConfig{Game: g}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return core.NewSession(cfg)
+	return cfg
 }
 
 // WithSeed sets the root seed for all commitments, honest sampling, and
@@ -270,7 +275,7 @@ func WithDistributed(n, f int, byz map[int]Adversary) Option {
 // so when both configure the same processor the later option wins. It
 // composes with WithDeviant: one session can carry an application-layer
 // selfish deviant on one processor and wire-level Byzantine behaviour on
-// another — the loadgen chaos mix.
+// another — the acceptance table's adversary row.
 func WithNetworkAdversary(proc int, adv Adversary) Option {
 	return func(c *core.SessionConfig) {
 		if c.DistByz == nil {

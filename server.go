@@ -357,7 +357,8 @@ func handleCreate(a *Authority, w http.ResponseWriter, r *http.Request) {
 // Request size caps: the HTTP surface is open to arbitrary clients, so
 // session sizing is bounded before any construction cost is paid. The
 // in-process API has no such caps (internal/game still guards dense
-// table allocations).
+// table allocations); Authority.Create prices a distributed (n, f) for
+// every caller (agreementBudget).
 const (
 	// maxRequestPlayers bounds the game size of table-backed scenarios
 	// (dense cost tables grow exponentially in the player count).

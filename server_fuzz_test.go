@@ -42,6 +42,10 @@ func FuzzServerSessions(f *testing.F) {
 		`{"id":"../../etc","game":"pd"}`,
 		`{"game":"secondprice","players":20}`,
 		`{"game":"pd","audit":"statistical","kind":"mixed","window":-4,"chi_threshold":1e308}`,
+		// Either side of the agreement cost budget: (17,1) is the largest
+		// f=1 shape the create door admits, (18,1) the first it refuses.
+		`{"game":"publicgoods","players":17,"distributed":{"n":17,"f":1}}`,
+		`{"game":"publicgoods","players":18,"distributed":{"n":18,"f":1}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -15,6 +15,7 @@ import (
 
 	ga "gameauthority"
 	"gameauthority/internal/hub"
+	"gameauthority/internal/invariant"
 	"gameauthority/internal/wire"
 )
 
@@ -64,22 +65,19 @@ func TestCrossTransportDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// In process: decode the same JSON the transports carry.
+			// In process: decode the same JSON the transports carry and grow
+			// the fault-free twin from it.
 			var req ga.CreateSessionRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				t.Fatal(err)
 			}
-			inproc := ga.NewAuthority()
-			defer inproc.Close()
-			h, err := inproc.CreateFromSpec(req)
+			twin, err := invariant.Twin(context.Background(), req, rounds)
 			if err != nil {
-				t.Fatalf("in-process create: %v", err)
+				t.Fatalf("in-process: %v", err)
 			}
-			if _, err := h.Run(context.Background(), rounds); err != nil {
-				t.Fatalf("in-process run: %v", err)
-			}
-			wantDigest := h.Snapshot().Digest
-			if wantDigest == "" {
+			defer twin.Close()
+			want := invariant.StateOf(twin)
+			if want.Digest == "" {
 				t.Fatal("in-process digest empty")
 			}
 
@@ -109,14 +107,11 @@ func TestCrossTransportDeterminism(t *testing.T) {
 				t.Fatalf("ws snapshot: %v", err)
 			}
 
-			if httpRounds != rounds || snap.Rounds != rounds {
-				t.Fatalf("rounds: http %d ws %d want %d", httpRounds, snap.Rounds, rounds)
+			if err := invariant.CheckTwinState(want, invariant.State{Rounds: int(httpRounds), Digest: httpDigest}); err != nil {
+				t.Errorf("HTTP: %v", err)
 			}
-			if httpDigest != wantDigest {
-				t.Errorf("HTTP digest %s != in-process %s", httpDigest, wantDigest)
-			}
-			if snap.Digest != wantDigest {
-				t.Errorf("WS digest %s != in-process %s", snap.Digest, wantDigest)
+			if err := invariant.CheckTwinState(want, invariant.State{Rounds: int(snap.Rounds), Digest: snap.Digest}); err != nil {
+				t.Errorf("WS: %v", err)
 			}
 		})
 	}
