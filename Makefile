@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: ci fmt fmt-fix vet build test race hammer bench bench-compare bench-quick bench-smoke \
-	docs-check fuzz-smoke deviation-matrix cover-gate clean
+	docs-check fuzz-smoke cover-gate clean
 
 ci: fmt vet build test race hammer bench-smoke bench-quick docs-check fuzz-smoke cover-gate
 
@@ -33,8 +33,9 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./...
 
 # The lifecycle hammers, twenty times on each core count: the races they
-# guard (create/remove against the ledger, stream attach/close, the shard
-# loops) lose on a particular interleaving, so one pass proves little.
+# guard (create/remove against the ledger, stream attach/close, /ws plays
+# on the shard loops against direct HTTP plays of the same session) lose
+# on a particular interleaving, so one pass proves little.
 hammer:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress' .
 
@@ -59,14 +60,6 @@ bench-compare:
 # nobody else fouled). Fails on a failed check, never on timing.
 bench-quick:
 	$(GO) run ./bench -quick > /dev/null
-
-# The deviation-profit verification matrix (DESIGN.md §8): every catalog
-# game × driver × punishment scheme × selfish strategy, with the profit
-# auditor asserting that punished deviation never nets positive utility.
-# `make test` already runs the full sweep; this is its verbose form, which
-# prints every cell.
-deviation-matrix:
-	$(GO) test -run TestDeviationMatrix -v .
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each HTTP
 # fuzz target a short live burst. Fails on panics/regressions, never on

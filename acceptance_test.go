@@ -173,7 +173,8 @@ func runAcceptanceRow(t *testing.T, row acceptanceRow) {
 	if row.chaos != nil {
 		for k := 0; k < len(slots); k += 4 {
 			w := &invariant.SeqWatch{}
-			if err := slots[k].Player.(*healingPlayer).subscribe(w.Handle); err != nil {
+			p := slots[k].Player.(*healingPlayer)
+			if err := p.Client.Subscribe(p.Ref, w.Handle); err != nil {
 				t.Fatalf("subscribe %s: %v", slots[k].Spec.ID, err)
 			}
 			watches = append(watches, w)
@@ -482,32 +483,4 @@ func (p *healingPlayer) State() (st invariant.State, err error) {
 	return st, err
 }
 
-// Close is not idempotent on the wire: a close whose ack was cut has
-// landed, and its retry finds the session gone — which is what was asked.
-func (p *healingPlayer) Close() error {
-	err := heal(p.WSPlayer.Close)
-	var re *hub.RemoteError
-	if errors.As(err, &re) && re.Code == wire.CodeNotFound {
-		return nil
-	}
-	return err
-}
-
-// subscribe is Client.Subscribe past one race the client does not heal
-// itself: when the connection dies between the client registering the
-// handler and its first subscribe round trip, the reconnect's rebind
-// subscribes on the handler's behalf, the round trip is then refused with
-// CodeExists, and the client drops the handler it should have kept. Undo
-// the server side and subscribe again.
-func (p *healingPlayer) subscribe(handler hub.EventHandler) error {
-	for attempt := 0; ; attempt++ {
-		err := p.Client.Subscribe(p.Ref, handler)
-		var re *hub.RemoteError
-		if attempt == 2 || !errors.As(err, &re) || re.Code != wire.CodeExists {
-			return err
-		}
-		if err := p.Client.Unsubscribe(p.Ref); err != nil {
-			return err
-		}
-	}
-}
+func (p *healingPlayer) Close() error { return heal(p.WSPlayer.Close) }

@@ -175,3 +175,60 @@ func TestAllocsHashResult(t *testing.T) {
 		t.Fatalf("HashResult allocates %v times, budget %d", allocs, hashResultAllocBudget)
 	}
 }
+
+// TestAllocsPerPlayHosted gates the host layer, where every transport's
+// play lands: hosting adds nothing to a play, journaling adds its
+// transcript hash, and Play is PlayN(1) — so the two must cost the same.
+// The journaled batch is pinned at measured+10% (18 as of the PR 24
+// one-play-path change: 16 hashes, the batch slice, the store's copy).
+func TestAllocsPerPlayHosted(t *testing.T) {
+	const journaledBatchBudget = 20
+	ctx := context.Background()
+	sink := func(ga.RoundResult) error { return nil }
+	for _, row := range []struct {
+		name        string
+		opts        []ga.AuthorityOption
+		play, batch float64
+	}{
+		{"volatile", nil, pureAllocBudget, playNOverheadBudget},
+		{"journaled", []ga.AuthorityOption{ga.WithStore(ga.NewMemStore()), ga.WithSnapshotEvery(0)},
+			hashResultAllocBudget, journaledBatchBudget},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			a := ga.NewAuthority(row.opts...)
+			defer a.Close()
+			h, err := a.CreateFromSpec(ga.CreateSessionRequest{Game: "pd", Seed: 1, HistoryLimit: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Run(ctx, 64); err != nil { // warm scratch + ring
+				t.Fatal(err)
+			}
+			play := testing.AllocsPerRun(200, func() {
+				if _, err := h.Play(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			playN1 := testing.AllocsPerRun(200, func() {
+				if _, err := h.PlayN(ctx, 1, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			batch := testing.AllocsPerRun(100, func() {
+				if _, err := h.PlayN(ctx, 16, sink); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("hosted %s: Play %v, PlayN(1) %v, PlayN(16) %v allocs", row.name, play, playN1, batch)
+			if play > row.play {
+				t.Errorf("hosted Play allocates %v times, budget %v", play, row.play)
+			}
+			if playN1 != play {
+				t.Errorf("PlayN(1) allocates %v times, Play %v: they are one path", playN1, play)
+			}
+			if batch > row.batch {
+				t.Errorf("hosted 16-round PlayN allocates %v times, budget %v", batch, row.batch)
+			}
+		})
+	}
+}

@@ -119,16 +119,13 @@ type Authority struct {
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
-	// loops is the pool of authoritative shard loops (internal/hub):
-	// sessions are pinned onto a loop by id hash, and all plays for a
-	// session execute on that loop's goroutine. WithShards installs the
-	// pool up front and sets loopsRoute, which makes HostedSession.Play
-	// enqueue instead of playing inline; otherwise the pool is created
-	// lazily the first time the WebSocket transport needs it, and the
-	// HTTP/in-process play path stays direct.
-	loops      atomic.Pointer[hub.Shards]
-	loopsRoute atomic.Bool
-	loopsMu    sync.Mutex
+	// loops is the /ws transport's executor (internal/hub): a pool of
+	// GOMAXPROCS loops, built the first time the transport needs it, that
+	// pins each session's commands onto one goroutine by id hash. HTTP and
+	// in-process plays run on their caller's goroutine; the session's own
+	// locks order them against the loop's.
+	loops   atomic.Pointer[hub.Shards]
+	loopsMu sync.Mutex
 }
 
 // storeBox wraps the store interface for atomic.Pointer.
@@ -182,9 +179,14 @@ type HostedSession struct {
 
 	// breakerFails counts consecutive journal failures; breakerUntil is
 	// the unix-nano deadline while the session's circuit breaker is open
-	// (0 = closed). See playDirect.
+	// (0 = closed). See PlayN.
 	breakerFails atomic.Int64
 	breakerUntil atomic.Int64
+
+	// call accumulates the PlayN call in flight (under jmu); onRound is
+	// observeRound bound once, the sink every driver PlayN is handed.
+	call    playCall
+	onRound func(RoundResult) error
 }
 
 // ID returns the session's registry key.
@@ -356,6 +358,7 @@ func (a *Authority) hostAt(sh *authorityShard, id string, s Session) (*HostedSes
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
 	h := &HostedSession{Session: s, id: id, a: a}
+	h.onRound = h.observeRound
 	sh.sessions[id] = h
 	a.counters.Sessions.Add(1)
 	a.counters.SessionsCreated.Add(1)
@@ -544,7 +547,6 @@ func (a *Authority) Close() error {
 	var first error
 	// Stop the shard loops first so every play they already accepted
 	// finishes (and journals) before sessions close and the store syncs.
-	// Plays submitted after this point fall back to the direct path.
 	if sp := a.loops.Load(); sp != nil {
 		sp.Close()
 	}

@@ -20,7 +20,6 @@
 //	go run ./cmd/gameauthd -corrupt 3 -plays 12     # transient fault after play 3
 //	go run ./cmd/gameauthd -serve :8080             # multi-session HTTP host
 //	go run ./cmd/gameauthd -serve :8080 -data-dir /var/lib/gameauthd  # durable host
-//	go run ./cmd/gameauthd -serve :8080 -shards -1  # plays routed onto GOMAXPROCS shard loops
 //	go run ./cmd/gameauthd -serve :8080 -pprof      # live profiling at /debug/pprof/
 //	go run ./cmd/gameauthd -trace-out trace.json    # Chrome trace of the run
 package main
@@ -55,7 +54,6 @@ func main() {
 		serve     = flag.String("serve", "", "host the multi-session HTTP API on this address instead of tracing")
 		dataDir   = flag.String("data-dir", "", "durable store directory (serve mode): journal sessions, recover on startup, snapshot on shutdown")
 		ws        = flag.Bool("ws", true, "serve mode: mount the /ws binary streaming transport")
-		shards    = flag.Int("shards", 0, "serve mode: route every play through this many authoritative shard loops (0: direct HTTP plays, lazy loops for /ws; -1: GOMAXPROCS)")
 		chaosDisk = flag.Float64("chaos-disk", 0, "serve mode: inject seeded disk faults into the durable store at this base rate [0,1]")
 		chaosNet  = flag.Float64("chaos-net", 0, "serve mode: inject seeded network faults into accepted connections at this base rate [0,1]")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (serve mode: boot to shutdown)")
@@ -72,7 +70,7 @@ func main() {
 		var stray []string
 		flag.Visit(func(fl *flag.Flag) {
 			switch fl.Name {
-			case "serve", "data-dir", "ws", "shards", "chaos-disk", "chaos-net", "seed",
+			case "serve", "data-dir", "ws", "chaos-disk", "chaos-net", "seed",
 				"pprof", "trace-out", "cpuprofile", "memprofile":
 			default:
 				stray = append(stray, "-"+fl.Name)
@@ -85,7 +83,6 @@ func main() {
 		err := serveAPI(*serve, serveOptions{
 			dataDir:   *dataDir,
 			ws:        *ws,
-			shards:    *shards,
 			seed:      *seed,
 			chaosDisk: *chaosDisk,
 			chaosNet:  *chaosNet,
@@ -108,12 +105,12 @@ func main() {
 	strayServe := false
 	flag.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
-		case "ws", "shards", "chaos-disk", "chaos-net", "pprof":
+		case "ws", "chaos-disk", "chaos-net", "pprof":
 			strayServe = true
 		}
 	})
 	if strayServe {
-		fmt.Fprintln(os.Stderr, "gameauthd: -ws, -shards, -chaos-disk, -chaos-net and -pprof only apply to serve mode (-serve)")
+		fmt.Fprintln(os.Stderr, "gameauthd: -ws, -chaos-disk, -chaos-net and -pprof only apply to serve mode (-serve)")
 		os.Exit(2)
 	}
 	if err := validateFlags(*n, *f, *plays, *cheat); err != nil {
@@ -166,7 +163,6 @@ func main() {
 type serveOptions struct {
 	dataDir   string
 	ws        bool
-	shards    int
 	seed      uint64
 	chaosDisk float64
 	chaosNet  float64
@@ -191,11 +187,6 @@ func serveAPI(addr string, o serveOptions) error {
 			return err
 		}
 		opts = append(opts, ga.WithStore(st))
-	}
-	if o.shards != 0 {
-		// Route every play (HTTP included) through the authoritative
-		// shard loops; the loops also back the /ws transport.
-		opts = append(opts, ga.WithShards(o.shards))
 	}
 	if o.chaosDisk > 0 {
 		opts = append(opts, ga.WithFaultPlan(ga.NewFaultPlan(ga.DiskFaultConfig(o.seed, o.chaosDisk))))

@@ -1,9 +1,54 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
+
+// TestMain lets the test binary stand in for gameauthd: re-executed with
+// GAMEAUTHD_MAIN set, it runs main on its arguments (TestExitCodes).
+func TestMain(m *testing.M) {
+	if os.Getenv("GAMEAUTHD_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestExitCodes pins the command line's refusals: each row exits 2 with
+// the named complaint on stderr.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stderr string
+	}{
+		// Retired with the routed play mode (PR 24): /ws always had its
+		// GOMAXPROCS loop pool, and nothing else runs on one.
+		{"retired -shards", []string{"-serve", "127.0.0.1:0", "-shards", "-1"}, "flag provided but not defined: -shards"},
+		{"serve flag in trace mode", []string{"-ws=false"}, "only apply to serve mode"},
+		{"trace flag in serve mode", []string{"-serve", "127.0.0.1:0", "-plays", "3"}, "only apply to trace mode"},
+		{"invalid trace shape", []string{"-plays", "0"}, "plays"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "GAMEAUTHD_MAIN=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("gameauthd %v: %v, want exit 2 (stderr: %s)", tc.args, err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Fatalf("gameauthd %v: stderr %q, want it to name %q", tc.args, stderr.String(), tc.stderr)
+			}
+		})
+	}
+}
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {

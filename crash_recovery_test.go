@@ -2,6 +2,7 @@ package gameauthority_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +15,7 @@ import (
 	ga "gameauthority"
 	"gameauthority/internal/core"
 	"gameauthority/internal/invariant"
+	"gameauthority/internal/store"
 )
 
 // crashSpecs builds the ≥ 200-session fleet for the crash-recovery
@@ -198,6 +200,64 @@ func verifyAgainstTwin(t *testing.T, h *ga.HostedSession, spec ga.CreateSessionR
 	if err := againstTwin(context.Background(), h, spec, wantRounds); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecoverPerRoundLedger: until PR 24 a k-round request over /ws or
+// HTTP journaled k play records where it now journals one batch record.
+// A ledger written that way — here by hand, through the store, with a
+// batch record behind it as a later host would append — still recovers
+// to the twin's digest and plays on.
+func TestRecoverPerRoundLedger(t *testing.T) {
+	const k = 6
+	ctx := context.Background()
+	spec := ga.CreateSessionRequest{ID: "per-round", Game: "publicgoods-punish", Players: 4, Seed: 11,
+		Deviant: &ga.DeviantSpec{Player: 0, Strategy: "freerider"}}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := invariant.Twin(ctx, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	var plays []ga.Record
+	if _, err := twin.PlayN(ctx, 2*k, func(res ga.RoundResult) error {
+		plays = append(plays, ga.Record{Type: "play", Round: res.Round, Hash: core.HashResult(res),
+			Fouls: len(res.Verdict.Fouls), Convicted: append([]int(nil), res.Convicted...)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	st := ga.NewMemStore()
+	if err := st.CreateSession(spec.ID, specJSON); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range plays[:k] {
+		if err := st.Append(spec.ID, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := ga.Record{Type: "batch"}
+	for _, rec := range plays[k:] {
+		batch.Plays = append(batch.Plays, store.BatchPlay{Round: rec.Round, Hash: rec.Hash, Fouls: rec.Fouls, Convicted: rec.Convicted})
+	}
+	if err := st.Append(spec.ID, batch); err != nil {
+		t.Fatal(err)
+	}
+
+	a := ga.NewAuthority(ga.WithStore(st))
+	defer a.Close()
+	report, err := a.Recover(ctx)
+	if err != nil || len(report.Failed) > 0 || report.Rounds != 2*k {
+		t.Fatalf("recover: %+v, %v", report, err)
+	}
+	h, err := a.Get(spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAgainstTwin(t, h, spec, 2*k)
 }
 
 // TestCrashBetweenCommitEpochs kills (detaches the store from) an

@@ -235,190 +235,130 @@ func (a *Authority) CreateFromSpec(req CreateSessionRequest) (*HostedSession, er
 	}
 }
 
-// Play executes one play on the hosted session, then journals it to the
-// durable store (durable sessions) and bumps the host counters. The play
-// record carries the canonical transcript hash recovery re-verifies.
-// Journaling happens under the session's journal lock, so a play can
-// never race Close into appending after the close record. The lock is
-// exclusive, not shared: the RoundResult aliases the driver's history
-// ring (valid only until its slot is evicted), so the hash and convicted
-// list journaled below must be read before another play of this session
-// can wrap the ring. Plays of one session serialize on the driver's own
-// mutex anyway; this only keeps the journal append inside that window.
-// When the authority routes plays through shard loops (WithShards), Play
-// enqueues onto the session's pinned loop and waits; playDirect is the
-// body that actually runs there (and is what the WebSocket hub calls —
-// its commands are already on the right loop).
+// Play executes one play on the hosted session: a batch of one.
 func (h *HostedSession) Play(ctx context.Context) (RoundResult, error) {
-	if h.a != nil && h.a.loopsRoute.Load() {
-		if sp := h.a.loops.Load(); sp != nil {
-			type playOut struct {
-				res RoundResult
-				err error
-			}
-			ch := make(chan playOut, 1)
-			if sp.Submit(h.id, func() {
-				res, err := h.playDirect(ctx)
-				ch <- playOut{res, err}
-			}) {
-				select {
-				case out := <-ch:
-					return out.res, out.err
-				case <-ctx.Done():
-					return RoundResult{}, ctx.Err()
-				}
-			}
-			// Pool closed (authority shutting down): fall through and play
-			// directly so shutdown-time plays still drain correctly.
-		}
-	}
-	return h.playDirect(ctx)
-}
-
-func (h *HostedSession) playDirect(ctx context.Context) (RoundResult, error) {
-	// Root trace span for the end-to-end play: breaker gate → driver →
-	// journal. Transport layers (HTTP route, WS round trip) wrap it from
-	// outside; the distributed driver's phase/pulse spans nest inside.
-	span := obs.DefaultTracer.BeginRoot("play", "play", 0, 0)
-	defer span.End()
-	if err := h.breakerGate(); err != nil {
-		return RoundResult{}, err
-	}
-	h.jmu.Lock()
-	defer h.jmu.Unlock()
-	res, err := h.Session.Play(ctx)
-	if err != nil || h.a == nil {
-		return res, err
-	}
-	c := &h.a.counters
-	c.Plays.Add(1)
-	if n := len(res.Verdict.Fouls); n > 0 {
-		c.Fouls.Add(int64(n))
-	}
-	if n := len(res.Convicted); n > 0 {
-		c.Convictions.Add(int64(n))
-	}
-	if jerr := h.a.journalPlay(h, res); jerr != nil {
-		h.breakerRecord(true)
-		// The play happened; reporting the journal failure tells the
-		// caller durability is degraded without losing the result.
-		return res, jerr
-	}
-	if h.durable.Load() {
-		h.breakerRecord(false)
-	}
-	return res, nil
+	return h.PlayN(ctx, 1, nil)
 }
 
 // PlayN executes n plays on the hosted session under a single journal
-// (and driver) lock acquisition, journaling the whole batch as ONE WAL
-// record — the batched-play fast path that closes the per-play
-// durability tax. State evolution is identical to n sequential Play
-// calls (the drivers' PlayN is lock + the same play body in a loop);
-// only the journaling is coalesced. sink, when non-nil, observes every
-// completed round in order before the next round runs — results may
-// alias driver scratch, so sink must copy or hash what it keeps, and on
-// a routed authority (WithShards) it runs on the session's shard loop.
+// (and driver) lock acquisition, bumps the host counters, and journals
+// the request as ONE WAL record (durable sessions) carrying each play's
+// canonical transcript hash, which recovery re-verifies. State evolution
+// is identical to n sequential Play calls (the drivers' Play is their
+// PlayN with n = 1); only the journaling is coalesced. sink, when
+// non-nil, observes every completed round in order before the next round
+// runs — results may alias driver scratch, so sink must copy or hash what
+// it keeps.
+//
+// Journaling happens under the session's journal lock, so a play can
+// never race Close into appending after the close record. The lock is
+// exclusive, not shared: a RoundResult aliases the driver's history ring
+// (valid only until its slot is evicted), so each round's hash and
+// convicted list are read in observeRound, before another play of this
+// session can wrap the ring. Plays of one session serialize on the
+// driver's own mutex anyway; this only keeps the journal append inside
+// that window.
+//
 // On a mid-batch error the completed prefix is journaled and the last
-// completed result returned with the error; a journal failure after a
-// clean batch surfaces as ErrDurability with the last result, exactly
-// like Play.
+// completed result returned with the error. A journal failure after a
+// clean batch surfaces as ErrDurability with the last result: the plays
+// happened, and reporting the failure tells the caller durability is
+// degraded without losing them.
 func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	if h.a != nil && h.a.loopsRoute.Load() {
-		if sp := h.a.loops.Load(); sp != nil {
-			type playOut struct {
-				res RoundResult
-				err error
-			}
-			ch := make(chan playOut, 1)
-			if sp.Submit(h.id, func() {
-				res, err := h.playNDirect(ctx, n, sink)
-				ch <- playOut{res, err}
-			}) {
-				select {
-				case out := <-ch:
-					return out.res, out.err
-				case <-ctx.Done():
-					return RoundResult{}, ctx.Err()
-				}
-			}
-			// Pool closed (authority shutting down): fall through, as Play.
-		}
-	}
-	return h.playNDirect(ctx, n, sink)
-}
-
-// playNDirect is the body of PlayN (what the WebSocket hub calls — its
-// commands already run on the right shard loop).
-func (h *HostedSession) playNDirect(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
 	if n <= 0 {
 		// Reject here rather than inside the driver so the batch buffer
 		// below never sizes from a negative n.
 		return RoundResult{}, fmt.Errorf("%w: non-positive batch size %d", ErrConfig, n)
 	}
-	span := obs.DefaultTracer.BeginRoot("play.batch", "play", 0, int64(n))
+	// Root trace span for the end-to-end request: breaker gate → driver →
+	// journal. Transport layers (HTTP route, WS round trip) wrap it from
+	// outside; the distributed driver's phase/pulse spans nest inside.
+	var span obs.Ctx
+	if n == 1 {
+		span = obs.DefaultTracer.BeginRoot("play", "play", 0, 0)
+	} else {
+		span = obs.DefaultTracer.BeginRoot("play.batch", "play", 0, int64(n))
+		t0 := time.Now()
+		defer func() { playNBatchLatency.Record(time.Since(t0)) }()
+	}
 	defer span.End()
-	t0 := time.Now()
-	defer func() { playNBatchLatency.Record(time.Since(t0)) }()
 	if err := h.breakerGate(); err != nil {
 		return RoundResult{}, err
 	}
 	h.jmu.Lock()
 	defer h.jmu.Unlock()
-	// The batch record is assembled inside the sink: each round's hash and
-	// convicted list are read before the next play can reuse the driver's
-	// scratch or wrap its history ring (the same aliasing rule journalPlay
-	// relies on, held per round instead of per lock acquisition).
-	journaling := h.a != nil && h.durable.Load() && !h.dropped.Load() && h.a.getStore() != nil
-	var batch []store.BatchPlay
-	if journaling {
-		batch = make([]store.BatchPlay, 0, n)
-	}
-	var completed, fouls, convictions int64
-	inner := func(res RoundResult) error {
-		completed++
-		fouls += int64(len(res.Verdict.Fouls))
-		convictions += int64(len(res.Convicted))
-		if journaling {
-			bp := store.BatchPlay{
-				Round: res.Round,
-				Hash:  core.HashResult(res),
-				Fouls: len(res.Verdict.Fouls),
-			}
-			if len(res.Convicted) > 0 {
-				bp.Convicted = append([]int(nil), res.Convicted...)
-			}
-			batch = append(batch, bp)
+	a, c := h.a, &h.call
+	c.sink = sink
+	if h.durable.Load() && !h.dropped.Load() {
+		// dropped: a Remove is deleting the ledger — appending would only
+		// manufacture a spurious ErrDurability for plays that succeeded.
+		if n == 1 {
+			c.batch = c.one[:0]
+		} else {
+			c.batch = make([]store.BatchPlay, 0, n)
 		}
-		if sink != nil {
-			return sink(res)
-		}
-		return nil
 	}
-	res, err := h.Session.PlayN(ctx, n, inner)
-	if h.a == nil {
-		return res, err
+	res, err := h.Session.PlayN(ctx, n, h.onRound)
+	if c.completed > 0 {
+		a.counters.Plays.Add(c.completed)
 	}
-	c := &h.a.counters
-	if completed > 0 {
-		c.Plays.Add(completed)
+	if c.fouls > 0 {
+		a.counters.Fouls.Add(c.fouls)
 	}
-	if fouls > 0 {
-		c.Fouls.Add(fouls)
-	}
-	if convictions > 0 {
-		c.Convictions.Add(convictions)
+	if c.convictions > 0 {
+		a.counters.Convictions.Add(c.convictions)
 	}
 	// Journal whatever completed — on a mid-batch error the prefix stands,
 	// exactly as n sequential Play calls would have journaled it.
-	if jerr := h.a.journalBatch(h, batch); jerr != nil {
-		h.breakerRecord(true)
-		return res, errors.Join(err, jerr)
+	if len(c.batch) > 0 {
+		if jerr := a.journal(h, c.batch); jerr != nil {
+			h.breakerRecord(true)
+			err = errors.Join(err, jerr)
+		} else {
+			h.breakerRecord(false)
+		}
 	}
-	if h.durable.Load() && completed > 0 {
-		h.breakerRecord(false)
-	}
+	// Nothing a call filled may outlive it on the session: the sink is the
+	// caller's, and the batch retains a hash string per play.
+	*c = playCall{}
 	return res, err
+}
+
+// playCall is the accumulator of the one PlayN call a session has in
+// flight. It lives on the HostedSession under jmu, and the driver sink is
+// a func value bound once at Host time (onRound), so a play allocates
+// neither a closure nor the variables one would capture.
+type playCall struct {
+	sink                          func(RoundResult) error
+	completed, fouls, convictions int64
+	// batch is nil on a session that is not journaling; otherwise it is
+	// one[:0] for a single play and a per-call slice for n > 1.
+	batch []store.BatchPlay
+	one   [1]store.BatchPlay
+}
+
+// observeRound is the driver sink of every PlayN call (bound as
+// h.onRound). It runs under jmu, between rounds.
+func (h *HostedSession) observeRound(res RoundResult) error {
+	c := &h.call
+	c.completed++
+	c.fouls += int64(len(res.Verdict.Fouls))
+	c.convictions += int64(len(res.Convicted))
+	if c.batch != nil {
+		bp := store.BatchPlay{
+			Round: res.Round,
+			Hash:  core.HashResult(res),
+			Fouls: len(res.Verdict.Fouls),
+		}
+		if len(res.Convicted) > 0 {
+			bp.Convicted = append([]int(nil), res.Convicted...)
+		}
+		c.batch = append(c.batch, bp)
+	}
+	if c.sink != nil {
+		return c.sink(res)
+	}
+	return nil
 }
 
 // breakerGate fails fast with ErrBreakerOpen while the session's breaker
@@ -507,60 +447,34 @@ func (h *HostedSession) Close() error {
 	return nil
 }
 
-// journalPlay appends the play's WAL record and triggers cadence-based
-// compaction.
-func (a *Authority) journalPlay(h *HostedSession, res RoundResult) error {
+// journal appends the one WAL record of a PlayN call and advances the
+// compaction cadence by its size. A single play is a play record; more
+// are one batch record — a single CRC-guarded journal line, so atomic on
+// disk: a crash persists all of its plays or none (repairWAL truncates a
+// torn line whole), and recovery unpacks the per-play hashes exactly as
+// if each had its own record.
+func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
+	rec := store.Record{Type: store.RecordBatch, Plays: plays}
+	if len(plays) == 1 {
+		p := plays[0]
+		rec = store.Record{Type: store.RecordPlay, Round: p.Round, Hash: p.Hash, Fouls: p.Fouls, Convicted: p.Convicted}
+	}
 	st := a.getStore()
-	if st == nil || !h.durable.Load() || h.dropped.Load() {
-		// dropped: a Remove is deleting the ledger — appending would only
-		// manufacture a spurious ErrDurability for a play that succeeded.
-		return nil
-	}
-	rec := store.Record{
-		Type:  store.RecordPlay,
-		Round: res.Round,
-		Hash:  core.HashResult(res),
-		Fouls: len(res.Verdict.Fouls),
-	}
-	if len(res.Convicted) > 0 {
-		rec.Convicted = res.Convicted // Append serializes synchronously; no clone needed
+	if st == nil {
+		return nil // detached (DetachStore): the crash harness's abandoned host
 	}
 	if err := st.Append(h.id, rec); err != nil {
-		return fmt.Errorf("journal play: %w", errors.Join(ErrDurability, err))
+		return fmt.Errorf("journal %s: %w", rec.Type, errors.Join(ErrDurability, err))
 	}
 	a.counters.WALRecords.Add(1)
+	if len(plays) > 1 {
+		a.counters.BatchedPlays.Add(int64(len(plays)))
+	}
 	if every := a.snapshotEvery; every > 0 {
 		// Claim the counter before compacting so concurrent plays past the
 		// threshold do not queue redundant full-WAL rewrites behind one
 		// another; on failure the claim is returned, so the WAL stays
 		// intact and a later play retries the compaction.
-		if n := h.walPlays.Add(1); n >= int64(every) && h.walPlays.CompareAndSwap(n, 0) {
-			if _, ok, err := a.snapshotHosted(h, h.Session.Snapshot()); err != nil || !ok {
-				h.walPlays.Add(n)
-			}
-		}
-	}
-	return nil
-}
-
-// journalBatch appends one batch WAL record covering every completed
-// play of a PlayN call. The batch is a single CRC-guarded journal line,
-// so it is atomic on disk: a crash persists all of its plays or none
-// (repairWAL truncates a torn line whole), and recovery unpacks the
-// per-play hashes exactly as if each had its own record. The compaction
-// cadence advances by the batch size.
-func (a *Authority) journalBatch(h *HostedSession, plays []store.BatchPlay) error {
-	st := a.getStore()
-	if st == nil || len(plays) == 0 || !h.durable.Load() || h.dropped.Load() {
-		return nil
-	}
-	if err := st.Append(h.id, store.Record{Type: store.RecordBatch, Plays: plays}); err != nil {
-		return fmt.Errorf("journal batch: %w", errors.Join(ErrDurability, err))
-	}
-	a.counters.WALRecords.Add(1)
-	a.counters.BatchedPlays.Add(int64(len(plays)))
-	if every := a.snapshotEvery; every > 0 {
-		// Same claim discipline as journalPlay, advanced by the batch size.
 		if n := h.walPlays.Add(int64(len(plays))); n >= int64(every) && h.walPlays.CompareAndSwap(n, 0) {
 			if _, ok, err := a.snapshotHosted(h, h.Session.Snapshot()); err != nil || !ok {
 				h.walPlays.Add(n)
@@ -586,7 +500,7 @@ func (a *Authority) snapshotHosted(h *HostedSession, snap SessionSnapshot) (Sess
 	// the write: plays journaled concurrently with the compaction keep
 	// their counts, so the next compaction is not pushed out by up to a
 	// full snapshotEvery window, and two concurrent snapshots cannot
-	// double-subtract. (On the journalPlay CAS path the threshold batch
+	// double-subtract. (On the journal CAS path the threshold batch
 	// was already claimed; anything swapped out here is newer.)
 	claimed := h.walPlays.Swap(0)
 	if err := st.PutSnapshot(h.id, snap.Rounds, payload); err != nil {

@@ -254,13 +254,11 @@ func NewSession(cfg SessionConfig) (Session, error) {
 	}
 }
 
-// runSession is the shared Run implementation.
 // playLatency is the per-driver play-latency histogram family, indexed
 // by SessionKind. Recording is three atomic adds, so the instrumented
 // hot paths keep their pinned allocation budgets (pure play stays 0).
-// Single plays record in Play; batched rounds record inside playN, so
-// every audited round lands in the same series regardless of transport
-// or batching.
+// Every round records inside playN, so it lands in the same series
+// regardless of transport or batching.
 var playLatency = [...]*obs.Histogram{
 	KindPure: obs.NewHistogram("gameauthority_play_latency_seconds",
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "pure"}),
@@ -272,6 +270,7 @@ var playLatency = [...]*obs.Histogram{
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "distributed"}),
 }
 
+// runSession is the shared Run implementation.
 func runSession(ctx context.Context, s Session, rounds int) (RoundResult, error) {
 	var last RoundResult
 	for i := 0; i < rounds; i++ {
@@ -284,11 +283,11 @@ func runSession(ctx context.Context, s Session, rounds int) (RoundResult, error)
 	return last, nil
 }
 
-// playN is the shared PlayN implementation: one lock acquisition, n
-// sequential locked plays, sink observing each result before the next
-// play reuses its scratch. Each driver's Play is lock + playLocked, so
-// the batch path is structurally the same state evolution as n
-// sequential Play calls.
+// playN is the one play body every driver shares: one lock acquisition,
+// n sequential locked plays, sink observing each result before the next
+// play reuses its scratch. Each driver's Play is playN with n = 1, so a
+// batch is the same state evolution as n sequential Play calls by
+// construction.
 func playN(ctx context.Context, mu *sync.Mutex, kind SessionKind,
 	play func(context.Context) (RoundResult, error),
 	n int, sink func(RoundResult) error) (RoundResult, error) {
@@ -437,12 +436,7 @@ func (d *pureDriver) Pure() *PureSession { return d.s }
 // players cannot interleave streams out of round order (observers must not
 // call back into the session — see Observer).
 func (d *pureDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindPure].Record(time.Since(t0))
-	return res, err
+	return playN(ctx, &d.mu, KindPure, d.playLocked, 1, nil)
 }
 
 // PlayN implements Session.
@@ -602,12 +596,7 @@ func (d *mixedDriver) Mixed() *MixedSession { return d.s }
 
 // Play emits events under the play mutex; see pureDriver.Play.
 func (d *mixedDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindMixed].Record(time.Since(t0))
-	return res, err
+	return playN(ctx, &d.mu, KindMixed, d.playLocked, 1, nil)
 }
 
 // PlayN implements Session.
@@ -811,12 +800,7 @@ func (d *rraDriver) Harness() *RRASupervised { return d.h }
 
 // Play emits events under the play mutex; see pureDriver.Play.
 func (d *rraDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindRRA].Record(time.Since(t0))
-	return res, err
+	return playN(ctx, &d.mu, KindRRA, d.playLocked, 1, nil)
 }
 
 // PlayN implements Session.
@@ -1017,12 +1001,7 @@ func (d *distDriver) Dist() *DistSession { return d.s }
 
 // Play emits events under the play mutex; see pureDriver.Play.
 func (d *distDriver) Play(ctx context.Context) (RoundResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t0 := time.Now()
-	res, err := d.playLocked(ctx)
-	playLatency[KindDistributed].Record(time.Since(t0))
-	return res, err
+	return playN(ctx, &d.mu, KindDistributed, d.playLocked, 1, nil)
 }
 
 // PlayN implements Session.

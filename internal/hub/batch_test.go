@@ -1,162 +1,37 @@
 package hub
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http/httptest"
-	"sync/atomic"
+	"reflect"
 	"testing"
-
-	"gameauthority/internal/core"
-	"gameauthority/internal/metrics"
-	"gameauthority/internal/wire"
 )
 
-// batchFakeHandle upgrades fakeHandle with the BatchHandle surface so
-// tests can tell the batched execution path from the looped fallback.
-type batchFakeHandle struct {
-	*fakeHandle
-	playNCalls atomic.Int64
-}
-
-func (h *batchFakeHandle) PlayN(ctx context.Context, n int, sink func(core.RoundResult) error) (core.RoundResult, error) {
-	h.playNCalls.Add(1)
-	var last core.RoundResult
-	for i := 0; i < n; i++ {
-		res, err := h.fakeHandle.Play(ctx)
-		if err != nil {
-			return last, err
-		}
-		last = res
-		if sink != nil {
-			if err := sink(res); err != nil {
-				return last, err
-			}
-		}
-	}
-	return last, nil
-}
-
-// batchBackend serves batchFakeHandles.
-type batchBackend struct {
-	fakeBackend
-}
-
-func (b *batchBackend) Create(spec []byte) (Handle, error) {
-	var req struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(spec, &req); err != nil || req.ID == "" {
-		return nil, Coded{Code: wire.CodeBadRequest, Err: fmt.Errorf("bad spec: %v", err)}
-	}
-	h := &batchFakeHandle{fakeHandle: newFakeHandle(req.ID)}
-	b.mu.Lock()
-	b.sessions[req.ID] = h.fakeHandle
-	b.mu.Unlock()
-	return h, nil
-}
-
-// TestHubPlayBatchFallback drives MsgPlayBatch against a backend whose
-// handles do NOT implement BatchHandle: the hub must transparently fall
-// back to looped Play with an identical reply shape.
-func TestHubPlayBatchFallback(t *testing.T) {
-	_, client := newHubClient(t)
-	ref, _, err := client.Create([]byte(`{"id":"fb-1"}`))
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	out, err := client.PlayBatch(ref, 3)
-	if err != nil {
-		t.Fatalf("PlayBatch: %v", err)
-	}
-	if out.Completed != 3 || out.Last.Round != 2 || len(out.Last.Outcome) != 2 {
-		t.Fatalf("PlayBatch → %+v", out)
-	}
-	// The two opcodes interleave on one session without disturbing the
-	// round sequence.
-	if out, err = client.Play(ref, 1); err != nil || out.Last.Round != 3 {
-		t.Fatalf("Play after batch → %+v, %v", out, err)
-	}
-	if out, err = client.PlayBatch(ref, 2); err != nil || out.Last.Round != 5 {
-		t.Fatalf("batch after play → %+v, %v", out, err)
-	}
-}
-
-// TestHubPlayBatchUsesBatchHandle proves the batched opcode actually
-// reaches PlayN — one call for the whole request — when the handle
-// offers it.
-func TestHubPlayBatchUsesBatchHandle(t *testing.T) {
-	backend := &batchBackend{fakeBackend{sessions: map[string]*fakeHandle{}}}
-	shards := NewShards(2)
-	t.Cleanup(shards.Close)
-	var counters metrics.Counters
-	srv := httptest.NewServer(New(backend, Options{Shards: shards, Counters: &counters}))
-	t.Cleanup(srv.Close)
-	client, err := Dial(srv.URL)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() { client.Close() })
-
+// TestHubPlayIsOnePlayN proves a k-round MsgPlay reaches the session as
+// one PlayN(k) call — one session lock, one WAL record — never k calls.
+func TestHubPlayIsOnePlayN(t *testing.T) {
+	backend, client := newHubClient(t)
 	ref, id, err := client.Create([]byte(`{"id":"bh-1"}`))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	out, err := client.PlayBatch(ref, 4)
+	out, err := client.Play(ref, 4)
 	if err != nil {
-		t.Fatalf("PlayBatch: %v", err)
+		t.Fatalf("Play: %v", err)
 	}
-	if out.Completed != 4 || out.Last.Round != 3 {
-		t.Fatalf("PlayBatch → %+v", out)
+	if out.Completed != 4 || out.Last.Round != 3 || len(out.Last.Outcome) != 2 {
+		t.Fatalf("Play → %+v", out)
+	}
+	if out, err = client.Play(ref, 1); err != nil || out.Last.Round != 4 {
+		t.Fatalf("single play after a batch → %+v, %v", out, err)
 	}
 	backend.mu.Lock()
 	inner := backend.sessions[id]
 	backend.mu.Unlock()
-	if inner.rounds != 4 {
-		t.Fatalf("session at round %d, want 4", inner.rounds)
+	inner.mu.Lock()
+	defer inner.mu.Unlock()
+	if inner.rounds != 5 {
+		t.Fatalf("session at round %d, want 5", inner.rounds)
 	}
-	// One MsgPlayBatch, one PlayN call: MsgPlay must not touch it.
-	if out, err = client.Play(ref, 2); err != nil || out.Last.Round != 5 {
-		t.Fatalf("Play after batch → %+v, %v", out, err)
-	}
-}
-
-// TestClientPlayBatchDedup pins the watermark protocol on the batched
-// opcode: a server ahead of the client replays the orphaned rounds from
-// history and batch-plays only the remainder.
-func TestClientPlayBatchDedup(t *testing.T) {
-	backend, _, client := newHealingClient(t, DialOptions{Reconnect: true, Seed: 5})
-	ref, id, err := client.Create([]byte(`{"id":"bdedup-1"}`))
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if _, err := client.PlayBatch(ref, 2); err != nil {
-		t.Fatalf("PlayBatch: %v", err)
-	}
-
-	// Advance the session behind the client's back — the state a lost
-	// batch ack leaves.
-	backend.mu.Lock()
-	h := backend.sessions[id]
-	backend.mu.Unlock()
-	if _, err := h.Play(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	out, err := client.PlayBatch(ref, 3)
-	if err != nil {
-		t.Fatalf("retried PlayBatch: %v", err)
-	}
-	if out.Completed != 3 || out.Deduped != 1 {
-		t.Fatalf("outcome = %+v, want 3 completed with 1 deduped", out)
-	}
-	if out.Last.Round != 4 {
-		t.Fatalf("last round %d, want 4", out.Last.Round)
-	}
-	// The next batch runs fresh from the reconciled watermark.
-	out, err = client.PlayBatch(ref, 1)
-	if err != nil || out.Last.Round != 5 || out.Deduped != 0 {
-		t.Fatalf("follow-up batch = %+v, %v", out, err)
+	if want := []int{4, 1}; !reflect.DeepEqual(inner.playNCalls, want) {
+		t.Fatalf("PlayN calls %v, want %v", inner.playNCalls, want)
 	}
 }

@@ -168,10 +168,11 @@ type clientSession struct {
 	// results this client has delivered to its caller.
 	rounds atomic.Uint64
 
-	// serverRef, sub, and err are guarded by the Client mutex.
+	// serverRef, sub, err, and closeSent are guarded by the Client mutex.
 	serverRef uint64
 	sub       *clientSub
 	err       error // re-attach failure; cleared when a later attach succeeds
+	closeSent bool  // a MsgCloseSession went out; see CloseSession
 }
 
 type clientSub struct {
@@ -1035,20 +1036,6 @@ func (c *Client) Attach(id string) (ref uint64, err error) {
 // one session are assumed not to run concurrently when reconnect is
 // enabled.
 func (c *Client) Play(ref uint64, rounds int) (PlayOutcome, error) {
-	return c.playWith(ref, rounds, wire.AppendPlay)
-}
-
-// PlayBatch is Play over the batched opcode: the server executes the
-// rounds as one PlayN call and journals them as a single batch WAL
-// record. Retry, watermark dedup, and the reply shape are identical to
-// Play — only the server-side execution and journaling differ.
-func (c *Client) PlayBatch(ref uint64, rounds int) (PlayOutcome, error) {
-	return c.playWith(ref, rounds, wire.AppendPlayBatch)
-}
-
-// playWith is the shared watermark-retry loop behind Play and PlayBatch;
-// appendCmd encodes the chosen play opcode.
-func (c *Client) playWith(ref uint64, rounds int, appendCmd func(dst []byte, reqID, ref, rounds, expect uint64) []byte) (PlayOutcome, error) {
 	s := c.session(ref)
 	if s == nil {
 		return PlayOutcome{}, errUnknownRef()
@@ -1078,7 +1065,7 @@ func (c *Client) playWith(ref uint64, rounds int, appendCmd func(dst []byte, req
 		}
 		rid := c.reqID()
 		msg, err := c.roundTripOn(conn, rid,
-			appendCmd(c.getBuf(), rid, serverRef, target-cur, expect))
+			wire.AppendPlay(c.getBuf(), rid, serverRef, target-cur, expect))
 		out, _ := msg.(PlayOutcome)
 		if out.Completed > 0 {
 			total.Completed += out.Completed
@@ -1119,7 +1106,7 @@ func (c *Client) Subscribe(ref uint64, handler EventHandler) error {
 	s.sub = ours
 	c.mu.Unlock()
 
-	for attempt := 0; ; attempt++ {
+	for {
 		conn, err := c.awaitConn()
 		if err != nil {
 			return err
@@ -1138,14 +1125,21 @@ func (c *Client) Subscribe(ref uint64, handler EventHandler) error {
 			continue
 		}
 		var re *RemoteError
-		if attempt > 0 && errors.As(err, &re) && re.Code == wire.CodeExists {
-			// A reconnect's rebind re-subscribed for us between
-			// attempts; the subscription is live.
+		if errors.As(err, &re) && re.Code == wire.CodeExists && c.subIs(s, ours) {
+			// A reconnect's rebind saw the handler registered above and
+			// subscribed for us — possibly before our first round trip;
+			// the subscription is live.
 			return nil
 		}
 		c.unregisterSub(s, ours)
 		return err
 	}
+}
+
+func (c *Client) subIs(s *clientSession, ours *clientSub) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return s.sub == ours
 }
 
 func (c *Client) unregisterSub(s *clientSession, ours *clientSub) {
@@ -1251,33 +1245,34 @@ func (c *Client) Snapshot(ref uint64) (wire.SnapshotReply, error) {
 	}
 }
 
-// CloseSession closes and unregisters the session bound to ref. A retry
-// that finds the session already gone treats it as success (the first
-// attempt applied before the connection died).
+// CloseSession closes and unregisters the session bound to ref. Once a
+// close frame has been sent it may have landed whatever became of its
+// ack, so from then on — in this call or a later one — finding the
+// session gone is success.
 func (c *Client) CloseSession(ref uint64) error {
 	s := c.session(ref)
 	if s == nil {
 		return errUnknownRef()
 	}
-	for attempt := 0; ; attempt++ {
+	for {
 		conn, err := c.awaitConn()
 		if err != nil {
 			return err
 		}
-		serverRef, serr := c.sessionTarget(s)
-		if serr != nil {
-			return serr
+		c.mu.Lock()
+		serverRef, err, sent := s.serverRef, s.err, s.closeSent
+		s.closeSent = sent || err == nil
+		c.mu.Unlock()
+		if err == nil {
+			rid := c.reqID()
+			_, err = c.roundTripOn(conn, rid, wire.AppendRefReq(c.getBuf(), wire.MsgCloseSession, rid, serverRef))
 		}
-		rid := c.reqID()
-		_, err = c.roundTripOn(conn, rid, wire.AppendRefReq(c.getBuf(), wire.MsgCloseSession, rid, serverRef))
 		if err != nil {
 			if c.retryable(err) {
 				continue
 			}
 			var re *RemoteError
-			tolerated := attempt > 0 && c.opt.Reconnect &&
-				errors.As(err, &re) && re.Code == wire.CodeNotFound
-			if !tolerated {
+			if !sent || !errors.As(err, &re) || re.Code != wire.CodeNotFound {
 				return err
 			}
 		}

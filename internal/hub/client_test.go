@@ -168,43 +168,126 @@ func TestClientReconnectResume(t *testing.T) {
 // TestClientPlayDedup pins the watermark protocol: when the server is
 // ahead of the client (the original play applied but its ack was lost),
 // a retried play returns the orphaned round as a deduplicated replay
-// instead of double-playing.
+// instead of double-playing, and plays only the remainder fresh.
 func TestClientPlayDedup(t *testing.T) {
-	backend, _, client := newHealingClient(t, DialOptions{Reconnect: true, Seed: 3})
-	ref, id, err := client.Create([]byte(`{"id":"dedup-1"}`))
+	for _, retry := range []int{1, 3} {
+		t.Run(fmt.Sprintf("retry-%d-rounds", retry), func(t *testing.T) {
+			backend, _, client := newHealingClient(t, DialOptions{Reconnect: true, Seed: 3})
+			ref, id, err := client.Create([]byte(`{"id":"dedup-1"}`))
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			if _, err := client.Play(ref, 2); err != nil {
+				t.Fatalf("Play: %v", err)
+			}
+
+			// Advance the session behind the client's back: the server is
+			// now one round ahead, exactly the state a lost ack leaves.
+			backend.mu.Lock()
+			h := backend.sessions[id]
+			backend.mu.Unlock()
+			if _, err := h.PlayN(context.Background(), 1, nil); err != nil {
+				t.Fatal(err)
+			}
+
+			out, err := client.Play(ref, retry)
+			if err != nil {
+				t.Fatalf("retried Play: %v", err)
+			}
+			if out.Completed != retry || out.Deduped != 1 {
+				t.Fatalf("outcome = %+v, want %d completed with 1 deduped", out, retry)
+			}
+			if want := 1 + retry; out.Last.Round != want {
+				t.Fatalf("last round %d, want %d", out.Last.Round, want)
+			}
+			if cc := client.Counters(); cc.DedupedRounds != 1 {
+				t.Fatalf("DedupedRounds = %d, want 1", cc.DedupedRounds)
+			}
+			// The next play runs fresh from the reconciled watermark.
+			out, err = client.Play(ref, 1)
+			if err != nil || out.Last.Round != 2+retry || out.Deduped != 0 {
+				t.Fatalf("follow-up play = %+v, %v", out, err)
+			}
+		})
+	}
+}
+
+// TestClientSubscribeRebindWins: the connection dies after Subscribe
+// registered its handler and before its first subscribe frame, so the
+// reconnect's rebind subscribes on the handler's behalf and the frame is
+// refused with CodeExists. The subscription is live and must stay so.
+func TestClientSubscribeRebindWins(t *testing.T) {
+	backend, ks, client := newHealingClient(t, DialOptions{Reconnect: true, Seed: 9})
+	ref, _, err := client.Create([]byte(`{"id":"sub-race"}`))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := client.Play(ref, 2); err != nil {
+	// Hold the rebind inside its attach until the handler is registered.
+	gate := make(chan struct{})
+	backend.attachGate = gate
+	ks.killAll()
+
+	events := make(chan int, 8)
+	subscribed := make(chan error, 1)
+	go func() {
+		subscribed <- client.Subscribe(ref, func(ev wire.Event, _ uint64) { events <- ev.Round })
+	}()
+	s := client.session(ref)
+	for registered := false; !registered; time.Sleep(time.Millisecond) {
+		client.mu.Lock()
+		registered = s.sub != nil
+		client.mu.Unlock()
+	}
+	close(gate)
+	if err := <-subscribed; err != nil {
+		t.Fatalf("Subscribe after the rebind subscribed for it: %v", err)
+	}
+	if _, err := client.Play(ref, 1); err != nil {
 		t.Fatalf("Play: %v", err)
 	}
+	select {
+	case round := <-events:
+		if round != 0 {
+			t.Fatalf("event for round %d, want 0", round)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler was dropped: no event for a play on a live subscription")
+	}
+}
 
-	// Advance the session behind the client's back: the server is now one
-	// round ahead, exactly the state a lost ack leaves.
-	backend.mu.Lock()
-	h := backend.sessions[id]
-	backend.mu.Unlock()
-	if _, err := h.Play(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	out, err := client.Play(ref, 1)
-	if err != nil {
-		t.Fatalf("retried Play: %v", err)
-	}
-	if out.Completed != 1 || out.Deduped != 1 {
-		t.Fatalf("outcome = %+v, want 1 completed round deduped", out)
-	}
-	if out.Last.Round != 2 {
-		t.Fatalf("replayed round %d, want 2", out.Last.Round)
-	}
-	if cc := client.Counters(); cc.DedupedRounds != 1 {
-		t.Fatalf("DedupedRounds = %d, want 1", cc.DedupedRounds)
-	}
-	// The next play runs fresh from the reconciled watermark.
-	out, err = client.Play(ref, 1)
-	if err != nil || out.Last.Round != 3 || out.Deduped != 0 {
-		t.Fatalf("follow-up play = %+v, %v", out, err)
+// TestClientCloseSessionLanded: a close that landed is done, whatever
+// became of its ack. Cut, the reconnect's re-attach finds the session
+// gone inside the same call; reported as failed, the caller's retry is a
+// fresh call that finds its ref unknown. Both are what was asked for.
+func TestClientCloseSessionLanded(t *testing.T) {
+	backend, ks, client := newHealingClient(t, DialOptions{Reconnect: true, Seed: 11})
+	unavailable := Coded{Code: wire.CodeUnavailable, Err: errors.New("ledger delete failed")}
+	for _, tc := range []struct {
+		id      string
+		after   func() error
+		attempt []uint64 // the code each CloseSession call returns; 0 is success
+	}{
+		{"ack-cut", func() error { ks.killAll(); return nil }, []uint64{0}},
+		{"reported-failed", func() error { return unavailable }, []uint64{wire.CodeUnavailable, 0}},
+	} {
+		ref, id, err := client.Create([]byte(`{"id":"` + tc.id + `"}`))
+		if err != nil {
+			t.Fatalf("%s: Create: %v", tc.id, err)
+		}
+		backend.afterRemove = tc.after
+		for i, want := range tc.attempt {
+			err := client.CloseSession(ref)
+			var re *RemoteError
+			if got := errors.As(err, &re); (want == 0) != (err == nil) || (got && re.Code != want) {
+				t.Fatalf("%s: CloseSession call %d = %v, want code %d", tc.id, i, err, want)
+			}
+		}
+		backend.mu.Lock()
+		_, hosted := backend.sessions[id]
+		backend.mu.Unlock()
+		if hosted || client.session(ref) != nil {
+			t.Fatalf("%s: session still known after CloseSession", tc.id)
+		}
 	}
 }
 

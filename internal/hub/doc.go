@@ -1,12 +1,13 @@
 // Package hub is the authority's streaming transport: a WebSocket
 // endpoint (RFC 6455, implemented directly on net.Conn — the module has
 // no dependencies) multiplexing many hosted sessions per connection,
-// and a pool of authoritative shard loops that own those sessions.
+// and a pool of shard loops that execute their commands.
 //
-// The shape follows the one-goroutine-owns-the-world architecture: every
-// session is pinned to a shard by FNV-1a hash of its id, all plays for a
-// session execute on that shard's single goroutine, and the network side
-// only enqueues commands onto shard inboxes and dequeues encoded frames.
+// Every session is pinned to a shard by FNV-1a hash of its id, all of
+// its /ws plays and snapshots execute in order on that shard's single
+// goroutine, and the network side only enqueues commands onto shard
+// inboxes and dequeues encoded frames. (A session's own locks, not the
+// loop, are what order its plays against other transports'.)
 // Each connection has exactly one reader (decoding internal/wire command
 // batches) and one writer goroutine draining a bounded outbox, coalescing
 // queued frames into shared flushes.

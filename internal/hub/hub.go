@@ -39,11 +39,13 @@ func init() {
 
 // Handle is one hosted session as the hub needs it. The root package
 // adapts *gameauthority.HostedSession; the indirection keeps internal/hub
-// importable without a cycle. Play must be the direct (non-routed) form:
-// the hub already runs it on the session's shard loop.
+// importable without a cycle.
 type Handle interface {
 	ID() string
-	Play(ctx context.Context) (core.RoundResult, error)
+	// PlayN runs n rounds under one session lock and journals them as one
+	// WAL record; sink observes each completed round, in order, before the
+	// next runs, and must encode or copy what it keeps.
+	PlayN(ctx context.Context, n int, sink func(core.RoundResult) error) (core.RoundResult, error)
 	// ResultAt returns the completed result of an absolute round index,
 	// if it is still in the session's retained history — the replay
 	// source for deduplicated play retries. The result may alias
@@ -54,16 +56,6 @@ type Handle interface {
 	// Snapshot captures (and, when a durable store is configured,
 	// persists) the session's canonical snapshot.
 	Snapshot() (snap core.SessionSnapshot, persisted bool, err error)
-}
-
-// BatchHandle is the optional batched-play surface of a Handle. A handle
-// that implements it runs N rounds under one session lock and journals
-// them as a single batch WAL record; the hub falls back to looped Play
-// when the assertion fails. Like Handle.Play, PlayN must be the direct
-// (non-routed) form — the hub already runs it on the session's shard
-// loop.
-type BatchHandle interface {
-	PlayN(ctx context.Context, n int, sink func(core.RoundResult) error) (core.RoundResult, error)
 }
 
 // Backend is the authority surface the hub dispatches commands into.
@@ -212,6 +204,13 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type refEntry struct {
 	ref    uint64
 	handle Handle
+
+	// reply is the MsgResults frame of the play job running on this entry
+	// (one at a time: a session's jobs share a shard loop), parked here so
+	// that encode — appendResult bound once at bind — is the sink of every
+	// PlayN call and a play allocates no closure.
+	reply  []byte
+	encode func(core.RoundResult) error
 
 	evMu   sync.Mutex // guards enc and unsub
 	enc    wire.EventEncoder
@@ -409,18 +408,12 @@ func (c *wsConn) dispatch(dec *wire.Decoder) bool {
 		}
 		handle, aerr := c.hub.backend.Attach(c.ctx, m.ID)
 		return c.finishBind(m.ReqID, handle, aerr)
-	case wire.MsgPlay:
+	case wire.MsgPlay, wire.MsgPlayBatch:
 		m, err := wire.DecodePlay(dec)
 		if err != nil {
 			return false
 		}
 		return c.handlePlay(m)
-	case wire.MsgPlayBatch:
-		m, err := wire.DecodePlayBatch(dec)
-		if err != nil {
-			return false
-		}
-		return c.handlePlayBatch(m)
 	case wire.MsgSubscribe:
 		m, err := wire.DecodeSubscribe(dec)
 		if err != nil {
@@ -473,7 +466,9 @@ func (c *wsConn) finishBind(reqID uint64, handle Handle, err error) bool {
 	c.mu.Lock()
 	c.nextRef++
 	ref := c.nextRef
-	c.refs[ref] = &refEntry{ref: ref, handle: handle}
+	e := &refEntry{ref: ref, handle: handle}
+	e.encode = e.appendResult
+	c.refs[ref] = e
 	c.mu.Unlock()
 	// The completed-round count seeds the client's idempotency watermark
 	// (bind is the cold path, so the extra Stats call costs nothing on
@@ -482,8 +477,16 @@ func (c *wsConn) finishBind(reqID uint64, handle Handle, err error) bool {
 	return c.send(wire.AppendCreated(c.hub.getBuf(), reqID, ref, handle.ID(), rounds))
 }
 
-// handlePlay enqueues the batch onto the session's shard loop; results
-// stream back as they complete in a single MsgResults frame.
+// appendResult is the PlayN sink: the result aliases session scratch, and
+// encoding it here, before the next round, is the required copy.
+func (e *refEntry) appendResult(res core.RoundResult) error {
+	e.reply = wire.AppendResult(e.reply, &res)
+	return nil
+}
+
+// handlePlay enqueues the request onto the session's shard loop, where
+// the rounds left after watermark dedup run as one PlayN call; results
+// stream back in a single MsgResults frame.
 func (c *wsConn) handlePlay(m wire.Play) bool {
 	t0 := time.Now()
 	e := c.lookup(m.Ref)
@@ -498,7 +501,7 @@ func (c *wsConn) handlePlay(m wire.Play) bool {
 		return c.sendError(m.ReqID, wire.CodeBadRequest, "rounds exceeds limit")
 	}
 	ok := c.hub.opt.Shards.Submit(e.handle.ID(), func() {
-		buf := wire.AppendResultsHeader(c.hub.getBuf(), m.ReqID, e.ref)
+		e.reply = wire.AppendResultsHeader(c.hub.getBuf(), m.ReqID, e.ref)
 		code, detail := wire.CodeOK, ""
 		var deduped uint64
 		remaining := rounds
@@ -521,70 +524,7 @@ func (c *wsConn) handlePlay(m wire.Play) bool {
 						detail = "retry watermark outside the retained history window"
 						break
 					}
-					buf = wire.AppendResult(buf, &res)
-					deduped++
-				}
-				remaining -= deduped
-				if ctrs := c.hub.opt.Counters; ctrs != nil && deduped > 0 {
-					ctrs.DedupedPlays.Add(int64(deduped))
-				}
-			}
-		}
-		for i := uint64(0); code == wire.CodeOK && i < remaining; i++ {
-			res, err := e.handle.Play(c.ctx)
-			if err != nil {
-				code, detail = ErrCode(err), err.Error()
-				break
-			}
-			buf = wire.AppendResult(buf, &res)
-		}
-		c.send(wire.FinishResults(buf, code, detail, deduped))
-		wsRoundTrip.Record(time.Since(t0))
-	})
-	if !ok {
-		return c.sendError(m.ReqID, wire.CodeUnavailable, "authority shutting down")
-	}
-	return true
-}
-
-// handlePlayBatch is handlePlay with the batched execution path: after
-// the same watermark dedup, the remaining rounds run as one PlayN call —
-// one session lock, one batch WAL record — instead of N independent
-// plays. Results stream into the same MsgResults frame shape, so clients
-// decode both replies identically.
-func (c *wsConn) handlePlayBatch(m wire.PlayBatch) bool {
-	t0 := time.Now()
-	e := c.lookup(m.Ref)
-	if e == nil {
-		return c.sendError(m.ReqID, wire.CodeNotFound, "unknown ref")
-	}
-	rounds := m.Rounds
-	if rounds == 0 {
-		rounds = 1
-	}
-	if rounds > c.hub.opt.MaxRounds {
-		return c.sendError(m.ReqID, wire.CodeBadRequest, "rounds exceeds limit")
-	}
-	ok := c.hub.opt.Shards.Submit(e.handle.ID(), func() {
-		buf := wire.AppendResultsHeader(c.hub.getBuf(), m.ReqID, e.ref)
-		code, detail := wire.CodeOK, ""
-		var deduped uint64
-		remaining := rounds
-		if m.Expect > 0 {
-			expect := m.Expect - 1
-			if cur := uint64(e.handle.Stats().Rounds); cur > expect {
-				replay := cur - expect
-				if replay > remaining {
-					replay = remaining
-				}
-				for i := uint64(0); i < replay; i++ {
-					res, ok := e.handle.ResultAt(int(expect + i))
-					if !ok {
-						code = wire.CodeBadRequest
-						detail = "retry watermark outside the retained history window"
-						break
-					}
-					buf = wire.AppendResult(buf, &res)
+					e.reply = wire.AppendResult(e.reply, &res)
 					deduped++
 				}
 				remaining -= deduped
@@ -594,28 +534,13 @@ func (c *wsConn) handlePlayBatch(m wire.PlayBatch) bool {
 			}
 		}
 		if code == wire.CodeOK && remaining > 0 {
-			if bh, isBatch := e.handle.(BatchHandle); isBatch {
-				_, err := bh.PlayN(c.ctx, int(remaining), func(res core.RoundResult) error {
-					// The sink's result aliases session scratch; encoding
-					// here, before the next round, is the required copy.
-					buf = wire.AppendResult(buf, &res)
-					return nil
-				})
-				if err != nil {
-					code, detail = ErrCode(err), err.Error()
-				}
-			} else {
-				for i := uint64(0); code == wire.CodeOK && i < remaining; i++ {
-					res, err := e.handle.Play(c.ctx)
-					if err != nil {
-						code, detail = ErrCode(err), err.Error()
-						break
-					}
-					buf = wire.AppendResult(buf, &res)
-				}
+			if _, err := e.handle.PlayN(c.ctx, int(remaining), e.encode); err != nil {
+				code, detail = ErrCode(err), err.Error()
 			}
 		}
-		c.send(wire.FinishResults(buf, code, detail, deduped))
+		reply := e.reply
+		e.reply = nil
+		c.send(wire.FinishResults(reply, code, detail, deduped))
 		wsRoundTrip.Record(time.Since(t0))
 	})
 	if !ok {

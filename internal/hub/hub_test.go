@@ -30,8 +30,10 @@ type fakeHandle struct {
 	obs     map[int]core.Observer
 	nextOb  int
 
-	playErr  error // when set, Play fails without advancing...
+	playErr  error // when set, a play fails without advancing...
 	failFrom int   // ...once the session reaches this round
+
+	playNCalls []int // the n of every PlayN call, in order
 }
 
 func newFakeHandle(id string) *fakeHandle {
@@ -40,7 +42,27 @@ func newFakeHandle(id string) *fakeHandle {
 
 func (h *fakeHandle) ID() string { return h.id }
 
-func (h *fakeHandle) Play(ctx context.Context) (core.RoundResult, error) {
+func (h *fakeHandle) PlayN(_ context.Context, n int, sink func(core.RoundResult) error) (core.RoundResult, error) {
+	h.mu.Lock()
+	h.playNCalls = append(h.playNCalls, n)
+	h.mu.Unlock()
+	var last core.RoundResult
+	for i := 0; i < n; i++ {
+		res, err := h.play()
+		if err != nil {
+			return last, err
+		}
+		last = res
+		if sink != nil {
+			if err := sink(res); err != nil {
+				return last, err
+			}
+		}
+	}
+	return last, nil
+}
+
+func (h *fakeHandle) play() (core.RoundResult, error) {
 	h.mu.Lock()
 	if err := h.playErr; err != nil && h.rounds >= h.failFrom {
 		h.mu.Unlock()
@@ -111,6 +133,12 @@ func (h *fakeHandle) Snapshot() (core.SessionSnapshot, bool, error) {
 type fakeBackend struct {
 	mu       sync.Mutex
 	sessions map[string]*fakeHandle
+
+	// Fault hooks, set before the traffic they shape: Attach waits for
+	// attachGate to close, and afterRemove runs once a Remove has applied
+	// and supplies what it reports.
+	attachGate  chan struct{}
+	afterRemove func() error
 }
 
 func newFakeBackend() *fakeBackend {
@@ -135,6 +163,9 @@ func (b *fakeBackend) Create(spec []byte) (Handle, error) {
 }
 
 func (b *fakeBackend) Attach(_ context.Context, id string) (Handle, error) {
+	if b.attachGate != nil {
+		<-b.attachGate
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if h, ok := b.sessions[id]; ok {
@@ -150,6 +181,9 @@ func (b *fakeBackend) Remove(id string) error {
 		return Coded{Code: wire.CodeNotFound, Err: errors.New("no such session")}
 	}
 	delete(b.sessions, id)
+	if b.afterRemove != nil {
+		return b.afterRemove()
+	}
 	return nil
 }
 

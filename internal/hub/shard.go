@@ -10,11 +10,9 @@ import (
 // unbounded memory.
 const shardInbox = 1024
 
-// Shards is a pool of authoritative session loops: N goroutines, each
-// owning the sessions whose ids hash onto it. All plays for a session run
-// on its shard goroutine, so session work is single-threaded by
-// construction and the network side only enqueues commands and dequeues
-// results (the voxelcraft shape: one goroutine owns the world).
+// Shards is a pool of session loops: N goroutines, each running the
+// commands of the sessions whose ids hash onto it, in submission order,
+// so the network side only enqueues commands and dequeues results.
 type Shards struct {
 	inboxes []chan func()
 	done    chan struct{}

@@ -34,8 +34,8 @@ type State struct {
 
 // Player is one hosted session under drive, on any transport.
 type Player interface {
-	// Play plays n rounds as one request. n > 1 is the batched form: one
-	// session lock, one WAL batch record, one wire round trip.
+	// Play plays n rounds as one request: one session lock, one WAL
+	// record, one wire round trip.
 	Play(ctx context.Context, n int) (Ack, error)
 	State() (State, error)
 	// Close removes the session from its host.
@@ -116,13 +116,6 @@ type inprocPlayer struct {
 }
 
 func (p *inprocPlayer) Play(ctx context.Context, n int) (Ack, error) {
-	if n == 1 {
-		res, err := p.h.Play(ctx)
-		if err != nil {
-			return Ack{}, err
-		}
-		return Ack{Completed: 1, Last: res.Round}, nil
-	}
 	res, err := p.h.PlayN(ctx, n, nil)
 	if err != nil {
 		return Ack{}, err
@@ -212,19 +205,14 @@ type httpPlayer struct {
 	id string
 }
 
-var playBody = []byte(`{"rounds":1}`)
-
 func (p *httpPlayer) Play(_ context.Context, n int) (Ack, error) {
-	path, body := "/sessions/"+p.id+"/play", playBody
-	if n > 1 {
-		path, body = fmt.Sprintf("%s?n=%d", path, n), nil
-	}
+	path := fmt.Sprintf("/sessions/%s/play?n=%d", p.id, n)
 	var reply struct {
 		Results []struct {
 			Round int `json:"round"`
 		} `json:"results"`
 	}
-	if err := p.t.do(http.MethodPost, path, body, http.StatusOK, &reply); err != nil {
+	if err := p.t.do(http.MethodPost, path, nil, http.StatusOK, &reply); err != nil {
 		return Ack{}, err
 	}
 	if len(reply.Results) == 0 {
@@ -308,11 +296,7 @@ type WSPlayer struct {
 // error: a self-healing client can deliver part of a request, replayed
 // rounds included, before the connection fails it.
 func (p *WSPlayer) Play(_ context.Context, n int) (Ack, error) {
-	play := p.Client.Play
-	if n > 1 {
-		play = p.Client.PlayBatch
-	}
-	out, err := play(p.Ref, n)
+	out, err := p.Client.Play(p.Ref, n)
 	return Ack{Completed: out.Completed, Last: out.Last.Round}, err
 }
 

@@ -48,8 +48,6 @@ func DecodeAny(d *Decoder, evDec *EventDecoder) (any, error) {
 		return DecodeAttach(d)
 	case MsgPlay:
 		return DecodePlay(d)
-	case MsgPlayBatch:
-		return DecodePlayBatch(d)
 	case MsgSubscribe:
 		return DecodeSubscribe(d)
 	case MsgUnsubscribe, MsgCloseSession, MsgStats, MsgSnapshot:

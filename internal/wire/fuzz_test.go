@@ -72,7 +72,7 @@ func fuzzSeeds() [][]byte {
 		AppendCreate(nil, 1, []byte(`{"id":"s","game":"pd"}`)),
 		AppendAttach(nil, 2, "session-1"),
 		AppendPlay(nil, 3, 1, 100, 7),
-		AppendPlayBatch(nil, 9, 1, 100, 7),
+		AppendPlay(nil, 9, 1, 1, 0), // the common request: one round, no watermark
 		AppendSubscribe(nil, 4, 1, 11),
 		AppendRefReq(nil, MsgUnsubscribe, 5, 1),
 		AppendRefReq(nil, MsgCloseSession, 6, 1),

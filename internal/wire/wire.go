@@ -32,7 +32,7 @@ const (
 	MsgCloseSession byte = 0x07 // reqID, ref
 	MsgStats        byte = 0x08 // reqID, ref
 	MsgSnapshot     byte = 0x09 // reqID, ref
-	MsgPlayBatch    byte = 0x0A // reqID, ref, rounds, expect (journaled as one batch record)
+	MsgPlayBatch    byte = 0x0A // reserved: a protocol-v1 peer's second spelling of MsgPlay, same body
 
 	MsgWelcome       byte = 0x40 // version, shards
 	MsgCreated       byte = 0x41 // reqID, ref, session id, rounds
@@ -344,31 +344,10 @@ func AppendPlay(dst []byte, reqID, ref, rounds, expect uint64) []byte {
 	return AppendUvarint(dst, expect)
 }
 
-// DecodePlay decodes a MsgPlay body.
+// DecodePlay decodes a MsgPlay body (the reserved opcode 0x0A carries
+// the same one).
 func DecodePlay(d *Decoder) (Play, error) {
 	p := Play{ReqID: d.Uvarint(), Ref: d.Uvarint(), Rounds: d.Uvarint(), Expect: d.Uvarint()}
-	return p, d.Err()
-}
-
-// PlayBatch asks for Rounds plays executed as one batch: the server runs
-// them under a single session lock and journals all of them as one batch
-// WAL record, instead of one record per round. The reply is the same
-// MsgResults stream MsgPlay uses, and Expect carries the same watermark
-// dedup semantics as Play.
-type PlayBatch struct{ ReqID, Ref, Rounds, Expect uint64 }
-
-// AppendPlayBatch encodes a MsgPlayBatch.
-func AppendPlayBatch(dst []byte, reqID, ref, rounds, expect uint64) []byte {
-	dst = append(dst, MsgPlayBatch)
-	dst = AppendUvarint(dst, reqID)
-	dst = AppendUvarint(dst, ref)
-	dst = AppendUvarint(dst, rounds)
-	return AppendUvarint(dst, expect)
-}
-
-// DecodePlayBatch decodes a MsgPlayBatch body.
-func DecodePlayBatch(d *Decoder) (PlayBatch, error) {
-	p := PlayBatch{ReqID: d.Uvarint(), Ref: d.Uvarint(), Rounds: d.Uvarint(), Expect: d.Uvarint()}
 	return p, d.Err()
 }
 

@@ -16,7 +16,6 @@ func TestCommandRoundTrips(t *testing.T) {
 	buf = AppendCreate(buf, 1, []byte(`{"id":"s1","game":"pd"}`))
 	buf = AppendAttach(buf, 2, "s1")
 	buf = AppendPlay(buf, 3, 7, 25, 10)
-	buf = AppendPlayBatch(buf, 12, 7, 50, 26)
 	buf = AppendSubscribe(buf, 4, 7, 42)
 	buf = AppendRefReq(buf, MsgStats, 5, 7)
 	buf = AppendWelcome(buf, Version, 8)
@@ -36,8 +35,8 @@ func TestCommandRoundTrips(t *testing.T) {
 		}
 		got = append(got, msg)
 	}
-	if len(got) != 13 {
-		t.Fatalf("decoded %d messages, want 13", len(got))
+	if len(got) != 12 {
+		t.Fatalf("decoded %d messages, want 12", len(got))
 	}
 	if h := got[0].(Hello); h.Version != Version || h.Flags != FlagReconnect {
 		t.Errorf("hello = %+v", h)
@@ -51,25 +50,22 @@ func TestCommandRoundTrips(t *testing.T) {
 	if p := got[3].(Play); p.ReqID != 3 || p.Ref != 7 || p.Rounds != 25 || p.Expect != 10 {
 		t.Errorf("play = %+v", p)
 	}
-	if p := got[4].(PlayBatch); p.ReqID != 12 || p.Ref != 7 || p.Rounds != 50 || p.Expect != 26 {
-		t.Errorf("play batch = %+v", p)
-	}
-	if s := got[5].(Subscribe); s.ReqID != 4 || s.Ref != 7 || s.Since != 42 {
+	if s := got[4].(Subscribe); s.ReqID != 4 || s.Ref != 7 || s.Since != 42 {
 		t.Errorf("subscribe = %+v", s)
 	}
-	if w := got[7].(Welcome); w.Shards != 8 {
+	if w := got[6].(Welcome); w.Shards != 8 {
 		t.Errorf("welcome = %+v", w)
 	}
-	if c := got[8].(Created); c.Ref != 7 || c.ID != "s1" || c.Rounds != 9 {
+	if c := got[7].(Created); c.Ref != 7 || c.ID != "s1" || c.Rounds != 9 {
 		t.Errorf("created = %+v", c)
 	}
-	if e := got[9].(ErrorMsg); e.Code != CodeNotFound || e.Detail != "unknown ref" {
+	if e := got[8].(ErrorMsg); e.Code != CodeNotFound || e.Detail != "unknown ref" {
 		t.Errorf("error = %+v", e)
 	}
-	if s := got[11].(SnapshotReply); s.Rounds != 42 || s.Digest != "deadbeef" || !s.Persisted {
+	if s := got[10].(SnapshotReply); s.Rounds != 42 || s.Digest != "deadbeef" || !s.Persisted {
 		t.Errorf("snapshot reply = %+v", s)
 	}
-	if l := got[12].(Lag); l.Ref != 7 || l.Dropped != 3 {
+	if l := got[11].(Lag); l.Ref != 7 || l.Dropped != 3 {
 		t.Errorf("lag = %+v", l)
 	}
 }

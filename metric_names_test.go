@@ -38,7 +38,7 @@ func TestMetricNames(t *testing.T) {
 	}
 }
 
-// metricsServer is a durable, group-committed, sharded authority behind
+// metricsServer is a durable, group-committed authority behind
 // the full HTTP server with the debug routes on: every layer that
 // registers a metric or emits a span is in the process.
 func metricsServer(t *testing.T) *httptest.Server {
@@ -50,7 +50,6 @@ func metricsServer(t *testing.T) *httptest.Server {
 	a := ga.NewAuthority(
 		ga.WithStore(st),
 		ga.WithGroupCommit(time.Millisecond, 64),
-		ga.WithShards(2),
 	)
 	t.Cleanup(func() { a.Close() })
 	srv := httptest.NewServer(ga.NewServer(a, ga.WithDebug(true)))

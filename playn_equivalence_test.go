@@ -1,9 +1,13 @@
 package gameauthority_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	ga "gameauthority"
@@ -85,17 +89,18 @@ func playnScenarios(t *testing.T) []playnScenario {
 }
 
 // playnStores builds a fresh store per invocation for each backend the
-// equivalence property must hold on.
-func playnStores(t *testing.T) map[string]func() ga.Store {
-	t.Helper()
-	return map[string]func() ga.Store{
-		"mem": func() ga.Store { return ga.NewMemStore() },
-		"file": func() ga.Store {
-			st, err := ga.NewFileStore(t.TempDir())
+// equivalence property must hold on, with the root directory of a File
+// store (journalOf reads its log files).
+func playnStores() map[string]func(*testing.T) (ga.Store, string) {
+	return map[string]func(*testing.T) (ga.Store, string){
+		"mem": func(*testing.T) (ga.Store, string) { return ga.NewMemStore(), "" },
+		"file": func(t *testing.T) (ga.Store, string) {
+			dir := t.TempDir()
+			st, err := ga.NewFileStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return st
+			return st, dir
 		},
 	}
 }
@@ -154,28 +159,32 @@ func runBatched(t *testing.T, h *ga.HostedSession, warmup, batch int) ([]string,
 // seed. The warmup puts several cells mid-punishment and post-conviction
 // when the batch starts, so the batch path is proven across judicial
 // state, not just clean rounds.
+//
+// The journal half: Play is PlayN(1), so the same rounds played either
+// way write the same play records, byte for byte — which is also what
+// every ledger written before the play paths merged holds — and one
+// PlayN(n) writes one batch record carrying the same per-play hashes.
 func TestPlayNEquivalence(t *testing.T) {
 	scenarios := playnScenarios(t)
-	stores := playnStores(t)
 	for _, sc := range scenarios {
-		for storeName, newStore := range stores {
+		for storeName, newStore := range playnStores() {
 			sc := sc
 			t.Run(sc.name+"/"+storeName, func(t *testing.T) {
 				t.Parallel()
-				seqHost := ga.NewAuthority(ga.WithStore(newStore()))
-				defer seqHost.Close()
-				seq, err := seqHost.CreateFromSpec(sc.spec)
-				if err != nil {
-					t.Fatal(err)
+				host := func() (*ga.HostedSession, ga.Store, string) {
+					st, dir := newStore(t)
+					a := ga.NewAuthority(ga.WithStore(st))
+					t.Cleanup(func() { a.Close() })
+					h, err := a.CreateFromSpec(sc.spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return h, st, dir
 				}
+				seq, seqStore, seqDir := host()
 				wantHashes, wantDigest := runSequential(t, seq, sc.warmup, sc.batch)
 
-				batHost := ga.NewAuthority(ga.WithStore(newStore()))
-				defer batHost.Close()
-				bat, err := batHost.CreateFromSpec(sc.spec)
-				if err != nil {
-					t.Fatal(err)
-				}
+				bat, batStore, batDir := host()
 				gotHashes, gotDigest := runBatched(t, bat, sc.warmup, sc.batch)
 
 				if len(gotHashes) != len(wantHashes) {
@@ -189,9 +198,57 @@ func TestPlayNEquivalence(t *testing.T) {
 				if gotDigest != wantDigest {
 					t.Fatalf("final digest diverged: PlayN %s, sequential %s", gotDigest, wantDigest)
 				}
+
+				ones, onesStore, onesDir := host()
+				for i := 0; i < sc.warmup+sc.batch; i++ {
+					if _, err := ones.PlayN(context.Background(), 1, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plays, playsRaw := journalOf(t, seqStore, seqDir, seq.ID())
+				_, onesRaw := journalOf(t, onesStore, onesDir, ones.ID())
+				if !bytes.Equal(playsRaw, onesRaw) {
+					t.Fatalf("Play and PlayN(1) journals differ:\n%s\n%s", playsRaw, onesRaw)
+				}
+				if len(plays) != sc.warmup+sc.batch {
+					t.Fatalf("%d Play calls journaled %d records", sc.warmup+sc.batch, len(plays))
+				}
+				for i, rec := range plays {
+					if rec.Type != "play" || rec.Round != i {
+						t.Fatalf("record %d of the Play journal is %+v", i, rec)
+					}
+				}
+				batched, _ := journalOf(t, batStore, batDir, bat.ID())
+				if len(batched) != sc.warmup+1 || batched[sc.warmup].Type != "batch" || len(batched[sc.warmup].Plays) != sc.batch {
+					t.Fatalf("PlayN(%d) after %d plays journaled %+v, want one batch record behind the play records",
+						sc.batch, sc.warmup, batched)
+				}
+				for i, bp := range batched[sc.warmup].Plays {
+					if rec := plays[sc.warmup+i]; bp.Round != rec.Round || bp.Hash != rec.Hash || bp.Fouls != rec.Fouls {
+						t.Fatalf("batch play %d is %+v, the play record %+v", i, bp, rec)
+					}
+				}
 			})
 		}
 	}
+}
+
+// journalOf returns a session's WAL as its store holds it: the log file
+// itself when dir names a File store's root, else the records' JSON.
+func journalOf(t *testing.T, st ga.Store, dir, id string) ([]ga.Record, []byte) {
+	t.Helper()
+	state, ok, err := st.LoadSession(id)
+	if err != nil || !ok {
+		t.Fatalf("load %q: found %v, err %v", id, ok, err)
+	}
+	raw, err := json.Marshal(state.Tail)
+	if dir != "" {
+		raw, err = os.ReadFile(filepath.Join(dir, "sessions", id+".wal"))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state.Tail, raw
 }
 
 // TestPlayNValidation pins the PlayN contract edges: a non-positive batch

@@ -2,7 +2,6 @@ package gameauthority
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -720,10 +719,9 @@ func handlePlay(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// ?n= selects the batched path: the N rounds execute under one session
-	// lock and journal as a single batch WAL record instead of N play
-	// records. It overrides any body "rounds" field.
-	batched := false
+	// {"rounds": k} and ?n=k are two spellings of one request: the k rounds
+	// execute as one PlayN call — one session lock, one WAL record. ?n=
+	// overrides the body field.
 	rounds := req.Rounds
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -731,7 +729,6 @@ func handlePlay(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid batch size %q", raw))
 			return
 		}
-		batched = true
 		rounds = n
 	}
 	if rounds <= 0 {
@@ -742,43 +739,22 @@ func handlePlay(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]roundResponse, 0, rounds)
-	fail := func(err error, partial *RoundResult) {
+	_, err := h.PlayN(r.Context(), rounds, func(res RoundResult) error {
+		results = append(results, roundFor(res))
+		return nil
+	})
+	if err != nil {
 		if r.Context().Err() != nil {
 			return // the client is gone; nothing to report to
 		}
-		if partial != nil && errors.Is(err, ErrDurability) {
-			// The play executed — the session advanced a round — but
-			// its journal write failed. Report the result so the
-			// client's view stays consistent; the 503 marks the degraded
-			// store.
-			results = append(results, roundFor(*partial))
-		}
+		// The sink collected every completed round, so a play whose journal
+		// write failed is still reported: the client's view stays
+		// consistent and the 503 marks the degraded store.
 		writeJSON(w, classify(err, classInternal).status, map[string]any{
 			"error":   err.Error(),
 			"results": results,
 		})
-	}
-	if batched {
-		_, err := h.PlayN(r.Context(), rounds, func(res RoundResult) error {
-			results = append(results, roundFor(res))
-			return nil
-		})
-		if err != nil {
-			// The sink already collected every completed round, so a
-			// durability failure needs no extra partial result here.
-			fail(err, nil)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
 		return
-	}
-	for i := 0; i < rounds; i++ {
-		res, err := h.Play(r.Context())
-		if err != nil {
-			fail(err, &res)
-			return
-		}
-		results = append(results, roundFor(res))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }

@@ -212,7 +212,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"gameauthority_sessions 1",
 		"gameauthority_sessions_created_total 1",
 		"gameauthority_plays_total 3",
-		"gameauthority_wal_records_total 3",
+		"gameauthority_wal_records_total 1", // one request, one record
+		"gameauthority_batched_plays_total 3",
 		"# TYPE gameauthority_recoveries_total counter",
 		"# TYPE gameauthority_convictions_total counter",
 		"# TYPE gameauthority_snapshots_total counter",

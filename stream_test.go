@@ -1,11 +1,14 @@
 package gameauthority_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,8 +22,8 @@ import (
 	"gameauthority/internal/wire"
 )
 
-// wsTestServer stands up an authority (with shard loops) behind a full
-// NewServer and dials one streaming client against it.
+// wsTestServer stands up an authority behind a full NewServer and dials
+// one streaming client against it.
 func wsTestServer(t *testing.T, opts ...ga.AuthorityOption) (*ga.Authority, *httptest.Server, *hub.Client) {
 	t.Helper()
 	a := ga.NewAuthority(opts...)
@@ -81,16 +84,33 @@ func TestCrossTransportDeterminism(t *testing.T) {
 				t.Fatal("in-process digest empty")
 			}
 
-			// HTTP JSON transport.
-			httpAuthority := ga.NewAuthority()
-			defer httpAuthority.Close()
-			httpSrv := httptest.NewServer(ga.NewServer(httpAuthority))
-			defer httpSrv.Close()
-			httpDigest, httpRounds := playOverHTTP(t, httpSrv.URL, body, rounds)
+			// HTTP JSON transport, on a durable host: {"rounds":k} and ?n=k
+			// are two spellings of one request, so the two answer with the
+			// same bytes and journal the same record.
+			var httpReply, httpWAL [2][]byte
+			for i, play := range []struct{ query, body string }{
+				{"", fmt.Sprintf(`{"rounds":%d}`, rounds)},
+				{fmt.Sprintf("?n=%d", rounds), ""},
+			} {
+				st := ga.NewMemStore()
+				a, srv := storeServer(t, st)
+				defer a.Close()
+				reply, digest, played := playOverHTTP(t, srv.URL, body, play.query, play.body)
+				if err := invariant.CheckTwinState(want, invariant.State{Rounds: played, Digest: digest}); err != nil {
+					t.Errorf("HTTP %s%s: %v", play.query, play.body, err)
+				}
+				httpReply[i] = reply
+				_, httpWAL[i] = journalOf(t, st, "", "det")
+			}
+			if !bytes.Equal(httpReply[0], httpReply[1]) {
+				t.Errorf("HTTP replies differ:\n%s\n%s", httpReply[0], httpReply[1])
+			}
+			if !bytes.Equal(httpWAL[0], httpWAL[1]) {
+				t.Errorf("HTTP journals differ:\n%s\n%s", httpWAL[0], httpWAL[1])
+			}
 
-			// Binary streaming transport, with plays routed through the
-			// shard loops.
-			_, _, client := wsTestServer(t, ga.WithShards(2))
+			// Binary streaming transport.
+			_, _, client := wsTestServer(t)
 			ref, _, err := client.Create(body)
 			if err != nil {
 				t.Fatalf("ws create: %v", err)
@@ -106,59 +126,130 @@ func TestCrossTransportDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ws snapshot: %v", err)
 			}
-
-			if err := invariant.CheckTwinState(want, invariant.State{Rounds: int(httpRounds), Digest: httpDigest}); err != nil {
-				t.Errorf("HTTP: %v", err)
-			}
 			if err := invariant.CheckTwinState(want, invariant.State{Rounds: int(snap.Rounds), Digest: snap.Digest}); err != nil {
 				t.Errorf("WS: %v", err)
+			}
+
+			// The reserved opcode 0x0A is a protocol-v1 peer's second
+			// spelling of MsgPlay: hand-encoded, it draws the same reply
+			// frame and leaves the same digest as the frame Client.Play
+			// sends.
+			var wsReply [2][]byte
+			for i, opcode := range []byte{wire.MsgPlay, 0x0A} {
+				_, srv, _ := wsTestServer(t)
+				raw := dialRawWS(t, srv.URL)
+				raw.roundTrip(wire.AppendHello(nil, wire.Version, 0))
+				raw.roundTrip(wire.AppendCreate(nil, 1, body))
+				frame := wire.AppendPlay(nil, 2, 1, rounds, 0)
+				frame[0] = opcode
+				wsReply[i] = raw.roundTrip(frame)
+				d := wire.NewDecoder(raw.roundTrip(wire.AppendRefReq(nil, wire.MsgSnapshot, 3, 1))[1:])
+				got, err := wire.DecodeSnapshotReply(&d)
+				if err != nil {
+					t.Fatalf("opcode %#x: snapshot reply: %v", opcode, err)
+				}
+				if err := invariant.CheckTwinState(want, invariant.State{Rounds: int(got.Rounds), Digest: got.Digest}); err != nil {
+					t.Errorf("WS opcode %#x: %v", opcode, err)
+				}
+			}
+			if wsReply[0][0] != wire.MsgResults || !bytes.Equal(wsReply[0], wsReply[1]) {
+				t.Errorf("WS reply frames differ:\n%x\n%x", wsReply[0], wsReply[1])
 			}
 		})
 	}
 }
 
-// playOverHTTP creates a session from spec, plays it, and returns the
-// snapshot digest and round count.
-func playOverHTTP(t *testing.T, base string, spec []byte, rounds int) (string, uint64) {
+// rawWS is the least of RFC 6455 a test needs to put a hand-encoded frame
+// on /ws: one unmasked binary message out, one back.
+type rawWS struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func dialRawWS(t *testing.T, base string) *rawWS {
 	t.Helper()
-	post := func(path string, body []byte, want int) map[string]any {
-		req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprint(conn, "GET /ws HTTP/1.1\r\nHost: test\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"+
+		"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\nSec-WebSocket-Version: 13\r\n\r\n")
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("ws upgrade: %v, %v", resp, err)
+	}
+	return &rawWS{t, conn, br}
+}
+
+func (r *rawWS) roundTrip(msg []byte) []byte {
+	r.t.Helper()
+	if len(msg) > 125 {
+		r.t.Fatalf("rawWS: %d-byte message needs an extended length", len(msg))
+	}
+	if _, err := r.conn.Write(append([]byte{0x82, byte(len(msg))}, msg...)); err != nil {
+		r.t.Fatal(err)
+	}
+	var hdr [2]byte
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		r.t.Fatal(err)
+	}
+	n := int(hdr[1])
+	if n == 126 {
+		var ext [2]byte
+		if _, err := io.ReadFull(r.br, ext[:]); err != nil {
+			r.t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
+		n = int(binary.BigEndian.Uint16(ext[:]))
+	}
+	reply := make([]byte, n)
+	if _, err := io.ReadFull(r.br, reply); err != nil {
+		r.t.Fatal(err)
+	}
+	return reply
+}
+
+// playOverHTTP creates a session from spec, plays it with one request
+// (query and body as given), and returns the play's response body, the
+// snapshot digest and the round count.
+func playOverHTTP(t *testing.T, base string, spec []byte, query, body string) ([]byte, string, int) {
+	t.Helper()
+	post := func(path, body string, want int) []byte {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("POST %s: decode: %v", path, err)
-		}
-		if resp.StatusCode != want {
-			t.Fatalf("POST %s: status %d, want %d (%v)", path, resp.StatusCode, want, out)
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d, want %d (%s, %v)", path, resp.StatusCode, want, out, err)
 		}
 		return out
 	}
-	created := post("/sessions", spec, http.StatusCreated)
-	id, _ := created["id"].(string)
-	if id == "" {
-		t.Fatalf("create reply without id: %v", created)
+	var created struct{ ID string }
+	if err := json.Unmarshal(post("/sessions", string(spec), http.StatusCreated), &created); err != nil || created.ID == "" {
+		t.Fatalf("create reply without id: %v", err)
 	}
-	post("/sessions/"+id+"/play", fmt.Appendf(nil, `{"rounds":%d}`, rounds), http.StatusOK)
-	snap := post("/sessions/"+id+"/snapshot", nil, http.StatusOK)
-	digest, _ := snap["digest"].(string)
-	r, _ := snap["rounds"].(float64)
-	return digest, uint64(r)
+	reply := post("/sessions/"+created.ID+"/play"+query, body, http.StatusOK)
+	var snap struct {
+		Digest string
+		Rounds int
+	}
+	if err := json.Unmarshal(post("/sessions/"+created.ID+"/snapshot", "", http.StatusOK), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return reply, snap.Digest, snap.Rounds
 }
 
 // TestStreamHammer drives the hub from many goroutines over several
 // connections while HTTP plays hit the same authority — the -race build
-// is the real assertion: session ownership must hold when the shard
-// loops, the SSE path, and direct HTTP plays interleave.
+// is the real assertion: the session's own locks must order its plays
+// when the /ws shard loops, the SSE path, and direct HTTP plays (on their
+// request goroutines) interleave on one session.
 func TestStreamHammer(t *testing.T) {
-	a, srv, shared := wsTestServer(t, ga.WithShards(4))
+	a, srv, shared := wsTestServer(t)
 
 	// A shared session driven concurrently over both transports.
 	sharedSpec := []byte(`{"id":"shared","game":"pd","seed":1}`)
