@@ -34,10 +34,11 @@ race:
 
 # The lifecycle hammers, twenty times on each core count: the races they
 # guard (create/remove against the ledger, stream attach/close, /ws plays
-# on the shard loops against direct HTTP plays of the same session) lose
-# on a particular interleaving, so one pass proves little.
+# on the shard loops against direct HTTP plays of the same session, a
+# shared game's cleanup against a create of its spec) lose on a
+# particular interleaving, so one pass proves little.
 hammer:
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress' .
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer' .
 
 # One iteration per benchmark: a bit-rot smoke, not a measurement. CI runs
 # this — it fails on build/bench errors, never on timing noise.

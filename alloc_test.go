@@ -2,6 +2,7 @@ package gameauthority_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	ga "gameauthority"
@@ -230,5 +231,41 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 				t.Errorf("hosted 16-round PlayN allocates %v times, budget %v", batch, row.batch)
 			}
 		})
+	}
+}
+
+// TestHeapPerHostedSession gates what a hosted session retains, in
+// ws_pure's shape: pure sessions cycling its six games at history_limit 8,
+// played a full ring. Sessions of one spec share one compiled game, so
+// the six tables amortize to almost nothing and what is left is the
+// session itself (3.6 KB as of the PR 25 per-spec game table; 17 KB when
+// every session compiled its own).
+func TestHeapPerHostedSession(t *testing.T) {
+	const sessions, rounds, budget = 1024, 8, 6 << 10
+	games := []string{"congestion", "braess", "publicgoods-punish", "minority", "pd", "firstprice"}
+	ctx := context.Background()
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	a := ga.NewAuthority()
+	defer a.Close()
+	before := heap()
+	for i := 0; i < sessions; i++ {
+		h, err := a.CreateFromSpec(ga.CreateSessionRequest{Game: games[i%len(games)], Seed: uint64(i) + 1, HistoryLimit: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Run(ctx, rounds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (heap() - before) / sessions
+	runtime.KeepAlive(a)
+	t.Logf("hosted pure session: %d B live (budget %d)", per, budget)
+	if per > budget {
+		t.Errorf("a hosted pure session retains %d B, budget %d", per, budget)
 	}
 }

@@ -236,6 +236,8 @@ func NewSession(cfg SessionConfig) (Session, error) {
 	// Accelerate the elected game into cost lookup tables (when its
 	// profile space is small enough) before any driver or honest agent
 	// captures it, so every audit and best-response query is a lookup.
+	// Spec-built games arrive already compiled and shared across sessions
+	// (read-only tables); Accelerate returns those unchanged.
 	cfg.Game = game.Accelerate(cfg.Game)
 	cfg.Actual = game.Accelerate(cfg.Actual)
 

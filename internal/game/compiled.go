@@ -133,7 +133,9 @@ func Compile(g Game, limit int) (*Compiled, error) {
 // Accelerate returns a Responder view of g: g itself when it already
 // answers best-response queries, a Compiled table when the profile space
 // fits the default limit, and g unchanged otherwise. Session constructors
-// call it once so every subsequent play audits against lookup tables.
+// call it so every play audits against lookup tables; a spec-built game
+// arrives already compiled (one Compiled per canonical spec, shared by
+// every session of that spec) and is returned unchanged.
 func Accelerate(g Game) Game {
 	if g == nil {
 		return nil

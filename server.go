@@ -3,14 +3,18 @@ package gameauthority
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"weak"
 
 	"gameauthority/internal/audit"
+	"gameauthority/internal/game"
 	"gameauthority/internal/metrics"
 	"gameauthority/internal/obs"
 )
@@ -510,39 +514,107 @@ func deviantFromSpec(spec *DeviantSpec) (DeviantStrategy, error) {
 	return d, nil
 }
 
+// gameByName is the spec-to-game translation. Specs that canonicalize to
+// the same gameKey share one compiled game (compiledGames); a game too
+// large to compile is built afresh for every call.
 func gameByName(name string, players int, benefit float64) (Game, error) {
-	switch strings.ToLower(name) {
+	key := gameKey{name: strings.ToLower(name)}
+	if players <= 0 {
+		players = 4
+	}
+	var build func() (Game, error)
+	switch key.name {
 	case "":
 		return nil, nil
 	case "matchingpennies":
-		return MatchingPennies(), nil
+		build = func() (Game, error) { return MatchingPennies(), nil }
 	case "matchingpennies-manipulated":
-		return MatchingPenniesManipulated(), nil
+		build = func() (Game, error) { return MatchingPenniesManipulated(), nil }
 	case "prisonersdilemma":
-		return PrisonersDilemma(), nil
+		build = func() (Game, error) { return PrisonersDilemma(), nil }
 	case "coordination":
-		return CoordinationGame(), nil
+		build = func() (Game, error) { return CoordinationGame(), nil }
 	case "publicgoods":
-		if players <= 0 {
-			players = 4
-		}
 		if benefit <= 0 {
 			benefit = 2
 		}
-		return PublicGoods(players, benefit)
+		key.players, key.benefit = players, math.Float64bits(benefit)
+		build = func() (Game, error) { return PublicGoods(players, benefit) }
 	// "minority" intentionally has no legacy case: the catalog fallback
 	// builds it with the same odd-n canonicalization the in-process path
 	// uses (default players 4 → 5, matching the old HTTP default).
 	default:
 		// Fall through to the scenario catalog: any registry name builds at
 		// the requested (canonicalized) size.
-		if e, ok := ScenarioByName(strings.ToLower(name)); ok {
-			if players <= 0 {
-				players = 4
-			}
-			return e.Build(e.Players(players))
+		e, ok := ScenarioByName(key.name)
+		if !ok {
+			return nil, fmt.Errorf("unknown game %q", name)
 		}
-		return nil, fmt.Errorf("unknown game %q", name)
+		key.players = e.Players(players)
+		build = func() (Game, error) { return e.Build(key.players) }
+	}
+	return internGame(key, build)
+}
+
+// gameKey is a spec's game after canonicalization: the lower-cased name,
+// and the player count and benefit its builder actually uses (zero where
+// the builder takes none). Equal keys build equal games.
+type gameKey struct {
+	name    string
+	players int
+	// benefit is held as its bits so that a NaN benefit (which builds)
+	// still finds, and its cleanup still deletes, its own entry.
+	benefit uint64
+}
+
+// compiledGames interns spec-built games: every session created from
+// specs with one gameKey points at the same *game.Compiled. Compiled
+// tables are read-only after construction, so no session, driver or
+// transcript can observe the sharing. Entries are weak, and a cleanup
+// deletes a key once its game is collected, so the table holds exactly
+// the games live sessions use. Not interned: games too large to compile,
+// and games a caller hands Authority.Create directly.
+var compiledGames = struct {
+	sync.Mutex
+	m map[gameKey]weak.Pointer[game.Compiled]
+}{m: make(map[gameKey]weak.Pointer[game.Compiled])}
+
+// internGame returns the live compiled game for key, or builds, compiles
+// and registers one. Building runs outside the lock; two creates racing on
+// a new key both compile, and the second adopts the first's entry.
+func internGame(key gameKey, build func() (Game, error)) (Game, error) {
+	compiledGames.Lock()
+	c := compiledGames.m[key].Value()
+	compiledGames.Unlock()
+	if c != nil {
+		return c, nil
+	}
+	g, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if c, err = game.Compile(g, 0); err != nil {
+		return g, nil // too large to compile: this session's own game, as before
+	}
+	compiledGames.Lock()
+	defer compiledGames.Unlock()
+	if live := compiledGames.m[key].Value(); live != nil {
+		return live, nil
+	}
+	wp := weak.Make(c)
+	compiledGames.m[key] = wp
+	runtime.AddCleanup(c, func(wp weak.Pointer[game.Compiled]) { dropGame(key, wp) }, wp)
+	return c, nil
+}
+
+// dropGame is a collected game's cleanup. It deletes key only while the
+// table still holds that game's weak pointer: the pointer reads nil before
+// the cleanup runs, so a create may already have registered a successor.
+func dropGame(key gameKey, wp weak.Pointer[game.Compiled]) {
+	compiledGames.Lock()
+	defer compiledGames.Unlock()
+	if compiledGames.m[key] == wp {
+		delete(compiledGames.m, key)
 	}
 }
 
