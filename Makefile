@@ -76,7 +76,7 @@ fuzz-smoke:
 # covered by the whole suite (merged -coverpkg profile; see
 # cmd/covergate). The profile lives in a temp file so repeated local runs
 # leave no cover.out litter in the work tree.
-COVER_PKGS = ./internal/core,./internal/punish,./internal/audit,./internal/deviate,./internal/store,./internal/wire,./internal/hub,./internal/faults,./internal/sim,./internal/bap,./internal/obs
+COVER_PKGS = ./internal/core,./internal/punish,./internal/audit,./internal/deviate,./internal/store,./internal/wire,./internal/hub,./internal/faults,./internal/sim,./internal/bap,./internal/clocksync,./internal/obs
 cover-gate:
 	@profile=$$(mktemp); \
 	$(GO) test -short -coverprofile=$$profile -coverpkg=$(COVER_PKGS) ./... > /dev/null && \
@@ -86,7 +86,7 @@ cover-gate:
 		gameauthority/internal/store gameauthority/internal/wire \
 		gameauthority/internal/hub gameauthority/internal/faults \
 		gameauthority/internal/sim gameauthority/internal/bap \
-		gameauthority/internal/obs; \
+		gameauthority/internal/clocksync gameauthority/internal/obs; \
 	status=$$?; rm -f $$profile; exit $$status
 
 # Remove generated local artifacts (coverage profiles, build cache junk).

@@ -1,6 +1,8 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §2 for the experiment index and EXPERIMENTS.md
-// for recorded results).
+// evaluation (DESIGN.md §2 is the experiment index). It exits 1 when a
+// table contradicts the claim it reproduces: a Theorem 1 or Lemma 3
+// violation, a Lemma 2 reconvergence that times out, a Theorem 5 bound
+// exceeded, or honest replicas that disagree.
 //
 // Usage:
 //
@@ -21,8 +23,6 @@ import (
 	"gameauthority/internal/game"
 	"gameauthority/internal/metrics"
 	"gameauthority/internal/prng"
-	"gameauthority/internal/sim"
-	"gameauthority/internal/ssba"
 )
 
 func main() {
@@ -31,42 +31,56 @@ func main() {
 		quick = flag.Bool("quick", false, "reduced sweeps")
 	)
 	flag.Parse()
+	os.Exit(run(*only, *quick))
+}
 
-	experiments := []struct {
-		id   string
-		name string
-		run  func(quick bool)
-	}{
-		{"E-F1", "Fig. 1 — hidden manipulation in matching pennies", runEF1},
-		{"E-T1", "Theorem 1 — self-stabilizing Byzantine agreement", runET1},
-		{"E-L2", "Lemma 2 — convergence pulses from arbitrary states", runEL2},
-		{"E-L3", "Lemma 3 — closure over long executions", runEL3},
-		{"E-T5", "Theorem 5 — multi-round anarchy cost of supervised RRA", runET5},
-		{"E-PoM", "Price of malice — virus inoculation with/without authority", runEPoM},
-		{"E-AUD", "§5.3 ablation — per-round vs batched auditing", runEAUD},
-		{"E-PUN", "§3.4 ablation — punishment schemes", runEPUN},
-		{"E-VOTE", "§3.1 ablation — naive vs robust legislative voting", runEVOTE},
-		{"E-BAP", "Substrate — EIG agreement scaling", runEBAP},
-		{"E-EXT", "Extensions — sampled/statistical auditing and re-election", runEEXT},
-	}
+// experiments is the index of DESIGN.md §2. Each run prints its table and
+// returns an error when the table contradicts the claim it reproduces.
+var experiments = []struct {
+	id   string
+	name string
+	run  func(quick bool) error
+}{
+	{"E-F1", "Fig. 1 — hidden manipulation in matching pennies", runEF1},
+	{"E-T1", "Theorem 1 — self-stabilizing Byzantine agreement", runET1},
+	{"E-L2", "Lemma 2 — convergence pulses from arbitrary states", runEL2},
+	{"E-L3", "Lemma 3 — closure over long executions", runEL3},
+	{"E-T5", "Theorem 5 — multi-round anarchy cost of supervised RRA", runET5},
+	{"E-PoM", "Price of malice — virus inoculation with/without authority", runEPoM},
+	{"E-AUD", "§5.3 ablation — per-round vs batched auditing", runEAUD},
+	{"E-PUN", "§3.4 ablation — punishment schemes", runEPUN},
+	{"E-VOTE", "§3.1 ablation — naive vs robust legislative voting", runEVOTE},
+	{"E-BAP", "Substrate — interactive consistency per play, by admitted shape", runEBAP},
+	{"E-EXT", "Extensions — sampled/statistical auditing and re-election", runEEXT},
+}
 
-	ran := 0
+// run runs every experiment, or only the one named, and returns the exit
+// status: 0 when every claim held, 1 when one failed, 2 for an unknown id.
+func run(only string, quick bool) int {
+	ran, failed := 0, 0
 	for _, e := range experiments {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+		if only != "" && !strings.EqualFold(only, e.id) {
 			continue
 		}
 		fmt.Printf("== %s: %s ==\n", e.id, e.name)
-		e.run(*quick)
+		if err := e.run(quick); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)
+			failed++
+		}
 		fmt.Println()
 		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
-		os.Exit(2)
+	switch {
+	case ran == 0:
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", only)
+		return 2
+	case failed > 0:
+		return 1
 	}
+	return 0
 }
 
-func runEF1(quick bool) {
+func runEF1(quick bool) error {
 	rounds := 20000
 	if quick {
 		rounds = 2000
@@ -110,80 +124,156 @@ func runEF1(quick bool) {
 	fmt.Printf("\n  %-22s %12s %12s\n", "configuration", "A payoff/rd", "B payoff/rd")
 	fmt.Printf("  %-22s %+12.3f %+12.3f   (paper: 0 → −4 / 0 → +4)\n", "no authority", a0, b0)
 	fmt.Printf("  %-22s %+12.3f %+12.3f   (manipulator excluded: %v)\n", "game authority", a1, b1, excl)
+	return nil
 }
 
-func runET1(quick bool) {
-	periods := 30
+// The self-stabilization experiments run on the authority the host runs:
+// a distributed session built by ga.New, corrupted with Net.Corrupt and
+// stepped with Net.StepLockstep, its honest replicas read back with
+// ConsistentResults.
+
+// reconvergeBudget is how many plays' worth of pulses a session may take
+// from a full corruption to `stable` consistent plays before E-L2 and
+// E-L3 count a timeout. It sits far above the (16, 1) tail of DESIGN §13;
+// a variable so a test can break the claim.
+var reconvergeBudget = 5000
+
+// stable is how many consecutive consistent plays mark a session as
+// reconverged.
+const stable = 2
+
+// distributed builds a seeded n-processor authority over the n-player
+// public-goods game, the game gameauthd traces.
+func distributed(n, f int, seed uint64, byz map[int]ga.Adversary) (ga.Session, *ga.DistributedSession) {
+	g, err := ga.PublicGoods(n, 2)
+	fatal(err)
+	s, err := ga.New(g, ga.WithDistributed(n, f, byz), ga.WithSeed(seed))
+	fatal(err)
+	return s, ga.AsDistributed(s)
+}
+
+// periods runs p clock periods of PulsesPerPlay(f) pulses and returns the
+// plays the first honest processor completed and the violations: periods
+// in which some honest processor did not complete exactly one play, plus
+// one if the honest replicas disagree on those plays.
+func periods(d *ga.DistributedSession, f, p int) (plays, violations int) {
+	first := d.Procs[d.Honest[0]].ResultCount()
+	before := make([]int, len(d.Honest))
+	for k := 0; k < p; k++ {
+		for i, id := range d.Honest {
+			before[i] = d.Procs[id].ResultCount()
+		}
+		d.Net.Run(ga.PulsesPerPlay(f))
+		for i, id := range d.Honest {
+			if d.Procs[id].ResultCount()-before[i] != 1 {
+				violations++
+				break
+			}
+		}
+	}
+	plays = d.Procs[d.Honest[0]].ResultCount() - first
+	if d.ConsistentResults(plays) != nil {
+		violations++
+	}
+	return plays, violations
+}
+
+// reconverge corrupts every processor of d and steps it until every
+// honest processor has recorded `stable` plays since the fault and their
+// tails agree. It returns the pulses taken, or false on a timeout.
+func reconverge(d *ga.DistributedSession, f int, entropy uint64) (int, bool) {
+	d.Net.Corrupt(prng.New(entropy).Uint64)
+	for pulse := 1; pulse <= reconvergeBudget*ga.PulsesPerPlay(f); pulse++ {
+		d.Net.StepLockstep()
+		ready := true
+		for _, id := range d.Honest {
+			ready = ready && d.Procs[id].ResultCount() >= stable
+		}
+		if ready && d.ConsistentResults(stable) == nil {
+			return pulse, true
+		}
+	}
+	return 0, false
+}
+
+func runET1(quick bool) error {
+	p := 30
 	if quick {
-		periods = 10
+		p = 10
 	}
-	evil := prng.New(3)
-	byz := map[int]sim.Adversary{3: sim.EquivocateAdversary(func(to int, payload any) any {
-		msg, ok := payload.(ssba.Msg)
-		if !ok {
-			return payload
+	fmt.Printf("  %-4s %-4s %-26s %-8s %-10s\n", "n", "f", "byzantine", "plays", "violations")
+	for _, row := range []struct {
+		n, f int
+		desc string
+		byz  map[int]ga.Adversary
+	}{
+		{4, 1, "3: replay", map[int]ga.Adversary{3: ga.ReplayAdversary()}},
+		{7, 2, "5: replay, 6: drop 80 %", map[int]ga.Adversary{5: ga.ReplayAdversary(), 6: ga.DropAdversary(3, 0.8)}},
+	} {
+		s, d := distributed(row.n, row.f, 17, row.byz)
+		plays, violations := periods(d, row.f, p)
+		fatal(s.Close())
+		fmt.Printf("  %-4d %-4d %-26s %-8d %-10d\n", row.n, row.f, row.desc, plays, violations)
+		if violations > 0 {
+			return fmt.Errorf("n=%d f=%d: %d Theorem 1 violations", row.n, row.f, violations)
 		}
-		msg.Tick = int(evil.Uint64() % 8)
-		return msg
-	})}
-	fmt.Printf("  %-10s %-10s %-12s %-10s\n", "n", "f", "agreements", "violations")
-	for _, n := range []int{4, 7} {
-		f := (n - 1) / 3
-		var adv map[int]sim.Adversary
-		if n == 4 {
-			adv = byz
-		}
-		h, err := ssba.NewHarness(n, f, 0, 17, func(id, pulse int) bap.Value { return "motion" }, adv)
-		fatal(err)
-		h.Net.Run(periods * h.Procs[0].M())
-		got := len(h.Procs[h.Honest[0]].Decisions())
-		violations := len(h.CheckDecisions(periods - 2))
-		fmt.Printf("  %-10d %-10d %-12d %-10d\n", n, f, got, violations)
 	}
-	fmt.Println("  (termination/validity/agreement hold in every period — Theorem 1)")
+	fmt.Printf("  (%d periods of PulsesPerPlay(f): one agreed play per period at every honest processor — Theorem 1)\n", p)
+	return nil
 }
 
-func runEL2(quick bool) {
-	trials := 30
+func runEL2(quick bool) error {
+	trials := 32
 	if quick {
 		trials = 8
 	}
-	fmt.Printf("  %-6s %-6s %-14s %-10s %-10s\n", "n", "f", "mean pulses", "p95", "max")
-	for _, cfg := range []struct{ n, f int }{{4, 0}, {4, 1}, {7, 1}, {7, 2}} {
+	shapes := [][2]int{{4, 1}, {7, 2}, {10, 2}}
+	if !quick {
+		shapes = append(shapes, [2]int{16, 1})
+	}
+	fmt.Printf("  %-4s %-4s %-7s %-6s %-12s %-10s %-8s %-10s\n",
+		"n", "f", "pulses", "seeds", "mean pulses", "p95", "max", "mean plays")
+	for _, sh := range shapes {
+		n, f := sh[0], sh[1]
 		var xs []float64
 		for trial := 0; trial < trials; trial++ {
-			h, err := ssba.NewHarness(cfg.n, cfg.f, 0, uint64(100+trial), func(id, pulse int) bap.Value { return "v" }, nil)
-			fatal(err)
-			ent := prng.New(uint64(9000 + trial*31))
-			p := h.ConvergencePulses(ent.Uint64, 2, 500000)
+			s, d := distributed(n, f, uint64(100+trial), nil)
+			p, ok := reconverge(d, f, uint64(9000+trial*31))
+			fatal(s.Close())
+			if !ok {
+				return fmt.Errorf("n=%d f=%d trial %d: no reconvergence within %d plays", n, f, trial, reconvergeBudget)
+			}
 			xs = append(xs, float64(p))
 		}
-		s := metrics.Summarize(xs)
-		fmt.Printf("  %-6d %-6d %-14.1f %-10.1f %-10.0f\n", cfg.n, cfg.f, s.Mean, s.P95, s.Max)
+		m := metrics.Summarize(xs)
+		ppp := ga.PulsesPerPlay(f)
+		fmt.Printf("  %-4d %-4d %-7d %-6d %-12.1f %-10.1f %-8.0f %-10.1f\n",
+			n, f, ppp, trials, m.Mean, m.P95, m.Max, m.Mean/float64(ppp))
 	}
-	fmt.Println("  (finite convergence from every corrupted start — Lemma 2; grows with n, f)")
+	fmt.Printf("  (pulses from a full corruption to %d consistent plays — Lemma 2; the clock's expected O(2^(n−f)) shows at (16, 1))\n", stable)
+	return nil
 }
 
-func runEL3(quick bool) {
-	periods := 200
+func runEL3(quick bool) error {
+	p := 200
 	if quick {
-		periods = 50
+		p = 50
 	}
-	h, err := ssba.NewHarness(4, 1, 0, 5, func(id, pulse int) bap.Value { return "steady" }, nil)
-	fatal(err)
-	ent := prng.New(6)
-	if p := h.ConvergencePulses(ent.Uint64, 2, 500000); p > 500000 {
-		fatal(fmt.Errorf("no convergence"))
+	const n, f = 4, 1
+	s, d := distributed(n, f, 5, nil)
+	defer s.Close()
+	if _, ok := reconverge(d, f, 6); !ok {
+		return fmt.Errorf("no reconvergence within %d plays", reconvergeBudget)
 	}
-	before := len(h.Procs[0].Decisions())
-	h.Net.Run(periods * h.Procs[0].M())
-	agreements := len(h.Procs[0].Decisions()) - before
-	violations := len(h.CheckDecisions(periods - 2))
-	fmt.Printf("  periods=%d agreements=%d (exactly one per period) violations=%d\n",
-		periods, agreements, violations)
+	plays, violations := periods(d, f, p)
+	fmt.Printf("  n=%d f=%d periods=%d plays=%d (exactly one per period) violations=%d\n", n, f, p, plays, violations)
+	if violations > 0 {
+		return fmt.Errorf("%d Lemma 3 violations", violations)
+	}
+	return nil
 }
 
-func runET5(quick bool) {
+func runET5(quick bool) error {
 	seeds := 20
 	maxK := 10000
 	if quick {
@@ -191,6 +281,7 @@ func runET5(quick bool) {
 		maxK = 1000
 	}
 	ks := []int{1, 4, 16, 64, 256, 1024, 4096, 10000}
+	exceeded := 0
 	fmt.Printf("  %-8s %-8s %-8s", "n", "b", "k")
 	fmt.Printf(" %-10s %-10s %-8s\n", "E[R(k)]", "1+2b/k", "ok")
 	for _, cfg := range []struct{ n, b int }{{4, 2}, {8, 4}, {16, 8}} {
@@ -217,14 +308,19 @@ func runET5(quick bool) {
 			ok := "✓"
 			if mean > bound+0.05 {
 				ok = "✗"
+				exceeded++
 			}
 			fmt.Printf("  %-8d %-8d %-8d %-10.4f %-10.4f %-8s\n", cfg.n, cfg.b, k, mean, bound, ok)
 		}
 	}
 	fmt.Println("  (R(k) ≤ 1+2b/k and R(k) → 1 — Theorem 5)")
+	if exceeded > 0 {
+		return fmt.Errorf("%d points above the Theorem 5 bound", exceeded)
+	}
+	return nil
 }
 
-func runEPoM(quick bool) {
+func runEPoM(quick bool) error {
 	grid := 24
 	if quick {
 		grid = 12
@@ -272,9 +368,10 @@ func runEPoM(quick bool) {
 		fmt.Printf("  %-8d %-16.3f %-14.3f %-14d\n", byzCount, pomNo, pomAuth, len(liars))
 	}
 	fmt.Println("  (the authority pushes PoM back toward 1 for every byz > 0 — §5.4)")
+	return nil
 }
 
-func runEAUD(quick bool) {
+func runEAUD(quick bool) error {
 	rounds := 256
 	if quick {
 		rounds = 64
@@ -302,9 +399,10 @@ func runEAUD(quick bool) {
 		runMode(fmt.Sprintf("batched T=%d", t), ga.WithAudit(ga.AuditBatched, ga.EpochLen(t)))
 	}
 	fmt.Println("  (batched epoch audits amortize the §5.3 overhead roughly as 3/T)")
+	return nil
 }
 
-func runEPUN(quick bool) {
+func runEPUN(quick bool) error {
 	strategies := func(int, ga.Profile) ga.MixedProfile {
 		return ga.MixedProfile{ga.Uniform(2), ga.Uniform(2)}
 	}
@@ -337,9 +435,10 @@ func runEPUN(quick bool) {
 		fmt.Printf("  %-14s %-20d %-18.2f\n", scheme.Name(), excludedAt, -s.Stats().CumulativeCost[1])
 	}
 	fmt.Println("  (harsher schemes bound the manipulation damage sooner — §3.4)")
+	return nil
 }
 
-func runEVOTE(quick bool) {
+func runEVOTE(quick bool) error {
 	candidates := []ga.Candidate{
 		{Game: ga.MatchingPennies(), Description: "matching pennies"},
 		{Game: ga.PrisonersDilemma(), Description: "prisoner's dilemma"},
@@ -357,50 +456,33 @@ func runEVOTE(quick bool) {
 	fmt.Printf("  %-10s winner=%d (%s) scores=%v\n", "naive", naive.Winner, candidates[naive.Winner].Description, naive.Scores)
 	fmt.Printf("  %-10s winner=%d (%s) scores=%v cheaters=%v\n", "robust", robust.Winner, candidates[robust.Winner].Description, robust.Scores, robust.Cheaters)
 	fmt.Println("  (commit-reveal forecloses last-mover manipulation — §3.1)")
+	return nil
 }
 
-func runEBAP(quick bool) {
-	fmt.Printf("  %-6s %-6s %-10s %-14s %-12s\n", "n", "f", "rounds", "messages", "agreement")
-	for _, cfg := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {13, 4}} {
-		if quick && cfg.n > 10 {
-			continue
-		}
-		procs := make([]sim.Process, cfg.n)
-		raws := make([]*bap.Proc, cfg.n)
-		for j := 0; j < cfg.n; j++ {
-			p, err := bap.NewProc(j, cfg.n, cfg.f, "v")
-			fatal(err)
-			raws[j] = p
-			procs[j] = p
-		}
-		nw, err := sim.NewNetwork(procs, nil)
-		fatal(err)
-		evil := prng.New(uint64(cfg.n))
-		for k := 0; k < cfg.f; k++ {
-			nw.SetByzantine(cfg.n-1-k, sim.EquivocateAdversary(func(to int, payload any) any {
-				_ = evil.Uint64()
-				return payload
-			}))
-		}
-		nw.Run(bap.Rounds(cfg.f) + 2)
-		agreed := true
-		var val bap.Value
-		first := true
-		for j := 0; j < cfg.n-cfg.f; j++ {
-			v, err := raws[j].Decision()
-			fatal(err)
-			if first {
-				val, first = v, false
-			} else if v != val {
-				agreed = false
-			}
-		}
-		fmt.Printf("  %-6d %-6d %-10d %-14d %-12v\n", cfg.n, cfg.f, bap.Rounds(cfg.f), nw.Stats.MessagesSent, agreed)
+func runEBAP(quick bool) error {
+	const plays = 3
+	shapes := [][2]int{{4, 1}, {7, 2}, {10, 2}}
+	if !quick {
+		shapes = append(shapes, [2]int{16, 1})
 	}
-	fmt.Println("  (EIG: f+1 rounds, message count grows exponentially in f — the [16] trade-off)")
+	fmt.Printf("  %-4s %-4s %-16s %-18s %-14s %-10s\n", "n", "f", "pulses/play", "messages/play", "bap.Cost", "agreement")
+	for _, sh := range shapes {
+		n, f := sh[0], sh[1]
+		s, d := distributed(n, f, 1, nil)
+		d.Net.Run(plays * ga.PulsesPerPlay(f))
+		agreed := d.Procs[d.Honest[0]].ResultCount() == plays && d.ConsistentResults(plays) == nil
+		fatal(s.Close())
+		fmt.Printf("  %-4d %-4d %-16d %-18d %-14.0f %-10v\n",
+			n, f, ga.PulsesPerPlay(f), d.Net.Stats.MessagesSent/plays, bap.Cost(n, f), agreed)
+		if !agreed {
+			return fmt.Errorf("n=%d f=%d: honest replicas disagree", n, f)
+		}
+	}
+	fmt.Println("  (four interactive consistencies per play; EIG cost grows as n^(f+3) — the [16] trade-off; (10, 3) and (13, 4) are refused at the door)")
+	return nil
 }
 
-func runEEXT(quick bool) {
+func runEEXT(quick bool) error {
 	rounds := 400
 	trials := 10
 	if quick {
@@ -491,6 +573,7 @@ func runEEXT(quick bool) {
 		fmt.Printf("  %-8d %-10d %-22s %-14.1f\n", r.Term, r.Election.Winner, names[r.Election.Winner], r.SocialCost)
 	}
 	fmt.Println("  (the society reelects a cheaper game once its preferences shift)")
+	return nil
 }
 
 func fatal(err error) {

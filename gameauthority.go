@@ -30,8 +30,8 @@
 //     HTTP/JSON API (see cmd/gameauthd -serve).
 //
 // All randomness is seeded and replayable; see DESIGN.md for the system
-// inventory and the API surface, and EXPERIMENTS.md for the reproduced
-// results.
+// inventory and the API surface, and `go run ./cmd/experiments` (indexed
+// in DESIGN.md §2) for the reproduced results.
 package gameauthority
 
 import (

@@ -233,3 +233,14 @@ func (p *DSProc) Corrupt(entropy func() uint64) {
 	p.extracted = make(map[Value][]dsChainLink)
 	p.relayQ = nil
 }
+
+// broadcastAll fabricates one message per destination (including self,
+// which simplifies quorum counting); the network enforces topology and
+// stamps From.
+func broadcastAll(from, n int, payload any) []sim.Message {
+	out := make([]sim.Message, 0, n)
+	for to := 0; to < n; to++ {
+		out = append(out, sim.Message{From: from, To: to, Payload: payload})
+	}
+	return out
+}

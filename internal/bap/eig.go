@@ -68,7 +68,7 @@ func layoutFor(n, f int) *eigLayout {
 // buildLayout enumerates the distinct-id labels level by level. Within a
 // level, parents are visited in index (= lexicographic) order and children
 // appended in processor order, so same-length labels are lexicographically
-// sorted by construction — RoundMessages inherits sortedness for free.
+// sorted by construction — AppendRoundMessages inherits sortedness for free.
 func buildLayout(n, f int) *eigLayout {
 	lay := &eigLayout{n: n, f: f, index: make(map[string]int32)}
 	lay.labels = append(lay.labels, "")
@@ -118,7 +118,7 @@ func (l *eigLayout) level(lv int) (int32, int32) {
 
 // EIG is one processor's state in a single EIG agreement instance.
 // It is a pure state machine: the caller moves messages between instances
-// (the sim adapter in process.go does this over a Network).
+// (the IC engine in ic.go runs n of them per processor).
 //
 // State is a pair of flat arrays indexed by the shared layout — no maps,
 // no per-round allocation: Absorb, RoundMessages (via AppendRoundMessages)
@@ -186,17 +186,11 @@ func labelContains(label string, j int) bool {
 	return false
 }
 
-// RoundMessages returns the pairs processor id must broadcast in the given
-// round (0-based): all tree nodes at level == round whose label does not
-// contain id, in label order. Every processor receives the same pairs
-// (honest behaviour).
-func (e *EIG) RoundMessages(round int) []Pair {
-	return e.AppendRoundMessages(round, nil)
-}
-
-// AppendRoundMessages is RoundMessages into a caller-owned buffer: pairs
-// are appended to dst and the extended slice returned. With a pre-sized
-// buffer the call does not allocate.
+// AppendRoundMessages appends to dst the pairs processor id must
+// broadcast in the given round (0-based): all tree nodes at level ==
+// round whose label does not contain id, in label order. Every processor
+// receives the same pairs (honest behaviour). With a pre-sized dst the
+// call does not allocate.
 func (e *EIG) AppendRoundMessages(round int, dst []Pair) []Pair {
 	if round < 0 || round > e.f+1 {
 		return dst
@@ -333,25 +327,4 @@ func (e *EIG) TreeSize() int {
 		}
 	}
 	return size
-}
-
-// Corrupt scrambles the instance's internal state (transient fault model):
-// random round counter, garbage values, arbitrary decision flag.
-func (e *EIG) Corrupt(entropy func() uint64) {
-	e.round = int(entropy() % uint64(e.f+2))
-	e.decided = entropy()&1 == 0
-	e.decision = Value(fmt.Sprintf("garbage-%d", entropy()%97))
-	for i := range e.set {
-		e.set[i] = false
-	}
-	e.vals[0] = e.decision
-	e.set[0] = true
-	// A few arbitrary nodes.
-	for i := uint64(0); i < entropy()%5; i++ {
-		j := byte(entropy() % uint64(e.n))
-		if idx, ok := e.lay.index[string(j)]; ok {
-			e.vals[idx] = Value(fmt.Sprintf("junk-%d", entropy()%31))
-			e.set[idx] = true
-		}
-	}
 }

@@ -1,10 +1,10 @@
 package bap
 
-// This file is the allocation-free interactive-consistency engine used by
-// the distributed driver's pulse hot path. It runs the same protocol as
-// ICProc — one dissemination pulse, then all n EIG instances in lock-step —
-// but as a resettable state machine over pre-sized arenas instead of a
-// sim.Process that is rebuilt every phase:
+// This file is the interactive-consistency (vector agreement) engine the
+// distributed driver runs in every phase of a play (§3.3: outcomes,
+// commitment sets, reveal sets, foul sets): one dissemination pulse, then
+// all n EIG instances in lock-step, as a resettable state machine over
+// pre-sized arenas so that the pulse hot path does not allocate:
 //
 //   - the n EIG instances are allocated once per processor and Reset per
 //     phase (flat arrays over the shared (n, f) layout — see eig.go);
@@ -15,8 +15,11 @@ package bap
 //
 // The engine is message-passive: the carrier protocol (core's distMsg)
 // calls Deliver for each inbound payload and then EndPulse once per
-// network pulse. ICProc remains as the standalone sim adapter; its value-
-// typed wire formats (eigPayload, icInit) are pinned by Byzantine tests.
+// network pulse.
+
+// TotalPulses returns the number of pulses interactive consistency needs:
+// one dissemination pulse, f+1 EIG rounds, and one final absorb pulse.
+func TotalPulses(f int) int { return Rounds(f) + 2 }
 
 // icSlabRounds is how many pulses an emitted payload must stay untouched
 // before its slab slot is reused: one pulse in transit, one being read,
@@ -24,7 +27,7 @@ package bap
 const icSlabRounds = 3
 
 // icIntro is the dissemination-pulse payload: the sender's private value.
-// Pointer-typed on the wire (unlike icInit) so emitting it is heap-free.
+// Pointer-typed on the wire so emitting it is heap-free.
 type icIntro struct {
 	Val Value
 }
@@ -99,7 +102,7 @@ func (ic *IC) Reset(private Value) {
 
 // Deliver ingests one payload received from processor `from` this pulse.
 // Payloads from the wrong pulse position (stale rounds, pre-dissemination
-// traffic) are dropped, mirroring ICProc's inbox filters.
+// traffic) are dropped.
 func (ic *IC) Deliver(from int, payload any) {
 	if ic.done {
 		return

@@ -85,8 +85,8 @@ func (c *Clock) Step(pulse int, inbox []sim.Message) []sim.Message {
 
 // Vote records the clock value reported by processor from on the current
 // pulse (first report per sender wins; Byzantine garbage is sanitized into
-// range). Composition layers (ssba, the authority) call Vote/Tick directly
-// when they multiplex clock votes into their own message types.
+// range). The distributed authority (internal/core) calls Vote/Tick
+// directly, multiplexing clock votes into its own message type.
 func (c *Clock) Vote(from, value int) {
 	if from < 0 || from >= c.n || c.voted[from] {
 		return

@@ -21,5 +21,6 @@
 // independent 1/2 chance to land on a common value, so the system reaches
 // agreement in expected O(2^(n−f)) pulses — exponential like the randomized
 // algorithm of [11], and perfectly tractable at the paper's simulated
-// scales. The E-L2 experiment measures the empirical distribution.
+// scales. The E-L2 experiment measures the empirical distribution on the
+// distributed authority; DESIGN.md §13 records it.
 package clocksync

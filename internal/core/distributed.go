@@ -83,8 +83,7 @@ type DistProcessor struct {
 	m        int
 
 	// ic is the allocation-free interactive-consistency engine, built once
-	// at construction and Reset at every phase start; icActive gates it
-	// (replacing the old throwaway-ICProc-per-phase, where nil meant idle).
+	// at construction and Reset at every phase start; icActive gates it.
 	ic        *bap.IC
 	icActive  bool
 	icPhase   distPhase
@@ -333,7 +332,7 @@ func (p *DistProcessor) privateValue(phase distPhase, pulse int) bap.Value {
 		return bap.Value(EncodeProfile(p.prev))
 
 	case phaseCommit:
-		action := p.behavior.Choose(p.round, clonePrev(p.prev))
+		action := p.behavior.Choose(p.round, clonePrev(p.lastOutcome()))
 		src := deriveAgentSource(p.seed, p.id, p.round)
 		digest, opening := commit.Commit(src, audit.EncodeAction(action))
 		p.myOpening = opening
@@ -424,20 +423,25 @@ func (p *DistProcessor) localAudit() (audit.Verdict, game.Profile, error) {
 	}
 	ev := audit.PlayEvidence{
 		Round:       p.round,
-		PrevOutcome: p.prev,
+		PrevOutcome: p.lastOutcome(),
 		Commitments: p.digests,
 		Openings:    p.openings,
 		Revealed:    p.revealed,
 	}
-	// A corrupted prev that fails validation would error the audit; treat
-	// it as "first play" evidence instead (self-stabilization over
-	// strictness — the next wrap re-agrees everything).
-	if ev.PrevOutcome != nil {
-		if game.ValidateProfile(p.g, ev.PrevOutcome) != nil {
-			ev.PrevOutcome = nil
-		}
-	}
 	return audit.PerRound(p.g, ev)
+}
+
+// lastOutcome returns the previous play's outcome, or nil when prev is
+// not a legitimate profile of the game: a transient fault scrambles it,
+// and a Byzantine outcome claim can win the majority while clocks
+// converge. Every consumer then treats the play as a first play
+// (self-stabilization over strictness — the next wrap re-agrees
+// everything) instead of indexing the game with an action it lacks.
+func (p *DistProcessor) lastOutcome() game.Profile {
+	if p.prev != nil && game.ValidateProfile(p.g, p.prev) != nil {
+		return nil
+	}
+	return p.prev
 }
 
 // finishPlay applies the agreed verdict, publishes the outcome, punishes,
@@ -475,8 +479,8 @@ func (p *DistProcessor) finishPlay(verdictVector []bap.Value, pulse int) {
 			continue
 		}
 		// Executive restriction/substitution.
-		if p.prev != nil {
-			outcome[i] = game.BestResponse(p.g, i, p.prev)
+		if prev := p.lastOutcome(); prev != nil {
+			outcome[i] = game.BestResponse(p.g, i, prev)
 		}
 	}
 	p.results = append(p.results, DistRound{Pulse: pulse, Outcome: outcome, Guilty: guilty})
