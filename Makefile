@@ -1,16 +1,13 @@
 GO ?= go
 
-.PHONY: ci fmt fmt-fix vet build test race hammer bench bench-compare bench-quick bench-smoke \
-	docs-check fuzz-smoke cover-gate clean
+.PHONY: ci fmt vet build test race hammer bench bench-compare bench-quick bench-smoke \
+	docs-check fuzz-smoke cover-gate
 
 ci: fmt vet build test race hammer bench-smoke bench-quick docs-check fuzz-smoke cover-gate
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-
-fmt-fix:
-	gofmt -w .
 
 vet:
 	$(GO) vet ./...
@@ -76,7 +73,7 @@ fuzz-smoke:
 # covered by the whole suite (merged -coverpkg profile; see
 # cmd/covergate). The profile lives in a temp file so repeated local runs
 # leave no cover.out litter in the work tree.
-COVER_PKGS = ./internal/core,./internal/punish,./internal/audit,./internal/deviate,./internal/store,./internal/wire,./internal/hub,./internal/faults,./internal/sim,./internal/bap,./internal/clocksync,./internal/obs
+COVER_PKGS = ./internal/core,./internal/punish,./internal/audit,./internal/deviate,./internal/store,./internal/wire,./internal/hub,./internal/faults,./internal/sim,./internal/bap,./internal/clocksync,./internal/obs,./internal/stats
 cover-gate:
 	@profile=$$(mktemp); \
 	$(GO) test -short -coverprofile=$$profile -coverpkg=$(COVER_PKGS) ./... > /dev/null && \
@@ -86,13 +83,9 @@ cover-gate:
 		gameauthority/internal/store gameauthority/internal/wire \
 		gameauthority/internal/hub gameauthority/internal/faults \
 		gameauthority/internal/sim gameauthority/internal/bap \
-		gameauthority/internal/clocksync gameauthority/internal/obs; \
+		gameauthority/internal/clocksync gameauthority/internal/obs \
+		gameauthority/internal/stats; \
 	status=$$?; rm -f $$profile; exit $$status
-
-# Remove generated local artifacts (coverage profiles, build cache junk).
-clean:
-	rm -f cover.out
-	$(GO) clean ./...
 
 # Every internal package must carry a package comment (the godoc story of
 # DESIGN.md §1); CI fails when one goes missing.

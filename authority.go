@@ -12,9 +12,19 @@ import (
 	"gameauthority/internal/bap"
 	"gameauthority/internal/core"
 	"gameauthority/internal/hub"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/obs"
 	"gameauthority/internal/store"
+)
+
+// The host's lifecycle and group-commit counters. gameauthority_sessions
+// is a scrape-time gauge over the newest Authority (registerGauges).
+var (
+	sessionsCreated = obs.NewCounter("gameauthority_sessions_created_total",
+		"Sessions ever hosted.")
+	commitEpochs = obs.NewCounter("gameauthority_commit_epochs_total",
+		"Group-commit fsync epochs flushed by the committer.")
+	fsyncs = obs.NewCounter("gameauthority_fsyncs_total",
+		"WAL-handle fsyncs issued by group-commit epochs.")
 )
 
 // Authority-host errors.
@@ -89,8 +99,6 @@ type Authority struct {
 	// folded into a snapshot every snapshotEvery journaled plays
 	// (WithSnapshotEvery; ≤ 0 disables periodic compaction).
 	snapshotEvery int
-	// counters are the host's operational counters (GET /metrics).
-	counters metrics.Counters
 	// restoring singleflights restore-on-miss replays per session id;
 	// restoreFailed memoizes ids whose replay failed deterministically
 	// (diverged digest, unbuildable spec) so every later request does not
@@ -187,6 +195,10 @@ type HostedSession struct {
 	// observeRound bound once, the sink every driver PlayN is handed.
 	call    playCall
 	onRound func(RoundResult) error
+	// guiltyFouls marks a distributed session: its results carry no
+	// verdict, and each guilty processor of a round is one foul (as its
+	// Stats().Fouls counts them).
+	guiltyFouls bool
 }
 
 // ID returns the session's registry key.
@@ -214,15 +226,14 @@ func NewAuthority(opts ...AuthorityOption) *Authority {
 			SetGroupCommit(time.Duration, int, func(synced, parked int))
 		}); ok {
 			st.SetGroupCommit(a.gcWindow, a.gcMaxBatch, func(synced, parked int) {
-				a.counters.CommitEpochs.Add(1)
-				a.counters.Fsyncs.Add(int64(synced))
+				commitEpochs.Inc()
+				fsyncs.Add(int64(synced))
 			})
 		}
 	}
 	// Arm the fault plan after all options so WithFaultPlan and WithStore
 	// compose in either order.
 	if a.faultPlan != nil {
-		a.faultPlan.AttachCounters(&a.counters)
 		if st := a.getStore(); st != nil {
 			a.store.Store(&storeBox{st: a.faultPlan.Store(st)})
 		}
@@ -232,12 +243,15 @@ func NewAuthority(opts ...AuthorityOption) *Authority {
 }
 
 // registerGauges publishes this authority's scrape-time gauges: live
-// sessions per registry shard, open circuit breakers, and the process
-// runtime stats. Registration replaces by name+labels, so the newest
-// authority owns the series (the semantics tests want when they build
-// many short-lived authorities) and the hot paths pay nothing — every
-// value is computed at scrape time.
+// sessions, in all and per registry shard, and open circuit breakers.
+// Registration replaces by name+labels, so the newest authority owns the
+// series (the semantics tests want when they build many short-lived
+// authorities) and the hot paths pay nothing — every value is computed at
+// scrape time.
 func (a *Authority) registerGauges() {
+	obs.RegisterGaugeFunc("gameauthority_sessions",
+		"Currently hosted authority sessions.",
+		func() float64 { return float64(a.Len()) })
 	for i := range a.shards {
 		sh := &a.shards[i]
 		obs.RegisterGaugeFunc("gameauthority_shard_sessions",
@@ -265,7 +279,6 @@ func (a *Authority) registerGauges() {
 			}
 			return float64(open)
 		})
-	obs.RegisterRuntimeGauges(obs.Default)
 }
 
 // shardFor maps a session ID onto its shard (FNV-1a over the ID bytes;
@@ -357,11 +370,10 @@ func (a *Authority) hostAt(sh *authorityShard, id string, s Session) (*HostedSes
 	if _, taken := sh.sessions[id]; taken {
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
-	h := &HostedSession{Session: s, id: id, a: a}
+	h := &HostedSession{Session: s, id: id, a: a, guiltyFouls: AsDistributed(s) != nil}
 	h.onRound = h.observeRound
 	sh.sessions[id] = h
-	a.counters.Sessions.Add(1)
-	a.counters.SessionsCreated.Add(1)
+	sessionsCreated.Inc()
 	return h, nil
 }
 
@@ -486,10 +498,9 @@ func (a *Authority) clearRestoreMemo(id string) {
 	a.restoreMu.Unlock()
 }
 
-// unhost removes h's registry entry if this session still owns it,
-// decrementing the gauge; it reports whether the caller won the removal
-// (the winner runs Close). The store is never touched — ledger fate is
-// the caller's business.
+// unhost removes h's registry entry if this session still owns it; it
+// reports whether the caller won the removal (the winner runs Close). The
+// store is never touched — ledger fate is the caller's business.
 func (a *Authority) unhost(h *HostedSession) bool {
 	sh := a.shardFor(h.id)
 	sh.mu.Lock()
@@ -499,9 +510,6 @@ func (a *Authority) unhost(h *HostedSession) bool {
 		delete(sh.sessions, h.id)
 	}
 	sh.mu.Unlock()
-	if owned {
-		a.counters.Sessions.Add(-1)
-	}
 	return owned
 }
 
@@ -557,7 +565,6 @@ func (a *Authority) Close() error {
 		sh.sessions = make(map[string]*HostedSession)
 		sh.mu.Unlock()
 		for _, h := range sessions {
-			a.counters.Sessions.Add(-1)
 			// Latch the close journal shut: this is host shutdown, not a
 			// session close.
 			h.closeLogged.Store(true)

@@ -19,9 +19,9 @@ import (
 	"gameauthority/internal/auth"
 	"gameauthority/internal/bap"
 	"gameauthority/internal/game"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/punish"
 	"gameauthority/internal/sim"
+	"gameauthority/internal/stats"
 )
 
 // BenchmarkEF1MatchingPennies regenerates Fig. 1's manipulation analysis:
@@ -97,11 +97,11 @@ func BenchmarkEPoMInoculation(b *testing.B) {
 		secureA2, _ := authority.Equilibrium(seed+1, 200)
 		costAuth := authority.SocialCost(secureA2, authority.HonestNodes())
 
-		p1, err := metrics.PriceOfMalice(costWith, costHonestOnly)
+		p1, err := stats.PriceOfMalice(costWith, costHonestOnly)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p2, err := metrics.PriceOfMalice(costAuth, costHonestOnly)
+		p2, err := stats.PriceOfMalice(costAuth, costHonestOnly)
 		if err != nil {
 			b.Fatal(err)
 		}

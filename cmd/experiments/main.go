@@ -21,8 +21,8 @@ import (
 	ga "gameauthority"
 	"gameauthority/internal/bap"
 	"gameauthority/internal/game"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/prng"
+	"gameauthority/internal/stats"
 )
 
 func main() {
@@ -245,7 +245,7 @@ func runEL2(quick bool) error {
 			}
 			xs = append(xs, float64(p))
 		}
-		m := metrics.Summarize(xs)
+		m := stats.Summarize(xs)
 		ppp := ga.PulsesPerPlay(f)
 		fmt.Printf("  %-4d %-4d %-7d %-6d %-12.1f %-10.1f %-8.0f %-10.1f\n",
 			n, f, ppp, trials, m.Mean, m.P95, m.Max, m.Mean/float64(ppp))
@@ -303,7 +303,7 @@ func runET5(quick bool) error {
 				fatal(err)
 				ratios = append(ratios, r)
 			}
-			mean := metrics.Summarize(ratios).Mean
+			mean := stats.Summarize(ratios).Mean
 			bound := ga.Theorem5Bound(cfg.b, k)
 			ok := "✓"
 			if mean > bound+0.05 {
@@ -525,7 +525,7 @@ func runEEXT(quick bool) error {
 			reveals += float64(st.Protocol.Reveals) / float64(st.Rounds)
 		}
 		fmt.Printf("  %-10.2f %-22.1f %-18.2f %-14.2f\n",
-			p, metrics.Summarize(latencies).Mean, agreements/float64(trials), reveals/float64(trials))
+			p, stats.Summarize(latencies).Mean, agreements/float64(trials), reveals/float64(trials))
 	}
 
 	// --- Statistical screening (§5.2) ---------------------------------------

@@ -37,7 +37,7 @@ import (
 
 	ga "gameauthority"
 	"gameauthority/internal/invariant"
-	"gameauthority/internal/metrics"
+	"gameauthority/internal/stats"
 )
 
 func main() {
@@ -228,7 +228,7 @@ func run(cfg config) error {
 // writeSummary prints one row: the plays a scenario got through in the
 // concurrent play window and the per-play latency percentiles.
 func writeSummary(w io.Writer, name, driver string, lat []float64, sessions int, window time.Duration) {
-	s := metrics.Summarize(lat)
+	s := stats.Summarize(lat)
 	fmt.Fprintf(w, "%-20s %-12s %8d %8d %12.0f %12v %12v\n", name, driver, sessions, s.N,
 		float64(s.N)/window.Seconds(), time.Duration(s.P50).Round(10*time.Nanosecond), time.Duration(s.P99).Round(10*time.Nanosecond))
 }

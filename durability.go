@@ -15,14 +15,34 @@ import (
 	"gameauthority/internal/store"
 )
 
-// Host-layer telemetry: whole-batch latency for PlayN calls and
-// restore/replay duration for crash recovery. The per-round play
-// latency lives in the drivers (internal/core); see DESIGN.md §14.
+// Host-layer telemetry: whole-batch latency for PlayN calls,
+// restore/replay duration for crash recovery, and the play, verdict and
+// journal counters. The per-round play latency lives in the drivers
+// (internal/core); see DESIGN.md §14.
 var (
 	playNBatchLatency = obs.NewHistogram("gameauthority_playn_batch_seconds",
 		"Latency of one PlayN batch (all rounds + the coalesced journal append).")
 	restoreLatency = obs.NewHistogram("gameauthority_restore_seconds",
 		"Duration of one session restore: journal load + deterministic replay.")
+
+	playsTotal = obs.NewCounter("gameauthority_plays_total",
+		"Completed plays across hosted sessions.")
+	foulsTotal = obs.NewCounter("gameauthority_fouls_total",
+		"Judicial fouls observed in hosted plays.")
+	convictionsTotal = obs.NewCounter("gameauthority_convictions_total",
+		"Guilty verdicts observed in hosted plays.")
+	breakerOpens = obs.NewCounter("gameauthority_breaker_opens_total",
+		"Per-session circuit-breaker trips on repeated store failures.")
+	walRecords = obs.NewCounter("gameauthority_wal_records_total",
+		"Write-ahead-log records appended to the store.")
+	batchedPlays = obs.NewCounter("gameauthority_batched_plays_total",
+		"Plays journaled through batch WAL records (PlayN).")
+	snapshotsTotal = obs.NewCounter("gameauthority_snapshots_total",
+		"Compacted snapshots written to the store.")
+	recoveries = obs.NewCounter("gameauthority_recoveries_total",
+		"Sessions restored from the durable store.")
+	replayedRounds = obs.NewCounter("gameauthority_replayed_rounds_total",
+		"Plays re-executed during recovery.")
 )
 
 // Store is the authority's pluggable persistence backend: a per-session
@@ -241,7 +261,7 @@ func (h *HostedSession) Play(ctx context.Context) (RoundResult, error) {
 }
 
 // PlayN executes n plays on the hosted session under a single journal
-// (and driver) lock acquisition, bumps the host counters, and journals
+// (and driver) lock acquisition, bumps the play counters, and journals
 // the request as ONE WAL record (durable sessions) carrying each play's
 // canonical transcript hash, which recovery re-verifies. State evolution
 // is identical to n sequential Play calls (the drivers' Play is their
@@ -299,14 +319,12 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 		}
 	}
 	res, err := h.Session.PlayN(ctx, n, h.onRound)
-	if c.completed > 0 {
-		a.counters.Plays.Add(c.completed)
-	}
-	if c.fouls > 0 {
-		a.counters.Fouls.Add(c.fouls)
+	playsTotal.Add(c.completed)
+	if c.fouls > 0 { // most plays have none: skip the shared cache line
+		foulsTotal.Add(c.fouls)
 	}
 	if c.convictions > 0 {
-		a.counters.Convictions.Add(c.convictions)
+		convictionsTotal.Add(c.convictions)
 	}
 	// Journal whatever completed — on a mid-batch error the prefix stands,
 	// exactly as n sequential Play calls would have journaled it.
@@ -342,7 +360,11 @@ type playCall struct {
 func (h *HostedSession) observeRound(res RoundResult) error {
 	c := &h.call
 	c.completed++
-	c.fouls += int64(len(res.Verdict.Fouls))
+	if h.guiltyFouls {
+		c.fouls += int64(len(res.Convicted))
+	} else {
+		c.fouls += int64(len(res.Verdict.Fouls))
+	}
 	c.convictions += int64(len(res.Convicted))
 	if c.batch != nil {
 		bp := store.BatchPlay{
@@ -397,7 +419,7 @@ func (h *HostedSession) breakerRecord(failed bool) {
 	}
 	if h.breakerFails.Add(1) >= int64(a.breakerThreshold) {
 		h.breakerUntil.Store(time.Now().Add(a.breakerCooldown).UnixNano())
-		a.counters.BreakerOpens.Add(1)
+		breakerOpens.Inc()
 	}
 }
 
@@ -440,7 +462,7 @@ func (h *HostedSession) Close() error {
 		h.closeLogged.Store(false)
 		return fmt.Errorf("journal close: %w", errors.Join(ErrDurability, err))
 	}
-	h.a.counters.WALRecords.Add(1)
+	walRecords.Inc()
 	// Best-effort final compaction; the close record above already makes
 	// recovery exact.
 	_, _, _ = h.a.snapshotHosted(h, snap)
@@ -466,9 +488,9 @@ func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
 	if err := st.Append(h.id, rec); err != nil {
 		return fmt.Errorf("journal %s: %w", rec.Type, errors.Join(ErrDurability, err))
 	}
-	a.counters.WALRecords.Add(1)
+	walRecords.Inc()
 	if len(plays) > 1 {
-		a.counters.BatchedPlays.Add(int64(len(plays)))
+		batchedPlays.Add(int64(len(plays)))
 	}
 	if every := a.snapshotEvery; every > 0 {
 		// Claim the counter before compacting so concurrent plays past the
@@ -507,7 +529,7 @@ func (a *Authority) snapshotHosted(h *HostedSession, snap SessionSnapshot) (Sess
 		h.walPlays.Add(claimed) // return the claim; the WAL is intact
 		return snap, false, fmt.Errorf("snapshot: %w", errors.Join(ErrDurability, err))
 	}
-	a.counters.Snapshots.Add(1)
+	snapshotsTotal.Inc()
 	return snap, true, nil
 }
 
@@ -802,8 +824,8 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 	// Seed the cadence counter with the un-compacted tail so long tails
 	// compact soon after recovery.
 	h.walPlays.Store(int64(len(target.Hashes)))
-	a.counters.Recoveries.Add(1)
-	a.counters.ReplayedRounds.Add(int64(target.Rounds))
+	recoveries.Inc()
+	replayedRounds.Add(int64(target.Rounds))
 	return target.Rounds, true, nil
 }
 

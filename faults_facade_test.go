@@ -66,6 +66,7 @@ func TestWithFaultPlanWiring(t *testing.T) {
 		ga.WithBreaker(-1, 0), // isolate fault accounting from the breaker
 	)
 	srv := httptestServer(t, a)
+	before := scrapeSamples(t)["gameauthority_faults_injected_total"]
 
 	h, err := a.CreateFromSpec(ga.CreateSessionRequest{ID: "chaos-1", Game: "pd", Seed: 1})
 	if err != nil {
@@ -85,9 +86,9 @@ func TestWithFaultPlanWiring(t *testing.T) {
 		t.Fatalf("plan injected %d faults, want 3", got)
 	}
 
-	body := durGet(t, srv.URL+"/metrics", http.StatusOK)
-	if !strings.Contains(string(body), "gameauthority_faults_injected_total 3") {
-		t.Fatalf("metrics missing fault counter:\n%s", body)
+	after, _ := parseSamples(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
+	if got := after["gameauthority_faults_injected_total"] - before; got != 3 {
+		t.Fatalf("gameauthority_faults_injected_total moved by %v, want 3", got)
 	}
 }
 
@@ -105,6 +106,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	srv := httptestServer(t, a)
 
 	failing = false
+	opens := scrapeSamples(t)["gameauthority_breaker_opens_total"]
 	h, err := a.CreateFromSpec(ga.CreateSessionRequest{ID: "brk-1", Game: "pd", Seed: 1})
 	if err != nil {
 		t.Fatalf("CreateFromSpec: %v", err)
@@ -128,8 +130,9 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	// The HTTP face fails fast too, and the trip is visible in /metrics.
 	durPost(t, srv.URL+"/sessions/brk-1/play", map[string]int{"rounds": 1}, http.StatusServiceUnavailable)
-	if body := durGet(t, srv.URL+"/metrics", http.StatusOK); !strings.Contains(string(body), "gameauthority_breaker_opens_total 1") {
-		t.Fatalf("metrics missing breaker trip:\n%s", body)
+	after, _ := parseSamples(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
+	if got := after["gameauthority_breaker_opens_total"] - opens; got != 1 {
+		t.Fatalf("gameauthority_breaker_opens_total moved by %v, want 1", got)
 	}
 
 	// Heal the store and wait out the cooldown: the half-open probe play

@@ -41,10 +41,10 @@ import (
 	"gameauthority/internal/core"
 	"gameauthority/internal/deviate"
 	"gameauthority/internal/game"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/obs"
 	"gameauthority/internal/punish"
 	"gameauthority/internal/sim"
+	"gameauthority/internal/stats"
 	"gameauthority/internal/voting"
 )
 
@@ -83,9 +83,9 @@ func TracedSpans() int { return obs.DefaultTracer.Len() }
 // loadable in chrome://tracing or Perfetto.
 func WriteTrace(w io.Writer) error { return obs.DefaultTracer.WriteJSON(w) }
 
-// WriteObsMetrics renders every registered histogram and gauge of the
-// observability plane in Prometheus text format — the same series
-// GET /metrics appends after the host counters.
+// WriteObsMetrics renders every registered series of the process's one
+// metrics registry — histograms, counters and gauges — in Prometheus text
+// format: exactly the body GET /metrics serves.
 func WriteObsMetrics(w io.Writer) error { return obs.Default.WritePrometheus(w) }
 
 // --- Strategic-form games ----------------------------------------------------
@@ -280,28 +280,28 @@ func Uniform(k int) Mixed { return game.Uniform(k) }
 
 // PriceOfAnarchy returns worst-PNE social cost over the optimum [18,17].
 func PriceOfAnarchy(g Game, limit int) (float64, error) {
-	return metrics.PriceOfAnarchy(g, limit)
+	return stats.PriceOfAnarchy(g, limit)
 }
 
 // PriceOfStability returns best-PNE social cost over the optimum [3].
 func PriceOfStability(g Game, limit int) (float64, error) {
-	return metrics.PriceOfStability(g, limit)
+	return stats.PriceOfStability(g, limit)
 }
 
 // PriceOfMalice returns the [21] ratio between the honest agents' social
 // cost with and without malicious participants.
 func PriceOfMalice(costWith, costWithout float64) (float64, error) {
-	return metrics.PriceOfMalice(costWith, costWithout)
+	return stats.PriceOfMalice(costWith, costWithout)
 }
 
 // MultiRoundAnarchyCost returns the paper's R(k) criterion for repeated
 // games (§6).
 func MultiRoundAnarchyCost(expectedMax float64, opt int64) (float64, error) {
-	return metrics.MultiRoundAnarchyCost(expectedMax, opt)
+	return stats.MultiRoundAnarchyCost(expectedMax, opt)
 }
 
 // Theorem5Bound returns the paper's bound 1 + 2b/k on R(k).
-func Theorem5Bound(b, k int) float64 { return metrics.Theorem5Bound(b, k) }
+func Theorem5Bound(b, k int) float64 { return stats.Theorem5Bound(b, k) }
 
 // --- Punishment schemes (executive service, §3.4) --------------------------------
 

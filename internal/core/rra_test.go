@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"gameauthority/internal/game"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/punish"
+	"gameauthority/internal/stats"
 )
 
 func TestNewRRASupervisedValidation(t *testing.T) {
@@ -33,11 +33,11 @@ func TestRRASupervisedHonestNoFouls(t *testing.T) {
 		t.Fatalf("honest RRA produced fouls: %+v", fouls[:1])
 	}
 	// Theorem 5 shape: ratio near 1 by k=300.
-	r, err := metrics.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), game.OptMaxLoad(6, 3, 300))
+	r, err := stats.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), game.OptMaxLoad(6, 3, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bound := metrics.Theorem5Bound(3, 300) + 0.05; r > bound {
+	if bound := stats.Theorem5Bound(3, 300) + 0.05; r > bound {
 		t.Fatalf("R(300) = %v exceeds bound %v", r, bound)
 	}
 }
@@ -92,7 +92,7 @@ func TestRRAUnsupervisedHogInflatesAnarchyCost(t *testing.T) {
 		if err := h.Play(k); err != nil {
 			t.Fatal(err)
 		}
-		r, err := metrics.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), game.OptMaxLoad(n, b, k))
+		r, err := stats.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), game.OptMaxLoad(n, b, k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +108,8 @@ func TestRRAUnsupervisedHogInflatesAnarchyCost(t *testing.T) {
 	if supervised >= unsupervised {
 		t.Fatalf("supervision did not reduce anarchy cost: %v vs %v", supervised, unsupervised)
 	}
-	if supervised > metrics.Theorem5Bound(b, k)+0.1 {
-		t.Fatalf("supervised R(k) = %v above Theorem 5 bound %v", supervised, metrics.Theorem5Bound(b, k))
+	if supervised > stats.Theorem5Bound(b, k)+0.1 {
+		t.Fatalf("supervised R(k) = %v above Theorem 5 bound %v", supervised, stats.Theorem5Bound(b, k))
 	}
 }
 

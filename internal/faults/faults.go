@@ -19,10 +19,10 @@
 //     mid-frame cuts (a prefix of the buffer hits the wire, then the
 //     connection dies).
 //
-// Both count every injected fault on the plan (and, when attached, on
-// metrics.Counters.FaultsInjected). Reads, session creation, and
-// deletion pass through un-faulted so recovery and setup stay
-// deterministic; chaos aims at the steady-state write paths.
+// Both count every injected fault on the plan (Injected) and in the
+// process-wide gameauthority_faults_injected_total series. Reads, session
+// creation, and deletion pass through un-faulted so recovery and setup
+// stay deterministic; chaos aims at the steady-state write paths.
 package faults
 
 import (
@@ -33,10 +33,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gameauthority/internal/metrics"
+	"gameauthority/internal/obs"
 	"gameauthority/internal/prng"
 	"gameauthority/internal/store"
 )
+
+// faultsInjected counts every fault any plan injects.
+var faultsInjected = obs.NewCounter("gameauthority_faults_injected_total",
+	"Faults injected by an attached fault plan.")
 
 // ErrInjected is the sentinel wrapped by every injected fault, so tests
 // and harnesses can tell scheduled chaos from real failures.
@@ -111,7 +115,6 @@ type Plan struct {
 	mu       sync.Mutex
 	src      prng.Source
 	injected atomic.Int64
-	counters atomic.Pointer[metrics.Counters]
 }
 
 // NewPlan builds a plan from cfg, applying default delays.
@@ -127,14 +130,6 @@ func NewPlan(cfg Config) *Plan {
 	// so a shared root seed does not correlate faults with game draws.
 	p.src.Seed(prng.Mix(cfg.Seed, 0x6661756c74706c6e))
 	return p
-}
-
-// AttachCounters mirrors the plan's injected-fault tally onto the
-// authority's metrics.
-func (p *Plan) AttachCounters(c *metrics.Counters) {
-	if p != nil {
-		p.counters.Store(c)
-	}
 }
 
 // Injected reports how many faults the plan has injected so far.
@@ -161,9 +156,7 @@ func (p *Plan) roll(rate float64) bool {
 		return false
 	}
 	p.injected.Add(1)
-	if c := p.counters.Load(); c != nil {
-		c.FaultsInjected.Add(1)
-	}
+	faultsInjected.Inc()
 	return true
 }
 

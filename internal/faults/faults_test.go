@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/store"
 )
 
@@ -273,9 +272,8 @@ func TestListenerWrapsAccepted(t *testing.T) {
 }
 
 func TestCountersMirror(t *testing.T) {
-	var ctrs metrics.Counters
+	before := faultsInjected.Value()
 	p := NewPlan(Config{Seed: 9, AppendFail: 1})
-	p.AttachCounters(&ctrs)
 	st := p.Store(store.NewMem())
 	_ = st.CreateSession("s", nil)
 	for i := 0; i < 5; i++ {
@@ -284,8 +282,8 @@ func TestCountersMirror(t *testing.T) {
 	if got := p.Injected(); got != 5 {
 		t.Fatalf("Injected() = %d, want 5", got)
 	}
-	if got := ctrs.FaultsInjected.Load(); got != 5 {
-		t.Fatalf("counters mirror = %d, want 5", got)
+	if got := faultsInjected.Value() - before; got != 5 {
+		t.Fatalf("faults_injected_total moved by %d, want 5", got)
 	}
 }
 

@@ -234,7 +234,7 @@ func FixedChooser(a int) func(agent int, loads []int64) int {
 // RoundGame is the one-shot strategic-form view of the next RRA play given
 // the current loads: cost_i(π) = ℓ_{π_i} + |{j : π_j = π_i}| (the backlog
 // plus this round's contention). The judicial service uses it for
-// legitimacy and the metrics package for equilibrium analysis.
+// legitimacy and the stats package for equilibrium analysis.
 type RoundGame struct {
 	NAgents int
 	Loads   []int64

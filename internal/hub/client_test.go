@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/wire"
 )
 
@@ -46,8 +45,7 @@ func newHealingClient(t *testing.T, opt DialOptions) (*fakeBackend, *killSwitch,
 	backend := newFakeBackend()
 	shards := NewShards(2)
 	t.Cleanup(shards.Close)
-	var counters metrics.Counters
-	srv := httptest.NewServer(New(backend, Options{Shards: shards, Counters: &counters}))
+	srv := httptest.NewServer(New(backend, Options{Shards: shards}))
 	t.Cleanup(srv.Close)
 	ks := &killSwitch{}
 	opt.WrapConn = ks.wrap

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gameauthority/internal/core"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/obs"
 	"gameauthority/internal/wire"
 )
@@ -19,6 +18,21 @@ import (
 // queued on the connection outbox.
 var wsRoundTrip = obs.NewHistogram("gameauthority_ws_roundtrip_seconds",
 	"WebSocket play round-trip latency, decode to results frame queued.")
+
+// The transport's counters and its connection gauge. stream_timeouts is
+// shared by name with the root package's SSE handler.
+var (
+	wsConnections = obs.NewGauge("gameauthority_ws_connections",
+		"Live WebSocket connections.")
+	streamTimeouts = obs.NewCounter("gameauthority_stream_timeouts_total",
+		"Streaming connections closed by a write deadline.")
+	reconnects = obs.NewCounter("gameauthority_reconnects_total",
+		"WebSocket clients re-dialing after a lost connection.")
+	resumedSubscriptions = obs.NewCounter("gameauthority_resumed_subscriptions_total",
+		"Event subscriptions re-established with a resume token.")
+	dedupedPlays = obs.NewCounter("gameauthority_deduped_plays_total",
+		"Play rounds answered from the journal on retried commands.")
+)
 
 // liveConns holds every open connection across all hubs; the outbox
 // depth gauge samples it at scrape time.
@@ -93,8 +107,6 @@ func ErrCode(err error) uint64 {
 type Options struct {
 	// Shards is the pool running plays; required.
 	Shards *Shards
-	// Counters receives transport metrics; optional.
-	Counters *metrics.Counters
 	// Outbox is the per-connection queue depth in frames (default 256).
 	Outbox int
 	// WriteTimeout bounds one flush to the peer; a connection that cannot
@@ -154,10 +166,8 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	if c := h.opt.Counters; c != nil {
-		c.WSConnections.Add(1)
-		defer c.WSConnections.Add(-1)
-	}
+	wsConnections.Inc()
+	defer wsConnections.Dec()
 	ctx, cancel := context.WithCancel(r.Context())
 	conn := &wsConn{
 		hub:    h,
@@ -187,8 +197,8 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unsupported protocol version (want %d)", wire.Version)))
 		return
 	}
-	if c := h.opt.Counters; c != nil && hello.Flags&wire.FlagReconnect != 0 {
-		c.Reconnects.Add(1)
+	if hello.Flags&wire.FlagReconnect != 0 {
+		reconnects.Inc()
 	}
 	ws.SetReadDeadline(time.Time{})
 	if err := ws.WriteMessage(opBinary,
@@ -212,10 +222,11 @@ type refEntry struct {
 	reply  []byte
 	encode func(core.RoundResult) error
 
-	evMu   sync.Mutex // guards enc and unsub
-	enc    wire.EventEncoder
-	unsub  func()
-	lagged uint64 // dropped events awaiting a MsgLag notice (under evMu)
+	// unsub cancels the event subscription, if any. Subscribe, unsubscribe,
+	// close and connection shutdown all run on the reader goroutine, so
+	// it needs no lock; enc is touched only by the subscription's offer.
+	unsub func()
+	enc   wire.EventEncoder
 }
 
 // wsConn is the server side of one connection.
@@ -262,12 +273,9 @@ func (c *wsConn) shutdown() {
 }
 
 func (e *refEntry) detach() {
-	e.evMu.Lock()
-	unsub := e.unsub
-	e.unsub = nil
-	e.evMu.Unlock()
-	if unsub != nil {
-		unsub()
+	if e.unsub != nil {
+		e.unsub()
+		e.unsub = nil
 	}
 }
 
@@ -341,8 +349,8 @@ func (c *wsConn) writeBatch(first []byte) bool {
 		err = c.ws.Flush()
 	}
 	if err != nil {
-		if ctrs := c.hub.opt.Counters; ctrs != nil && isTimeout(err) {
-			ctrs.StreamTimeouts.Add(1)
+		if isTimeout(err) {
+			streamTimeouts.Inc()
 		}
 		c.closeConn()
 		return false
@@ -528,9 +536,7 @@ func (c *wsConn) handlePlay(m wire.Play) bool {
 					deduped++
 				}
 				remaining -= deduped
-				if ctrs := c.hub.opt.Counters; ctrs != nil && deduped > 0 {
-					ctrs.DedupedPlays.Add(int64(deduped))
-				}
+				dedupedPlays.Add(int64(deduped))
 			}
 		}
 		if code == wire.CodeOK && remaining > 0 {
@@ -554,10 +560,7 @@ func (c *wsConn) handleSubscribe(m wire.Subscribe) bool {
 	if e == nil {
 		return c.sendError(m.ReqID, wire.CodeNotFound, "unknown ref")
 	}
-	e.evMu.Lock()
-	already := e.unsub != nil
-	e.evMu.Unlock()
-	if already {
+	if e.unsub != nil {
 		return c.sendError(m.ReqID, wire.CodeExists, "already subscribed")
 	}
 	// A non-zero Since is a resume token: the client re-subscribed after
@@ -566,38 +569,23 @@ func (c *wsConn) handleSubscribe(m wire.Subscribe) bool {
 	// client-side (distinguishing replayed events from new ones), the
 	// server just counts the resume.
 	if m.Since > 0 {
-		if ctrs := c.hub.opt.Counters; ctrs != nil {
-			ctrs.ResumedSubscriptions.Add(1)
-		}
+		resumedSubscriptions.Inc()
 	}
-	unsub := e.handle.Subscribe(core.ObserverFunc(func(ev core.Event) {
-		e.evMu.Lock()
-		defer e.evMu.Unlock()
+	e.enc.Reset()
+	e.unsub = Feed(e.handle.Subscribe, func(ev core.Event, lag uint64) bool {
 		buf := c.hub.getBuf()
-		if e.lagged > 0 {
-			buf = wire.AppendLag(buf, e.ref, e.lagged)
+		if lag > 0 {
+			buf = wire.AppendLag(buf, e.ref, lag)
 		}
 		buf = e.enc.Append(buf, e.ref, &ev)
 		if c.trySend(buf) {
-			e.lagged = 0
-			return
+			return true
 		}
-		// Dropped: roll back to full encoding and owe the subscriber a
-		// lag notice on the next delivered event.
-		e.lagged++
+		// Dropped: the next delivered frame must not be a delta against
+		// an event the subscriber never saw.
 		e.enc.Reset()
-		if ctrs := c.hub.opt.Counters; ctrs != nil {
-			ctrs.EventsDropped.Add(1)
-		}
-	}))
-	e.evMu.Lock()
-	if e.unsub != nil { // raced with a concurrent subscribe
-		e.evMu.Unlock()
-		unsub()
-		return c.sendError(m.ReqID, wire.CodeExists, "already subscribed")
-	}
-	e.unsub = unsub
-	e.evMu.Unlock()
+		return false
+	})
 	return c.send(wire.AppendOK(c.hub.getBuf(), m.ReqID))
 }
 

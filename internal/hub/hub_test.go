@@ -13,7 +13,6 @@ import (
 
 	"gameauthority/internal/core"
 	"gameauthority/internal/game"
-	"gameauthority/internal/metrics"
 	"gameauthority/internal/wire"
 )
 
@@ -193,8 +192,7 @@ func newHubClient(t *testing.T) (*fakeBackend, *Client) {
 	backend := newFakeBackend()
 	shards := NewShards(2)
 	t.Cleanup(shards.Close)
-	var counters metrics.Counters
-	srv := httptest.NewServer(New(backend, Options{Shards: shards, Counters: &counters}))
+	srv := httptest.NewServer(New(backend, Options{Shards: shards}))
 	t.Cleanup(srv.Close)
 	client, err := Dial(srv.URL)
 	if err != nil {
@@ -330,6 +328,27 @@ func TestHubSubscribe(t *testing.T) {
 	case ev := <-events:
 		t.Fatalf("event after unsubscribe: %+v", ev)
 	case <-time.After(100 * time.Millisecond):
+	}
+
+	// A new subscription is a new delta stream: its first event is whole,
+	// even where it repeats the last event the old subscription carried.
+	if err := client.Subscribe(ref, func(ev wire.Event, lag uint64) {
+		ev.Outcome = append([]int(nil), ev.Outcome...)
+		ev.Costs = append([]float64(nil), ev.Costs...)
+		events <- ev
+	}); err != nil {
+		t.Fatalf("re-Subscribe: %v", err)
+	}
+	if _, err := client.Play(ref, 1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-events:
+		if ev.Round != 3 || len(ev.Outcome) != 2 || ev.Outcome[0] != 1 || len(ev.Costs) != 2 {
+			t.Fatalf("first event of the new subscription = %+v", ev)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no event after re-subscribing")
 	}
 }
 

@@ -103,12 +103,12 @@ func TestGetOrCreateIdentity(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecord hammers one histogram and one gauge from many
+// TestConcurrentRecord hammers one histogram and one counter from many
 // goroutines (meaningful under -race) and checks totals.
 func TestConcurrentRecord(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("gameauthority_conc_seconds", "test.")
-	g := r.Gauge("gameauthority_conc", "test.")
+	g := r.Counter("gameauthority_conc_total", "test.")
 	const workers, each = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -256,7 +256,7 @@ func TestGaugeFuncReplace(t *testing.T) {
 // values.
 func TestRuntimeGauges(t *testing.T) {
 	r := NewRegistry()
-	RegisterRuntimeGauges(r)
+	registerRuntimeGauges(r)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

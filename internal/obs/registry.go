@@ -9,34 +9,40 @@ import (
 	"sync"
 )
 
-// Registry holds the exported metric series. Histograms and gauges are
-// get-or-create by name+labels: a second registration with the same
-// identity returns the existing series, so package-level instrumentation
-// and repeated Authority construction in tests accumulate into one
-// series instead of failing or forking. GaugeFuncs replace by identity
-// (the newest owner of a name+labels wins — the natural semantics when a
-// fresh Authority supersedes a closed one).
+// Registry holds the exported metric series. Histograms, counters and
+// integer gauges are get-or-create by name+labels: a second registration
+// with the same identity returns the existing series, so package-level
+// instrumentation in several packages shares one series by name, and
+// repeated Authority construction in tests accumulates into it instead of
+// failing or forking. GaugeFuncs replace by identity (the newest owner of
+// a name+labels wins — the natural semantics when a fresh Authority
+// supersedes a closed one).
 type Registry struct {
-	mu     sync.Mutex
-	hists  map[string]*Histogram
-	gauges map[string]*Gauge
-	funcs  map[string]*gaugeFunc
-	helps  map[string]string // metric name → help (first registration wins)
-	types  map[string]string // metric name → prometheus type
+	mu    sync.Mutex
+	hists map[string]*Histogram
+	ints  map[string]*Int
+	funcs map[string]*gaugeFunc
+	helps map[string]string // metric name → help (first registration wins)
+	types map[string]string // metric name → prometheus type
 }
 
 // Default is the process-wide registry every package-level constructor
-// registers into; GET /metrics renders it after the Authority counters.
-var Default = NewRegistry()
+// registers into, with the Go runtime gauges; GET /metrics renders it
+// and nothing else.
+var Default = func() *Registry {
+	r := NewRegistry()
+	registerRuntimeGauges(r)
+	return r
+}()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:  make(map[string]*Histogram),
-		gauges: make(map[string]*Gauge),
-		funcs:  make(map[string]*gaugeFunc),
-		helps:  make(map[string]string),
-		types:  make(map[string]string),
+		hists: make(map[string]*Histogram),
+		ints:  make(map[string]*Int),
+		funcs: make(map[string]*gaugeFunc),
+		helps: make(map[string]string),
+		types: make(map[string]string),
 	}
 }
 
@@ -106,19 +112,29 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return h
 }
 
+// Counter returns the counter series for name+labels, creating and
+// registering it on first use.
+func (r *Registry) Counter(name, help string, labels ...Label) *Int {
+	return r.integer(name, help, "counter", labels)
+}
+
 // Gauge returns the integer gauge series for name+labels, creating and
 // registering it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+func (r *Registry) Gauge(name, help string, labels ...Label) *Int {
+	return r.integer(name, help, "gauge", labels)
+}
+
+func (r *Registry) integer(name, help, typ string, labels []Label) *Int {
 	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[key]; ok {
-		return g
+	if s, ok := r.ints[key]; ok {
+		return s
 	}
-	r.registerName(name, help, "gauge")
-	g := &Gauge{name: name, help: help, labels: labels, key: key}
-	r.gauges[key] = g
-	return g
+	r.registerName(name, help, typ)
+	s := &Int{name: name, labels: labels}
+	r.ints[key] = s
+	return s
 }
 
 // GaugeFunc registers a scrape-time sampled gauge, replacing any
@@ -128,7 +144,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.registerName(name, help, "gauge")
-	r.funcs[key] = &gaugeFunc{name: name, help: help, labels: labels, key: key, fn: fn}
+	r.funcs[key] = &gaugeFunc{name: name, labels: labels, fn: fn}
 }
 
 // WritePrometheus renders every registered series in Prometheus text
@@ -140,9 +156,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, h := range r.hists {
 		hists = append(hists, h)
 	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
+	ints := make([]*Int, 0, len(r.ints))
+	for _, s := range r.ints {
+		ints = append(ints, s)
 	}
 	funcs := make([]*gaugeFunc, 0, len(r.funcs))
 	for _, f := range r.funcs {
@@ -185,15 +201,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			add(h.name, fmt.Sprintf("%s_count{%s} %d", h.name, lbl, h.count.Load()))
 		}
 	}
-	render := func(name string, labels []Label, val float64) {
+	render := func(name string, labels []Label, val any) {
 		if len(labels) == 0 {
-			add(name, fmt.Sprintf("%s %g", name, val))
+			add(name, fmt.Sprintf("%s %v", name, val))
 			return
 		}
-		add(name, fmt.Sprintf("%s{%s} %g", name, renderLabels(labels, "", ""), val))
+		add(name, fmt.Sprintf("%s{%s} %v", name, renderLabels(labels, "", ""), val))
 	}
-	for _, g := range gauges {
-		render(g.name, g.labels, float64(g.Value()))
+	for _, s := range ints {
+		render(s.name, s.labels, s.Value())
 	}
 	for _, f := range funcs {
 		render(f.name, f.labels, f.fn())
@@ -225,8 +241,13 @@ func NewHistogram(name, help string, labels ...Label) *Histogram {
 	return Default.Histogram(name, help, labels...)
 }
 
+// NewCounter get-or-creates a counter in the Default registry.
+func NewCounter(name, help string, labels ...Label) *Int {
+	return Default.Counter(name, help, labels...)
+}
+
 // NewGauge get-or-creates an integer gauge in the Default registry.
-func NewGauge(name, help string, labels ...Label) *Gauge {
+func NewGauge(name, help string, labels ...Label) *Int {
 	return Default.Gauge(name, help, labels...)
 }
 

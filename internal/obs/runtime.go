@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// RegisterRuntimeGauges registers Go runtime health gauges (goroutines,
-// heap, GC) into a registry. runtime.ReadMemStats stops the world
-// briefly, so its result is cached for a second and shared by the
-// memory-derived gauges: one scrape pays at most one read no matter how
-// many series it renders.
-func RegisterRuntimeGauges(r *Registry) {
+// registerRuntimeGauges registers Go runtime health gauges (goroutines,
+// heap, GC) into a registry; Default carries them from its construction.
+// runtime.ReadMemStats stops the world briefly, so its result is cached
+// for a second and shared by the memory-derived gauges: one scrape pays
+// at most one read no matter how many series it renders.
+func registerRuntimeGauges(r *Registry) {
 	var (
 		mu   sync.Mutex
 		last time.Time

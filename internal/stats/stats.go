@@ -1,4 +1,4 @@
-package metrics
+package stats
 
 import (
 	"errors"
@@ -115,28 +115,17 @@ type Summary struct {
 	P50, P95, P99 float64
 }
 
-// Summarize computes summary statistics of xs; zero value for empty input.
-// It copies and sorts the sample; a caller that already holds (or can
-// afford to sort) its sample should use SummarizeSorted and skip the copy.
+// Summarize computes summary statistics of xs (percentiles are
+// nearest-rank with linear interpolation); zero value for empty input.
+// It sorts a copy, leaving xs as it was.
 func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return SummarizeSorted(sorted)
-}
-
-// SummarizeSorted computes summary statistics of an ascending-sorted
-// sample without copying it; zero value for empty input. The statistics
-// are exactly Summarize's — percentiles are nearest-rank with linear
-// interpolation.
-func SummarizeSorted(sorted []float64) Summary {
 	var s Summary
-	s.N = len(sorted)
+	s.N = len(xs)
 	if s.N == 0 {
 		return s
 	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
 	var sum float64
 	for _, x := range sorted {
 		sum += x
@@ -175,16 +164,4 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MeanInt64 returns the mean of an int64 sample (0 for empty input).
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
 }

@@ -1,4 +1,4 @@
-package metrics
+package stats
 
 import (
 	"errors"
@@ -124,15 +124,6 @@ func TestSummarize(t *testing.T) {
 	one := Summarize([]float64{7})
 	if one.P95 != 7 || one.Std != 0 {
 		t.Fatalf("singleton summary = %+v", one)
-	}
-}
-
-func TestMeanInt64(t *testing.T) {
-	if got := MeanInt64([]int64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := MeanInt64(nil); got != 0 {
-		t.Fatalf("empty mean = %v", got)
 	}
 }
 

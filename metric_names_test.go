@@ -1,6 +1,8 @@
 package gameauthority_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -146,20 +148,13 @@ func TestObservabilityUnderLoad(t *testing.T) {
 // consistent, and the load landed where it should.
 func lintScrape(body string, types map[string]string) (problems []string) {
 	bad := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
-	samples := map[string]float64{} // series (name + labels) → value
+	samples, unparsed := parseSamples(body)
+	for _, line := range unparsed {
+		bad("unparseable sample line %q", line)
+	}
 	families := map[string]bool{}
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		idx := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(line[idx+1:], 64)
-		if idx < 0 || err != nil {
-			bad("unparseable sample line %q", line)
-			continue
-		}
-		samples[line[:idx]] = v
-		name, _, _ := strings.Cut(line[:idx], "{")
+	for series := range samples {
+		name, _, _ := strings.Cut(series, "{")
 		families[name] = true
 	}
 	// All of these register at package init or when the server is built,
@@ -224,6 +219,41 @@ func lintScrape(body string, types map[string]string) (problems []string) {
 	return problems
 }
 
+// parseSamples reads an exposition's sample lines into series (name plus
+// labels) → value and returns the lines that do not parse.
+func parseSamples(body string) (samples map[string]float64, unparsed []string) {
+	samples = map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		idx := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[idx+1:], 64)
+		if idx < 0 || err != nil {
+			unparsed = append(unparsed, line)
+			continue
+		}
+		samples[line[:idx]] = v
+	}
+	return samples, unparsed
+}
+
+// scrapeSamples parses the process's metrics, the body GET /metrics
+// serves. Counters are process-wide, so a test reads the delta between
+// two scrapes.
+func scrapeSamples(t *testing.T) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ga.WriteObsMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, unparsed := parseSamples(buf.String())
+	if len(unparsed) > 0 {
+		t.Fatalf("unparseable sample lines %q", unparsed)
+	}
+	return samples
+}
+
 // lintMetricNames applies the naming rules to every `# TYPE name type`
 // declaration and checks each sample line belongs to a declared family;
 // it returns the declared types by family name.
@@ -284,4 +314,51 @@ func lintMetricNames(body string) (problems []string, types map[string]string) {
 		}
 	}
 	return problems, types
+}
+
+// TestFoulsTotalMatchesStats holds gameauthority_fouls_total to the
+// sessions' own tally on every driver: a visible deviant's fouls move the
+// counter by exactly Stats().Fouls, whether the driver reports them as a
+// verdict (pure, mixed, RRA) or as guilty processors (distributed).
+func TestFoulsTotalMatchesStats(t *testing.T) {
+	cheat := &ga.DeviantSpec{Player: 0, Strategy: "commitment-cheat"}
+	for _, tc := range []struct {
+		name string
+		spec ga.CreateSessionRequest
+	}{
+		{"pure", ga.CreateSessionRequest{Game: "publicgoods", Players: 4}},
+		{"mixed", ga.CreateSessionRequest{Game: "matchingpennies", Kind: "mixed", Audit: "per-round"}},
+		{"rra", ga.CreateSessionRequest{RRA: invariant.RRAShape(8, 4), Punishment: &ga.PunishmentSpec{Scheme: "disconnect"}}},
+		{"distributed", ga.CreateSessionRequest{Game: "publicgoods", Players: 4, Distributed: invariant.DistShape(4, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := ga.NewAuthority()
+			t.Cleanup(func() { a.Close() })
+			srv := httptest.NewServer(ga.NewServer(a))
+			t.Cleanup(srv.Close)
+			fouls := func() float64 {
+				samples, _ := parseSamples(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
+				return samples["gameauthority_fouls_total"]
+			}
+			before := fouls()
+			spec := tc.spec
+			spec.ID, spec.Seed, spec.Deviant = "fouls-"+tc.name, 2, cheat
+			h, err := a.CreateFromSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := h.Play(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := h.Stats().Fouls
+			if want == 0 {
+				t.Fatal("the deviant committed no foul; the row proves nothing")
+			}
+			if got := fouls() - before; got != float64(want) {
+				t.Errorf("gameauthority_fouls_total moved by %v, Stats().Fouls = %d", got, want)
+			}
+		})
+	}
 }

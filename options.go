@@ -5,6 +5,7 @@ import (
 
 	"gameauthority/internal/core"
 	"gameauthority/internal/game"
+	"gameauthority/internal/hub"
 )
 
 // Session is the uniform authority-session interface: one audited play per
@@ -338,27 +339,20 @@ func Events(s Session, buffer int) (<-chan Event, func()) {
 		buffer = 1
 	}
 	ch := make(chan Event, buffer)
-	var mu sync.Mutex
-	closed := false
-	unsubscribe := s.Subscribe(ObserverFunc(func(e Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		if closed {
-			return
-		}
+	stop := hub.Feed(s.Subscribe, func(e Event, _ uint64) bool {
 		select {
 		case ch <- e:
+			return true
 		default: // drop rather than stall the authority loop
+			return false
 		}
-	}))
+	})
+	var once sync.Once
 	cancel := func() {
-		unsubscribe()
-		mu.Lock()
-		defer mu.Unlock()
-		if !closed {
-			closed = true
+		once.Do(func() {
+			stop()
 			close(ch)
-		}
+		})
 	}
 	return ch, cancel
 }

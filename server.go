@@ -15,7 +15,7 @@ import (
 
 	"gameauthority/internal/audit"
 	"gameauthority/internal/game"
-	"gameauthority/internal/metrics"
+	"gameauthority/internal/hub"
 	"gameauthority/internal/obs"
 )
 
@@ -25,8 +25,12 @@ const maxPlayRounds = 100000
 
 // sseWriteTimeout bounds one SSE event write: a subscriber that cannot
 // absorb an event within it is considered dead and its connection is
-// closed (counted in StreamTimeouts).
+// closed (counted in gameauthority_stream_timeouts_total, the series the
+// /ws transport counts its own into).
 const sseWriteTimeout = 10 * time.Second
+
+var sseTimeouts = obs.NewCounter("gameauthority_stream_timeouts_total",
+	"Streaming connections closed by a write deadline.")
 
 // ServerOption configures NewServer.
 type ServerOption func(*serverConfig)
@@ -75,7 +79,7 @@ func route(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 //	DELETE /sessions/{id}            close and unregister the session
 //	GET    /snapshots                list persisted compacted snapshots
 //	GET    /deviants                 list the deviation-strategy catalog
-//	GET    /metrics                  Prometheus text exposition of host counters
+//	GET    /metrics                  Prometheus text exposition (obs.Default)
 //	GET    /ws                       binary streaming transport (internal/wire
 //	                                 over WebSocket; see DESIGN.md §10)
 //	GET    /debug/pprof/             live profiling endpoints (WithDebug only)
@@ -110,7 +114,6 @@ func NewServer(a *Authority, opts ...ServerOption) http.Handler {
 	route(mux, "GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_ = a.counters.WritePrometheus(w)
 		_ = obs.Default.WritePrometheus(w)
 	})
 	route(mux, "GET /snapshots", func(w http.ResponseWriter, _ *http.Request) {
@@ -841,38 +844,22 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	// Like Events, but counts overflow instead of dropping silently: a
-	// slow reader sees a "lag" event naming how many events it missed, so
-	// its view of the session is never wrong without it knowing.
-	var counters *metrics.Counters
-	if h.a != nil {
-		counters = &h.a.counters
+	// Each queued event carries the count dropped just before it, so a
+	// slow reader sees a "lag" event exactly at the gap and its view of
+	// the session is never wrong without it knowing.
+	type queued struct {
+		ev  Event
+		lag uint64
 	}
-	events := make(chan Event, 256)
-	var mu sync.Mutex
-	var dropped int64
-	closed := false
-	unsubscribe := h.Subscribe(ObserverFunc(func(e Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		if closed {
-			return
-		}
+	events := make(chan queued, 256)
+	defer hub.Feed(h.Subscribe, func(ev Event, lag uint64) bool {
 		select {
-		case events <- e:
+		case events <- queued{ev, lag}:
+			return true
 		default:
-			dropped++
-			if counters != nil {
-				counters.EventsDropped.Add(1)
-			}
+			return false
 		}
-	}))
-	defer func() {
-		unsubscribe()
-		mu.Lock()
-		closed = true
-		mu.Unlock()
-	}()
+	})()
 	// Announce only once the observer is registered: a client that plays
 	// on seeing this line must find its events on the stream.
 	fmt.Fprintf(w, ": subscribed %s\n\n", h.ID())
@@ -895,10 +882,10 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			return true
 		}
-		if counters != nil && r.Context().Err() == nil {
+		if r.Context().Err() == nil {
 			// The reader did not go away cleanly; it stalled past the
 			// write deadline.
-			counters.StreamTimeouts.Add(1)
+			sseTimeouts.Inc()
 		}
 		return false
 	}
@@ -906,15 +893,11 @@ func handleEvents(h *HostedSession, w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case e := <-events:
-			mu.Lock()
-			lag := dropped
-			dropped = 0
-			mu.Unlock()
-			if lag > 0 && !write(eventInfo{Kind: "lag", Dropped: lag}) {
+		case q := <-events:
+			if q.lag > 0 && !write(eventInfo{Kind: "lag", Dropped: int64(q.lag)}) {
 				return
 			}
-			if !write(eventFor(e)) {
+			if !write(eventFor(q.ev)) {
 				return
 			}
 		}

@@ -195,6 +195,7 @@ func TestCreateFromSpecAutoNameSkipsPredecessorIDs(t *testing.T) {
 // exist, carry the right names, and move with traffic.
 func TestServerMetricsEndpoint(t *testing.T) {
 	_, srv := storeServer(t, ga.NewMemStore())
+	before := scrapeSamples(t)
 	durPost(t, srv.URL+"/sessions", ga.CreateSessionRequest{ID: "m-1", Game: "pd", Seed: 1}, http.StatusCreated)
 	durPost(t, srv.URL+"/sessions/m-1/play", map[string]int{"rounds": 3}, http.StatusOK)
 
@@ -208,12 +209,21 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
+	after, _ := parseSamples(text)
+	if got := after["gameauthority_sessions"]; got != 1 {
+		t.Errorf("gameauthority_sessions = %v, want 1", got)
+	}
+	for series, want := range map[string]float64{
+		"gameauthority_sessions_created_total": 1,
+		"gameauthority_plays_total":            3,
+		"gameauthority_wal_records_total":      1, // one request, one record
+		"gameauthority_batched_plays_total":    3,
+	} {
+		if got := after[series] - before[series]; got != want {
+			t.Errorf("%s moved by %v, want %v", series, got, want)
+		}
+	}
 	for _, want := range []string{
-		"gameauthority_sessions 1",
-		"gameauthority_sessions_created_total 1",
-		"gameauthority_plays_total 3",
-		"gameauthority_wal_records_total 1", // one request, one record
-		"gameauthority_batched_plays_total 3",
 		"# TYPE gameauthority_recoveries_total counter",
 		"# TYPE gameauthority_convictions_total counter",
 		"# TYPE gameauthority_snapshots_total counter",

@@ -3,6 +3,7 @@ package gameauthority_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -447,5 +448,132 @@ func TestServerResolvesCatalogGames(t *testing.T) {
 	resp, _ = postJSON(t, srv.URL+"/sessions", map[string]any{"game": "not-a-game"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown game: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// stallWriter is an SSE client that stops reading: the handler's first
+// event write blocks (closing stalled) until release is closed.
+type stallWriter struct {
+	header     http.Header
+	subscribed chan struct{} // closed by the subscribe line's flush
+	stalled    chan struct{} // closed when the first event write blocks
+	release    chan struct{}
+	once       [2]sync.Once
+
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Flush()              { w.once[0].Do(func() { close(w.subscribed) }) }
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("data: ")) {
+		w.once[1].Do(func() { close(w.stalled) })
+		<-w.release
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+// sseEvent is the part of an SSE event the lag test reads.
+type sseEvent struct {
+	Kind    string `json:"kind"`
+	Round   int    `json:"round"`
+	Dropped int    `json:"dropped"`
+}
+
+// events decodes the data lines written so far.
+func (w *stallWriter) events(t *testing.T) []sseEvent {
+	w.mu.Lock()
+	text := w.buf.String()
+	w.mu.Unlock()
+	var out []sseEvent
+	for _, line := range strings.Split(text, "\n") {
+		payload, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			continue
+		}
+		var ev sseEvent
+		if err := json.Unmarshal([]byte(payload), &ev); err != nil {
+			t.Fatalf("bad event payload %q: %v", line, err)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// TestServerSSELagAtTheGap stalls an SSE reader while its 256-event
+// buffer overflows and holds the stream to the drop policy: rounds run
+// contiguously up to a lag notice, and the round after the notice is the
+// last delivered round plus the dropped count plus one.
+func TestServerSSELagAtTheGap(t *testing.T) {
+	a := ga.NewAuthority()
+	defer a.Close()
+	h, err := a.CreateFromSpec(ga.CreateSessionRequest{ID: "stall", Game: "prisonersdilemma", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &stallWriter{header: http.Header{}, subscribed: make(chan struct{}),
+		stalled: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ga.NewServer(a).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/sessions/stall/events", nil).WithContext(ctx))
+	}()
+	defer func() { cancel(); <-served }()
+	<-w.subscribed
+
+	play := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := h.Play(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Round 0 is taken by the writer, which stalls on it; rounds 1–256
+	// fill the buffer and 257–300 are dropped.
+	play(1)
+	<-w.stalled
+	play(300)
+	close(w.release)
+	// Once the buffer drains, one more play delivers the owed notice.
+	waitRound := func(round int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			evs := w.events(t)
+			if len(evs) > 0 && evs[len(evs)-1].Round == round {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d never arrived; stream %+v", round, evs)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitRound(256)
+	play(1)
+	waitRound(301)
+
+	next, lags := 0, 0
+	for _, ev := range w.events(t) {
+		switch ev.Kind {
+		case "lag":
+			lags++
+			next += ev.Dropped
+		case "play":
+			if ev.Round != next {
+				t.Fatalf("play round %d where the stream owes round %d (lag notices count the gap)", ev.Round, next)
+			}
+			next++
+		}
+	}
+	if lags != 1 || next != 302 {
+		t.Fatalf("stream ended at round %d after %d lag notices, want 302 after 1", next, lags)
 	}
 }

@@ -33,7 +33,6 @@ func (a *Authority) shardLoops() *hub.Shards {
 func (a *Authority) streamHub() *hub.Hub {
 	return hub.New(wsBackend{a}, hub.Options{
 		Shards:    a.shardLoops(),
-		Counters:  &a.counters,
 		MaxRounds: maxPlayRounds,
 	})
 }
