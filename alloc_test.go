@@ -2,6 +2,7 @@ package gameauthority_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -24,6 +25,9 @@ const (
 	mixedAllocBudget = 16
 	rraAllocBudget   = 62
 	distAllocBudget  = 124
+	// distN7AllocBudget is the (7, 2) play at measured+10% (260): the
+	// same phase-boundary work at seven processors.
+	distN7AllocBudget = 286
 	// playNOverheadBudget bounds the fixed cost of one PlayN call beyond
 	// its rounds' own budgets: the lock-once loop may allocate for its
 	// play closure but must not allocate per round, so a whole pure batch
@@ -131,31 +135,40 @@ func TestAllocsPerPlayRRA(t *testing.T) {
 	t.Logf("RRA play: %v allocs (budget %d)", allocs, rraAllocBudget)
 }
 
+// TestAllocsPerPlayDistributed gates both shapes the ledger's distributed
+// workload runs: (4, 1) and (7, 2).
 func TestAllocsPerPlayDistributed(t *testing.T) {
 	ctx := context.Background()
-	g4, err := ga.PublicGoods(4, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ n, f, budget int }{
+		{4, 1, distAllocBudget},
+		{7, 2, distN7AllocBudget},
+	} {
+		t.Run(fmt.Sprintf("n%df%d", tc.n, tc.f), func(t *testing.T) {
+			g, err := ga.PublicGoods(tc.n, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := ga.New(g, ga.WithDistributed(tc.n, tc.f, nil),
+				ga.WithSeed(1),
+				ga.WithHistoryLimit(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Run(ctx, 8); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.Play(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > float64(tc.budget) {
+				t.Fatalf("distributed play allocates %v times, budget %d", allocs, tc.budget)
+			}
+			t.Logf("distributed play: %v allocs (budget %d)", allocs, tc.budget)
+		})
 	}
-	s, err := ga.New(g4, ga.WithDistributed(4, 1, nil),
-		ga.WithSeed(1),
-		ga.WithHistoryLimit(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Run(ctx, 8); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.Play(ctx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > distAllocBudget {
-		t.Fatalf("distributed play allocates %v times, budget %d", allocs, distAllocBudget)
-	}
-	t.Logf("distributed play: %v allocs (budget %d)", allocs, distAllocBudget)
 }
 
 func TestAllocsHashResult(t *testing.T) {

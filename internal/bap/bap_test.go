@@ -18,6 +18,9 @@ func TestNewEIGValidation(t *testing.T) {
 	if _, err := NewEIG(9, 4, 1, "v"); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad id: err = %v, want ErrConfig", err)
 	}
+	if _, err := NewEIG(0, 65, 1, "v"); !errors.Is(err, ErrConfig) {
+		t.Fatalf("n=65: err = %v, want ErrConfig (a label is a 64-bit member mask)", err)
+	}
 	if _, err := NewEIG(0, 4, 1, "v"); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -41,7 +44,7 @@ func forgePairs(val func(to int) Value) forger {
 		forged := *m
 		forged.Pairs = make([]Pair, len(m.Pairs))
 		for i, pr := range m.Pairs {
-			forged.Pairs[i] = Pair{Label: pr.Label, Val: val(to)}
+			forged.Pairs[i] = Pair{Node: pr.Node, Val: val(to)}
 		}
 		return &forged
 	}
@@ -239,9 +242,10 @@ func TestInteractiveConsistencyWithEquivocatingSource(t *testing.T) {
 
 func TestICCorruptionRecoversViaRestart(t *testing.T) {
 	// A transient fault leaves the engines mid-phase on garbage: stale
-	// rounds, foreign instances, unknown labels, pulses out of step. Reset
-	// at the next phase start must discard all of it, which is what the
-	// distributed driver's clock wrap relies on.
+	// rounds, foreign instances, node indexes off the tree or on the wrong
+	// level, pulses out of step. Reset at the next phase start must
+	// discard all of it, which is what the distributed driver's clock wrap
+	// relies on.
 	n, f := 4, 1
 	engines := newICs(t, n, f)
 	src := prng.New(3)
@@ -254,7 +258,7 @@ func TestICCorruptionRecoversViaRestart(t *testing.T) {
 				e.Deliver(from, &icRoundMsg{
 					Instance: int(src.Uint64()%uint64(n+2)) - 1,
 					Round:    int(src.Uint64() % 3),
-					Pairs:    []Pair{{Label: string([]byte{byte(src.Uint64() % 9)}), Val: "junk"}},
+					Pairs:    []Pair{{Node: int32(src.Uint64()%24) - 4, Val: "junk"}},
 				})
 			}
 			e.EndPulse(pulse)

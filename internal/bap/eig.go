@@ -3,6 +3,7 @@ package bap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -18,6 +19,10 @@ var (
 	ErrConfig     = errors.New("bap: invalid configuration")
 	ErrNotDecided = errors.New("bap: protocol has not terminated")
 )
+
+// maxProcs is the widest network an EIG layout can describe: a node's
+// label path is held as a uint64 member mask.
+const maxProcs = 64
 
 // Rounds returns the number of communication rounds EIG needs: f+1.
 func Rounds(f int) int { return f + 1 }
@@ -38,18 +43,19 @@ func Cost(n, f int) float64 {
 
 // eigLayout is the shared, immutable shape of the EIG tree for one (n, f)
 // pair: every distinct-processor label up to length f+1, enumerated level
-// by level in lexicographic order, with precomputed label strings, a
-// label→index map (string lookups on a prebuilt map do not allocate), and
-// per-node child tables. Building it costs one burst of allocations; it is
-// cached process-wide so every EIG instance at the same (n, f) shares it —
-// the instance state shrinks to flat value/seen arrays over these indices,
-// which is what makes the per-pulse protocol work allocation-free.
+// by level in lexicographic order, so a node is just its index. A node at
+// level L has n−L children, appended in processor order right after the
+// children of the node before it, so they occupy a contiguous range found
+// by arithmetic (see Absorb and resolve). Building it costs one burst of
+// allocations; it is cached process-wide so every EIG instance at the
+// same (n, f) shares it — the instance state shrinks to flat value/seen
+// arrays over these indices, which is what makes the per-pulse protocol
+// work allocation-free.
 type eigLayout struct {
 	n, f       int
-	labels     []string         // node index → label path
-	index      map[string]int32 // label → node index
-	levelStart []int32          // level L occupies [levelStart[L], levelStart[L+1])
-	child      [][]int32        // node index → per-processor child index (-1: none)
+	members    []uint64  // node index → the processors on its label path, as bits
+	levelStart []int32   // level L occupies [levelStart[L], levelStart[L+1])
+	send       [][]int32 // level·n + id → the level's nodes whose label excludes id
 }
 
 var layoutCache sync.Map // [2]int{n, f} → *eigLayout
@@ -68,48 +74,38 @@ func layoutFor(n, f int) *eigLayout {
 // buildLayout enumerates the distinct-id labels level by level. Within a
 // level, parents are visited in index (= lexicographic) order and children
 // appended in processor order, so same-length labels are lexicographically
-// sorted by construction — AppendRoundMessages inherits sortedness for free.
+// sorted by construction and each parent's children are contiguous.
 func buildLayout(n, f int) *eigLayout {
-	lay := &eigLayout{n: n, f: f, index: make(map[string]int32)}
-	lay.labels = append(lay.labels, "")
-	lay.index[""] = 0
-	lay.levelStart = append(lay.levelStart, 0, 1)
-	for level := 0; level <= f; level++ {
-		for i := lay.levelStart[level]; i < lay.levelStart[level+1]; i++ {
-			label := lay.labels[i]
+	lay := &eigLayout{n: n, f: f, members: []uint64{0}, levelStart: []int32{0, 1}}
+	for lv := 0; lv <= f; lv++ {
+		start, end := lay.level(lv)
+		for i := start; i < end; i++ {
 			for j := 0; j < n; j++ {
-				if labelContains(label, j) {
-					continue
+				if lay.members[i]&(1<<j) == 0 {
+					lay.members = append(lay.members, lay.members[i]|1<<j)
 				}
-				child := label + string(byte(j))
-				lay.index[child] = int32(len(lay.labels))
-				lay.labels = append(lay.labels, child)
 			}
 		}
-		lay.levelStart = append(lay.levelStart, int32(len(lay.labels)))
+		lay.levelStart = append(lay.levelStart, int32(len(lay.members)))
 	}
-	lay.child = make([][]int32, len(lay.labels))
-	flat := make([]int32, len(lay.labels)*n)
-	for i := range flat {
-		flat[i] = -1
-	}
-	for i, label := range lay.labels {
-		lay.child[i] = flat[i*n : (i+1)*n]
-		if len(label) > f {
-			continue // leaves have no children
-		}
-		for j := 0; j < n; j++ {
-			if labelContains(label, j) {
-				continue
+	lay.send = make([][]int32, (f+1)*n)
+	for lv := 0; lv <= f; lv++ {
+		start, end := lay.level(lv)
+		for id := 0; id < n; id++ {
+			var nodes []int32
+			for i := start; i < end; i++ {
+				if lay.members[i]&(1<<id) == 0 {
+					nodes = append(nodes, i)
+				}
 			}
-			lay.child[i][j] = lay.index[label+string(byte(j))]
+			lay.send[lv*n+id] = nodes
 		}
 	}
 	return lay
 }
 
 // nodes returns the total node count.
-func (l *eigLayout) nodes() int { return len(l.labels) }
+func (l *eigLayout) nodes() int { return len(l.members) }
 
 // level returns the [start, end) node range of one tree level.
 func (l *eigLayout) level(lv int) (int32, int32) {
@@ -121,31 +117,33 @@ func (l *eigLayout) level(lv int) (int32, int32) {
 // (the IC engine in ic.go runs n of them per processor).
 //
 // State is a pair of flat arrays indexed by the shared layout — no maps,
-// no per-round allocation: Absorb, RoundMessages (via AppendRoundMessages)
-// and EndRound run allocation-free once the instance exists.
+// no per-round allocation: Absorb, AppendRoundMessages and EndRound run
+// allocation-free once the instance exists.
 type EIG struct {
 	id, n, f int
 	round    int // completed rounds
 	lay      *eigLayout
-	vals     []Value // node index → stored value
+	vals     []Value // node index → stored value, read only where set; resolve overwrites inner nodes
 	set      []bool  // node index → value present
-	res      []Value // resolve scratch (bottom-up majorities)
 	decided  bool
 	decision Value
 }
 
-// Pair is one EIG tree entry in transit: the label path and the value the
-// sender stores for it.
+// Pair is one EIG tree entry in transit: the node of the shared (n, f)
+// layout and the value the sender stores for it.
 type Pair struct {
-	Label string
-	Val   Value
+	Node int32
+	Val  Value
 }
 
 // NewEIG creates processor id's state for one agreement on initial.
-// Requires n > 3f (the LSP bound) and 0 ≤ id < n.
+// Requires n > 3f (the LSP bound), n ≤ 64 and 0 ≤ id < n.
 func NewEIG(id, n, f int, initial Value) (*EIG, error) {
 	if n <= 3*f {
 		return nil, fmt.Errorf("%w: n=%d must exceed 3f=%d", ErrConfig, n, 3*f)
+	}
+	if n > maxProcs {
+		return nil, fmt.Errorf("%w: n=%d exceeds %d", ErrConfig, n, maxProcs)
 	}
 	if id < 0 || id >= n {
 		return nil, fmt.Errorf("%w: id=%d out of range", ErrConfig, id)
@@ -154,21 +152,17 @@ func NewEIG(id, n, f int, initial Value) (*EIG, error) {
 	nodes := e.lay.nodes()
 	e.vals = make([]Value, nodes)
 	e.set = make([]bool, nodes)
-	e.res = make([]Value, nodes)
 	e.Reset(initial)
 	return e, nil
 }
 
 // Reset rewinds the instance to a fresh agreement on initial, reusing all
-// backing arrays (no allocation). Composition layers that run one agreement
-// per phase (the distributed driver's IC) reset instead of reallocating.
+// backing arrays (no allocation). Only the set flags are cleared: a value
+// is never read where its flag is down. Composition layers that run one
+// agreement per phase (the distributed driver's IC) reset instead of
+// reallocating.
 func (e *EIG) Reset(initial Value) {
-	for i := range e.set {
-		e.set[i] = false
-	}
-	for i := range e.vals {
-		e.vals[i] = DefaultValue
-	}
+	clear(e.set)
 	e.round = 0
 	e.decided = false
 	e.decision = DefaultValue
@@ -176,42 +170,30 @@ func (e *EIG) Reset(initial Value) {
 	e.set[0] = true
 }
 
-// labelContains reports whether the label path includes processor j.
-func labelContains(label string, j int) bool {
-	for i := 0; i < len(label); i++ {
-		if int(label[i]) == j {
-			return true
-		}
-	}
-	return false
-}
-
 // AppendRoundMessages appends to dst the pairs processor id must
-// broadcast in the given round (0-based): all tree nodes at level ==
-// round whose label does not contain id, in label order. Every processor
-// receives the same pairs (honest behaviour). With a pre-sized dst the
-// call does not allocate.
+// broadcast in the given round (0-based): all stored tree nodes at level
+// == round whose label does not contain id, in label order. Every
+// processor receives the same pairs (honest behaviour). With a pre-sized
+// dst the call does not allocate.
 func (e *EIG) AppendRoundMessages(round int, dst []Pair) []Pair {
-	if round < 0 || round > e.f+1 {
+	if round < 0 || round > e.f {
 		return dst
 	}
-	start, end := e.lay.level(round)
-	for i := start; i < end; i++ {
-		if !e.set[i] || labelContains(e.lay.labels[i], e.id) {
-			continue
+	for _, i := range e.lay.send[round*e.n+e.id] {
+		if e.set[i] {
+			dst = append(dst, Pair{Node: i, Val: e.vals[i]})
 		}
-		dst = append(dst, Pair{Label: e.lay.labels[i], Val: e.vals[i]})
 	}
 	return dst
 }
 
 // MaxRoundPairs returns an upper bound on the pairs AppendRoundMessages
-// can produce in any single round — the widest tree level. Callers size
-// their reusable buffers with it.
+// can produce in any single round. Callers size their reusable buffers
+// with it.
 func (e *EIG) MaxRoundPairs() int {
 	max := 0
-	for lv := 0; lv < len(e.lay.levelStart)-1; lv++ {
-		if w := int(e.lay.levelStart[lv+1] - e.lay.levelStart[lv]); w > max {
+	for lv := 0; lv <= e.f; lv++ {
+		if w := len(e.lay.send[lv*e.n+e.id]); w > max {
 			max = w
 		}
 	}
@@ -219,24 +201,30 @@ func (e *EIG) MaxRoundPairs() int {
 }
 
 // Absorb ingests the pairs received from processor `from` in the given
-// round: pair (L, v) becomes node L·from provided the label has the right
-// level and does not already contain `from`. First writer wins; labels
-// outside the distinct-processor tree (Byzantine garbage) are dropped.
+// round: pair (node, v) becomes node·from provided the node is on level
+// round and its label does not already contain `from`. First writer wins;
+// any other index (Byzantine garbage) is dropped.
 func (e *EIG) Absorb(round, from int, pairs []Pair) {
-	if from < 0 || from >= e.n {
+	if from < 0 || from >= e.n || round < 0 || round > e.f {
 		return
 	}
+	start, end := e.lay.level(round)
+	width := int32(e.n - round)
+	bit := uint64(1) << from
 	for _, p := range pairs {
-		if len(p.Label) != round || labelContains(p.Label, from) {
+		if p.Node < start || p.Node >= end {
 			continue
 		}
-		idx, ok := e.lay.index[p.Label]
-		if !ok {
+		members := e.lay.members[p.Node]
+		if members&bit != 0 {
 			continue
 		}
-		child := e.lay.child[idx][from]
-		if child < 0 || e.set[child] {
-			continue // leaf level, or first writer already won
+		// node·from: the node's block of n−round children on the next
+		// level (which starts at end), offset by from's rank among the
+		// processors not on the label.
+		child := end + (p.Node-start)*width + int32(from-bits.OnesCount64(members&(bit-1)))
+		if e.set[child] {
+			continue // first writer already won
 		}
 		e.vals[child] = p.Val
 		e.set[child] = true
@@ -265,57 +253,58 @@ func (e *EIG) Decision() (Value, error) {
 }
 
 // resolve computes the recursive majority ("resolve") of the EIG tree,
-// bottom-up over the flat layout: leaves resolve to their stored value (or
-// the default), inner nodes to the strict majority of their children's
-// resolutions. A strict majority is unique, so the pairwise count below is
-// order-independent and needs no map.
+// bottom-up and in place over vals: leaves resolve to their stored value
+// (or the default), inner nodes to the strict majority of their children's
+// resolutions. Inner nodes' stored values are not needed once the last
+// round is in, so each is overwritten by its resolution.
 func (e *EIG) resolve() Value {
 	start, end := e.lay.level(e.f + 1)
 	for i := start; i < end; i++ {
-		if e.set[i] {
-			e.res[i] = e.vals[i]
-		} else {
-			e.res[i] = DefaultValue
+		if !e.set[i] {
+			e.vals[i] = DefaultValue
 		}
 	}
 	for lv := e.f; lv >= 0; lv-- {
 		start, end := e.lay.level(lv)
+		width := int32(e.n - lv)
+		first := e.lay.levelStart[lv+1]
 		for i := start; i < end; i++ {
-			children := e.lay.child[i]
-			total := 0
-			for j := 0; j < e.n; j++ {
-				if children[j] >= 0 {
-					total++
-				}
-			}
-			if total == 0 {
-				if e.set[i] {
-					e.res[i] = e.vals[i]
-				} else {
-					e.res[i] = DefaultValue
-				}
-				continue
-			}
-			e.res[i] = DefaultValue
-			for j := 0; j < e.n; j++ {
-				if children[j] < 0 {
-					continue
-				}
-				v := e.res[children[j]]
-				count := 0
-				for k := 0; k < e.n; k++ {
-					if children[k] >= 0 && e.res[children[k]] == v {
-						count++
-					}
-				}
-				if 2*count > total {
-					e.res[i] = v
-					break
-				}
-			}
+			e.vals[i] = majority(e.vals[first : first+width])
+			first += width
 		}
 	}
-	return e.res[0]
+	return e.vals[0]
+}
+
+// majority returns the strict majority of vs, or the default if there is
+// none: a candidate pass, then a count. A strict majority is unique, so
+// the candidate pass always finds it when it exists; when the candidate
+// never lost a vote, every value is the candidate and the count is skipped.
+func majority(vs []Value) Value {
+	cand, votes := DefaultValue, 0
+	for _, v := range vs {
+		switch {
+		case votes == 0:
+			cand, votes = v, 1
+		case v == cand:
+			votes++
+		default:
+			votes--
+		}
+	}
+	if votes == len(vs) {
+		return cand
+	}
+	count := 0
+	for _, v := range vs {
+		if v == cand {
+			count++
+		}
+	}
+	if 2*count > len(vs) {
+		return cand
+	}
+	return DefaultValue
 }
 
 // TreeSize returns the number of stored tree nodes (for overhead metrics).

@@ -1,6 +1,7 @@
 package bap
 
 import (
+	"fmt"
 	"testing"
 
 	"gameauthority/internal/auth"
@@ -8,55 +9,56 @@ import (
 
 // TestICEnginePhaseZeroAlloc is the hard per-pulse allocation gate for the
 // distributed driver's agreement engine: a complete warm interactive-
-// consistency phase — Reset, dissemination, every EIG round, decision — at
-// n=4/f=1 must not allocate at all, across all four processors. Any heap
-// traffic on this path multiplies by pulses × processors × plays, so the
-// budget is exactly zero, not "small".
+// consistency phase — Reset, dissemination, every EIG round, decision —
+// must not allocate at all, across all processors, at both shapes the
+// ledger's distributed workload runs. Any heap traffic on this path
+// multiplies by pulses × processors × plays, so the budget is exactly
+// zero, not "small".
 func TestICEnginePhaseZeroAlloc(t *testing.T) {
-	n, f := 4, 1
-	engines := make([]*IC, n)
-	for i := range engines {
-		e, err := NewIC(i, n, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
-	}
-	vals := []Value{"alpha", "bravo", "charlie", "delta"}
-	lists := make([][]any, n)
-	pulse := 0
-	runPhase := func() {
-		for i, e := range engines {
-			e.Reset(vals[i])
-		}
-		for k := 0; k < TotalPulses(f); k++ {
-			for _, e := range engines {
-				for from := range engines {
-					for _, payload := range lists[from] {
-						e.Deliver(from, payload)
+	for _, shape := range [][2]int{{4, 1}, {7, 2}} {
+		n, f := shape[0], shape[1]
+		t.Run(fmt.Sprintf("n%df%d", n, f), func(t *testing.T) {
+			engines := newICs(t, n, f)
+			vals := make([]Value, n)
+			for i := range vals {
+				vals[i] = Value(fmt.Sprintf("value-%d", i))
+			}
+			lists := make([][]any, n)
+			pulse := 0
+			runPhase := func() {
+				for i, e := range engines {
+					e.Reset(vals[i])
+				}
+				for k := 0; k < TotalPulses(f); k++ {
+					for _, e := range engines {
+						for from := range engines {
+							for _, payload := range lists[from] {
+								e.Deliver(from, payload)
+							}
+						}
+					}
+					for i, e := range engines {
+						out, _ := e.EndPulse(pulse)
+						lists[i] = out
+					}
+					pulse++
+				}
+			}
+			runPhase() // warm: arenas are pre-sized, but the first phase proves it
+			for i, e := range engines {
+				if !e.Done() {
+					t.Fatalf("engine %d not done after %d pulses", i, TotalPulses(f))
+				}
+				for s, v := range e.VectorRef() {
+					if v != vals[s] {
+						t.Fatalf("engine %d vector[%d] = %q, want %q", i, s, v, vals[s])
 					}
 				}
 			}
-			for i, e := range engines {
-				out, _ := e.EndPulse(pulse)
-				lists[i] = out
+			if allocs := testing.AllocsPerRun(20, runPhase); allocs != 0 {
+				t.Fatalf("warm IC phase allocates %v times per phase, want 0", allocs)
 			}
-			pulse++
-		}
-	}
-	runPhase() // warm: arenas are pre-sized, but the first phase proves it
-	for i, e := range engines {
-		if !e.Done() {
-			t.Fatalf("engine %d not done after %d pulses", i, TotalPulses(f))
-		}
-		for s, v := range e.VectorRef() {
-			if v != vals[s] {
-				t.Fatalf("engine %d vector[%d] = %q, want %q", i, s, v, vals[s])
-			}
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, runPhase); allocs != 0 {
-		t.Fatalf("warm IC phase allocates %v times per phase, want 0", allocs)
+		})
 	}
 }
 

@@ -124,8 +124,10 @@ type DistProcessor struct {
 // phaseSpanNames maps a protocol phase to its trace span name (the
 // VERDICT phase is the paper's foul-set vote). Per-pulse spans inside a
 // phase are "pulse.clock-sync" (vote split + self-stabilizing tick),
-// "pulse.dolev-strong" (authenticated relay delivery) and
-// "pulse.eig-resolve" (EIG end-of-pulse resolution). See DESIGN.md §14.
+// "pulse.dolev-strong" (ic.Deliver of the pulse's EIG payloads; despite
+// the name, no Dolev–Strong broadcast runs here) and
+// "pulse.eig-resolve" (ic.EndPulse: round end, resolution, next
+// broadcast). See DESIGN.md §14.
 var phaseSpanNames = [numPhases]string{
 	phaseOutcome: "phase.outcome",
 	phaseCommit:  "phase.commit",

@@ -914,6 +914,19 @@ func (d *rraDriver) Close() error {
 //	16, 2   184–192        93.5–97.5      1.95× faster
 //	13, 4   14.0–19.1 s    6.2–7.7 s      2.4× faster
 //
+// Re-measured on the index-addressed EIG kernel (core.DistSession stepped
+// directly on each engine, same host and shapes, six runs each side):
+//
+//	n, f    lockstep       pool (w=2)     pool vs lockstep
+//	 4, 1   0.060–0.083    0.086–0.136    1.5× slower
+//	 7, 2   0.70–1.05      0.70–1.01      tie
+//	10, 1   0.70–1.10      0.76–1.05      tie
+//	10, 2   4.1–5.2        2.3–4.0        ≈ 1.4× faster
+//	16, 1   2.9–4.3        2.7–3.4        ≈ 1.2× faster
+//
+// Every row is 2–3× cheaper and the line did not move: the pool still
+// loses at n = 4, ties at (7, 2) and (10, 1), and wins from (10, 2) up.
+//
 // Below 10 a pulse's per-processor work is microseconds, the hand-off
 // costs more than it buys, and a host that runs many such sessions has no
 // idle core to hand off to (its shard loops already spread sessions over
