@@ -15,19 +15,21 @@ import (
 // commitment, reveal, SHA-256 verification, best-response audit,
 // publication, history recording — without a single heap allocation. The
 // other budgets are pinned at measured+10% (mixed 14, RRA 56, distributed
-// 112 as of the PR 9 arena work) so a real regression trips the gate
-// instead of drifting inside slack. The distributed residue is entirely
-// phase-boundary work — evidence encode/decode, commitments, the retained
-// outcome profile — while the per-pulse engine itself is allocation-free
-// (see TestICEnginePhaseZeroAlloc in internal/bap).
+// 8) so a real regression trips the gate instead of drifting inside
+// slack. A distributed play allocates only the agreed values each
+// processor contributes: the commitment digest and the opening, two
+// bap.Value strings per processor per play. Everything else — evidence
+// encode and parse, the commitment, the audit, the retained outcome — runs
+// in processor scratch and a fixed result ring, and the per-pulse engine
+// is allocation-free (see TestICEnginePhaseZeroAlloc in internal/bap).
 const (
 	pureAllocBudget  = 0
 	mixedAllocBudget = 16
 	rraAllocBudget   = 62
-	distAllocBudget  = 124
-	// distN7AllocBudget is the (7, 2) play at measured+10% (260): the
-	// same phase-boundary work at seven processors.
-	distN7AllocBudget = 286
+	distAllocBudget  = 9
+	// distN7AllocBudget is the (7, 2) play at measured+10% (14): the
+	// same two values at seven processors.
+	distN7AllocBudget = 16
 	// playNOverheadBudget bounds the fixed cost of one PlayN call beyond
 	// its rounds' own budgets: the lock-once loop may allocate for its
 	// play closure but must not allocate per round, so a whole pure batch
@@ -280,5 +282,67 @@ func TestHeapPerHostedSession(t *testing.T) {
 	t.Logf("hosted pure session: %d B live (budget %d)", per, budget)
 	if per > budget {
 		t.Errorf("a hosted pure session retains %d B, budget %d", per, budget)
+	}
+}
+
+// TestHeapPerHostedDistSession gates what a hosted distributed session
+// retains as it keeps playing, in inproc_dist's two shapes at
+// history_limit 8: nothing may grow with the play count, so a session
+// holds the same heap after 1,024 plays as after 64, within 1 KB. (While
+// every processor appended each play to an unbounded result log, a (4, 1)
+// session grew by ≈ 330 KB over those 960 plays and a (7, 2) session by
+// ≈ 800 KB.) The runtime's own growth must stay out of the window: one
+// more OS thread is ≈ 5 KB of heap, so the test runs on one P, and a
+// throwaway session plays the full run before the first measurement.
+func TestHeapPerHostedDistSession(t *testing.T) {
+	const early, late, slack = 64, 1024, 1 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second cycle drops what sync.Pools kept through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct{ n, f, sessions int }{{4, 1, 4}, {7, 2, 2}} {
+		t.Run(fmt.Sprintf("n%df%d", tc.n, tc.f), func(t *testing.T) {
+			a := ga.NewAuthority()
+			defer a.Close()
+			create := func(seed uint64, plays int) *ga.HostedSession {
+				req := ga.CreateSessionRequest{Game: "publicgoods", Players: tc.n, Seed: seed, HistoryLimit: 8}
+				req.Distributed = &struct {
+					N int `json:"n"`
+					F int `json:"f"`
+				}{N: tc.n, F: tc.f}
+				h, err := a.CreateFromSpec(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := h.Run(ctx, plays); err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			if err := a.Remove(create(0, late).ID()); err != nil {
+				t.Fatal(err)
+			}
+			hs := make([]*ga.HostedSession, tc.sessions)
+			for i := range hs {
+				hs[i] = create(uint64(i)+1, early)
+			}
+			before := heap()
+			for _, h := range hs {
+				if _, err := h.Run(ctx, late-early); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grown := (heap() - before) / int64(tc.sessions)
+			runtime.KeepAlive(hs)
+			t.Logf("hosted (%d, %d) session: %+d B from play %d to play %d (slack %d)", tc.n, tc.f, grown, early, late, slack)
+			if grown > slack {
+				t.Errorf("a hosted (%d, %d) session grew by %d B from play %d to play %d, slack %d", tc.n, tc.f, grown, early, late, slack)
+			}
+		})
 	}
 }

@@ -155,10 +155,13 @@ func distributed(n, f int, seed uint64, byz map[int]ga.Adversary) (ga.Session, *
 // periods runs p clock periods of PulsesPerPlay(f) pulses and returns the
 // plays the first honest processor completed and the violations: periods
 // in which some honest processor did not complete exactly one play, plus
-// one if the honest replicas disagree on those plays.
+// one if the honest replicas disagree on any of those plays. Each period's
+// play is compared as it completes, because a processor retains only its
+// latest plays and E-L3 runs more periods than that.
 func periods(d *ga.DistributedSession, f, p int) (plays, violations int) {
 	first := d.Procs[d.Honest[0]].ResultCount()
 	before := make([]int, len(d.Honest))
+	disagreed := false
 	for k := 0; k < p; k++ {
 		for i, id := range d.Honest {
 			before[i] = d.Procs[id].ResultCount()
@@ -170,9 +173,12 @@ func periods(d *ga.DistributedSession, f, p int) (plays, violations int) {
 				break
 			}
 		}
+		if d.ConsistentResults(1) != nil {
+			disagreed = true
+		}
 	}
 	plays = d.Procs[d.Honest[0]].ResultCount() - first
-	if d.ConsistentResults(plays) != nil {
+	if disagreed {
 		violations++
 	}
 	return plays, violations

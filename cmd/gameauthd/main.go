@@ -421,11 +421,14 @@ func trace(n, f, plays, cheat, corrupt int, seed uint64) error {
 		}
 	}
 
+	// A processor keeps a fixed ring of its latest plays, and a transient
+	// fault empties it: check every play the replicas still retain.
 	done := s.Stats().Rounds
-	if err := dist.ConsistentResults(done); err != nil {
+	checked := min(done, len(dist.Procs[dist.Honest[0]].Results()))
+	if err := dist.ConsistentResults(checked); err != nil {
 		return fmt.Errorf("HONEST REPLICA DIVERGENCE: %w", err)
 	}
-	fmt.Printf("gameauthd: %d plays, all honest replicas consistent; %d messages exchanged\n",
-		done, dist.Net.Stats.MessagesSent)
+	fmt.Printf("gameauthd: %d plays, the last %d consistent at every honest replica; %d messages exchanged\n",
+		done, checked, dist.Net.Stats.MessagesSent)
 	return nil
 }

@@ -422,7 +422,11 @@ func DeviantByName(name string) (DeviantStrategy, bool) { return deviate.ByName(
 // DistributedSession is the full middleware over a synchronous Byzantine
 // network: self-stabilizing clock + interactive consistency per phase.
 // AsDistributed recovers it from a Session built by New with
-// WithDistributed, for fault injection and consistency checks.
+// WithDistributed, for fault injection and consistency checks. Each
+// processor retains only its last 64 completed plays (a fixed ring,
+// emptied by a transient fault): Procs[i].Results returns those, and
+// ConsistentResults compares at most that many. The Session's own
+// history is bounded by WithHistoryLimit as for every driver.
 type DistributedSession = core.DistSession
 
 // Adversary rewrites a Byzantine processor's outgoing traffic.

@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"gameauthority/internal/commit"
@@ -85,26 +86,20 @@ type Verdict struct {
 }
 
 // Guilty returns the distinct agent ids with at least one foul, in
-// ascending order.
-func (v Verdict) Guilty() []int {
-	if len(v.Fouls) == 0 {
-		return nil // fast path: honest plays must not allocate
-	}
-	seen := make(map[int]bool)
-	var out []int
+// ascending order (nil for an honest play, without allocating).
+func (v Verdict) Guilty() []int { return v.AppendGuilty(nil) }
+
+// AppendGuilty appends Guilty's ids to dst, ascending and distinct, reusing
+// dst's capacity: the form for per-session scratch buffers.
+func (v Verdict) AppendGuilty(dst []int) []int {
+	base := len(dst)
 	for _, f := range v.Fouls {
-		if !seen[f.Agent] {
-			seen[f.Agent] = true
-			out = append(out, f.Agent)
+		i, found := slices.BinarySearch(dst[base:], f.Agent)
+		if !found {
+			dst = slices.Insert(dst, base+i, f.Agent)
 		}
 	}
-	// Insertion order is by fouls; sort ascending for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return dst
 }
 
 // FoulsFor returns the fouls charged to the given agent, in issue order.

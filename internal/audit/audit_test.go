@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -196,6 +197,22 @@ func TestVerdictGuiltySortedUnique(t *testing.T) {
 		if g[i] != want[i] {
 			t.Fatalf("guilty = %v, want %v", g, want)
 		}
+	}
+}
+
+// TestVerdictAppendGuilty pins the scratch form: it appends after what
+// dst holds, sorted and distinct among the appended ids only, and a warm
+// buffer takes a play's foul set without allocating.
+func TestVerdictAppendGuilty(t *testing.T) {
+	v := Verdict{Fouls: []Foul{{Agent: 3}, {Agent: 1}, {Agent: 3}, {Agent: 0}}}
+	if got := v.AppendGuilty([]int{9, 1}); !slices.Equal(got, []int{9, 1, 0, 1, 3}) {
+		t.Fatalf("AppendGuilty after [9 1] = %v", got)
+	}
+	buf := make([]int, 0, 4)
+	if a := testing.AllocsPerRun(100, func() {
+		buf = v.AppendGuilty(buf[:0])
+	}); a != 0 || !slices.Equal(buf, []int{0, 1, 3}) {
+		t.Fatalf("AppendGuilty into a warm buffer: %v, %v allocs", buf, a)
 	}
 }
 

@@ -2,9 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"gameauthority/internal/commit"
 	"gameauthority/internal/game"
@@ -50,161 +47,6 @@ func HonestPure(g game.Game, id int) *Agent {
 			return game.BestResponse(g, id, prev)
 		},
 	}
-}
-
-// --- Canonical wire encodings -------------------------------------------------
-//
-// Everything the processors agree on via the BAP travels as a canonical
-// string (bap.Value). Encoders are deliberately simple and deterministic;
-// decoders treat malformed input as Byzantine garbage (error, never panic).
-
-// EncodeProfile canonically encodes an action profile ("1,0,2"); -1 entries
-// (unknown actions) are preserved.
-func EncodeProfile(p game.Profile) string {
-	parts := make([]string, len(p))
-	for i, a := range p {
-		parts[i] = strconv.Itoa(a)
-	}
-	return strings.Join(parts, ",")
-}
-
-// DecodeProfile parses EncodeProfile output; n is the required arity.
-func DecodeProfile(s string, n int) (game.Profile, error) {
-	if s == "" {
-		return nil, fmt.Errorf("%w: empty profile", ErrConfig)
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("%w: profile arity %d, want %d", ErrConfig, len(parts), n)
-	}
-	p := make(game.Profile, n)
-	for i, part := range parts {
-		a, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("%w: profile entry %q", ErrConfig, part)
-		}
-		p[i] = a
-	}
-	return p, nil
-}
-
-// EncodeDigest hex-encodes a commitment digest.
-func EncodeDigest(d commit.Digest) string {
-	const hexdigits = "0123456789abcdef"
-	out := make([]byte, 0, 2*len(d))
-	for _, b := range d {
-		out = append(out, hexdigits[b>>4], hexdigits[b&0xf])
-	}
-	return string(out)
-}
-
-// DecodeDigest parses EncodeDigest output.
-func DecodeDigest(s string) (commit.Digest, error) {
-	var d commit.Digest
-	if len(s) != 2*len(d) {
-		return d, fmt.Errorf("%w: digest hex length %d", ErrConfig, len(s))
-	}
-	for i := 0; i < len(d); i++ {
-		hi, ok1 := unhex(s[2*i])
-		lo, ok2 := unhex(s[2*i+1])
-		if !ok1 || !ok2 {
-			return d, fmt.Errorf("%w: digest hex at %d", ErrConfig, i)
-		}
-		d[i] = hi<<4 | lo
-	}
-	return d, nil
-}
-
-func unhex(c byte) (byte, bool) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', true
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, true
-	default:
-		return 0, false
-	}
-}
-
-// EncodeOpening canonically encodes a commitment opening as
-// "<value-hex>|<nonce-hex>".
-func EncodeOpening(op commit.Opening) string {
-	const hexdigits = "0123456789abcdef"
-	enc := func(b []byte) string {
-		out := make([]byte, 0, 2*len(b))
-		for _, x := range b {
-			out = append(out, hexdigits[x>>4], hexdigits[x&0xf])
-		}
-		return string(out)
-	}
-	return enc(op.Value) + "|" + enc(op.Nonce[:])
-}
-
-// DecodeOpening parses EncodeOpening output.
-func DecodeOpening(s string) (commit.Opening, error) {
-	var op commit.Opening
-	parts := strings.Split(s, "|")
-	if len(parts) != 2 {
-		return op, fmt.Errorf("%w: opening has %d segments", ErrConfig, len(parts))
-	}
-	value, err := unhexBytes(parts[0])
-	if err != nil {
-		return op, err
-	}
-	nonce, err := unhexBytes(parts[1])
-	if err != nil {
-		return op, err
-	}
-	if len(nonce) != commit.NonceSize {
-		return op, fmt.Errorf("%w: nonce length %d", ErrConfig, len(nonce))
-	}
-	op.Value = value
-	copy(op.Nonce[:], nonce)
-	return op, nil
-}
-
-func unhexBytes(s string) ([]byte, error) {
-	if len(s)%2 != 0 {
-		return nil, fmt.Errorf("%w: odd hex length", ErrConfig)
-	}
-	out := make([]byte, len(s)/2)
-	for i := range out {
-		hi, ok1 := unhex(s[2*i])
-		lo, ok2 := unhex(s[2*i+1])
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("%w: bad hex", ErrConfig)
-		}
-		out[i] = hi<<4 | lo
-	}
-	return out, nil
-}
-
-// EncodeFoulSet canonically encodes the guilty agent ids ("1;3;4", "" for
-// none) — the value the judicial service agrees on before ordering
-// punishment.
-func EncodeFoulSet(ids []int) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
-	}
-	return strings.Join(parts, ";")
-}
-
-// DecodeFoulSet parses EncodeFoulSet output.
-func DecodeFoulSet(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ";")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		id, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("%w: foul set entry %q", ErrConfig, p)
-		}
-		out = append(out, id)
-	}
-	return out, nil
 }
 
 // deriveAgentSource gives each (session seed, agent, round) its own

@@ -12,39 +12,39 @@ import (
 
 func TestEncodeDecodeProfile(t *testing.T) {
 	cases := []game.Profile{{0}, {1, 0, 2}, {-1, 3}}
+	var scratch game.Profile
 	for _, p := range cases {
-		got, err := DecodeProfile(EncodeProfile(p), len(p))
+		got, err := ParseProfile(scratch, string(AppendProfile(nil, p)), len(p))
 		if err != nil {
 			t.Fatalf("decode(%v): %v", p, err)
 		}
 		if !got.Equal(p) {
 			t.Fatalf("round trip %v → %v", p, got)
 		}
+		scratch = got
 	}
-	if _, err := DecodeProfile("", 1); !errors.Is(err, ErrConfig) {
-		t.Fatalf("empty: %v", err)
-	}
-	if _, err := DecodeProfile("1,2", 3); !errors.Is(err, ErrConfig) {
-		t.Fatalf("arity: %v", err)
-	}
-	if _, err := DecodeProfile("1,x", 2); !errors.Is(err, ErrConfig) {
-		t.Fatalf("garbage: %v", err)
+	for _, bad := range []struct {
+		s string
+		n int
+	}{{"", 1}, {"1,2", 3}, {"1,2,3", 2}, {"1,x", 2}, {"1", 0}} {
+		if _, err := ParseProfile(scratch, bad.s, bad.n); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%q (n=%d): %v", bad.s, bad.n, err)
+		}
 	}
 }
 
 func TestEncodeDecodeDigest(t *testing.T) {
 	src := prng.New(1)
 	d, _ := commit.Commit(src, []byte("v"))
-	got, err := DecodeDigest(EncodeDigest(d))
+	enc := string(AppendDigest(nil, d))
+	got, err := ParseDigest(enc)
 	if err != nil || got != d {
 		t.Fatalf("digest round trip failed: %v", err)
 	}
-	if _, err := DecodeDigest("zz"); !errors.Is(err, ErrConfig) {
+	if _, err := ParseDigest("zz"); !errors.Is(err, ErrConfig) {
 		t.Fatalf("short digest: %v", err)
 	}
-	bad := EncodeDigest(d)
-	bad = "g" + bad[1:]
-	if _, err := DecodeDigest(bad); !errors.Is(err, ErrConfig) {
+	if _, err := ParseDigest("g" + enc[1:]); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad hex: %v", err)
 	}
 }
@@ -52,23 +52,27 @@ func TestEncodeDecodeDigest(t *testing.T) {
 func TestEncodeDecodeOpening(t *testing.T) {
 	src := prng.New(2)
 	_, op := commit.Commit(src, []byte("payload"))
-	got, err := DecodeOpening(EncodeOpening(op))
-	if err != nil {
+	got := commit.Opening{Value: make([]byte, 0, 64)}
+	if err := ParseOpening(&got, string(AppendOpening(nil, op))); err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Value) != "payload" || got.Nonce != op.Nonce {
 		t.Fatal("opening round trip mismatch")
 	}
 	for _, bad := range []string{"", "a|b|c", "xx|yy", "ab|"} {
-		if _, err := DecodeOpening(bad); err == nil {
+		if err := ParseOpening(&got, bad); err == nil {
 			t.Fatalf("malformed opening %q accepted", bad)
+		}
+		if len(got.Value) != 0 || got.Nonce != ([commit.NonceSize]byte{}) {
+			t.Fatalf("malformed opening %q left %x|%x behind", bad, got.Value, got.Nonce)
 		}
 	}
 }
 
 func TestEncodeDecodeFoulSet(t *testing.T) {
+	var scratch []int
 	for _, ids := range [][]int{nil, {1}, {0, 2, 5}} {
-		got, err := DecodeFoulSet(EncodeFoulSet(ids))
+		got, err := ParseFoulSet(scratch, string(AppendFoulSet(nil, ids)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,9 +84,39 @@ func TestEncodeDecodeFoulSet(t *testing.T) {
 				t.Fatalf("round trip %v → %v", ids, got)
 			}
 		}
+		scratch = got
 	}
-	if _, err := DecodeFoulSet("1;x"); !errors.Is(err, ErrConfig) {
+	if _, err := ParseFoulSet(scratch, "1;x"); !errors.Is(err, ErrConfig) {
 		t.Fatalf("garbage: %v", err)
+	}
+}
+
+// TestEvidenceCodecZeroAlloc pins the scratch discipline: once its
+// buffers are warm, a processor encodes and parses every kind of phase
+// evidence without allocating.
+func TestEvidenceCodecZeroAlloc(t *testing.T) {
+	p := game.Profile{1, 0, 2, -1}
+	d, op := commit.Commit(prng.New(3), []byte("1"))
+	profile := string(AppendProfile(nil, p))
+	digest := string(AppendDigest(nil, d))
+	opening := string(AppendOpening(nil, op))
+	fouls := string(AppendFoulSet(nil, []int{0, 3}))
+	enc := make([]byte, 0, 256)
+	prof := make(game.Profile, 0, len(p))
+	ids := make([]int, 0, 4)
+	parsed := commit.Opening{Value: make([]byte, 0, 8)}
+	allocs := testing.AllocsPerRun(100, func() {
+		enc = AppendProfile(enc[:0], p)
+		enc = AppendDigest(enc[:0], d)
+		enc = AppendOpening(enc[:0], op)
+		enc = AppendFoulSet(enc[:0], ids)
+		prof, _ = ParseProfile(prof, profile, len(p))
+		_, _ = ParseDigest(digest)
+		_ = ParseOpening(&parsed, opening)
+		ids, _ = ParseFoulSet(ids, fouls)
+	})
+	if allocs != 0 {
+		t.Fatalf("evidence codec allocates %v times per round, want 0", allocs)
 	}
 }
 
@@ -95,7 +129,7 @@ func TestQuickProfileCodecTotal(t *testing.T) {
 		for i, r := range raw {
 			p[i] = int(r)
 		}
-		got, err := DecodeProfile(EncodeProfile(p), len(p))
+		got, err := ParseProfile(nil, string(AppendProfile(nil, p)), len(p))
 		return err == nil && got.Equal(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

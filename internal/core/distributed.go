@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"gameauthority/internal/audit"
 	"gameauthority/internal/bap"
@@ -9,6 +11,7 @@ import (
 	"gameauthority/internal/commit"
 	"gameauthority/internal/game"
 	"gameauthority/internal/obs"
+	"gameauthority/internal/prng"
 	"gameauthority/internal/punish"
 	"gameauthority/internal/sim"
 )
@@ -63,6 +66,13 @@ type distMsg struct {
 	HasInner bool
 }
 
+// resultRing is how many completed plays a processor retains: its result
+// log is a ring that overwrites the oldest play, so a processor's memory
+// stays flat however long it runs. The hosted driver reads only the newest
+// play; 64 covers the longest tail any caller compares (Theorem 1's 50
+// periods plus 2 reconvergence plays in TestDistSessionSelfStabilization).
+const resultRing = 64
+
 // slabRounds is how many pulses a sent distMsg must stay untouched before
 // its slab slot can be reused: one pulse in transit, one pulse being read,
 // plus one pulse of slack for adversaries that replay a Byzantine
@@ -102,8 +112,11 @@ type DistProcessor struct {
 
 	// Per-play working state (agreed evidence), pre-sized at construction;
 	// haveDigests/haveOpenings flag which phases have produced evidence
-	// since the last play (or corruption).
+	// since the last play (or corruption). prev is nil or aliases prevBuf,
+	// the processor's own copy of the agreed previous outcome, which the
+	// OUTCOME phase parses in place.
 	prev         game.Profile
+	prevBuf      game.Profile
 	round        int
 	myOpening    commit.Opening
 	digests      []commit.Digest
@@ -113,12 +126,31 @@ type DistProcessor struct {
 	haveOpenings bool
 	convicted    []bool
 
+	// Phase-boundary scratch, the PureSession discipline: enc holds the
+	// encoding of the value being contributed, claim the last outcome
+	// claim (contributed again while its bytes repeat), and prevView,
+	// actions, verdict and guilty are the Choose view of prev, the audited
+	// profile and verdict, and the foul set — all reused every play. A
+	// play allocates only the bap.Value strings it contributes.
+	enc      []byte
+	claim    bap.Value
+	prevView game.Profile
+	actions  game.Profile
+	verdict  audit.Verdict
+	guilty   []int
+
 	// phaseSpan is the open trace span covering the current interactive-
 	// consistency phase (zero when the tracer is disabled or no phase is
 	// in flight); per-pulse sub-spans nest inside it in the dump.
 	phaseSpan obs.Ctx
 
+	// results is the ring of the last resultRing completed plays, built at
+	// the first play: play k since the last fault sits in slot k %
+	// resultRing, whose Outcome is a fixed window of one shared buffer and
+	// whose Guilty grows on the first conviction it records. played counts
+	// every play since the last fault.
 	results []DistRound
+	played  int
 }
 
 // phaseSpanNames maps a protocol phase to its trace span name (the
@@ -135,7 +167,9 @@ var phaseSpanNames = [numPhases]string{
 	phaseVerdict: "phase.vote",
 }
 
-// DistRound is one completed play as recorded by a processor.
+// DistRound is one completed play as recorded by a processor. The
+// processor's copy is overwritten resultRing plays later; Results hands
+// out deep copies.
 type DistRound struct {
 	Pulse   int
 	Outcome game.Profile
@@ -182,10 +216,13 @@ func NewDistProcessor(id, n, f int, g game.Game, behavior *Agent, scheme punish.
 		outBuf:    make([]sim.Message, 0, n),
 		innerPay:  make([]any, 0, n*n),
 		innerFrom: make([]int, 0, n*n),
+		prevBuf:   make(game.Profile, 0, n),
 		digests:   make([]commit.Digest, n),
 		openings:  make([]commit.Opening, n),
 		revealed:  make([]bool, n),
 		convicted: make([]bool, n),
+		prevView:  make(game.Profile, 0, n),
+		actions:   make(game.Profile, n),
 	}
 	for i := range p.slabs {
 		p.slabs[i] = make([]distMsg, 0, n)
@@ -198,25 +235,38 @@ func (p *DistProcessor) ID() int { return p.id }
 
 // ResultCount returns the number of plays this processor has completed
 // since its last transient fault.
-func (p *DistProcessor) ResultCount() int { return len(p.results) }
+func (p *DistProcessor) ResultCount() int { return p.played }
 
-// ResultAt returns a copy of the i-th completed play.
-func (p *DistProcessor) ResultAt(i int) DistRound {
-	r := p.results[i]
-	return DistRound{Pulse: r.Pulse, Outcome: r.Outcome.Clone(), Guilty: append([]int(nil), r.Guilty...)}
-}
+// resultRef returns the i-th play since the last fault without copying;
+// i must be one of the retained plays. The session driver clones what it
+// keeps.
+func (p *DistProcessor) resultRef(i int) *DistRound { return &p.results[i%resultRing] }
 
-// resultRef returns the i-th completed play without copying; the session
-// driver clones what it retains.
-func (p *DistProcessor) resultRef(i int) *DistRound { return &p.results[i] }
-
-// Results returns the plays this processor has completed (oldest first).
+// Results returns deep copies of the retained plays — the last
+// min(ResultCount, resultRing) — oldest first.
 func (p *DistProcessor) Results() []DistRound {
-	out := make([]DistRound, len(p.results))
-	for i, r := range p.results {
-		out[i] = DistRound{Pulse: r.Pulse, Outcome: r.Outcome.Clone(), Guilty: append([]int(nil), r.Guilty...)}
+	out := make([]DistRound, min(p.played, resultRing))
+	first := p.played - len(out)
+	for k := range out {
+		r := p.resultRef(first + k)
+		out[k] = DistRound{Pulse: r.Pulse, Outcome: r.Outcome.Clone(), Guilty: append([]int(nil), r.Guilty...)}
 	}
 	return out
+}
+
+// nextResult claims the ring slot of the next completed play, overwriting
+// the oldest retained play once the ring is full.
+func (p *DistProcessor) nextResult() *DistRound {
+	if p.results == nil {
+		p.results = make([]DistRound, resultRing)
+		outcomes := make(game.Profile, resultRing*p.n)
+		for i := range p.results {
+			p.results[i].Outcome = outcomes[i*p.n : i*p.n : (i+1)*p.n]
+		}
+	}
+	r := p.resultRef(p.played)
+	p.played++
+	return r
 }
 
 // Excluded reports whether this processor's executive replica has excluded
@@ -331,14 +381,20 @@ func (p *DistProcessor) privateValue(phase distPhase, pulse int) bap.Value {
 		if p.prev == nil {
 			return "none"
 		}
-		return bap.Value(EncodeProfile(p.prev))
+		p.enc = AppendProfile(p.enc[:0], p.prev)
+		if string(p.enc) != string(p.claim) {
+			p.claim = bap.Value(p.enc)
+		}
+		return p.claim
 
 	case phaseCommit:
-		action := p.behavior.Choose(p.round, clonePrev(p.lastOutcome()))
-		src := deriveAgentSource(p.seed, p.id, p.round)
-		digest, opening := commit.Commit(src, audit.EncodeAction(action))
-		p.myOpening = opening
-		return bap.Value(EncodeDigest(digest))
+		action := p.behavior.Choose(p.round, p.prevFor())
+		var src prng.Source
+		src.Seed(agentStreamState(p.seed, p.id, p.round))
+		p.enc = audit.AppendAction(p.enc[:0], action)
+		digest := commit.CommitInto(&src, p.enc, &p.myOpening)
+		p.enc = AppendDigest(p.enc[:0], digest)
+		return bap.Value(p.enc)
 
 	case phaseReveal:
 		if p.behavior.Withhold != nil && p.behavior.Withhold(p.round) {
@@ -348,16 +404,30 @@ func (p *DistProcessor) privateValue(phase distPhase, pulse int) bap.Value {
 		if p.behavior.TamperOpening != nil {
 			op = p.behavior.TamperOpening(p.round, op.Clone())
 		}
-		return bap.Value(EncodeOpening(op))
+		p.enc = AppendOpening(p.enc[:0], op)
+		return bap.Value(p.enc)
 
 	case phaseVerdict:
-		verdict, _, err := p.localAudit()
-		if err != nil {
+		if p.localAudit() != nil {
 			return ""
 		}
-		return bap.Value(EncodeFoulSet(verdict.Guilty()))
+		p.guilty = p.verdict.AppendGuilty(p.guilty[:0])
+		p.enc = AppendFoulSet(p.enc[:0], p.guilty)
+		return bap.Value(p.enc)
 	}
 	return ""
+}
+
+// prevFor returns the previous outcome to hand the behaviour's Choose hook:
+// a scratch copy, so the hook cannot reach the replica's own state. The
+// slice is only valid during the call.
+func (p *DistProcessor) prevFor() game.Profile {
+	prev := p.lastOutcome()
+	if prev == nil {
+		return nil
+	}
+	p.prevView = append(p.prevView[:0], prev...)
+	return p.prevView
 }
 
 // finishPhase consumes an agreed vector.
@@ -374,14 +444,14 @@ func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse i
 		// Majority claim wins; the vector is identical at every honest
 		// processor, so the (deterministic) choice is too.
 		claim := majorityValue(vector)
+		p.prev = nil
 		if claim == "none" {
-			p.prev = nil
 			return
 		}
-		if prof, err := DecodeProfile(string(claim), p.n); err == nil {
+		prof, err := ParseProfile(p.prevBuf, string(claim), p.n)
+		p.prevBuf = prof
+		if err == nil {
 			p.prev = prof
-		} else {
-			p.prev = nil
 		}
 
 	case phaseCommit:
@@ -389,7 +459,7 @@ func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse i
 			p.digests[i] = commit.Digest{}
 		}
 		for i, v := range vector {
-			if d, err := DecodeDigest(string(v)); err == nil {
+			if d, err := ParseDigest(string(v)); err == nil {
 				p.digests[i] = d
 			}
 		}
@@ -397,16 +467,12 @@ func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse i
 
 	case phaseReveal:
 		for i := range p.openings {
-			p.openings[i] = commit.Opening{}
+			p.openings[i] = commit.Opening{Value: p.openings[i].Value[:0]}
 			p.revealed[i] = false
 		}
 		for i, v := range vector {
-			if v == "" {
-				continue
-			}
-			if op, err := DecodeOpening(string(v)); err == nil {
-				p.openings[i] = op
-				p.revealed[i] = true
+			if v != "" {
+				p.revealed[i] = ParseOpening(&p.openings[i], string(v)) == nil
 			}
 		}
 		p.haveOpenings = true
@@ -416,12 +482,17 @@ func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse i
 	}
 }
 
-// localAudit runs the judicial check over the agreed evidence. It is a
-// pure function of Byzantine-agreed data, so every honest processor
-// computes the same verdict.
-func (p *DistProcessor) localAudit() (audit.Verdict, game.Profile, error) {
+// errNoEvidence marks an audit attempted before both evidence phases of
+// the play have been agreed (after a corruption or a clock restart).
+var errNoEvidence = errors.New("core: no agreed evidence for this play")
+
+// localAudit runs the judicial check over the agreed evidence into the
+// processor's verdict and actions scratch. It is a pure function of
+// Byzantine-agreed data, so every honest processor computes the same
+// verdict.
+func (p *DistProcessor) localAudit() error {
 	if !p.haveDigests || !p.haveOpenings {
-		return audit.Verdict{}, nil, fmt.Errorf("%w: no evidence", ErrConfig)
+		return errNoEvidence
 	}
 	ev := audit.PlayEvidence{
 		Round:       p.round,
@@ -430,7 +501,8 @@ func (p *DistProcessor) localAudit() (audit.Verdict, game.Profile, error) {
 		Openings:    p.openings,
 		Revealed:    p.revealed,
 	}
-	return audit.PerRound(p.g, ev)
+	p.verdict.Fouls = p.verdict.Fouls[:0]
+	return audit.PerRoundInto(p.g, ev, p.actions, &p.verdict)
 }
 
 // lastOutcome returns the previous play's outcome, or nil when prev is
@@ -452,41 +524,41 @@ func (p *DistProcessor) finishPlay(verdictVector []bap.Value, pulse int) {
 	// Strong-majority foul set: during convergence chaos there is no
 	// n−f support, so no one gets punished on garbage.
 	foulClaim, support := majorityWithCount(verdictVector)
-	var guilty []int
+	p.guilty = p.guilty[:0]
 	if support >= p.n-p.f {
-		if ids, err := DecodeFoulSet(string(foulClaim)); err == nil {
-			guilty = ids
-		}
+		p.guilty, _ = ParseFoulSet(p.guilty, string(foulClaim))
 	}
 	// Outcome: established actions, with executive substitutions for
 	// convicted or unestablished agents.
-	verdict, actions, err := p.localAudit()
-	if err != nil {
+	if p.localAudit() != nil {
 		return // no evidence (corruption); next wrap restarts cleanly
 	}
-	_ = verdict
-	outcome := make(game.Profile, p.n)
 	for i := range p.convicted {
 		p.convicted[i] = false
 	}
-	for _, id := range guilty {
+	for _, id := range p.guilty {
 		if id >= 0 && id < p.n {
 			p.convicted[id] = true
 			_ = p.scheme.Punish(id, p.round, 1)
 		}
 	}
+	prev := p.lastOutcome()
+	r := p.nextResult()
+	r.Pulse = pulse
+	r.Outcome = r.Outcome[:0]
 	for i := 0; i < p.n; i++ {
-		if actions[i] >= 0 && !p.convicted[i] && !p.scheme.Excluded(i) {
-			outcome[i] = actions[i]
-			continue
+		a := 0
+		if p.actions[i] >= 0 && !p.convicted[i] && !p.scheme.Excluded(i) {
+			a = p.actions[i]
+		} else if prev != nil {
+			// Executive restriction/substitution.
+			a = game.BestResponse(p.g, i, prev)
 		}
-		// Executive restriction/substitution.
-		if prev := p.lastOutcome(); prev != nil {
-			outcome[i] = game.BestResponse(p.g, i, prev)
-		}
+		r.Outcome = append(r.Outcome, a)
 	}
-	p.results = append(p.results, DistRound{Pulse: pulse, Outcome: outcome, Guilty: guilty})
-	p.prev = outcome
+	r.Guilty = append(r.Guilty[:0], p.guilty...)
+	p.prevBuf = append(p.prevBuf[:0], r.Outcome...)
+	p.prev = p.prevBuf
 	p.round++
 	p.haveDigests, p.haveOpenings = false, false
 }
@@ -501,16 +573,15 @@ func (p *DistProcessor) Corrupt(entropy func() uint64) {
 	p.icPhase = distPhase(entropy() % uint64(numPhases))
 	p.round = int(entropy() % 13)
 	p.haveDigests, p.haveOpenings = false, false
+	p.prev = nil
 	if entropy()&1 == 0 {
-		garbage := make(game.Profile, p.n)
-		for i := range garbage {
-			garbage[i] = int(entropy() % 7)
+		p.prevBuf = p.prevBuf[:0]
+		for i := 0; i < p.n; i++ {
+			p.prevBuf = append(p.prevBuf, int(entropy()%7))
 		}
-		p.prev = garbage
-	} else {
-		p.prev = nil
+		p.prev = p.prevBuf
 	}
-	p.results = nil
+	p.played = 0
 	p.scheme = p.scheme.Fresh()
 }
 
@@ -603,35 +674,36 @@ func (s *DistSession) RunPlays(plays int) {
 }
 
 // ConsistentResults checks that all honest processors recorded identical
-// play outcomes over their last `plays` results; it returns an error
-// describing the first divergence.
+// plays — pulse, outcome and foul set — over their last `plays` results,
+// comparing the processors' result rings in place; it returns an error
+// describing the first divergence. It never checks fewer plays than
+// asked: asking for more than resultRing plays, or for more than an honest
+// processor has completed since its last fault, is an error.
 func (s *DistSession) ConsistentResults(plays int) error {
+	if plays > resultRing {
+		return fmt.Errorf("core: cannot compare the last %d plays: a processor retains only its last %d", plays, resultRing)
+	}
 	if len(s.Honest) == 0 {
 		return nil
 	}
-	ref := tail(s.Procs[s.Honest[0]].Results(), plays)
-	for _, id := range s.Honest[1:] {
-		got := tail(s.Procs[id].Results(), plays)
-		if len(got) != len(ref) {
-			return fmt.Errorf("core: proc %d recorded %d plays, proc %d recorded %d",
-				id, len(got), s.Honest[0], len(ref))
+	for _, id := range s.Honest {
+		if c := s.Procs[id].ResultCount(); c < plays {
+			return fmt.Errorf("core: proc %d completed %d plays since its last fault, fewer than the %d to compare", id, c, plays)
 		}
-		for k := range ref {
-			if got[k].Pulse != ref[k].Pulse || !got[k].Outcome.Equal(ref[k].Outcome) {
+	}
+	ref := s.Procs[s.Honest[0]]
+	for _, id := range s.Honest[1:] {
+		p := s.Procs[id]
+		for k := 0; k < plays; k++ {
+			got, want := p.resultRef(p.played-plays+k), ref.resultRef(ref.played-plays+k)
+			if got.Pulse != want.Pulse || !slices.Equal(got.Outcome, want.Outcome) {
 				return fmt.Errorf("core: play %d diverges: proc %d %v@%d vs proc %d %v@%d",
-					k, id, got[k].Outcome, got[k].Pulse, s.Honest[0], ref[k].Outcome, ref[k].Pulse)
+					k, id, got.Outcome, got.Pulse, s.Honest[0], want.Outcome, want.Pulse)
 			}
-			if EncodeFoulSet(got[k].Guilty) != EncodeFoulSet(ref[k].Guilty) {
-				return fmt.Errorf("core: play %d verdicts diverge: %v vs %v", k, got[k].Guilty, ref[k].Guilty)
+			if !slices.Equal(got.Guilty, want.Guilty) {
+				return fmt.Errorf("core: play %d verdicts diverge: %v vs %v", k, got.Guilty, want.Guilty)
 			}
 		}
 	}
 	return nil
-}
-
-func tail(rs []DistRound, k int) []DistRound {
-	if len(rs) > k {
-		return rs[len(rs)-k:]
-	}
-	return rs
 }

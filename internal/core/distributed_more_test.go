@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"gameauthority/internal/commit"
@@ -97,5 +98,51 @@ func TestDistSessionSevenProcessors(t *testing.T) {
 		if err := game.ValidateProfile(g, r.Outcome); err != nil {
 			t.Fatalf("outcome %v invalid: %v", r.Outcome, err)
 		}
+	}
+}
+
+// TestDistResultRing pins the processor's fixed result ring: ResultCount
+// counts every play since the last fault, Results returns the last
+// resultRing of them exactly as they completed, ConsistentResults refuses
+// a tail it cannot check in full, and a fault empties the ring.
+func TestDistResultRing(t *testing.T) {
+	n, f := 4, 1
+	g := &nPlayerPD{n: n}
+	s, err := NewDistSession(n, f, g, make([]*Agent, n), 34, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Procs[0]
+	const plays = resultRing + 6
+	var log []DistRound // every play, copied as it completes
+	for p.ResultCount() < plays {
+		s.Net.StepLockstep()
+		if c := p.ResultCount(); c > len(log) {
+			r := p.resultRef(c - 1)
+			log = append(log, DistRound{Pulse: r.Pulse, Outcome: r.Outcome.Clone(), Guilty: slices.Clone(r.Guilty)})
+		}
+	}
+	got := p.Results()
+	if len(got) != resultRing {
+		t.Fatalf("Results holds %d plays after %d, want %d", len(got), plays, resultRing)
+	}
+	for k, r := range got {
+		want := log[plays-resultRing+k]
+		if r.Pulse != want.Pulse || !r.Outcome.Equal(want.Outcome) || !slices.Equal(r.Guilty, want.Guilty) {
+			t.Fatalf("retained play %d = %+v, completed as %+v", k, r, want)
+		}
+	}
+	if err := s.ConsistentResults(resultRing); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ConsistentResults(resultRing + 1); err == nil {
+		t.Fatal("ConsistentResults checked fewer plays than asked past the ring")
+	}
+	s.Net.Corrupt(prng.New(35).Uint64)
+	if c, r := p.ResultCount(), len(p.Results()); c != 0 || r != 0 {
+		t.Fatalf("after a fault: %d plays counted, %d retained", c, r)
+	}
+	if err := s.ConsistentResults(1); err == nil {
+		t.Fatal("ConsistentResults(1) passed with no play since the fault")
 	}
 }

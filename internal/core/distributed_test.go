@@ -203,6 +203,14 @@ func TestNewDistProcessorValidation(t *testing.T) {
 	}
 }
 
+// tail returns the last k of rs (all of them when there are fewer).
+func tail(rs []DistRound, k int) []DistRound {
+	if len(rs) > k {
+		return rs[len(rs)-k:]
+	}
+	return rs
+}
+
 func TestMajorityValueDeterminism(t *testing.T) {
 	v := majorityValue([]bap.Value{"b", "a", "b", "a"})
 	if v != "a" {
