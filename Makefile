@@ -60,16 +60,18 @@ bench-quick:
 	$(GO) run ./bench -quick > /dev/null
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each fuzz
-# target (HTTP, wire, evidence codec) a short live burst. Fails on
-# panics/regressions, never on not finding anything new.
+# target (HTTP, wire, evidence codec, agreement value pool) a short live
+# burst. Fails on panics/regressions, never on not finding anything new.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' .
 	$(GO) test -run '^Fuzz' ./internal/wire
 	$(GO) test -run '^Fuzz' ./internal/core
+	$(GO) test -run '^Fuzz' ./internal/bap
 	$(GO) test -fuzz '^FuzzServerSessions$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzServerPlay$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime 5s -run '^Fuzz' ./internal/wire
 	$(GO) test -fuzz '^FuzzEvidenceCodec$$' -fuzztime 5s -run '^Fuzz' ./internal/core
+	$(GO) test -fuzz '^FuzzValuePool$$' -fuzztime 5s -run '^Fuzz' ./internal/bap
 
 # Coverage gate: the audited packages must keep ≥ 70% of statements
 # covered by the whole suite (merged -coverpkg profile; see

@@ -11,25 +11,20 @@ import (
 )
 
 // Allocation budgets per driver, enforced by TestAllocsPerPlay. The pure
-// driver's budget is the headline: a fully audited play — choice,
-// commitment, reveal, SHA-256 verification, best-response audit,
-// publication, history recording — without a single heap allocation. The
-// other budgets are pinned at measured+10% (mixed 14, RRA 56, distributed
-// 8) so a real regression trips the gate instead of drifting inside
-// slack. A distributed play allocates only the agreed values each
-// processor contributes: the commitment digest and the opening, two
-// bap.Value strings per processor per play. Everything else — evidence
-// encode and parse, the commitment, the audit, the retained outcome — runs
-// in processor scratch and a fixed result ring, and the per-pulse engine
-// is allocation-free (see TestICEnginePhaseZeroAlloc in internal/bap).
+// and distributed drivers share the headline budget: a fully audited play
+// — choice, commitment, reveal, SHA-256 verification, best-response audit,
+// publication, history recording, and for a distributed play the four
+// agreement phases at every processor — without a single heap allocation.
+// A distributed processor encodes and parses its evidence in scratch, and
+// the agreement engine copies each contributed value into a per-phase
+// pool and agrees on 4-byte ids (see TestICEnginePhaseZeroAlloc in
+// internal/bap). The other budgets are pinned at measured+10% (mixed 14,
+// RRA 56) so a real regression trips the gate instead of drifting inside
+// slack.
 const (
 	pureAllocBudget  = 0
 	mixedAllocBudget = 16
 	rraAllocBudget   = 62
-	distAllocBudget  = 9
-	// distN7AllocBudget is the (7, 2) play at measured+10% (14): the
-	// same two values at seven processors.
-	distN7AllocBudget = 16
 	// playNOverheadBudget bounds the fixed cost of one PlayN call beyond
 	// its rounds' own budgets: the lock-once loop may allocate for its
 	// play closure but must not allocate per round, so a whole pure batch
@@ -142,8 +137,8 @@ func TestAllocsPerPlayRRA(t *testing.T) {
 func TestAllocsPerPlayDistributed(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct{ n, f, budget int }{
-		{4, 1, distAllocBudget},
-		{7, 2, distN7AllocBudget},
+		{4, 1, pureAllocBudget},
+		{7, 2, pureAllocBudget},
 	} {
 		t.Run(fmt.Sprintf("n%df%d", tc.n, tc.f), func(t *testing.T) {
 			g, err := ga.PublicGoods(tc.n, 2)
@@ -193,27 +188,36 @@ func TestAllocsHashResult(t *testing.T) {
 }
 
 // TestAllocsPerPlayHosted gates the host layer, where every transport's
-// play lands: hosting adds nothing to a play, journaling adds its
-// transcript hash, and Play is PlayN(1) — so the two must cost the same.
-// The journaled batch is pinned at measured+10% (18 as of the PR 24
-// one-play-path change: 16 hashes, the batch slice, the store's copy).
+// play lands: hosting adds nothing to a play, pure or distributed,
+// journaling adds its transcript hash, and Play is PlayN(1) — so the two
+// must cost the same. The journaled batch is pinned at measured+10% (18
+// as of the PR 24 one-play-path change: 16 hashes, the batch slice, the
+// store's copy).
 func TestAllocsPerPlayHosted(t *testing.T) {
 	const journaledBatchBudget = 20
 	ctx := context.Background()
 	sink := func(ga.RoundResult) error { return nil }
+	pd := ga.CreateSessionRequest{Game: "pd", Seed: 1, HistoryLimit: 16}
+	dist := ga.CreateSessionRequest{Game: "publicgoods", Players: 4, Seed: 1, HistoryLimit: 16}
+	dist.Distributed = &struct {
+		N int `json:"n"`
+		F int `json:"f"`
+	}{N: 4, F: 1}
 	for _, row := range []struct {
 		name        string
 		opts        []ga.AuthorityOption
+		req         ga.CreateSessionRequest
 		play, batch float64
 	}{
-		{"volatile", nil, pureAllocBudget, playNOverheadBudget},
+		{"volatile", nil, pd, pureAllocBudget, playNOverheadBudget},
 		{"journaled", []ga.AuthorityOption{ga.WithStore(ga.NewMemStore()), ga.WithSnapshotEvery(0)},
-			hashResultAllocBudget, journaledBatchBudget},
+			pd, hashResultAllocBudget, journaledBatchBudget},
+		{"distributed", nil, dist, pureAllocBudget, playNOverheadBudget},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			a := ga.NewAuthority(row.opts...)
 			defer a.Close()
-			h, err := a.CreateFromSpec(ga.CreateSessionRequest{Game: "pd", Seed: 1, HistoryLimit: 16})
+			h, err := a.CreateFromSpec(row.req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,14 +290,19 @@ func TestHeapPerHostedSession(t *testing.T) {
 }
 
 // TestHeapPerHostedDistSession gates what a hosted distributed session
-// retains as it keeps playing, in inproc_dist's two shapes at
-// history_limit 8: nothing may grow with the play count, so a session
-// holds the same heap after 1,024 plays as after 64, within 1 KB. (While
-// every processor appended each play to an unbounded result log, a (4, 1)
-// session grew by ≈ 330 KB over those 960 plays and a (7, 2) session by
-// ≈ 800 KB.) The runtime's own growth must stay out of the window: one
-// more OS thread is ≈ 5 KB of heap, so the test runs on one P, and a
-// throwaway session plays the full run before the first measurement.
+// retains, in inproc_dist's two shapes at history_limit 8. A session holds
+// at most its budget after 64 plays, pinned at measured+10% (58.8 KB at
+// (4, 1) and 252.8 KB at (7, 2); string-valued agreement trees and 24-byte
+// pairs held 58.2 KB and 497 KB, and at (4, 1) the three rotating value
+// pools per processor cost about what the narrower arrays save). And
+// nothing may grow with the play
+// count, so a session holds the same heap after 1,024 plays as after 64,
+// within 1 KB. (While every processor appended each play to an unbounded
+// result log, a (4, 1) session grew by ≈ 330 KB over those 960 plays and a
+// (7, 2) session by ≈ 800 KB.) The runtime's own growth must stay out of
+// the window: one more OS thread is ≈ 5 KB of heap, so the test runs on
+// one P, and a throwaway session plays the full run before the first
+// measurement.
 func TestHeapPerHostedDistSession(t *testing.T) {
 	const early, late, slack = 64, 1024, 1 << 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -305,7 +314,10 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for _, tc := range []struct{ n, f, sessions int }{{4, 1, 4}, {7, 2, 2}} {
+	for _, tc := range []struct {
+		n, f, sessions int
+		budget         int64
+	}{{4, 1, 4, 64_700}, {7, 2, 2, 278_100}} {
 		t.Run(fmt.Sprintf("n%df%d", tc.n, tc.f), func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()
@@ -327,11 +339,17 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 			if err := a.Remove(create(0, late).ID()); err != nil {
 				t.Fatal(err)
 			}
+			base := heap()
 			hs := make([]*ga.HostedSession, tc.sessions)
 			for i := range hs {
 				hs[i] = create(uint64(i)+1, early)
 			}
 			before := heap()
+			held := (before - base) / int64(tc.sessions)
+			t.Logf("hosted (%d, %d) session: %d B live after %d plays (budget %d)", tc.n, tc.f, held, early, tc.budget)
+			if held > tc.budget {
+				t.Errorf("a hosted (%d, %d) session holds %d B after %d plays, budget %d", tc.n, tc.f, held, early, tc.budget)
+			}
 			for _, h := range hs {
 				if _, err := h.Run(ctx, late-early); err != nil {
 					t.Fatal(err)

@@ -16,11 +16,8 @@ import (
 	"testing"
 
 	ga "gameauthority"
-	"gameauthority/internal/auth"
-	"gameauthority/internal/bap"
 	"gameauthority/internal/game"
 	"gameauthority/internal/punish"
-	"gameauthority/internal/sim"
 	"gameauthority/internal/stats"
 )
 
@@ -226,39 +223,6 @@ func BenchmarkEEXTSampled(b *testing.B) {
 		}
 	}
 	b.ReportMetric(latency, "rounds-to-catch(p=0.2)")
-}
-
-// BenchmarkAuthIC measures authenticated interactive consistency (n=5,
-// f=2 — beyond the n>3f bound of EIG) including HMAC verification.
-func BenchmarkAuthIC(b *testing.B) {
-	const n, f = 5, 2
-	dealer := auth.NewDealer(n, 1)
-	for i := 0; i < b.N; i++ {
-		procs := make([]sim.Process, n)
-		raw := make([]*bap.AuthICProc, n)
-		for j := 0; j < n; j++ {
-			a, err := dealer.Authenticator(j)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := bap.NewAuthICProc(j, n, f, a, bap.Value(fmt.Sprintf("v%d", j)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			raw[j] = p
-			procs[j] = p
-		}
-		nw, err := sim.NewNetwork(procs, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nw.Run(bap.AuthICTotalPulses(f))
-		for j := 0; j < n; j++ {
-			if !raw[j].Done() {
-				b.Fatal("authenticated IC did not terminate")
-			}
-		}
-	}
 }
 
 // benchNPD is an n-player dominant-strategy game for distributed benches.

@@ -7,13 +7,6 @@ import (
 	"sync"
 )
 
-// Value is an agreement value. Protocol payloads are canonically encoded
-// strings so values are comparable and hashable.
-type Value string
-
-// DefaultValue is the fallback decision when no majority emerges.
-const DefaultValue Value = ""
-
 // Common errors.
 var (
 	ErrConfig     = errors.New("bap: invalid configuration")
@@ -123,22 +116,24 @@ type EIG struct {
 	id, n, f int
 	round    int // completed rounds
 	lay      *eigLayout
-	vals     []Value // node index → stored value, read only where set; resolve overwrites inner nodes
-	set      []bool  // node index → value present
+	vals     []uint32 // node index → stored value id, read only where set; resolve overwrites inner nodes
+	set      []bool   // node index → value present
 	decided  bool
-	decision Value
+	decision uint32
 }
 
 // Pair is one EIG tree entry in transit: the node of the shared (n, f)
-// layout and the value the sender stores for it.
+// layout and the id of the value the sender stores for it, in the
+// sender's id space.
 type Pair struct {
 	Node int32
-	Val  Value
+	Val  uint32
 }
 
-// NewEIG creates processor id's state for one agreement on initial.
-// Requires n > 3f (the LSP bound), n ≤ 64 and 0 ≤ id < n.
-func NewEIG(id, n, f int, initial Value) (*EIG, error) {
+// NewEIG creates processor id's state for one agreement on the value id
+// initial. Value ids are the caller's (IC interns them per phase); id 0 is
+// the default. Requires n > 3f (the LSP bound), n ≤ 64 and 0 ≤ id < n.
+func NewEIG(id, n, f int, initial uint32) (*EIG, error) {
 	if n <= 3*f {
 		return nil, fmt.Errorf("%w: n=%d must exceed 3f=%d", ErrConfig, n, 3*f)
 	}
@@ -150,7 +145,7 @@ func NewEIG(id, n, f int, initial Value) (*EIG, error) {
 	}
 	e := &EIG{id: id, n: n, f: f, lay: layoutFor(n, f)}
 	nodes := e.lay.nodes()
-	e.vals = make([]Value, nodes)
+	e.vals = make([]uint32, nodes)
 	e.set = make([]bool, nodes)
 	e.Reset(initial)
 	return e, nil
@@ -161,11 +156,11 @@ func NewEIG(id, n, f int, initial Value) (*EIG, error) {
 // is never read where its flag is down. Composition layers that run one
 // agreement per phase (the distributed driver's IC) reset instead of
 // reallocating.
-func (e *EIG) Reset(initial Value) {
+func (e *EIG) Reset(initial uint32) {
 	clear(e.set)
 	e.round = 0
 	e.decided = false
-	e.decision = DefaultValue
+	e.decision = 0
 	e.vals[0] = initial
 	e.set[0] = true
 }
@@ -201,10 +196,12 @@ func (e *EIG) MaxRoundPairs() int {
 }
 
 // Absorb ingests the pairs received from processor `from` in the given
-// round: pair (node, v) becomes node·from provided the node is on level
-// round and its label does not already contain `from`. First writer wins;
-// any other index (Byzantine garbage) is dropped.
-func (e *EIG) Absorb(round, from int, pairs []Pair) {
+// round: pair (node, v) becomes node·from, storing ids[v], provided the
+// node is on level round and its label does not already contain `from`.
+// ids maps the sender's value ids to this instance's. First writer wins;
+// any other index, and a value id outside ids or mapped to noID
+// (Byzantine garbage), is dropped.
+func (e *EIG) Absorb(round, from int, pairs []Pair, ids []uint32) {
 	if from < 0 || from >= e.n || round < 0 || round > e.f {
 		return
 	}
@@ -223,10 +220,10 @@ func (e *EIG) Absorb(round, from int, pairs []Pair) {
 		// level (which starts at end), offset by from's rank among the
 		// processors not on the label.
 		child := end + (p.Node-start)*width + int32(from-bits.OnesCount64(members&(bit-1)))
-		if e.set[child] {
-			continue // first writer already won
+		if e.set[child] || int(p.Val) >= len(ids) || ids[p.Val] == noID {
+			continue // first writer already won, or no such value
 		}
-		e.vals[child] = p.Val
+		e.vals[child] = ids[p.Val]
 		e.set[child] = true
 	}
 }
@@ -244,10 +241,10 @@ func (e *EIG) EndRound() {
 // Decided reports termination, and Decision returns the agreed value.
 func (e *EIG) Decided() bool { return e.decided }
 
-// Decision returns the decided value or ErrNotDecided.
-func (e *EIG) Decision() (Value, error) {
+// Decision returns the decided value id or ErrNotDecided.
+func (e *EIG) Decision() (uint32, error) {
 	if !e.decided {
-		return DefaultValue, ErrNotDecided
+		return 0, ErrNotDecided
 	}
 	return e.decision, nil
 }
@@ -256,12 +253,13 @@ func (e *EIG) Decision() (Value, error) {
 // bottom-up and in place over vals: leaves resolve to their stored value
 // (or the default), inner nodes to the strict majority of their children's
 // resolutions. Inner nodes' stored values are not needed once the last
-// round is in, so each is overwritten by its resolution.
-func (e *EIG) resolve() Value {
+// round is in, so each is overwritten by its resolution. Ids are equal
+// exactly when their bytes are, so the majorities are the values'.
+func (e *EIG) resolve() uint32 {
 	start, end := e.lay.level(e.f + 1)
 	for i := start; i < end; i++ {
 		if !e.set[i] {
-			e.vals[i] = DefaultValue
+			e.vals[i] = 0
 		}
 	}
 	for lv := e.f; lv >= 0; lv-- {
@@ -280,8 +278,8 @@ func (e *EIG) resolve() Value {
 // none: a candidate pass, then a count. A strict majority is unique, so
 // the candidate pass always finds it when it exists; when the candidate
 // never lost a vote, every value is the candidate and the count is skipped.
-func majority(vs []Value) Value {
-	cand, votes := DefaultValue, 0
+func majority(vs []uint32) uint32 {
+	cand, votes := uint32(0), 0
 	for _, v := range vs {
 		switch {
 		case votes == 0:
@@ -304,7 +302,7 @@ func majority(vs []Value) Value {
 	if 2*count > len(vs) {
 		return cand
 	}
-	return DefaultValue
+	return 0
 }
 
 // TreeSize returns the number of stored tree nodes (for overhead metrics).

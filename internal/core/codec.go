@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"gameauthority/internal/commit"
 	"gameauthority/internal/game"
@@ -13,12 +13,13 @@ import (
 
 // --- Canonical wire encodings -------------------------------------------------
 //
-// Everything the processors agree on via the BAP travels as a canonical
-// string (bap.Value). The codec works over caller-owned buffers, so a
+// Everything the processors agree on via the BAP travels as canonical
+// bytes (bap.Value). The codec works over caller-owned buffers, so a
 // processor encodes and parses its phase evidence in per-processor scratch:
-// the Append* encoders append to a byte slice and the Parse* decoders fill
-// a destination whose capacity they reuse. Decoders treat malformed input
-// as Byzantine garbage (error, never panic) and return fixed error values.
+// the Append* encoders append to a byte slice and the Parse* decoders read
+// the agreed bytes in place and fill a destination whose capacity they
+// reuse. Decoders treat malformed input as Byzantine garbage (error, never
+// panic) and return fixed error values.
 
 var (
 	errBadProfile = fmt.Errorf("%w: malformed profile", ErrConfig)
@@ -42,17 +43,17 @@ func AppendProfile(dst []byte, p game.Profile) []byte {
 // ParseProfile parses AppendProfile output of arity n into dst's storage
 // and returns the profile: exactly n−1 commas, each entry a strconv.Atoi
 // integer. On error it returns dst[:0].
-func ParseProfile(dst game.Profile, s string, n int) (game.Profile, error) {
+func ParseProfile(dst game.Profile, s []byte, n int) (game.Profile, error) {
 	dst = dst[:0]
 	if n <= 0 {
 		return dst, errBadProfile
 	}
 	for i := 0; i < n; i++ {
-		part, rest, more := strings.Cut(s, ",")
+		part, rest, more := bytes.Cut(s, []byte{','})
 		if more != (i < n-1) {
 			return dst[:0], errBadProfile
 		}
-		a, err := strconv.Atoi(part)
+		a, err := strconv.Atoi(string(part))
 		if err != nil {
 			return dst[:0], errBadProfile
 		}
@@ -68,7 +69,7 @@ func AppendDigest(dst []byte, d commit.Digest) []byte {
 }
 
 // ParseDigest parses AppendDigest output.
-func ParseDigest(s string) (commit.Digest, error) {
+func ParseDigest(s []byte) (commit.Digest, error) {
 	var d commit.Digest
 	if len(s) != 2*len(d) || !unhexInto(d[:], s) {
 		return commit.Digest{}, errBadDigest
@@ -88,10 +89,10 @@ func AppendOpening(dst []byte, op commit.Opening) []byte {
 // of op.Value: exactly one '|', lowercase hex of even length on both
 // sides, and a nonce of commit.NonceSize bytes. On error op is left with
 // an empty value and a zero nonce.
-func ParseOpening(op *commit.Opening, s string) error {
-	value, nonce, ok := strings.Cut(s, "|")
+func ParseOpening(op *commit.Opening, s []byte) error {
+	value, nonce, ok := bytes.Cut(s, []byte{'|'})
 	op.Value = op.Value[:0]
-	if !ok || strings.IndexByte(nonce, '|') >= 0 || len(value)%2 != 0 ||
+	if !ok || bytes.IndexByte(nonce, '|') >= 0 || len(value)%2 != 0 ||
 		len(nonce) != 2*commit.NonceSize || !unhexInto(op.Nonce[:], nonce) {
 		op.Nonce = [commit.NonceSize]byte{}
 		return errBadOpening
@@ -107,7 +108,7 @@ func ParseOpening(op *commit.Opening, s string) error {
 
 // unhexInto decodes the lowercase hex s into dst (len(s) == 2*len(dst)),
 // reporting whether every digit was valid.
-func unhexInto(dst []byte, s string) bool {
+func unhexInto(dst, s []byte) bool {
 	for i := range dst {
 		hi, ok1 := unhex(s[2*i])
 		lo, ok2 := unhex(s[2*i+1])
@@ -144,16 +145,16 @@ func AppendFoulSet(dst []byte, ids []int) []byte {
 }
 
 // ParseFoulSet parses AppendFoulSet output into dst's storage and returns
-// the ids; "" is the empty set. On error it returns dst[:0].
-func ParseFoulSet(dst []int, s string) ([]int, error) {
+// the ids; no bytes is the empty set. On error it returns dst[:0].
+func ParseFoulSet(dst []int, s []byte) ([]int, error) {
 	dst = dst[:0]
-	if s == "" {
+	if len(s) == 0 {
 		return dst, nil
 	}
 	for more := true; more; {
-		var part string
-		part, s, more = strings.Cut(s, ";")
-		id, err := strconv.Atoi(part)
+		var part []byte
+		part, s, more = bytes.Cut(s, []byte{';'})
+		id, err := strconv.Atoi(string(part))
 		if err != nil {
 			return dst[:0], errBadFoulSet
 		}

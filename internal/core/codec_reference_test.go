@@ -172,24 +172,24 @@ func FuzzEvidenceCodec(f *testing.F) {
 
 		// Decoders.
 		wantP, wantErr := DecodeProfile(s, n)
-		gotP, gotErr := ParseProfile(slices.Clone(dirtyInts), s, n)
+		gotP, gotErr := ParseProfile(slices.Clone(dirtyInts), []byte(s), n)
 		if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && !slices.Equal(gotP, wantP)) {
 			t.Fatalf("profile %q n=%d: reference %v %v, scratch %v %v", s, n, wantP, wantErr, gotP, gotErr)
 		}
 		wantD, wantErr := DecodeDigest(s)
-		gotD, gotErr := ParseDigest(s)
+		gotD, gotErr := ParseDigest([]byte(s))
 		if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && gotD != wantD) {
 			t.Fatalf("digest %q: reference %v, scratch %v", s, wantErr, gotErr)
 		}
 		wantO, wantErr := DecodeOpening(s)
 		gotO := commit.Opening{Value: []byte("stale opening value"), Nonce: [commit.NonceSize]byte{1}}
-		gotErr = ParseOpening(&gotO, s)
+		gotErr = ParseOpening(&gotO, []byte(s))
 		if (wantErr == nil) != (gotErr == nil) ||
 			(wantErr == nil && (!bytes.Equal(gotO.Value, wantO.Value) || gotO.Nonce != wantO.Nonce)) {
 			t.Fatalf("opening %q: reference %x %v, scratch %x %v", s, wantO.Value, wantErr, gotO.Value, gotErr)
 		}
 		wantF, wantErr := DecodeFoulSet(s)
-		gotF, gotErr := ParseFoulSet(slices.Clone(dirtyInts), s)
+		gotF, gotErr := ParseFoulSet(slices.Clone(dirtyInts), []byte(s))
 		if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && !slices.Equal(gotF, wantF)) {
 			t.Fatalf("foul set %q: reference %v %v, scratch %v %v", s, wantF, wantErr, gotF, gotErr)
 		}

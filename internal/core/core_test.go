@@ -14,7 +14,7 @@ func TestEncodeDecodeProfile(t *testing.T) {
 	cases := []game.Profile{{0}, {1, 0, 2}, {-1, 3}}
 	var scratch game.Profile
 	for _, p := range cases {
-		got, err := ParseProfile(scratch, string(AppendProfile(nil, p)), len(p))
+		got, err := ParseProfile(scratch, AppendProfile(nil, p), len(p))
 		if err != nil {
 			t.Fatalf("decode(%v): %v", p, err)
 		}
@@ -27,7 +27,7 @@ func TestEncodeDecodeProfile(t *testing.T) {
 		s string
 		n int
 	}{{"", 1}, {"1,2", 3}, {"1,2,3", 2}, {"1,x", 2}, {"1", 0}} {
-		if _, err := ParseProfile(scratch, bad.s, bad.n); !errors.Is(err, ErrConfig) {
+		if _, err := ParseProfile(scratch, []byte(bad.s), bad.n); !errors.Is(err, ErrConfig) {
 			t.Fatalf("%q (n=%d): %v", bad.s, bad.n, err)
 		}
 	}
@@ -36,15 +36,15 @@ func TestEncodeDecodeProfile(t *testing.T) {
 func TestEncodeDecodeDigest(t *testing.T) {
 	src := prng.New(1)
 	d, _ := commit.Commit(src, []byte("v"))
-	enc := string(AppendDigest(nil, d))
+	enc := AppendDigest(nil, d)
 	got, err := ParseDigest(enc)
 	if err != nil || got != d {
 		t.Fatalf("digest round trip failed: %v", err)
 	}
-	if _, err := ParseDigest("zz"); !errors.Is(err, ErrConfig) {
+	if _, err := ParseDigest([]byte("zz")); !errors.Is(err, ErrConfig) {
 		t.Fatalf("short digest: %v", err)
 	}
-	if _, err := ParseDigest("g" + enc[1:]); !errors.Is(err, ErrConfig) {
+	if _, err := ParseDigest(append([]byte("g"), enc[1:]...)); !errors.Is(err, ErrConfig) {
 		t.Fatalf("bad hex: %v", err)
 	}
 }
@@ -53,14 +53,14 @@ func TestEncodeDecodeOpening(t *testing.T) {
 	src := prng.New(2)
 	_, op := commit.Commit(src, []byte("payload"))
 	got := commit.Opening{Value: make([]byte, 0, 64)}
-	if err := ParseOpening(&got, string(AppendOpening(nil, op))); err != nil {
+	if err := ParseOpening(&got, AppendOpening(nil, op)); err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Value) != "payload" || got.Nonce != op.Nonce {
 		t.Fatal("opening round trip mismatch")
 	}
 	for _, bad := range []string{"", "a|b|c", "xx|yy", "ab|"} {
-		if err := ParseOpening(&got, bad); err == nil {
+		if err := ParseOpening(&got, []byte(bad)); err == nil {
 			t.Fatalf("malformed opening %q accepted", bad)
 		}
 		if len(got.Value) != 0 || got.Nonce != ([commit.NonceSize]byte{}) {
@@ -72,7 +72,7 @@ func TestEncodeDecodeOpening(t *testing.T) {
 func TestEncodeDecodeFoulSet(t *testing.T) {
 	var scratch []int
 	for _, ids := range [][]int{nil, {1}, {0, 2, 5}} {
-		got, err := ParseFoulSet(scratch, string(AppendFoulSet(nil, ids)))
+		got, err := ParseFoulSet(scratch, AppendFoulSet(nil, ids))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestEncodeDecodeFoulSet(t *testing.T) {
 		}
 		scratch = got
 	}
-	if _, err := ParseFoulSet(scratch, "1;x"); !errors.Is(err, ErrConfig) {
+	if _, err := ParseFoulSet(scratch, []byte("1;x")); !errors.Is(err, ErrConfig) {
 		t.Fatalf("garbage: %v", err)
 	}
 }
@@ -97,10 +97,10 @@ func TestEncodeDecodeFoulSet(t *testing.T) {
 func TestEvidenceCodecZeroAlloc(t *testing.T) {
 	p := game.Profile{1, 0, 2, -1}
 	d, op := commit.Commit(prng.New(3), []byte("1"))
-	profile := string(AppendProfile(nil, p))
-	digest := string(AppendDigest(nil, d))
-	opening := string(AppendOpening(nil, op))
-	fouls := string(AppendFoulSet(nil, []int{0, 3}))
+	profile := AppendProfile(nil, p)
+	digest := AppendDigest(nil, d)
+	opening := AppendOpening(nil, op)
+	fouls := AppendFoulSet(nil, []int{0, 3})
 	enc := make([]byte, 0, 256)
 	prof := make(game.Profile, 0, len(p))
 	ids := make([]int, 0, 4)
@@ -129,7 +129,7 @@ func TestQuickProfileCodecTotal(t *testing.T) {
 		for i, r := range raw {
 			p[i] = int(r)
 		}
-		got, err := ParseProfile(nil, string(AppendProfile(nil, p)), len(p))
+		got, err := ParseProfile(nil, AppendProfile(nil, p), len(p))
 		return err == nil && got.Equal(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -34,9 +35,6 @@ import (
 // ledger is reset by the fault injector and rebuilt from fresh verdicts —
 // the paper's §4 remark that the executive service must be made
 // self-stabilizing "on a case basis".
-
-// debugDist enables phase-vector tracing in tests.
-var debugDist = false
 
 // distPhase identifies the protocol phase within a play.
 type distPhase int
@@ -127,13 +125,11 @@ type DistProcessor struct {
 	convicted    []bool
 
 	// Phase-boundary scratch, the PureSession discipline: enc holds the
-	// encoding of the value being contributed, claim the last outcome
-	// claim (contributed again while its bytes repeat), and prevView,
-	// actions, verdict and guilty are the Choose view of prev, the audited
-	// profile and verdict, and the foul set — all reused every play. A
-	// play allocates only the bap.Value strings it contributes.
+	// encoding of the value being contributed (the engine copies it at
+	// Reset), and prevView, actions, verdict and guilty are the Choose view
+	// of prev, the audited profile and verdict, and the foul set — all
+	// reused every play, so a play allocates nothing.
 	enc      []byte
-	claim    bap.Value
 	prevView game.Profile
 	actions  game.Profile
 	verdict  audit.Verdict
@@ -366,26 +362,26 @@ func (p *DistProcessor) locate(v int) (distPhase, int, bool) {
 func (p *DistProcessor) startPhase(phase distPhase, pulse int) {
 	p.phaseSpan.End() // a clock restart can abandon a phase mid-flight
 	p.phaseSpan = obs.DefaultTracer.Begin(phaseSpanNames[phase], "phase", int64(p.id), int64(pulse))
-	private := p.privateValue(phase, pulse)
-	p.ic.Reset(private)
+	p.ic.Reset(p.privateValue(phase))
 	p.icActive = true
 	p.icPhase = phase
 	p.icPulse = 0
 	p.completed[phase] = false
 }
 
-// privateValue computes what this processor contributes to each phase.
-func (p *DistProcessor) privateValue(phase distPhase, pulse int) bap.Value {
+// noOutcome is the outcome claim of a processor with no previous play.
+var noOutcome = bap.Value("none")
+
+// privateValue computes what this processor contributes to each phase: a
+// view of its encode buffer, which the engine copies, or nothing.
+func (p *DistProcessor) privateValue(phase distPhase) bap.Value {
 	switch phase {
 	case phaseOutcome:
 		if p.prev == nil {
-			return "none"
+			return noOutcome
 		}
 		p.enc = AppendProfile(p.enc[:0], p.prev)
-		if string(p.enc) != string(p.claim) {
-			p.claim = bap.Value(p.enc)
-		}
-		return p.claim
+		return p.enc
 
 	case phaseCommit:
 		action := p.behavior.Choose(p.round, p.prevFor())
@@ -394,28 +390,28 @@ func (p *DistProcessor) privateValue(phase distPhase, pulse int) bap.Value {
 		p.enc = audit.AppendAction(p.enc[:0], action)
 		digest := commit.CommitInto(&src, p.enc, &p.myOpening)
 		p.enc = AppendDigest(p.enc[:0], digest)
-		return bap.Value(p.enc)
+		return p.enc
 
 	case phaseReveal:
 		if p.behavior.Withhold != nil && p.behavior.Withhold(p.round) {
-			return ""
+			return nil
 		}
 		op := p.myOpening
 		if p.behavior.TamperOpening != nil {
 			op = p.behavior.TamperOpening(p.round, op.Clone())
 		}
 		p.enc = AppendOpening(p.enc[:0], op)
-		return bap.Value(p.enc)
+		return p.enc
 
 	case phaseVerdict:
 		if p.localAudit() != nil {
-			return ""
+			return nil
 		}
 		p.guilty = p.verdict.AppendGuilty(p.guilty[:0])
 		p.enc = AppendFoulSet(p.enc[:0], p.guilty)
-		return bap.Value(p.enc)
+		return p.enc
 	}
-	return ""
+	return nil
 }
 
 // prevFor returns the previous outcome to hand the behaviour's Choose hook:
@@ -430,25 +426,22 @@ func (p *DistProcessor) prevFor() game.Profile {
 	return p.prevView
 }
 
-// finishPhase consumes an agreed vector.
+// finishPhase consumes an agreed vector, parsing its values in place.
 func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse int) {
 	if vector == nil {
 		return
 	}
 	p.completed[phase] = true
-	if debugDist {
-		fmt.Printf("DBG proc %d phase %d vector %q\n", p.id, phase, vector)
-	}
 	switch phase {
 	case phaseOutcome:
 		// Majority claim wins; the vector is identical at every honest
 		// processor, so the (deterministic) choice is too.
 		claim := majorityValue(vector)
 		p.prev = nil
-		if claim == "none" {
+		if bytes.Equal(claim, noOutcome) {
 			return
 		}
-		prof, err := ParseProfile(p.prevBuf, string(claim), p.n)
+		prof, err := ParseProfile(p.prevBuf, claim, p.n)
 		p.prevBuf = prof
 		if err == nil {
 			p.prev = prof
@@ -459,7 +452,7 @@ func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse i
 			p.digests[i] = commit.Digest{}
 		}
 		for i, v := range vector {
-			if d, err := ParseDigest(string(v)); err == nil {
+			if d, err := ParseDigest(v); err == nil {
 				p.digests[i] = d
 			}
 		}
@@ -471,8 +464,8 @@ func (p *DistProcessor) finishPhase(phase distPhase, vector []bap.Value, pulse i
 			p.revealed[i] = false
 		}
 		for i, v := range vector {
-			if v != "" {
-				p.revealed[i] = ParseOpening(&p.openings[i], string(v)) == nil
+			if len(v) > 0 {
+				p.revealed[i] = ParseOpening(&p.openings[i], v) == nil
 			}
 		}
 		p.haveOpenings = true
@@ -526,7 +519,7 @@ func (p *DistProcessor) finishPlay(verdictVector []bap.Value, pulse int) {
 	foulClaim, support := majorityWithCount(verdictVector)
 	p.guilty = p.guilty[:0]
 	if support >= p.n-p.f {
-		p.guilty, _ = ParseFoulSet(p.guilty, string(foulClaim))
+		p.guilty, _ = ParseFoulSet(p.guilty, foulClaim)
 	}
 	// Outcome: established actions, with executive substitutions for
 	// convicted or unestablished agents.
@@ -586,7 +579,8 @@ func (p *DistProcessor) Corrupt(entropy func() uint64) {
 }
 
 // majorityValue returns the most frequent value (ties → lexicographically
-// smallest), deterministic across processors given identical vectors.
+// smallest bytes), deterministic across processors given identical
+// vectors.
 func majorityValue(vector []bap.Value) bap.Value {
 	v, _ := majorityWithCount(vector)
 	return v
@@ -595,15 +589,16 @@ func majorityValue(vector []bap.Value) bap.Value {
 // majorityWithCount is mapless (vectors are n-sized, so the quadratic count
 // is cheaper than a map and allocation-free on the play hot path).
 func majorityWithCount(vector []bap.Value) (bap.Value, int) {
-	best, bestCount := bap.Value(""), -1
+	var best bap.Value
+	bestCount := -1
 	for _, v := range vector {
 		c := 0
 		for _, w := range vector {
-			if w == v {
+			if bytes.Equal(w, v) {
 				c++
 			}
 		}
-		if c > bestCount || (c == bestCount && v < best) {
+		if c > bestCount || (c == bestCount && bytes.Compare(v, best) < 0) {
 			best, bestCount = v, c
 		}
 	}

@@ -212,11 +212,16 @@ func tail(rs []DistRound, k int) []DistRound {
 }
 
 func TestMajorityValueDeterminism(t *testing.T) {
-	v := majorityValue([]bap.Value{"b", "a", "b", "a"})
-	if v != "a" {
+	v := majorityValue([]bap.Value{bap.Value("b"), bap.Value("a"), bap.Value("b"), bap.Value("a")})
+	if string(v) != "a" {
 		t.Fatalf("tie should break lexicographically: got %q", v)
 	}
-	if got, count := majorityWithCount([]bap.Value{"x", "x", "y"}); got != "x" || count != 2 {
+	// Byte order is string order: a prefix sorts first, and the empty
+	// value (a withheld or silent slot) before everything.
+	if v := majorityValue([]bap.Value{bap.Value("ab"), bap.Value("a"), nil, bap.Value("ab"), bap.Value("a"), nil}); len(v) != 0 {
+		t.Fatalf("tie with the empty value: got %q", v)
+	}
+	if got, count := majorityWithCount([]bap.Value{bap.Value("x"), bap.Value("x"), bap.Value("y")}); string(got) != "x" || count != 2 {
 		t.Fatalf("majorityWithCount = %q,%d", got, count)
 	}
 }

@@ -10,28 +10,46 @@ import (
 	"gameauthority/internal/sim"
 )
 
-// buildEquivSession constructs one distributed session with an
-// equivocating network adversary on processor 3. At n = 4 the driver picks
-// the lockstep engine; pool overrides that through the driver's step
-// function so both engines stay under test at a size where a play is cheap.
-func buildEquivSession(t *testing.T, pool bool) Session {
+// equivAdversaries are the network adversaries on processor 3 that the
+// engine equivalence runs under, each built fresh per session (they keep
+// state): one equivocates, scrambling its clock votes and withholding its
+// agreement traffic from odd destinations; the other replays its previous
+// pulse's outbox, so its messages arrive a pulse late and are read while
+// the sender has moved on — into the next pulse's slabs and, at a phase
+// start, the next value pool. Under the pool engine those reads race the
+// sender's own step, which is what `make race` checks.
+var equivAdversaries = []struct {
+	name string
+	adv  func() sim.Adversary
+}{
+	{"equivocate", func() sim.Adversary {
+		evil := prng.New(77)
+		return sim.EquivocateAdversary(func(to int, payload any) any {
+			msg, ok := payload.(*distMsg)
+			if !ok {
+				return payload
+			}
+			forged := *msg
+			forged.Tick = int(evil.Uint64() % 18)
+			if to%2 == 1 {
+				forged.HasInner = false
+				forged.Inner = nil
+			}
+			return &forged
+		})
+	}},
+	{"replay", sim.ReplayAdversary},
+}
+
+// buildEquivSession constructs one distributed session with the network
+// adversary adv on processor 3. At n = 4 the driver picks the lockstep
+// engine; pool overrides that through the driver's step function so both
+// engines stay under test at a size where a play is cheap.
+func buildEquivSession(t *testing.T, pool bool, adv sim.Adversary) Session {
 	t.Helper()
 	n, f := 4, 1
 	g := &nPlayerPD{n: n}
-	evil := prng.New(77)
-	byz := map[int]sim.Adversary{3: sim.EquivocateAdversary(func(to int, payload any) any {
-		msg, ok := payload.(*distMsg)
-		if !ok {
-			return payload
-		}
-		forged := *msg
-		forged.Tick = int(evil.Uint64() % 18)
-		if to%2 == 1 {
-			forged.HasInner = false
-			forged.Inner = nil
-		}
-		return &forged
-	})}
+	byz := map[int]sim.Adversary{3: adv}
 	s, err := NewSession(SessionConfig{
 		Game: g, Seed: 9, DistProcs: n, DistFaults: f, DistByz: byz,
 	})
@@ -49,32 +67,36 @@ func buildEquivSession(t *testing.T, pool bool) Session {
 // the lockstep execution exactly through the full middleware stack:
 // identical outcomes, pulses, verdicts, and traffic, play for play.
 func TestDistEngineEquivalence(t *testing.T) {
-	ctx := context.Background()
-	const plays = 5
-	lock := buildEquivSession(t, false)
-	pool := buildEquivSession(t, true)
-	defer pool.Close()
-	for i := 0; i < plays; i++ {
-		a, err := lock.Play(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pool.Play(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Outcome.Equal(b.Outcome) || a.Pulse != b.Pulse {
-			t.Fatalf("play %d diverges: lockstep %v@%d, pool %v@%d",
-				i, a.Outcome, a.Pulse, b.Outcome, b.Pulse)
-		}
-		if EncodeFoulSet(a.Convicted) != EncodeFoulSet(b.Convicted) {
-			t.Fatalf("play %d verdicts diverge: %v vs %v", i, a.Convicted, b.Convicted)
-		}
-	}
-	sa, sb := lock.Stats(), pool.Stats()
-	if sa.Pulses != sb.Pulses || sa.Messages != sb.Messages {
-		t.Fatalf("traffic diverges: lockstep %d pulses/%d msgs, pool %d pulses/%d msgs",
-			sa.Pulses, sa.Messages, sb.Pulses, sb.Messages)
+	for _, row := range equivAdversaries {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			const plays = 5
+			lock := buildEquivSession(t, false, row.adv())
+			pool := buildEquivSession(t, true, row.adv())
+			defer pool.Close()
+			for i := 0; i < plays; i++ {
+				a, err := lock.Play(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := pool.Play(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !a.Outcome.Equal(b.Outcome) || a.Pulse != b.Pulse {
+					t.Fatalf("play %d diverges: lockstep %v@%d, pool %v@%d",
+						i, a.Outcome, a.Pulse, b.Outcome, b.Pulse)
+				}
+				if EncodeFoulSet(a.Convicted) != EncodeFoulSet(b.Convicted) {
+					t.Fatalf("play %d verdicts diverge: %v vs %v", i, a.Convicted, b.Convicted)
+				}
+			}
+			sa, sb := lock.Stats(), pool.Stats()
+			if sa.Pulses != sb.Pulses || sa.Messages != sb.Messages {
+				t.Fatalf("traffic diverges: lockstep %d pulses/%d msgs, pool %d pulses/%d msgs",
+					sa.Pulses, sa.Messages, sb.Pulses, sb.Messages)
+			}
+		})
 	}
 }
 
@@ -82,39 +104,43 @@ func TestDistEngineEquivalence(t *testing.T) {
 // across a transient fault injected into both executions at the same
 // point, covering the §4 recovery path on the pool engine.
 func TestDistEngineEquivalenceUnderCorruption(t *testing.T) {
-	ctx := context.Background()
-	lock := buildEquivSession(t, false)
-	pool := buildEquivSession(t, true)
-	defer pool.Close()
-	play := func(s Session) RoundResult {
-		t.Helper()
-		r, err := s.Play(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	for i := 0; i < 2; i++ {
-		play(lock)
-		play(pool)
-	}
-	// Identical corruption entropy on both networks.
-	AsDist := func(s Session) *DistSession {
-		d, ok := s.(interface{ Dist() *DistSession })
-		if !ok {
-			t.Fatal("not a distributed session")
-		}
-		return d.Dist()
-	}
-	entA, entB := prng.New(1234), prng.New(1234)
-	AsDist(lock).Net.Corrupt(entA.Uint64)
-	AsDist(pool).Net.Corrupt(entB.Uint64)
-	for i := 0; i < 3; i++ {
-		a, b := play(lock), play(pool)
-		if !a.Outcome.Equal(b.Outcome) || a.Pulse != b.Pulse {
-			t.Fatalf("post-fault play %d diverges: %v@%d vs %v@%d",
-				i, a.Outcome, a.Pulse, b.Outcome, b.Pulse)
-		}
+	for _, row := range equivAdversaries {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			lock := buildEquivSession(t, false, row.adv())
+			pool := buildEquivSession(t, true, row.adv())
+			defer pool.Close()
+			play := func(s Session) RoundResult {
+				t.Helper()
+				r, err := s.Play(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			for i := 0; i < 2; i++ {
+				play(lock)
+				play(pool)
+			}
+			// Identical corruption entropy on both networks.
+			AsDist := func(s Session) *DistSession {
+				d, ok := s.(interface{ Dist() *DistSession })
+				if !ok {
+					t.Fatal("not a distributed session")
+				}
+				return d.Dist()
+			}
+			entA, entB := prng.New(1234), prng.New(1234)
+			AsDist(lock).Net.Corrupt(entA.Uint64)
+			AsDist(pool).Net.Corrupt(entB.Uint64)
+			for i := 0; i < 3; i++ {
+				a, b := play(lock), play(pool)
+				if !a.Outcome.Equal(b.Outcome) || a.Pulse != b.Pulse {
+					t.Fatalf("post-fault play %d diverges: %v@%d vs %v@%d",
+						i, a.Outcome, a.Pulse, b.Outcome, b.Pulse)
+				}
+			}
+		})
 	}
 }
 
