@@ -33,9 +33,12 @@ race:
 # guard (create/remove against the ledger, stream attach/close, /ws plays
 # on the shard loops against direct HTTP plays of the same session, a
 # shared game's cleanup against a create of its spec) lose on a
-# particular interleaving, so one pass proves little.
+# particular interleaving, so one pass proves little. The second line
+# hammers the /ws client's recycled reply slots under the race detector:
+# their hazard is a connection dying with replies in flight.
 hammer:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer' .
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'TestClientConcurrentPlaysOwnTheirResults|TestClientInFlightCallNotReused|TestClientMidFrameDisconnect|TestClientReconnect|TestClientPlayDedup|TestClientSurvivesRepeatedCuts' ./internal/hub
 
 # One iteration per benchmark: a bit-rot smoke, not a measurement. CI runs
 # this — it fails on build/bench errors, never on timing noise.

@@ -2,12 +2,15 @@ package gameauthority_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	ga "gameauthority"
 	"gameauthority/internal/core"
+	"gameauthority/internal/hub"
 )
 
 // Allocation budgets per driver, enforced by TestAllocsPerPlay. The pure
@@ -34,6 +37,11 @@ const (
 	// canonical line and the digest live on the stack, so the returned hex
 	// string is the only allocation a journaled play pays for it.
 	hashResultAllocBudget = 1
+	// wsAllocBudget is a whole /ws round trip, client and server: the
+	// frame read and write, the shard-loop hand-off, the reply slot and
+	// the reply frame are all reused, so a remote play allocates no more
+	// than the in-process one.
+	wsAllocBudget = 0
 )
 
 func TestAllocsPerPlayPure(t *testing.T) {
@@ -362,5 +370,41 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 				t.Errorf("a hosted (%d, %d) session grew by %d B from play %d to play %d, slack %d", tc.n, tc.f, grown, early, late, slack)
 			}
 		})
+	}
+}
+
+// TestAllocsPerPlayWS gates the /ws round trip end to end over a loopback
+// socket: a hub.Client play against a real authority's /ws endpoint, both
+// sides in this process, so every allocation either side makes counts.
+func TestAllocsPerPlayWS(t *testing.T) {
+	a := ga.NewAuthority()
+	defer a.Close()
+	srv := httptest.NewServer(ga.NewServer(a))
+	defer srv.Close()
+	client, err := hub.Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	spec, err := json.Marshal(ga.CreateSessionRequest{ID: "ws-alloc", Game: "pd", Seed: 1, HistoryLimit: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := client.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	play := func() {
+		if out, err := client.Play(ref, 1); err != nil || out.Completed != 1 {
+			t.Fatalf("play: %+v, %v", out, err)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm scratch, ring, buffers and reply slots
+		play()
+	}
+	allocs := testing.AllocsPerRun(500, play)
+	t.Logf("/ws play: %v allocs (budget %d)", allocs, wsAllocBudget)
+	if allocs > wsAllocBudget {
+		t.Fatalf("/ws play allocates %v times, budget %d", allocs, wsAllocBudget)
 	}
 }

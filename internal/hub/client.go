@@ -43,7 +43,9 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("hub: remote error %d: %s", e.Code, e.Detail)
 }
 
-// PlayOutcome is the client-side result of one play batch.
+// PlayOutcome is the client-side result of one play batch: plain
+// counts, owned by the caller. A round's outcome and costs reach a
+// caller that wants them as events (Subscribe).
 type PlayOutcome struct {
 	// Completed counts the rounds delivered before any error, including
 	// deduplicated replays of rounds a lost connection orphaned.
@@ -52,9 +54,9 @@ type PlayOutcome struct {
 	// the server's journal instead of being played fresh (idempotent
 	// retry overlap).
 	Deduped int
-	// Last is the final decoded result (valid when Completed > 0). Its
-	// slices are owned by the client connection; copy to retain.
-	Last wire.Result
+	// LastRound is the absolute index of the final delivered round
+	// (valid when Completed > 0).
+	LastRound int
 }
 
 // EventHandler consumes pushed events for one subscription. lag is the
@@ -208,12 +210,14 @@ type Client struct {
 	conn         *clientConn   // nil while disconnected
 	ready        chan struct{} // closed while the current conn is usable
 	reconnecting bool
-	pending      map[uint64]chan clientReply
+	pending      map[uint64]*call
 	sessions     map[uint64]*clientSession // by client ref
 	byServerRef  map[uint64]*clientSession
 	nextReq      uint64
 	nextRef      uint64
-	bufs         [][]byte
+	calls        []*call // free reply slots
+
+	bufs bufList
 
 	rng prng.Source // backoff jitter; only the reconnect manager draws
 
@@ -222,10 +226,29 @@ type Client struct {
 	deduped    atomic.Uint64
 }
 
-type clientReply struct {
+// reply is one command's answer. A play's counts are typed fields, so
+// delivering them boxes nothing; the rarer replies (Created, Stats,
+// SnapshotReply, OK) travel in msg.
+type reply struct {
+	out PlayOutcome
 	msg any
 	err error
 }
+
+// call is the reply slot of one outstanding command, recycled through the
+// Client's free list. Whoever removes it from pending — resolve, or
+// failPending when the connection dies — is the one goroutine that writes
+// rep and signals done; the waiter reads rep only after receiving from
+// done, and recycles the slot only then. So a slot is never reused while
+// a reply to its previous command can still land in it.
+type call struct {
+	done chan struct{} // cap 1: one signal per use
+	rep  reply
+}
+
+// maxFreeCalls bounds the Client's free reply slots: one per command in
+// flight is kept, and a burst beyond it allocates.
+const maxFreeCalls = 64
 
 // Dial connects and performs the protocol handshake with default
 // options (10s connect/handshake timeouts, no reconnect, no keepalive).
@@ -263,7 +286,7 @@ func DialWith(rawURL string, opt DialOptions) (*Client, error) {
 		path:        path,
 		done:        make(chan struct{}),
 		ready:       make(chan struct{}),
-		pending:     make(map[uint64]chan clientReply),
+		pending:     make(map[uint64]*call),
 		sessions:    make(map[uint64]*clientSession),
 		byServerRef: make(map[uint64]*clientSession),
 	}
@@ -374,28 +397,6 @@ func clientHandshake(conn net.Conn, host, path string, timeout time.Duration) (*
 	return newWSConn(conn, br, true, 0), nil
 }
 
-func (c *Client) getBuf() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.bufs); n > 0 {
-		b := c.bufs[n-1]
-		c.bufs = c.bufs[:n-1]
-		return b[:0]
-	}
-	return make([]byte, 0, 256)
-}
-
-func (c *Client) putBuf(b []byte) {
-	if cap(b) > 1<<16 {
-		return
-	}
-	c.mu.Lock()
-	if len(c.bufs) < 64 {
-		c.bufs = append(c.bufs, b)
-	}
-	c.mu.Unlock()
-}
-
 func (c *Client) closedErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -418,17 +419,12 @@ func (c *Client) lostErr(cause error) error {
 func (c *Client) failPending(err error) {
 	c.mu.Lock()
 	pend := c.pending
-	c.pending = make(map[uint64]chan clientReply)
+	c.pending = make(map[uint64]*call)
 	c.mu.Unlock()
-	for _, ch := range pend {
-		ch <- clientReply{err: err}
+	for _, cl := range pend {
+		cl.rep = reply{err: err}
+		cl.done <- struct{}{}
 	}
-}
-
-func (c *Client) dropPending(reqID uint64) {
-	c.mu.Lock()
-	delete(c.pending, reqID)
-	c.mu.Unlock()
 }
 
 func (c *Client) closeWith(err error) {
@@ -581,7 +577,7 @@ func (c *Client) rebind(conn *clientConn) error {
 
 	for _, s := range sessions {
 		rid := c.reqID()
-		msg, err := c.roundTripOn(conn, rid, wire.AppendAttach(c.getBuf(), rid, s.id))
+		rep, err := c.roundTripOn(conn, rid, wire.AppendAttach(c.bufs.get(), rid, s.id))
 		if err != nil {
 			var re *RemoteError
 			if errors.As(err, &re) {
@@ -592,7 +588,7 @@ func (c *Client) rebind(conn *clientConn) error {
 			}
 			return err
 		}
-		created, ok := msg.(wire.Created)
+		created, ok := rep.msg.(wire.Created)
 		if !ok {
 			return errors.New("hub: client: unexpected attach reply")
 		}
@@ -617,7 +613,7 @@ func (c *Client) rebind(conn *clientConn) error {
 		if sub != nil {
 			rid := c.reqID()
 			_, err := c.roundTripOn(conn, rid,
-				wire.AppendSubscribe(c.getBuf(), rid, created.Ref, sub.lastSeq+1))
+				wire.AppendSubscribe(c.bufs.get(), rid, created.Ref, sub.lastSeq+1))
 			if err != nil {
 				var re *RemoteError
 				if !errors.As(err, &re) {
@@ -662,12 +658,12 @@ func (c *Client) writeLoop(conn *clientConn) {
 		case b := <-conn.outbox:
 			conn.ws.SetWriteDeadline(time.Now().Add(30 * time.Second))
 			err := conn.ws.WriteMessageNoFlush(opBinary, b)
-			c.putBuf(b)
+			c.bufs.put(b)
 			for err == nil {
 				select {
 				case b2 := <-conn.outbox:
 					err = conn.ws.WriteMessageNoFlush(opBinary, b2)
-					c.putBuf(b2)
+					c.bufs.put(b2)
 					continue
 				default:
 				}
@@ -756,16 +752,16 @@ func (c *Client) dispatch(dec *wire.Decoder, scratch *wire.Result) error {
 		if err != nil {
 			return err
 		}
-		c.resolve(m.ReqID, clientReply{msg: m})
+		c.resolve(m.ReqID, reply{msg: m})
 	case wire.MsgResults:
 		h, err := wire.DecodeResultsHeader(dec)
 		if err != nil {
 			return err
 		}
-		// Decode in place with one reusable scratch result; the waiter
-		// only sees the count and the final result, so a 100k-session
-		// load generator never allocates per round.
-		var out PlayOutcome
+		// Decode in place with one reusable scratch result, which never
+		// leaves this goroutine: the waiter sees only counts, so a
+		// 100k-session load generator never allocates per round.
+		var rep reply
 		for {
 			more, err := wire.DecodeResultItem(dec, scratch)
 			if err != nil {
@@ -774,21 +770,20 @@ func (c *Client) dispatch(dec *wire.Decoder, scratch *wire.Result) error {
 			if !more {
 				break
 			}
-			out.Completed++
+			rep.out.Completed++
+			rep.out.LastRound = scratch.Round
 		}
-		out.Last = *scratch
 		t, err := wire.DecodeResultsTrailer(dec)
 		if err != nil {
 			return err
 		}
-		out.Deduped = int(t.Deduped)
+		rep.out.Deduped = int(t.Deduped)
 		if t.Deduped > 0 {
 			c.deduped.Add(t.Deduped)
 		}
-		rep := clientReply{msg: out}
 		if t.Code != wire.CodeOK {
+			// The completed prefix stays visible beside the error.
 			rep.err = &RemoteError{Code: t.Code, Detail: t.Detail}
-			rep.msg = out // partial results still visible to the caller
 		}
 		c.resolve(h.ReqID, rep)
 	case wire.MsgError:
@@ -796,25 +791,25 @@ func (c *Client) dispatch(dec *wire.Decoder, scratch *wire.Result) error {
 		if err != nil {
 			return err
 		}
-		c.resolve(m.ReqID, clientReply{err: &RemoteError{Code: m.Code, Detail: m.Detail}})
+		c.resolve(m.ReqID, reply{err: &RemoteError{Code: m.Code, Detail: m.Detail}})
 	case wire.MsgOK:
 		m, err := wire.DecodeOK(dec)
 		if err != nil {
 			return err
 		}
-		c.resolve(m.ReqID, clientReply{msg: m})
+		c.resolve(m.ReqID, reply{msg: m})
 	case wire.MsgStatsReply:
 		reqID, st, err := wire.DecodeStatsReply(dec)
 		if err != nil {
 			return err
 		}
-		c.resolve(reqID, clientReply{msg: st})
+		c.resolve(reqID, reply{msg: st})
 	case wire.MsgSnapshotReply:
 		m, err := wire.DecodeSnapshotReply(dec)
 		if err != nil {
 			return err
 		}
-		c.resolve(m.ReqID, clientReply{msg: m})
+		c.resolve(m.ReqID, reply{msg: m})
 	case wire.MsgEvent:
 		ref := dec.Uvarint()
 		if err := dec.Err(); err != nil {
@@ -874,61 +869,73 @@ func (c *Client) dispatch(dec *wire.Decoder, scratch *wire.Result) error {
 	return nil
 }
 
-func (c *Client) resolve(reqID uint64, rep clientReply) {
+// resolve answers the command reqID, if it is still pending: the
+// goroutine that removes a call from pending is the one that fills it.
+func (c *Client) resolve(reqID uint64, rep reply) {
 	c.mu.Lock()
-	ch := c.pending[reqID]
+	cl := c.pending[reqID]
 	delete(c.pending, reqID)
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- rep
+	if cl != nil {
+		cl.rep = rep
+		cl.done <- struct{}{}
 	}
+}
+
+// pend takes a reply slot from the free list and registers it for reqID.
+func (c *Client) pend(reqID uint64) *call {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var cl *call
+	if n := len(c.calls); n > 0 {
+		cl = c.calls[n-1]
+		c.calls = c.calls[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
+	}
+	c.pending[reqID] = cl
+	return cl
 }
 
 // roundTripOn sends an encoded command frame on conn and waits for its
 // reply. A death of conn fails the round trip through the pending map.
-func (c *Client) roundTripOn(conn *clientConn, reqID uint64, frame []byte) (any, error) {
-	ch := make(chan clientReply, 1)
-	c.mu.Lock()
-	c.pending[reqID] = ch
-	c.mu.Unlock()
+func (c *Client) roundTripOn(conn *clientConn, reqID uint64, frame []byte) (reply, error) {
+	cl := c.pend(reqID)
 	select {
 	case conn.outbox <- frame:
-	case <-conn.down:
-		c.dropPending(reqID)
-		c.putBuf(frame)
-		return nil, c.lostErr(conn.err)
-	case <-c.done:
-		c.dropPending(reqID)
-		c.putBuf(frame)
-		return nil, c.closedErr()
-	}
-	select {
-	case rep := <-ch:
-		return rep.msg, rep.err
-	case <-conn.down:
-		// The connection died while we waited. Usually failPending
-		// delivers the retryable error to ch, but a command that
-		// registered its entry after the sweep (and still managed to
-		// enqueue its frame into the dead connection's buffered outbox)
-		// would wait forever — so watch the connection too, preferring a
-		// reply resolved in the race.
-		c.dropPending(reqID)
 		select {
-		case rep := <-ch:
-			return rep.msg, rep.err
-		default:
-			return nil, c.lostErr(conn.err)
+		case <-cl.done:
+		case <-conn.down:
+			// The connection died while we waited. Usually failPending
+			// answers the call, but a command that registered after the
+			// sweep (and still enqueued its frame into the dead
+			// connection's buffered outbox) would wait forever, so answer
+			// it here. A reply that won the race is kept.
+			c.resolve(reqID, reply{err: c.lostErr(conn.err)})
+			<-cl.done
+		case <-c.done:
+			c.resolve(reqID, reply{err: c.closedErr()})
+			<-cl.done
 		}
+	case <-conn.down:
+		c.bufs.put(frame)
+		c.resolve(reqID, reply{err: c.lostErr(conn.err)})
+		<-cl.done
 	case <-c.done:
-		c.dropPending(reqID)
-		// A raced resolve may have delivered after done; prefer it.
-		select {
-		case rep := <-ch:
-			return rep.msg, rep.err
-		default:
-			return nil, c.closedErr()
-		}
+		c.bufs.put(frame)
+		c.resolve(reqID, reply{err: c.closedErr()})
+		<-cl.done
 	}
+	// The one signal the call will ever get for this use has been
+	// received, so nothing can write it any more: recycle it.
+	rep := cl.rep
+	cl.rep = reply{}
+	c.mu.Lock()
+	if len(c.calls) < maxFreeCalls {
+		c.calls = append(c.calls, cl)
+	}
+	c.mu.Unlock()
+	return rep, rep.err
 }
 
 func (c *Client) reqID() uint64 {
@@ -990,11 +997,11 @@ func (c *Client) Create(spec []byte) (ref uint64, id string, err error) {
 		return 0, "", err
 	}
 	rid := c.reqID()
-	msg, err := c.roundTripOn(conn, rid, wire.AppendCreate(c.getBuf(), rid, spec))
+	rep, err := c.roundTripOn(conn, rid, wire.AppendCreate(c.bufs.get(), rid, spec))
 	if err != nil {
 		return 0, "", err
 	}
-	created, ok := msg.(wire.Created)
+	created, ok := rep.msg.(wire.Created)
 	if !ok {
 		return 0, "", errors.New("hub: client: unexpected create reply")
 	}
@@ -1012,14 +1019,14 @@ func (c *Client) Attach(id string) (ref uint64, err error) {
 			return 0, err
 		}
 		rid := c.reqID()
-		msg, err := c.roundTripOn(conn, rid, wire.AppendAttach(c.getBuf(), rid, id))
+		rep, err := c.roundTripOn(conn, rid, wire.AppendAttach(c.bufs.get(), rid, id))
 		if err != nil {
 			if c.retryable(err) {
 				continue
 			}
 			return 0, err
 		}
-		created, ok := msg.(wire.Created)
+		created, ok := rep.msg.(wire.Created)
 		if !ok {
 			return 0, errors.New("hub: client: unexpected attach reply")
 		}
@@ -1064,14 +1071,14 @@ func (c *Client) Play(ref uint64, rounds int) (PlayOutcome, error) {
 			expect = cur + 1
 		}
 		rid := c.reqID()
-		msg, err := c.roundTripOn(conn, rid,
-			wire.AppendPlay(c.getBuf(), rid, serverRef, target-cur, expect))
-		out, _ := msg.(PlayOutcome)
+		rep, err := c.roundTripOn(conn, rid,
+			wire.AppendPlay(c.bufs.get(), rid, serverRef, target-cur, expect))
+		out := rep.out
 		if out.Completed > 0 {
 			total.Completed += out.Completed
 			total.Deduped += out.Deduped
-			total.Last = out.Last
-			s.rounds.Store(uint64(out.Last.Round) + 1)
+			total.LastRound = out.LastRound
+			s.rounds.Store(uint64(out.LastRound) + 1)
 		}
 		if err != nil {
 			if c.retryable(err) {
@@ -1117,7 +1124,7 @@ func (c *Client) Subscribe(ref uint64, handler EventHandler) error {
 			return serr
 		}
 		rid := c.reqID()
-		_, err = c.roundTripOn(conn, rid, wire.AppendSubscribe(c.getBuf(), rid, serverRef, 0))
+		_, err = c.roundTripOn(conn, rid, wire.AppendSubscribe(c.bufs.get(), rid, serverRef, 0))
 		if err == nil {
 			return nil
 		}
@@ -1169,7 +1176,7 @@ func (c *Client) Unsubscribe(ref uint64) error {
 			return serr
 		}
 		rid := c.reqID()
-		_, err = c.roundTripOn(conn, rid, wire.AppendRefReq(c.getBuf(), wire.MsgUnsubscribe, rid, serverRef))
+		_, err = c.roundTripOn(conn, rid, wire.AppendRefReq(c.bufs.get(), wire.MsgUnsubscribe, rid, serverRef))
 		if c.retryable(err) {
 			// After a reconnect the fresh connection has no server-side
 			// subscription and rebind skips unsubscribed sessions, so
@@ -1197,14 +1204,14 @@ func (c *Client) Stats(ref uint64) (wire.Stats, error) {
 			return wire.Stats{}, serr
 		}
 		rid := c.reqID()
-		msg, err := c.roundTripOn(conn, rid, wire.AppendRefReq(c.getBuf(), wire.MsgStats, rid, serverRef))
+		rep, err := c.roundTripOn(conn, rid, wire.AppendRefReq(c.bufs.get(), wire.MsgStats, rid, serverRef))
 		if err != nil {
 			if c.retryable(err) {
 				continue
 			}
 			return wire.Stats{}, err
 		}
-		st, ok := msg.(wire.Stats)
+		st, ok := rep.msg.(wire.Stats)
 		if !ok {
 			return wire.Stats{}, errors.New("hub: client: unexpected stats reply")
 		}
@@ -1230,14 +1237,14 @@ func (c *Client) Snapshot(ref uint64) (wire.SnapshotReply, error) {
 			return wire.SnapshotReply{}, serr
 		}
 		rid := c.reqID()
-		msg, err := c.roundTripOn(conn, rid, wire.AppendRefReq(c.getBuf(), wire.MsgSnapshot, rid, serverRef))
+		rep, err := c.roundTripOn(conn, rid, wire.AppendRefReq(c.bufs.get(), wire.MsgSnapshot, rid, serverRef))
 		if err != nil {
 			if c.retryable(err) {
 				continue
 			}
 			return wire.SnapshotReply{}, err
 		}
-		snap, ok := msg.(wire.SnapshotReply)
+		snap, ok := rep.msg.(wire.SnapshotReply)
 		if !ok {
 			return wire.SnapshotReply{}, errors.New("hub: client: unexpected snapshot reply")
 		}
@@ -1265,7 +1272,7 @@ func (c *Client) CloseSession(ref uint64) error {
 		c.mu.Unlock()
 		if err == nil {
 			rid := c.reqID()
-			_, err = c.roundTripOn(conn, rid, wire.AppendRefReq(c.getBuf(), wire.MsgCloseSession, rid, serverRef))
+			_, err = c.roundTripOn(conn, rid, wire.AppendRefReq(c.bufs.get(), wire.MsgCloseSession, rid, serverRef))
 		}
 		if err != nil {
 			if c.retryable(err) {

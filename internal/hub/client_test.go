@@ -92,8 +92,8 @@ func TestClientReconnectResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Play %d: %v", r, err)
 		}
-		if out.Last.Round != r {
-			t.Fatalf("round %d acknowledged as %d", r, out.Last.Round)
+		if out.LastRound != r {
+			t.Fatalf("round %d acknowledged as %d", r, out.LastRound)
 		}
 	}
 
@@ -112,8 +112,8 @@ func TestClientReconnectResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Play %d after cut: %v", r, err)
 		}
-		if out.Last.Round != r {
-			t.Fatalf("after reconnect: round %d acknowledged as %d", r, out.Last.Round)
+		if out.LastRound != r {
+			t.Fatalf("after reconnect: round %d acknowledged as %d", r, out.LastRound)
 		}
 	}
 	snap, err := client.Snapshot(ref)
@@ -195,15 +195,15 @@ func TestClientPlayDedup(t *testing.T) {
 			if out.Completed != retry || out.Deduped != 1 {
 				t.Fatalf("outcome = %+v, want %d completed with 1 deduped", out, retry)
 			}
-			if want := 1 + retry; out.Last.Round != want {
-				t.Fatalf("last round %d, want %d", out.Last.Round, want)
+			if want := 1 + retry; out.LastRound != want {
+				t.Fatalf("last round %d, want %d", out.LastRound, want)
 			}
 			if cc := client.Counters(); cc.DedupedRounds != 1 {
 				t.Fatalf("DedupedRounds = %d, want 1", cc.DedupedRounds)
 			}
 			// The next play runs fresh from the reconciled watermark.
 			out, err = client.Play(ref, 1)
-			if err != nil || out.Last.Round != 2+retry || out.Deduped != 0 {
+			if err != nil || out.LastRound != 2+retry || out.Deduped != 0 {
 				t.Fatalf("follow-up play = %+v, %v", out, err)
 			}
 		})
@@ -576,7 +576,7 @@ func TestClientPlayPartialBatch(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != wire.CodeInternal {
 		t.Fatalf("partial batch error = %v, want CodeInternal", err)
 	}
-	if out.Completed != 2 || out.Last.Round != 1 {
+	if out.Completed != 2 || out.LastRound != 1 {
 		t.Fatalf("partial outcome = %+v, want rounds 0-1 delivered", out)
 	}
 
@@ -584,7 +584,7 @@ func TestClientPlayPartialBatch(t *testing.T) {
 	h.playErr = nil
 	backend.mu.Unlock()
 	out, err = client.Play(ref, 1)
-	if err != nil || out.Last.Round != 2 {
+	if err != nil || out.LastRound != 2 {
 		t.Fatalf("resume after partial batch = %+v, %v", out, err)
 	}
 }
@@ -630,8 +630,8 @@ func TestClientSurvivesRepeatedCuts(t *testing.T) {
 				out, err := client.Play(ref, 1)
 				if out.Completed > 0 {
 					r += out.Completed
-					if out.Last.Round != r-1 {
-						errCh <- fmt.Errorf("session %d: round %d acknowledged as %d", i, r-1, out.Last.Round)
+					if out.LastRound != r-1 {
+						errCh <- fmt.Errorf("session %d: round %d acknowledged as %d", i, r-1, out.LastRound)
 						return
 					}
 				}
@@ -696,5 +696,88 @@ func TestClientCreateAfterCutAttach(t *testing.T) {
 	}
 	if _, err := client.Play(ref, 1); err != nil {
 		t.Fatalf("Play on attached ref: %v", err)
+	}
+}
+
+// TestClientConcurrentPlaysOwnTheirResults: callers sharing one
+// connection each get their own play's outcome. Each plays its own
+// session with its own batch size, so a reply slot delivered to the wrong
+// caller, or rewritten after delivery, shows as a wrong count or round;
+// under -race, so does an outcome that still aliases the reader's scratch.
+func TestClientConcurrentPlaysOwnTheirResults(t *testing.T) {
+	_, client := newHubClient(t)
+	const callers, plays = 4, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		ref, _, err := client.Create([]byte(fmt.Sprintf(`{"id":"own-%d"}`, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int, ref uint64) {
+			defer wg.Done()
+			batch := i + 1
+			for p := 0; p < plays; p++ {
+				out, err := client.Play(ref, batch)
+				if err != nil {
+					errs <- fmt.Errorf("caller %d, play %d: %w", i, p, err)
+					return
+				}
+				if want := (p+1)*batch - 1; out.Completed != batch || out.LastRound != want || out.Deduped != 0 {
+					errs <- fmt.Errorf("caller %d, play %d: %+v, want %d rounds ending at %d", i, p, out, batch, want)
+					return
+				}
+			}
+		}(i, ref)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestClientInFlightCallNotReused pins the reply-slot ownership rule: a
+// call whose reply is in flight when its connection dies (the reader has
+// taken it out of pending but not yet filled it) is not handed to a later
+// request. Its waiter keeps it until the reply lands, returns that reply,
+// and only then frees the slot.
+func TestClientInFlightCallNotReused(t *testing.T) {
+	c := &Client{done: make(chan struct{}), pending: make(map[uint64]*call)}
+	conn := &clientConn{outbox: make(chan []byte, 1), down: make(chan struct{})}
+	type result struct {
+		rep reply
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		rep, err := c.roundTripOn(conn, 1, []byte{wire.MsgPlay})
+		res <- result{rep, err}
+	}()
+	<-conn.outbox // the command went out
+	// The reader resolves request 1: it removes the call from pending...
+	c.mu.Lock()
+	inflight := c.pending[1]
+	delete(c.pending, 1)
+	c.mu.Unlock()
+	// ...and before it fills the call, the connection dies.
+	conn.err = errors.New("cut")
+	close(conn.down)
+	select {
+	case r := <-res:
+		t.Fatalf("waiter returned %+v, %v while its reply was in flight", r.rep, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if later := c.pend(2); later == inflight {
+		t.Fatal("a call with a reply in flight was handed to a later request")
+	}
+	inflight.rep = reply{out: PlayOutcome{Completed: 1, LastRound: 7}}
+	inflight.done <- struct{}{}
+	if r := <-res; r.err != nil || r.rep.out != (PlayOutcome{Completed: 1, LastRound: 7}) {
+		t.Fatalf("waiter got %+v, %v; want the reply that was in flight", r.rep.out, r.err)
+	}
+	if c.pend(3) != inflight {
+		t.Fatal("the answered call was not recycled")
 	}
 }

@@ -125,8 +125,20 @@ type Options struct {
 type Hub struct {
 	backend Backend
 	opt     Options
-	bufs    sync.Pool
+	bufs    bufList
 }
+
+// bufList is a bounded free list of frame buffers, one per Hub and per
+// Client. A sync.Pool of []byte would box a slice header on every Put,
+// i.e. on every frame.
+type bufList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+// maxFreeBufs bounds a bufList. It covers the frames in flight on a busy
+// connection set; a burst beyond it allocates.
+const maxFreeBufs = 256
 
 // New builds a Hub over the backend.
 func New(b Backend, opt Options) *Hub {
@@ -145,18 +157,26 @@ func New(b Backend, opt Options) *Hub {
 	return &Hub{backend: b, opt: opt}
 }
 
-func (h *Hub) getBuf() []byte {
-	if b, ok := h.bufs.Get().(*[]byte); ok {
-		return (*b)[:0]
+func (l *bufList) get() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.bufs); n > 0 {
+		b := l.bufs[n-1]
+		l.bufs = l.bufs[:n-1]
+		return b[:0]
 	}
 	return make([]byte, 0, 512)
 }
 
-func (h *Hub) putBuf(b []byte) {
+func (l *bufList) put(b []byte) {
 	if cap(b) > 1<<16 { // don't pool jumbo buffers
 		return
 	}
-	h.bufs.Put(&b)
+	l.mu.Lock()
+	if len(l.bufs) < maxFreeBufs {
+		l.bufs = append(l.bufs, b)
+	}
+	l.mu.Unlock()
 }
 
 // ServeHTTP upgrades the request and runs the connection until the peer
@@ -202,7 +222,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.SetReadDeadline(time.Time{})
 	if err := ws.WriteMessage(opBinary,
-		wire.AppendWelcome(h.getBuf(), wire.Version, uint64(h.opt.Shards.N()))); err != nil {
+		wire.AppendWelcome(h.bufs.get(), wire.Version, uint64(h.opt.Shards.N()))); err != nil {
 		return
 	}
 
@@ -214,6 +234,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type refEntry struct {
 	ref    uint64
 	handle Handle
+	shard  int // the shard loop owning the session, fixed at bind
 
 	// reply is the MsgResults frame of the play job running on this entry
 	// (one at a time: a session's jobs share a shard loop), parked here so
@@ -288,7 +309,7 @@ func (c *wsConn) send(b []byte) bool {
 	case c.outbox <- b:
 		return true
 	case <-c.done:
-		c.hub.putBuf(b)
+		c.hub.bufs.put(b)
 		return false
 	}
 }
@@ -300,7 +321,7 @@ func (c *wsConn) trySend(b []byte) bool {
 	case c.outbox <- b:
 		return true
 	default:
-		c.hub.putBuf(b)
+		c.hub.bufs.put(b)
 		return false
 	}
 }
@@ -334,12 +355,12 @@ func (c *wsConn) writeLoop() {
 func (c *wsConn) writeBatch(first []byte) bool {
 	c.ws.SetWriteDeadline(time.Now().Add(c.hub.opt.WriteTimeout))
 	err := c.ws.WriteMessageNoFlush(opBinary, first)
-	c.hub.putBuf(first)
+	c.hub.bufs.put(first)
 	for err == nil {
 		select {
 		case b := <-c.outbox:
 			err = c.ws.WriteMessageNoFlush(opBinary, b)
-			c.hub.putBuf(b)
+			c.hub.bufs.put(b)
 			continue
 		default:
 		}
@@ -390,7 +411,7 @@ func (c *wsConn) lookup(ref uint64) *refEntry {
 }
 
 func (c *wsConn) sendError(reqID, code uint64, msg string) bool {
-	return c.send(wire.AppendError(c.hub.getBuf(), reqID, code, msg))
+	return c.send(wire.AppendError(c.hub.bufs.get(), reqID, code, msg))
 }
 
 // dispatch decodes and executes one command. It returns false when the
@@ -436,7 +457,7 @@ func (c *wsConn) dispatch(dec *wire.Decoder) bool {
 		if e := c.lookup(m.Ref); e != nil {
 			e.detach()
 		}
-		return c.send(wire.AppendOK(c.hub.getBuf(), m.ReqID))
+		return c.send(wire.AppendOK(c.hub.bufs.get(), m.ReqID))
 	case wire.MsgCloseSession:
 		m, err := wire.DecodeRefReq(dec)
 		if err != nil {
@@ -453,7 +474,7 @@ func (c *wsConn) dispatch(dec *wire.Decoder) bool {
 			return c.sendError(m.ReqID, wire.CodeNotFound, "unknown ref")
 		}
 		st := e.handle.Stats()
-		return c.send(wire.AppendStatsReply(c.hub.getBuf(), m.ReqID, &st))
+		return c.send(wire.AppendStatsReply(c.hub.bufs.get(), m.ReqID, &st))
 	case wire.MsgSnapshot:
 		m, err := wire.DecodeRefReq(dec)
 		if err != nil {
@@ -474,7 +495,7 @@ func (c *wsConn) finishBind(reqID uint64, handle Handle, err error) bool {
 	c.mu.Lock()
 	c.nextRef++
 	ref := c.nextRef
-	e := &refEntry{ref: ref, handle: handle}
+	e := &refEntry{ref: ref, handle: handle, shard: c.hub.opt.Shards.Index(handle.ID())}
 	e.encode = e.appendResult
 	c.refs[ref] = e
 	c.mu.Unlock()
@@ -482,7 +503,7 @@ func (c *wsConn) finishBind(reqID uint64, handle Handle, err error) bool {
 	// (bind is the cold path, so the extra Stats call costs nothing on
 	// the play path).
 	rounds := uint64(handle.Stats().Rounds)
-	return c.send(wire.AppendCreated(c.hub.getBuf(), reqID, ref, handle.ID(), rounds))
+	return c.send(wire.AppendCreated(c.hub.bufs.get(), reqID, ref, handle.ID(), rounds))
 }
 
 // appendResult is the PlayN sink: the result aliases session scratch, and
@@ -493,66 +514,70 @@ func (e *refEntry) appendResult(res core.RoundResult) error {
 }
 
 // handlePlay enqueues the request onto the session's shard loop, where
-// the rounds left after watermark dedup run as one PlayN call; results
-// stream back in a single MsgResults frame.
+// play runs it. The job is recycled, so a play allocates nothing here.
 func (c *wsConn) handlePlay(m wire.Play) bool {
 	t0 := time.Now()
 	e := c.lookup(m.Ref)
 	if e == nil {
 		return c.sendError(m.ReqID, wire.CodeNotFound, "unknown ref")
 	}
-	rounds := m.Rounds
-	if rounds == 0 {
-		rounds = 1
+	if m.Rounds == 0 {
+		m.Rounds = 1
 	}
-	if rounds > c.hub.opt.MaxRounds {
+	if m.Rounds > c.hub.opt.MaxRounds {
 		return c.sendError(m.ReqID, wire.CodeBadRequest, "rounds exceeds limit")
 	}
-	ok := c.hub.opt.Shards.Submit(e.handle.ID(), func() {
-		e.reply = wire.AppendResultsHeader(c.hub.getBuf(), m.ReqID, e.ref)
-		code, detail := wire.CodeOK, ""
-		var deduped uint64
-		remaining := rounds
-		if m.Expect > 0 {
-			// Idempotent retry: the client believes expect rounds have
-			// completed. When the session is ahead (the original command
-			// was applied before the connection died), replay the
-			// already-completed overlap from the session's history
-			// instead of double-playing.
-			expect := m.Expect - 1
-			if cur := uint64(e.handle.Stats().Rounds); cur > expect {
-				replay := cur - expect
-				if replay > remaining {
-					replay = remaining
-				}
-				for i := uint64(0); i < replay; i++ {
-					res, ok := e.handle.ResultAt(int(expect + i))
-					if !ok {
-						code = wire.CodeBadRequest
-						detail = "retry watermark outside the retained history window"
-						break
-					}
-					e.reply = wire.AppendResult(e.reply, &res)
-					deduped++
-				}
-				remaining -= deduped
-				dedupedPlays.Add(int64(deduped))
-			}
-		}
-		if code == wire.CodeOK && remaining > 0 {
-			if _, err := e.handle.PlayN(c.ctx, int(remaining), e.encode); err != nil {
-				code, detail = ErrCode(err), err.Error()
-			}
-		}
-		reply := e.reply
-		e.reply = nil
-		c.send(wire.FinishResults(reply, code, detail, deduped))
-		wsRoundTrip.Record(time.Since(t0))
-	})
-	if !ok {
+	j := jobs.Get().(*job)
+	*j = job{conn: c, e: e, play: m, t0: t0}
+	if !c.hub.opt.Shards.submit(e.shard, j) {
 		return c.sendError(m.ReqID, wire.CodeUnavailable, "authority shutting down")
 	}
 	return true
+}
+
+// play runs one play request on e's shard loop: the rounds left after
+// watermark dedup run as one PlayN call, and their results stream back
+// in a single MsgResults frame.
+func (c *wsConn) play(e *refEntry, m wire.Play, t0 time.Time) {
+	e.reply = wire.AppendResultsHeader(c.hub.bufs.get(), m.ReqID, e.ref)
+	code, detail := wire.CodeOK, ""
+	var deduped uint64
+	remaining := m.Rounds
+	if m.Expect > 0 {
+		// Idempotent retry: the client believes expect rounds have
+		// completed. When the session is ahead (the original command
+		// was applied before the connection died), replay the
+		// already-completed overlap from the session's history
+		// instead of double-playing.
+		expect := m.Expect - 1
+		if cur := uint64(e.handle.Stats().Rounds); cur > expect {
+			replay := cur - expect
+			if replay > remaining {
+				replay = remaining
+			}
+			for i := uint64(0); i < replay; i++ {
+				res, ok := e.handle.ResultAt(int(expect + i))
+				if !ok {
+					code = wire.CodeBadRequest
+					detail = "retry watermark outside the retained history window"
+					break
+				}
+				e.reply = wire.AppendResult(e.reply, &res)
+				deduped++
+			}
+			remaining -= deduped
+			dedupedPlays.Add(int64(deduped))
+		}
+	}
+	if code == wire.CodeOK && remaining > 0 {
+		if _, err := e.handle.PlayN(c.ctx, int(remaining), e.encode); err != nil {
+			code, detail = ErrCode(err), err.Error()
+		}
+	}
+	reply := e.reply
+	e.reply = nil
+	c.send(wire.FinishResults(reply, code, detail, deduped))
+	wsRoundTrip.Record(time.Since(t0))
 }
 
 func (c *wsConn) handleSubscribe(m wire.Subscribe) bool {
@@ -573,7 +598,7 @@ func (c *wsConn) handleSubscribe(m wire.Subscribe) bool {
 	}
 	e.enc.Reset()
 	e.unsub = Feed(e.handle.Subscribe, func(ev core.Event, lag uint64) bool {
-		buf := c.hub.getBuf()
+		buf := c.hub.bufs.get()
 		if lag > 0 {
 			buf = wire.AppendLag(buf, e.ref, lag)
 		}
@@ -586,7 +611,7 @@ func (c *wsConn) handleSubscribe(m wire.Subscribe) bool {
 		e.enc.Reset()
 		return false
 	})
-	return c.send(wire.AppendOK(c.hub.getBuf(), m.ReqID))
+	return c.send(wire.AppendOK(c.hub.bufs.get(), m.ReqID))
 }
 
 func (c *wsConn) handleCloseSession(m wire.RefReq) bool {
@@ -601,7 +626,7 @@ func (c *wsConn) handleCloseSession(m wire.RefReq) bool {
 	if err := c.hub.backend.Remove(e.handle.ID()); err != nil {
 		return c.sendError(m.ReqID, ErrCode(err), err.Error())
 	}
-	return c.send(wire.AppendOK(c.hub.getBuf(), m.ReqID))
+	return c.send(wire.AppendOK(c.hub.bufs.get(), m.ReqID))
 }
 
 // handleSnapshot runs on the session's shard loop so the digest reflects
@@ -617,7 +642,7 @@ func (c *wsConn) handleSnapshot(m wire.RefReq) bool {
 			c.sendError(m.ReqID, ErrCode(err), err.Error())
 			return
 		}
-		c.send(wire.AppendSnapshotReply(c.hub.getBuf(), m.ReqID,
+		c.send(wire.AppendSnapshotReply(c.hub.bufs.get(), m.ReqID,
 			uint64(snap.Rounds), snap.Digest, persisted))
 	})
 	if !ok {

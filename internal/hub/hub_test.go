@@ -217,7 +217,7 @@ func TestHubCommandSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
-	if out.Completed != 3 || out.Last.Round != 2 || len(out.Last.Outcome) != 2 {
+	if out.Completed != 3 || out.LastRound != 2 {
 		t.Fatalf("Play → %+v", out)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -45,11 +46,12 @@ type WSConn struct {
 	wmu        chan struct{} // 1-slot write lock, also guards bw and whdr
 	client     bool          // mask outgoing frames (client role)
 	maxMessage int
-	rbuf       []byte   // reassembled message, reused across reads
-	rhdr       [8]byte  // reader scratch
-	whdr       [14]byte // writer scratch (under wmu)
-	wscratch   []byte   // masking scratch (client role, under wmu)
-	maskState  uint64   // splitmix64 state for mask keys (under wmu)
+	rbuf       []byte    // reassembled message, reused across reads
+	rhdr       [8]byte   // reader scratch: frame header, length, mask key
+	rctl       [125]byte // reader scratch: one control frame's payload
+	whdr       [14]byte  // writer scratch (under wmu)
+	wscratch   []byte    // masking scratch (client role, under wmu)
+	maskState  uint64    // splitmix64 state for mask keys (under wmu)
 	activity   atomic.Uint64
 }
 
@@ -178,19 +180,22 @@ func (c *WSConn) ReadMessage() (op byte, payload []byte, err error) {
 				return 0, nil, errors.New("hub: websocket: invalid frame length")
 			}
 		}
+		// The key is read through the scratch header and copied out: a
+		// local array handed to io.ReadFull would escape to the heap on
+		// every frame.
 		var maskKey [4]byte
 		if masked {
-			if _, err := io.ReadFull(c.br, maskKey[:]); err != nil {
+			if _, err := io.ReadFull(c.br, c.rhdr[:4]); err != nil {
 				return 0, nil, err
 			}
+			copy(maskKey[:], c.rhdr[:4])
 		}
 
 		if frameOp >= opClose { // control frame
 			if !fin || plen > 125 {
 				return 0, nil, errors.New("hub: websocket: malformed control frame")
 			}
-			var ctl [125]byte
-			body := ctl[:plen]
+			body := c.rctl[:plen]
 			if _, err := io.ReadFull(c.br, body); err != nil {
 				return 0, nil, err
 			}
@@ -229,8 +234,11 @@ func (c *WSConn) ReadMessage() (op byte, payload []byte, err error) {
 		if uint64(len(msg))+plen > uint64(c.maxMessage) {
 			return 0, nil, fmt.Errorf("hub: websocket: message exceeds %d bytes", c.maxMessage)
 		}
+		// Grown, not appended from make([]byte, plen): that idiom skips
+		// its allocation only where the compiler rewrites it, not under
+		// the race detector.
 		start := len(msg)
-		msg = append(msg, make([]byte, plen)...)
+		msg = slices.Grow(msg, int(plen))[:start+int(plen)]
 		if _, err := io.ReadFull(c.br, msg[start:]); err != nil {
 			return 0, nil, err
 		}

@@ -61,6 +61,63 @@ func TestWSRoundTripSizes(t *testing.T) {
 	}
 }
 
+// loopConn is an in-memory net.Conn whose reads replay script forever
+// and whose writes are counted and dropped.
+type loopConn struct {
+	net.Conn
+	script  []byte
+	pos     int
+	written int
+	lastOp  byte // the opcode of the last frame written
+}
+
+func (c *loopConn) Read(b []byte) (int, error) {
+	n := copy(b, c.script[c.pos:])
+	c.pos = (c.pos + n) % len(c.script)
+	return n, nil
+}
+
+func (c *loopConn) Write(b []byte) (int, error) {
+	c.written += len(b)
+	c.lastOp = b[0] & 0x0F
+	return len(b), nil
+}
+
+// TestWSReadAllocatesNothing: reading works in the connection's scratch.
+// A masked binary frame, a masked ping (answered with a pong) and another
+// binary frame allocate nothing — the client's keepalive pings and every
+// masked request frame a server reads take this path.
+func TestWSReadAllocatesNothing(t *testing.T) {
+	key := [4]byte{0x11, 0x22, 0x33, 0x44}
+	frame := func(op byte, payload string) []byte {
+		b := []byte(payload)
+		maskBytes(b, key, 0)
+		return append(append([]byte{0x80 | op, 0x80 | byte(len(b))}, key[:]...), b...)
+	}
+	var script []byte
+	script = append(script, frame(opBinary, "first")...)
+	script = append(script, frame(opPing, "keepalive")...)
+	script = append(script, frame(opBinary, "second")...)
+	conn := &loopConn{script: script}
+	server := newWSConn(conn, newConnReader(conn), false, 0)
+	read := func(want string) {
+		op, payload, err := server.ReadMessage()
+		if err != nil || op != opBinary || string(payload) != want {
+			t.Fatalf("read op %#x payload %q err %v, want binary %q", op, payload, err, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		read("first")
+		read("second")
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a data frame and a ping allocates %v times, want 0", allocs)
+	}
+	if conn.written == 0 || conn.lastOp != opPong {
+		t.Fatalf("ping not answered: %d bytes written, last opcode %#x", conn.written, conn.lastOp)
+	}
+}
+
 // TestWSFragmentation feeds a hand-built fragmented message — with a ping
 // interleaved between fragments — and expects one reassembled message and
 // an automatic pong.

@@ -297,7 +297,7 @@ type WSPlayer struct {
 // rounds included, before the connection fails it.
 func (p *WSPlayer) Play(_ context.Context, n int) (Ack, error) {
 	out, err := p.Client.Play(p.Ref, n)
-	return Ack{Completed: out.Completed, Last: out.Last.Round}, err
+	return Ack{Completed: out.Completed, Last: out.LastRound}, err
 }
 
 func (p *WSPlayer) State() (State, error) {
