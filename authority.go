@@ -195,10 +195,10 @@ type HostedSession struct {
 	// observeRound bound once, the sink every driver PlayN is handed.
 	call    playCall
 	onRound func(RoundResult) error
-	// guiltyFouls marks a distributed session: its results carry no
-	// verdict, and each guilty processor of a round is one foul (as its
-	// Stats().Fouls counts them).
-	guiltyFouls bool
+	// observed is the round count as of the last play observeRound saw
+	// (under jmu): Close re-reads that play to count what a close-time
+	// verdict adds to it.
+	observed int
 }
 
 // ID returns the session's registry key.
@@ -370,7 +370,7 @@ func (a *Authority) hostAt(sh *authorityShard, id string, s Session) (*HostedSes
 	if _, taken := sh.sessions[id]; taken {
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
-	h := &HostedSession{Session: s, id: id, a: a, guiltyFouls: AsDistributed(s) != nil}
+	h := &HostedSession{Session: s, id: id, a: a}
 	h.onRound = h.observeRound
 	sh.sessions[id] = h
 	sessionsCreated.Inc()

@@ -504,3 +504,65 @@ func TestBatchAppendFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestDurableDistributedJournalsFouls: a durable distributed session
+// journals each play's fouls the way its Stats() counts them (one per
+// convicted processor, since a distributed play carries no verdict
+// detail), and a journal written without the field — as every journal was
+// before plays recorded it for this kind — still restores.
+func TestDurableDistributedJournalsFouls(t *testing.T) {
+	ctx := context.Background()
+	spec := ga.CreateSessionRequest{ID: "dist-fouls", Game: "publicgoods", Players: 4, Seed: 2,
+		Distributed: invariant.DistShape(4, 1),
+		Deviant:     &ga.DeviantSpec{Player: 0, Strategy: "commitment-cheat"}}
+	st, err := ga.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ga.NewAuthority(ga.WithStore(st), ga.WithSnapshotEvery(0))
+	defer a.Close()
+	h, err := a.CreateFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := h.Play(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state, ok, err := st.LoadSession(spec.ID)
+	if err != nil || !ok {
+		t.Fatalf("load: found %v, err %v", ok, err)
+	}
+	journaled := 0
+	for _, rec := range state.Tail {
+		journaled += rec.Fouls
+	}
+	want := h.Stats().Fouls
+	if want == 0 || journaled != want {
+		t.Fatalf("the journal records %d fouls over %d plays, Stats().Fouls = %d", journaled, len(state.Tail), want)
+	}
+
+	old := ga.NewMemStore()
+	if err := old.CreateSession(spec.ID, state.Spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range state.Tail {
+		rec.Fouls = 0
+		if err := old.Append(spec.ID, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := ga.NewAuthority(ga.WithStore(old))
+	defer b.Close()
+	if report, err := b.Recover(ctx); err != nil || len(report.Failed) > 0 || report.Rounds != 5 {
+		t.Fatalf("recover a journal without fouls: %+v, %v", report, err)
+	}
+	restored, err := b.Get(spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Stats().Fouls; got != want {
+		t.Fatalf("restored session counts %d fouls, the original %d", got, want)
+	}
+}

@@ -320,12 +320,7 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 	}
 	res, err := h.Session.PlayN(ctx, n, h.onRound)
 	playsTotal.Add(c.completed)
-	if c.fouls > 0 { // most plays have none: skip the shared cache line
-		foulsTotal.Add(c.fouls)
-	}
-	if c.convictions > 0 {
-		convictionsTotal.Add(c.convictions)
-	}
+	countFouls(c.fouls, c.convictions)
 	// Journal whatever completed — on a mid-batch error the prefix stands,
 	// exactly as n sequential Play calls would have journaled it.
 	if len(c.batch) > 0 {
@@ -355,22 +350,30 @@ type playCall struct {
 	one   [1]store.BatchPlay
 }
 
+// countFouls adds to the process-wide foul and conviction counters.
+func countFouls(fouls, convictions int64) {
+	if fouls > 0 { // most plays have none: skip the shared cache line
+		foulsTotal.Add(fouls)
+	}
+	if convictions > 0 {
+		convictionsTotal.Add(convictions)
+	}
+}
+
 // observeRound is the driver sink of every PlayN call (bound as
 // h.onRound). It runs under jmu, between rounds.
 func (h *HostedSession) observeRound(res RoundResult) error {
 	c := &h.call
 	c.completed++
-	if h.guiltyFouls {
-		c.fouls += int64(len(res.Convicted))
-	} else {
-		c.fouls += int64(len(res.Verdict.Fouls))
-	}
+	h.observed = res.Round + 1
+	fouls := core.PlayFouls(res)
+	c.fouls += int64(fouls)
 	c.convictions += int64(len(res.Convicted))
 	if c.batch != nil {
 		bp := store.BatchPlay{
 			Round: res.Round,
 			Hash:  core.HashResult(res),
-			Fouls: len(res.Verdict.Fouls),
+			Fouls: fouls,
 		}
 		if len(res.Convicted) > 0 {
 			bp.Convicted = append([]int(nil), res.Convicted...)
@@ -445,8 +448,16 @@ func (h *HostedSession) Run(ctx context.Context, rounds int) (RoundResult, error
 func (h *HostedSession) Close() error {
 	h.jmu.Lock()
 	defer h.jmu.Unlock()
+	// A batched-audit mixed session audits its trailing epoch on close and
+	// folds the verdict into its last play; count what that adds to the
+	// last play observeRound counted.
+	was, _ := h.Session.ResultAt(h.observed - 1)
+	fouls, convicted := core.PlayFouls(was), len(was.Convicted)
 	if err := h.Session.Close(); err != nil {
 		return err
+	}
+	if now, ok := h.Session.ResultAt(h.observed - 1); ok {
+		countFouls(int64(core.PlayFouls(now)-fouls), int64(len(now.Convicted)-convicted))
 	}
 	if h.a == nil || !h.durable.Load() || h.dropped.Load() || h.closeLogged.Swap(true) {
 		return nil

@@ -35,12 +35,10 @@ func TestFacadeTableGames(t *testing.T) {
 }
 
 func TestFacadeSampledAudit(t *testing.T) {
-	s := mixedDriver(t, ga.MatchingPennies(), fig1Options(3,
+	sess, s := mixedDriver(t, ga.MatchingPennies(), fig1Options(3,
 		ga.WithPunishment(ga.NewDisconnectScheme(2, 0)),
 		ga.WithAudit(ga.AuditSampled, ga.SampleProb(0.5)))...)
-	if err := s.Play(100); err != nil {
-		t.Fatal(err)
-	}
+	playRounds(t, sess, 100)
 	if !s.Excluded(1) {
 		t.Fatal("sampled audit never caught the manipulator through the facade")
 	}
@@ -48,15 +46,13 @@ func TestFacadeSampledAudit(t *testing.T) {
 
 func TestFacadeStatisticalAudit(t *testing.T) {
 	biased := &ga.MixedAgent{Override: func(int, int) int { return 0 }}
-	s := mixedDriver(t, ga.MatchingPennies(),
+	sess, s := mixedDriver(t, ga.MatchingPennies(),
 		ga.WithStrategies(uniform2),
 		ga.WithMixedAgents(nil, biased),
 		ga.WithPunishment(ga.NewReputationScheme(2, 0.5, 0.4, 0)),
 		ga.WithAudit(ga.AuditStatistical, ga.Window(50), ga.ChiThreshold(6.63)),
 		ga.WithSeed(4))
-	if err := s.Play(600); err != nil {
-		t.Fatal(err)
-	}
+	playRounds(t, sess, 600)
 	if !s.Excluded(1) {
 		t.Fatal("statistical audit never flagged the biased player through the facade")
 	}
@@ -127,5 +123,43 @@ func TestFacadeFoulReasonNames(t *testing.T) {
 		if r.String() == "" || r.Severity() <= 0 {
 			t.Fatalf("reason %d badly exported", r)
 		}
+	}
+}
+
+// TestAsAccessorsMatchKind: each As* accessor hands back the engine of its
+// own session kind and nil for every other kind, and for a Session that
+// NewSession did not build (a hosted session wraps one).
+func TestAsAccessorsMatchKind(t *testing.T) {
+	build := func(g ga.Game, opts ...ga.Option) ga.Session {
+		t.Helper()
+		s, err := ga.New(g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	found := func(s ga.Session) [4]bool {
+		return [4]bool{ga.AsPure(s) != nil, ga.AsMixed(s) != nil, ga.AsRRA(s) != nil, ga.AsDistributed(s) != nil}
+	}
+	for i, s := range []ga.Session{
+		build(ga.PrisonersDilemma()),
+		build(ga.MatchingPennies(), ga.WithStrategies(uniform2)),
+		build(nil, ga.WithRRA(4, 2)),
+		build(ga.PrisonersDilemma(), ga.WithDistributed(2, 0, nil)),
+	} {
+		var want [4]bool
+		want[i] = true
+		if got := found(s); got != want {
+			t.Errorf("%s session: As* found %v, want %v", s.Stats().Kind, got, want)
+		}
+	}
+	a := ga.NewAuthority()
+	defer a.Close()
+	h, err := a.Host("hosted", build(ga.PrisonersDilemma()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := found(h); got != [4]bool{} {
+		t.Errorf("hosted session: As* found %v, want none", got)
 	}
 }

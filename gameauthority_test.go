@@ -1,6 +1,7 @@
 package gameauthority_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,26 +9,35 @@ import (
 )
 
 // mixedDriver, rraDriver and distDriver build a session with New and hand
-// back the raw driver behind it, for the tests and experiment benchmarks
-// that read what only the driver exposes (per-agent payoffs, protocol
-// counters, resource loads, replica consistency).
-func mixedDriver(tb testing.TB, elected ga.Game, opts ...ga.Option) *ga.MixedSession {
+// back the engine behind it, for the tests and experiment benchmarks that
+// read what only the engine exposes (per-agent payoffs, protocol counters,
+// resource loads, replica consistency). The first two also return the
+// session, which plays the rounds (see playRounds).
+func mixedDriver(tb testing.TB, elected ga.Game, opts ...ga.Option) (ga.Session, *ga.MixedSession) {
 	tb.Helper()
 	s, err := ga.New(elected, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ga.AsMixed(s)
+	return s, ga.AsMixed(s)
 }
 
-func rraDriver(tb testing.TB, n, b int, seed uint64) *ga.SupervisedRRA {
+func rraDriver(tb testing.TB, n, b int, seed uint64) (ga.Session, *ga.SupervisedRRA) {
 	tb.Helper()
 	s, err := ga.New(nil, ga.WithRRA(n, b),
 		ga.WithPunishment(ga.NewDisconnectScheme(n, 0)), ga.WithSeed(seed))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ga.AsRRA(s)
+	return s, ga.AsRRA(s)
+}
+
+// playRounds plays rounds on s and fails the test on error.
+func playRounds(tb testing.TB, s ga.Session, rounds int) {
+	tb.Helper()
+	if _, err := s.Run(context.Background(), rounds); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 func distDriver(tb testing.TB, g ga.Game, n, f int, seed uint64) *ga.DistributedSession {
@@ -54,16 +64,12 @@ func fig1Options(seed uint64, more ...ga.Option) []ga.Option {
 // scenario: the Fig. 1 hidden manipulation, unsupervised vs supervised.
 func TestEndToEndFig1(t *testing.T) {
 	const rounds = 5000
-	unsup := mixedDriver(t, ga.MatchingPennies(), fig1Options(1, ga.WithAudit(ga.AuditOff))...)
-	if err := unsup.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
+	unsupSess, unsup := mixedDriver(t, ga.MatchingPennies(), fig1Options(1, ga.WithAudit(ga.AuditOff))...)
+	playRounds(t, unsupSess, rounds)
 
-	sup := mixedDriver(t, ga.MatchingPennies(), fig1Options(2,
+	supSess, sup := mixedDriver(t, ga.MatchingPennies(), fig1Options(2,
 		ga.WithPunishment(ga.NewDisconnectScheme(2, 0)), ga.WithAudit(ga.AuditPerRound))...)
-	if err := sup.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
+	playRounds(t, supSess, rounds)
 
 	gainUnsup := unsup.CumulativePayoff(1) / rounds
 	gainSup := sup.CumulativePayoff(1) / rounds
@@ -107,10 +113,8 @@ func TestEndToEndRRATheorem5(t *testing.T) {
 		n, b = 8, 4
 		k    = 2000
 	)
-	h := rraDriver(t, n, b, 3)
-	if err := h.Play(k); err != nil {
-		t.Fatal(err)
-	}
+	sess, h := rraDriver(t, n, b, 3)
+	playRounds(t, sess, k)
 	r, err := ga.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), ga.OptMaxLoad(n, b, k))
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -607,11 +608,25 @@ func majorityWithCount(vector []bap.Value) (bap.Value, int) {
 
 // --- Distributed session harness ---------------------------------------------
 
-// DistSession wires n DistProcessors over a full mesh.
+// DistSession wires n DistProcessors over a full mesh. It is also the
+// distributed kind's engine behind NewSession, whose step pulses the
+// network until the first honest processor completes its next play.
 type DistSession struct {
 	Net    *sim.Network
 	Procs  []*DistProcessor
 	Honest []int
+
+	// Engine state, set by NewSession: pulse is one network pulse on the
+	// engine poolMinProcs selects; budget bounds the pulses one play may
+	// take; seen counts the plays read from the first honest processor
+	// and lastPulse is the pulse of the last one; cumCost sums the agreed
+	// outcomes' costs; hub receives clock-recovery events.
+	pulse     func()
+	budget    int
+	seen      int
+	lastPulse int
+	cumCost   []float64
+	hub       *observerHub
 }
 
 // NewDistSession builds the distributed authority network. behaviors[i] may
@@ -660,6 +675,86 @@ func NewDistSessionWith(n, f int, g game.Game, behaviors []*Agent, seed uint64, 
 		}
 	}
 	return &DistSession{Net: nw, Procs: raw, Honest: honest}, nil
+}
+
+// ref is the processor whose view the session reports (the first honest
+// one), or nil when every processor is Byzantine.
+func (s *DistSession) ref() *DistProcessor {
+	if len(s.Honest) == 0 {
+		return nil
+	}
+	return s.Procs[s.Honest[0]]
+}
+
+// Excluded reports whether the first honest processor's executive replica
+// excludes agent i.
+func (s *DistSession) Excluded(i int) bool {
+	ref := s.ref()
+	return ref != nil && ref.Excluded(i)
+}
+
+// CumulativeCost returns agent i's total cost on the elected game over the
+// agreed outcomes of the plays NewSession's driver has read.
+func (s *DistSession) CumulativeCost(i int) float64 { return s.cumCost[i] }
+
+// step is the distributed engine's play (see engine): it pulses the
+// network until the reference processor completes its next play, within
+// the pulse budget, and reports a clock recovery when the play lands more
+// than one period after the previous one. The result carries the agreed
+// foul set as Convicted and no verdict detail.
+func (s *DistSession) step(ctx context.Context, res *RoundResult) error {
+	ref := s.ref()
+	if ref == nil {
+		return fmt.Errorf("%w: no honest processors to observe", ErrConfig)
+	}
+	// A transient fault wipes processor histories; re-anchor the cursor.
+	if c := ref.ResultCount(); c < s.seen {
+		s.seen = c
+	}
+	for steps := 0; ref.ResultCount() <= s.seen; steps++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if steps >= s.budget {
+			return fmt.Errorf("%w (budget %d pulses)", ErrPulseBudget, s.budget)
+		}
+		s.pulse()
+	}
+	r := ref.resultRef(s.seen)
+	s.seen++
+	period := PulsesPerPlay(ref.f)
+	if gap := r.Pulse - s.lastPulse; s.lastPulse > 0 && gap > period && s.hub.active() {
+		s.hub.emit(Event{
+			Kind:   EventClockRecovery,
+			Round:  res.Round,
+			Pulse:  r.Pulse,
+			Detail: fmt.Sprintf("play completed after a %d-pulse gap (one period is %d)", gap, period),
+		})
+	}
+	s.lastPulse = r.Pulse
+	res.Outcome, res.Convicted, res.Pulse = r.Outcome, r.Guilty, r.Pulse
+	// Per-agent cost of the agreed outcome on the elected game — the
+	// value the profit auditor compares across honest/deviant twins.
+	res.Costs = res.Costs[:0]
+	for i := range s.cumCost {
+		c := ref.g.Cost(i, r.Outcome)
+		res.Costs = append(res.Costs, c)
+		s.cumCost[i] += c
+	}
+	return nil
+}
+
+func (s *DistSession) kindStats(st *SessionStats) {
+	st.Pulses, st.Messages = int64(s.Net.Stats.Pulses), s.Net.Stats.MessagesSent
+	if s.ref() == nil {
+		st.Excluded = nil
+	}
+}
+
+// finish releases the pulse engine's worker pool (n ≥ poolMinProcs).
+func (s *DistSession) finish() (audit.Verdict, error) {
+	s.Net.Close()
+	return audit.Verdict{}, nil
 }
 
 // RunPlays advances the network by the given number of complete plays.

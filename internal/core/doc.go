@@ -9,13 +9,23 @@
 //   - executive — outcomes are published, choices collected, and agents
 //     convicted by the judicial service are punished (§3.4).
 //
-// Two drivers execute the play protocol of §3.3:
+// Four engines execute the play protocol of §3.3, one per session kind:
 //
-//   - the trusted driver (trusted.go) runs the same legislate/audit/punish
-//     code paths centrally — used for the game-theoretic experiments where
-//     tens of thousands of plays are needed;
-//   - the distributed driver (distributed.go) runs the full protocol over
-//     the synchronous network: a self-stabilizing Byzantine clock schedules
-//     the phases and every agreement (outcome, commitment set, reveal set,
-//     verdict) goes through interactive consistency on the BAP.
+//   - the trusted engines — PureSession (trusted.go), MixedSession
+//     (mixed.go) and RRASupervised (rra.go) — run the same
+//     legislate/audit/punish code paths centrally, used for the
+//     game-theoretic experiments where tens of thousands of plays are
+//     needed;
+//   - the distributed engine, DistSession (distributed.go), runs the full
+//     protocol over the synchronous network: a self-stabilizing Byzantine
+//     clock schedules the phases and every agreement (outcome, commitment
+//     set, reveal set, verdict) goes through interactive consistency on
+//     the BAP.
+//
+// NewSession puts the engine of the configured kind behind one driver
+// shell (session.go), the package's only Session implementation. The
+// shell owns the lock, history, counters and events, and runs every play
+// in one fixed order: gate (context, closed) → exclusion snapshot →
+// engine step → record in the history ring → counters → events. A play's
+// foul count is PlayFouls, wherever it is counted.
 package core

@@ -43,7 +43,7 @@ var equivAdversaries = []struct {
 
 // buildEquivSession constructs one distributed session with the network
 // adversary adv on processor 3. At n = 4 the driver picks the lockstep
-// engine; pool overrides that through the driver's step function so both
+// engine; pool overrides that through the engine's pulse function so both
 // engines stay under test at a size where a play is cheap.
 func buildEquivSession(t *testing.T, pool bool, adv sim.Adversary) Session {
 	t.Helper()
@@ -57,8 +57,8 @@ func buildEquivSession(t *testing.T, pool bool, adv sim.Adversary) Session {
 		t.Fatal(err)
 	}
 	if pool {
-		d := s.(*distDriver)
-		d.step = d.s.Net.StepConcurrent
+		d := EngineOf(s).(*DistSession)
+		d.pulse = d.Net.StepConcurrent
 	}
 	return s
 }
@@ -124,11 +124,11 @@ func TestDistEngineEquivalenceUnderCorruption(t *testing.T) {
 			}
 			// Identical corruption entropy on both networks.
 			AsDist := func(s Session) *DistSession {
-				d, ok := s.(interface{ Dist() *DistSession })
+				d, ok := EngineOf(s).(*DistSession)
 				if !ok {
 					t.Fatal("not a distributed session")
 				}
-				return d.Dist()
+				return d
 			}
 			entA, entB := prng.New(1234), prng.New(1234)
 			AsDist(lock).Net.Corrupt(entA.Uint64)

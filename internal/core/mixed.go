@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"gameauthority/internal/audit"
@@ -112,7 +113,8 @@ func roundSeedState(seed uint64, agent, round int, src *prng.Source) uint64 {
 	return src.Uint64()
 }
 
-// MixedSession is the trusted driver for repeated mixed-strategy plays.
+// MixedSession is the trusted driver for repeated mixed-strategy plays,
+// and the mixed kind's engine behind NewSession.
 type MixedSession struct {
 	cfg    MixedConfig
 	actual game.Game
@@ -137,6 +139,10 @@ type MixedSession struct {
 	window [][]int
 
 	verdicts []audit.Verdict
+	// seenVerdicts counts the verdicts the engine step has already
+	// reported; prevCost is its per-play copy of cumCost.
+	seenVerdicts int
+	prevCost     []float64
 
 	// Per-round scratch for the per-round audit discipline, reused so the
 	// steady-state play keeps a fixed allocation budget.
@@ -191,11 +197,12 @@ func NewMixedSession(cfg MixedConfig) (*MixedSession, error) {
 		return nil, fmt.Errorf("%w: actual game has %d players, elected %d", ErrConfig, actual.NumPlayers(), n)
 	}
 	s := &MixedSession{
-		cfg:     cfg,
-		actual:  actual,
-		n:       n,
-		f:       (n - 1) / 3,
-		cumCost: make([]float64, n),
+		cfg:      cfg,
+		actual:   actual,
+		n:        n,
+		f:        (n - 1) / 3,
+		cumCost:  make([]float64, n),
+		prevCost: make([]float64, n),
 	}
 	if cfg.Mode == AuditStatistical {
 		s.window = make([][]int, n)
@@ -220,14 +227,6 @@ func (s *MixedSession) Stats() CostStats { return s.stats }
 func (s *MixedSession) Verdicts() []audit.Verdict {
 	return append([]audit.Verdict(nil), s.verdicts...)
 }
-
-// VerdictCount returns how many verdicts were issued so far; with
-// VerdictAt it lets incremental consumers avoid Verdicts' full copy on
-// every play.
-func (s *MixedSession) VerdictCount() int { return len(s.verdicts) }
-
-// VerdictAt returns the i-th issued verdict (shared, do not mutate).
-func (s *MixedSession) VerdictAt(i int) audit.Verdict { return s.verdicts[i] }
 
 // CumulativeCost returns agent i's total actual cost so far.
 func (s *MixedSession) CumulativeCost(i int) float64 { return s.cumCost[i] }
@@ -383,17 +382,6 @@ func (s *MixedSession) PlayRound() (game.Profile, error) {
 	return outcome, nil
 }
 
-// Play runs the given number of rounds. In batched mode, call CloseEpoch
-// afterwards to audit any partial trailing epoch.
-func (s *MixedSession) Play(rounds int) error {
-	for i := 0; i < rounds; i++ {
-		if _, err := s.PlayRound(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // openEpoch starts a new batched-audit epoch.
 func (s *MixedSession) openEpoch() {
 	s.epochStart = s.round
@@ -449,6 +437,46 @@ func (s *MixedSession) closeEpoch() error {
 	s.applyVerdict(verdict)
 	s.epochSeeds = nil
 	return nil
+}
+
+// step is the mixed engine's play (see engine). A play's cost is the
+// difference of cumulative costs, so the costs a session reports sum to
+// its cumulative cost exactly as the engine accrued it. In batched mode
+// an epoch's verdict lands on the play that closed the epoch.
+func (s *MixedSession) step(_ context.Context, res *RoundResult) error {
+	copy(s.prevCost, s.cumCost)
+	outcome, err := s.PlayRound()
+	if err != nil {
+		return err
+	}
+	res.Outcome = outcome
+	res.Costs = res.Costs[:0]
+	for i, c := range s.cumCost {
+		res.Costs = append(res.Costs, c-s.prevCost[i])
+	}
+	res.Verdict.Fouls = s.appendNewFouls(res.Verdict.Fouls[:0])
+	res.Convicted = res.Verdict.AppendGuilty(res.Convicted[:0])
+	return nil
+}
+
+// appendNewFouls appends the fouls of the verdicts issued since its last
+// call.
+func (s *MixedSession) appendNewFouls(dst []audit.Foul) []audit.Foul {
+	for _, v := range s.verdicts[s.seenVerdicts:] {
+		dst = append(dst, v.Fouls...)
+	}
+	s.seenVerdicts = len(s.verdicts)
+	return dst
+}
+
+func (s *MixedSession) kindStats(st *SessionStats) { st.Protocol = s.stats }
+
+// finish audits the trailing partial epoch (batched mode).
+func (s *MixedSession) finish() (audit.Verdict, error) {
+	if err := s.CloseEpoch(); err != nil {
+		return audit.Verdict{}, err
+	}
+	return audit.Verdict{Fouls: s.appendNewFouls(nil)}, nil
 }
 
 // applyVerdict records the verdict, agrees on the foul set, and punishes.

@@ -74,13 +74,8 @@ func TestSampledModeCheaperThanPerRound(t *testing.T) {
 		cfg.Agents = []*MixedAgent{nil, nil}
 		cfg.Actual = nil
 		cfg.SampleProb = p
-		s, err := NewMixedSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Play(rounds); err != nil {
-			t.Fatal(err)
-		}
+		sess, s := newMixed(t, cfg)
+		runRounds(t, sess, rounds)
 		return s.Stats()
 	}
 	full := run(AuditPerRound, 0)
@@ -102,13 +97,8 @@ func TestSampledHonestNeverConvicted(t *testing.T) {
 	cfg.Agents = []*MixedAgent{nil, nil}
 	cfg.Actual = nil
 	cfg.SampleProb = 1.0 // audit every round
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(100); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, 100)
 	for _, v := range s.Verdicts() {
 		if len(v.Fouls) != 0 {
 			t.Fatalf("honest agents convicted: %+v", v.Fouls)
@@ -126,13 +116,8 @@ func TestStatisticalModeCatchesBiasedPlayer(t *testing.T) {
 	cfg.Agents = []*MixedAgent{nil, {Override: func(int, int) int { return 0 }}}
 	cfg.Window = 50
 	cfg.ChiThreshold = 6.63 // χ²(1) at 1%
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(600); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, 600)
 	if !s.Excluded(1) {
 		t.Fatalf("biased player never excluded; standing %v", scheme.Standing(1))
 	}
@@ -181,13 +166,8 @@ func TestStatisticalHonestRarelyFlagged(t *testing.T) {
 	cfg.Agents = []*MixedAgent{nil, nil}
 	cfg.Window = 100
 	cfg.ChiThreshold = 10.8 // χ²(1) at 0.1%
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(2000); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, 2000)
 	if s.Excluded(0) || s.Excluded(1) {
 		t.Fatal("honest agents excluded by the screen at a 0.1% threshold")
 	}

@@ -75,13 +75,8 @@ func TestFig1UnsupervisedManipulationGain(t *testing.T) {
 	// A's is −4 (A mixes uniformly; B always plays Manipulate).
 	const rounds = 20000
 	cfg := fig1Config(AuditOff, 0, nil, 42)
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, rounds)
 	perRoundB := s.CumulativePayoff(1) / rounds
 	perRoundA := s.CumulativePayoff(0) / rounds
 	if math.Abs(perRoundB-4) > 0.15 {
@@ -99,13 +94,8 @@ func TestFig1SupervisedManipulationNeutralized(t *testing.T) {
 	const rounds = 20000
 	scheme := punish.NewDisconnect(2, 0)
 	cfg := fig1Config(AuditPerRound, 0, scheme, 43)
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(rounds); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, rounds)
 	if !s.Excluded(1) {
 		t.Fatal("manipulator not excluded")
 	}
@@ -128,13 +118,8 @@ func TestMixedHonestSessionNoFouls(t *testing.T) {
 	cfg := fig1Config(AuditPerRound, 0, punish.NewDisconnect(2, 0), 44)
 	cfg.Agents = []*MixedAgent{nil, nil} // both honest
 	cfg.Actual = nil                     // pure matching pennies
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(200); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, 200)
 	for _, v := range s.Verdicts() {
 		if len(v.Fouls) != 0 {
 			t.Fatalf("honest session produced fouls: %+v", v.Fouls)
@@ -151,21 +136,14 @@ func TestMixedHonestSessionNoFouls(t *testing.T) {
 func TestMixedBatchedAuditDetectsAtEpochEnd(t *testing.T) {
 	scheme := punish.NewDisconnect(2, 0)
 	cfg := fig1Config(AuditBatched, 8, scheme, 45)
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
 	// During the first epoch, no verdicts yet: damage accrues.
-	if err := s.Play(8); err != nil {
-		t.Fatal(err)
-	}
+	runRounds(t, sess, 8)
 	if s.Excluded(1) {
 		t.Fatal("batched mode excluded mid-epoch")
 	}
 	// Next round triggers the epoch close and the audit.
-	if _, err := s.PlayRound(); err != nil {
-		t.Fatal(err)
-	}
+	runRounds(t, sess, 1)
 	if !s.Excluded(1) {
 		t.Fatal("manipulator not excluded after epoch audit")
 	}
@@ -174,13 +152,8 @@ func TestMixedBatchedAuditDetectsAtEpochEnd(t *testing.T) {
 func TestMixedCloseEpochFlushesTrailingRounds(t *testing.T) {
 	scheme := punish.NewDisconnect(2, 0)
 	cfg := fig1Config(AuditBatched, 16, scheme, 46)
-	s, err := NewMixedSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Play(5); err != nil { // partial epoch
-		t.Fatal(err)
-	}
+	sess, s := newMixed(t, cfg)
+	runRounds(t, sess, 5) // partial epoch
 	if s.Excluded(1) {
 		t.Fatal("excluded before epoch close")
 	}
@@ -219,13 +192,8 @@ func TestAuditModeCostAccounting(t *testing.T) {
 		cfg := fig1Config(mode, epoch, punish.NewDisconnect(2, 0), 48)
 		cfg.Agents = []*MixedAgent{nil, nil}
 		cfg.Actual = nil
-		s, err := NewMixedSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Play(rounds); err != nil {
-			t.Fatal(err)
-		}
+		sess, s := newMixed(t, cfg)
+		runRounds(t, sess, rounds)
 		if err := s.CloseEpoch(); err != nil {
 			t.Fatal(err)
 		}

@@ -145,10 +145,3 @@ func (h *observerHub) emit(e Event) {
 		o.OnEvent(e)
 	}
 }
-
-// emitAll delivers a batch in order.
-func (h *observerHub) emitAll(events []Event) {
-	for _, e := range events {
-		h.emit(e)
-	}
-}

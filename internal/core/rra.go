@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"gameauthority/internal/audit"
@@ -16,6 +17,7 @@ import (
 // the seed audit exposes every off-stream action and the executive then
 // restricts them. This is the harness behind Theorem 5's experiments
 // (E-T5): supervision keeps the multi-round anarchy cost at 1 + O(b/k).
+// It is also the RRA kind's engine behind NewSession.
 type RRASupervised struct {
 	rra    *game.RRA
 	scheme punish.Scheme
@@ -29,9 +31,13 @@ type RRASupervised struct {
 	supervise     bool
 
 	fouls []audit.Foul
-	// lastChoices is the published profile of the most recent play (for
-	// the Session adapter's round results).
+	// lastChoices is the published profile of the most recent play (the
+	// outcome step reports).
 	lastChoices game.Profile
+	// costs[i] is agent i's cost in the most recent play: the post-step
+	// load of its chosen resource, exactly the §6 strategic-form cost
+	// (pre-step load plus this round's contention). cumCost sums them.
+	costs, cumCost []float64
 
 	// Per-round scratch, reused so steady-state plays keep a fixed
 	// allocation budget.
@@ -63,6 +69,8 @@ func NewRRASupervised(n, b int, seed uint64, scheme punish.Scheme, supervise boo
 		byzChoose:     make(map[int]func(int, []int64) int),
 		deviantChoose: make(map[int]func(int, []int64, int) int),
 		supervise:     supervise,
+		costs:         make([]float64, n),
+		cumCost:       make([]float64, n),
 	}
 	h.scratch.seeds = make([]uint64, n)
 	h.scratch.digests = make([]commit.Digest, n)
@@ -167,6 +175,10 @@ func (h *RRASupervised) PlayRound() error {
 		return fmt.Errorf("core: rra step: %w", err)
 	}
 	h.lastChoices = choices
+	for i, choice := range choices {
+		h.costs[i] = float64(h.rra.Load(choice))
+		h.cumCost[i] += h.costs[i]
+	}
 
 	if !h.supervise {
 		return nil
@@ -201,12 +213,22 @@ func (h *RRASupervised) PlayRound() error {
 	return nil
 }
 
-// Play runs k rounds.
-func (h *RRASupervised) Play(k int) error {
-	for i := 0; i < k; i++ {
-		if err := h.PlayRound(); err != nil {
-			return err
-		}
+// CumulativeCost returns agent i's total cost so far.
+func (h *RRASupervised) CumulativeCost(i int) float64 { return h.cumCost[i] }
+
+// step is the RRA engine's play (see engine).
+func (h *RRASupervised) step(_ context.Context, res *RoundResult) error {
+	seen := len(h.fouls)
+	if err := h.PlayRound(); err != nil {
+		return err
 	}
+	res.Outcome = h.lastChoices
+	res.Verdict.Fouls = append(res.Verdict.Fouls[:0], h.fouls[seen:]...)
+	res.Convicted = res.Verdict.AppendGuilty(res.Convicted[:0])
+	res.Costs = append(res.Costs[:0], h.costs...)
 	return nil
 }
+
+func (h *RRASupervised) kindStats(st *SessionStats) { st.MaxLoad = h.rra.MaxLoad() }
+
+func (h *RRASupervised) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }

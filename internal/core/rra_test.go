@@ -22,13 +22,8 @@ func TestNewRRASupervisedValidation(t *testing.T) {
 }
 
 func TestRRASupervisedHonestNoFouls(t *testing.T) {
-	h, err := NewRRASupervised(6, 3, 11, punish.NewDisconnect(6, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Play(300); err != nil {
-		t.Fatal(err)
-	}
+	sess, h := newRRA(t, 6, 3, 11, punish.NewDisconnect(6, 0))
+	runRounds(t, sess, 300)
 	if fouls := h.Fouls(); len(fouls) != 0 {
 		t.Fatalf("honest RRA produced fouls: %+v", fouls[:1])
 	}
@@ -43,14 +38,9 @@ func TestRRASupervisedHonestNoFouls(t *testing.T) {
 }
 
 func TestRRASupervisedCatchesHog(t *testing.T) {
-	h, err := NewRRASupervised(4, 4, 12, punish.NewDisconnect(4, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, h := newRRA(t, 4, 4, 12, punish.NewDisconnect(4, 0))
 	h.SetByzantine(0, game.HogChooser())
-	if err := h.Play(50); err != nil {
-		t.Fatal(err)
-	}
+	runRounds(t, sess, 50)
 	if !h.Excluded(0) {
 		t.Fatal("hog never excluded")
 	}
@@ -60,9 +50,7 @@ func TestRRASupervisedCatchesHog(t *testing.T) {
 	}
 	// After exclusion the executive plays for the hog: spread returns to
 	// the Lemma 6 regime.
-	if err := h.Play(300); err != nil {
-		t.Fatal(err)
-	}
+	runRounds(t, sess, 300)
 	if got, bound := h.RRA().Spread(), int64(2*4-1)+1; got > bound {
 		t.Fatalf("post-exclusion spread %d exceeds %d", got, bound)
 	}
@@ -84,14 +72,9 @@ func TestRRAUnsupervisedHogInflatesAnarchyCost(t *testing.T) {
 		if supervise {
 			scheme = punish.NewDisconnect(n, 0)
 		}
-		h, err := NewRRASupervised(n, b, 13, scheme, supervise)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess, h := newRRA(t, n, b, 13, scheme)
 		h.SetByzantine(0, game.FixedChooser(0))
-		if err := h.Play(k); err != nil {
-			t.Fatal(err)
-		}
+		runRounds(t, sess, k)
 		r, err := stats.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), game.OptMaxLoad(n, b, k))
 		if err != nil {
 			t.Fatal(err)
@@ -117,10 +100,7 @@ func TestRRAByzantineAccidentallyHonestNotPunished(t *testing.T) {
 	// A "Byzantine" whose choices happen to match its committed stream is
 	// indistinguishable from honest and must not be punished (the audit
 	// judges actions, not identities).
-	h, err := NewRRASupervised(3, 2, 14, punish.NewDisconnect(3, 0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, h := newRRA(t, 3, 2, 14, punish.NewDisconnect(3, 0))
 	// Mirror the honest computation exactly.
 	h.SetByzantine(2, func(agent int, loads []int64) int {
 		a, err := h.ExpectedChoice(agent)
@@ -129,9 +109,7 @@ func TestRRAByzantineAccidentallyHonestNotPunished(t *testing.T) {
 		}
 		return a
 	})
-	if err := h.Play(100); err != nil {
-		t.Fatal(err)
-	}
+	runRounds(t, sess, 100)
 	if h.Excluded(2) {
 		t.Fatal("stream-faithful agent was punished")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 // self-stabilizing clock is still re-converging after a transient fault).
 var ErrPulseBudget = errors.New("core: pulse budget exhausted before the play completed")
 
-// SessionKind identifies which driver a Session runs on.
+// SessionKind identifies which engine a Session runs on.
 type SessionKind int
 
 // Session kinds, inferred from the configuration: distributed if
@@ -50,9 +51,10 @@ func (k SessionKind) String() string {
 	}
 }
 
-// Session is the uniform authority-session interface implemented by all
-// four drivers (pure, mixed, RRA, distributed). Implementations are safe
-// for concurrent use; plays are serialized internally.
+// Session is the uniform authority-session interface. NewSession
+// implements it once, as one driver shell over the engine of each kind
+// (pure, mixed, RRA, distributed). Sessions are safe for concurrent use;
+// plays are serialized internally.
 type Session interface {
 	// Play executes one audited play of the §3.3 protocol.
 	Play(ctx context.Context) (RoundResult, error)
@@ -208,8 +210,33 @@ func (cfg *SessionConfig) inferKind() SessionKind {
 	}
 }
 
+// kindOptions is the one table of kind-specific options: each row names a
+// configuration field, the session kinds that accept it, and the error
+// NewSession returns when a session of another kind is given it.
+var kindOptions = []struct {
+	set    func(SessionConfig) bool
+	accept []SessionKind
+	msg    string
+}{
+	{func(c SessionConfig) bool { return c.Game != nil }, []SessionKind{KindPure, KindMixed, KindDistributed},
+		"RRA sessions build their own game (drop the game argument)"},
+	{func(c SessionConfig) bool { return c.Agents != nil }, []SessionKind{KindPure, KindDistributed},
+		"pure-strategy agents apply to pure and distributed sessions (mixed sessions take mixed agents, RRA sessions RRAByz)"},
+	{func(c SessionConfig) bool { return c.Strategies != nil || c.MixedAgents != nil }, []SessionKind{KindMixed},
+		"strategies and mixed agents apply to mixed sessions"},
+	{func(c SessionConfig) bool { return c.Actual != nil }, []SessionKind{KindMixed},
+		"an actual game applies to mixed sessions"},
+	{func(c SessionConfig) bool { return c.Mode != 0 }, []SessionKind{KindMixed},
+		"audit disciplines apply to mixed sessions"},
+	{func(c SessionConfig) bool { return c.RRAAgents > 0 || c.RRAResources > 0 || c.RRAByz != nil }, []SessionKind{KindRRA},
+		"RRA options apply to RRA sessions"},
+	{func(c SessionConfig) bool { return c.DistPulseBudget != 0 }, []SessionKind{KindDistributed},
+		"pulse budgets apply to distributed sessions"},
+}
+
 // NewSession validates the configuration, runs the legislative service if
-// requested, and builds the driver for the resolved session kind.
+// requested, and builds the driver shell over the engine of the resolved
+// session kind.
 func NewSession(cfg SessionConfig) (Session, error) {
 	hub := newObserverHub()
 
@@ -232,35 +259,59 @@ func NewSession(cfg SessionConfig) (Session, error) {
 			Detail: cfg.Election.Candidates[out.Winner].Description,
 		})
 	}
+	kind := cfg.inferKind()
+	for _, opt := range kindOptions {
+		if opt.set(cfg) && !slices.Contains(opt.accept, kind) {
+			return nil, fmt.Errorf("%w: %s", ErrConfig, opt.msg)
+		}
+	}
 
 	// Accelerate the elected game into cost lookup tables (when its
-	// profile space is small enough) before any driver or honest agent
+	// profile space is small enough) before any engine or honest agent
 	// captures it, so every audit and best-response query is a lookup.
 	// Spec-built games arrive already compiled and shared across sessions
 	// (read-only tables); Accelerate returns those unchanged.
 	cfg.Game = game.Accelerate(cfg.Game)
 	cfg.Actual = game.Accelerate(cfg.Actual)
 
-	kind := cfg.inferKind()
+	var (
+		eng engine
+		n   int
+		err error
+	)
 	switch kind {
 	case KindPure:
-		return newPureDriver(cfg, hub)
+		eng, n, err = newPureEngine(cfg)
 	case KindMixed:
-		return newMixedDriver(cfg, hub)
+		eng, n, err = newMixedEngine(cfg)
 	case KindRRA:
-		return newRRADriver(cfg, hub)
-	case KindDistributed:
-		return newDistDriver(cfg, hub)
+		eng, n, err = newRRAEngine(cfg)
 	default:
-		return nil, fmt.Errorf("%w: unknown session kind %d", ErrConfig, kind)
+		eng, n, err = newDistEngine(cfg, hub)
 	}
+	if err != nil {
+		return nil, err
+	}
+	d := &driver{kind: kind, n: n, eng: eng, hub: hub, before: make([]bool, n)}
+	d.history.setLimit(cfg.HistoryLimit)
+	return d, nil
 }
 
-// playLatency is the per-driver play-latency histogram family, indexed
-// by SessionKind. Recording is three atomic adds, so the instrumented
-// hot paths keep their pinned allocation budgets (pure play stays 0).
-// Every round records inside playN, so it lands in the same series
-// regardless of transport or batching.
+// EngineOf returns the per-kind engine behind a Session built by
+// NewSession — a *PureSession, *MixedSession, *RRASupervised or
+// *DistSession — or nil for any other Session.
+func EngineOf(s Session) any {
+	if d, ok := s.(*driver); ok {
+		return d.eng
+	}
+	return nil
+}
+
+// playLatency is the play-latency histogram family, indexed by
+// SessionKind. Recording is three atomic adds, so the instrumented hot
+// paths keep their pinned allocation budgets (pure play stays 0). Every
+// round records inside PlayN, so it lands in the same series regardless
+// of transport or batching.
 var playLatency = [...]*obs.Histogram{
 	KindPure: obs.NewHistogram("gameauthority_play_latency_seconds",
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "pure"}),
@@ -272,37 +323,78 @@ var playLatency = [...]*obs.Histogram{
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "distributed"}),
 }
 
-// runSession is the shared Run implementation.
-func runSession(ctx context.Context, s Session, rounds int) (RoundResult, error) {
-	var last RoundResult
-	for i := 0; i < rounds; i++ {
-		res, err := s.Play(ctx)
-		if err != nil {
-			return last, err
-		}
-		last = res
+// PlayFouls is a play's foul count, the one definition behind
+// Stats().Fouls, the host's fouls counter and the journal: one per verdict
+// foul, or, when the play carries no verdict detail (a distributed play
+// agrees only on the foul set), one per convicted agent.
+func PlayFouls(res RoundResult) int {
+	if n := len(res.Verdict.Fouls); n > 0 {
+		return n
 	}
-	return last, nil
+	return len(res.Convicted)
 }
 
-// playN is the one play body every driver shares: one lock acquisition,
-// n sequential locked plays, sink observing each result before the next
-// play reuses its scratch. Each driver's Play is playN with n = 1, so a
-// batch is the same state evolution as n sequential Play calls by
-// construction.
-func playN(ctx context.Context, mu *sync.Mutex, kind SessionKind,
-	play func(context.Context) (RoundResult, error),
-	n int, sink func(RoundResult) error) (RoundResult, error) {
+// engine is what a session kind plugs into the driver shell. The shell
+// owns the lock, the closed flag, the history, the counters and the
+// events; an engine owns the game state.
+type engine interface {
+	// step plays one round into res, the shell's scratch, whose Round and
+	// Excluded the shell has set: it writes Outcome, Verdict, Convicted,
+	// Costs and Pulse, reusing res's slices where it owns them.
+	step(ctx context.Context, res *RoundResult) error
+	// Excluded reports whether the executive currently excludes agent i.
+	Excluded(i int) bool
+	// CumulativeCost returns agent i's total cost over every play.
+	CumulativeCost(i int) float64
+	// kindStats fills st's kind-only fields.
+	kindStats(st *SessionStats)
+	// finish runs at Close until it first succeeds, and returns any
+	// verdict it issues. On error the session stays open.
+	finish() (audit.Verdict, error)
+}
+
+// driver is the one Session implementation. Every play runs the same
+// order: gate (context, closed) → exclusion snapshot → engine step into
+// the shell's scratch → record in the history ring → counters → events.
+// Events are emitted while the play mutex is held, so concurrent players
+// cannot interleave streams out of round order (observers must not call
+// back into the session — see Observer).
+type driver struct {
+	mu          sync.Mutex
+	kind        SessionKind
+	n           int
+	eng         engine
+	hub         *observerHub
+	history     historyRing
+	fouls       int
+	convictions int
+	closed      bool
+
+	// Per-play scratch, reused across plays: the exclusion flags before
+	// the play and the result the engine writes into.
+	before []bool
+	result RoundResult
+}
+
+// Play executes one play: PlayN with n = 1.
+func (d *driver) Play(ctx context.Context) (RoundResult, error) {
+	return d.PlayN(ctx, 1, nil)
+}
+
+// PlayN runs n plays under one lock acquisition, sink observing each
+// result before the next play reuses the scratch; a batch is the same
+// state evolution as n sequential Play calls by construction.
+func (d *driver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
 	if n <= 0 {
 		return RoundResult{}, fmt.Errorf("%w: non-positive batch size %d", ErrConfig, n)
 	}
-	hist := playLatency[kind]
-	mu.Lock()
-	defer mu.Unlock()
+	hist := playLatency[d.kind]
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	var last RoundResult
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		res, err := play(ctx)
+		res, err := d.playLocked(ctx)
 		hist.Record(time.Since(t0))
 		if err != nil {
 			return last, err
@@ -317,245 +409,200 @@ func playN(ctx context.Context, mu *sync.Mutex, kind SessionKind,
 	return last, nil
 }
 
-// snapshotExcluded captures the executive's current exclusion flags.
-func snapshotExcluded(n int, excluded func(int) bool) []bool {
-	out := make([]bool, n)
-	snapshotExcludedInto(out, excluded)
-	return out
-}
-
-// snapshotExcludedInto is snapshotExcluded over a reused scratch slice.
-func snapshotExcludedInto(out []bool, excluded func(int) bool) {
-	for i := range out {
-		out[i] = excluded(i)
-	}
-}
-
-// newlyExcluded diffs exclusion flags before and after a play.
-func newlyExcluded(before []bool, excluded func(int) bool) []int {
-	var out []int
-	for i, was := range before {
-		if !was && excluded(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func excludedIDs(flags []bool) []int {
-	var out []int
-	for i, f := range flags {
-		if f {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// playEvents assembles the observer events for one completed play. Event
-// payloads are deep-cloned: observers may hold them past the play's
-// eviction from a bounded history ring.
-func playEvents(res RoundResult, convictions []int) []Event {
-	evs := []Event{{
-		Kind:    EventPlay,
-		Round:   res.Round,
-		Outcome: cloneProfile(res.Outcome),
-		Costs:   cloneFloats(res.Costs),
-		Pulse:   res.Pulse,
-	}}
-	if len(res.Verdict.Fouls) > 0 {
-		evs = append(evs, Event{Kind: EventVerdict, Round: res.Round, Fouls: cloneFouls(res.Verdict.Fouls)})
-	}
-	for _, agent := range convictions {
-		evs = append(evs, Event{
-			Kind:   EventConviction,
-			Round:  res.Round,
-			Agent:  agent,
-			Detail: "excluded by the executive service",
-		})
-	}
-	return evs
-}
-
-// --- Pure driver ---------------------------------------------------------------
-
-type pureDriver struct {
-	mu          sync.Mutex
-	s           *PureSession
-	n           int
-	hub         *observerHub
-	fouls       int
-	convictions int
-	closed      bool
-	before      []bool // exclusion-snapshot scratch, reused per play
-}
-
-func newPureDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Game == nil {
-		return nil, fmt.Errorf("%w: nil game", ErrConfig)
-	}
-	if cfg.MixedAgents != nil {
-		return nil, fmt.Errorf("%w: mixed agents require strategies (a mixed session)", ErrConfig)
-	}
-	if cfg.Actual != nil {
-		return nil, fmt.Errorf("%w: an actual game applies to mixed sessions", ErrConfig)
-	}
-	if cfg.DistPulseBudget != 0 {
-		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
-	}
-	n := cfg.Game.NumPlayers()
-	agents := cfg.Agents
-	if agents == nil {
-		agents = make([]*Agent, n)
-	}
-	if len(agents) != n {
-		return nil, fmt.Errorf("%w: %d agents for %d players", ErrConfig, len(agents), n)
-	}
-	filled := make([]*Agent, n)
-	copy(filled, agents)
-	if err := installPureDeviants(filled, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
-		return nil, err
-	}
-	for i := range filled {
-		if filled[i] == nil {
-			filled[i] = HonestPure(cfg.Game, i)
-		}
-	}
-	s, err := NewPureSession(cfg.Game, filled, cfg.Scheme, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetHistoryLimit(cfg.HistoryLimit); err != nil {
-		return nil, err
-	}
-	return &pureDriver{s: s, n: n, hub: hub, before: make([]bool, n)}, nil
-}
-
-// Pure exposes the wrapped driver for measurements.
-func (d *pureDriver) Pure() *PureSession { return d.s }
-
-// Play emits events while still holding the play mutex so concurrent
-// players cannot interleave streams out of round order (observers must not
-// call back into the session — see Observer).
-func (d *pureDriver) Play(ctx context.Context) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindPure, d.playLocked, 1, nil)
-}
-
-// PlayN implements Session.
-func (d *pureDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindPure, d.playLocked, n, sink)
-}
-
-func (d *pureDriver) playLocked(ctx context.Context) (RoundResult, error) {
+func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
 	if d.closed {
 		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
 	}
-	snapshotExcludedInto(d.before, d.s.Excluded)
-	res, err := d.s.PlayRound()
-	if err != nil {
+	res := &d.result
+	res.Round = d.history.recorded()
+	res.Excluded = res.Excluded[:0]
+	for i := range d.before {
+		d.before[i] = d.eng.Excluded(i)
+		if d.before[i] {
+			res.Excluded = append(res.Excluded, i)
+		}
+	}
+	if err := d.eng.step(ctx, res); err != nil {
 		return RoundResult{}, err
 	}
-	d.fouls += len(res.Verdict.Fouls)
-	newly := newlyExcluded(d.before, d.s.Excluded)
+	out := d.history.record(res)
+	d.fouls += PlayFouls(out)
+	newly := d.newlyExcluded()
 	d.convictions += len(newly)
 	if d.hub.active() {
-		d.hub.emitAll(playEvents(res, newly))
+		d.hub.emit(Event{
+			Kind:    EventPlay,
+			Round:   out.Round,
+			Outcome: cloneProfile(out.Outcome),
+			Costs:   cloneFloats(out.Costs),
+			Pulse:   out.Pulse,
+		})
+		d.emitVerdict(out.Round, out.Verdict.Fouls, newly)
 	}
-	return res, nil
+	return out, nil
 }
 
-func (d *pureDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
+// newlyExcluded lists the agents excluded since the before snapshot.
+func (d *driver) newlyExcluded() []int {
+	var out []int
+	for i, was := range d.before {
+		if !was && d.eng.Excluded(i) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
-func (d *pureDriver) Results() []RoundResult {
+// emitVerdict publishes a verdict and the convictions it caused. Event
+// payloads are deep-cloned: observers may hold them past the play's
+// eviction from a bounded history ring.
+func (d *driver) emitVerdict(round int, fouls []audit.Foul, convicted []int) {
+	if len(fouls) > 0 {
+		d.hub.emit(Event{Kind: EventVerdict, Round: round, Fouls: cloneFouls(fouls)})
+	}
+	for _, agent := range convicted {
+		d.hub.emit(Event{
+			Kind:   EventConviction,
+			Round:  round,
+			Agent:  agent,
+			Detail: "excluded by the executive service",
+		})
+	}
+}
+
+// Run executes the given number of plays and returns the last result.
+func (d *driver) Run(ctx context.Context, rounds int) (RoundResult, error) {
+	var last RoundResult
+	for i := 0; i < rounds; i++ {
+		res, err := d.Play(ctx)
+		if err != nil {
+			return last, err
+		}
+		last = res
+	}
+	return last, nil
+}
+
+// Results implements Session.
+func (d *driver) Results() []RoundResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.s.History()
+	return d.history.snapshot()
 }
 
-func (d *pureDriver) ResultAt(round int) (RoundResult, bool) {
+// ResultAt implements Session.
+func (d *driver) ResultAt(round int) (RoundResult, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.s.ResultAt(round)
+	slot, ok := d.history.at(round)
+	if !ok {
+		return RoundResult{}, false
+	}
+	return view(slot), true
 }
 
-func (d *pureDriver) Stats() SessionStats {
+// Stats implements Session.
+func (d *driver) Stats() SessionStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.statsLocked()
+}
+
+func (d *driver) statsLocked() SessionStats {
 	st := SessionStats{
-		Kind:           KindPure,
+		Kind:           d.kind,
 		Players:        d.n,
-		Rounds:         d.s.Round(),
+		Rounds:         d.history.recorded(),
 		CumulativeCost: make([]float64, d.n),
-		Excluded:       snapshotExcluded(d.n, d.s.Excluded),
+		Excluded:       make([]bool, d.n),
 		Fouls:          d.fouls,
 		Convictions:    d.convictions,
 	}
 	for i := 0; i < d.n; i++ {
-		st.CumulativeCost[i] = d.s.CumulativeCost(i)
+		st.CumulativeCost[i] = d.eng.CumulativeCost(i)
+		st.Excluded[i] = d.eng.Excluded(i)
 	}
+	d.eng.kindStats(&st)
 	return st
 }
 
-func (d *pureDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
+// Subscribe implements Session.
+func (d *driver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
 
-// Close finalizes the session: further plays fail with ErrClosed while
-// Results, ResultAt and Stats keep answering. Close is idempotent.
-func (d *pureDriver) Close() error {
+// Close finishes the engine (a batched-audit mixed session audits its
+// trailing epoch, a distributed one releases its worker pool) and folds
+// any verdict that issues into the last recorded play. A failed close
+// stays open so callers can retry it; Close is idempotent.
+func (d *driver) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return nil
+	}
+	for i := range d.before {
+		d.before[i] = d.eng.Excluded(i)
+	}
+	verdict, err := d.eng.finish()
+	if err != nil {
+		return err
+	}
 	d.closed = true
+	last, ok := d.history.at(d.history.recorded() - 1)
+	if !ok || len(verdict.Fouls) == 0 {
+		return nil
+	}
+	was := PlayFouls(*last)
+	last.Verdict.Fouls = append(last.Verdict.Fouls, verdict.Fouls...)
+	last.Convicted = last.Verdict.AppendGuilty(last.Convicted[:0])
+	d.fouls += PlayFouls(*last) - was
+	newly := d.newlyExcluded()
+	d.convictions += len(newly)
+	d.emitVerdict(last.Round, verdict.Fouls, newly)
 	return nil
 }
 
-// --- Mixed driver --------------------------------------------------------------
+// --- Engine constructors -----------------------------------------------------
 
-type mixedDriver struct {
-	mu           sync.Mutex
-	s            *MixedSession
-	n            int
-	hub          *observerHub
-	history      historyRing
-	seenVerdicts int
-	fouls        int
-	convictions  int
-	closed       bool
-
-	// Per-play scratch, reused across plays.
-	before   []bool
-	prevCost []float64
-	costs    []float64
-	merged   audit.Verdict
-	result   RoundResult
-}
-
-func newMixedDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Agents != nil {
-		return nil, fmt.Errorf("%w: pure-strategy agents on a mixed session (use mixed agents)", ErrConfig)
-	}
+func newPureEngine(cfg SessionConfig) (engine, int, error) {
 	if cfg.Game == nil {
-		return nil, fmt.Errorf("%w: nil elected game", ErrConfig)
-	}
-	if cfg.Strategies == nil {
-		return nil, fmt.Errorf("%w: mixed sessions require strategies", ErrConfig)
-	}
-	if cfg.DistPulseBudget != 0 {
-		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
+		return nil, 0, fmt.Errorf("%w: nil game", ErrConfig)
 	}
 	n := cfg.Game.NumPlayers()
-	agents := make([]*MixedAgent, n)
-	if cfg.MixedAgents != nil {
-		if len(cfg.MixedAgents) != n {
-			return nil, fmt.Errorf("%w: %d mixed agents for %d players", ErrConfig, len(cfg.MixedAgents), n)
-		}
-		copy(agents, cfg.MixedAgents)
+	if cfg.Agents != nil && len(cfg.Agents) != n {
+		return nil, 0, fmt.Errorf("%w: %d agents for %d players", ErrConfig, len(cfg.Agents), n)
 	}
+	agents := make([]*Agent, n)
+	copy(agents, cfg.Agents)
+	if err := installPureDeviants(agents, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
+		return nil, 0, err
+	}
+	for i := range agents {
+		if agents[i] == nil {
+			agents[i] = HonestPure(cfg.Game, i)
+		}
+	}
+	s, err := NewPureSession(cfg.Game, agents, cfg.Scheme, cfg.Seed)
+	return s, n, err
+}
+
+func newMixedEngine(cfg SessionConfig) (engine, int, error) {
+	if cfg.Game == nil {
+		return nil, 0, fmt.Errorf("%w: nil elected game", ErrConfig)
+	}
+	if cfg.Strategies == nil {
+		return nil, 0, fmt.Errorf("%w: mixed sessions require strategies", ErrConfig)
+	}
+	n := cfg.Game.NumPlayers()
+	if cfg.MixedAgents != nil && len(cfg.MixedAgents) != n {
+		return nil, 0, fmt.Errorf("%w: %d mixed agents for %d players", ErrConfig, len(cfg.MixedAgents), n)
+	}
+	agents := make([]*MixedAgent, n)
+	copy(agents, cfg.MixedAgents)
 	if err := installMixedDeviants(agents, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	mode := cfg.Mode
 	if mode == 0 {
@@ -580,319 +627,67 @@ func newMixedDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
 		ChiThreshold: cfg.ChiThreshold,
 		Seed:         cfg.Seed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	d := &mixedDriver{
-		s: s, n: n, hub: hub,
-		before:   make([]bool, n),
-		prevCost: make([]float64, n),
-		costs:    make([]float64, n),
-	}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
+	return s, n, err
 }
 
-// Mixed exposes the wrapped driver for measurements.
-func (d *mixedDriver) Mixed() *MixedSession { return d.s }
-
-// Play emits events under the play mutex; see pureDriver.Play.
-func (d *mixedDriver) Play(ctx context.Context) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindMixed, d.playLocked, 1, nil)
-}
-
-// PlayN implements Session.
-func (d *mixedDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindMixed, d.playLocked, n, sink)
-}
-
-func (d *mixedDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
-	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
-	}
-	snapshotExcludedInto(d.before, d.s.Excluded)
-	for i := range d.prevCost {
-		d.prevCost[i] = d.s.CumulativeCost(i)
-	}
-	outcome, err := d.s.PlayRound()
-	if err != nil {
-		return RoundResult{}, err
-	}
-	for i := range d.costs {
-		d.costs[i] = d.s.CumulativeCost(i) - d.prevCost[i]
-	}
-	verdict := d.drainVerdicts()
-	d.result = RoundResult{
-		Round:     d.s.Round() - 1,
-		Outcome:   outcome,
-		Verdict:   verdict,
-		Convicted: verdict.Guilty(),
-		Excluded:  excludedIDs(d.before),
-		Costs:     d.costs,
-	}
-	res := d.history.record(&d.result)
-	newly := newlyExcluded(d.before, d.s.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		d.hub.emitAll(playEvents(res, newly))
-	}
-	return res, nil
-}
-
-// drainVerdicts merges verdicts issued since the last play into one
-// (reusing the driver's scratch). In batched mode an epoch's verdict lands
-// on the play that closed the epoch.
-func (d *mixedDriver) drainVerdicts() audit.Verdict {
-	count := d.s.VerdictCount()
-	d.merged.Fouls = d.merged.Fouls[:0]
-	for i := d.seenVerdicts; i < count; i++ {
-		d.merged.Fouls = append(d.merged.Fouls, d.s.VerdictAt(i).Fouls...)
-	}
-	d.seenVerdicts = count
-	d.fouls += len(d.merged.Fouls)
-	return d.merged
-}
-
-func (d *mixedDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *mixedDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.snapshot()
-}
-
-func (d *mixedDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
-
-func (d *mixedDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := SessionStats{
-		Kind:           KindMixed,
-		Players:        d.n,
-		Rounds:         d.s.Round(),
-		CumulativeCost: make([]float64, d.n),
-		Excluded:       snapshotExcluded(d.n, d.s.Excluded),
-		Fouls:          d.fouls,
-		Convictions:    d.convictions,
-		Protocol:       d.s.Stats(),
-	}
-	for i := 0; i < d.n; i++ {
-		st.CumulativeCost[i] = d.s.CumulativeCost(i)
-	}
-	return st
-}
-
-func (d *mixedDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
-
-// Close audits any trailing partial epoch (batched mode) and attaches the
-// verdict to the last recorded play. A failed close stays open so callers
-// can retry it.
-func (d *mixedDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	before := snapshotExcluded(d.n, d.s.Excluded)
-	if err := d.s.CloseEpoch(); err != nil {
-		return err
-	}
-	d.closed = true
-	verdict := d.drainVerdicts()
-	newly := newlyExcluded(before, d.s.Excluded)
-	d.convictions += len(newly)
-	if last, ok := d.history.at(d.history.recorded() - 1); len(verdict.Fouls) > 0 && ok {
-		last.Verdict.Fouls = append(last.Verdict.Fouls, verdict.Fouls...)
-		last.Convicted = append(last.Convicted[:0], last.Verdict.Guilty()...)
-		evs := []Event{{Kind: EventVerdict, Round: last.Round, Fouls: cloneFouls(verdict.Fouls)}}
-		for _, agent := range newly {
-			evs = append(evs, Event{
-				Kind:   EventConviction,
-				Round:  last.Round,
-				Agent:  agent,
-				Detail: "excluded by the executive service",
-			})
-		}
-		d.hub.emitAll(evs)
-	}
-	return nil
-}
-
-// --- RRA driver ----------------------------------------------------------------
-
-type rraDriver struct {
-	mu          sync.Mutex
-	h           *RRASupervised
-	n           int
-	hub         *observerHub
-	history     historyRing
-	seenFouls   int
-	convictions int
-	closed      bool
-	cumCost     []float64
-
-	// Per-play scratch, reused across plays.
-	before  []bool
-	verdict audit.Verdict
-	costs   []float64
-	result  RoundResult
-}
-
-func newRRADriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Game != nil {
-		return nil, fmt.Errorf("%w: RRA sessions build their own game (drop the game argument)", ErrConfig)
-	}
-	if cfg.Strategies != nil || cfg.MixedAgents != nil {
-		return nil, fmt.Errorf("%w: RRA sessions use the committed equilibrium strategy", ErrConfig)
-	}
-	if cfg.Actual != nil {
-		return nil, fmt.Errorf("%w: an actual game applies to mixed sessions", ErrConfig)
-	}
-	if cfg.Agents != nil {
-		return nil, fmt.Errorf("%w: RRA behaviours are installed with RRAByz, not agents", ErrConfig)
-	}
-	if cfg.Mode != 0 {
-		return nil, fmt.Errorf("%w: audit disciplines apply to mixed sessions", ErrConfig)
-	}
-	if cfg.DistPulseBudget != 0 {
-		return nil, fmt.Errorf("%w: pulse budgets apply to distributed sessions", ErrConfig)
-	}
+func newRRAEngine(cfg SessionConfig) (engine, int, error) {
 	h, err := NewRRASupervised(cfg.RRAAgents, cfg.RRAResources, cfg.Seed, cfg.Scheme, cfg.Scheme != nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for agent, choose := range cfg.RRAByz {
 		h.SetByzantine(agent, choose)
 	}
 	deviants, err := deviantPlayers(cfg.Deviants, cfg.RRAAgents)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, player := range deviants {
 		if _, taken := cfg.RRAByz[player]; taken {
-			return nil, fmt.Errorf("%w: RRA agent %d has both a Byzantine chooser and a deviant strategy", ErrConfig, player)
+			return nil, 0, fmt.Errorf("%w: RRA agent %d has both a Byzantine chooser and a deviant strategy", ErrConfig, player)
 		}
 		h.SetDeviant(player, cfg.Deviants[player].RRAChooser(player, cfg.Seed))
 	}
-	d := &rraDriver{
-		h: h, n: cfg.RRAAgents, hub: hub,
-		before:  make([]bool, cfg.RRAAgents),
-		costs:   make([]float64, cfg.RRAAgents),
-		cumCost: make([]float64, cfg.RRAAgents),
-	}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
+	return h, cfg.RRAAgents, nil
 }
 
-// Harness exposes the wrapped driver for measurements.
-func (d *rraDriver) Harness() *RRASupervised { return d.h }
-
-// Play emits events under the play mutex; see pureDriver.Play.
-func (d *rraDriver) Play(ctx context.Context) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindRRA, d.playLocked, 1, nil)
-}
-
-// PlayN implements Session.
-func (d *rraDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindRRA, d.playLocked, n, sink)
-}
-
-func (d *rraDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
+func newDistEngine(cfg SessionConfig, hub *observerHub) (engine, int, error) {
+	if cfg.Game == nil {
+		return nil, 0, fmt.Errorf("%w: nil game", ErrConfig)
 	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
+	n, f := cfg.DistProcs, cfg.DistFaults
+	if n == 0 && cfg.DistByz != nil {
+		// A network adversary alone selected this kind; name the real
+		// mistake instead of failing the n > 3f arithmetic below.
+		return nil, 0, fmt.Errorf("%w: network adversaries require a distributed session (combine WithNetworkAdversary with WithDistributed)", ErrConfig)
 	}
-	snapshotExcludedInto(d.before, d.h.Excluded)
-	if err := d.h.PlayRound(); err != nil {
-		return RoundResult{}, err
+	if n <= 3*f {
+		return nil, 0, fmt.Errorf("%w: need n > 3f (got n=%d f=%d)", ErrConfig, n, f)
 	}
-	d.verdict.Fouls = append(d.verdict.Fouls[:0], d.h.fouls[d.seenFouls:]...)
-	d.seenFouls = len(d.h.fouls)
-	// Per-agent cost of the play: the post-step cumulative load of the
-	// chosen resource — exactly the §6 strategic-form cost (pre-step load
-	// plus this round's contention).
-	for i, choice := range d.h.lastChoices {
-		d.costs[i] = float64(d.h.RRA().Load(choice))
-		d.cumCost[i] += d.costs[i]
+	if cfg.Agents != nil && len(cfg.Agents) != n {
+		return nil, 0, fmt.Errorf("%w: %d agents for %d processors", ErrConfig, len(cfg.Agents), n)
 	}
-	d.result = RoundResult{
-		Round:     d.h.RRA().Rounds() - 1,
-		Outcome:   d.h.lastChoices,
-		Verdict:   d.verdict,
-		Convicted: d.verdict.Guilty(),
-		Excluded:  excludedIDs(d.before),
-		Costs:     d.costs,
+	behaviors := make([]*Agent, n)
+	copy(behaviors, cfg.Agents)
+	if err := installPureDeviants(behaviors, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
+		return nil, 0, err
 	}
-	res := d.history.record(&d.result)
-	newly := newlyExcluded(d.before, d.h.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		d.hub.emitAll(playEvents(res, newly))
+	s, err := NewDistSessionWith(n, f, cfg.Game, behaviors, cfg.Seed, cfg.DistByz, cfg.Scheme)
+	if err != nil {
+		return nil, 0, err
 	}
-	return res, nil
+	s.budget = cfg.DistPulseBudget
+	if s.budget <= 0 {
+		s.budget = 50 * PulsesPerPlay(f)
+	}
+	s.pulse = s.Net.StepLockstep
+	if n >= poolMinProcs {
+		s.pulse = s.Net.StepConcurrent
+	}
+	s.cumCost = make([]float64, n)
+	s.hub = hub
+	return s, n, nil
 }
-
-func (d *rraDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *rraDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.snapshot()
-}
-
-func (d *rraDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
-
-func (d *rraDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return SessionStats{
-		Kind:           KindRRA,
-		Players:        d.n,
-		Rounds:         d.h.RRA().Rounds(),
-		CumulativeCost: append([]float64(nil), d.cumCost...),
-		Excluded:       snapshotExcluded(d.n, d.h.Excluded),
-		Fouls:          d.seenFouls,
-		Convictions:    d.convictions,
-		MaxLoad:        d.h.RRA().MaxLoad(),
-	}
-}
-
-func (d *rraDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
-
-// Close finalizes the session; see pureDriver.Close.
-func (d *rraDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	return nil
-}
-
-// --- Distributed driver --------------------------------------------------------
 
 // poolMinProcs is the processor count from which a distributed session
 // steps its pulses on sim's worker pool (width min(GOMAXPROCS, n)) instead
@@ -932,212 +727,3 @@ func (d *rraDriver) Close() error {
 // idle core to hand off to (its shard loops already spread sessions over
 // the cores).
 const poolMinProcs = 10
-
-type distDriver struct {
-	mu          sync.Mutex
-	s           *DistSession
-	step        func() // one network pulse on the engine poolMinProcs selects
-	g           game.Game
-	n, f        int
-	hub         *observerHub
-	budget      int
-	seen        int
-	lastPulse   int
-	fouls       int
-	convictions int
-	closed      bool
-	cumCost     []float64
-	history     historyRing
-
-	// Per-play scratch, reused across plays.
-	before []bool
-	costs  []float64
-	result RoundResult
-}
-
-func newDistDriver(cfg SessionConfig, hub *observerHub) (Session, error) {
-	if cfg.Game == nil {
-		return nil, fmt.Errorf("%w: nil game", ErrConfig)
-	}
-	if cfg.Strategies != nil || cfg.MixedAgents != nil {
-		return nil, fmt.Errorf("%w: the distributed driver plays pure strategies", ErrConfig)
-	}
-	if cfg.Mode != 0 {
-		return nil, fmt.Errorf("%w: audit disciplines apply to mixed sessions", ErrConfig)
-	}
-	if cfg.Actual != nil {
-		return nil, fmt.Errorf("%w: an actual game applies to mixed sessions", ErrConfig)
-	}
-	if cfg.RRAAgents > 0 || cfg.RRAResources > 0 || cfg.RRAByz != nil {
-		return nil, fmt.Errorf("%w: RRA options on a distributed session", ErrConfig)
-	}
-	n, f := cfg.DistProcs, cfg.DistFaults
-	if n == 0 && cfg.DistByz != nil {
-		// A network adversary alone selected this driver; name the real
-		// mistake instead of failing the n > 3f arithmetic below.
-		return nil, fmt.Errorf("%w: network adversaries require a distributed session (combine WithNetworkAdversary with WithDistributed)", ErrConfig)
-	}
-	if n <= 3*f {
-		return nil, fmt.Errorf("%w: need n > 3f (got n=%d f=%d)", ErrConfig, n, f)
-	}
-	if cfg.Agents != nil && len(cfg.Agents) != n {
-		return nil, fmt.Errorf("%w: %d agents for %d processors", ErrConfig, len(cfg.Agents), n)
-	}
-	behaviors := make([]*Agent, n)
-	copy(behaviors, cfg.Agents)
-	if err := installPureDeviants(behaviors, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
-		return nil, err
-	}
-	s, err := NewDistSessionWith(n, f, cfg.Game, behaviors, cfg.Seed, cfg.DistByz, cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	budget := cfg.DistPulseBudget
-	if budget <= 0 {
-		budget = 50 * PulsesPerPlay(f)
-	}
-	step := s.Net.StepLockstep
-	if n >= poolMinProcs {
-		step = s.Net.StepConcurrent
-	}
-	d := &distDriver{
-		s: s, g: cfg.Game, n: n, f: f, hub: hub, budget: budget, step: step,
-		before:  make([]bool, n),
-		costs:   make([]float64, n),
-		cumCost: make([]float64, n),
-	}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
-}
-
-// Dist exposes the wrapped network session for fault injection and
-// consistency checks.
-func (d *distDriver) Dist() *DistSession { return d.s }
-
-// Play emits events under the play mutex; see pureDriver.Play.
-func (d *distDriver) Play(ctx context.Context) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindDistributed, d.playLocked, 1, nil)
-}
-
-// PlayN implements Session.
-func (d *distDriver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
-	return playN(ctx, &d.mu, KindDistributed, d.playLocked, n, sink)
-}
-
-func (d *distDriver) playLocked(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
-	}
-	if d.closed {
-		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
-	}
-	if len(d.s.Honest) == 0 {
-		return RoundResult{}, fmt.Errorf("%w: no honest processors to observe", ErrConfig)
-	}
-	ref := d.s.Procs[d.s.Honest[0]]
-	// A transient fault wipes processor histories; re-anchor the cursor.
-	if c := ref.ResultCount(); c < d.seen {
-		d.seen = c
-	}
-	snapshotExcludedInto(d.before, ref.Excluded)
-	for steps := 0; ref.ResultCount() <= d.seen; steps++ {
-		if err := ctx.Err(); err != nil {
-			return RoundResult{}, err
-		}
-		if steps >= d.budget {
-			return RoundResult{}, fmt.Errorf("%w (budget %d pulses)", ErrPulseBudget, d.budget)
-		}
-		d.step()
-	}
-	r := ref.resultRef(d.seen)
-	d.seen++
-
-	round := d.history.recorded()
-	var evs []Event
-	clockRecovered := d.lastPulse > 0 && r.Pulse-d.lastPulse > PulsesPerPlay(d.f)
-	if clockRecovered && d.hub.active() {
-		evs = append(evs, Event{
-			Kind:   EventClockRecovery,
-			Round:  round,
-			Pulse:  r.Pulse,
-			Detail: fmt.Sprintf("play completed after a %d-pulse gap (one period is %d)", r.Pulse-d.lastPulse, PulsesPerPlay(d.f)),
-		})
-	}
-	d.lastPulse = r.Pulse
-
-	// Per-agent cost of the agreed outcome on the elected game — the
-	// value the profit auditor compares across honest/deviant twins.
-	for i := 0; i < d.n; i++ {
-		d.costs[i] = d.g.Cost(i, r.Outcome)
-		d.cumCost[i] += d.costs[i]
-	}
-	d.result = RoundResult{
-		Round:     round,
-		Outcome:   r.Outcome,
-		Convicted: r.Guilty,
-		Excluded:  excludedIDs(d.before),
-		Costs:     d.costs,
-		Pulse:     r.Pulse,
-	}
-	d.fouls += len(r.Guilty)
-	res := d.history.record(&d.result)
-	newly := newlyExcluded(d.before, ref.Excluded)
-	d.convictions += len(newly)
-	if d.hub.active() {
-		evs = append(evs, playEvents(res, newly)...)
-		d.hub.emitAll(evs)
-	}
-	return res, nil
-}
-
-func (d *distDriver) Run(ctx context.Context, rounds int) (RoundResult, error) {
-	return runSession(ctx, d, rounds)
-}
-
-func (d *distDriver) Results() []RoundResult {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.snapshot()
-}
-
-func (d *distDriver) ResultAt(round int) (RoundResult, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
-
-func (d *distDriver) Stats() SessionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := SessionStats{
-		Kind:           KindDistributed,
-		Players:        d.n,
-		Rounds:         d.history.recorded(),
-		CumulativeCost: append([]float64(nil), d.cumCost...),
-		Fouls:          d.fouls,
-		Convictions:    d.convictions,
-		Pulses:         int64(d.s.Net.Stats.Pulses),
-		Messages:       d.s.Net.Stats.MessagesSent,
-	}
-	if len(d.s.Honest) > 0 {
-		st.Excluded = snapshotExcluded(d.n, d.s.Procs[d.s.Honest[0]].Excluded)
-	}
-	return st
-}
-
-func (d *distDriver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
-
-// Close finalizes the session and, at n ≥ 10 (poolMinProcs), releases the
-// pulse engine's worker pool. Further plays fail with ErrClosed; Results,
-// ResultAt and Stats keep answering. Close is idempotent.
-func (d *distDriver) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	d.s.Net.Close()
-	return nil
-}

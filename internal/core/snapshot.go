@@ -111,23 +111,25 @@ func HashResult(res RoundResult) string {
 	return string(digest[:])
 }
 
-// buildSnapshot assembles the snapshot and its state digest from a
-// driver's counters and history ring. The caller holds the driver mutex.
-func buildSnapshot(kind SessionKind, players, rounds, fouls, convictions int,
-	cum []float64, excluded []bool, closed bool, hist *historyRing) SessionSnapshot {
+// Snapshot implements Session: the snapshot and its state digest, built
+// from the session's stats and history ring.
+func (d *driver) Snapshot() SessionSnapshot {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.statsLocked()
 	snap := SessionSnapshot{
-		Kind:           kind,
-		Players:        players,
-		Rounds:         rounds,
-		Fouls:          fouls,
-		Convictions:    convictions,
-		CumulativeCost: append([]float64(nil), cum...),
-		Excluded:       append([]bool(nil), excluded...),
-		Closed:         closed,
+		Kind:           st.Kind,
+		Players:        st.Players,
+		Rounds:         st.Rounds,
+		Fouls:          st.Fouls,
+		Convictions:    st.Convictions,
+		CumulativeCost: st.CumulativeCost,
+		Excluded:       st.Excluded,
+		Closed:         d.closed,
 	}
 	h := sha256.New()
 	b := fmt.Appendf(nil, "kind=%s players=%d rounds=%d fouls=%d convictions=%d closed=%t\ncum=[",
-		kind, players, rounds, fouls, convictions, closed)
+		snap.Kind, snap.Players, snap.Rounds, snap.Fouls, snap.Convictions, snap.Closed)
 	for i, c := range snap.CumulativeCost {
 		if i > 0 {
 			b = append(b, ' ')
@@ -137,57 +139,15 @@ func buildSnapshot(kind SessionKind, players, rounds, fouls, convictions int,
 	b = append(b, "] excluded="...)
 	b = fmt.Appendf(b, "%v\n", snap.Excluded)
 	h.Write(b)
-	if hist != nil {
-		first := hist.firstRetained()
-		var line []byte
-		for i := 0; i < hist.retained(); i++ {
-			slot, _ := hist.at(first + i)
-			line = appendResultLine(line[:0], slot)
-			h.Write(line)
-		}
+	first := d.history.firstRetained()
+	var line []byte
+	for i := 0; i < d.history.retained(); i++ {
+		slot, _ := d.history.at(first + i)
+		line = appendResultLine(line[:0], slot)
+		h.Write(line)
 	}
 	snap.Digest = hex.EncodeToString(h.Sum(nil))
 	return snap
-}
-
-// Snapshot implements Session for the pure driver.
-func (d *pureDriver) Snapshot() SessionSnapshot {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return buildSnapshot(KindPure, d.n, d.s.Round(), d.fouls, d.convictions,
-		d.s.cumCost, snapshotExcluded(d.n, d.s.Excluded), d.closed, &d.s.history)
-}
-
-// Snapshot implements Session for the mixed driver.
-func (d *mixedDriver) Snapshot() SessionSnapshot {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	cum := make([]float64, d.n)
-	for i := range cum {
-		cum[i] = d.s.CumulativeCost(i)
-	}
-	return buildSnapshot(KindMixed, d.n, d.s.Round(), d.fouls, d.convictions,
-		cum, snapshotExcluded(d.n, d.s.Excluded), d.closed, &d.history)
-}
-
-// Snapshot implements Session for the RRA driver.
-func (d *rraDriver) Snapshot() SessionSnapshot {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return buildSnapshot(KindRRA, d.n, d.h.RRA().Rounds(), d.seenFouls, d.convictions,
-		d.cumCost, snapshotExcluded(d.n, d.h.Excluded), d.closed, &d.history)
-}
-
-// Snapshot implements Session for the distributed driver.
-func (d *distDriver) Snapshot() SessionSnapshot {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var excluded []bool
-	if len(d.s.Honest) > 0 {
-		excluded = snapshotExcluded(d.n, d.s.Procs[d.s.Honest[0]].Excluded)
-	}
-	return buildSnapshot(KindDistributed, d.n, d.history.recorded(), d.fouls, d.convictions,
-		d.cumCost, excluded, d.closed, &d.history)
 }
 
 // RestoreTarget tells Restore how far to replay and what to verify.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"gameauthority/internal/audit"
@@ -18,17 +19,17 @@ import (
 // reuses the identical audit/punish logic at game-sweep speed.
 //
 // The play loop runs on per-session scratch buffers: an honest play of a
-// compiled game allocates nothing once a bounded history ring is warm
-// (the alloc_test regression pins this at 0 allocs/play).
+// compiled game allocates nothing (the alloc_test regression pins a
+// hosted pure play at 0 allocs once its bounded history ring is warm).
+// PureSession is also the pure kind's engine behind NewSession.
 type PureSession struct {
 	g      game.Game
 	agents []*Agent
 	scheme punish.Scheme
 	seed   uint64
 
-	round   int
-	prev    game.Profile // owned; re-filled in place every play
-	history historyRing
+	round int
+	prev  game.Profile // owned; re-filled in place every play
 
 	// cumulative per-agent cost over plays where the agent was active.
 	cumCost []float64
@@ -48,15 +49,14 @@ type PureSession struct {
 		prevView    game.Profile
 		enc         []byte
 		verdict     audit.Verdict
-		result      RoundResult
 	}
 }
 
 // RoundResult records one audited play. It is the uniform result type of
-// the Session interface: every driver (pure, mixed, RRA, distributed)
-// reports completed plays in this shape; fields a driver cannot establish
-// are left zero (e.g. Costs on RRA plays, Verdict details on distributed
-// plays, Pulse on trusted drivers).
+// the Session interface: every session kind (pure, mixed, RRA,
+// distributed) reports completed plays in this shape; fields a kind
+// cannot establish are left zero (Verdict details on distributed plays,
+// Pulse on the trusted kinds).
 //
 // Results returned from sessions with a bounded history (WithHistoryLimit)
 // alias session-owned buffers: they stay valid until the play is evicted
@@ -124,39 +124,8 @@ func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uin
 	return s, nil
 }
 
-// SetHistoryLimit bounds the retained history to the most recent limit
-// plays (0 = unbounded, the default). It must be called before the first
-// play.
-func (s *PureSession) SetHistoryLimit(limit int) error {
-	if s.round > 0 {
-		return fmt.Errorf("%w: history limit must be set before the first play", ErrConfig)
-	}
-	if limit < 0 {
-		return fmt.Errorf("%w: negative history limit %d", ErrConfig, limit)
-	}
-	s.history.setLimit(limit)
-	return nil
-}
-
 // Round returns the number of completed plays.
 func (s *PureSession) Round() int { return s.round }
-
-// History returns deep copies of the retained round results (oldest
-// first); bounded sessions retain the most recent SetHistoryLimit plays.
-func (s *PureSession) History() []RoundResult {
-	return s.history.snapshot()
-}
-
-// ResultAt returns the play with absolute round index round, or false when
-// it was evicted from a bounded history (or not yet played). The result
-// aliases session-owned buffers — see RoundResult.
-func (s *PureSession) ResultAt(round int) (RoundResult, bool) {
-	slot, ok := s.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
-}
 
 // CumulativeCost returns agent i's total cost so far.
 func (s *PureSession) CumulativeCost(i int) float64 { return s.cumCost[i] }
@@ -179,7 +148,8 @@ func agentStreamState(seed uint64, agent, round int) uint64 {
 
 // PlayRound executes one full play of the protocol: choice → commitment →
 // reveal → audit → punish → publish. All working state lives in the
-// session scratch; see PureSession.
+// session scratch (see PureSession): the result's slices are valid until
+// the next play.
 func (s *PureSession) PlayRound() (RoundResult, error) {
 	n := s.g.NumPlayers()
 	ev := audit.PlayEvidence{
@@ -254,7 +224,7 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 		s.cumCost[i] += costs[i]
 	}
 
-	s.scratch.result = RoundResult{
+	res := RoundResult{
 		Round:     s.round,
 		Outcome:   outcome,
 		Verdict:   verdict,
@@ -262,11 +232,21 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 		Excluded:  excluded,
 		Costs:     costs,
 	}
-	res := s.history.record(&s.scratch.result)
 	s.prev = append(s.prev[:0], outcome...)
 	s.round++
 	return res, nil
 }
+
+// step is the pure engine's play (see engine).
+func (s *PureSession) step(_ context.Context, res *RoundResult) error {
+	r, err := s.PlayRound()
+	res.Outcome, res.Verdict, res.Convicted, res.Costs = r.Outcome, r.Verdict, r.Convicted, r.Costs
+	return err
+}
+
+func (s *PureSession) kindStats(*SessionStats) {}
+
+func (s *PureSession) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }
 
 // prevFor returns the previous outcome to hand an agent's Choose hook: a
 // scratch copy so one agent's mutation cannot leak into another agent's
@@ -276,19 +256,6 @@ func (s *PureSession) prevFor() game.Profile {
 		return nil
 	}
 	return append(s.scratch.prevView[:0], s.prev...)
-}
-
-// Play runs the given number of rounds, returning the last result.
-func (s *PureSession) Play(rounds int) (RoundResult, error) {
-	var last RoundResult
-	var err error
-	for i := 0; i < rounds; i++ {
-		last, err = s.PlayRound()
-		if err != nil {
-			return last, err
-		}
-	}
-	return last, nil
 }
 
 // executiveAction is the action the executive service substitutes for a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -27,11 +28,8 @@ func TestNewPureSessionValidation(t *testing.T) {
 func TestPureSessionHonestConvergesToNash(t *testing.T) {
 	g := game.PrisonersDilemma()
 	agents := []*Agent{HonestPure(g, 0), HonestPure(g, 1)}
-	s, err := NewPureSession(g, agents, punish.NewDisconnect(2, 0), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, err := s.Play(10)
+	sess, s := newPure(t, g, agents, punish.NewDisconnect(2, 0), 7)
+	last, err := sess.Run(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +40,8 @@ func TestPureSessionHonestConvergesToNash(t *testing.T) {
 	if len(last.Verdict.Fouls) != 0 {
 		t.Fatalf("honest play fouled: %+v", last.Verdict.Fouls)
 	}
-	if s.Round() != 10 || len(s.History()) != 10 {
-		t.Fatalf("rounds = %d, history %d", s.Round(), len(s.History()))
+	if s.Round() != 10 || sess.Stats().Rounds != 10 || len(sess.Results()) != 10 {
+		t.Fatalf("rounds = %d, stats %d, history %d", s.Round(), sess.Stats().Rounds, len(sess.Results()))
 	}
 }
 
@@ -202,13 +200,8 @@ func TestPureSessionNilSchemeNoPunishment(t *testing.T) {
 
 func TestPureSessionCumulativeCostTracking(t *testing.T) {
 	g := game.PrisonersDilemma()
-	s, err := NewPureSession(g, []*Agent{HonestPure(g, 0), HonestPure(g, 1)}, nil, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Play(4); err != nil {
-		t.Fatal(err)
-	}
+	sess, s := newPure(t, g, []*Agent{HonestPure(g, 0), HonestPure(g, 1)}, nil, 9)
+	runRounds(t, sess, 4)
 	// Round 0: (0,0) costs 1+1; rounds 1..3: (1,1) costs 2+2 each.
 	wantEach := 1.0 + 3*2.0
 	for i := 0; i < 2; i++ {

@@ -319,28 +319,33 @@ func lintMetricNames(body string) (problems []string, types map[string]string) {
 // TestFoulsTotalMatchesStats holds gameauthority_fouls_total to the
 // sessions' own tally on every driver: a visible deviant's fouls move the
 // counter by exactly Stats().Fouls, whether the driver reports them as a
-// verdict (pure, mixed, RRA) or as guilty processors (distributed).
+// verdict (pure, mixed, RRA) or as guilty processors (distributed), and
+// whether they land on a play or on Close (a batched-audit mixed session
+// audits its trailing epoch there). gameauthority_convictions_total moves
+// by the convicted agents the session's results list, Close's included.
 func TestFoulsTotalMatchesStats(t *testing.T) {
 	cheat := &ga.DeviantSpec{Player: 0, Strategy: "commitment-cheat"}
 	for _, tc := range []struct {
-		name string
-		spec ga.CreateSessionRequest
+		name  string
+		spec  ga.CreateSessionRequest
+		close bool
 	}{
-		{"pure", ga.CreateSessionRequest{Game: "publicgoods", Players: 4}},
-		{"mixed", ga.CreateSessionRequest{Game: "matchingpennies", Kind: "mixed", Audit: "per-round"}},
-		{"rra", ga.CreateSessionRequest{RRA: invariant.RRAShape(8, 4), Punishment: &ga.PunishmentSpec{Scheme: "disconnect"}}},
-		{"distributed", ga.CreateSessionRequest{Game: "publicgoods", Players: 4, Distributed: invariant.DistShape(4, 1)}},
+		{"pure", ga.CreateSessionRequest{Game: "publicgoods", Players: 4}, false},
+		{"mixed", ga.CreateSessionRequest{Game: "matchingpennies", Kind: "mixed", Audit: "per-round"}, false},
+		{"mixed-batched", ga.CreateSessionRequest{Game: "matchingpennies", Kind: "mixed", Audit: "batched", EpochLen: 16}, true},
+		{"rra", ga.CreateSessionRequest{RRA: invariant.RRAShape(8, 4), Punishment: &ga.PunishmentSpec{Scheme: "disconnect"}}, false},
+		{"distributed", ga.CreateSessionRequest{Game: "publicgoods", Players: 4, Distributed: invariant.DistShape(4, 1)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ga.NewAuthority()
 			t.Cleanup(func() { a.Close() })
 			srv := httptest.NewServer(ga.NewServer(a))
 			t.Cleanup(srv.Close)
-			fouls := func() float64 {
+			counters := func() (fouls, convictions float64) {
 				samples, _ := parseSamples(string(durGet(t, srv.URL+"/metrics", http.StatusOK)))
-				return samples["gameauthority_fouls_total"]
+				return samples["gameauthority_fouls_total"], samples["gameauthority_convictions_total"]
 			}
-			before := fouls()
+			foulsBefore, convictionsBefore := counters()
 			spec := tc.spec
 			spec.ID, spec.Seed, spec.Deviant = "fouls-"+tc.name, 2, cheat
 			h, err := a.CreateFromSpec(spec)
@@ -352,12 +357,25 @@ func TestFoulsTotalMatchesStats(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.close {
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			want := h.Stats().Fouls
 			if want == 0 {
 				t.Fatal("the deviant committed no foul; the row proves nothing")
 			}
-			if got := fouls() - before; got != float64(want) {
+			convicted := 0
+			for _, res := range h.Results() {
+				convicted += len(res.Convicted)
+			}
+			fouls, convictions := counters()
+			if got := fouls - foulsBefore; got != float64(want) {
 				t.Errorf("gameauthority_fouls_total moved by %v, Stats().Fouls = %d", got, want)
+			}
+			if got := convictions - convictionsBefore; got != float64(convicted) {
+				t.Errorf("gameauthority_convictions_total moved by %v, the results convict %d", got, convicted)
 			}
 		})
 	}

@@ -299,35 +299,27 @@ func WithPulseBudget(pulses int) Option {
 // AsPure returns the pure-strategy driver behind s, or nil if s is not a
 // pure session.
 func AsPure(s Session) *PureSession {
-	if d, ok := s.(interface{ Pure() *core.PureSession }); ok {
-		return d.Pure()
-	}
-	return nil
+	p, _ := core.EngineOf(s).(*core.PureSession)
+	return p
 }
 
 // AsMixed returns the mixed-strategy driver behind s, or nil.
 func AsMixed(s Session) *MixedSession {
-	if d, ok := s.(interface{ Mixed() *core.MixedSession }); ok {
-		return d.Mixed()
-	}
-	return nil
+	m, _ := core.EngineOf(s).(*core.MixedSession)
+	return m
 }
 
 // AsRRA returns the RRA harness behind s, or nil.
 func AsRRA(s Session) *SupervisedRRA {
-	if d, ok := s.(interface{ Harness() *core.RRASupervised }); ok {
-		return d.Harness()
-	}
-	return nil
+	h, _ := core.EngineOf(s).(*core.RRASupervised)
+	return h
 }
 
 // AsDistributed returns the network session behind s (for fault injection
 // and replica-consistency checks), or nil.
 func AsDistributed(s Session) *DistributedSession {
-	if d, ok := s.(interface{ Dist() *core.DistSession }); ok {
-		return d.Dist()
-	}
-	return nil
+	d, _ := core.EngineOf(s).(*core.DistSession)
+	return d
 }
 
 // Events subscribes a buffered channel to s's observer stream. Events are
