@@ -292,7 +292,7 @@ func NewSession(cfg SessionConfig) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &driver{kind: kind, n: n, eng: eng, hub: hub, before: make([]bool, n)}
+	d := &driver{kind: kind, n: n, eng: eng, hub: hub}
 	d.history.setLimit(cfg.HistoryLimit)
 	return d, nil
 }
@@ -370,9 +370,8 @@ type driver struct {
 	convictions int
 	closed      bool
 
-	// Per-play scratch, reused across plays: the exclusion flags before
-	// the play and the result the engine writes into.
-	before []bool
+	// result is the per-play scratch the engine writes into; its Excluded,
+	// the agents excluded before the play, is the exclusion snapshot.
 	result RoundResult
 }
 
@@ -418,19 +417,13 @@ func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
 	}
 	res := &d.result
 	res.Round = d.history.recorded()
-	res.Excluded = res.Excluded[:0]
-	for i := range d.before {
-		d.before[i] = d.eng.Excluded(i)
-		if d.before[i] {
-			res.Excluded = append(res.Excluded, i)
-		}
-	}
+	res.Excluded = d.excluded(res.Excluded)
 	if err := d.eng.step(ctx, res); err != nil {
 		return RoundResult{}, err
 	}
 	out := d.history.record(res)
 	d.fouls += PlayFouls(out)
-	newly := d.newlyExcluded()
+	newly := d.newlyExcluded(res.Excluded)
 	d.convictions += len(newly)
 	if d.hub.active() {
 		d.hub.emit(Event{
@@ -445,11 +438,25 @@ func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
 	return out, nil
 }
 
-// newlyExcluded lists the agents excluded since the before snapshot.
-func (d *driver) newlyExcluded() []int {
+// excluded lists the agents the engine excludes now, ascending, into dst.
+func (d *driver) excluded(dst []int) []int {
+	dst = dst[:0]
+	for i := 0; i < d.n; i++ {
+		if d.eng.Excluded(i) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// newlyExcluded lists the agents excluded now but not in before, an
+// ascending list that excluded built.
+func (d *driver) newlyExcluded(before []int) []int {
 	var out []int
-	for i, was := range d.before {
-		if !was && d.eng.Excluded(i) {
+	for i := 0; i < d.n; i++ {
+		if len(before) > 0 && before[0] == i {
+			before = before[1:]
+		} else if d.eng.Excluded(i) {
 			out = append(out, i)
 		}
 	}
@@ -542,9 +549,8 @@ func (d *driver) Close() error {
 	if d.closed {
 		return nil
 	}
-	for i := range d.before {
-		d.before[i] = d.eng.Excluded(i)
-	}
+	before := d.excluded(d.result.Excluded)
+	d.result.Excluded = before
 	verdict, err := d.eng.finish()
 	if err != nil {
 		return err
@@ -558,7 +564,7 @@ func (d *driver) Close() error {
 	last.Verdict.Fouls = append(last.Verdict.Fouls, verdict.Fouls...)
 	last.Convicted = last.Verdict.AppendGuilty(last.Convicted[:0])
 	d.fouls += PlayFouls(*last) - was
-	newly := d.newlyExcluded()
+	newly := d.newlyExcluded(before)
 	d.convictions += len(newly)
 	d.emitVerdict(last.Round, verdict.Fouls, newly)
 	return nil
