@@ -32,12 +32,13 @@ race:
 # The lifecycle hammers, twenty times on each core count: the races they
 # guard (create/remove against the ledger, stream attach/close, /ws plays
 # on the shard loops against direct HTTP plays of the same session, a
-# shared game's cleanup against a create of its spec) lose on a
-# particular interleaving, so one pass proves little. The second line
+# shared game's cleanup against a create of its spec, Recover against
+# GetOrRecover and Remove, manual snapshots against a session's plays)
+# lose on a particular interleaving, so one pass proves little. The second line
 # hammers the /ws client's recycled reply slots under the race detector:
 # their hazard is a connection dying with replies in flight.
 hammer:
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer' .
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer|TestRecoverRacesGetOrRecoverAndRemove|TestSnapshotRacesPlays' .
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'TestClientConcurrentPlaysOwnTheirResults|TestClientInFlightCallNotReused|TestClientMidFrameDisconnect|TestClientReconnect|TestClientPlayDedup|TestClientSurvivesRepeatedCuts' ./internal/hub
 
 # One iteration per benchmark: a bit-rot smoke, not a measurement. CI runs

@@ -330,3 +330,82 @@ func TestRetiredEngineFieldIsIgnored(t *testing.T) {
 	durPost(t, srv.URL+"/sessions", json.RawMessage(posted), http.StatusCreated)
 	durPost(t, srv.URL+"/sessions/posted/play", map[string]int{"rounds": 1}, http.StatusOK)
 }
+
+// TestSnapshotRacesPlays races manual snapshots — SnapshotSession and
+// POST /sessions/{id}/snapshot — against PlayN(4) on a durable File-store
+// session that also compacts on its own every few plays. After the host
+// is abandoned, the session recovered from its ledger sits at the
+// acknowledged round with the acknowledged digest: no snapshot dropped a
+// journaled play or kept a stale one.
+func TestSnapshotRacesPlays(t *testing.T) {
+	const k = 64
+	ctx := context.Background()
+	st, err := ga.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ga.NewAuthority(ga.WithStore(st), ga.WithSnapshotEvery(12))
+	t.Cleanup(func() { a.Close() })
+	srv := httptest.NewServer(ga.NewServer(a))
+	t.Cleanup(srv.Close)
+	h, err := a.CreateFromSpec(ga.CreateSessionRequest{ID: "raced", Game: "congestion", Players: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	snapshots := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { snapshots <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, persisted, err := a.SnapshotSession("raced"); err != nil || !persisted {
+				t.Errorf("SnapshotSession: persisted=%v err=%v", persisted, err)
+				return
+			}
+			resp, err := http.Post(srv.URL+"/sessions/raced/snapshot", "application/json", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("POST snapshot: status %d", resp.StatusCode)
+				return
+			}
+			n += 2
+		}
+	}()
+	for i := 0; i < k; i++ {
+		if _, err := h.PlayN(ctx, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if n := <-snapshots; n == 0 {
+		t.Log("no manual snapshot overlapped the plays")
+	}
+	want := h.Snapshot()
+	if want.Rounds != 4*k {
+		t.Fatalf("session at round %d, want %d", want.Rounds, 4*k)
+	}
+
+	b := ga.NewAuthority(ga.WithStore(a.DetachStore()))
+	t.Cleanup(func() { b.Close() })
+	if rep, err := b.Recover(ctx); err != nil || rep.Sessions != 1 || len(rep.Failed) > 0 {
+		t.Fatalf("recover: %+v, %v", rep, err)
+	}
+	r, err := b.Get("raced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Snapshot(); got.Rounds != want.Rounds || got.Digest != want.Digest {
+		t.Fatalf("recovered at round %d digest %.12s, acknowledged round %d digest %.12s",
+			got.Rounds, got.Digest, want.Rounds, want.Digest)
+	}
+}

@@ -136,6 +136,109 @@ func TestCreateRemoveRaceNeverLeaksLedger(t *testing.T) {
 	}
 }
 
+// TestRecoverRacesGetOrRecoverAndRemove races a Recover pass against a
+// GetOrRecover per id and a Remove of every fourth id, over 32 journaled
+// sessions. Afterwards every kept id is hosted once, as the session each
+// of its GetOrRecover calls returned, with its ledger; every removed id
+// is neither hosted nor journaled; and recoveries_total and
+// replayed_rounds_total moved once per restored id.
+func TestRecoverRacesGetOrRecoverAndRemove(t *testing.T) {
+	const ids, rounds = 32, 3
+	ctx := context.Background()
+	st := ga.NewMemStore()
+	first := ga.NewAuthority(ga.WithStore(st))
+	for i := 0; i < ids; i++ {
+		h, err := first.CreateFromSpec(ga.CreateSessionRequest{ID: fmt.Sprintf("r-%d", i), Game: "pd", Seed: uint64(i) + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Run(ctx, rounds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first.DetachStore() // crash: registry gone, ledgers stay
+	t.Cleanup(func() { first.Close() })
+
+	before := scrapeSamples(t)
+	a := ga.NewAuthority(ga.WithStore(st))
+	defer a.Close()
+	var (
+		wg     sync.WaitGroup
+		report ga.RecoveryReport
+		got    [ids]*ga.HostedSession
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if report, err = a.Recover(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	removed := func(i int) bool { return i%4 == 0 }
+	for i := 0; i < ids; i++ {
+		id := fmt.Sprintf("r-%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := a.GetOrRecover(ctx, id)
+			if err != nil && !(removed(i) && errors.Is(err, ga.ErrSessionNotFound)) {
+				t.Errorf("GetOrRecover(%s): %v", id, err)
+			}
+			got[i] = h
+		}()
+		if removed(i) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := a.Remove(id); err != nil && !errors.Is(err, ga.ErrSessionNotFound) {
+					t.Errorf("Remove(%s): %v", id, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if len(report.Failed) > 0 {
+		t.Fatalf("recover failed: %v", report.Failed)
+	}
+
+	kept := 0
+	for i := 0; i < ids; i++ {
+		id := fmt.Sprintf("r-%d", i)
+		h, herr := a.Get(id)
+		_, journaled, err := st.LoadSession(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed(i) {
+			if herr == nil || journaled {
+				t.Errorf("%s: removed, yet hosted=%v journaled=%v", id, herr == nil, journaled)
+			}
+			continue
+		}
+		kept++
+		switch {
+		case herr != nil || !journaled:
+			t.Errorf("%s: hosted=%v journaled=%v, want both", id, herr == nil, journaled)
+		case got[i] != h:
+			t.Errorf("%s: GetOrRecover returned a session the registry does not host", id)
+		case h.Stats().Rounds != rounds:
+			t.Errorf("%s restored at round %d, want %d", id, h.Stats().Rounds, rounds)
+		}
+	}
+	after := scrapeSamples(t)
+	restored := after["gameauthority_recoveries_total"] - before["gameauthority_recoveries_total"]
+	if restored < float64(kept) || restored > ids {
+		t.Errorf("recoveries_total moved by %v; %d ids were kept, %d journaled", restored, kept, ids)
+	}
+	if got := after["gameauthority_replayed_rounds_total"] - before["gameauthority_replayed_rounds_total"]; got != rounds*restored {
+		t.Errorf("replayed_rounds_total moved by %v for %v restores of %d rounds", got, restored, rounds)
+	}
+	if report.Sessions > int(restored) || report.Rounds != rounds*report.Sessions {
+		t.Errorf("Recover reported %d sessions, %d rounds; %v restores happened", report.Sessions, report.Rounds, restored)
+	}
+}
+
 // TestRemoveDeletesDamagedLedger: DELETE is the one API remedy for a
 // ledger recovery refuses (mid-file WAL corruption), so the load failure
 // that blocks recovery must not also block the delete.
