@@ -177,3 +177,44 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 		t.Fatalf("post-probe play = %v, want ErrBreakerOpen", perr)
 	}
 }
+
+// TestReadersNeverWaitOnJournal pins why a hosted play's journal append
+// runs after the driver's lock is released: the journal lock is held
+// across the store's write, the driver's is not, so Stats, Results,
+// ResultAt and Snapshot answer while a play waits on a slow disk.
+func TestReadersNeverWaitOnJournal(t *testing.T) {
+	a := ga.NewAuthority(ga.WithStore(ga.NewMemStore()),
+		ga.WithFaultPlan(ga.NewFaultPlan(ga.FaultConfig{SlowIO: 1, IODelay: 300 * time.Millisecond})))
+	defer a.Close()
+	h, err := a.CreateFromSpec(ga.CreateSessionRequest{ID: "slow-disk", Game: "pd", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	played := make(chan error, 1)
+	go func() {
+		_, err := h.PlayN(context.Background(), 4, nil)
+		played <- err
+	}()
+	// Four rounds recorded: the call is now in its append.
+	for h.Stats().Rounds < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	_ = h.Stats()
+	if got := len(h.Results()); got != 4 {
+		t.Fatalf("Results holds %d plays, want 4", got)
+	}
+	if _, ok := h.ResultAt(3); !ok {
+		t.Fatal("ResultAt(3) lost the play")
+	}
+	if snap := h.Snapshot(); snap.Rounds != 4 {
+		t.Fatalf("Snapshot at round %d, want 4", snap.Rounds)
+	}
+	select {
+	case err := <-played:
+		t.Fatalf("the play returned (%v) before the readers did: they waited on its append", err)
+	default:
+	}
+	if err := <-played; err != nil {
+		t.Fatal(err)
+	}
+}

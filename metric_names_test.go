@@ -380,3 +380,62 @@ func TestFoulsTotalMatchesStats(t *testing.T) {
 		})
 	}
 }
+
+// TestFoulsTotalAfterRecover is TestFoulsTotalMatchesStats's row for a
+// recovered session: Recover replays a batched-audit mixed session's
+// plays without counting them as plays or fouls (they are replayed
+// rounds), and Close, auditing the trailing epoch on the restored
+// session, moves gameauthority_fouls_total by exactly what it adds to
+// Stats().Fouls.
+func TestFoulsTotalAfterRecover(t *testing.T) {
+	ctx := context.Background()
+	first := ga.NewAuthority(ga.WithStore(ga.NewMemStore()))
+	h, err := first.CreateFromSpec(ga.CreateSessionRequest{
+		ID: "recovered", Game: "matchingpennies", Kind: "mixed", Audit: "batched", EpochLen: 16, Seed: 2,
+		Deviant: &ga.DeviantSpec{Player: 0, Strategy: "commitment-cheat"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	st := first.DetachStore()
+	// The abandoned host closes last: its own Close audits the same
+	// trailing epoch and would move the counters this test reads.
+	t.Cleanup(func() { first.Close() })
+
+	before := scrapeSamples(t)
+	second := ga.NewAuthority(ga.WithStore(st))
+	t.Cleanup(func() { second.Close() })
+	if rep, err := second.Recover(ctx); err != nil || rep.Sessions != 1 {
+		t.Fatalf("recover: %+v, %v", rep, err)
+	}
+	recovered := scrapeSamples(t)
+	for name, want := range map[string]float64{
+		"gameauthority_replayed_rounds_total": 5,
+		"gameauthority_plays_total":           0,
+		"gameauthority_fouls_total":           0,
+	} {
+		if got := recovered[name] - before[name]; got != want {
+			t.Errorf("Recover moved %s by %v, want %v", name, got, want)
+		}
+	}
+
+	r, err := second.Get("recovered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foulsBefore := r.Stats().Fouls
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	added := r.Stats().Fouls - foulsBefore
+	if added == 0 {
+		t.Fatal("Close audited no foul; the row proves nothing")
+	}
+	closed := scrapeSamples(t)
+	if got := closed["gameauthority_fouls_total"] - recovered["gameauthority_fouls_total"]; got != float64(added) {
+		t.Errorf("close added %d fouls to Stats; fouls_total moved by %v", added, got)
+	}
+}

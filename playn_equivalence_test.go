@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -252,9 +253,10 @@ func journalOf(t *testing.T, st ga.Store, dir, id string) ([]ga.Record, []byte) 
 }
 
 // TestPlayNValidation pins the PlayN contract edges: a non-positive batch
-// is ErrConfig, a nil sink is allowed, and a sink error aborts the batch
-// after the offending round while keeping the completed prefix journaled
-// and the session consistent.
+// is ErrConfig, an oversized one on a cancelled context is
+// context.Canceled with nothing played, a nil sink is allowed, and a sink
+// error aborts the batch after the offending round while keeping the
+// completed prefix journaled and the session consistent.
 func TestPlayNValidation(t *testing.T) {
 	ctx := context.Background()
 	a := ga.NewAuthority(ga.WithStore(ga.NewMemStore()))
@@ -268,6 +270,16 @@ func TestPlayNValidation(t *testing.T) {
 	}
 	if _, err := h.PlayN(ctx, -3, nil); !errors.Is(err, ga.ErrConfig) {
 		t.Fatalf("PlayN(-3) error = %v, want ErrConfig", err)
+	}
+	// An oversized batch on a durable session is refused by its context,
+	// not by sizing a journal batch before the first play.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := h.PlayN(cancelled, math.MaxInt, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlayN(MaxInt) on a cancelled context: %v, want context.Canceled", err)
+	}
+	if got := h.Stats().Rounds; got != 0 {
+		t.Fatalf("a cancelled PlayN played %d rounds", got)
 	}
 	if _, err := h.PlayN(ctx, 4, nil); err != nil {
 		t.Fatalf("PlayN with nil sink: %v", err)

@@ -10,9 +10,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	ga "gameauthority"
+	"gameauthority/internal/store"
 )
 
 // storeServer builds a store-backed authority behind an httptest server.
@@ -407,5 +409,49 @@ func TestSnapshotRacesPlays(t *testing.T) {
 	if got := r.Snapshot(); got.Rounds != want.Rounds || got.Digest != want.Digest {
 		t.Fatalf("recovered at round %d digest %.12s, acknowledged round %d digest %.12s",
 			got.Rounds, got.Digest, want.Rounds, want.Digest)
+	}
+}
+
+// loadCountingStore counts the LoadSession calls reaching the store it
+// wraps: a full ledger read is what a restore pays.
+type loadCountingStore struct {
+	ga.Store
+	loads atomic.Int64
+}
+
+func (s *loadCountingStore) LoadSession(id string) (store.SessionState, bool, error) {
+	s.loads.Add(1)
+	return s.Store.LoadSession(id)
+}
+
+// TestRecoverMemoizesFailedRestore: Recover and GetOrRecover restore
+// through one path, so a ledger Recover could not revive is remembered:
+// a later GetOrRecover answers the same ErrDurability without reading the
+// ledger again.
+func TestRecoverMemoizesFailedRestore(t *testing.T) {
+	ctx := context.Background()
+	fs, err := ga.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &loadCountingStore{Store: fs}
+	// A spec journaled by a host that knew a game this one does not.
+	if err := st.CreateSession("stale", []byte(`{"id":"stale","game":"no-such-game","seed":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	a := ga.NewAuthority(ga.WithStore(st))
+	defer a.Close()
+	rep, err := a.Recover(ctx)
+	if err != nil || rep.Sessions != 0 || len(rep.Failed) != 1 || !strings.HasPrefix(rep.Failed[0], "stale: ") {
+		t.Fatalf("recover: %+v, %v; want the one stale ledger failed", rep, err)
+	}
+	loads := st.loads.Load()
+	for i := 0; i < 2; i++ {
+		if _, err := a.GetOrRecover(ctx, "stale"); !errors.Is(err, ga.ErrDurability) {
+			t.Fatalf("GetOrRecover after a failed Recover: %v, want ErrDurability", err)
+		}
+	}
+	if got := st.loads.Load() - loads; got != 0 {
+		t.Fatalf("GetOrRecover loaded the ledger %d more times after Recover failed it", got)
 	}
 }
