@@ -410,7 +410,7 @@ func (a *Authority) Remove(id string) error {
 			if st == nil {
 				return fmt.Errorf("%w: %q", ErrSessionNotFound, id)
 			}
-			journaled, lerr := storeHas(st, id)
+			journaled, lerr := st.Has(id)
 			if errors.Is(lerr, store.ErrClosed) {
 				// A closed store (the authority shut down) cannot be
 				// consulted; report the id not found. Trade-off: a real

@@ -315,7 +315,9 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 		if n == 1 {
 			c.batch = c.one[:0]
 		} else {
-			c.batch = make([]store.BatchPlay, 0, n)
+			// Sized for the common request, not from n: a cancelled
+			// PlayN(math.MaxInt) plays nothing and must allocate nothing.
+			c.batch = make([]store.BatchPlay, 0, min(n, 16))
 		}
 	}
 	res, err := h.Session.PlayN(ctx, n, h.onRound)
@@ -637,19 +639,15 @@ func (a *Authority) Recover(ctx context.Context) (RecoveryReport, error) {
 			defer func() { <-sem; wg.Done() }()
 			// Each worker loads its own session's state, so journal I/O
 			// overlaps replay and memory holds only in-flight sessions.
-			state, ok, err := st.LoadSession(id)
-			var rounds int
-			var restored bool
-			if err == nil && ok {
-				rounds, restored, err = a.restoreOne(ctx, state)
-			}
+			rounds, restored, err := a.restore(ctx, st, id)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
+			switch {
+			case errors.Is(err, ErrSessionNotFound):
+				// Removed since the listing: nothing to recover.
+			case err != nil:
 				report.Failed = append(report.Failed, fmt.Sprintf("%s: %v", id, err))
-				return
-			}
-			if restored {
+			case restored:
 				report.Sessions++
 				report.Rounds += rounds
 			}
@@ -661,19 +659,8 @@ func (a *Authority) Recover(ctx context.Context) (RecoveryReport, error) {
 	return report, ctx.Err()
 }
 
-// storeHas is a cheap existence probe: backends exposing Has (both
-// built-ins do) answer with a stat or map lookup; others fall back to a
-// full LoadSession.
-func storeHas(st Store, id string) (bool, error) {
-	if h, ok := st.(interface{ Has(string) (bool, error) }); ok {
-		return h.Has(id)
-	}
-	_, ok, err := st.LoadSession(id)
-	return ok, err
-}
-
-// restoreCall tracks one in-flight restore-on-miss so concurrent
-// requests for the same lost id share a single replay (singleflight).
+// restoreCall tracks one in-flight restore so concurrent restores of the
+// same id share a single replay (singleflight).
 type restoreCall struct {
 	done chan struct{}
 	err  error
@@ -682,9 +669,7 @@ type restoreCall struct {
 // GetOrRecover returns the hosted session with the given id, lazily
 // restoring it from the durable store on a registry miss (the HTTP
 // restore-on-miss path: a request for a session the crashed predecessor
-// hosted revives it on demand). Concurrent misses on the same id share
-// one replay: followers wait for the leader instead of each paying the
-// full deterministic replay only to lose the Host race.
+// hosted revives it on demand).
 func (a *Authority) GetOrRecover(ctx context.Context, id string) (*HostedSession, error) {
 	h, err := a.Get(id)
 	if err == nil {
@@ -694,7 +679,24 @@ func (a *Authority) GetOrRecover(ctx context.Context, id string) (*HostedSession
 	if st == nil {
 		return nil, err
 	}
+	if _, _, err := a.restore(ctx, st, id); err != nil {
+		return nil, err
+	}
+	return a.Get(id)
+}
 
+// restore is the one path by which a journaled session comes back, shared
+// by Recover's workers and GetOrRecover: a registry hit needs nothing;
+// concurrent restores of one id share one replay, followers waiting for
+// the leader instead of each paying the full deterministic replay only to
+// lose the Host race; and a failed replay is remembered, so no later call
+// reads the ledger again to fail the same way. restored reports whether
+// this call did the replay, rounds how many plays it replayed. A missing
+// ledger is ErrSessionNotFound; a load or replay failure is ErrDurability.
+func (a *Authority) restore(ctx context.Context, st Store, id string) (rounds int, restored bool, err error) {
+	if _, err := a.Get(id); err == nil {
+		return 0, false, nil
+	}
 	a.restoreMu.Lock()
 	if ferr, failed := a.restoreFailed[id]; failed {
 		// The replay failed deterministically before (diverged digest,
@@ -702,82 +704,71 @@ func (a *Authority) GetOrRecover(ctx context.Context, id string) (*HostedSession
 		// full replay would only re-derive the same failure. Remove — the
 		// one API remedy, which deletes the ledger — clears this memo.
 		a.restoreMu.Unlock()
-		return nil, ferr
-	}
-	if a.restoring == nil {
-		a.restoring = make(map[string]*restoreCall)
+		return 0, false, ferr
 	}
 	if c, inflight := a.restoring[id]; inflight {
 		a.restoreMu.Unlock()
 		select {
 		case <-c.done:
+			return 0, false, c.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return 0, false, ctx.Err()
 		}
-		if c.err != nil {
-			return nil, c.err
-		}
-		return a.Get(id)
+	}
+	if a.restoring == nil {
+		a.restoring = make(map[string]*restoreCall)
 	}
 	c := &restoreCall{done: make(chan struct{})}
 	a.restoring[id] = c
 	a.restoreMu.Unlock()
 	defer func() {
+		c.err = err
 		a.restoreMu.Lock()
 		delete(a.restoring, id)
 		a.restoreMu.Unlock()
 		close(c.done)
 	}()
 
-	state, ok, lerr := st.LoadSession(id)
-	if lerr != nil {
+	state, ok, err := st.LoadSession(id)
+	if err != nil {
 		// A degraded store must not masquerade as "session never existed":
 		// the ledger may be intact. Surface the server-side condition.
-		c.err = fmt.Errorf("load %q: %w", id, errors.Join(ErrDurability, lerr))
-		return nil, c.err
+		return 0, false, fmt.Errorf("load %q: %w", id, errors.Join(ErrDurability, err))
 	}
 	if !ok {
-		c.err = err // the original ErrSessionNotFound
-		return nil, err
+		return 0, false, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
 	}
 	// The replay is shared by every waiter on c.done, so it must not die
 	// with the leader's request: a leader disconnect mid-replay would
 	// otherwise surface as an ErrDurability 503 to followers of a healthy
 	// store. The replay is finite (bounded by the WAL watermark), so
 	// running it to completion without the request's cancellation is safe.
-	if _, _, rerr := a.restoreOne(context.WithoutCancel(ctx), state); rerr != nil {
-		// The ledger exists but could not be revived (diverged digest,
-		// unbuildable spec). That is a damaged-store condition, not "never
-		// existed" — report it as such, with the cause inspectable. The
-		// replay is deterministic, so memoize the failure rather than
-		// re-paying it on every request for the poisoned id.
-		c.err = fmt.Errorf("restore %q: %w", id, errors.Join(ErrDurability, rerr))
-		a.restoreMu.Lock()
-		// Memoize only while the ledger still exists: a Remove that raced
-		// the replay deleted it — and its memo clear, which serializes on
-		// restoreMu, must not be outrun by this write (a stale memo would
-		// 503 a session that is simply gone).
-		if has, herr := storeHas(st, id); herr == nil && has {
-			if a.restoreFailed == nil {
-				a.restoreFailed = make(map[string]error)
-			}
-			a.restoreFailed[id] = c.err
-		}
-		a.restoreMu.Unlock()
-		return nil, c.err
+	if rounds, restored, err = a.restoreOne(context.WithoutCancel(ctx), state); err == nil {
+		return rounds, restored, nil
 	}
-	return a.Get(id)
+	// The ledger exists but could not be revived (diverged digest,
+	// unbuildable spec). That is a damaged-store condition, not "never
+	// existed": report it as such, with the cause inspectable.
+	err = fmt.Errorf("restore %q: %w", id, errors.Join(ErrDurability, err))
+	a.restoreMu.Lock()
+	// Memoize only while the ledger still exists: a Remove that raced the
+	// replay deleted it — and its memo clear, which serializes on
+	// restoreMu, must not be outrun by this write (a stale memo would 503
+	// a session that is simply gone).
+	if has, herr := st.Has(id); herr == nil && has {
+		if a.restoreFailed == nil {
+			a.restoreFailed = make(map[string]error)
+		}
+		a.restoreFailed[id] = err
+	}
+	a.restoreMu.Unlock()
+	return 0, false, err
 }
 
 // restoreOne rebuilds, replays, verifies, and re-hosts one journaled
 // session. restored is false (with a nil error) when the id was already
 // hosted — nothing was recovered, and nothing is counted.
 func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (rounds int, restored bool, err error) {
-	if _, err := a.Get(state.ID); err == nil {
-		// Already hosted (a second Recover pass, or a GetOrRecover that
-		// beat us): skip before paying for the replay.
-		return 0, false, nil
-	}
 	t0 := time.Now()
 	defer func() {
 		if restored {
@@ -811,7 +802,7 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 		return 0, false, err
 	}
 	if st := a.getStore(); st != nil {
-		if has, herr := storeHas(st, state.ID); herr == nil && !has {
+		if has, herr := st.Has(state.ID); herr == nil && !has {
 			// A Remove deleted the ledger while we were replaying: honor
 			// the delete instead of hosting a zombie with no journal.
 			h.dropped.Store(true)
@@ -828,13 +819,15 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 		return 0, false, nil
 	}
 	h.durable.Store(true)
+	// Seed the cadence counter with the un-compacted tail so long tails
+	// compact soon after recovery, and the observed round so Close counts
+	// what a close-time verdict adds to the last replayed play.
+	h.walPlays.Store(int64(len(target.Hashes)))
+	h.observed = target.Rounds
 	h.jmu.Unlock()
 	if target.Closed {
 		h.closeLogged.Store(true)
 	}
-	// Seed the cadence counter with the un-compacted tail so long tails
-	// compact soon after recovery.
-	h.walPlays.Store(int64(len(target.Hashes)))
 	recoveries.Inc()
 	replayedRounds.Add(int64(target.Rounds))
 	return target.Rounds, true, nil

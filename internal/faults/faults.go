@@ -231,18 +231,11 @@ func (s *faultStore) LoadSession(id string) (store.SessionState, bool, error) {
 	return s.inner.LoadSession(id)
 }
 
+func (s *faultStore) Has(id string) (bool, error) { return s.inner.Has(id) }
+
 func (s *faultStore) Snapshots() ([]store.SnapshotInfo, error) { return s.inner.Snapshots() }
 
 func (s *faultStore) Close() error { return s.inner.Close() }
-
-// Has forwards the optional existence probe when the inner store has one.
-func (s *faultStore) Has(id string) (bool, error) {
-	if h, ok := s.inner.(interface{ Has(string) (bool, error) }); ok {
-		return h.Has(id)
-	}
-	_, ok, err := s.inner.LoadSession(id)
-	return ok, err
-}
 
 // --- Conn decorator ------------------------------------------------------------
 

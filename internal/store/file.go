@@ -571,8 +571,7 @@ func (f *File) LoadSession(id string) (SessionState, bool, error) {
 	return f.loadSession(id)
 }
 
-// Has reports whether a session with the given id is journaled — a cheap
-// existence probe (one stat) for callers that do not need the state.
+// Has implements Store.
 func (f *File) Has(id string) (bool, error) {
 	if err := f.checkOpen(); err != nil {
 		return false, err

@@ -133,6 +133,9 @@ type Store interface {
 	// LoadSession reads one session's state; ok is false when the id is
 	// not persisted.
 	LoadSession(id string) (st SessionState, ok bool, err error)
+	// Has reports whether the id is persisted, without reading its
+	// journal.
+	Has(id string) (bool, error)
 	// Snapshots lists the sessions holding a compacted snapshot, sorted
 	// by id, without reading any WAL.
 	Snapshots() ([]SnapshotInfo, error)
@@ -259,8 +262,7 @@ func (m *Mem) Delete(id string) error {
 	return nil
 }
 
-// Has reports whether a session with the given id is journaled — a cheap
-// existence probe for callers that do not need the state.
+// Has implements Store.
 func (m *Mem) Has(id string) (bool, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
