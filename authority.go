@@ -182,8 +182,9 @@ type HostedSession struct {
 	// closeLogged latches the close record so idempotent Close journals
 	// it exactly once.
 	closeLogged atomic.Bool
-	// walPlays counts plays journaled since the last compacted snapshot.
-	walPlays atomic.Int64
+	// walPlays counts plays journaled since the last compacted snapshot
+	// (under jmu).
+	walPlays int
 
 	// breakerFails counts consecutive journal failures; breakerUntil is
 	// the unix-nano deadline while the session's circuit breaker is open

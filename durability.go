@@ -468,8 +468,7 @@ func (h *HostedSession) Close() error {
 	if st == nil {
 		return nil
 	}
-	snap := h.Session.Snapshot()
-	if err := st.Append(h.id, store.Record{Type: store.RecordClose, Digest: snap.Digest}); err != nil {
+	if err := st.Append(h.id, store.Record{Type: store.RecordClose, Digest: h.Session.Snapshot().Digest}); err != nil {
 		// Un-latch so a retried Close re-attempts the close record instead
 		// of falsely reporting success with an open-looking journal.
 		h.closeLogged.Store(false)
@@ -478,7 +477,7 @@ func (h *HostedSession) Close() error {
 	walRecords.Inc()
 	// Best-effort final compaction; the close record above already makes
 	// recovery exact.
-	_, _, _ = h.a.snapshotHosted(h, snap)
+	_, _, _ = h.snapshotLocked()
 	return nil
 }
 
@@ -506,24 +505,33 @@ func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
 		batchedPlays.Add(int64(len(plays)))
 	}
 	if every := a.snapshotEvery; every > 0 {
-		// Claim the counter before compacting so concurrent plays past the
-		// threshold do not queue redundant full-WAL rewrites behind one
-		// another; on failure the claim is returned, so the WAL stays
-		// intact and a later play retries the compaction.
-		if n := h.walPlays.Add(int64(len(plays))); n >= int64(every) && h.walPlays.CompareAndSwap(n, 0) {
-			if _, ok, err := a.snapshotHosted(h, h.Session.Snapshot()); err != nil || !ok {
-				h.walPlays.Add(n)
-			}
+		// A failed compaction leaves the count standing, so the next
+		// journaled play retries it.
+		if h.walPlays += len(plays); h.walPlays >= every {
+			_, _, _ = h.snapshotLocked()
 		}
 	}
 	return nil
 }
 
-// snapshotHosted persists one session's snapshot, compacting its WAL and
-// resetting the compaction cadence. persisted is false (with a nil
-// error) for volatile sessions.
-func (a *Authority) snapshotHosted(h *HostedSession, snap SessionSnapshot) (SessionSnapshot, bool, error) {
-	st := a.getStore()
+// snapshot captures the session's state summary and, when the session is
+// durable, persists it as the compacted snapshot. It waits for an
+// in-flight journal append of the session: see snapshotLocked.
+func (h *HostedSession) snapshot() (SessionSnapshot, bool, error) {
+	h.jmu.Lock()
+	defer h.jmu.Unlock()
+	return h.snapshotLocked()
+}
+
+// snapshotLocked takes and persists every snapshot of a hosted session,
+// compacting its WAL and resetting the compaction cadence; the caller
+// holds jmu. Under the journal lock the snapshot covers every journaled
+// record and no append lands between the capture and the compaction, so
+// the store's log stays in round order behind its snapshot. persisted is
+// false (with a nil error) for volatile sessions.
+func (h *HostedSession) snapshotLocked() (snap SessionSnapshot, persisted bool, err error) {
+	snap = h.Session.Snapshot()
+	st := h.a.getStore()
 	if st == nil || !h.durable.Load() || h.dropped.Load() {
 		return snap, false, nil
 	}
@@ -531,17 +539,10 @@ func (a *Authority) snapshotHosted(h *HostedSession, snap SessionSnapshot) (Sess
 	if err != nil {
 		return snap, false, fmt.Errorf("gameauthority: snapshot: %w", err)
 	}
-	// Claim the cadence counter atomically rather than zeroing it after
-	// the write: plays journaled concurrently with the compaction keep
-	// their counts, so the next compaction is not pushed out by up to a
-	// full snapshotEvery window, and two concurrent snapshots cannot
-	// double-subtract. (On the journal CAS path the threshold batch
-	// was already claimed; anything swapped out here is newer.)
-	claimed := h.walPlays.Swap(0)
 	if err := st.PutSnapshot(h.id, snap.Rounds, payload); err != nil {
-		h.walPlays.Add(claimed) // return the claim; the WAL is intact
 		return snap, false, fmt.Errorf("snapshot: %w", errors.Join(ErrDurability, err))
 	}
+	h.walPlays = 0
 	snapshotsTotal.Inc()
 	return snap, true, nil
 }
@@ -555,7 +556,7 @@ func (a *Authority) SnapshotSession(id string) (snap SessionSnapshot, persisted 
 	if err != nil {
 		return SessionSnapshot{}, false, err
 	}
-	return a.snapshotHosted(h, h.Session.Snapshot())
+	return h.snapshot()
 }
 
 // SnapshotAll snapshots every hosted durable session (graceful-shutdown
@@ -565,7 +566,7 @@ func (a *Authority) SnapshotAll() (int, error) {
 	var first error
 	persisted := 0
 	for _, h := range a.Sessions() {
-		if _, ok, err := a.snapshotHosted(h, h.Session.Snapshot()); err != nil {
+		if _, ok, err := h.snapshot(); err != nil {
 			if first == nil {
 				first = err
 			}
@@ -619,10 +620,7 @@ func (a *Authority) Recover(ctx context.Context) (RecoveryReport, error) {
 	if err != nil {
 		return RecoveryReport{}, err
 	}
-	workers := 2 * runtime.GOMAXPROCS(0)
-	if workers > 16 {
-		workers = 16
-	}
+	workers := min(2*runtime.GOMAXPROCS(0), 16)
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -822,7 +820,7 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 	// Seed the cadence counter with the un-compacted tail so long tails
 	// compact soon after recovery, and the observed round so Close counts
 	// what a close-time verdict adds to the last replayed play.
-	h.walPlays.Store(int64(len(target.Hashes)))
+	h.walPlays = len(target.Hashes)
 	h.observed = target.Rounds
 	h.jmu.Unlock()
 	if target.Closed {

@@ -1,7 +1,9 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,19 +33,32 @@ var (
 		"Latency of one group-commit epoch flush (detach to wakeup).")
 )
 
-// File layout: one directory holds three files per session —
-//
-//	<dir>/sessions/<id>.spec   the opaque creation spec (written once)
-//	<dir>/sessions/<id>.wal    the append-only record log
-//	<dir>/sessions/<id>.snap   the latest compacted snapshot (atomic rename)
-//
-// Each WAL line is "<crc32c-hex> <json>\n": the checksum covers the JSON
-// bytes, so a torn or corrupted tail (the half-written line of a crash) is
-// detected and dropped instead of poisoning recovery. Snapshots are
-// written to a temp file and renamed into place, so a crash mid-snapshot
-// leaves the previous snapshot intact. PutSnapshot then rewrites the WAL
-// keeping only records at or after the snapshot watermark — the
-// "compaction" that bounds log growth on long-lived sessions.
+// File layout: one file per session, <dir>/sessions/<id>.wal. Each line
+// is "<crc32c-hex> <json>\n", the checksum covering the JSON bytes, so a
+// torn or corrupted tail (the half-written line of a crash) is detected
+// and dropped instead of poisoning recovery. The first line is the spec,
+// the second — once the session has been compacted — its latest
+// snapshot, and the session's records follow in round order. Create and
+// compaction each write the whole file through one atomicWrite, delete
+// is one unlink and load one read, so a crash leaves the old file or the
+// new one, never a session in pieces.
+
+// The File store's own head lines: the spec, first in every session file,
+// and the snapshot, second when present. They are not Records a caller
+// can append.
+const (
+	lineSpec = "spec"
+	lineSnap = "snap"
+)
+
+// fileLine is the JSON of one session-file line: a Record, or a head line
+// whose opaque bytes travel base64-encoded.
+type fileLine struct {
+	Record
+	Spec    []byte `json:"spec,omitempty"`
+	Rounds  int    `json:"rounds,omitempty"`
+	Payload []byte `json:"payload,omitempty"`
+}
 
 // fileStripes is the per-session lock striping width (power of two).
 const fileStripes = 64
@@ -98,11 +113,22 @@ type walHandle struct {
 
 var _ Store = (*File)(nil)
 
-// NewFile opens (creating if needed) a file store rooted at dir.
+// NewFile opens (creating if needed) a file store rooted at dir. A
+// sessions directory holding .spec or .snap files was written in the
+// retired three-file layout and is refused with ErrLegacyLayout.
 func NewFile(dir string) (*File, error) {
 	sessions := filepath.Join(dir, "sessions")
 	if err := os.MkdirAll(sessions, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
+	}
+	entries, err := os.ReadDir(sessions)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	for _, e := range entries {
+		if ext := filepath.Ext(e.Name()); ext == ".spec" || ext == ".snap" {
+			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, filepath.Join(sessions, e.Name()))
+		}
 	}
 	return &File{
 		dir:      sessions,
@@ -139,7 +165,8 @@ func (f *File) path(id, ext string) string {
 	return filepath.Join(f.dir, id+ext)
 }
 
-// CreateSession implements Store.
+// CreateSession implements Store: the session file is born whole, holding
+// its spec line, through one atomicWrite.
 func (f *File) CreateSession(id string, spec []byte) error {
 	if !validID(id) {
 		return fmt.Errorf("%w: invalid id %q", ErrUnknownSession, id)
@@ -150,33 +177,20 @@ func (f *File) CreateSession(id string, spec []byte) error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	specPath := f.path(id, ".spec")
-	if _, err := os.Stat(specPath); err == nil {
+	path := f.path(id, ".wal")
+	if _, err := os.Stat(path); err == nil {
 		return fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
-	if err := atomicWrite(specPath, spec); err != nil {
+	line, err := appendLine(nil, fileLine{Record: Record{Type: lineSpec}, Spec: spec})
+	if err != nil {
 		return err
 	}
-	// An empty WAL marks the session as live even before its first play.
-	// The directory fsync makes its entry (and the spec's) survive an OS
-	// crash — otherwise a "missing" WAL would silently read as round 0.
-	wal, err := os.OpenFile(f.path(id, ".wal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err == nil {
-		if err = syncDir(f.dir); err != nil {
-			wal.Close()
-			os.Remove(f.path(id, ".wal"))
-		}
+	if err := atomicWrite(path, line); err != nil {
+		return err
 	}
-	if err != nil {
-		// Scrub the spec: an orphaned half-created session would poison
-		// the id and resurrect a phantom at the next recovery.
-		os.Remove(specPath)
-		return fmt.Errorf("store: %w", err)
-	}
-	f.cacheHandle(id, wal)
 	f.mu.Lock()
 	if !f.closed {
-		f.repaired[id] = struct{}{} // a brand-new WAL needs no tail repair
+		f.repaired[id] = struct{}{} // a brand-new file needs no tail repair
 	}
 	f.mu.Unlock()
 	return nil
@@ -212,7 +226,7 @@ func (f *File) Append(id string, rec Record) error {
 
 // appendRecord is Append between its span's two ends.
 func (f *File) appendRecord(id string, rec Record) error {
-	line, err := appendWALLine(nil, rec)
+	line, err := appendLine(nil, rec)
 	if err != nil {
 		return err
 	}
@@ -302,48 +316,31 @@ func (f *File) handle(id string) (*walHandle, error) {
 		f.mu.Unlock()
 		return wh, nil
 	}
+	_, checked := f.repaired[id]
 	f.mu.Unlock()
 
-	if _, err := os.Stat(f.path(id, ".spec")); err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
+	path := f.path(id, ".wal")
 	// A crash may have left a half-written final line. O_APPEND would glue
 	// the next record onto that fragment — corrupting an acknowledged write
 	// and, once valid records follow it, turning a tolerable torn tail into
-	// the mid-file corruption readWAL refuses. Truncate to the last clean
-	// line boundary before any append can land. Once per session per
+	// the mid-file corruption the reader refuses. Truncate to the last
+	// clean line boundary before any append can land. Once per session per
 	// process: everything this process wrote is clean, so cache-churn
 	// reopens skip the scan.
-	f.mu.Lock()
-	_, checked := f.repaired[id]
-	f.mu.Unlock()
 	if !checked {
-		if err := repairWAL(f.path(id, ".wal")); err != nil {
+		if err := repairWAL(id, path); err != nil {
 			return nil, err
 		}
 		f.mu.Lock()
 		f.repaired[id] = struct{}{}
 		f.mu.Unlock()
 	}
-	_, statErr := os.Stat(f.path(id, ".wal"))
-	w, err := os.OpenFile(f.path(id, ".wal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	// The open normally finds an existing file (no directory change to
-	// persist); only when it had to create one (first reopen after a
-	// compaction race) is the new entry fsynced — a directory fsync on
-	// every cache-miss reopen would put milliseconds on the append path
-	// under handle churn.
-	if errors.Is(statErr, fs.ErrNotExist) {
-		if err := syncDir(f.dir); err != nil {
-			w.Close()
-			// Un-create the file, or the next reopen would stat it as
-			// existing and skip the directory fsync forever — leaving an
-			// entry an OS crash can drop along with acknowledged appends.
-			os.Remove(f.path(id, ".wal"))
-			return nil, err
-		}
 	}
 	return f.cacheHandle(id, w), nil
 }
@@ -441,9 +438,8 @@ func (f *File) dropHandle(id string) {
 	}
 }
 
-// PutSnapshot implements Store: snapshot first (atomic rename), then the
-// WAL rewrite — a crash between the two leaves a superset WAL, which
-// recovery tolerates (replay verification is keyed by round index).
+// PutSnapshot implements Store: one atomicWrite replaces the session file
+// with its compaction (see compact).
 func (f *File) PutSnapshot(id string, rounds int, payload []byte) error {
 	if !validID(id) {
 		return fmt.Errorf("%w: invalid id %q", ErrUnknownSession, id)
@@ -454,32 +450,19 @@ func (f *File) PutSnapshot(id string, rounds int, payload []byte) error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	if _, err := os.Stat(f.path(id, ".spec")); err != nil {
+	path := f.path(id, ".wal")
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
-	snap, err := json.Marshal(struct {
-		Rounds  int             `json:"rounds"`
-		Payload json.RawMessage `json:"payload"`
-	}{Rounds: rounds, Payload: payload})
-	if err != nil {
+	case err != nil:
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(f.path(id, ".snap"), snap); err != nil {
+	if data, err = compact(id, data, rounds, payload); err != nil {
 		return err
 	}
-	// Compact: rewrite the WAL keeping records the snapshot does not cover.
-	records, err := readWAL(f.path(id, ".wal"))
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for _, rec := range compactWAL(records, rounds) {
-		if buf, err = appendWALLine(buf, rec); err != nil {
-			return err
-		}
-	}
-	if err := atomicWrite(f.path(id, ".wal"), buf); err != nil {
-		// The old WAL (and its cached handle) stays live, so Sync/Close
+	if err := atomicWrite(path, data); err != nil {
+		// The old file (and its cached handle) stays live, so Sync/Close
 		// still reach any un-flushed appends.
 		return err
 	}
@@ -490,7 +473,56 @@ func (f *File) PutSnapshot(id string, rounds int, payload []byte) error {
 	return nil
 }
 
-// Delete implements Store.
+// compact returns the session file data becomes under a snapshot at the
+// rounds watermark: its spec line, the new snapshot line, and the record
+// lines the snapshot does not cover, copied byte for byte. Records arrive
+// in round order with a close record last (the Store contract), so the
+// covered ones are a prefix: the walk back from the end decodes only the
+// uncovered suffix and the newest covered record, never the log it drops.
+// The spec line is copied only once its checksum and type check out.
+func compact(id string, data []byte, rounds int, payload []byte) ([]byte, error) {
+	n := bytes.IndexByte(data, '\n')
+	if n < 0 {
+		n = len(data)
+	}
+	if l, ok := parseLine(data[:n]); !ok || l.Type != lineSpec {
+		return nil, errNoSpec(id)
+	}
+	head := n + 1
+	// [keep, end) is the uncovered suffix, less its last newline.
+	keep, end := -1, -1
+	hi := len(data)
+	if hi > head && data[hi-1] == '\n' {
+		hi-- // the file's last newline ends its last line
+	}
+walk:
+	for hi >= head {
+		lo := head + bytes.LastIndexByte(data[head:hi], '\n') + 1
+		l, ok := parseLine(data[lo:hi])
+		switch {
+		case !ok && end >= 0:
+			return nil, fmt.Errorf("store: %q: corrupt line before a valid one", id)
+		case !ok:
+			// The torn tail of a crash: those plays were never acknowledged.
+		case l.Type == lineSpec || l.Type == lineSnap || covered(&l.Record, rounds):
+			break walk
+		default:
+			keep = lo
+			if end < 0 {
+				end = hi
+			}
+		}
+		hi = lo - 1
+	}
+	buf, err := appendLine(append(append([]byte(nil), data[:n]...), '\n'),
+		fileLine{Record: Record{Type: lineSnap}, Rounds: rounds, Payload: payload})
+	if err == nil && end >= 0 {
+		buf = append(append(buf, data[keep:end]...), '\n')
+	}
+	return buf, err
+}
+
+// Delete implements Store: one unlink.
 func (f *File) Delete(id string) error {
 	if !validID(id) {
 		return fmt.Errorf("%w: invalid id %q", ErrUnknownSession, id)
@@ -505,45 +537,46 @@ func (f *File) Delete(id string) error {
 	f.mu.Lock()
 	delete(f.repaired, id)
 	f.mu.Unlock()
-	var first error
-	removed := false
-	for _, ext := range []string{".wal", ".snap", ".spec"} {
-		switch err := os.Remove(f.path(id, ext)); {
-		case err == nil:
-			removed = true
-		case !errors.Is(err, fs.ErrNotExist) && first == nil:
-			first = fmt.Errorf("store: delete %q: %w", id, err)
-		}
+	switch err := os.Remove(f.path(id, ".wal")); {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	case err != nil:
+		return fmt.Errorf("store: delete %q: %w", id, err)
 	}
-	// Persist the unlinks: without the directory fsync an OS crash can
-	// bring the files back, resurrecting a session the caller was told is
+	// Persist the unlink: without the directory fsync an OS crash can
+	// bring the file back, resurrecting a session the caller was told is
 	// gone — the same reason every create and rename syncs the directory.
-	if removed && first == nil {
-		first = syncDir(f.dir)
-	}
-	return first
+	return syncDir(f.dir)
 }
 
-// IDs implements Store.
+// IDs implements Store: the session files, sorted.
 func (f *File) IDs() ([]string, error) {
 	if err := f.checkOpen(); err != nil {
 		return nil, err
 	}
-	return f.sessionIDs()
+	entries, err := os.ReadDir(f.dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	var ids []string
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name(), ".wal"); ok && !e.IsDir() {
+			ids = append(ids, name)
+		}
+	}
+	sort.Strings(ids)
+	return ids, nil
 }
 
 // Load implements Store.
 func (f *File) Load() ([]SessionState, error) {
-	if err := f.checkOpen(); err != nil {
-		return nil, err
-	}
-	ids, err := f.sessionIDs()
+	ids, err := f.IDs()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]SessionState, 0, len(ids))
 	for _, id := range ids {
-		st, ok, err := f.loadSession(id)
+		st, ok, err := f.LoadSession(id)
 		if err != nil {
 			return nil, err
 		}
@@ -554,7 +587,9 @@ func (f *File) Load() ([]SessionState, error) {
 	return out, nil
 }
 
-// LoadSession implements Store.
+// LoadSession implements Store: one read of the session file, under its
+// stripe lock. A file that does not exist — a concurrent Delete included —
+// reads as session absent, not as a store failure.
 func (f *File) LoadSession(id string) (SessionState, bool, error) {
 	if err := f.checkOpen(); err != nil {
 		return SessionState{}, false, err
@@ -562,13 +597,18 @@ func (f *File) LoadSession(id string) (SessionState, bool, error) {
 	if !validID(id) {
 		return SessionState{}, false, nil
 	}
-	if _, err := os.Stat(f.path(id, ".spec")); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return SessionState{}, false, nil
-		}
+	mu := f.stripe(id)
+	mu.Lock()
+	defer mu.Unlock()
+	data, err := os.ReadFile(f.path(id, ".wal"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return SessionState{}, false, nil
+	}
+	if err != nil {
 		return SessionState{}, false, fmt.Errorf("store: %w", err)
 	}
-	return f.loadSession(id)
+	st, _, err := parseSession(id, data)
+	return st, err == nil, err
 }
 
 // Has implements Store.
@@ -579,7 +619,7 @@ func (f *File) Has(id string) (bool, error) {
 	if !validID(id) {
 		return false, nil
 	}
-	if _, err := os.Stat(f.path(id, ".spec")); err != nil {
+	if _, err := os.Stat(f.path(id, ".wal")); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return false, nil
 		}
@@ -588,83 +628,11 @@ func (f *File) Has(id string) (bool, error) {
 	return true, nil
 }
 
-// sessionIDs lists persisted sessions (those with a .spec file), sorted.
-func (f *File) sessionIDs() ([]string, error) {
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		if name, ok := strings.CutSuffix(e.Name(), ".spec"); ok && !e.IsDir() {
-			ids = append(ids, name)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// loadSession reads one session's spec, snapshot, and WAL tail under its
-// stripe lock. ok is false when the spec vanished since the caller's
-// existence check — a concurrent Delete, which must read as session
-// absent, not as a store failure.
-func (f *File) loadSession(id string) (SessionState, bool, error) {
-	mu := f.stripe(id)
-	mu.Lock()
-	defer mu.Unlock()
-	st := SessionState{ID: id}
-	spec, err := os.ReadFile(f.path(id, ".spec"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return st, false, nil
-	}
-	if err != nil {
-		return st, false, fmt.Errorf("store: %w", err)
-	}
-	st.Spec = spec
-	if rounds, payload, ok, err := readSnap(f.path(id, ".snap")); err != nil {
-		return st, false, err
-	} else if ok {
-		st.SnapshotRounds = rounds
-		st.Snapshot = payload
-	}
-	records, err := readWAL(f.path(id, ".wal"))
-	if err != nil {
-		return st, false, err
-	}
-	// A crash between snapshot and WAL rewrite leaves covered plays in the
-	// log; drop them here so Tail honors the documented invariant.
-	st.Tail = compactWAL(records, st.SnapshotRounds)
-	finishState(&st)
-	return st, true, nil
-}
-
 // Snapshots implements Store.
-func (f *File) Snapshots() ([]SnapshotInfo, error) {
-	if err := f.checkOpen(); err != nil {
-		return nil, err
-	}
-	ids, err := f.sessionIDs()
-	if err != nil {
-		return nil, err
-	}
-	var out []SnapshotInfo
-	for _, id := range ids {
-		mu := f.stripe(id)
-		mu.Lock()
-		rounds, payload, ok, err := readSnap(f.path(id, ".snap"))
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, SnapshotInfo{ID: id, Rounds: rounds, Payload: payload})
-		}
-	}
-	return out, nil
-}
+func (f *File) Snapshots() ([]SnapshotInfo, error) { return snapshotsOf(f.Load()) }
 
 // Sync implements Store: fsync every open WAL handle (evicted handles were
-// synced on eviction; snapshots and spec files are synced on write).
+// synced on eviction; create and compaction sync through atomicWrite).
 func (f *File) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1108,153 +1076,121 @@ func syncDir(dir string) error {
 // repairWAL truncates a torn tail — the half-written final line(s) of a
 // crash — so appends resume on a clean line boundary. A final record that
 // is CRC-valid but lost only its newline is completed in place rather
-// than dropped (it was acknowledged, and readWAL already accepts it).
-// Corruption followed by a valid record is mid-file damage, not a torn
-// tail: repair refuses, like readWAL, instead of burying the evidence
-// under fresh appends. The caller holds the session's stripe lock.
-func repairWAL(path string) error {
+// than dropped (it was acknowledged, and the reader already accepts it).
+// A file the reader refuses (mid-file corruption, no spec line) is
+// refused here too, instead of burying the evidence under fresh appends.
+// The caller holds the session's stripe lock.
+func repairWAL(id, path string) error {
 	file, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer file.Close()
-	r := bufio.NewReaderSize(file, 64*1024)
-	var (
-		off   int64 // bytes consumed so far
-		good  int64 // offset just past the last intact, terminated line
-		torn  bool  // an invalid line has been seen
-		dirty bool  // the file was modified and needs an fsync
-	)
-	for {
-		line, rerr := r.ReadString('\n')
-		if len(line) > 0 {
-			terminated := strings.HasSuffix(line, "\n")
-			_, valid := parseWALLine(strings.TrimSuffix(line, "\n"))
-			off += int64(len(line))
-			switch {
-			case valid && torn:
-				return fmt.Errorf("store: %s: corrupt record(s) before offset of a valid one", path)
-			case valid && terminated:
-				good = off
-			case valid:
-				// The crash clipped only the trailing newline; the record
-				// itself is intact. Complete the line (pwrite at EOF).
-				if _, err := file.WriteAt([]byte("\n"), off); err != nil {
-					return fmt.Errorf("store: repair %s: %w", path, err)
-				}
-				off++
-				good = off
-				dirty = true
-			default:
-				torn = true
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return fmt.Errorf("store: %w", rerr)
-		}
+	data, err := io.ReadAll(file)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	if good < off {
-		if err := file.Truncate(good); err != nil {
-			return fmt.Errorf("store: repair %s: %w", path, err)
-		}
-		dirty = true
+	_, end, err := parseSession(id, data)
+	switch {
+	case err != nil:
+		return err
+	case end == len(data):
+		// The crash clipped only the trailing newline; the record itself
+		// is intact. Complete the line (pwrite at EOF).
+		_, err = file.WriteAt([]byte("\n"), int64(end))
+	case end+1 < len(data):
+		err = file.Truncate(int64(end + 1))
+	default:
+		return nil
 	}
-	if dirty {
-		if err := file.Sync(); err != nil {
-			return fmt.Errorf("store: repair %s: %w", path, err)
-		}
+	if err == nil {
+		err = file.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("store: repair %s: %w", path, err)
 	}
 	return nil
 }
 
-// readWAL parses a WAL file, verifying each line's checksum. A torn or
-// corrupt tail (crash artifact) truncates the result at the last good
-// record; corruption before the tail is an error.
-func readWAL(path string) ([]Record, error) {
-	file, err := os.Open(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer file.Close()
-	var out []Record
-	sc := bufio.NewScanner(file)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+// parseSession turns a session file's bytes into its state: the spec
+// line, the snapshot line when present, and the records after them. A
+// torn or corrupt tail — the half-written line of a crash — is dropped.
+// A corrupt line before a valid one, a file that does not open with a
+// valid spec line, and a head line out of place are refused: acknowledged
+// plays are never silently lost. end is the offset just past the last
+// valid line, before its newline.
+func parseSession(id string, data []byte) (st SessionState, end int, err error) {
+	st.ID = id
 	bad := 0
-	for sc.Scan() {
-		line := sc.Text()
-		rec, ok := parseWALLine(line)
-		if !ok {
+	for off, i := 0, 0; off < len(data) || i == 0; i++ {
+		n := bytes.IndexByte(data[off:], '\n')
+		if n < 0 {
+			n = len(data) - off
+		}
+		l, ok := parseLine(data[off : off+n])
+		switch {
+		case i == 0 && (!ok || l.Type != lineSpec):
+			return st, 0, errNoSpec(id)
+		case !ok:
 			bad++
-			continue
+		case bad > 0:
+			return st, 0, fmt.Errorf("store: %q: %d corrupt line(s) before a valid one", id, bad)
+		case i == 0:
+			st.Spec = l.Spec
+		case i == 1 && l.Type == lineSnap:
+			st.SnapshotRounds, st.Snapshot = l.Rounds, l.Payload
+		case l.Type == lineSpec || l.Type == lineSnap:
+			return st, 0, fmt.Errorf("store: %q: %s line out of place", id, l.Type)
+		default:
+			st.Tail = append(st.Tail, l.Record)
 		}
-		if bad > 0 {
-			// Good records after bad ones mean mid-file corruption, not a
-			// torn tail — refuse to silently lose acknowledged plays.
-			return nil, fmt.Errorf("store: %s: %d corrupt record(s) before offset of a valid one", path, bad)
+		if ok {
+			end = off + n
 		}
-		out = append(out, rec)
+		off += n + 1
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return out, nil
+	finishState(&st)
+	return st, end, nil
 }
 
-// appendWALLine appends the canonical "<crc32c-hex> <json>\n" encoding of
-// rec to buf — the one encoder matching parseWALLine, shared by Append
-// and the compaction rewrite so the two can never drift.
-func appendWALLine(buf []byte, rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// errNoSpec refuses a session file whose first line is not a valid spec.
+func errNoSpec(id string) error {
+	return fmt.Errorf("store: %q: the session file does not open with a spec line", id)
+}
+
+// appendLine appends the canonical "<crc32c-hex> <json>\n" encoding of v
+// (a Record or a fileLine) to buf — the one encoder matching parseLine.
+func appendLine(buf []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
 	if err != nil {
 		return buf, fmt.Errorf("store: %w", err)
 	}
 	return fmt.Appendf(buf, "%08x %s\n", crc32.Checksum(payload, crcTable), payload), nil
 }
 
-// parseWALLine decodes one "<crc32c-hex> <json>" line.
-func parseWALLine(line string) (Record, bool) {
-	var rec Record
+// parseLine decodes one "<crc32c-hex> <json>" line; ok is false for a
+// line whose checksum, JSON or type is not one appendLine writes.
+func parseLine(line []byte) (l fileLine, ok bool) {
+	var sum [4]byte
 	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
+		return l, false
 	}
-	var sum uint32
-	if _, err := fmt.Sscanf(line[:8], "%08x", &sum); err != nil {
-		return rec, false
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
+		return l, false
 	}
-	payload := []byte(line[9:])
-	if crc32.Checksum(payload, crcTable) != sum {
-		return rec, false
+	payload := line[9:]
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(sum[:]) {
+		return l, false
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, false
+	if err := json.Unmarshal(payload, &l); err != nil {
+		return l, false
 	}
-	return rec, true
-}
-
-// readSnap reads a snapshot file; ok is false when none exists.
-func readSnap(path string) (rounds int, payload []byte, ok bool, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil, false, nil
+	switch l.Type {
+	case RecordPlay, RecordBatch, RecordClose, lineSpec, lineSnap:
+		return l, true
 	}
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("store: %w", err)
-	}
-	var snap struct {
-		Rounds  int             `json:"rounds"`
-		Payload json.RawMessage `json:"payload"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return 0, nil, false, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return snap.Rounds, snap.Payload, true, nil
+	return l, false
 }

@@ -16,6 +16,10 @@ var (
 	ErrUnknownSession = errors.New("store: unknown session")
 	// ErrSessionExists is returned when creating a session id twice.
 	ErrSessionExists = errors.New("store: session already exists")
+	// ErrLegacyLayout is returned by NewFile for a sessions directory
+	// written in the retired three-file layout (<id>.spec, <id>.wal and
+	// <id>.snap per session), which the File store does not read.
+	ErrLegacyLayout = errors.New("store: sessions directory holds the retired three-file layout (.spec/.wal/.snap per session)")
 )
 
 // Record kinds journaled in a session's WAL.
@@ -116,11 +120,14 @@ type Store interface {
 	// CreateSession durably records a new session's opaque spec. It fails
 	// with ErrSessionExists when the id is already journaled.
 	CreateSession(id string, spec []byte) error
-	// Append journals one WAL record for the session.
+	// Append journals one WAL record for the session. A session's
+	// records arrive in round order — each one's rounds follow the
+	// previous one's — and a close record, if any, comes last: the File
+	// store's compaction relies on it.
 	Append(id string, rec Record) error
 	// PutSnapshot atomically replaces the session's snapshot with payload
-	// at the given round watermark and compacts the WAL: play records
-	// below the watermark are dropped.
+	// at the given round watermark and compacts the WAL, dropping the
+	// records the watermark covers (see covered).
 	PutSnapshot(id string, rounds int, payload []byte) error
 	// Delete removes every trace of the session (spec, WAL, snapshot).
 	Delete(id string) error
@@ -137,7 +144,7 @@ type Store interface {
 	// journal.
 	Has(id string) (bool, error)
 	// Snapshots lists the sessions holding a compacted snapshot, sorted
-	// by id, without reading any WAL.
+	// by id.
 	Snapshots() ([]SnapshotInfo, error)
 	// Sync flushes buffered writes to stable storage.
 	Sync() error
@@ -227,26 +234,22 @@ func (m *Mem) PutSnapshot(id string, rounds int, payload []byte) error {
 	return nil
 }
 
-// compactWAL drops play records below the snapshot watermark; close
-// records (and plays at or after the watermark) survive. A batch record
-// is dropped only when its *last* play sits below the watermark: a batch
-// straddling the watermark survives whole, and recovery — which replays
-// from round zero anyway — simply has extra verified hashes below the
-// snapshot round.
+// covered reports whether a snapshot at the rounds watermark makes rec
+// redundant: a play or batch record whose last round lies below it. A
+// batch straddling the watermark survives whole — recovery replays from
+// round zero anyway, so its covered prefix is harmless, while dropping it
+// would lose the uncovered suffix — and a close record always survives.
+func covered(rec *Record, rounds int) bool {
+	return rec.Type != RecordClose && rec.LastRound() < rounds
+}
+
+// compactWAL drops the records a snapshot at rounds covers.
 func compactWAL(wal []Record, rounds int) []Record {
 	out := wal[:0]
-	for _, rec := range wal {
-		switch rec.Type {
-		case RecordPlay:
-			if rec.Round < rounds {
-				continue
-			}
-		case RecordBatch:
-			if n := len(rec.Plays); n == 0 || rec.Plays[n-1].Round < rounds {
-				continue
-			}
+	for i := range wal {
+		if !covered(&wal[i], rounds) {
+			out = append(out, wal[i])
 		}
-		out = append(out, rec)
 	}
 	return out
 }
@@ -346,25 +349,18 @@ func finishState(st *SessionState) {
 }
 
 // Snapshots implements Store.
-func (m *Mem) Snapshots() ([]SnapshotInfo, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
+func (m *Mem) Snapshots() ([]SnapshotInfo, error) { return snapshotsOf(m.Load()) }
+
+// snapshotsOf lists the loaded states that hold a snapshot: Snapshots,
+// for both backends, over their Load.
+func snapshotsOf(states []SessionState, err error) ([]SnapshotInfo, error) {
 	var out []SnapshotInfo
-	for id, s := range m.sessions {
-		if len(s.snapshot) == 0 {
-			continue
+	for _, st := range states {
+		if st.Snapshot != nil {
+			out = append(out, SnapshotInfo{ID: st.ID, Rounds: st.SnapshotRounds, Payload: st.Snapshot})
 		}
-		out = append(out, SnapshotInfo{
-			ID:      id,
-			Rounds:  s.snapshotRounds,
-			Payload: append([]byte(nil), s.snapshot...),
-		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return out, err
 }
 
 // Sync implements Store (a no-op in memory).

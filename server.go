@@ -727,7 +727,7 @@ func snapshotFor(id string, snap SessionSnapshot, persisted bool) snapshotRespon
 }
 
 func handleSnapshot(h *HostedSession, w http.ResponseWriter, _ *http.Request) {
-	snap, persisted, err := h.a.snapshotHosted(h, h.Session.Snapshot())
+	snap, persisted, err := h.snapshot()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

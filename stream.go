@@ -83,7 +83,7 @@ func (w wsHandle) PlayN(ctx context.Context, n int, sink func(core.RoundResult) 
 }
 
 func (w wsHandle) Snapshot() (core.SessionSnapshot, bool, error) {
-	snap, persisted, err := w.a.snapshotHosted(w.HostedSession, w.Session.Snapshot())
+	snap, persisted, err := w.snapshot()
 	if err != nil {
 		return snap, persisted, hub.Coded{Code: wire.CodeUnavailable, Err: err}
 	}
