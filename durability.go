@@ -125,8 +125,8 @@ const defaultSnapshotEvery = 256
 func NewMemStore() Store { return store.NewMem() }
 
 // NewFileStore opens (creating if needed) the file store backend rooted
-// at dir: one spec/WAL/snapshot file triple per session under
-// dir/sessions, CRC-guarded WAL lines, atomically-replaced snapshots.
+// at dir: one file of CRC-guarded lines per session under dir/sessions
+// (spec, latest snapshot, WAL records), created and compacted whole.
 // See DESIGN.md §9 for the on-disk format.
 func NewFileStore(dir string) (Store, error) { return store.NewFile(dir) }
 
@@ -242,8 +242,8 @@ func (a *Authority) CreateFromSpec(req CreateSessionRequest) (*HostedSession, er
 			return nil, fmt.Errorf("%w: %q (journaled by a previous host; recover it instead of re-creating)",
 				ErrSessionExists, h.ID())
 		}
-		// Scrub any partial journal (an orphaned spec would poison the id
-		// and resurrect a phantom session at the next recovery) while the
+		// Scrub any partial journal (a session file whose create failed
+		// late would poison the id and resurrect a phantom) while the
 		// id is still hosted: once the registry entry is gone a newer
 		// create could journal the same id, and this delete would destroy
 		// that ledger instead.
@@ -768,11 +768,6 @@ func (a *Authority) restore(ctx context.Context, st Store, id string) (rounds in
 // hosted — nothing was recovered, and nothing is counted.
 func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (rounds int, restored bool, err error) {
 	t0 := time.Now()
-	defer func() {
-		if restored {
-			restoreLatency.Record(time.Since(t0))
-		}
-	}()
 	var req CreateSessionRequest
 	if err := json.Unmarshal(state.Spec, &req); err != nil {
 		return 0, false, fmt.Errorf("corrupt spec: %w", err)
@@ -826,6 +821,7 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 	if target.Closed {
 		h.closeLogged.Store(true)
 	}
+	restoreLatency.Record(time.Since(t0))
 	recoveries.Inc()
 	replayedRounds.Add(int64(target.Rounds))
 	return target.Rounds, true, nil

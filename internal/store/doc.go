@@ -1,11 +1,15 @@
 // Package store is the authority's pluggable persistence subsystem: a
 // per-session write-ahead log of plays, verdicts, and convictions plus
 // periodically compacted snapshots, behind a backend-agnostic Store
-// interface with in-memory and file implementations.
+// interface with in-memory and file implementations. The file backend
+// keeps each session in one file of CRC-guarded lines — spec, latest
+// snapshot, then the records in round order — that create and compaction
+// write whole, and compaction copies the records it keeps without
+// decoding the ones it drops.
 //
 // The store is deliberately engine-agnostic: it journals opaque session
 // specs, per-play transcript hashes, and opaque snapshot payloads — the
 // core package's deterministic replay (core.Restore) turns them back into
 // byte-identical live sessions. See DESIGN.md §9 for the durability model
-// (WAL format, snapshot cadence, recovery ordering).
+// (session file format, snapshot cadence, recovery ordering).
 package store
