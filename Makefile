@@ -35,10 +35,13 @@ race:
 # shared game's cleanup against a create of its spec, Recover against
 # GetOrRecover and Remove, manual snapshots against a session's plays)
 # lose on a particular interleaving, so one pass proves little. The second line
+# races the File store's Close against appends, compactions and deletes,
+# with no committer and in both flush modes. The third line
 # hammers the /ws client's recycled reply slots under the race detector:
 # their hazard is a connection dying with replies in flight.
 hammer:
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer|TestRecoverRacesGetOrRecoverAndRemove|TestSnapshotRacesPlays' .
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFileCloseRacesAppends' ./internal/store
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'TestClientConcurrentPlaysOwnTheirResults|TestClientInFlightCallNotReused|TestClientMidFrameDisconnect|TestClientReconnect|TestClientPlayDedup|TestClientSurvivesRepeatedCuts' ./internal/hub
 
 # One iteration per benchmark: a bit-rot smoke, not a measurement. CI runs

@@ -470,3 +470,116 @@ func TestFileAppendFailureStillObserved(t *testing.T) {
 		t.Fatalf("failed append completed %d spans, want its wal.append", got)
 	}
 }
+
+// TestFileCloseRacesAppends races Close against appenders on 64 sessions
+// while other sessions are created, compacted and deleted. Every append
+// that returned nil is in the directory a fresh store loads, and every
+// append issued after Close returned reports ErrClosed. It runs with no
+// committer and with one in each flush mode.
+func TestFileCloseRacesAppends(t *testing.T) {
+	for _, mode := range []string{"direct", "syncfs", "per-handle"} {
+		t.Run(mode, func(t *testing.T) {
+			var f *File
+			if mode == "direct" {
+				var err error
+				if f, err = NewFile(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+			} else {
+				f, _ = armed(t, 0, 0, mode == "per-handle", nil)
+			}
+			const appenders, churners = 64, 8
+			for i := 0; i < appenders; i++ {
+				if err := f.CreateSession(fmt.Sprintf("a%d", i), []byte(`{}`)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Every appender lands four records, then waits for the others,
+			// so Close meets all 64 mid-stream rather than the fastest few.
+			var (
+				wg, ready sync.WaitGroup
+				release   = make(chan struct{})
+				closed    = make(chan struct{})
+				acked     = make([]int, appenders) // acked[i]: appends to a<i> that returned nil
+			)
+			ready.Add(appenders)
+			for i := 0; i < appenders; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					id := fmt.Sprintf("a%d", i)
+					for r := 0; ; r++ {
+						if err := f.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+							if !errors.Is(err, ErrClosed) {
+								t.Errorf("append to %s racing Close: %v", id, err)
+							}
+							break
+						}
+						if acked[i] = r + 1; acked[i] == 4 {
+							ready.Done()
+							<-release
+						}
+					}
+					<-closed
+					if err := f.Append(id, Record{Type: RecordPlay, Round: acked[i] + 1, Hash: "h"}); !errors.Is(err, ErrClosed) {
+						t.Errorf("append to %s after Close returned: %v, want ErrClosed", id, err)
+					}
+				}()
+			}
+			for i := 0; i < churners; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					id := fmt.Sprintf("c%d", i)
+					for {
+						err := f.CreateSession(id, []byte(`{}`))
+						for r := 0; err == nil && r < 4; r++ {
+							err = f.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"})
+						}
+						if err == nil {
+							err = f.PutSnapshot(id, 2, []byte(`{}`))
+						}
+						if err == nil {
+							err = f.Delete(id)
+						}
+						if err != nil {
+							if !errors.Is(err, ErrClosed) {
+								t.Errorf("churn on %s racing Close: %v", id, err)
+							}
+							return
+						}
+					}
+				}()
+			}
+			ready.Wait()
+			close(release)
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			close(closed)
+			wg.Wait()
+
+			g, err := NewFile(filepath.Dir(f.dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			for i := 0; i < appenders; i++ {
+				id := fmt.Sprintf("a%d", i)
+				st, ok, err := g.LoadSession(id)
+				if err != nil || !ok {
+					t.Fatalf("reload %s: ok=%v err=%v", id, ok, err)
+				}
+				if len(st.Tail) < acked[i] {
+					t.Fatalf("%s: %d records on disk, %d acknowledged", id, len(st.Tail), acked[i])
+				}
+				for r := 0; r < acked[i]; r++ {
+					if st.Tail[r].Round != r {
+						t.Fatalf("%s: record %d holds round %d", id, r, st.Tail[r].Round)
+					}
+				}
+			}
+		})
+	}
+}
