@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -581,5 +582,95 @@ func TestFileCloseRacesAppends(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFileAppendIssuesNoFsyncWithoutCommitter: with no committer armed an
+// append writes its line and nothing else, however many sessions take
+// turns, and Sync is the barrier: one syncfs where the platform has it,
+// one fsync per appended session where it does not.
+func TestFileAppendIssuesNoFsyncWithoutCommitter(t *testing.T) {
+	st, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const sessions, rounds = 1024, 2
+	for i := 0; i < sessions; i++ {
+		if err := st.CreateSession(fmt.Sprintf("s%d", i), []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < sessions; i++ {
+			if err := st.Append(fmt.Sprintf("s%d", i), Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := st.Fsyncs(); got != 0 {
+		t.Fatalf("%d appends round robin over %d sessions issued %d fsyncs, want 0", sessions*rounds, sessions, got)
+	}
+	d, err := os.Open(st.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncfs, _ := syncFilesystem(d.Fd())
+	d.Close()
+	want := int64(sessions)
+	if syncfs {
+		want = 1
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Fsyncs(); got != want {
+		t.Fatalf("Sync issued %d barriers, want %d (syncfs: %v)", got, want, syncfs)
+	}
+}
+
+// TestNewFileRemovesTempFiles: a create or compaction killed between its
+// temp file and its rename leaves <id>.wal.tmp<N> behind. The rename is
+// the commit point, so that file was never acknowledged: the next NewFile
+// deletes it and leaves every session alone, one whose id merely
+// contains ".wal.tmp" included.
+func TestNewFileRemovesTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"live", "x.wal.tmp1"} {
+		if err := st.CreateSession(id, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(id, Record{Type: RecordPlay, Round: 0, Hash: "h"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "sessions", "live.wal.tmp123456")
+	if err := os.WriteFile(tmp, []byte("half a compaction"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := os.Stat(tmp); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("temp file of a killed write still there after NewFile: %v", err)
+	}
+	ids, err := st2.IDs()
+	if err != nil || fmt.Sprint(ids) != "[live x.wal.tmp1]" {
+		t.Fatalf("sessions after reopen: %v (%v), want [live x.wal.tmp1]", ids, err)
+	}
+	for _, id := range ids {
+		if state, ok, err := st2.LoadSession(id); err != nil || !ok || len(state.Tail) != 1 {
+			t.Fatalf("session %s after reopen: ok=%v err=%v tail=%d", id, ok, err, len(state.Tail))
+		}
 	}
 }
