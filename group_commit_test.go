@@ -15,12 +15,12 @@ import (
 // concurrent sessions each playing M batches of B rounds under group
 // commit must finish with every bound below held, and none of them reads
 // a clock. An epoch exists only because an append led it, so epochs can
-// never exceed the K*M appends; each epoch fsyncs at most one handle per
-// dirty session; and — the amortization that pays for the whole
-// subsystem — there are far fewer fsyncs than durable plays. How many
-// appends share an epoch is the flush's duration against the arrival
-// rate, which a test cannot pin; the store's own white-box tests pin the
-// protocol.
+// never exceed the K*M appends; each epoch fsyncs at most the file of
+// each append parked on it, one per session; and — the amortization that
+// pays for the whole subsystem — there are far fewer fsyncs than durable
+// plays. How many appends share an epoch is the flush's duration against
+// the arrival rate, which a test cannot pin; the store's own white-box
+// tests pin the protocol.
 func TestGroupCommitFsyncGate(t *testing.T) {
 	const (
 		k = 8  // concurrent sessions
@@ -84,9 +84,8 @@ func TestGroupCommitFsyncGate(t *testing.T) {
 	if epochs == 0 || epochs > appends {
 		t.Errorf("commit epochs %d outside (0, %d batch appends]", epochs, appends)
 	}
-	// Per-handle accounting: each epoch fsyncs at most one handle per
-	// session, and every handle can be fsynced at most once more by
-	// eviction before Close.
+	// Per-file accounting: each epoch fsyncs at most one file per session
+	// (a session has one append in flight); the bound keeps K of slack.
 	if fsyncs > epochs*k+k {
 		t.Errorf("fsyncs %d exceed epochs(%d)*K(%d)+K", fsyncs, epochs, k)
 	}

@@ -5,7 +5,9 @@
 // keeps each session in one file of CRC-guarded lines — spec, latest
 // snapshot, then the records in round order — that create and compaction
 // write whole, and compaction copies the records it keeps without
-// decoding the ones it drops.
+// decoding the ones it drops. It holds no session file open between
+// calls: an append opens its file, writes one line and closes the file
+// once its commit epoch has flushed (at once without a committer).
 //
 // The store is deliberately engine-agnostic: it journals opaque session
 // specs, per-play transcript hashes, and opaque snapshot payloads — the

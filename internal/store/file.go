@@ -63,59 +63,54 @@ type fileLine struct {
 // fileStripes is the per-session lock striping width (power of two).
 const fileStripes = 64
 
-// defaultMaxHandles bounds the WAL file handles kept open for appends, so
-// thousands of durable sessions do not exhaust the process fd limit.
-const defaultMaxHandles = 128
-
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// File is the file-backed Store. Appends go through a bounded cache of
-// O_APPEND handles (evicted handles are fsynced before close); sessions
-// stripe onto fileStripes locks so distinct sessions rarely serialize.
+// File is the file-backed Store. It holds no session file open between
+// calls: an append opens its session's file with O_APPEND, writes one
+// line and closes the file once the line is durable by the store's rules
+// (see appendRecord). Sessions stripe onto fileStripes locks, so distinct
+// sessions rarely serialize.
 type File struct {
 	dir string // the sessions directory
 
+	// anchor is the open sessions directory, the syncfs(2) anchor: when
+	// non-nil, Sync, Close and every commit epoch flush with one
+	// filesystem-wide barrier instead of one fsync per session file.
+	// NewFile probes it once and Close closes it after the committer has
+	// drained, so the flush mode is fixed for the store's lifetime.
+	anchor *os.File
+
 	stripes [fileStripes]sync.Mutex
 
-	mu       sync.Mutex // guards handles, repaired, closed
-	handles  map[string]*walHandle
+	mu       sync.Mutex          // guards repaired, unsynced, closed
 	repaired map[string]struct{} // ids whose WAL tail was checked this process
-	max      int
+	// unsynced holds the sessions appended to with no committer armed
+	// since the last Sync, which Sync fsyncs one by one where there is no
+	// anchor. Unused under syncfs.
+	unsynced map[string]struct{}
 	closed   bool
-
-	// evictions tracks in-flight evicted-handle syncs, which run outside
-	// mu so one slow fsync cannot stall every session's handle lookup.
-	// Sync and Close wait on it so "synced on eviction" stays true by the
-	// time either returns.
-	evictions sync.WaitGroup
 
 	// gc is the optional group committer (see SetGroupCommit); nil means
 	// appends return as soon as the line is written (process-kill durable,
-	// OS-crash durable only after Sync/Close/eviction).
+	// OS-crash durable only after Sync or Close).
 	gc atomic.Pointer[groupCommitter]
 
-	// fsyncs counts every fsync issued against a session WAL handle —
-	// commit epochs, evictions, invalidations, Sync, and Close alike. The
-	// group-commit regression gate reads it through Fsyncs.
+	// fsyncs counts every barrier issued against session files: each
+	// fsync or syncfs of a commit epoch, Sync and Close. The group-commit
+	// regression gate reads it through Fsyncs.
 	fsyncs atomic.Int64
 	epochs atomic.Int64
 }
 
-// walHandle wraps one session's append handle. Writes and the
-// evict-time fsync+close serialize on mu, so an append can never land
-// between an eviction's Sync and its Close (which would leave an
-// acknowledged record no later Store.Sync could reach). f is nil once
-// the handle is closed; writers seeing nil reopen through the cache.
-type walHandle struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
 var _ Store = (*File)(nil)
 
-// NewFile opens (creating if needed) a file store rooted at dir. A
-// sessions directory holding .spec or .snap files was written in the
-// retired three-file layout and is refused with ErrLegacyLayout.
+// NewFile opens (creating if needed) a file store rooted at dir. One
+// store owns its directory: no other process or store may write there
+// while it is open. A sessions directory holding .spec or .snap files was
+// written in the retired three-file layout and is refused with
+// ErrLegacyLayout. Temp files of a create or compaction that was killed
+// before its rename are deleted: the rename is the commit point, so they
+// were never acknowledged.
 func NewFile(dir string) (*File, error) {
 	sessions := filepath.Join(dir, "sessions")
 	if err := os.MkdirAll(sessions, 0o755); err != nil {
@@ -125,17 +120,36 @@ func NewFile(dir string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	var temps []string
 	for _, e := range entries {
-		if ext := filepath.Ext(e.Name()); ext == ".spec" || ext == ".snap" {
-			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, filepath.Join(sessions, e.Name()))
+		name := e.Name()
+		switch ext := filepath.Ext(name); {
+		case ext == ".spec" || ext == ".snap":
+			return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, filepath.Join(sessions, name))
+		case ext != ".wal" && strings.Contains(name, ".wal.tmp"):
+			temps = append(temps, filepath.Join(sessions, name))
 		}
 	}
-	return &File{
+	for _, name := range temps {
+		if err := os.Remove(name); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+	}
+	f := &File{
 		dir:      sessions,
-		handles:  make(map[string]*walHandle),
 		repaired: make(map[string]struct{}),
-		max:      defaultMaxHandles,
-	}, nil
+		unsynced: make(map[string]struct{}),
+	}
+	// Probe syncfs once (the probe itself is a harmless barrier). A nil
+	// anchor means one fsync per session file.
+	if d, err := os.Open(sessions); err == nil {
+		if ok, serr := syncFilesystem(d.Fd()); ok && serr == nil {
+			f.anchor = d
+		} else {
+			d.Close()
+		}
+	}
+	return f, nil
 }
 
 // validID rejects ids that could escape the sessions directory. The
@@ -189,9 +203,7 @@ func (f *File) CreateSession(id string, spec []byte) error {
 		return err
 	}
 	f.mu.Lock()
-	if !f.closed {
-		f.repaired[id] = struct{}{} // a brand-new file needs no tail repair
-	}
+	f.repaired[id] = struct{}{} // a brand-new file needs no tail repair
 	f.mu.Unlock()
 	return nil
 }
@@ -224,109 +236,56 @@ func (f *File) Append(id string, rec Record) error {
 	return err
 }
 
-// appendRecord is Append between its span's two ends.
+// appendRecord is Append between its span's two ends. The appender holds
+// its file until the line is covered: at once without a committer (Sync
+// and Close reach the line through the anchor or the unsynced set), or
+// until its commit epoch has flushed, so nothing can close a file an
+// epoch is about to fsync.
 func (f *File) appendRecord(id string, rec Record) error {
 	line, err := appendLine(nil, rec)
 	if err != nil {
 		return err
 	}
-	wh, err := f.writeLine(id, line)
+	gc := f.gc.Load()
+	w, err := f.writeLine(id, line, gc == nil)
 	if err != nil {
 		return err
 	}
 	// Commit outside the stripe lock: other sessions on the stripe (and
 	// later appends to this one — ordering is the caller's journal mutex)
 	// must not serialize behind a flush.
-	if gc := f.gc.Load(); gc != nil {
-		if err := gc.commit(wh); err != nil {
-			return fmt.Errorf("store: commit %q: %w", id, err)
-		}
+	if gc != nil {
+		err = gc.commit(w)
+	}
+	w.Close()
+	if err != nil {
+		return fmt.Errorf("store: commit %q: %w", id, err)
 	}
 	return nil
 }
 
-// writeLine appends one encoded line to the session's WAL under its
-// stripe lock and returns the handle it landed on.
-func (f *File) writeLine(id string, line []byte) (*walHandle, error) {
+// writeLine appends one encoded line to the session's file under its
+// stripe lock and returns the file, still open. A direct write (no
+// committer) joins the unsynced set before the stripe lock is released,
+// so a Close that has taken every stripe lock finds it there.
+func (f *File) writeLine(id string, line []byte, direct bool) (*os.File, error) {
 	mu := f.stripe(id)
 	mu.Lock()
 	defer mu.Unlock()
-	for attempt := 0; attempt < 16; attempt++ {
-		wh, err := f.handle(id)
-		if err != nil {
-			return nil, err
-		}
-		wh.mu.Lock()
-		if wh.f == nil {
-			// Evicted between the cache lookup and the write lock; the
-			// eviction fsynced everything it closed over. Reopen.
-			wh.mu.Unlock()
-			f.forgetHandle(id, wh)
-			continue
-		}
-		_, werr := wh.f.Write(line)
-		wh.mu.Unlock()
-		if werr != nil {
-			// The line may be partially on disk (short write on a full
-			// disk): retire the handle and its repair latch so the next
-			// append re-runs repairWAL and resumes on a clean boundary,
-			// instead of gluing onto the fragment and escalating the torn
-			// line into permanent mid-file corruption.
-			f.invalidateHandle(id, wh)
-			return nil, fmt.Errorf("store: append %q: %w", id, werr)
-		}
-		return wh, nil
-	}
-	return nil, fmt.Errorf("store: append %q: handle churned out", id)
-}
-
-// invalidateHandle retires a handle whose last write failed. The handle
-// is fsynced before closing (earlier acknowledged records keep the
-// synced-on-retire contract) and the repair latch cleared; the caller
-// holds the session's stripe lock.
-func (f *File) invalidateHandle(id string, wh *walHandle) {
-	f.closeHandle(wh)
 	f.mu.Lock()
-	if cur, ok := f.handles[id]; ok && cur == wh {
-		delete(f.handles, id)
-	}
-	delete(f.repaired, id)
-	f.mu.Unlock()
-}
-
-// forgetHandle removes the cache entry for id if it still maps to the
-// given (already closed) handle.
-func (f *File) forgetHandle(id string, wh *walHandle) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cur, ok := f.handles[id]; ok && cur == wh {
-		delete(f.handles, id)
-	}
-}
-
-// handle returns (opening if needed) the cached append handle for id. The
-// caller holds the session's stripe lock.
-func (f *File) handle(id string) (*walHandle, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if wh, ok := f.handles[id]; ok {
-		f.mu.Unlock()
-		return wh, nil
-	}
+	closed := f.closed
 	_, checked := f.repaired[id]
 	f.mu.Unlock()
-
+	if closed {
+		return nil, ErrClosed
+	}
 	path := f.path(id, ".wal")
 	// A crash may have left a half-written final line. O_APPEND would glue
 	// the next record onto that fragment — corrupting an acknowledged write
 	// and, once valid records follow it, turning a tolerable torn tail into
 	// the mid-file corruption the reader refuses. Truncate to the last
 	// clean line boundary before any append can land. Once per session per
-	// process: everything this process wrote is clean, so cache-churn
-	// reopens skip the scan.
+	// process: everything this process wrote is clean.
 	if !checked {
 		if err := repairWAL(id, path); err != nil {
 			return nil, err
@@ -342,100 +301,23 @@ func (f *File) handle(id string) (*walHandle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return f.cacheHandle(id, w), nil
-}
-
-// closeHandle fsyncs and closes one cached handle under its write lock,
-// so no append can slip in between the sync and the close. Callers may
-// hold f.mu (lock order is f.mu → walHandle.mu) or run lock-free on a
-// handle already removed from the cache (eviction). Under a syncfs-armed
-// committer the fsync is skipped: every acknowledged record on the
-// handle already crossed an epoch barrier, and any unacknowledged tail
-// is covered by the epoch its appender holds a ticket on — syncfs flushes
-// a closed fd's dirty pages all the same. Without that skip, handle-cache
-// churn above max sessions costs one fsync per append and dominates the
-// durable write path.
-func (f *File) closeHandle(wh *walHandle) {
-	syncfs := f.gc.Load().syncfs()
-	wh.mu.Lock()
-	defer wh.mu.Unlock()
-	if wh.f != nil {
-		if !syncfs {
-			_ = wh.f.Sync()
-			f.fsyncs.Add(1)
-		}
-		wh.f.Close()
-		wh.f = nil
-	}
-}
-
-// cacheHandle installs a handle, evicting an arbitrary other one (fsynced
-// before close) when the cache is full. Losing a race to another opener
-// just closes the newcomer and returns the winner. Victims are removed
-// from the map under f.mu but synced+closed after it is released, so one
-// slow fsync does not stall every other session's handle lookup; the
-// evictions WaitGroup lets Sync and Close wait those syncs out. A
-// straggler append on an evicted handle is safe: it serialized on the
-// handle's own lock before the sync, or sees f == nil and reopens — and
-// O_APPEND keeps whole-line writes from the brief old/new fd overlap
-// intact (per-session appends serialize on the stripe lock anyway).
-func (f *File) cacheHandle(id string, w *os.File) *walHandle {
-	f.mu.Lock()
-	wh := &walHandle{f: w}
-	if f.closed {
-		f.mu.Unlock()
+	if _, err := w.Write(line); err != nil {
+		// The line may be partially on disk (short write on a full disk):
+		// clear the repair latch so the next append re-runs repairWAL and
+		// resumes on a clean boundary, instead of gluing onto the fragment
+		// and escalating the torn line into permanent mid-file corruption.
 		w.Close()
-		wh.f = nil
-		return wh // Append sees f == nil and fails through handle() → ErrClosed
-	}
-	if prev, ok := f.handles[id]; ok {
+		f.mu.Lock()
+		delete(f.repaired, id)
 		f.mu.Unlock()
-		w.Close()
-		return prev
+		return nil, fmt.Errorf("store: append %q: %w", id, err)
 	}
-	var victims []*walHandle
-	for len(f.handles) >= f.max {
-		evicted := false
-		for other, oh := range f.handles {
-			if other == id {
-				continue
-			}
-			victims = append(victims, oh)
-			delete(f.handles, other)
-			evicted = true
-			break
-		}
-		if !evicted {
-			break // only this id is cached; nothing to evict
-		}
+	if direct && f.anchor == nil {
+		f.mu.Lock()
+		f.unsynced[id] = struct{}{}
+		f.mu.Unlock()
 	}
-	f.handles[id] = wh
-	f.evictions.Add(len(victims))
-	f.mu.Unlock()
-	for _, oh := range victims {
-		f.closeHandle(oh)
-		f.evictions.Done()
-	}
-	return wh
-}
-
-// dropHandle closes and forgets the cached handle for id (used before a
-// compaction rewrite or delete replaces the file under it). No fsync:
-// every caller immediately discards the inode — compaction re-persists
-// the surviving records through atomicWrite, deletion unlinks them — so
-// syncing here would only stall other sessions' lookups on f.mu.
-func (f *File) dropHandle(id string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if wh, ok := f.handles[id]; ok {
-		wh.mu.Lock()
-		if wh.f != nil {
-			wh.f.Close()
-			wh.f = nil
-		}
-		wh.mu.Unlock()
-		delete(f.handles, id)
-	}
+	return w, nil
 }
 
 // PutSnapshot implements Store: one atomicWrite replaces the session file
@@ -461,16 +343,7 @@ func (f *File) PutSnapshot(id string, rounds int, payload []byte) error {
 	if data, err = compact(id, data, rounds, payload); err != nil {
 		return err
 	}
-	if err := atomicWrite(path, data); err != nil {
-		// The old file (and its cached handle) stays live, so Sync/Close
-		// still reach any un-flushed appends.
-		return err
-	}
-	// Only now is the old inode truly discarded: drop the cached handle
-	// that still points at it (no append can interleave — the caller
-	// holds the stripe lock).
-	f.dropHandle(id)
-	return nil
+	return atomicWrite(path, data)
 }
 
 // compact returns the session file data becomes under a snapshot at the
@@ -533,9 +406,9 @@ func (f *File) Delete(id string) error {
 	if err := f.checkOpen(); err != nil {
 		return err
 	}
-	f.dropHandle(id)
 	f.mu.Lock()
 	delete(f.repaired, id)
+	delete(f.unsynced, id)
 	f.mu.Unlock()
 	switch err := os.Remove(f.path(id, ".wal")); {
 	case errors.Is(err, fs.ErrNotExist):
@@ -631,74 +504,67 @@ func (f *File) Has(id string) (bool, error) {
 // Snapshots implements Store.
 func (f *File) Snapshots() ([]SnapshotInfo, error) { return snapshotsOf(f.Load()) }
 
-// Sync implements Store: fsync every open WAL handle (evicted handles were
-// synced on eviction; create and compaction sync through atomicWrite).
+// Sync implements Store: everything written before the call reaches
+// stable storage (create and compaction sync through atomicWrite).
 func (f *File) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	// Evictions sync outside f.mu; wait them out so everything written
-	// before this call is durable when it returns. In-flight evictions
-	// complete without f.mu, and no new one can start while we hold it.
-	f.evictions.Wait()
-	// Under a syncfs-armed committer one filesystem barrier covers every
-	// handle — cached, evicted, or closed — in a single journal commit.
-	// A private dir fd avoids racing the committer's own (closed on stop).
-	if f.gc.Load().syncfs() {
-		if d, err := os.Open(f.dir); err == nil {
-			ok, serr := syncFilesystem(d.Fd())
-			d.Close()
-			if ok {
-				f.fsyncs.Add(1)
-				if serr != nil {
-					return fmt.Errorf("store: sync: %w", serr)
-				}
-				return nil
-			}
-		}
-	}
-	var first error
-	for id, wh := range f.handles {
-		wh.mu.Lock()
-		if wh.f != nil {
-			if err := wh.f.Sync(); err != nil && first == nil {
-				first = fmt.Errorf("store: sync %q: %w", id, err)
-			}
-			f.fsyncs.Add(1)
-		}
-		wh.mu.Unlock()
-	}
-	return first
+	return f.syncLocked()
 }
 
 // Close implements Store: stop the group committer (every queued commit
-// epoch drains first, so no parked append leaks), sync, release every
-// handle, and refuse further writes. Idempotent.
+// epoch drains first, so no parked append leaks), refuse further writes,
+// wait out the writes already past that check, sync, and close the
+// anchor. Idempotent.
 func (f *File) Close() error {
 	f.stopCommitter()
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.closed {
+		f.mu.Unlock()
 		return nil
 	}
 	f.closed = true
-	f.evictions.Wait() // see Sync: evicted-handle fsyncs must land too
-	var first error
-	for _, wh := range f.handles {
-		wh.mu.Lock()
-		if wh.f != nil {
-			if err := wh.f.Sync(); err != nil && first == nil {
-				first = fmt.Errorf("store: %w", err)
-			}
-			f.fsyncs.Add(1)
-			wh.f.Close()
-			wh.f = nil
-		}
-		wh.mu.Unlock()
+	f.mu.Unlock()
+	// A write holds its stripe lock from the closed check to the end of
+	// its line, so once every stripe lock has been taken no write is in
+	// flight, and the sync below reaches every line that landed.
+	for i := range f.stripes {
+		f.stripes[i].Lock()
+		f.stripes[i].Unlock()
 	}
-	f.handles = nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	err := f.syncLocked()
+	if f.anchor != nil {
+		f.anchor.Close()
+	}
+	return err
+}
+
+// syncLocked issues Sync's barrier: one syncfs through the anchor, or an
+// fsync of every session file in the unsynced set (a file deleted since
+// has nothing left to sync). Appends a committer covered need neither.
+// The caller holds f.mu.
+func (f *File) syncLocked() error {
+	if f.anchor != nil {
+		_, err := syncFilesystem(f.anchor.Fd())
+		f.fsyncs.Add(1)
+		if err != nil {
+			return fmt.Errorf("store: sync: %w", err)
+		}
+		return nil
+	}
+	var first error
+	for id := range f.unsynced {
+		if err := syncPath(f.path(id, ".wal")); err != nil && first == nil {
+			first = fmt.Errorf("store: sync %q: %w", id, err)
+		}
+		f.fsyncs.Add(1)
+	}
+	clear(f.unsynced)
 	return first
 }
 
@@ -723,9 +589,10 @@ func (f *File) Close() error {
 // let go, so a follower epoch allocates nothing after the first few.
 type commitEpoch struct {
 	tickets int
-	// dirty is the set of handles to fsync; nil under syncfs, where one
-	// barrier covers every handle.
-	dirty map[*walHandle]struct{}
+	// dirty holds the files its parked appenders wrote, one per ticket, to
+	// fsync; empty under syncfs, where one barrier covers every file. Each
+	// appender keeps its file open until the epoch has flushed.
+	dirty []*os.File
 	lead  chan struct{}  // capacity 1: the baton, handed to the epoch's leader
 	done  sync.WaitGroup // holds 1 until the epoch has flushed
 	err   error          // written by the leader before done opens
@@ -740,14 +607,6 @@ type groupCommitter struct {
 	maxBatch int
 	onEpoch  func(synced, parked int)
 
-	// dir is the open sessions directory used as the syncfs(2) anchor:
-	// when non-nil, an epoch flushes with one filesystem-wide barrier
-	// instead of one fsync per dirty handle. It is probed once when the
-	// committer is armed and never changes afterwards — pinning the flush
-	// mode for the committer's lifetime is what lets closeHandle skip its
-	// fsync — and is closed by stopCommitter after the last flush.
-	dir *os.File
-
 	mu       sync.Mutex
 	flushing bool         // the baton: a flush is in flight or being handed over
 	head     *commitEpoch // oldest queued epoch, next to flush
@@ -760,8 +619,8 @@ type groupCommitter struct {
 
 // SetGroupCommit turns on group commit: every append returns OS-crash
 // durable, having either flushed its own commit epoch or parked on one
-// that another append led, with at most one fsync per dirty session per
-// epoch (one syncfs for all of them where the kernel has it). There is no
+// that another append led, with one fsync per append on the epoch (one
+// syncfs for all of them where the kernel has it). There is no
 // commit timer: a positive window only arms the committer, and how many
 // appends share an epoch is set by how many arrive while the previous
 // flush is in flight. maxBatch caps the tickets one epoch may take; later
@@ -779,19 +638,7 @@ func (f *File) SetGroupCommit(window time.Duration, maxBatch int, onEpoch func(s
 	}
 	gc := &groupCommitter{f: f, maxBatch: maxBatch, onEpoch: onEpoch}
 	gc.idle.L = &gc.mu
-	// Probe syncfs support up front (the probe itself is a harmless
-	// barrier). A nil dir just means per-handle fsyncs.
-	if d, err := os.Open(f.dir); err == nil {
-		if ok, serr := syncFilesystem(d.Fd()); ok && serr == nil {
-			gc.dir = d
-		} else {
-			d.Close()
-		}
-	}
 	if !f.gc.CompareAndSwap(nil, gc) {
-		if gc.dir != nil {
-			gc.dir.Close()
-		}
 		return
 	}
 	// Scrape-time queue depth: appends parked on queued epochs. The newest
@@ -805,17 +652,17 @@ func (f *File) SetGroupCommit(window time.Duration, maxBatch int, onEpoch func(s
 		})
 }
 
-// Fsyncs reports the total fsyncs issued against session WAL handles —
-// the quantity the group-commit regression gate bounds.
+// Fsyncs reports the total barriers issued against session files — the
+// quantity the group-commit regression gate bounds.
 func (f *File) Fsyncs() int64 { return f.fsyncs.Load() }
 
 // CommitEpochs reports how many group-commit epochs have been flushed.
 func (f *File) CommitEpochs() int64 { return f.epochs.Load() }
 
 // stopCommitter shuts the committer down: appends from now on fall back
-// to the direct-append contract, the flush in flight and every queued
+// to the direct-append contract, and the flush in flight and every queued
 // epoch drain in order (each one's leader is already parked and is handed
-// the baton in turn), and only then is the syncfs anchor closed.
+// the baton in turn). Close closes the syncfs anchor only after this.
 // Idempotent.
 func (f *File) stopCommitter() {
 	gc := f.gc.Swap(nil)
@@ -828,34 +675,32 @@ func (f *File) stopCommitter() {
 		gc.idle.Wait()
 	}
 	gc.mu.Unlock()
-	if gc.dir != nil {
-		gc.dir.Close()
-	}
 }
 
-// syncfs reports whether the committer flushes with one filesystem-wide
-// barrier; false for a nil (unarmed or stopped) committer.
-func (gc *groupCommitter) syncfs() bool { return gc != nil && gc.dir != nil }
-
-// commit makes the caller's append — already written to wh — durable and
-// returns the flush error of the epoch that covered it. It returns nil
-// without a barrier once the committer has stopped: the caller falls back
-// to the direct-append contract (Close fsyncs everything anyway).
+// commit makes the caller's append — already written to w, which the
+// caller keeps open until commit returns — durable and returns the flush
+// error of the epoch that covered it. Once the committer has stopped no
+// epoch will: under syncfs the write is covered by Close's barrier (Close
+// takes every stripe lock first, and the write ended under one), and per
+// file the caller's own fsync covers it here.
 //
 // The barrier that covers an append always starts after the append's
 // write: a lone leader starts its own, and a ticket is only ever taken on
 // a queued epoch, which cannot start flushing before the flush already in
 // flight has ended.
-func (gc *groupCommitter) commit(wh *walHandle) error {
+func (gc *groupCommitter) commit(w *os.File) error {
 	gc.mu.Lock()
 	if gc.stopped {
 		gc.mu.Unlock()
-		return nil
+		if gc.f.anchor != nil {
+			return nil
+		}
+		return gc.fsync(w)
 	}
 	if !gc.flushing {
 		gc.flushing = true
 		gc.mu.Unlock()
-		err := gc.flush(wh, nil, 1)
+		err := gc.flush(w, nil, 1)
 		gc.handoff()
 		return err
 	}
@@ -866,8 +711,8 @@ func (gc *groupCommitter) commit(wh *walHandle) error {
 	}
 	e.tickets++
 	gc.queued++
-	if e.dirty != nil {
-		e.dirty[wh] = struct{}{}
+	if gc.f.anchor == nil {
+		e.dirty = append(e.dirty, w)
 	}
 	gc.mu.Unlock()
 
@@ -897,13 +742,10 @@ func (gc *groupCommitter) enqueue() *commitEpoch {
 	e := gc.free
 	if e != nil {
 		gc.free = e.next
-		e.tickets, e.err, e.next = 0, nil, nil
 		clear(e.dirty)
+		e.tickets, e.err, e.next, e.dirty = 0, nil, nil, e.dirty[:0]
 	} else {
 		e = &commitEpoch{lead: make(chan struct{}, 1)}
-		if gc.dir == nil {
-			e.dirty = make(map[*walHandle]struct{})
-		}
 	}
 	e.done.Add(1)
 	if gc.tail != nil {
@@ -935,16 +777,15 @@ func (gc *groupCommitter) handoff() {
 	e.lead <- struct{}{}
 }
 
-// flushFanout bounds how many dirty handles an epoch fsyncs concurrently.
-// The fsyncs target distinct files, so they are independent I/O waits:
-// overlapping them keeps the epoch's wall time near one device round trip
-// instead of one per dirty session.
+// flushFanout bounds how many files an epoch fsyncs concurrently. The
+// fsyncs are independent I/O waits, so overlapping them keeps the epoch's
+// wall time near one device round trip instead of one per append.
 const flushFanout = 64
 
 // flush issues one epoch's barrier — syncfs, or an fsync of lone (a lone
-// leader's handle) or of every handle in dirty — and accounts for it. The
+// leader's file) or of every file in dirty — and accounts for it. The
 // caller holds the baton.
-func (gc *groupCommitter) flush(lone *walHandle, dirty map[*walHandle]struct{}, tickets int) error {
+func (gc *groupCommitter) flush(lone *os.File, dirty []*os.File, tickets int) error {
 	t0 := time.Now()
 	span := obs.DefaultTracer.Begin("commit.epoch", "store", 0, int64(tickets))
 	var (
@@ -952,27 +793,24 @@ func (gc *groupCommitter) flush(lone *walHandle, dirty map[*walHandle]struct{}, 
 		err    error
 	)
 	switch {
-	case gc.dir != nil:
-		// One syncfs barrier commits every dirty WAL in the epoch with a
-		// single filesystem journal commit — the flat-cost flush that
-		// makes the epoch price independent of how many sessions share
-		// it. It also covers page-cache data of handles the cache evicted
-		// (a closed fd's dirty pages still belong to the filesystem),
-		// which is why closeHandle skips its fsync in this mode.
+	case gc.f.anchor != nil:
+		// One syncfs barrier commits every file written in the epoch with
+		// a single filesystem journal commit — the flat-cost flush that
+		// makes the epoch price independent of how many sessions share it.
 		ts := time.Now()
-		ok, serr := syncFilesystem(gc.dir.Fd())
+		ok, serr := syncFilesystem(gc.f.anchor.Fd())
 		fsyncLatency.Record(time.Since(ts))
 		gc.f.fsyncs.Add(1)
 		if !ok {
-			// The arm-time probe succeeded, so this cannot happen; and the
-			// mode is pinned, so it is an error, not a fallback.
+			// NewFile's probe succeeded, so this cannot happen; and the
+			// mode is fixed, so it is an error, not a fallback.
 			serr = errors.ErrUnsupported
 		}
 		synced, err = 1, serr
 	case lone != nil:
-		synced, err = gc.syncHandle(lone)
+		synced, err = 1, gc.fsync(lone)
 	default:
-		synced, err = gc.syncHandles(dirty)
+		synced, err = len(dirty), gc.fsyncAll(dirty)
 	}
 	gc.f.epochs.Add(1)
 	if gc.onEpoch != nil {
@@ -983,51 +821,42 @@ func (gc *groupCommitter) flush(lone *walHandle, dirty map[*walHandle]struct{}, 
 	return err
 }
 
-// syncHandle fsyncs one handle. A handle already closed by eviction or
-// invalidation is skipped: its close fsynced everything it held.
-func (gc *groupCommitter) syncHandle(wh *walHandle) (synced int, err error) {
-	wh.mu.Lock()
-	defer wh.mu.Unlock()
-	if wh.f == nil {
-		return 0, nil
-	}
+// fsync fsyncs one appender's file, which its appender holds open.
+func (gc *groupCommitter) fsync(w *os.File) error {
 	ts := time.Now()
-	err = wh.f.Sync()
+	err := w.Sync()
 	fsyncLatency.Record(time.Since(ts))
 	gc.f.fsyncs.Add(1)
-	return 1, err
+	return err
 }
 
-// syncHandles fsyncs every handle of an epoch, flushFanout at a time, and
-// returns how many it reached and the first failure. Every appender with
-// a ticket on the epoch is parked, so holding the handles' locks across
-// the concurrent fsyncs cannot deadlock.
-func (gc *groupCommitter) syncHandles(dirty map[*walHandle]struct{}) (synced int, first error) {
+// fsyncAll fsyncs every file of an epoch, flushFanout at a time, and
+// returns the first failure.
+func (gc *groupCommitter) fsyncAll(dirty []*os.File) (first error) {
 	if len(dirty) == 1 {
-		for wh := range dirty {
-			return gc.syncHandle(wh)
-		}
+		return gc.fsync(dirty[0])
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, flushFanout)
-	for wh := range dirty {
+	for _, w := range dirty {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(wh *walHandle) {
+		go func() {
 			defer wg.Done()
-			n, err := gc.syncHandle(wh)
+			err := gc.fsync(w)
 			<-sem
-			mu.Lock()
-			synced += n
-			if err != nil && first == nil {
-				first = err
+			if err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
 			}
-			mu.Unlock()
-		}(wh)
+		}()
 	}
 	wg.Wait()
-	return synced, first
+	return first
 }
 
 // --- File helpers --------------------------------------------------------------
@@ -1062,15 +891,24 @@ func atomicWrite(path string, data []byte) error {
 // syncDir fsyncs a directory so renames and creates within it are on
 // stable storage.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err := syncPath(dir); err != nil {
 		return fmt.Errorf("store: sync %s: %w", dir, err)
 	}
 	return nil
+}
+
+// syncPath opens path and fsyncs it; a path that no longer exists has
+// nothing to sync.
+func syncPath(path string) error {
+	d, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // repairWAL truncates a torn tail — the half-written final line(s) of a

@@ -35,15 +35,16 @@ func (l *epochLog) snapshot() (synced, parked []int) {
 }
 
 // flushModes runs fn against a committer in each flush mode: syncfs where
-// the platform has it, and the per-handle fsync fallback everywhere.
+// the platform has it, and the per-file fsync fallback everywhere.
 func flushModes(t *testing.T, fn func(t *testing.T, perHandle bool)) {
 	t.Run("syncfs", func(t *testing.T) { fn(t, false) })
 	t.Run("per-handle", func(t *testing.T) { fn(t, true) })
 }
 
 // armed opens a store with sessions s0…s<n-1> and a group committer in
-// the wanted flush mode. The window is an hour: anything that waited on it
-// would hang the test.
+// the wanted flush mode: per file is picked by clearing the store's syncfs
+// anchor. The window is an hour: anything that waited on it would hang
+// the test.
 func armed(t *testing.T, sessions, maxBatch int, perHandle bool, onEpoch func(synced, parked int)) (*File, *groupCommitter) {
 	t.Helper()
 	f, err := NewFile(t.TempDir())
@@ -57,12 +58,12 @@ func armed(t *testing.T, sessions, maxBatch int, perHandle bool, onEpoch func(sy
 		t.Fatal("SetGroupCommit did not arm a committer")
 	}
 	switch {
-	case perHandle && gc.dir != nil:
-		// Before the first append, so the mode is still pinned for every
-		// flush the committer will ever run.
-		gc.dir.Close()
-		gc.dir = nil
-	case !perHandle && gc.dir == nil:
+	case perHandle && f.anchor != nil:
+		// Before the first append, so the mode is still fixed for every
+		// flush the store will ever run.
+		f.anchor.Close()
+		f.anchor = nil
+	case !perHandle && f.anchor == nil:
 		t.Skip("no syncfs on this platform")
 	}
 	for i := 0; i < sessions; i++ {
@@ -250,12 +251,9 @@ func TestGroupCommitLoneLeader(t *testing.T) {
 			t.Fatal("lone appends left the committer busy, or built an epoch they did not need")
 		}
 
-		wh, err := f.handle("s0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := openWAL(t, f, "s0")
 		if allocs := testing.AllocsPerRun(100, func() {
-			if err := gc.commit(wh); err != nil {
+			if err := gc.commit(w); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
@@ -282,36 +280,28 @@ func TestGroupCommitFollowersShareEpoch(t *testing.T) {
 		if got := f.CommitEpochs(); got != 0 {
 			t.Fatalf("%d epochs flushed while the baton was held", got)
 		}
-		gc.mu.Lock()
-		e := gc.head
-		shape := e != nil && e == gc.tail && e.tickets == k && (!perHandle || len(e.dirty) == k)
-		gc.mu.Unlock()
-		if !shape {
-			t.Fatalf("want one queued epoch of %d tickets, got %+v", k, e)
-		}
-
 		// Break the barrier: a closed descriptor under the syncfs anchor,
-		// or under one session's handle.
+		// or in place of one parked appender's file.
 		closed, err := os.Open(f.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		closed.Close()
-		var restore func()
-		if perHandle {
-			wh, err := f.handle(ids[2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			wh.mu.Lock()
-			good := wh.f
-			wh.f = closed
-			wh.mu.Unlock()
-			restore = func() { wh.mu.Lock(); wh.f = good; wh.mu.Unlock() }
-		} else {
-			good := gc.dir
-			gc.dir = closed
-			restore = func() { gc.dir = good }
+		restore := func() {}
+		gc.mu.Lock()
+		e := gc.head
+		shape := e != nil && e == gc.tail && e.tickets == k && (!perHandle || len(e.dirty) == k)
+		if shape && perHandle {
+			e.dirty[2] = closed
+		}
+		gc.mu.Unlock()
+		if !shape {
+			t.Fatalf("want one queued epoch of %d tickets, got %+v", k, e)
+		}
+		if !perHandle {
+			good := f.anchor
+			f.anchor = closed
+			restore = func() { f.anchor = good }
 		}
 
 		gc.handoff()
@@ -327,7 +317,7 @@ func TestGroupCommitFollowersShareEpoch(t *testing.T) {
 		}
 		want := 1 // one syncfs
 		if perHandle {
-			want = k // one fsync per dirty handle
+			want = k // one fsync per parked appender's file
 		}
 		if synced[0] != want {
 			t.Fatalf("epoch issued %d barriers, want %d", synced[0], want)
@@ -386,9 +376,8 @@ func TestGroupCommitMaxBatchSplits(t *testing.T) {
 		for e := gc.head; e != nil; e = e.next {
 			sizes = append(sizes, e.tickets)
 			for i := 0; perHandle && i < e.tickets; i++ {
-				wh := f.handles[ids[arrival+i]]
-				if _, ok := e.dirty[wh]; !ok {
-					t.Errorf("epoch %d does not hold arrival %d", len(sizes)-1, arrival+i)
+				if i >= len(e.dirty) || e.dirty[i].Name() != f.path(ids[arrival+i], ".wal") {
+					t.Errorf("epoch %d does not hold arrival %d's file", len(sizes)-1, arrival+i)
 				}
 			}
 			arrival += e.tickets
@@ -433,7 +422,7 @@ func TestGroupCommitCloseReleasesParked(t *testing.T) {
 		default:
 		}
 		// A stopped committer takes no more tickets.
-		if err := gc.commit(nil); err != nil {
+		if err := gc.commit(openWAL(t, f, "s0")); err != nil {
 			t.Fatal(err)
 		}
 		if f.gc.Load() != nil || f.CommitEpochs() != 0 {
@@ -484,51 +473,50 @@ func TestGroupCommitStoppedFallsBack(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFlushModePinned: the flush mode chosen when the committer
-// is armed decides what a handle's close costs. Under syncfs an evicted
-// handle is closed without an fsync (the next barrier covers its pages),
-// so fsyncs equal epochs however hard the handle cache churns; per handle,
-// the close fsyncs, and the epoch that held a ticket on the closed handle
-// skips it.
+// TestGroupCommitFlushModePinned: the flush mode is fixed when the store
+// is opened. Under syncfs every epoch is one barrier, so fsyncs equal
+// epochs however many sessions take turns; per file, every parked
+// appender holds its own file until the epoch flushes, and the epoch
+// fsyncs each of them.
 func TestGroupCommitFlushModePinned(t *testing.T) {
 	t.Run("syncfs", func(t *testing.T) {
-		f, _ := armed(t, 0, 0, false, nil)
-		f.max = 1 // every create and every append below evicts a handle
-		for i := 0; i < 3; i++ {
-			if err := f.CreateSession(fmt.Sprintf("s%d", i), []byte(`{}`)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		f, _ := armed(t, 3, 0, false, nil)
 		for r := 0; r < 12; r++ {
 			if err := f.Append(fmt.Sprintf("s%d", r%3), Record{Type: RecordPlay, Round: r / 3, Hash: "h"}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if fsyncs, epochs := f.Fsyncs(), f.CommitEpochs(); epochs != 12 || fsyncs != epochs {
-			t.Fatalf("%d fsyncs over %d epochs: eviction fsynced under syncfs", fsyncs, epochs)
+			t.Fatalf("%d fsyncs over %d epochs, want one barrier per epoch", fsyncs, epochs)
 		}
 	})
 	t.Run("per-handle", func(t *testing.T) {
 		var log epochLog
 		f, gc := armed(t, 2, 0, true, log.record)
 		takeBaton(t, gc)
-		parked := appendAsync(t, f, gc, "s0", "s1")
-		wh, err := f.handle("s0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.closeHandle(wh) // what an eviction does, after unmapping it
-		if got := f.Fsyncs(); got != 1 {
-			t.Fatalf("per-handle close issued %d fsyncs, want 1", got)
-		}
+		parked := appendAsync(t, f, gc, "s0", "s1", "s0")
 		gc.handoff()
 		for i, ch := range parked {
 			if err := recv(t, ch); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
-		if synced, tickets := log.snapshot(); fmt.Sprint(synced, tickets) != "[1] [2]" {
-			t.Fatalf("epoch synced %v of tickets %v, want the closed handle skipped: [1] [2]", synced, tickets)
+		if synced, tickets := log.snapshot(); fmt.Sprint(synced, tickets) != "[3] [3]" {
+			t.Fatalf("epoch synced %v of tickets %v, want every parked appender's file: [3] [3]", synced, tickets)
+		}
+		if got := f.Fsyncs(); got != 3 {
+			t.Fatalf("%d fsyncs, want 3", got)
 		}
 	})
+}
+
+// openWAL opens a session's file for appending, as an appender does.
+func openWAL(t *testing.T, f *File, id string) *os.File {
+	t.Helper()
+	w, err := os.OpenFile(f.path(id, ".wal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
 }

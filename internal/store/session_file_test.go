@@ -144,7 +144,6 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 		}
 	}
 	damage(3) // round 13, between two valid records
-	f.dropHandle("c")
 	delete(f.repaired, "c")
 	if err := f.PutSnapshot("c", 13, []byte(`{"rounds":13}`)); err == nil {
 		t.Fatal("compaction kept a suffix with a corrupt record in it")
@@ -180,7 +179,6 @@ func TestFileSpecLineChecked(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.dropHandle("s")
 	delete(f.repaired, "s")
 	if _, _, err := f.LoadSession("s"); err == nil {
 		t.Fatal("load accepted a damaged spec line")

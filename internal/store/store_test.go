@@ -384,16 +384,16 @@ func TestFileMidCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestFileHandleEviction drives more sessions than the handle cache holds:
-// appends must keep working through evict/reopen cycles.
-func TestFileHandleEviction(t *testing.T) {
+// TestFileAppendManySessions drives concurrent appends to more sessions
+// than the retired append-handle cache held (128): every record lands,
+// and no session file stays open between calls.
+func TestFileAppendManySessions(t *testing.T) {
 	st, err := NewFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.max = 4
-	const sessions = 16
+	const sessions = 160
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("s-%d", i)
 		if err := st.CreateSession(id, []byte(`{}`)); err != nil {
@@ -430,7 +430,15 @@ func TestFileHandleEviction(t *testing.T) {
 	}
 	for _, s := range states {
 		if len(s.Tail) != 8 {
-			t.Fatalf("session %s lost records through eviction: %d", s.ID, len(s.Tail))
+			t.Fatalf("session %s holds %d records, want 8", s.ID, len(s.Tail))
+		}
+	}
+	// Where the process lists its descriptors, none names a session file.
+	fds, _ := os.ReadDir("/proc/self/fd")
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, st.dir+string(filepath.Separator)) {
+			t.Errorf("%s is still open after every append returned", target)
 		}
 	}
 }

@@ -6,10 +6,10 @@ import "syscall"
 
 // syncFilesystem issues syncfs(2) on fd, flushing every dirty page and
 // committing the journal of the filesystem that holds it — one barrier
-// covering all session WALs at once, which is what lets a group-commit
-// epoch cost one journal commit instead of one fsync per dirty session.
-// ok is false when the kernel lacks the syscall; the caller falls back to
-// per-handle fsyncs. The syscall number is arch-specific (the stdlib
+// covering all session files at once, which is what lets a group-commit
+// epoch cost one journal commit instead of one fsync per append. ok is
+// false when the kernel lacks the syscall; the store then fsyncs each
+// session file. The syscall number is arch-specific (the stdlib
 // syscall table predates syncfs), so this path builds only where the
 // number is pinned; elsewhere sync_other.go selects the fallback.
 func syncFilesystem(fd uintptr) (ok bool, err error) {

@@ -3,6 +3,5 @@
 package store
 
 // syncFilesystem reports that no filesystem-wide sync barrier is
-// available on this platform; group-commit epochs fall back to one fsync
-// per dirty session handle.
+// available on this platform; the store fsyncs each session file instead.
 func syncFilesystem(uintptr) (bool, error) { return false, nil }
