@@ -1,0 +1,143 @@
+package store_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	ga "gameauthority"
+	"gameauthority/internal/store"
+)
+
+// TestCostIdentities pins the exact per-request and per-play counts that
+// the ledger used to be the only reader of, so a change to one fails here
+// on any host, with no timing involved.
+//
+// Durable rows: a hosted Play and a hosted PlayN(16) each journal one WAL
+// record. On a File store with a committer each also flushes one commit
+// epoch of one barrier, in either flush mode (the lone appender leads its
+// own epoch). Without a committer, and on the Mem store, no request
+// issues a barrier.
+//
+// Distributed rows: one play at (n, f) takes PulsesPerPlay(f) = 4(f+3)+2
+// pulses and a fixed number of messages, the four interactive
+// consistencies' cost that E-BAP prints: 288 at (4, 1), 1,078 at (7, 2)
+// and 2,200 at (10, 2).
+func TestCostIdentities(t *testing.T) {
+	t.Run("journal", func(t *testing.T) {
+		for _, row := range []struct {
+			name           string
+			file, commit   bool
+			perFile        bool
+			epochs, fsyncs int64 // per request
+		}{
+			{name: "mem"},
+			{name: "file", file: true},
+			{name: "file+commit/syncfs", file: true, commit: true, epochs: 1, fsyncs: 1},
+			{name: "file+commit/per-file", file: true, commit: true, perFile: true, epochs: 1, fsyncs: 1},
+		} {
+			t.Run(row.name, func(t *testing.T) {
+				st := store.Store(store.NewMem())
+				var f *store.File
+				if row.file {
+					var err error
+					if f, err = store.NewFile(t.TempDir()); err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case row.perFile:
+						store.PerFileFlush(f)
+					case row.commit && !store.HasSyncfs(f):
+						t.Skip("no syncfs on this platform")
+					}
+					st = f
+				}
+				opts := []ga.AuthorityOption{ga.WithStore(st), ga.WithSnapshotEvery(0)}
+				if row.commit {
+					opts = append(opts, ga.WithGroupCommit(time.Hour, 256))
+				}
+				a := ga.NewAuthority(opts...)
+				defer a.Close()
+				h, err := a.CreateFromSpec(ga.CreateSessionRequest{ID: "cost", Game: "pd", Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts := func() (records int, epochs, fsyncs int64) {
+					state, ok, err := st.LoadSession("cost")
+					if err != nil || !ok {
+						t.Fatalf("load: ok=%v err=%v", ok, err)
+					}
+					if f != nil {
+						epochs, fsyncs = f.CommitEpochs(), f.Fsyncs()
+					}
+					return len(state.Tail), epochs, fsyncs
+				}
+				ctx := context.Background()
+				for _, req := range []struct {
+					name string
+					do   func() error
+				}{
+					{"Play", func() error { _, err := h.Play(ctx); return err }},
+					{"PlayN(16)", func() error { _, err := h.PlayN(ctx, 16, nil); return err }},
+				} {
+					for i := 0; i < 4; i++ {
+						r0, e0, s0 := counts()
+						if err := req.do(); err != nil {
+							t.Fatal(err)
+						}
+						r1, e1, s1 := counts()
+						if r1-r0 != 1 || e1-e0 != row.epochs || s1-s0 != row.fsyncs {
+							t.Fatalf("%s #%d: %d records, %d epochs, %d fsyncs; want 1, %d, %d",
+								req.name, i, r1-r0, e1-e0, s1-s0, row.epochs, row.fsyncs)
+						}
+					}
+				}
+			})
+		}
+	})
+
+	t.Run("distributed", func(t *testing.T) {
+		for _, row := range []struct {
+			n, f     int
+			messages int64 // per play
+		}{
+			{4, 1, 288},
+			{7, 2, 1078},
+			{10, 2, 2200},
+		} {
+			t.Run(fmt.Sprintf("n%d-f%d", row.n, row.f), func(t *testing.T) {
+				pulses := int64(4*(row.f+3) + 2)
+				if got := ga.PulsesPerPlay(row.f); int64(got) != pulses {
+					t.Fatalf("PulsesPerPlay(%d) = %d, want 4(f+3)+2 = %d", row.f, got, pulses)
+				}
+				g, err := ga.PublicGoods(row.n, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := ga.New(g, ga.WithDistributed(row.n, row.f, nil), ga.WithSeed(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				ctx := context.Background()
+				for i := 0; i < 4; i++ {
+					wantP, wantM := pulses, row.messages
+					if i == 0 {
+						// The session's first play ends one pulse short of a
+						// clock period: one pulse, n² messages, less.
+						wantP, wantM = pulses-1, row.messages-int64(row.n*row.n)
+					}
+					before := s.Stats()
+					if _, err := s.Play(ctx); err != nil {
+						t.Fatal(err)
+					}
+					after := s.Stats()
+					if dp, dm := after.Pulses-before.Pulses, after.Messages-before.Messages; dp != wantP || dm != wantM {
+						t.Fatalf("play %d: %d pulses, %d messages; want %d and %d", i, dp, dm, wantP, wantM)
+					}
+				}
+			})
+		}
+	})
+}

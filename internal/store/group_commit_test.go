@@ -58,12 +58,9 @@ func armed(t *testing.T, sessions, maxBatch int, perHandle bool, onEpoch func(sy
 		t.Fatal("SetGroupCommit did not arm a committer")
 	}
 	switch {
-	case perHandle && f.anchor != nil:
-		// Before the first append, so the mode is still fixed for every
-		// flush the store will ever run.
-		f.anchor.Close()
-		f.anchor = nil
-	case !perHandle && f.anchor == nil:
+	case perHandle:
+		PerFileFlush(f) // before the first append, for every flush to come
+	case !HasSyncfs(f):
 		t.Skip("no syncfs on this platform")
 	}
 	for i := 0; i < sessions; i++ {
