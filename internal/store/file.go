@@ -255,13 +255,14 @@ func (f *File) appendRecord(id string, rec Record) error {
 	// later appends to this one — ordering is the caller's journal mutex)
 	// must not serialize behind a flush.
 	if gc != nil {
-		err = gc.commit(w)
+		if err = gc.commit(w); err != nil {
+			err = fmt.Errorf("store: commit %q: %w", id, err)
+		}
 	}
-	w.Close()
-	if err != nil {
-		return fmt.Errorf("store: commit %q: %w", id, err)
+	if cerr := w.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("store: append %q: %w", id, cerr)
 	}
-	return nil
+	return err
 }
 
 // writeLine appends one encoded line to the session's file under its

@@ -384,9 +384,8 @@ func TestFileMidCorruptionRefused(t *testing.T) {
 	}
 }
 
-// TestFileAppendManySessions drives concurrent appends to more sessions
-// than the retired append-handle cache held (128): every record lands,
-// and no session file stays open between calls.
+// TestFileAppendManySessions drives concurrent appends to 160 sessions:
+// every record lands, and no session file stays open between calls.
 func TestFileAppendManySessions(t *testing.T) {
 	st, err := NewFile(t.TempDir())
 	if err != nil {
