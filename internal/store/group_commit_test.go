@@ -209,7 +209,7 @@ func TestGroupCommitEpochs(t *testing.T) {
 		t.Fatalf("onEpoch released %d appends, want %d", parkedTotal, sessions*8)
 	}
 	if int64(syncedTotal) != f.Fsyncs() {
-		t.Fatalf("onEpoch synced %d handles, store counted %d fsyncs", syncedTotal, f.Fsyncs())
+		t.Fatalf("onEpoch synced %d barriers, store counted %d fsyncs", syncedTotal, f.Fsyncs())
 	}
 }
 
