@@ -67,8 +67,9 @@ bench-quick:
 	$(GO) run ./bench -quick > /dev/null
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each fuzz
-# target (HTTP, wire, evidence codec, agreement value pool, session-file
-# reader) a short live burst. Fails on panics/regressions, never on not finding anything new.
+# target (HTTP sessions and play, wire, evidence codec, agreement value
+# pool, session-file reader, session-file line encoder) a short live
+# burst. Fails on panics/regressions, never on not finding anything new.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' .
 	$(GO) test -run '^Fuzz' ./internal/wire
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzEvidenceCodec$$' -fuzztime 5s -run '^Fuzz' ./internal/core
 	$(GO) test -fuzz '^FuzzValuePool$$' -fuzztime 5s -run '^Fuzz' ./internal/bap
 	$(GO) test -fuzz '^FuzzSessionFile$$' -fuzztime 5s -run '^Fuzz' ./internal/store
+	$(GO) test -fuzz '^FuzzLineEncoder$$' -fuzztime 5s -run '^Fuzz' ./internal/store
 
 # Coverage gate: the audited packages must keep ≥ 70% of statements
 # covered by the whole suite (merged -coverpkg profile; see
