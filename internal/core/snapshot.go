@@ -98,17 +98,25 @@ func appendIntSlice(b []byte, xs []int) []byte {
 	return append(b, ']')
 }
 
+// HashLen is the length of a play's transcript hash: the hex digits of a
+// SHA-256.
+const HashLen = 2 * sha256.Size
+
 // HashResult returns the canonical transcript hash of one play — the value
 // the write-ahead log journals per play and recovery re-checks per
-// replayed play.
+// replayed play. Its one allocation is the returned string.
 func HashResult(res RoundResult) string {
-	// The line of a typical play fits the stack buffer, so the only
-	// allocation is the returned string.
+	var digest [HashLen]byte
+	return string(AppendHashResult(digest[:0], &res))
+}
+
+// AppendHashResult appends HashResult(*res), its HashLen hex digits, to
+// dst. The line of a typical play fits a stack buffer, so it allocates
+// only when dst must grow.
+func AppendHashResult(dst []byte, res *RoundResult) []byte {
 	var line [256]byte
-	sum := sha256.Sum256(appendResultLine(line[:0], &res))
-	var digest [2 * sha256.Size]byte
-	hex.Encode(digest[:], sum[:])
-	return string(digest[:])
+	sum := sha256.Sum256(appendResultLine(line[:0], res))
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // Snapshot implements Session: the snapshot and its state digest, built

@@ -290,6 +290,13 @@ func TestHashResultStable(t *testing.T) {
 	if HashResult(a) == HashResult(c) {
 		t.Fatal("cost change did not change the hash")
 	}
+	// AppendHashResult appends exactly HashResult's digits, so hashes
+	// packed back to back split into the plays' own.
+	packed := AppendHashResult([]byte("x"), &a)
+	packed = AppendHashResult(packed, &c)
+	if want := "x" + HashResult(a) + HashResult(c); string(packed) != want || len(want) != 1+2*HashLen {
+		t.Fatalf("AppendHashResult packed %q, want %q", packed, want)
+	}
 }
 
 // TestResultLineCanonicalShape pins the transcript line's byte shape to
