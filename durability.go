@@ -286,8 +286,8 @@ func (h *HostedSession) Play(ctx context.Context) (RoundResult, error) {
 // degraded without losing them.
 func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
 	if n <= 0 {
-		// Reject here rather than inside the driver so the batch buffer
-		// below never sizes from a negative n.
+		// Reject here rather than inside the driver, before any span or
+		// journal scratch is taken.
 		return RoundResult{}, fmt.Errorf("%w: non-positive batch size %d", ErrConfig, n)
 	}
 	// Root trace span for the end-to-end request: breaker gate → driver →
@@ -312,29 +312,28 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 	if h.durable.Load() && !h.dropped.Load() {
 		// dropped: a Remove is deleting the ledger — appending would only
 		// manufacture a spurious ErrDurability for plays that succeeded.
-		if n == 1 {
-			c.batch = c.one[:0]
-		} else {
-			// Sized for the common request, not from n: a cancelled
-			// PlayN(math.MaxInt) plays nothing and must allocate nothing.
-			c.batch = make([]store.BatchPlay, 0, min(n, 16))
-		}
+		// The scratch grows with the plays that complete, never from n: a
+		// cancelled PlayN(math.MaxInt) plays nothing and allocates nothing.
+		c.journal = journalScratches.Get().(*journalScratch)
 	}
 	res, err := h.Session.PlayN(ctx, n, h.onRound)
 	playsTotal.Add(c.completed)
 	countFouls(c.fouls, c.convictions)
-	// Journal whatever completed — on a mid-batch error the prefix stands,
-	// exactly as n sequential Play calls would have journaled it.
-	if len(c.batch) > 0 {
-		if jerr := a.journal(h, c.batch); jerr != nil {
-			h.breakerRecord(true)
-			err = errors.Join(err, jerr)
-		} else {
-			h.breakerRecord(false)
+	if j := c.journal; j != nil {
+		// Journal whatever completed — on a mid-batch error the prefix
+		// stands, exactly as n sequential Play calls would have journaled it.
+		if plays := j.plays(); len(plays) > 0 {
+			if jerr := a.journal(h, plays); jerr != nil {
+				h.breakerRecord(true)
+				err = errors.Join(err, jerr)
+			} else {
+				h.breakerRecord(false)
+			}
 		}
+		j.release()
 	}
 	// Nothing a call filled may outlive it on the session: the sink is the
-	// caller's, and the batch retains a hash string per play.
+	// caller's, and the journal scratch went back to its pool.
 	*c = playCall{}
 	return res, err
 }
@@ -342,14 +341,63 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 // playCall is the accumulator of the one PlayN call a session has in
 // flight. It lives on the HostedSession under jmu, and the driver sink is
 // a func value bound once at Host time (onRound), so a play allocates
-// neither a closure nor the variables one would capture.
+// neither a closure nor the variables one would capture. The journal
+// scratch is one pointer, nil on a session that is not journaling: every
+// hosted session carries the call, so it holds no scratch of its own
+// between calls.
 type playCall struct {
 	sink                          func(RoundResult) error
 	completed, fouls, convictions int64
-	// batch is nil on a session that is not journaling; otherwise it is
-	// one[:0] for a single play and a per-call slice for n > 1.
+	journal                       *journalScratch
+}
+
+// journalScratch is the journal state of one PlayN call on a durable
+// session, taken from journalScratches for the call: each completed play's
+// summary, and its transcript hash as core.HashLen hex digits packed back
+// to back.
+type journalScratch struct {
 	batch []store.BatchPlay
-	one   [1]store.BatchPlay
+	hex   []byte
+}
+
+// journalScratches recycles journal scratch across calls and sessions.
+var journalScratches = sync.Pool{New: func() any { return new(journalScratch) }}
+
+// maxPooledPlays bounds the scratch that goes back to the pool: the
+// scratch of a rare larger request is left to the collector instead of
+// pinning its size there.
+const maxPooledPlays = 64
+
+// observe adds one completed play.
+func (j *journalScratch) observe(res *RoundResult, fouls int) {
+	j.hex = core.AppendHashResult(j.hex, res)
+	bp := store.BatchPlay{Round: res.Round, Fouls: fouls}
+	if len(res.Convicted) > 0 {
+		bp.Convicted = append([]int(nil), res.Convicted...)
+	}
+	j.batch = append(j.batch, bp)
+}
+
+// plays returns the call's plays with their hashes filled in. The hashes
+// are one string, each play's a substring of it: one allocation per
+// request, and a store that retains them keeps that one string alive.
+func (j *journalScratch) plays() []store.BatchPlay {
+	hashes := string(j.hex)
+	for i := range j.batch {
+		j.batch[i].Hash = hashes[core.HashLen*i : core.HashLen*(i+1)]
+	}
+	return j.batch
+}
+
+// release empties the scratch — dropping its references to the hashes and
+// convicted lists the store now owns — and returns it to the pool.
+func (j *journalScratch) release() {
+	if len(j.batch) > maxPooledPlays {
+		return
+	}
+	clear(j.batch)
+	j.batch, j.hex = j.batch[:0], j.hex[:0]
+	journalScratches.Put(j)
 }
 
 // countFouls adds to the process-wide foul and conviction counters.
@@ -371,16 +419,8 @@ func (h *HostedSession) observeRound(res RoundResult) error {
 	fouls := core.PlayFouls(res)
 	c.fouls += int64(fouls)
 	c.convictions += int64(len(res.Convicted))
-	if c.batch != nil {
-		bp := store.BatchPlay{
-			Round: res.Round,
-			Hash:  core.HashResult(res),
-			Fouls: fouls,
-		}
-		if len(res.Convicted) > 0 {
-			bp.Convicted = append([]int(nil), res.Convicted...)
-		}
-		c.batch = append(c.batch, bp)
+	if c.journal != nil {
+		c.journal.observe(&res, fouls)
 	}
 	if c.sink != nil {
 		return c.sink(res)

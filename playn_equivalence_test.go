@@ -9,10 +9,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	ga "gameauthority"
 	"gameauthority/internal/core"
+	"gameauthority/internal/store"
 )
 
 // playnScenario is one cell of the PlayN equivalence matrix: a session
@@ -303,5 +305,85 @@ func TestPlayNValidation(t *testing.T) {
 	// the journal (the batch record holds exactly the completed prefix).
 	if got := h.Stats().Rounds; got != 6 {
 		t.Fatalf("session at round %d, want 6 (4 + 2 completed)", got)
+	}
+}
+
+// TestJournaledHashesArePlayHashes pins what a request journals against
+// what it played. For PlayN(k) at k = 1, 2, 16, 17 and 64, on both stores,
+// the request's one record carries, in round order, core.HashResult and
+// the convicted set of each result its sink saw. A sink error after j
+// rounds journals exactly those j. Each size is played twice in a row on
+// one session, so journal scratch reused across calls cannot carry one
+// call's plays into the other's record.
+func TestJournaledHashesArePlayHashes(t *testing.T) {
+	ctx := context.Background()
+	boom := errors.New("sink says stop")
+	for storeName, newStore := range playnStores() {
+		t.Run(storeName, func(t *testing.T) {
+			st, _ := newStore(t)
+			a := ga.NewAuthority(ga.WithStore(st), ga.WithSnapshotEvery(0))
+			defer a.Close()
+			h, err := a.CreateFromSpec(ga.CreateSessionRequest{
+				Game: "pd", Seed: 3,
+				Deviant:    &ga.DeviantSpec{Player: 0, Strategy: "commitment-cheat"},
+				Punishment: &ga.PunishmentSpec{Scheme: "reputation"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type play struct {
+				hash      string
+				convicted []int
+			}
+			var requests [][]play // what each request's sink saw
+			request := func(k, stopAt int) {
+				var seen []play
+				_, err := h.PlayN(ctx, k, func(res ga.RoundResult) error {
+					seen = append(seen, play{core.HashResult(res), append([]int(nil), res.Convicted...)})
+					if len(seen) == stopAt {
+						return boom
+					}
+					return nil
+				})
+				if want := stopAt > 0; err != nil != want || (want && !errors.Is(err, boom)) {
+					t.Fatalf("PlayN(%d) stopping at %d: %v", k, stopAt, err)
+				}
+				requests = append(requests, seen)
+			}
+			for _, k := range []int{1, 2, 16, 17, 64} {
+				request(k, 0)
+				request(k, 0)
+			}
+			request(2, 1)
+			request(17, 9)
+			request(64, 40)
+
+			records, _ := journalOf(t, st, "", h.ID())
+			if len(records) != len(requests) {
+				t.Fatalf("%d requests journaled %d records", len(requests), len(records))
+			}
+			round, convictions := 0, 0
+			for i, rec := range records {
+				plays := rec.Plays
+				if rec.Type == "play" {
+					plays = []store.BatchPlay{{Round: rec.Round, Hash: rec.Hash, Convicted: rec.Convicted}}
+				}
+				if want := len(requests[i]); len(plays) != want || (want == 1) != (rec.Type == "play") {
+					t.Fatalf("request %d played %d rounds and journaled a %s record of %d", i, want, rec.Type, len(plays))
+				}
+				for j, bp := range plays {
+					want := requests[i][j]
+					if bp.Round != round || bp.Hash != want.hash || !slices.Equal(bp.Convicted, want.convicted) {
+						t.Fatalf("request %d, play %d: journaled round %d hash %s convicted %v; played round %d hash %s convicted %v",
+							i, j, bp.Round, bp.Hash, bp.Convicted, round, want.hash, want.convicted)
+					}
+					round++
+					convictions += len(bp.Convicted)
+				}
+			}
+			if convictions == 0 {
+				t.Fatal("no journaled play carries a conviction: the deviant went unconvicted")
+			}
+		})
 	}
 }
