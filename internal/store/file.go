@@ -175,8 +175,11 @@ func (f *File) stripe(id string) *sync.Mutex {
 	return &f.stripes[h&(fileStripes-1)]
 }
 
+// path is the session's file: one concatenation, which equals
+// filepath.Join(f.dir, id+ext) because f.dir is clean and validID admits
+// no separator and no dot-only id.
 func (f *File) path(id, ext string) string {
-	return filepath.Join(f.dir, id+ext)
+	return f.dir + string(filepath.Separator) + id + ext
 }
 
 // CreateSession implements Store: the session file is born whole, holding
@@ -242,12 +245,15 @@ func (f *File) Append(id string, rec Record) error {
 // until its commit epoch has flushed, so nothing can close a file an
 // epoch is about to fsync.
 func (f *File) appendRecord(id string, rec Record) error {
-	line, err := appendLine(nil, rec)
-	if err != nil {
-		return err
-	}
+	e := lineEncoders.Get().(*lineEncoder)
+	e.rec = rec // encoded through a pointer to the pooled copy: nothing is boxed
+	line, err := e.encode(&e.rec)
 	gc := f.gc.Load()
-	w, err := f.writeLine(id, line, gc == nil)
+	var w *os.File
+	if err == nil {
+		w, err = f.writeLine(id, line, gc == nil)
+	}
+	e.release()
 	if err != nil {
 		return err
 	}
@@ -1001,13 +1007,58 @@ func errNoSpec(id string) error {
 }
 
 // appendLine appends the canonical "<crc32c-hex> <json>\n" encoding of v
-// (a Record or a fileLine) to buf — the one encoder matching parseLine.
+// (a Record or a fileLine, or a pointer to one) to buf.
 func appendLine(buf []byte, v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return buf, fmt.Errorf("store: %w", err)
+	e := lineEncoders.Get().(*lineEncoder)
+	line, err := e.encode(v)
+	buf = append(buf, line...)
+	e.release()
+	return buf, err
+}
+
+// lineEncoder is the scratch of one line encoding, the one encoder
+// matching parseLine. Append encodes its record in place and writes the
+// line straight from buf; appendLine copies the line out.
+type lineEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder // writes to buf
+	rec Record        // Append's record
+}
+
+var lineEncoders = sync.Pool{New: func() any {
+	e := new(lineEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// maxPooledLine bounds the scratch that goes back to the pool: a large
+// snapshot line is left to the collector instead of pinning its size there.
+const maxPooledLine = 64 << 10
+
+// encode writes v's line into the scratch and returns it, valid until
+// release. The encoder emits json.Marshal's bytes, HTML escaping included,
+// plus the newline; the checksum of those bytes then fills the hex
+// digits reserved in front of them.
+func (e *lineEncoder) encode(v any) ([]byte, error) {
+	e.buf.Reset()
+	e.buf.WriteString("00000000 ")
+	if err := e.enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	return fmt.Appendf(buf, "%08x %s\n", crc32.Checksum(payload, crcTable), payload), nil
+	line := e.buf.Bytes()
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(line[9:len(line)-1], crcTable))
+	hex.Encode(line[:8], sum[:])
+	return line, nil
+}
+
+// release drops the scratch's reference to the record and returns it to
+// the pool.
+func (e *lineEncoder) release() {
+	e.rec = Record{}
+	if e.buf.Cap() <= maxPooledLine {
+		lineEncoders.Put(e)
+	}
 }
 
 // parseLine decodes one "<crc32c-hex> <json>" line; ok is false for a
