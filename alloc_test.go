@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	ga "gameauthority"
 	"gameauthority/internal/core"
@@ -196,13 +197,20 @@ func TestAllocsHashResult(t *testing.T) {
 }
 
 // TestAllocsPerPlayHosted gates the host layer, where every transport's
-// play lands: hosting adds nothing to a play, pure or distributed,
-// journaling adds its transcript hash, and Play is PlayN(1) — so the two
-// must cost the same. The journaled batch is pinned at measured+10% (18
-// as of the PR 24 one-play-path change: 16 hashes, the batch slice, the
-// store's copy).
+// play lands: hosting adds nothing to a play, pure or distributed, and
+// Play is PlayN(1) — so the two must cost the same. Journaling a request
+// costs one string, its plays' hashes back to back, plus the Mem store's
+// copy of a batch's plays. On the File store the append encodes its line
+// in pooled scratch and holds no file open between calls, so what it adds
+// is the open: the path, the file and its name for the syscall. A request
+// of 16 plays costs there exactly what one play does, with or without a
+// committer (18 and 27 before the hashes became one string and the line
+// encoder pooled scratch).
 func TestAllocsPerPlayHosted(t *testing.T) {
-	const journaledBatchBudget = 20
+	const (
+		journaledBatchBudget = 2 // the hash string and Mem's copy of the plays
+		fileBudget           = 5 // the hash string and the append's open
+	)
 	ctx := context.Background()
 	sink := func(ga.RoundResult) error { return nil }
 	pd := ga.CreateSessionRequest{Game: "pd", Seed: 1, HistoryLimit: 16}
@@ -211,19 +219,40 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 		N int `json:"n"`
 		F int `json:"f"`
 	}{N: 4, F: 1}
+	file := func(commit bool) func(t *testing.T) []ga.AuthorityOption {
+		return func(t *testing.T) []ga.AuthorityOption {
+			st, err := ga.NewFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []ga.AuthorityOption{ga.WithStore(st), ga.WithSnapshotEvery(0)}
+			if commit {
+				opts = append(opts, ga.WithGroupCommit(time.Hour, 256))
+			}
+			return opts
+		}
+	}
 	for _, row := range []struct {
 		name        string
-		opts        []ga.AuthorityOption
+		opts        func(t *testing.T) []ga.AuthorityOption
 		req         ga.CreateSessionRequest
 		play, batch float64
+		same        bool // PlayN(16) must cost what Play costs
 	}{
-		{"volatile", nil, pd, pureAllocBudget, playNOverheadBudget},
-		{"journaled", []ga.AuthorityOption{ga.WithStore(ga.NewMemStore()), ga.WithSnapshotEvery(0)},
-			pd, hashResultAllocBudget, journaledBatchBudget},
-		{"distributed", nil, dist, pureAllocBudget, playNOverheadBudget},
+		{"volatile", nil, pd, pureAllocBudget, playNOverheadBudget, false},
+		{"journaled", func(*testing.T) []ga.AuthorityOption {
+			return []ga.AuthorityOption{ga.WithStore(ga.NewMemStore()), ga.WithSnapshotEvery(0)}
+		}, pd, hashResultAllocBudget, journaledBatchBudget, false},
+		{"journaled/file", file(false), pd, fileBudget, fileBudget, true},
+		{"journaled/file+commit", file(true), pd, fileBudget, fileBudget, true},
+		{"distributed", nil, dist, pureAllocBudget, playNOverheadBudget, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			a := ga.NewAuthority(row.opts...)
+			var opts []ga.AuthorityOption
+			if row.opts != nil {
+				opts = row.opts(t)
+			}
+			a := ga.NewAuthority(opts...)
 			defer a.Close()
 			h, err := a.CreateFromSpec(row.req)
 			if err != nil {
@@ -257,6 +286,9 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 			if batch > row.batch {
 				t.Errorf("hosted 16-round PlayN allocates %v times, budget %v", batch, row.batch)
 			}
+			if row.same && batch != play {
+				t.Errorf("hosted 16-round PlayN allocates %v times, Play %v: a request's journal costs the same at any size", batch, play)
+			}
 		})
 	}
 }
@@ -265,12 +297,13 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 // ws_pure's shape: pure sessions cycling its six games at history_limit 8,
 // played a full ring. Sessions of one spec share one compiled game, so
 // the six tables amortize to almost nothing and what is left is the
-// session itself (17 KB when every session compiled its own). The budget
-// is measured+10% (3,600 B), the rule TestHeapPerHostedDistSession
+// session itself (17 KB when every session compiled its own; 3,620 B
+// while every session carried a one-play journal batch of its own). The
+// budget is measured+10% (3,540 B), the rule TestHeapPerHostedDistSession
 // follows: ws_pure holds 8,192 such sessions, so a few hundred bytes more
 // per session would move its live heap past its 5 % bound.
 func TestHeapPerHostedSession(t *testing.T) {
-	const sessions, rounds, budget = 1024, 8, 3_960
+	const sessions, rounds, budget = 1024, 8, 3_890
 	games := []string{"congestion", "braess", "publicgoods-punish", "minority", "pd", "firstprice"}
 	ctx := context.Background()
 	heap := func() int64 {

@@ -14,11 +14,11 @@ import (
 // the ledger used to be the only reader of, so a change to one fails here
 // on any host, with no timing involved.
 //
-// Durable rows: a hosted Play and a hosted PlayN(16) each journal one WAL
-// record. On a File store with a committer each also flushes one commit
-// epoch of one barrier, in either flush mode (the lone appender leads its
-// own epoch). Without a committer, and on the Mem store, no request
-// issues a barrier.
+// Durable rows: a hosted Play and a hosted PlayN(k) at k = 2, 16, 17 and
+// 64 each journal one WAL record. On a File store with a committer each
+// also flushes one commit epoch of one barrier, in either flush mode (the
+// lone appender leads its own epoch). Without a committer, and on the Mem
+// store, no request issues a barrier.
 //
 // Distributed rows: one play at (n, f) takes PulsesPerPlay(f) = 4(f+3)+2
 // pulses and a fixed number of messages, the four interactive
@@ -74,13 +74,16 @@ func TestCostIdentities(t *testing.T) {
 					return len(state.Tail), epochs, fsyncs
 				}
 				ctx := context.Background()
-				for _, req := range []struct {
+				type request struct {
 					name string
 					do   func() error
-				}{
-					{"Play", func() error { _, err := h.Play(ctx); return err }},
-					{"PlayN(16)", func() error { _, err := h.PlayN(ctx, 16, nil); return err }},
-				} {
+				}
+				requests := []request{{"Play", func() error { _, err := h.Play(ctx); return err }}}
+				for _, k := range []int{2, 16, 17, 64} {
+					requests = append(requests, request{fmt.Sprintf("PlayN(%d)", k),
+						func() error { _, err := h.PlayN(ctx, k, nil); return err }})
+				}
+				for _, req := range requests {
 					for i := 0; i < 4; i++ {
 						r0, e0, s0 := counts()
 						if err := req.do(); err != nil {
