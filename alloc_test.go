@@ -204,8 +204,7 @@ func TestAllocsHashResult(t *testing.T) {
 // in pooled scratch and holds no file open between calls, so what it adds
 // is the open: the path, the file and its name for the syscall. A request
 // of 16 plays costs there exactly what one play does, with or without a
-// committer (18 and 27 before the hashes became one string and the line
-// encoder pooled scratch).
+// committer.
 func TestAllocsPerPlayHosted(t *testing.T) {
 	const (
 		journaledBatchBudget = 2 // the hash string and Mem's copy of the plays
@@ -250,6 +249,9 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			var opts []ga.AuthorityOption
 			if row.opts != nil {
+				if raceEnabled {
+					t.Skip("a journaled request's scratch is pooled, and the race detector drops pooled items at random")
+				}
 				opts = row.opts(t)
 			}
 			a := ga.NewAuthority(opts...)
@@ -297,17 +299,17 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 // ws_pure's shape: pure sessions cycling its six games at history_limit 8,
 // played a full ring. Sessions of one spec share one compiled game, so
 // the six tables amortize to almost nothing and what is left is the
-// session itself (17 KB when every session compiled its own; 3,620 B
-// while every session carried a one-play journal batch of its own). The
-// budget is measured+10% (3,540 B), the rule TestHeapPerHostedDistSession
+// session itself (17 KB when every session compiled its own). The budget
+// is measured+10% (3,576 B), the rule TestHeapPerHostedDistSession
 // follows: ws_pure holds 8,192 such sessions, so a few hundred bytes more
 // per session would move its live heap past its 5 % bound.
 func TestHeapPerHostedSession(t *testing.T) {
-	const sessions, rounds, budget = 1024, 8, 3_890
+	const sessions, rounds, budget = 1024, 8, 3_930
 	games := []string{"congestion", "braess", "publicgoods-punish", "minority", "pd", "firstprice"}
 	ctx := context.Background()
 	heap := func() int64 {
 		runtime.GC()
+		runtime.GC() // the second cycle drops what sync.Pools kept through the first
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
