@@ -1037,8 +1037,8 @@ const maxPooledLine = 64 << 10
 
 // encode writes v's line into the scratch and returns it, valid until
 // release. The encoder emits json.Marshal's bytes, HTML escaping included,
-// plus the newline; the checksum of those bytes then fills the hex
-// digits reserved in front of them.
+// plus the newline; the JSON's checksum then fills the hex digits reserved
+// in front of it.
 func (e *lineEncoder) encode(v any) ([]byte, error) {
 	e.buf.Reset()
 	e.buf.WriteString("00000000 ")
