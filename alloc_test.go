@@ -205,6 +205,13 @@ func TestAllocsHashResult(t *testing.T) {
 // is the open: the path, the file and its name for the syscall. A request
 // of 16 plays costs there exactly what one play does, with or without a
 // committer.
+//
+// Under -race the pool drops a quarter of what is put back. A journal
+// scratch the pool has to make costs one allocation, so the rows that
+// journal to Mem read a quarter more per call than AllocsPerRun's whole
+// count shows and keep every check. A File append also goes through
+// encoding/json's own pooled encoder state, whose misses cost several
+// allocations, so the File rows count only without -race.
 func TestAllocsPerPlayHosted(t *testing.T) {
 	const (
 		journaledBatchBudget = 2 // the hash string and Mem's copy of the plays
@@ -236,7 +243,7 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 		opts        func(t *testing.T) []ga.AuthorityOption
 		req         ga.CreateSessionRequest
 		play, batch float64
-		same        bool // PlayN(16) must cost what Play costs
+		file        bool // PlayN(16) must cost what Play costs
 	}{
 		{"volatile", nil, pd, pureAllocBudget, playNOverheadBudget, false},
 		{"journaled", func(*testing.T) []ga.AuthorityOption {
@@ -247,11 +254,11 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 		{"distributed", nil, dist, pureAllocBudget, playNOverheadBudget, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
+			if row.file && raceEnabled {
+				t.Skip("encoding/json pools its encoder state, and the race detector drops pooled items at random")
+			}
 			var opts []ga.AuthorityOption
 			if row.opts != nil {
-				if raceEnabled {
-					t.Skip("a journaled request's scratch is pooled, and the race detector drops pooled items at random")
-				}
 				opts = row.opts(t)
 			}
 			a := ga.NewAuthority(opts...)
@@ -288,7 +295,7 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 			if batch > row.batch {
 				t.Errorf("hosted 16-round PlayN allocates %v times, budget %v", batch, row.batch)
 			}
-			if row.same && batch != play {
+			if row.file && batch != play {
 				t.Errorf("hosted 16-round PlayN allocates %v times, Play %v: a request's journal costs the same at any size", batch, play)
 			}
 		})
@@ -299,10 +306,11 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 // ws_pure's shape: pure sessions cycling its six games at history_limit 8,
 // played a full ring. Sessions of one spec share one compiled game, so
 // the six tables amortize to almost nothing and what is left is the
-// session itself (17 KB when every session compiled its own). The budget
-// is measured+10% (3,576 B), the rule TestHeapPerHostedDistSession
-// follows: ws_pure holds 8,192 such sessions, so a few hundred bytes more
-// per session would move its live heap past its 5 % bound.
+// session itself (17 KB when every session compiled its own). It
+// measured 3,576 B, and the budget is measured+10% (3,930 B), the rule
+// TestHeapPerHostedDistSession follows: ws_pure holds 8,192 such
+// sessions, so a few hundred bytes more per session would move its live
+// heap past its 5 % bound.
 func TestHeapPerHostedSession(t *testing.T) {
 	const sessions, rounds, budget = 1024, 8, 3_930
 	games := []string{"congestion", "braess", "publicgoods-punish", "minority", "pd", "firstprice"}

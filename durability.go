@@ -322,7 +322,7 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 	if j := c.journal; j != nil {
 		// Journal whatever completed — on a mid-batch error the prefix
 		// stands, exactly as n sequential Play calls would have journaled it.
-		if plays := j.plays(); len(plays) > 0 {
+		if plays := j.completed(); len(plays) > 0 {
 			if jerr := a.journal(h, plays); jerr != nil {
 				h.breakerRecord(true)
 				err = errors.Join(err, jerr)
@@ -354,19 +354,26 @@ type playCall struct {
 // journalScratch is the journal state of one PlayN call on a durable
 // session, taken from journalScratches for the call: each completed play's
 // summary, and its transcript hash as core.HashLen hex digits packed back
-// to back.
+// to back. Both start on arrays inside the scratch, sized for the common
+// request, so a scratch the pool had to make costs one allocation; a
+// larger request grows its slices past them for the call alone.
 type journalScratch struct {
 	batch []store.BatchPlay
 	hex   []byte
+	plays [scratchPlays]store.BatchPlay
+	hexes [scratchPlays * core.HashLen]byte
 }
 
-// journalScratches recycles journal scratch across calls and sessions.
-var journalScratches = sync.Pool{New: func() any { return new(journalScratch) }}
+// scratchPlays is the request size a journal scratch holds without
+// growing: inproc_durable_batch's and recover_replay's 16-play requests.
+const scratchPlays = 16
 
-// maxPooledPlays bounds the scratch that goes back to the pool: the
-// scratch of a rare larger request is left to the collector instead of
-// pinning its size there.
-const maxPooledPlays = 64
+// journalScratches recycles journal scratch across calls and sessions.
+var journalScratches = sync.Pool{New: func() any {
+	j := new(journalScratch)
+	j.batch, j.hex = j.plays[:0], j.hexes[:0]
+	return j
+}}
 
 // observe adds one completed play.
 func (j *journalScratch) observe(res *RoundResult, fouls int) {
@@ -378,10 +385,10 @@ func (j *journalScratch) observe(res *RoundResult, fouls int) {
 	j.batch = append(j.batch, bp)
 }
 
-// plays returns the call's plays with their hashes filled in. The hashes
-// are one string, each play's a substring of it: one allocation per
-// request, and a store that retains them keeps that one string alive.
-func (j *journalScratch) plays() []store.BatchPlay {
+// completed returns the call's plays with their hashes filled in. The
+// hashes are one string, each play's a substring of it: one allocation
+// per request, and a store that retains them keeps that one string alive.
+func (j *journalScratch) completed() []store.BatchPlay {
 	hashes := string(j.hex)
 	for i := range j.batch {
 		j.batch[i].Hash = hashes[core.HashLen*i : core.HashLen*(i+1)]
@@ -389,14 +396,13 @@ func (j *journalScratch) plays() []store.BatchPlay {
 	return j.batch
 }
 
-// release empties the scratch — dropping its references to the hashes and
-// convicted lists the store now owns — and returns it to the pool.
+// release empties the scratch and returns it to the pool. Store.Append
+// copies what it keeps, so the plays are the scratch's again: clearing
+// them drops the call's hash string and convicted lists, and slices a
+// larger request grew go to the collector, not into the pool.
 func (j *journalScratch) release() {
-	if len(j.batch) > maxPooledPlays {
-		return
-	}
-	clear(j.batch)
-	j.batch, j.hex = j.batch[:0], j.hex[:0]
+	clear(j.plays[:min(len(j.batch), scratchPlays)])
+	j.batch, j.hex = j.plays[:0], j.hexes[:0]
 	journalScratches.Put(j)
 }
 

@@ -123,7 +123,11 @@ type Store interface {
 	// Append journals one WAL record for the session. A session's
 	// records arrive in round order — each one's rounds follow the
 	// previous one's — and a close record, if any, comes last: the File
-	// store's compaction relies on it.
+	// store's compaction relies on it. rec's slices — Plays, Convicted
+	// and each play's Convicted — belong to the caller and are valid only
+	// until Append returns (the authority reuses a request's Plays for a
+	// later one), so a store that keeps any of them copies it, as Mem
+	// does. rec's strings are immutable and may be kept.
 	Append(id string, rec Record) error
 	// PutSnapshot atomically replaces the session's snapshot with payload
 	// at the given round watermark and compacts the WAL, dropping the
