@@ -10,6 +10,9 @@ import (
 	"gameauthority/internal/store"
 )
 
+// playHash is a transcript hash as the store takes one: 64 lowercase hex digits.
+const playHash = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+
 func TestZeroPlanInjectsNothing(t *testing.T) {
 	var p *Plan
 	if p.roll(1) {
@@ -24,7 +27,7 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := st.Append("s", store.Record{Type: "play", Round: i}); err != nil {
+		if err := st.Append("s", store.Record{Type: "play", Round: i, Hash: playHash}); err != nil {
 			t.Fatalf("zero-config append %d: %v", i, err)
 		}
 	}
@@ -45,7 +48,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		}
 		out := make([]bool, 300)
 		for i := range out {
-			out[i] = st.Append("s", store.Record{Type: "play", Round: i}) != nil
+			out[i] = st.Append("s", store.Record{Type: "play", Round: i, Hash: playHash}) != nil
 		}
 		return out
 	}
@@ -82,7 +85,7 @@ func TestAppendFailDoesNotApply(t *testing.T) {
 	if err := st.CreateSession("s", nil); err != nil {
 		t.Fatal(err)
 	}
-	err := st.Append("s", store.Record{Type: "play", Round: 0})
+	err := st.Append("s", store.Record{Type: "play", Round: 0, Hash: playHash})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("append error = %v, want ErrInjected", err)
 	}
@@ -105,7 +108,7 @@ func TestAppendTornAppliesThenErrors(t *testing.T) {
 	if err := st.CreateSession("s", nil); err != nil {
 		t.Fatal(err)
 	}
-	err := st.Append("s", store.Record{Type: "play", Round: 0})
+	err := st.Append("s", store.Record{Type: "play", Round: 0, Hash: playHash})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("append error = %v, want ErrInjected", err)
 	}
@@ -171,7 +174,7 @@ func TestSlowIODelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	if err := st.Append("s", store.Record{Type: "play"}); err != nil {
+	if err := st.Append("s", store.Record{Type: "play", Hash: playHash}); err != nil {
 		t.Fatalf("slow append still failed: %v", err)
 	}
 	if d := time.Since(t0); d < 2*time.Millisecond {
@@ -277,7 +280,7 @@ func TestCountersMirror(t *testing.T) {
 	st := p.Store(store.NewMem())
 	_ = st.CreateSession("s", nil)
 	for i := 0; i < 5; i++ {
-		_ = st.Append("s", store.Record{Type: "play", Round: i})
+		_ = st.Append("s", store.Record{Type: "play", Round: i, Hash: playHash})
 	}
 	if got := p.Injected(); got != 5 {
 		t.Fatalf("Injected() = %d, want 5", got)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"testing"
 )
@@ -9,7 +8,7 @@ import (
 func batchRec(first, n int) Record {
 	plays := make([]BatchPlay, n)
 	for i := range plays {
-		plays[i] = BatchPlay{Round: first + i, Hash: fmt.Sprintf("h%d", first+i)}
+		plays[i] = BatchPlay{Round: first + i, Hash: hashOf(first + i)}
 	}
 	return Record{Type: RecordBatch, Plays: plays}
 }
@@ -30,7 +29,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 			// buffers after Append cannot reach the journal.
 			rec.Plays[0].Hash = "clobbered"
 			rec.Plays[1].Convicted[0] = 99
-			if err := st.Append("b", Record{Type: RecordPlay, Round: 3, Hash: "h3"}); err != nil {
+			if err := st.Append("b", Record{Type: RecordPlay, Round: 3, Hash: hashOf(3)}); err != nil {
 				t.Fatal(err)
 			}
 			states, err := st.Load()
@@ -45,7 +44,7 @@ func TestBatchRecordRoundTrip(t *testing.T) {
 			if got.Type != RecordBatch || len(got.Plays) != 3 {
 				t.Fatalf("batch record mangled: %+v", got)
 			}
-			if got.Plays[0].Hash != "h0" {
+			if got.Plays[0].Hash != hashOf(0) {
 				t.Fatalf("batch not isolated from caller mutation: %+v", got.Plays[0])
 			}
 			if got.Plays[1].Fouls != 2 || len(got.Plays[1].Convicted) != 2 || got.Plays[1].Convicted[0] != 1 {

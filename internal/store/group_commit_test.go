@@ -112,7 +112,7 @@ func appendAsync(t *testing.T, f *File, gc *groupCommitter, ids ...string) []cha
 	for i, id := range ids {
 		ch := make(chan error, 1)
 		out[i] = ch
-		go func() { ch <- f.Append(id, Record{Type: RecordPlay, Round: i, Hash: "h"}) }()
+		go func() { ch <- f.Append(id, Record{Type: RecordPlay, Round: i, Hash: hashOf(i)}) }()
 		waitFor(t, gc, "append to take its ticket", func() bool { return gc.queued == base+i+1 })
 	}
 	return out
@@ -185,7 +185,7 @@ func TestGroupCommitEpochs(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for r := 0; r < 8; r++ {
-				if err := f.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+				if err := f.Append(id, Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,7 +222,7 @@ func TestGroupCommitLoneLeader(t *testing.T) {
 		f, gc := armed(t, 1, 0, perHandle, log.record)
 		const appends = 50
 		for r := 0; r < appends; r++ {
-			if err := f.Append("s0", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+			if err := f.Append("s0", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 				t.Fatal(err)
 			}
 			if got := f.CommitEpochs(); got != int64(r+1) {
@@ -443,7 +443,7 @@ func TestGroupCommitCloseReleasesParked(t *testing.T) {
 		if _, tickets := log.snapshot(); fmt.Sprint(tickets) != "[2 2]" {
 			t.Fatalf("drained epochs %v, want [2 2]", tickets)
 		}
-		if err := f.Append("s0", Record{Type: RecordPlay, Round: 9, Hash: "h"}); !errors.Is(err, ErrClosed) {
+		if err := f.Append("s0", Record{Type: RecordPlay, Round: 9, Hash: hashOf(9)}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("append after Close: %v, want ErrClosed", err)
 		}
 	})
@@ -453,12 +453,12 @@ func TestGroupCommitCloseReleasesParked(t *testing.T) {
 // the direct-append contract — written, acknowledged, no epoch.
 func TestGroupCommitStoppedFallsBack(t *testing.T) {
 	f, _ := armed(t, 1, 0, true, nil)
-	if err := f.Append("s0", Record{Type: RecordPlay, Round: 0, Hash: "h"}); err != nil {
+	if err := f.Append("s0", Record{Type: RecordPlay, Round: 0, Hash: hashOf(0)}); err != nil {
 		t.Fatal(err)
 	}
 	f.stopCommitter()
 	f.stopCommitter() // idempotent
-	if err := f.Append("s0", Record{Type: RecordPlay, Round: 1, Hash: "h"}); err != nil {
+	if err := f.Append("s0", Record{Type: RecordPlay, Round: 1, Hash: hashOf(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.CommitEpochs(); got != 1 {
@@ -479,7 +479,7 @@ func TestGroupCommitFlushModePinned(t *testing.T) {
 	t.Run("syncfs", func(t *testing.T) {
 		f, _ := armed(t, 3, 0, false, nil)
 		for r := 0; r < 12; r++ {
-			if err := f.Append(fmt.Sprintf("s%d", r%3), Record{Type: RecordPlay, Round: r / 3, Hash: "h"}); err != nil {
+			if err := f.Append(fmt.Sprintf("s%d", r%3), Record{Type: RecordPlay, Round: r / 3, Hash: hashOf(r / 3)}); err != nil {
 				t.Fatal(err)
 			}
 		}

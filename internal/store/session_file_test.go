@@ -139,7 +139,7 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 	// Damage a record the next snapshot must keep: compaction, load and
 	// the next append's tail repair all refuse the file.
 	for r := 12; r < 15; r++ {
-		if err := f.Append("c", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+		if err := f.Append("c", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 	if _, _, err := f.LoadSession("c"); err == nil {
 		t.Fatal("load accepted a corrupt record before a valid one")
 	}
-	if err := f.Append("c", Record{Type: RecordPlay, Round: 15, Hash: "h"}); err == nil {
+	if err := f.Append("c", Record{Type: RecordPlay, Round: 15, Hash: hashOf(15)}); err == nil {
 		t.Fatal("append resumed over a corrupt record")
 	}
 }
@@ -167,7 +167,7 @@ func TestFileSpecLineChecked(t *testing.T) {
 	if err := f.CreateSession("s", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Append("s", Record{Type: RecordPlay, Round: 0, Hash: "h"}); err != nil {
+	if err := f.Append("s", Record{Type: RecordPlay, Round: 0, Hash: hashOf(0)}); err != nil {
 		t.Fatal(err)
 	}
 	path := f.path("s", ".wal")
@@ -186,7 +186,7 @@ func TestFileSpecLineChecked(t *testing.T) {
 	if err := f.PutSnapshot("s", 1, []byte(`{}`)); err == nil {
 		t.Fatal("compaction copied a damaged spec line")
 	}
-	if err := f.Append("s", Record{Type: RecordPlay, Round: 1, Hash: "h"}); err == nil {
+	if err := f.Append("s", Record{Type: RecordPlay, Round: 1, Hash: hashOf(1)}); err == nil {
 		t.Fatal("append resumed on a file with a damaged spec line")
 	}
 }
@@ -244,7 +244,7 @@ func FuzzSessionFile(f *testing.F) {
 	}
 	spec := line(fileLine{Record: Record{Type: lineSpec}, Spec: []byte(`{"game":"pd","seed":1}`)})
 	snap := line(fileLine{Record: Record{Type: lineSnap}, Rounds: 4, Payload: []byte(`{"rounds":4}`)})
-	play := line(Record{Type: RecordPlay, Round: 4, Hash: "h4", Fouls: 1, Convicted: []int{0}})
+	play := line(Record{Type: RecordPlay, Round: 4, Hash: hashOf(4), Fouls: 1, Convicted: []int{0}})
 	batch := line(batchRec(5, 3))
 	closed := line(Record{Type: RecordClose, Digest: "d"})
 	whole := slices.Concat(spec, snap, play, batch, closed)

@@ -26,6 +26,63 @@ func backends(t *testing.T) map[string]Store {
 	return map[string]Store{"mem": mem, "file": file}
 }
 
+// hashOf is a transcript hash as Append takes one, 64 lowercase hex
+// digits, distinct per n.
+func hashOf(n int) string { return fmt.Sprintf("%064x", n) }
+
+// TestAppendRecordContract: both backends take the same records. Every
+// hash a record journals — a play record's, each batch play's — is 64
+// lowercase hex digits, and a close record carries none. Any other
+// record, one of an unknown type included, is refused and leaves the
+// journal as it was.
+func TestAppendRecordContract(t *testing.T) {
+	h := hashOf(0xabcdef)
+	good := []Record{
+		{Type: RecordPlay, Round: 0, Hash: h, Fouls: 1, Convicted: []int{2}},
+		{Type: RecordBatch, Plays: []BatchPlay{{Round: 1, Hash: h}, {Round: 2, Hash: hashOf(2)}}},
+		{Type: RecordClose, Digest: "d"},
+	}
+	bad := []Record{
+		{Type: RecordPlay, Round: 3},
+		{Type: RecordPlay, Round: 3, Hash: "h"},
+		{Type: RecordPlay, Round: 3, Hash: strings.ToUpper(h)},
+		{Type: RecordPlay, Round: 3, Hash: h[1:]},
+		{Type: RecordPlay, Round: 3, Hash: h + "0"},
+		{Type: RecordPlay, Round: 3, Hash: h[:63] + "g"},
+		{Type: RecordBatch, Plays: []BatchPlay{{Round: 3, Hash: h}, {Round: 4, Hash: "h4"}}},
+		{Type: RecordClose, Hash: h, Digest: "d"},
+		{Type: "snap", Round: 3, Hash: h},
+		{Round: 3, Hash: h},
+	}
+	for name, st := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := st.CreateSession("c", []byte(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range good[:2] {
+				if err := st.Append("c", rec); err != nil {
+					t.Fatalf("good record %d refused: %v", i, err)
+				}
+			}
+			for i, rec := range bad {
+				if err := st.Append("c", rec); err == nil {
+					t.Errorf("bad record %d accepted: %+v", i, rec)
+				}
+			}
+			if err := st.Append("c", good[2]); err != nil {
+				t.Fatalf("close record refused: %v", err)
+			}
+			state, ok, err := st.LoadSession("c")
+			if err != nil || !ok {
+				t.Fatalf("load: ok=%v err=%v", ok, err)
+			}
+			if len(state.Tail) != len(good) || state.Tail[0].Hash != h || state.Tail[1].Plays[1].Hash != hashOf(2) || state.CloseDigest != "d" {
+				t.Fatalf("journal after the refused appends: %+v", state.Tail)
+			}
+		})
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	for name, st := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -35,11 +92,11 @@ func TestStoreRoundTrip(t *testing.T) {
 			if err := st.CreateSession("s-1", nil); !errors.Is(err, ErrSessionExists) {
 				t.Fatalf("duplicate create: err = %v, want ErrSessionExists", err)
 			}
-			if err := st.Append("nope", Record{Type: RecordPlay}); !errors.Is(err, ErrUnknownSession) {
+			if err := st.Append("nope", Record{Type: RecordPlay, Hash: hashOf(0)}); !errors.Is(err, ErrUnknownSession) {
 				t.Fatalf("append to unknown session: err = %v, want ErrUnknownSession", err)
 			}
 			for r := 0; r < 5; r++ {
-				rec := Record{Type: RecordPlay, Round: r, Hash: fmt.Sprintf("h%d", r)}
+				rec := Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}
 				if r == 3 {
 					rec.Fouls = 1
 					rec.Convicted = []int{0}
@@ -76,7 +133,7 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; r < 6; r++ {
-				if err := st.Append("c", Record{Type: RecordPlay, Round: r, Hash: fmt.Sprintf("h%d", r)}); err != nil {
+				if err := st.Append("c", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -131,7 +188,7 @@ func TestStoreDelete(t *testing.T) {
 			if err := st.CreateSession("d", []byte(`{}`)); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Append("d", Record{Type: RecordPlay, Round: 0, Hash: "h"}); err != nil {
+			if err := st.Append("d", Record{Type: RecordPlay, Round: 0, Hash: hashOf(0)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.PutSnapshot("d", 1, []byte(`{}`)); err != nil {
@@ -167,7 +224,7 @@ func TestStoreClosedErrors(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatalf("second close: %v", err)
 			}
-			if err := st.Append("x", Record{Type: RecordPlay}); !errors.Is(err, ErrClosed) {
+			if err := st.Append("x", Record{Type: RecordPlay, Hash: hashOf(0)}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("append after close: err = %v, want ErrClosed", err)
 			}
 			if _, err := st.Load(); !errors.Is(err, ErrClosed) {
@@ -192,7 +249,7 @@ func TestFileTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		if err := st.Append("torn", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+		if err := st.Append("torn", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +296,7 @@ func TestFileAppendAfterTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		if err := st.Append("torn", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+		if err := st.Append("torn", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +320,7 @@ func TestFileAppendAfterTornTail(t *testing.T) {
 	defer st2.Close()
 	// The post-recovery appends that used to glue onto the fragment.
 	for r := 3; r < 5; r++ {
-		if err := st2.Append("torn", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+		if err := st2.Append("torn", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 			t.Fatalf("append after torn tail: %v", err)
 		}
 	}
@@ -306,7 +363,7 @@ func TestFileAppendAfterClippedNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		if err := st.Append("clip", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+		if err := st.Append("clip", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +384,7 @@ func TestFileAppendAfterClippedNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if err := st2.Append("clip", Record{Type: RecordPlay, Round: 3, Hash: "h"}); err != nil {
+	if err := st2.Append("clip", Record{Type: RecordPlay, Round: 3, Hash: hashOf(3)}); err != nil {
 		t.Fatalf("append after clipped newline: %v", err)
 	}
 	states, err := st2.Load()
@@ -356,7 +413,7 @@ func TestFileMidCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3; r++ {
-		if err := st.Append("mid", Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+		if err := st.Append("mid", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +464,7 @@ func TestFileAppendManySessions(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("s-%d", i)
 			for r := 0; r < 8; r++ {
-				if err := st.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+				if err := st.Append(id, Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 					errs <- err
 					return
 				}
@@ -468,7 +525,7 @@ func TestFileAppendFailureStillObserved(t *testing.T) {
 	obs.DefaultTracer.Enable(64, 1)
 	defer obs.DefaultTracer.Disable()
 	samples, spans := walAppendLatency.Count(), obs.DefaultTracer.Len()
-	if err := st.Append("nobody", Record{Type: RecordPlay}); !errors.Is(err, ErrUnknownSession) {
+	if err := st.Append("nobody", Record{Type: RecordPlay, Hash: hashOf(0)}); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("append to a missing session: %v, want ErrUnknownSession", err)
 	}
 	if got := walAppendLatency.Count() - samples; got != 1 {
@@ -518,7 +575,7 @@ func TestFileCloseRacesAppends(t *testing.T) {
 					defer wg.Done()
 					id := fmt.Sprintf("a%d", i)
 					for r := 0; ; r++ {
-						if err := f.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+						if err := f.Append(id, Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 							if !errors.Is(err, ErrClosed) {
 								t.Errorf("append to %s racing Close: %v", id, err)
 							}
@@ -530,7 +587,7 @@ func TestFileCloseRacesAppends(t *testing.T) {
 						}
 					}
 					<-closed
-					if err := f.Append(id, Record{Type: RecordPlay, Round: acked[i] + 1, Hash: "h"}); !errors.Is(err, ErrClosed) {
+					if err := f.Append(id, Record{Type: RecordPlay, Round: acked[i] + 1, Hash: hashOf(acked[i] + 1)}); !errors.Is(err, ErrClosed) {
 						t.Errorf("append to %s after Close returned: %v, want ErrClosed", id, err)
 					}
 				}()
@@ -543,7 +600,7 @@ func TestFileCloseRacesAppends(t *testing.T) {
 					for {
 						err := f.CreateSession(id, []byte(`{}`))
 						for r := 0; err == nil && r < 4; r++ {
-							err = f.Append(id, Record{Type: RecordPlay, Round: r, Hash: "h"})
+							err = f.Append(id, Record{Type: RecordPlay, Round: r, Hash: hashOf(r)})
 						}
 						if err == nil {
 							err = f.PutSnapshot(id, 2, []byte(`{}`))
@@ -610,7 +667,7 @@ func TestFileAppendIssuesNoFsyncWithoutCommitter(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < sessions; i++ {
-			if err := st.Append(fmt.Sprintf("s%d", i), Record{Type: RecordPlay, Round: r, Hash: "h"}); err != nil {
+			if err := st.Append(fmt.Sprintf("s%d", i), Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -651,7 +708,7 @@ func TestNewFileRemovesTempFiles(t *testing.T) {
 		if err := st.CreateSession(id, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Append(id, Record{Type: RecordPlay, Round: 0, Hash: "h"}); err != nil {
+		if err := st.Append(id, Record{Type: RecordPlay, Round: 0, Hash: hashOf(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
