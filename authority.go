@@ -380,14 +380,19 @@ func (a *Authority) hostAt(sh *authorityShard, id string, s Session) (*HostedSes
 
 // Get returns the hosted session with the given ID.
 func (a *Authority) Get(id string) (*HostedSession, error) {
+	if h := a.lookup(id); h != nil {
+		return h, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
+}
+
+// lookup is Get without the error, for the paths that expect a miss.
+func (a *Authority) lookup(id string) *HostedSession {
 	sh := a.shardFor(id)
 	sh.mu.RLock()
-	h, ok := sh.sessions[id]
+	h := sh.sessions[id]
 	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
-	}
-	return h, nil
+	return h
 }
 
 // Remove closes and unregisters the session with the given ID, deleting

@@ -351,10 +351,9 @@ func TestCrashBetweenCommitEpochs(t *testing.T) {
 
 // TestCrashInsideBatchAppend tears the WAL tail inside a batch record by
 // direct file surgery — the on-disk image of a crash mid-append — and
-// checks repairWAL's whole-batch-or-none contract: a newline-clipped but
-// otherwise complete final record is repaired and fully replayed, while
-// a mid-record tear rolls the session back to the previous whole batch.
-// Neither case may surface ErrRestore.
+// checks repairWAL's whole-batch-or-none contract: a tear inside the
+// final frame, down to its last byte alone, rolls the session back to the
+// previous whole batch. Neither case may surface ErrRestore.
 func TestCrashInsideBatchAppend(t *testing.T) {
 	const batch = 4
 	cases := []struct {
@@ -362,9 +361,9 @@ func TestCrashInsideBatchAppend(t *testing.T) {
 		truncate   int // bytes clipped off the WAL tail
 		wantRounds int
 	}{
-		// Only the trailing newline is missing; the final batch record is
-		// intact and must be repaired and replayed whole.
-		{"newline-clipped", 1, 3 * batch},
+		// Only the final byte is missing: a frame has no terminator to
+		// lose, so that is already a torn batch, and it vanishes whole.
+		{"last-byte-clipped", 1, 2 * batch},
 		// The tear lands inside the last batch record; the whole batch
 		// must vanish, never a prefix of its plays.
 		{"mid-record", 10, 2 * batch},

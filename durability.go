@@ -125,7 +125,7 @@ const defaultSnapshotEvery = 256
 func NewMemStore() Store { return store.NewMem() }
 
 // NewFileStore opens (creating if needed) the file store backend rooted
-// at dir: one file of CRC-guarded lines per session under dir/sessions
+// at dir: one file of CRC-guarded frames per session under dir/sessions
 // (spec, latest snapshot, WAL records), created and compacted whole.
 // See DESIGN.md §9 for the on-disk format.
 func NewFileStore(dir string) (Store, error) { return store.NewFile(dir) }
@@ -529,9 +529,9 @@ func (h *HostedSession) Close() error {
 
 // journal appends the one WAL record of a PlayN call and advances the
 // compaction cadence by its size. A single play is a play record; more
-// are one batch record — a single CRC-guarded journal line, so atomic on
+// are one batch record — a single CRC-guarded journal frame, so atomic on
 // disk: a crash persists all of its plays or none (repairWAL truncates a
-// torn line whole), and recovery unpacks the per-play hashes exactly as
+// torn frame whole), and recovery unpacks the per-play hashes exactly as
 // if each had its own record.
 func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
 	rec := store.Record{Type: store.RecordBatch, Plays: plays}
@@ -715,13 +715,12 @@ type restoreCall struct {
 // restore-on-miss path: a request for a session the crashed predecessor
 // hosted revives it on demand).
 func (a *Authority) GetOrRecover(ctx context.Context, id string) (*HostedSession, error) {
-	h, err := a.Get(id)
-	if err == nil {
+	if h := a.lookup(id); h != nil {
 		return h, nil
 	}
 	st := a.getStore()
 	if st == nil {
-		return nil, err
+		return a.Get(id)
 	}
 	if _, _, err := a.restore(ctx, st, id); err != nil {
 		return nil, err
@@ -738,7 +737,7 @@ func (a *Authority) GetOrRecover(ctx context.Context, id string) (*HostedSession
 // this call did the replay, rounds how many plays it replayed. A missing
 // ledger is ErrSessionNotFound; a load or replay failure is ErrDurability.
 func (a *Authority) restore(ctx context.Context, st Store, id string) (rounds int, restored bool, err error) {
-	if _, err := a.Get(id); err == nil {
+	if a.lookup(id) != nil {
 		return 0, false, nil
 	}
 	a.restoreMu.Lock()
@@ -894,10 +893,13 @@ func restoreTargetFor(state store.SessionState) (RestoreTarget, error) {
 			target.Closed = true
 		}
 	}
-	lastPlay := -1
+	lastPlay, plays := -1, 0
+	for i := range state.Tail {
+		plays += max(len(state.Tail[i].Plays), 1) // a close record sizes one slot too many
+	}
 	record := func(round int, hash string) {
 		if target.Hashes == nil {
-			target.Hashes = make(map[int]string, len(state.Tail))
+			target.Hashes = make(map[int]string, plays)
 		}
 		target.Hashes[round] = hash
 		if round > lastPlay {

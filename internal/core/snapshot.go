@@ -215,9 +215,10 @@ func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Sess
 		}
 		retries = 0 // the budget is per play; a long replay may absorb many
 		if want, ok := target.Hashes[res.Round]; ok {
-			if got := HashResult(res); got != want {
+			var got [HashLen]byte // on the stack: only a mismatch builds a string
+			if string(AppendHashResult(got[:0], &res)) != want {
 				return fail(fmt.Errorf("%w: round %d replayed with hash %s, journal has %s",
-					ErrRestore, res.Round, got, want))
+					ErrRestore, res.Round, HashResult(res), want))
 			}
 		}
 		played++

@@ -3,6 +3,9 @@ package store_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +22,13 @@ import (
 // also flushes one commit epoch of one barrier, in either flush mode (the
 // lone appender leads its own epoch). Without a committer, and on the Mem
 // store, no request issues a barrier.
+//
+// Frame rows: the bytes one record adds to a session file, per record
+// shape, so any growth in the format shows up as a changed literal. A
+// play frame is 43 B: a 6-byte header, the round twice, the play count,
+// fouls, the convicted count and the 32 bytes of the packed hash. A batch
+// of 16 is 569 B, 35 B a play; a close record with a 64-digit digest is
+// 71 B. Rounds below 64 and fouls below 64 take one byte each.
 //
 // Distributed rows: one play at (n, f) takes PulsesPerPlay(f) = 4(f+3)+2
 // pulses and a fixed number of messages, the four interactive
@@ -97,6 +107,47 @@ func TestCostIdentities(t *testing.T) {
 					}
 				}
 			})
+		}
+	})
+
+	t.Run("frames", func(t *testing.T) {
+		dir := t.TempDir()
+		f, err := store.NewFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := f.CreateSession("frames", []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		hash := strings.Repeat("ab", 32)
+		plays := make([]store.BatchPlay, 16)
+		for i := range plays {
+			plays[i] = store.BatchPlay{Round: 1 + i, Hash: hash}
+		}
+		size := func() int64 {
+			info, err := os.Stat(filepath.Join(dir, "sessions", "frames.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return info.Size()
+		}
+		for _, row := range []struct {
+			name  string
+			rec   store.Record
+			bytes int64
+		}{
+			{"Play", store.Record{Type: store.RecordPlay, Round: 0, Hash: hash}, 43},
+			{"PlayN(16)", store.Record{Type: store.RecordBatch, Plays: plays}, 569},
+			{"close", store.Record{Type: store.RecordClose, Digest: hash}, 71},
+		} {
+			before := size()
+			if err := f.Append("frames", row.rec); err != nil {
+				t.Fatal(err)
+			}
+			if got := size() - before; got != row.bytes {
+				t.Errorf("a %s frame is %d B, want %d", row.name, got, row.bytes)
+			}
 		}
 	})
 

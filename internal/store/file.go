@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,32 +33,28 @@ var (
 		"Latency of one group-commit epoch flush (detach to wakeup).")
 )
 
-// File layout: one file per session, <dir>/sessions/<id>.wal. Each line
-// is "<crc32c-hex> <json>\n", the checksum covering the JSON bytes, so a
-// torn or corrupted tail (the half-written line of a crash) is detected
-// and dropped instead of poisoning recovery. The first line is the spec,
-// the second — once the session has been compacted — its latest
-// snapshot, and the session's records follow in round order. Create and
-// compaction each write the whole file through one atomicWrite, delete
-// is one unlink and load one read, so a crash leaves the old file or the
-// new one, never a session in pieces.
+// File layout: one file per session, <dir>/sessions/<id>.wal, of binary
+// frames: the magic, the spec, the latest snapshot once compacted, then
+// the records in round order. A frame is a uvarint body length, a type,
+// a little-endian CRC-32C of type and body, and the body, which opens
+// with a varint round (a record's last round, -1 for a close record; a
+// snapshot's watermark). The checksum detects the torn tail of a crash,
+// which is dropped. Create and compaction each write the whole file
+// through one atomicWrite, delete is one unlink and load one read, so a
+// crash leaves the old file or the new one, never a session in pieces.
 
-// The File store's own head lines: the spec, first in every session file,
-// and the snapshot, second when present. They are not Records a caller
-// can append.
+// Frame types: the file's own head frames, then the record types.
 const (
-	lineSpec = "spec"
-	lineSnap = "snap"
+	frameMagic byte = iota + 1
+	frameSpec
+	frameSnap
+	framePlay
+	frameBatch
+	frameClose
 )
 
-// fileLine is the JSON of one session-file line: a Record, or a head line
-// whose opaque bytes travel base64-encoded.
-type fileLine struct {
-	Record
-	Spec    []byte `json:"spec,omitempty"`
-	Rounds  int    `json:"rounds,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
-}
+// magic opens every session file: format version 1.
+var magic = appendFrame(nil, frameMagic, 1, []byte("gameauthority"), nil)
 
 // fileStripes is the per-session lock striping width (power of two).
 const fileStripes = 64
@@ -67,7 +63,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // File is the file-backed Store. It holds no session file open between
 // calls: an append opens its session's file with O_APPEND, writes one
-// line and closes the file once the line is durable by the store's rules
+// frame and closes the file once it is durable by the store's rules
 // (see appendRecord). Sessions stripe onto fileStripes locks, so distinct
 // sessions rarely serialize.
 type File struct {
@@ -91,7 +87,7 @@ type File struct {
 	closed   bool
 
 	// gc is the optional group committer (see SetGroupCommit); nil means
-	// appends return as soon as the line is written (process-kill durable,
+	// appends return as soon as the frame is written (process-kill durable,
 	// OS-crash durable only after Sync or Close).
 	gc atomic.Pointer[groupCommitter]
 
@@ -183,7 +179,7 @@ func (f *File) path(id, ext string) string {
 }
 
 // CreateSession implements Store: the session file is born whole, holding
-// its spec line, through one atomicWrite.
+// its magic and spec frames, through one atomicWrite.
 func (f *File) CreateSession(id string, spec []byte) error {
 	if !validID(id) {
 		return fmt.Errorf("%w: invalid id %q", ErrUnknownSession, id)
@@ -198,11 +194,7 @@ func (f *File) CreateSession(id string, spec []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		return fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
-	line, err := appendLine(nil, fileLine{Record: Record{Type: lineSpec}, Spec: spec})
-	if err != nil {
-		return err
-	}
-	if err := atomicWrite(path, line); err != nil {
+	if err := atomicWrite(path, appendFrame(slices.Clip(magic), frameSpec, 0, spec, nil)); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -233,27 +225,24 @@ func (f *File) Append(id string, rec Record) error {
 	}
 	t0 := time.Now()
 	span := obs.DefaultTracer.Begin("wal.append", "store", 0, int64(rec.LastRound()))
-	err := f.appendRecord(id, rec)
+	err := f.appendRecord(id, &rec)
 	span.End()
 	walAppendLatency.Record(time.Since(t0))
 	return err
 }
 
-// appendRecord is Append between its span's two ends. The appender holds
-// its file until the line is covered: at once without a committer (Sync
-// and Close reach the line through the anchor or the unsynced set), or
-// until its commit epoch has flushed, so nothing can close a file an
-// epoch is about to fsync.
-func (f *File) appendRecord(id string, rec Record) error {
-	e := lineEncoders.Get().(*lineEncoder)
-	e.rec = rec // encoded through a pointer to the pooled copy: nothing is boxed
-	line, err := e.encode(&e.rec)
-	gc := f.gc.Load()
-	var w *os.File
-	if err == nil {
-		w, err = f.writeLine(id, line, gc == nil)
+// appendRecord is Append between its span's two ends. It encodes on the
+// stack (a 16-play frame is 569 B) and holds its file until the frame is
+// covered: at once without a committer (Sync and Close reach it through
+// the anchor or the unsynced set), or until its commit epoch has flushed,
+// so nothing can close a file an epoch is about to fsync.
+func (f *File) appendRecord(id string, rec *Record) error {
+	if err := checkRecord(rec); err != nil {
+		return err
 	}
-	e.release()
+	var scratch [1024]byte
+	gc := f.gc.Load()
+	w, err := f.writeFrame(id, appendRecordFrame(scratch[:0], rec), gc == nil)
 	if err != nil {
 		return err
 	}
@@ -271,11 +260,11 @@ func (f *File) appendRecord(id string, rec Record) error {
 	return err
 }
 
-// writeLine appends one encoded line to the session's file under its
+// writeFrame appends one encoded frame to the session's file under its
 // stripe lock and returns the file, still open. A direct write (no
 // committer) joins the unsynced set before the stripe lock is released,
 // so a Close that has taken every stripe lock finds it there.
-func (f *File) writeLine(id string, line []byte, direct bool) (*os.File, error) {
+func (f *File) writeFrame(id string, frame []byte, direct bool) (*os.File, error) {
 	mu := f.stripe(id)
 	mu.Lock()
 	defer mu.Unlock()
@@ -287,11 +276,11 @@ func (f *File) writeLine(id string, line []byte, direct bool) (*os.File, error) 
 		return nil, ErrClosed
 	}
 	path := f.path(id, ".wal")
-	// A crash may have left a half-written final line. O_APPEND would glue
+	// A crash may have left a half-written final frame. O_APPEND would glue
 	// the next record onto that fragment — corrupting an acknowledged write
 	// and, once valid records follow it, turning a tolerable torn tail into
-	// the mid-file corruption the reader refuses. Truncate to the last
-	// clean line boundary before any append can land. Once per session per
+	// the mid-file corruption the reader refuses. Truncate to the end of
+	// the last valid frame before any append can land. Once per session per
 	// process: everything this process wrote is clean.
 	if !checked {
 		if err := repairWAL(id, path); err != nil {
@@ -308,11 +297,11 @@ func (f *File) writeLine(id string, line []byte, direct bool) (*os.File, error) 
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if _, err := w.Write(line); err != nil {
-		// The line may be partially on disk (short write on a full disk):
+	if _, err := w.Write(frame); err != nil {
+		// The frame may be partially on disk (short write on a full disk):
 		// clear the repair latch so the next append re-runs repairWAL and
 		// resumes on a clean boundary, instead of gluing onto the fragment
-		// and escalating the torn line into permanent mid-file corruption.
+		// and escalating the torn frame into permanent mid-file corruption.
 		w.Close()
 		f.mu.Lock()
 		delete(f.repaired, id)
@@ -354,52 +343,42 @@ func (f *File) PutSnapshot(id string, rounds int, payload []byte) error {
 }
 
 // compact returns the session file data becomes under a snapshot at the
-// rounds watermark: its spec line, the new snapshot line, and the record
-// lines the snapshot does not cover, copied byte for byte. Records arrive
-// in round order with a close record last (the Store contract), so the
-// covered ones are a prefix: the walk back from the end decodes only the
-// uncovered suffix and the newest covered record, never the log it drops.
-// The spec line is copied only once its checksum and type check out.
+// rounds watermark: its head (checked, then copied), the new snapshot and
+// the record frames the snapshot does not cover, copied byte for byte.
+// Round order (the Store contract) makes the frames it drops a prefix: a
+// walk over the headers finds the newest, the reader's rules hold from it
+// on, and nothing before it is read. When that frame belongs to a torn
+// tail, the walk looks before it.
 func compact(id string, data []byte, rounds int, payload []byte) ([]byte, error) {
-	n := bytes.IndexByte(data, '\n')
-	if n < 0 {
-		n = len(data)
+	spec, err := head(id, data)
+	if err != nil {
+		return nil, err
 	}
-	if l, ok := parseLine(data[:n]); !ok || l.Type != lineSpec {
-		return nil, errNoSpec(id)
-	}
-	head := n + 1
-	// [keep, end) is the uncovered suffix, less its last newline.
-	keep, end := -1, -1
-	hi := len(data)
-	if hi > head && data[hi-1] == '\n' {
-		hi-- // the file's last newline ends its last line
-	}
-walk:
-	for hi >= head {
-		lo := head + bytes.LastIndexByte(data[head:hi], '\n') + 1
-		l, ok := parseLine(data[lo:hi])
-		switch {
-		case !ok && end >= 0:
-			return nil, fmt.Errorf("store: %q: corrupt line before a valid one", id)
-		case !ok:
-			// The torn tail of a crash: those plays were never acknowledged.
-		case l.Type == lineSpec || l.Type == lineSnap || covered(&l.Record, rounds):
-			break walk
-		default:
-			keep = lo
-			if end < 0 {
-				end = hi
+	var fr frame
+	from, keep, end, ok := -1, spec.end, spec.end, false // [keep, end) is kept
+	for limit := len(data); from < 0 || end == from && from > spec.end; limit = from {
+		from, keep = spec.end, spec.end
+		for off := spec.end; off < limit; off = fr.end {
+			if fr, ok = readFrame(data, off, false); !ok {
+				break
+			}
+			if fr.typ == frameSnap || fr.typ != frameClose && fr.round < rounds {
+				from, keep = off, fr.end
 			}
 		}
-		hi = lo - 1
+		for end = from; end < len(data); end = fr.end {
+			if fr, ok, err = next(id, data, end); err != nil {
+				return nil, err
+			} else if !ok {
+				break
+			}
+		}
 	}
-	buf, err := appendLine(append(append([]byte(nil), data[:n]...), '\n'),
-		fileLine{Record: Record{Type: lineSnap}, Rounds: rounds, Payload: payload})
-	if err == nil && end >= 0 {
-		buf = append(append(buf, data[keep:end]...), '\n')
+	buf := appendFrame(slices.Clip(data[:spec.end]), frameSnap, rounds, payload, nil)
+	if end > keep {
+		buf = append(buf, data[keep:end]...)
 	}
-	return buf, err
+	return buf, nil
 }
 
 // Delete implements Store: one unlink.
@@ -536,8 +515,8 @@ func (f *File) Close() error {
 	f.closed = true
 	f.mu.Unlock()
 	// A write holds its stripe lock from the closed check to the end of
-	// its line, so once every stripe lock has been taken no write is in
-	// flight, and the sync below reaches every line that landed.
+	// its frame, so once every stripe lock has been taken no write is in
+	// flight, and the sync below reaches every frame that landed.
 	for i := range f.stripes {
 		f.stripes[i].Lock()
 		f.stripes[i].Unlock()
@@ -918,13 +897,10 @@ func syncPath(path string) error {
 	return d.Sync()
 }
 
-// repairWAL truncates a torn tail — the half-written final line(s) of a
-// crash — so appends resume on a clean line boundary. A final record that
-// is CRC-valid but lost only its newline is completed in place rather
-// than dropped (it was acknowledged, and the reader already accepts it).
-// A file the reader refuses (mid-file corruption, no spec line) is
-// refused here too, instead of burying the evidence under fresh appends.
-// The caller holds the session's stripe lock.
+// repairWAL truncates a torn tail — the half-written final frame of a
+// crash — so appends resume on a frame boundary. A file the reader
+// refuses is refused here too, instead of burying the evidence under
+// fresh appends. The caller holds the session's stripe lock.
 func repairWAL(id, path string) error {
 	file, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -939,19 +915,10 @@ func repairWAL(id, path string) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	_, end, err := parseSession(id, data)
-	switch {
-	case err != nil:
+	if err != nil || end == len(data) {
 		return err
-	case end == len(data):
-		// The crash clipped only the trailing newline; the record itself
-		// is intact. Complete the line (pwrite at EOF).
-		_, err = file.WriteAt([]byte("\n"), int64(end))
-	case end+1 < len(data):
-		err = file.Truncate(int64(end + 1))
-	default:
-		return nil
 	}
-	if err == nil {
+	if err = file.Truncate(int64(end)); err == nil {
 		err = file.Sync()
 	}
 	if err != nil {
@@ -960,130 +927,184 @@ func repairWAL(id, path string) error {
 	return nil
 }
 
-// parseSession turns a session file's bytes into its state: the spec
-// line, the snapshot line when present, and the records after them. A
-// torn or corrupt tail — the half-written line of a crash — is dropped.
-// A corrupt line before a valid one, a file that does not open with a
-// valid spec line, and a head line out of place are refused: acknowledged
-// plays are never silently lost. end is the offset just past the last
-// valid line, before its newline.
+// parseSession turns a session file's bytes into its state. A torn tail
+// is dropped; a corrupt frame before a valid one, a missing magic or
+// spec, and a frame out of place or undecodable are refused, so no
+// acknowledged play is silently lost. end is just past the last frame.
 func parseSession(id string, data []byte) (st SessionState, end int, err error) {
 	st.ID = id
-	bad := 0
-	for off, i := 0, 0; off < len(data) || i == 0; i++ {
-		n := bytes.IndexByte(data[off:], '\n')
-		if n < 0 {
-			n = len(data) - off
+	fr, err := head(id, data)
+	if err != nil {
+		return st, 0, err
+	}
+	st.Spec, end = fr.rest, fr.end
+	for first := end; end < len(data); end = fr.end {
+		var ok bool
+		if fr, ok, err = next(id, data, end); !ok {
+			break
 		}
-		l, ok := parseLine(data[off : off+n])
+		rec, ok := decodeRecord(&fr)
 		switch {
-		case i == 0 && (!ok || l.Type != lineSpec):
-			return st, 0, errNoSpec(id)
+		case fr.typ == frameSnap && end == first:
+			st.SnapshotRounds, st.Snapshot = fr.round, fr.rest
 		case !ok:
-			bad++
-		case bad > 0:
-			return st, 0, fmt.Errorf("store: %q: %d corrupt line(s) before a valid one", id, bad)
-		case i == 0:
-			st.Spec = l.Spec
-		case i == 1 && l.Type == lineSnap:
-			st.SnapshotRounds, st.Snapshot = l.Rounds, l.Payload
-		case l.Type == lineSpec || l.Type == lineSnap:
-			return st, 0, fmt.Errorf("store: %q: %s line out of place", id, l.Type)
+			return st, 0, fmt.Errorf("store: %q: frame at offset %d is out of place or does not decode", id, end)
 		default:
-			st.Tail = append(st.Tail, l.Record)
+			st.Tail = append(st.Tail, rec)
 		}
-		if ok {
-			end = off + n
-		}
-		off += n + 1
 	}
 	finishState(&st)
-	return st, end, nil
+	return st, end, err
 }
 
-// errNoSpec refuses a session file whose first line is not a valid spec.
-func errNoSpec(id string) error {
-	return fmt.Errorf("store: %q: the session file does not open with a spec line", id)
+// head checks the magic and the spec frame that open every session file.
+func head(id string, data []byte) (frame, error) {
+	if !bytes.HasPrefix(data, magic) {
+		return frame{}, fmt.Errorf("%w: %q", ErrLegacyFormat, id)
+	}
+	fr, ok := readFrame(data, len(magic), true)
+	if !ok || fr.typ != frameSpec {
+		return fr, fmt.Errorf("store: %q: the session file does not open with a spec frame", id)
+	}
+	return fr, nil
 }
 
-// appendLine appends the canonical "<crc32c-hex> <json>\n" encoding of v
-// (a Record or a fileLine, or a pointer to one) to buf.
-func appendLine(buf []byte, v any) ([]byte, error) {
-	e := lineEncoders.Get().(*lineEncoder)
-	line, err := e.encode(v)
-	buf = append(buf, line...)
-	e.release()
-	return buf, err
+// --- Frames --------------------------------------------------------------------
+
+const maxHeader = binary.MaxVarintLen64 + 5 // body length, type, checksum
+
+// appendFrame appends a frame whose body is round, rest raw, and for a
+// play or batch frame the number of plays, then per play its round,
+// fouls, len(convicted) and agents as varints and its hash packed into 32
+// bytes. The header goes last into the room left for it.
+func appendFrame(buf []byte, typ byte, round int, rest []byte, plays []BatchPlay) []byte {
+	var room [maxHeader]byte
+	start := len(buf)
+	buf = append(binary.AppendVarint(append(buf, room[:]...), int64(round)), rest...)
+	if typ == framePlay || typ == frameBatch {
+		buf = binary.AppendVarint(buf, int64(len(plays)))
+	}
+	for _, p := range plays {
+		buf = binary.AppendVarint(binary.AppendVarint(buf, int64(p.Round)), int64(p.Fouls))
+		buf = binary.AppendVarint(buf, int64(len(p.Convicted)))
+		for _, c := range p.Convicted {
+			buf = binary.AppendVarint(buf, int64(c))
+		}
+		for i := 0; i < len(p.Hash); i += 2 {
+			buf = append(buf, unhex(p.Hash[i])<<4|unhex(p.Hash[i+1]))
+		}
+	}
+	body := buf[start+maxHeader:]
+	hdr := append(binary.AppendUvarint(make([]byte, 0, maxHeader), uint64(len(body))), typ)
+	hdr = binary.LittleEndian.AppendUint32(hdr, checksum(checksum(0, []byte{typ}), body))
+	copy(buf[start+len(hdr):], body)
+	return append(buf[:start], hdr...)[:start+len(hdr)+len(body)]
 }
 
-// lineEncoder is the scratch of one line encoding, the one encoder
-// matching parseLine. Append encodes its record in place and writes the
-// line straight from buf; appendLine copies the line out.
-type lineEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder // writes to buf
-	rec Record        // Append's record
+// appendRecordFrame appends the frame of rec, which passed checkRecord.
+func appendRecordFrame(buf []byte, rec *Record) []byte {
+	switch rec.Type {
+	case RecordClose:
+		return appendFrame(buf, frameClose, -1, []byte(rec.Digest), nil)
+	case RecordPlay:
+		play := BatchPlay{Round: rec.Round, Hash: rec.Hash, Fouls: rec.Fouls, Convicted: rec.Convicted}
+		return appendFrame(buf, framePlay, rec.Round, nil, []BatchPlay{play})
+	}
+	return appendFrame(buf, frameBatch, rec.LastRound(), nil, rec.Plays)
 }
 
-var lineEncoders = sync.Pool{New: func() any {
-	e := new(lineEncoder)
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
+// unhex is the value of a lowercase hex digit.
+func unhex(c byte) byte { return c - '0' - (c>>6)*('a'-'9'-1) }
 
-// maxPooledLine bounds the scratch that goes back to the pool. The
-// lines of the benchmark's durable workloads are at most 1,441 B (a
-// 16-play batch), but a request at the host's 100,000-round cap writes
-// one of ≈ 9 MB, and a pooled buffer outlives the next collection: such
-// a line's scratch is left to the collector instead.
-const maxPooledLine = 64 << 10
-
-// encode writes v's line into the scratch and returns it, valid until
-// release. The encoder emits json.Marshal's bytes, HTML escaping included,
-// plus the newline; the JSON's checksum then fills the hex digits reserved
-// in front of it.
-func (e *lineEncoder) encode(v any) ([]byte, error) {
-	e.buf.Reset()
-	e.buf.WriteString("00000000 ")
-	if err := e.enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+// checksum extends a CRC-32C with p: crc32.Update's argument escapes.
+func checksum(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for _, b := range p {
+		crc = crcTable[byte(crc)^b] ^ crc>>8
 	}
-	line := e.buf.Bytes()
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(line[9:len(line)-1], crcTable))
-	hex.Encode(line[:8], sum[:])
-	return line, nil
+	return ^crc
 }
 
-// release drops the scratch's reference to the record and returns it to
-// the pool.
-func (e *lineEncoder) release() {
-	e.rec = Record{}
-	if e.buf.Cap() <= maxPooledLine {
-		lineEncoders.Put(e)
-	}
+// frame is one frame of a session file; its slices alias the file.
+type frame struct {
+	typ        byte
+	round, end int    // the body's leading varint; the offset past the frame
+	body, rest []byte // the body, which the checksum covers with typ; past the round
 }
 
-// parseLine decodes one "<crc32c-hex> <json>" line; ok is false for a
-// line whose checksum, JSON or type is not one appendLine writes.
-func parseLine(line []byte) (l fileLine, ok bool) {
-	var sum [4]byte
-	if len(line) < 10 || line[8] != ' ' {
-		return l, false
+// readFrame reads the frame at data[off:]; ok is false for one that runs
+// past data, is of no known type or fails its checksum, when verified.
+func readFrame(data []byte, off int, verify bool) (fr frame, ok bool) {
+	n, w := binary.Uvarint(data[off:])
+	at := off + w + 5
+	if w <= 0 || at > len(data) || n > uint64(len(data)-at) {
+		return fr, false
 	}
-	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
-		return l, false
+	fr.typ, fr.end, fr.body = data[off+w], at+int(n), data[at:at+int(n)]
+	round, rw := binary.Varint(fr.body)
+	fr.round, fr.rest = int(round), fr.body[max(rw, 0):]
+	return fr, rw > 0 && fr.typ >= frameMagic && fr.typ <= frameClose &&
+		(!verify || checksum(checksum(0, data[at-5:at-4]), fr.body) == binary.LittleEndian.Uint32(data[at-4:]))
+}
+
+// next reads the frame at data[off:] by the reader's rules: a bad frame
+// is a torn tail (!ok) unless a valid frame starts at any later offset
+// (err). No length field is trusted, so a damaged one is not a torn tail.
+func next(id string, data []byte, off int) (fr frame, ok bool, err error) {
+	if fr, ok = readFrame(data, off, true); !ok {
+		for i := off + 1; i < len(data) && err == nil; i++ {
+			if _, valid := readFrame(data, i, true); valid {
+				err = fmt.Errorf("store: %q: corrupt frame at offset %d before a valid one", id, off)
+			}
+		}
 	}
-	payload := line[9:]
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(sum[:]) {
-		return l, false
+	return fr, ok, err
+}
+
+// decodeRecord decodes a record frame whose body decodes whole and whose
+// round is the record's last. A frame's hashes are one string, each
+// play's Hash a substring of it.
+func decodeRecord(fr *frame) (Record, bool) {
+	if fr.typ == frameClose {
+		return Record{Type: RecordClose, Digest: string(fr.rest)}, fr.round == -1
 	}
-	if err := json.Unmarshal(payload, &l); err != nil {
-		return l, false
+	b, ok := fr.rest, fr.typ == framePlay || fr.typ == frameBatch
+	varint := func() int {
+		v, n := binary.Varint(b)
+		ok, b = ok && n > 0, b[max(n, 0):]
+		return int(v)
 	}
-	switch l.Type {
-	case RecordPlay, RecordBatch, RecordClose, lineSpec, lineSnap:
-		return l, true
+	n := varint()
+	if !ok || n < 0 || n > len(b)/(3+hashLen/2) || fr.typ == framePlay && n != 1 {
+		return Record{}, false
 	}
-	return l, false
+	plays := make([]BatchPlay, n)
+	var hashes strings.Builder
+	hashes.Grow(n * hashLen)
+	for i := range plays {
+		p := &plays[i]
+		p.Round, p.Fouls = varint(), varint()
+		k := varint()
+		if !ok || k < 0 || k > len(b) {
+			return Record{}, false
+		}
+		p.Convicted = make([]int, k)
+		for j := range p.Convicted {
+			p.Convicted[j] = varint()
+		}
+		var digits [hashLen]byte
+		hex.Encode(digits[:], b[:min(len(b), hashLen/2)])
+		hashes.Write(digits[:])
+		ok, b = ok && len(b) >= hashLen/2, b[min(len(b), hashLen/2):]
+	}
+	all := hashes.String()
+	for i := range plays {
+		plays[i].Hash = all[hashLen*i : hashLen*(i+1)]
+	}
+	rec := Record{Type: RecordBatch, Plays: plays}
+	if fr.typ == framePlay {
+		p := plays[0]
+		rec = Record{Type: RecordPlay, Round: p.Round, Hash: p.Hash, Fouls: p.Fouls, Convicted: p.Convicted}
+	}
+	return rec, ok && len(b) == 0 && rec.LastRound() == fr.round
 }

@@ -2,9 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -79,10 +78,11 @@ func TestNewFileRefusesLegacyLayout(t *testing.T) {
 	}
 }
 
-// TestFileCompactionCopiesSuffix: compaction keeps the spec line and the
-// uncovered records byte for byte, and a fully covered log becomes spec
-// plus snapshot after decoding only its newest record — a damaged line
-// it drops is never read. Damage inside the suffix it keeps is refused.
+// TestFileCompactionCopiesSuffix: compaction keeps the magic and spec
+// frames and the uncovered records byte for byte, and a fully covered log
+// becomes magic, spec and snapshot after reading only its newest record —
+// a damaged frame it drops is never read. Damage inside the suffix it
+// keeps is refused.
 func TestFileCompactionCopiesSuffix(t *testing.T) {
 	f, err := NewFile(t.TempDir())
 	if err != nil {
@@ -103,33 +103,33 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.SplitAfter(data, []byte("\n"))
+		return frames(data)
 	}
-	before := read() // spec, rounds 0-3, 4-7, 8-11, ""
+	before := read() // magic, spec, rounds 0-3, 4-7, 8-11
 	if err := f.PutSnapshot("c", 6, []byte(`{"rounds":6}`)); err != nil {
 		t.Fatal(err)
 	}
-	after := read() // spec, snapshot, rounds 4-7, 8-11, ""
-	if len(after) != 5 || !bytes.Equal(after[0], before[0]) ||
-		!bytes.Equal(after[2], before[2]) || !bytes.Equal(after[3], before[3]) {
-		t.Fatalf("compaction did not copy the spec line and the uncovered records:\n%q\n%q", before, after)
+	after := read() // magic, spec, snapshot, rounds 4-7, 8-11
+	if len(after) != 5 || !bytes.Equal(after[0], before[0]) || !bytes.Equal(after[1], before[1]) ||
+		!bytes.Equal(after[3], before[3]) || !bytes.Equal(after[4], before[4]) {
+		t.Fatalf("compaction did not copy the head frames and the uncovered records:\n%x\n%x", before, after)
 	}
 
 	// Damage the straddling batch: the newest record alone shows the
-	// watermark covers everything, so the damaged line is dropped unread.
-	damage := func(line int) {
-		lines := read()
-		lines[line][12] ^= 0xFF
-		if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+	// watermark covers everything, so the damaged frame is dropped unread.
+	damage := func(i int) {
+		frames := read()
+		frames[i][len(frames[i])-1] ^= 0xFF // a hash byte
+		if err := os.WriteFile(path, bytes.Join(frames, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	damage(2)
+	damage(3)
 	if err := f.PutSnapshot("c", 12, []byte(`{"rounds":12}`)); err != nil {
 		t.Fatalf("full compaction read the log it drops: %v", err)
 	}
-	if lines := read(); len(lines) != 3 || !bytes.Equal(lines[0], before[0]) {
-		t.Fatalf("a fully covered log became %q, want spec + snapshot", lines)
+	if frames := read(); len(frames) != 3 || !bytes.Equal(frames[1], before[1]) {
+		t.Fatalf("a fully covered log became %x, want magic, spec and snapshot", frames)
 	}
 	state, ok, err := f.LoadSession("c")
 	if err != nil || !ok || state.SnapshotRounds != 12 || string(state.Snapshot) != `{"rounds":12}` || len(state.Tail) != 0 {
@@ -143,7 +143,7 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	damage(3) // round 13, between two valid records
+	damage(4) // round 13, between two valid records
 	delete(f.repaired, "c")
 	if err := f.PutSnapshot("c", 13, []byte(`{"rounds":13}`)); err == nil {
 		t.Fatal("compaction kept a suffix with a corrupt record in it")
@@ -156,8 +156,8 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 	}
 }
 
-// TestFileSpecLineChecked: a session file that does not open with a valid
-// spec line is corrupt; load, compaction and append refuse it.
+// TestFileSpecLineChecked: a session file whose magic is not followed by
+// a valid spec frame is corrupt; load, compaction and append refuse it.
 func TestFileSpecLineChecked(t *testing.T) {
 	f, err := NewFile(t.TempDir())
 	if err != nil {
@@ -175,90 +175,121 @@ func TestFileSpecLineChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[0] ^= 0x01 // the spec line's checksum
+	data[len(magic)+2] ^= 0x01 // the spec frame's checksum
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	delete(f.repaired, "s")
 	if _, _, err := f.LoadSession("s"); err == nil {
-		t.Fatal("load accepted a damaged spec line")
+		t.Fatal("load accepted a damaged spec frame")
 	}
 	if err := f.PutSnapshot("s", 1, []byte(`{}`)); err == nil {
-		t.Fatal("compaction copied a damaged spec line")
+		t.Fatal("compaction copied a damaged spec frame")
 	}
 	if err := f.Append("s", Record{Type: RecordPlay, Round: 1, Hash: hashOf(1)}); err == nil {
-		t.Fatal("append resumed on a file with a damaged spec line")
+		t.Fatal("append resumed on a file with a damaged spec frame")
 	}
 }
 
-// encodeState writes a state back as a session file, one appendLine per
-// line, as CreateSession, PutSnapshot and Append would have.
-func encodeState(t *testing.T, st SessionState) []byte {
-	t.Helper()
-	buf, err := appendLine(nil, fileLine{Record: Record{Type: lineSpec}, Spec: st.Spec})
-	if err == nil && (st.SnapshotRounds != 0 || st.Snapshot != nil) {
-		buf, err = appendLine(buf, fileLine{Record: Record{Type: lineSnap}, Rounds: st.SnapshotRounds, Payload: st.Snapshot})
-	}
-	for _, rec := range st.Tail {
-		if err == nil {
-			buf, err = appendLine(buf, rec)
-		}
-	}
+// TestFileRefusesJSONLines: a session file written as JSON lines, the
+// format before binary frames, does not carry over. Load, compaction and
+// append refuse it by name, ErrLegacyFormat, rather than reading it as
+// damaged or truncating it as a torn tail.
+func TestFileRefusesJSONLines(t *testing.T) {
+	f, err := NewFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	legacy := "31027e6f {\"t\":\"spec\",\"spec\":\"eyJnYW1lIjoicGQiLCJzZWVkIjoxfQ==\"}\n"
+	if err := os.WriteFile(f.path("old", ".wal"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.LoadSession("old"); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("load: %v, want ErrLegacyFormat", err)
+	}
+	if err := f.PutSnapshot("old", 1, []byte(`{}`)); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("compaction: %v, want ErrLegacyFormat", err)
+	}
+	if err := f.Append("old", Record{Type: RecordPlay, Round: 0, Hash: hashOf(0)}); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("append: %v, want ErrLegacyFormat", err)
+	}
+	if data, err := os.ReadFile(f.path("old", ".wal")); err != nil || string(data) != legacy {
+		t.Fatalf("the refused file changed: %q, %v", data, err)
+	}
+}
+
+// encodeState writes a state back as a session file, frame by frame, as
+// CreateSession, PutSnapshot and Append would have.
+func encodeState(st SessionState) []byte {
+	buf := appendFrame(slices.Clip(magic), frameSpec, 0, st.Spec, nil)
+	if st.SnapshotRounds != 0 || st.Snapshot != nil {
+		buf = appendFrame(buf, frameSnap, st.SnapshotRounds, st.Snapshot, nil)
+	}
+	for i := range st.Tail {
+		buf = appendRecordFrame(buf, &st.Tail[i])
 	}
 	return buf
 }
 
-// reseal rewrites every line's checksum to match its JSON, so the fuzzer
-// reaches the rules behind the CRC.
+// frames splits a session file at its frame boundaries, header by header;
+// a rest that is no frame is the last element.
+func frames(data []byte) [][]byte {
+	var out [][]byte
+	for off := 0; off < len(data); {
+		fr, ok := readFrame(data, off, false)
+		if !ok {
+			return append(out, data[off:])
+		}
+		out = append(out, data[off:fr.end])
+		off = fr.end
+	}
+	return out
+}
+
+// reseal rewrites the checksum of every frame whose header reads, so the
+// fuzzer reaches the rules behind the CRC; past a header that does not
+// read it tries the next byte.
 func reseal(data []byte) []byte {
 	out := bytes.Clone(data)
-	for off := 0; off < len(out); {
-		n := bytes.IndexByte(out[off:], '\n')
-		if n < 0 {
-			n = len(out) - off
+	for off := 0; off < len(out); off++ {
+		if fr, ok := readFrame(out, off, false); ok {
+			at := fr.end - len(fr.body)
+			binary.LittleEndian.PutUint32(out[at-4:], checksum(checksum(0, out[at-5:at-4]), fr.body))
+			off = fr.end - 1
 		}
-		if line := out[off : off+n]; len(line) > 9 && line[8] == ' ' {
-			copy(line, fmt.Sprintf("%08x", crc32.Checksum(line[9:], crcTable)))
-		}
-		off += n + 1
 	}
 	return out
 }
 
 // FuzzSessionFile feeds arbitrary bytes to the session-file reader and
 // to compaction. No input may panic. An accepted file must re-encode and
-// re-parse to the same state; damaging any of the re-encoded file's lines
+// re-parse to the same state; damaging any of the re-encoded file's frames
 // but the last must get it refused; and compacting it at any watermark
 // keeps exactly the records after the newest covered one. With reseal
-// the fuzzer's lines get valid checksums, so it explores the JSON and the
-// line order instead of the CRC.
+// the fuzzer's frames get valid checksums, so it explores the bodies and
+// the frame order instead of the CRC.
 func FuzzSessionFile(f *testing.F) {
-	line := func(v any) []byte {
-		b, err := appendLine(nil, v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	spec := line(fileLine{Record: Record{Type: lineSpec}, Spec: []byte(`{"game":"pd","seed":1}`)})
-	snap := line(fileLine{Record: Record{Type: lineSnap}, Rounds: 4, Payload: []byte(`{"rounds":4}`)})
-	play := line(Record{Type: RecordPlay, Round: 4, Hash: hashOf(4), Fouls: 1, Convicted: []int{0}})
-	batch := line(batchRec(5, 3))
-	closed := line(Record{Type: RecordClose, Digest: "d"})
-	whole := slices.Concat(spec, snap, play, batch, closed)
-	midCorrupt := slices.Concat(spec, play, batch)
+	spec := appendFrame(slices.Clip(magic), frameSpec, 0, []byte(`{"game":"pd","seed":1}`), nil)
+	snap := appendFrame(nil, frameSnap, 4, []byte(`{"rounds":4}`), nil)
+	play := appendRecordFrame(nil, &Record{Type: RecordPlay, Round: 4, Hash: hashOf(4), Fouls: 1, Convicted: []int{0}})
+	batch := batchRec(5, 3)
+	batchFrame := appendRecordFrame(nil, &batch)
+	closed := appendRecordFrame(nil, &Record{Type: RecordClose, Digest: "d"})
+	whole := slices.Concat(spec, snap, play, batchFrame, closed)
+	midCorrupt := slices.Concat(spec, play, batchFrame)
 	midCorrupt[len(spec)+12] ^= 0xFF
+	badSum := slices.Clone(spec)
+	badSum[len(magic)+2] ^= 0xFF
 	for _, seed := range [][]byte{
-		spec,                                   // spec only
-		whole,                                  // spec + snapshot + tail
-		slices.Concat(spec, play, batch[:20]),  // torn tail
-		whole[:len(whole)-1],                   // clipped newline
-		midCorrupt,                             // mid-file corruption
-		slices.Concat(play, batch),             // missing spec line
-		slices.Concat(spec, snap, snap),        // a head line out of place
-		[]byte(`00000000 {"t":"spec"}` + "\n"), // a bad checksum, resealed below
+		spec,  // spec only
+		whole, // spec + snapshot + tail
+		slices.Concat(spec, play, batchFrame[:20]), // torn tail
+		whole[:len(whole)-1],                       // a final frame one byte short
+		midCorrupt,                                 // mid-file corruption
+		slices.Concat(magic, play, batchFrame),     // missing spec frame
+		slices.Concat(spec, snap, snap),            // a head frame out of place
+		badSum,                                     // a bad checksum, resealed below
 	} {
 		f.Add(seed, false)
 		f.Add(seed, true)
@@ -275,20 +306,20 @@ func FuzzSessionFile(f *testing.F) {
 		if end > len(data) {
 			t.Fatalf("end %d past the file's %d bytes", end, len(data))
 		}
-		enc := encodeState(t, st)
+		enc := encodeState(st)
 		again, _, err := parseSession("fz", enc)
 		if err != nil {
-			t.Fatalf("the re-encoded file is refused: %v\n%q", err, enc)
+			t.Fatalf("the re-encoded file is refused: %v\n%x", err, enc)
 		}
-		if !bytes.Equal(encodeState(t, again), enc) || again.Closed != st.Closed || again.CloseDigest != st.CloseDigest {
+		if !bytes.Equal(encodeState(again), enc) || again.Closed != st.Closed || again.CloseDigest != st.CloseDigest {
 			t.Fatalf("re-parse changed the state:\n%+v\n%+v", st, again)
 		}
-		lines := bytes.SplitAfter(enc, []byte("\n"))
-		for i := 0; i < len(lines)-2; i++ { // the last element is the empty rest
-			damaged := slices.Concat(lines...)
-			damaged[len(slices.Concat(lines[:i]...))] = 'g'
+		fs := frames(enc)
+		for i := 0; i < len(fs)-1; i++ {
+			damaged := slices.Concat(fs...)
+			damaged[len(slices.Concat(fs[:i+1]...))-1] ^= 0xFF // frame i's last byte
 			if _, _, err := parseSession("fz", damaged); err == nil {
-				t.Fatalf("line %d damaged, yet the file was accepted:\n%q", i, damaged)
+				t.Fatalf("frame %d damaged, yet the file was accepted:\n%x", i, damaged)
 			}
 		}
 
@@ -297,7 +328,7 @@ func FuzzSessionFile(f *testing.F) {
 		}
 		got, _, err := parseSession("fz", compacted)
 		if err != nil {
-			t.Fatalf("compaction wrote a file the reader refuses: %v\n%q", err, compacted)
+			t.Fatalf("compaction wrote a file the reader refuses: %v\n%x", err, compacted)
 		}
 		keep := 0
 		for i := range st.Tail {
@@ -307,7 +338,7 @@ func FuzzSessionFile(f *testing.F) {
 		}
 		want := st
 		want.SnapshotRounds, want.Snapshot, want.Tail = 6, []byte(`{"rounds":6}`), st.Tail[keep:]
-		if !bytes.Equal(encodeState(t, got), encodeState(t, want)) {
+		if !bytes.Equal(encodeState(got), encodeState(want)) {
 			t.Fatalf("compaction at 6 kept\n%+v\nwant\n%+v", got, want)
 		}
 	})

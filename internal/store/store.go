@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -20,7 +21,12 @@ var (
 	// written in the retired three-file layout (<id>.spec, <id>.wal and
 	// <id>.snap per session), which the File store does not read.
 	ErrLegacyLayout = errors.New("store: sessions directory holds the retired three-file layout (.spec/.wal/.snap per session)")
+	// ErrLegacyFormat refuses a session file that does not open with the
+	// binary format's magic, such as one written as JSON lines.
+	ErrLegacyFormat = errors.New("store: session file is not in the binary frame format")
 )
+
+const hashLen = 64 // a transcript hash's hex digits
 
 // Record kinds journaled in a session's WAL.
 const (
@@ -31,7 +37,7 @@ const (
 	// state digest (a batched-audit mixed session mutates state on close).
 	RecordClose = "close"
 	// RecordBatch journals N consecutive completed plays as one WAL entry
-	// (the PlayN path). The batch is one journal line, so the line CRC
+	// (the PlayN path). The batch is one journal frame, so the frame CRC
 	// makes it atomic: a crash either persists every play in the batch or
 	// none of them — recovery never sees a torn prefix of a batch.
 	RecordBatch = "batch"
@@ -120,7 +126,10 @@ type Store interface {
 	// CreateSession durably records a new session's opaque spec. It fails
 	// with ErrSessionExists when the id is already journaled.
 	CreateSession(id string, spec []byte) error
-	// Append journals one WAL record for the session. A session's
+	// Append journals one WAL record for the session: a play, batch or
+	// close record whose plays' hashes are 64 lowercase hex digits (a
+	// close record has none), or it fails. The File store keeps the
+	// fields of the record's type. A session's
 	// records arrive in round order — each one's rounds follow the
 	// previous one's — and a close record, if any, comes last: the File
 	// store's compaction relies on it. rec's slices — Plays, Convicted
@@ -199,6 +208,9 @@ func (m *Mem) CreateSession(id string, spec []byte) error {
 
 // Append implements Store.
 func (m *Mem) Append(id string, rec Record) error {
+	if err := checkRecord(&rec); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -209,13 +221,9 @@ func (m *Mem) Append(id string, rec Record) error {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
 	rec.Convicted = append([]int(nil), rec.Convicted...)
-	if len(rec.Plays) > 0 {
-		plays := make([]BatchPlay, len(rec.Plays))
-		copy(plays, rec.Plays)
-		for i := range plays {
-			plays[i].Convicted = append([]int(nil), plays[i].Convicted...)
-		}
-		rec.Plays = plays
+	rec.Plays = append([]BatchPlay(nil), rec.Plays...)
+	for i := range rec.Plays {
+		rec.Plays[i].Convicted = append([]int(nil), rec.Plays[i].Convicted...)
 	}
 	s.wal = append(s.wal, rec)
 	return nil
@@ -237,6 +245,22 @@ func (m *Mem) PutSnapshot(id string, rounds int, payload []byte) error {
 	s.wal = compactWAL(s.wal, rounds)
 	return nil
 }
+
+// checkRecord enforces Append's record contract, one for both backends.
+func checkRecord(rec *Record) error {
+	ok := rec.Type == RecordPlay && validHash(rec.Hash) ||
+		rec.Hash == "" && (rec.Type == RecordBatch || rec.Type == RecordClose)
+	for i := 0; ok && i < len(rec.Plays); i++ {
+		ok = validHash(rec.Plays[i].Hash)
+	}
+	if !ok {
+		return fmt.Errorf("store: a %q record outside the Append contract", rec.Type)
+	}
+	return nil
+}
+
+// validHash reports whether h is hashLen lowercase hex digits.
+func validHash(h string) bool { return len(h) == hashLen && strings.Trim(h, "0123456789abcdef") == "" }
 
 // covered reports whether a snapshot at the rounds watermark makes rec
 // redundant: a play or batch record whose last round lies below it. A

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -237,8 +238,15 @@ func TestStoreClosedErrors(t *testing.T) {
 	}
 }
 
+// tornFrame is the first half of a record frame: what a crash mid-append
+// leaves at the end of a session file.
+func tornFrame(round int) []byte {
+	frame := appendRecordFrame(nil, &Record{Type: RecordPlay, Round: round, Hash: hashOf(round)})
+	return frame[:len(frame)/2]
+}
+
 // TestFileTornTailTolerated simulates a crash mid-append: a half-written
-// final WAL line must be dropped, not poison recovery.
+// final frame must be dropped, not poison recovery.
 func TestFileTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewFile(dir)
@@ -261,7 +269,7 @@ func TestFileTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`0bad00 {"t":"play","rou`); err != nil {
+	if _, err := f.Write(tornFrame(3)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -281,8 +289,8 @@ func TestFileTornTailTolerated(t *testing.T) {
 }
 
 // TestFileAppendAfterTornTail is the dangerous half of the torn-tail
-// story: after a crash leaves a half-written final line, the next append
-// must land on a clean line boundary. Without repair, O_APPEND glues the
+// story: after a crash leaves a half-written final frame, the next append
+// must land on a frame boundary. Without repair, O_APPEND glues the
 // new record onto the fragment — losing that acknowledged record and,
 // once further valid records follow, turning the tolerable torn tail
 // into the mid-file corruption that bricks Load and compaction forever.
@@ -308,7 +316,7 @@ func TestFileAppendAfterTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`0bad00 {"t":"play","rou`); err != nil {
+	if _, err := f.Write(tornFrame(3)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -349,11 +357,11 @@ func TestFileAppendAfterTornTail(t *testing.T) {
 	}
 }
 
-// TestFileAppendAfterClippedNewline: a crash can clip just the trailing
-// newline off a fully-written, CRC-valid record. That record was
-// acknowledged and the read path accepts it, so resuming appends must
-// complete the line — not truncate the record away, and not glue onto it.
-func TestFileAppendAfterClippedNewline(t *testing.T) {
+// TestFileAppendAfterClippedFrame: a crash can cut a final frame short by
+// as little as one byte. That record was never acknowledged and the
+// reader drops it, so resuming appends must truncate exactly that frame:
+// not glue onto it, and not cut into the whole frame before it.
+func TestFileAppendAfterClippedFrame(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewFile(dir)
 	if err != nil {
@@ -371,11 +379,11 @@ func TestFileAppendAfterClippedNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal := filepath.Join(dir, "sessions", "clip.wal")
-	info, err := os.Stat(wal)
+	whole, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(wal, info.Size()-1); err != nil { // drop only the final '\n'
+	if err := os.Truncate(wal, int64(len(whole)-1)); err != nil { // drop only the final byte
 		t.Fatal(err)
 	}
 
@@ -384,60 +392,81 @@ func TestFileAppendAfterClippedNewline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if err := st2.Append("clip", Record{Type: RecordPlay, Round: 3, Hash: hashOf(3)}); err != nil {
-		t.Fatalf("append after clipped newline: %v", err)
+	for r := 2; r < 4; r++ { // round 2 again: its first append was never acknowledged
+		if err := st2.Append("clip", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
+			t.Fatalf("append after a clipped frame: %v", err)
+		}
 	}
 	states, err := st2.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(states) != 1 || len(states[0].Tail) != 4 {
-		t.Fatalf("clipped-newline record lost or glued: %+v", states)
+		t.Fatalf("clipped frame glued or a whole one lost: %+v", states)
 	}
 	for i, rec := range states[0].Tail {
 		if rec.Round != i {
 			t.Fatalf("tail[%d].Round = %d, want %d", i, rec.Round, i)
 		}
 	}
-}
-
-// TestFileMidCorruptionRefused: corruption before valid records means lost
-// acknowledged plays — Load must fail loudly instead of recovering a lie.
-func TestFileMidCorruptionRefused(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CreateSession("mid", []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		if err := st.Append("mid", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wal := filepath.Join(dir, "sessions", "mid.wal")
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte inside the first record's JSON.
-	i := strings.IndexByte(string(data), '{')
-	data[i+5] ^= 0xFF
-	if err := os.WriteFile(wal, data, 0o644); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(data[:len(whole)], whole) {
+		t.Fatal("the frames before the clipped one changed")
 	}
-	st2, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if _, err := st2.Load(); err == nil {
-		t.Fatal("mid-file corruption loaded without error")
+}
+
+// TestFileMidCorruptionRefused: corruption before valid records means lost
+// acknowledged plays — Load must fail loudly instead of recovering a lie.
+// A damaged length field that runs past the end of the file must not
+// pass for a torn tail either: the reader looks past it for a valid frame.
+func TestFileMidCorruptionRefused(t *testing.T) {
+	for _, damage := range []struct {
+		name string
+		at   func(frame []byte) int
+		flip byte
+	}{
+		{"body", func(frame []byte) int { return len(frame) - 1 }, 0xFF},
+		{"length", func([]byte) int { return 0 }, 0x80},
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := NewFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.CreateSession("mid", []byte(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 3; r++ {
+				if err := st.Append("mid", Record{Type: RecordPlay, Round: r, Hash: hashOf(r)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wal := filepath.Join(dir, "sessions", "mid.wal")
+			data, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := frames(data) // magic, spec, rounds 0, 1, 2
+			fs[2][damage.at(fs[2])] ^= damage.flip
+			if err := os.WriteFile(wal, bytes.Join(fs, nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := NewFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			if _, err := st2.Load(); err == nil {
+				t.Fatal("mid-file corruption loaded without error")
+			}
+		})
 	}
 }
 

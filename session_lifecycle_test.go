@@ -259,13 +259,18 @@ func TestRemoveDeletesDamagedLedger(t *testing.T) {
 	}
 	a.DetachStore() // crash: the registry forgets, the ledger stays
 
-	// Corrupt the first WAL record so every load refuses the ledger.
+	// Corrupt the first WAL record, the frame after the spec's bytes, so
+	// every load refuses the ledger.
 	wal := filepath.Join(dir, "sessions", "damaged.wal")
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[bytes.IndexByte(data, '{')+5] ^= 0xFF
+	state, ok, err := st.LoadSession("damaged")
+	if err != nil || !ok {
+		t.Fatalf("load before the damage: ok=%v err=%v", ok, err)
+	}
+	data[bytes.Index(data, state.Spec)+len(state.Spec)+10] ^= 0xFF
 	if err := os.WriteFile(wal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
