@@ -68,7 +68,7 @@ bench-quick:
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each fuzz
 # target (HTTP sessions and play, wire, evidence codec, agreement value
-# pool, session-file reader, session-file line encoder) a short live
+# pool, session-file reader, session-file record frames) a short live
 # burst. Fails on panics/regressions, never on not finding anything new.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' .
@@ -82,7 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzEvidenceCodec$$' -fuzztime 5s -run '^Fuzz' ./internal/core
 	$(GO) test -fuzz '^FuzzValuePool$$' -fuzztime 5s -run '^Fuzz' ./internal/bap
 	$(GO) test -fuzz '^FuzzSessionFile$$' -fuzztime 5s -run '^Fuzz' ./internal/store
-	$(GO) test -fuzz '^FuzzLineEncoder$$' -fuzztime 5s -run '^Fuzz' ./internal/store
+	$(GO) test -fuzz '^FuzzRecordFrame$$' -fuzztime 5s -run '^Fuzz' ./internal/store
 
 # Coverage gate: the audited packages must keep ≥ 70% of statements
 # covered by the whole suite (merged -coverpkg profile; see

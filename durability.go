@@ -715,15 +715,10 @@ type restoreCall struct {
 // restore-on-miss path: a request for a session the crashed predecessor
 // hosted revives it on demand).
 func (a *Authority) GetOrRecover(ctx context.Context, id string) (*HostedSession, error) {
-	if h := a.lookup(id); h != nil {
-		return h, nil
-	}
-	st := a.getStore()
-	if st == nil {
-		return a.Get(id)
-	}
-	if _, _, err := a.restore(ctx, st, id); err != nil {
-		return nil, err
+	if st := a.getStore(); st != nil {
+		if _, _, err := a.restore(ctx, st, id); err != nil {
+			return nil, err
+		}
 	}
 	return a.Get(id)
 }

@@ -34,14 +34,12 @@ var (
 )
 
 // File layout: one file per session, <dir>/sessions/<id>.wal, of binary
-// frames: the magic, the spec, the latest snapshot once compacted, then
-// the records in round order. A frame is a uvarint body length, a type,
-// a little-endian CRC-32C of type and body, and the body, which opens
-// with a varint round (a record's last round, -1 for a close record; a
-// snapshot's watermark). The checksum detects the torn tail of a crash,
-// which is dropped. Create and compaction each write the whole file
-// through one atomicWrite, delete is one unlink and load one read, so a
-// crash leaves the old file or the new one, never a session in pieces.
+// frames: magic, spec, the latest snapshot once compacted, the records
+// in round order. A frame is a uvarint body length, a type, the CRC-32C
+// of type and body, and the body, which opens with a varint round. Create
+// and compaction each write the whole file through one atomicWrite,
+// delete is one unlink and load one read, so a crash leaves the old file
+// or the new one, never a session in pieces; DESIGN.md §9 has the rest.
 
 // Frame types: the file's own head frames, then the record types.
 const (
@@ -342,13 +340,11 @@ func (f *File) PutSnapshot(id string, rounds int, payload []byte) error {
 	return atomicWrite(path, data)
 }
 
-// compact returns the session file data becomes under a snapshot at the
-// rounds watermark: its head (checked, then copied), the new snapshot and
-// the record frames the snapshot does not cover, copied byte for byte.
-// Round order (the Store contract) makes the frames it drops a prefix: a
-// walk over the headers finds the newest, the reader's rules hold from it
-// on, and nothing before it is read. When that frame belongs to a torn
-// tail, the walk looks before it.
+// compact returns data compacted at the rounds watermark: its head, the
+// new snapshot and the records it does not cover, copied byte for byte.
+// Round order makes the frames it drops a prefix; a header walk finds
+// the newest, the reader's rules hold from it on (if it is torn, the walk
+// looks before it), and nothing before it is read.
 func compact(id string, data []byte, rounds int, payload []byte) ([]byte, error) {
 	spec, err := head(id, data)
 	if err != nil {
@@ -932,14 +928,12 @@ func repairWAL(id, path string) error {
 // spec, and a frame out of place or undecodable are refused, so no
 // acknowledged play is silently lost. end is just past the last frame.
 func parseSession(id string, data []byte) (st SessionState, end int, err error) {
-	st.ID = id
 	fr, err := head(id, data)
 	if err != nil {
 		return st, 0, err
 	}
-	st.Spec, end = fr.rest, fr.end
-	for first := end; end < len(data); end = fr.end {
-		var ok bool
+	st.ID, st.Spec, end = id, fr.rest, fr.end
+	for first, ok := end, false; end < len(data); end = fr.end {
 		if fr, ok, err = next(id, data, end); !ok {
 			break
 		}
@@ -973,10 +967,9 @@ func head(id string, data []byte) (frame, error) {
 
 const maxHeader = binary.MaxVarintLen64 + 5 // body length, type, checksum
 
-// appendFrame appends a frame whose body is round, rest raw, and for a
-// play or batch frame the number of plays, then per play its round,
-// fouls, len(convicted) and agents as varints and its hash packed into 32
-// bytes. The header goes last into the room left for it.
+// appendFrame appends a frame whose body is round, rest raw and, in a
+// play or batch frame, len(plays), then per play round, fouls, convicted
+// (varints) and the hash packed into 32 bytes. The header goes in last.
 func appendFrame(buf []byte, typ byte, round int, rest []byte, plays []BatchPlay) []byte {
 	var room [maxHeader]byte
 	start := len(buf)
@@ -990,9 +983,9 @@ func appendFrame(buf []byte, typ byte, round int, rest []byte, plays []BatchPlay
 		for _, c := range p.Convicted {
 			buf = binary.AppendVarint(buf, int64(c))
 		}
-		for i := 0; i < len(p.Hash); i += 2 {
-			buf = append(buf, unhex(p.Hash[i])<<4|unhex(p.Hash[i+1]))
-		}
+		var digits [hashLen]byte
+		copy(digits[:], p.Hash)
+		buf, _ = hex.AppendDecode(buf, digits[:])
 	}
 	body := buf[start+maxHeader:]
 	hdr := append(binary.AppendUvarint(make([]byte, 0, maxHeader), uint64(len(body))), typ)
@@ -1013,10 +1006,8 @@ func appendRecordFrame(buf []byte, rec *Record) []byte {
 	return appendFrame(buf, frameBatch, rec.LastRound(), nil, rec.Plays)
 }
 
-// unhex is the value of a lowercase hex digit.
-func unhex(c byte) byte { return c - '0' - (c>>6)*('a'-'9'-1) }
-
-// checksum extends a CRC-32C with p: crc32.Update's argument escapes.
+// checksum is crc32.Update for appendFrame, whose stack buffer escapes
+// through crc32.Update's argument.
 func checksum(crc uint32, p []byte) uint32 {
 	crc = ^crc
 	for _, b := range p {
@@ -1044,26 +1035,24 @@ func readFrame(data []byte, off int, verify bool) (fr frame, ok bool) {
 	round, rw := binary.Varint(fr.body)
 	fr.round, fr.rest = int(round), fr.body[max(rw, 0):]
 	return fr, rw > 0 && fr.typ >= frameMagic && fr.typ <= frameClose &&
-		(!verify || checksum(checksum(0, data[at-5:at-4]), fr.body) == binary.LittleEndian.Uint32(data[at-4:]))
+		(!verify || crc32.Update(crc32.Update(0, crcTable, data[at-5:at-4]), crcTable, fr.body) == binary.LittleEndian.Uint32(data[at-4:]))
 }
 
 // next reads the frame at data[off:] by the reader's rules: a bad frame
 // is a torn tail (!ok) unless a valid frame starts at any later offset
 // (err). No length field is trusted, so a damaged one is not a torn tail.
 func next(id string, data []byte, off int) (fr frame, ok bool, err error) {
-	if fr, ok = readFrame(data, off, true); !ok {
-		for i := off + 1; i < len(data) && err == nil; i++ {
-			if _, valid := readFrame(data, i, true); valid {
-				err = fmt.Errorf("store: %q: corrupt frame at offset %d before a valid one", id, off)
-			}
+	fr, ok = readFrame(data, off, true)
+	for i := off + 1; !ok && i < len(data) && err == nil; i++ {
+		if _, valid := readFrame(data, i, true); valid {
+			err = fmt.Errorf("store: %q: corrupt frame at offset %d before a valid one", id, off)
 		}
 	}
 	return fr, ok, err
 }
 
-// decodeRecord decodes a record frame whose body decodes whole and whose
-// round is the record's last. A frame's hashes are one string, each
-// play's Hash a substring of it.
+// decodeRecord decodes a record frame whose round is its last; a frame's
+// hashes are one string, each play's Hash a substring of it.
 func decodeRecord(fr *frame) (Record, bool) {
 	if fr.typ == frameClose {
 		return Record{Type: RecordClose, Digest: string(fr.rest)}, fr.round == -1

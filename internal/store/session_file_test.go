@@ -156,6 +156,48 @@ func TestFileCompactionCopiesSuffix(t *testing.T) {
 	}
 }
 
+// TestFileCompactionPastADamagedTail: a damaged final frame is a torn
+// tail to the reader, even when the damage hits its round and makes it
+// look covered. Compaction must not take it for the newest frame it
+// drops, or the records before it that the snapshot does not cover would
+// go with it.
+func TestFileCompactionPastADamagedTail(t *testing.T) {
+	f, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.CreateSession("c", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{batchRec(0, 4), batchRec(4, 4), {Type: RecordPlay, Round: 8, Hash: hashOf(8)}} {
+		if err := f.Append("c", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := f.path("c", ".wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := frames(data) // magic, spec, rounds 0-3, 4-7, 8
+	last := fs[4]
+	if last[6] != 16 { // after length, type and checksum: round 8, zig-zag
+		t.Fatalf("the play frame's round byte is %d, want 16", last[6])
+	}
+	last[6] = 4 // round 2
+	if err := os.WriteFile(path, bytes.Join(fs, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PutSnapshot("c", 6, []byte(`{"rounds":6}`)); err != nil {
+		t.Fatal(err)
+	}
+	state, ok, err := f.LoadSession("c")
+	if err != nil || !ok || len(state.Tail) != 1 || state.Tail[0].LastRound() != 7 {
+		t.Fatalf("after compaction past a damaged tail: %+v, ok=%v err=%v; want the batch of rounds 4-7", state.Tail, ok, err)
+	}
+}
+
 // TestFileSpecLineChecked: a session file whose magic is not followed by
 // a valid spec frame is corrupt; load, compaction and append refuse it.
 func TestFileSpecLineChecked(t *testing.T) {

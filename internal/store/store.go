@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -21,8 +20,7 @@ var (
 	// written in the retired three-file layout (<id>.spec, <id>.wal and
 	// <id>.snap per session), which the File store does not read.
 	ErrLegacyLayout = errors.New("store: sessions directory holds the retired three-file layout (.spec/.wal/.snap per session)")
-	// ErrLegacyFormat refuses a session file that does not open with the
-	// binary format's magic, such as one written as JSON lines.
+	// ErrLegacyFormat refuses a session file without the binary magic.
 	ErrLegacyFormat = errors.New("store: session file is not in the binary frame format")
 )
 
@@ -126,10 +124,9 @@ type Store interface {
 	// CreateSession durably records a new session's opaque spec. It fails
 	// with ErrSessionExists when the id is already journaled.
 	CreateSession(id string, spec []byte) error
-	// Append journals one WAL record for the session: a play, batch or
-	// close record whose plays' hashes are 64 lowercase hex digits (a
-	// close record has none), or it fails. The File store keeps the
-	// fields of the record's type. A session's
+	// Append journals one WAL record for the session: a play or batch
+	// record whose hashes are 64 lowercase hex digits, or a close record
+	// with none. A session's
 	// records arrive in round order — each one's rounds follow the
 	// previous one's — and a close record, if any, comes last: the File
 	// store's compaction relies on it. rec's slices — Plays, Convicted
@@ -260,7 +257,14 @@ func checkRecord(rec *Record) error {
 }
 
 // validHash reports whether h is hashLen lowercase hex digits.
-func validHash(h string) bool { return len(h) == hashLen && strings.Trim(h, "0123456789abcdef") == "" }
+func validHash(h string) bool {
+	for i := range len(h) {
+		if c := h[i]; c-'0' > 9 && c-'a' > 5 {
+			return false
+		}
+	}
+	return len(h) == hashLen
+}
 
 // covered reports whether a snapshot at the rounds watermark makes rec
 // redundant: a play or batch record whose last round lies below it. A
