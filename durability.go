@@ -892,10 +892,8 @@ func restoreTargetFor(state store.SessionState) (RestoreTarget, error) {
 	for i := range state.Tail {
 		plays += max(len(state.Tail[i].Plays), 1) // a close record sizes one slot too many
 	}
+	target.Hashes = make(map[int]string, plays)
 	record := func(round int, hash string) {
-		if target.Hashes == nil {
-			target.Hashes = make(map[int]string, plays)
-		}
 		target.Hashes[round] = hash
 		if round > lastPlay {
 			lastPlay = round
