@@ -67,9 +67,10 @@ bench-quick:
 	$(GO) run ./bench -quick > /dev/null
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each fuzz
-# target (HTTP sessions and play, wire, evidence codec, agreement value
-# pool, session-file reader, session-file record frames) a short live
-# burst. Fails on panics/regressions, never on not finding anything new.
+# target (HTTP sessions and play, wire, evidence codec, history ring,
+# agreement value pool, session-file reader, session-file record frames) a
+# short live burst. Fails on panics/regressions, never on not finding
+# anything new.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' .
 	$(GO) test -run '^Fuzz' ./internal/wire
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzServerPlay$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime 5s -run '^Fuzz' ./internal/wire
 	$(GO) test -fuzz '^FuzzEvidenceCodec$$' -fuzztime 5s -run '^Fuzz' ./internal/core
+	$(GO) test -fuzz '^FuzzHistoryRing$$' -fuzztime 5s -run '^Fuzz' ./internal/core
 	$(GO) test -fuzz '^FuzzValuePool$$' -fuzztime 5s -run '^Fuzz' ./internal/bap
 	$(GO) test -fuzz '^FuzzSessionFile$$' -fuzztime 5s -run '^Fuzz' ./internal/store
 	$(GO) test -fuzz '^FuzzRecordFrame$$' -fuzztime 5s -run '^Fuzz' ./internal/store
