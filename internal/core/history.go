@@ -5,84 +5,157 @@ import (
 	"gameauthority/internal/game"
 )
 
-// historyRing stores a session's completed plays. Unbounded (limit 0) it
-// grows like the plain slice it replaces; bounded it becomes a ring that
-// evicts the oldest play and reuses the evicted slot's slice capacity, so
-// long sessions stop growing and recording a play stops allocating once
-// the ring is warm.
+// historyRing stores a session's completed plays as flat rows: row k holds
+// the n outcomes and n costs of one play, and its round is derived from k.
+// Unbounded (limit 0) the rows grow like a plain slice; bounded, round r
+// lives in row r % limit, the rows grow geometrically up to limit × n and
+// are never reallocated after that, so a full ring records a play without
+// allocating.
 //
-// Slots are reused in place: a RoundResult obtained through slot() or at()
-// aliases ring memory and is overwritten when its round is evicted.
-// External callers always receive views (empty slices normalized to nil)
-// or deep clones — see view, cloneResult, and snapshot.
+// The rest of a play (pulse, fouls, convictions, exclusions) goes in a
+// per-row side slot. The side array is allocated when a play first carries
+// one of them, a distributed play's pulse or a deviant's foul; an honest
+// pure session never allocates it.
+//
+// Rows are reused in place: a view returned by at or record aliases ring
+// memory and is overwritten when its round is evicted. External callers
+// always receive views (empty slices normalized to nil) or deep clones —
+// see at, cloneResult, and snapshot.
 type historyRing struct {
-	limit int // 0 = unbounded
-	buf   []RoundResult
-	start int // index of the oldest retained play (bounded + full)
-	total int // plays ever recorded
+	limit    int // 0 = unbounded
+	n        int // row width: the player count, fixed by the first record
+	outcomes []int
+	costs    []float64
+	side     []sideSlot // nil until a play needs it; then one per stored row
+	total    int        // plays ever recorded
+}
+
+// sideSlot holds the parts of a play that an honest pure play leaves empty.
+type sideSlot struct {
+	pulse     int
+	fouls     []audit.Foul
+	convicted []int
+	excluded  []int
 }
 
 // setLimit configures the bound; it must be called before the first record.
 func (r *historyRing) setLimit(limit int) { r.limit = limit }
 
 // retained returns how many plays the ring currently holds.
-func (r *historyRing) retained() int { return len(r.buf) }
+func (r *historyRing) retained() int {
+	if r.limit > 0 {
+		return min(r.total, r.limit)
+	}
+	return r.total
+}
 
 // recorded returns how many plays were ever recorded.
 func (r *historyRing) recorded() int { return r.total }
 
 // firstRetained returns the absolute round index of the oldest retained
 // play.
-func (r *historyRing) firstRetained() int { return r.total - len(r.buf) }
+func (r *historyRing) firstRetained() int { return r.total - r.retained() }
 
-// slot returns the slot the next play must be recorded into, evicting the
-// oldest retained play when the ring is bounded and full. The caller fills
-// the slot by appending into its existing slices ([:0]) so warm bounded
-// rings record without allocating.
-func (r *historyRing) slot() *RoundResult {
-	r.total++
-	if r.limit > 0 && len(r.buf) == r.limit {
-		s := &r.buf[r.start]
-		r.start = (r.start + 1) % r.limit
-		return s
+// row returns the row of a retained round.
+func (r *historyRing) row(round int) int {
+	if r.limit > 0 {
+		return round % r.limit
 	}
-	r.buf = append(r.buf, RoundResult{})
-	return &r.buf[len(r.buf)-1]
+	return round
 }
 
-// at returns the retained play with the absolute round index round, or
-// false when it was evicted or not yet played.
-func (r *historyRing) at(round int) (*RoundResult, bool) {
-	first := r.firstRetained()
-	if round < first || round >= r.total {
-		return nil, false
+// at returns a view of the retained play with the absolute round index
+// round, or false when it was evicted or not yet played.
+func (r *historyRing) at(round int) (RoundResult, bool) {
+	if round < r.firstRetained() || round >= r.total {
+		return RoundResult{}, false
 	}
-	idx := round - first
-	if r.limit > 0 && len(r.buf) == r.limit {
-		idx = (r.start + idx) % r.limit
+	lo, hi := r.row(round)*r.n, (r.row(round)+1)*r.n
+	res := RoundResult{Round: round, Outcome: r.outcomes[lo:hi:hi], Costs: r.costs[lo:hi:hi]}
+	if r.side != nil {
+		s := &r.side[r.row(round)]
+		res.Pulse, res.Verdict.Fouls, res.Convicted, res.Excluded = s.pulse, s.fouls, s.convicted, s.excluded
 	}
-	return &r.buf[idx], true
+	return view(&res), true
+}
+
+// sideOf returns row i's side slot, allocating the side array on first use.
+func (r *historyRing) sideOf(i int) *sideSlot {
+	if r.side == nil {
+		r.side = make([]sideSlot, r.retained())
+	}
+	return &r.side[i]
+}
+
+// record stores a finished play, n wide in Outcome and Costs, in the next
+// row (evicting the oldest retained play when the ring is bounded and
+// full) and returns a view of it. The ring keeps none of res's slices.
+func (r *historyRing) record(res *RoundResult) RoundResult {
+	if r.total == 0 {
+		r.n = len(res.Outcome)
+	}
+	i, n := r.row(r.total), r.n
+	if grow := r.limit == 0 || r.total < r.limit; grow {
+		r.outcomes = extend(r.outcomes, n, r.limit*n)
+		r.costs = extend(r.costs, n, r.limit*n)
+		if r.side != nil {
+			r.side = extend(r.side, 1, r.limit)
+		}
+	}
+	r.total++
+	copy(r.outcomes[i*n:(i+1)*n], res.Outcome)
+	copy(r.costs[i*n:(i+1)*n], res.Costs)
+	if r.side != nil || res.Pulse != 0 || len(res.Verdict.Fouls)+len(res.Convicted)+len(res.Excluded) > 0 {
+		s := r.sideOf(i)
+		s.pulse = res.Pulse
+		s.fouls = append(s.fouls[:0], res.Verdict.Fouls...)
+		s.convicted = append(s.convicted[:0], res.Convicted...)
+		s.excluded = append(s.excluded[:0], res.Excluded...)
+	}
+	out, _ := r.at(r.total - 1)
+	return out
+}
+
+// fold appends close-time fouls to the last recorded play, re-derives its
+// convicted set from all its fouls, and returns a view of it.
+func (r *historyRing) fold(fouls []audit.Foul) RoundResult {
+	s := r.sideOf(r.row(r.total - 1))
+	s.fouls = append(s.fouls, fouls...)
+	s.convicted = audit.Verdict{Fouls: s.fouls}.AppendGuilty(s.convicted[:0])
+	out, _ := r.at(r.total - 1)
+	return out
+}
+
+// extend lengthens s by k zero elements, doubling its capacity when it
+// must grow, but never past limit (0 = no bound).
+func extend[T any](s []T, k, limit int) []T {
+	if len(s)+k > cap(s) {
+		c := max(2*cap(s), len(s)+k)
+		if limit > 0 {
+			c = min(c, limit)
+		}
+		s = append(make([]T, 0, c), s...)
+	}
+	return s[:len(s)+k]
 }
 
 // snapshot deep-clones the retained plays, oldest first. The clones share
 // no memory with the ring, so callers may hold them across evictions.
 func (r *historyRing) snapshot() []RoundResult {
-	if len(r.buf) == 0 {
+	if r.retained() == 0 {
 		return nil
 	}
-	out := make([]RoundResult, len(r.buf))
-	first := r.firstRetained()
+	out := make([]RoundResult, r.retained())
 	for i := range out {
-		s, _ := r.at(first + i)
-		out[i] = cloneResult(s)
+		v, _ := r.at(r.firstRetained() + i)
+		out[i] = cloneResult(&v)
 	}
 	return out
 }
 
-// view returns a by-value copy of the slot with empty slices normalized to
+// view returns a by-value copy of a play with empty slices normalized to
 // nil, matching the shapes the pre-ring implementation produced. The view
-// still aliases the slot's non-empty slices; it is valid until the slot's
-// round is evicted.
+// still aliases the play's non-empty slices.
 func view(s *RoundResult) RoundResult {
 	res := *s
 	if len(res.Verdict.Fouls) == 0 {
@@ -103,7 +176,7 @@ func view(s *RoundResult) RoundResult {
 	return res
 }
 
-// cloneResult deep-clones a slot into an independent RoundResult.
+// cloneResult deep-clones a play into an independent RoundResult.
 func cloneResult(s *RoundResult) RoundResult {
 	res := *s
 	res.Outcome = cloneProfile(s.Outcome)
@@ -140,18 +213,4 @@ func cloneFouls(s []audit.Foul) []audit.Foul {
 		return nil
 	}
 	return append([]audit.Foul(nil), s...)
-}
-
-// record fills a ring slot from a finished result, reusing the slot's
-// slice capacities, and returns a view of the stored play.
-func (r *historyRing) record(res *RoundResult) RoundResult {
-	s := r.slot()
-	s.Round = res.Round
-	s.Pulse = res.Pulse
-	s.Outcome = append(s.Outcome[:0], res.Outcome...)
-	s.Verdict.Fouls = append(s.Verdict.Fouls[:0], res.Verdict.Fouls...)
-	s.Convicted = append(s.Convicted[:0], res.Convicted...)
-	s.Excluded = append(s.Excluded[:0], res.Excluded...)
-	s.Costs = append(s.Costs[:0], res.Costs...)
-	return view(s)
 }

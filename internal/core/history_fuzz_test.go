@@ -8,23 +8,6 @@ import (
 	"gameauthority/internal/game"
 )
 
-// ringAt is the ring's lookup as the driver uses it: a view by value.
-func ringAt(r *historyRing, round int) (RoundResult, bool) {
-	s, ok := r.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(s), true
-}
-
-// ringFold folds close-time fouls into the ring's last recorded play, as
-// driver.Close does.
-func ringFold(r *historyRing, fouls []audit.Foul) {
-	last, _ := r.at(r.recorded() - 1)
-	last.Verdict.Fouls = append(last.Verdict.Fouls, fouls...)
-	last.Convicted = last.Verdict.AppendGuilty(last.Convicted[:0])
-}
-
 // normalized is the shape a ring view must have: a deep copy of the
 // recorded play with empty slices as nil.
 func normalized(res RoundResult) RoundResult {
@@ -110,7 +93,7 @@ func (m *ringModel) record() {
 
 func (m *ringModel) lookup() {
 	round := int(m.next())%(len(m.plays)+3) - 1
-	got, ok := ringAt(&m.r, round)
+	got, ok := m.r.at(round)
 	if want := round >= m.first() && round < len(m.plays); ok != want {
 		m.t.Fatalf("limit %d: at(%d) found=%v with %d recorded, first retained %d", m.limit, round, ok, len(m.plays), m.first())
 	}
@@ -140,7 +123,7 @@ func (m *ringModel) fold() {
 	last := &m.plays[len(m.plays)-1]
 	last.Verdict.Fouls = append(cloneFouls(last.Verdict.Fouls), fouls...)
 	last.Convicted = last.Verdict.Guilty()
-	ringFold(&m.r, fouls)
+	m.r.fold(fouls)
 	kept := m.views[:0]
 	for _, v := range m.views {
 		if v.Round != last.Round {
@@ -148,7 +131,7 @@ func (m *ringModel) fold() {
 		}
 	}
 	m.views = kept
-	got, _ := ringAt(&m.r, last.Round)
+	got, _ := m.r.at(last.Round)
 	m.check(got, last.Round, "fold")
 }
 

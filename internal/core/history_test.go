@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"gameauthority/internal/audit"
 	"gameauthority/internal/game"
 )
 
@@ -53,20 +54,40 @@ func TestHistoryRingWraparoundOrdering(t *testing.T) {
 	}
 }
 
+// TestHistoryRingSlotReuseDoesNotAllocate pins what a limit-8 ring of
+// 4-wide rows allocates: filling it, the outcome and cost rows each double
+// from one row to eight (four arrays apiece), and after that a record
+// allocates nothing, whether the play is honest or carries fouls,
+// convictions and exclusions in the side array.
 func TestHistoryRingSlotReuseDoesNotAllocate(t *testing.T) {
+	const limit, fillAllocs = 8, 8
+	honest := RoundResult{Outcome: game.Profile{1, 0, 2, 1}, Costs: []float64{1, 2, 3, 4}}
+	deviant := honest
+	deviant.Verdict.Fouls = []audit.Foul{{Agent: 2, Reason: audit.ReasonCommitMismatch}}
+	deviant.Convicted, deviant.Excluded = []int{2}, []int{1, 2}
 	var r historyRing
-	r.setLimit(4)
-	res := RoundResult{Outcome: game.Profile{1, 0}, Costs: []float64{1, 2}, Excluded: []int{1}}
-	for i := 0; i < 8; i++ { // warm every slot's slice capacity
-		res.Round = i
-		r.record(&res)
+	fill := testing.AllocsPerRun(10, func() {
+		r = historyRing{}
+		r.setLimit(limit)
+		for i := 0; i < limit; i++ {
+			r.record(&honest)
+		}
+	})
+	if fill != fillAllocs {
+		t.Fatalf("filling a limit-%d ring allocated %v times, want %d", limit, fill, fillAllocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.record(&honest) }); allocs != 0 {
+		t.Fatalf("a full ring allocated %v times per honest record", allocs)
+	}
+	for i := 0; i < limit; i++ { // the side array and every slot's slices
+		r.record(&deviant)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		res.Round++
-		r.record(&res)
+		r.record(&deviant)
+		r.record(&honest)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ring record allocated %v times per run", allocs)
+		t.Fatalf("a full ring with a side array allocated %v times per two records", allocs)
 	}
 }
 

@@ -87,7 +87,8 @@ type ObserverFunc func(Event)
 func (f ObserverFunc) OnEvent(e Event) { f(e) }
 
 // observerHub fans session events out to subscribers. Sticky events
-// (elections) are replayed to late subscribers.
+// (elections) are replayed to late subscribers. The subscriber map is made
+// on the first subscribe: most sessions never have one.
 type observerHub struct {
 	mu     sync.Mutex
 	subs   map[int]Observer
@@ -96,16 +97,15 @@ type observerHub struct {
 	sticky []Event
 }
 
-func newObserverHub() *observerHub {
-	return &observerHub{subs: make(map[int]Observer)}
-}
-
 // subscribe registers o and returns a cancel function. Sticky events are
 // delivered synchronously before subscribe returns.
 func (h *observerHub) subscribe(o Observer) func() {
 	h.mu.Lock()
 	id := h.next
 	h.next++
+	if h.subs == nil {
+		h.subs = make(map[int]Observer)
+	}
 	h.subs[id] = o
 	replay := append([]Event(nil), h.sticky...)
 	h.mu.Unlock()

@@ -238,7 +238,7 @@ var kindOptions = []struct {
 // requested, and builds the driver shell over the engine of the resolved
 // session kind.
 func NewSession(cfg SessionConfig) (Session, error) {
-	hub := newObserverHub()
+	hub := &observerHub{}
 
 	if cfg.HistoryLimit < 0 {
 		return nil, fmt.Errorf("%w: negative history limit %d", ErrConfig, cfg.HistoryLimit)
@@ -504,11 +504,7 @@ func (d *driver) Results() []RoundResult {
 func (d *driver) ResultAt(round int) (RoundResult, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	slot, ok := d.history.at(round)
-	if !ok {
-		return RoundResult{}, false
-	}
-	return view(slot), true
+	return d.history.at(round)
 }
 
 // Stats implements Session.
@@ -560,10 +556,9 @@ func (d *driver) Close() error {
 	if !ok || len(verdict.Fouls) == 0 {
 		return nil
 	}
-	was := PlayFouls(*last)
-	last.Verdict.Fouls = append(last.Verdict.Fouls, verdict.Fouls...)
-	last.Convicted = last.Verdict.AppendGuilty(last.Convicted[:0])
-	d.fouls += PlayFouls(*last) - was
+	was := PlayFouls(last)
+	last = d.history.fold(verdict.Fouls)
+	d.fouls += PlayFouls(last) - was
 	newly := d.newlyExcluded(before)
 	d.convictions += len(newly)
 	d.emitVerdict(last.Round, verdict.Fouls, newly)
@@ -584,11 +579,6 @@ func newPureEngine(cfg SessionConfig) (engine, int, error) {
 	copy(agents, cfg.Agents)
 	if err := installPureDeviants(agents, cfg.Deviants, cfg.Game, cfg.Seed); err != nil {
 		return nil, 0, err
-	}
-	for i := range agents {
-		if agents[i] == nil {
-			agents[i] = HonestPure(cfg.Game, i)
-		}
 	}
 	s, err := NewPureSession(cfg.Game, agents, cfg.Scheme, cfg.Seed)
 	return s, n, err

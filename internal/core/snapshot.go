@@ -150,8 +150,8 @@ func (d *driver) Snapshot() SessionSnapshot {
 	first := d.history.firstRetained()
 	var line []byte
 	for i := 0; i < d.history.retained(); i++ {
-		slot, _ := d.history.at(first + i)
-		line = appendResultLine(line[:0], slot)
+		res, _ := d.history.at(first + i)
+		line = appendResultLine(line[:0], &res)
 		h.Write(line)
 	}
 	snap.Digest = hex.EncodeToString(h.Sum(nil))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gameauthority/internal/audit"
 	"gameauthority/internal/commit"
@@ -89,7 +90,7 @@ func (r RoundResult) Clone() RoundResult {
 }
 
 // NewPureSession builds a session over the elected game with one Agent per
-// player. scheme may be nil for punish-less operation (the "no authority"
+// player; a nil agent is honest, as HonestPure's would be. scheme may be nil for punish-less operation (the "no authority"
 // baseline in experiments). The game is accelerated into cost lookup
 // tables when its profile space is small enough (game.Accelerate).
 func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uint64) (*PureSession, error) {
@@ -101,7 +102,7 @@ func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uin
 		return nil, fmt.Errorf("%w: %d agents for %d players", ErrConfig, len(agents), g.NumPlayers())
 	}
 	for i, a := range agents {
-		if a == nil || a.Choose == nil {
+		if a != nil && a.Choose == nil {
 			return nil, fmt.Errorf("%w: agent %d has no Choose", ErrConfig, i)
 		}
 	}
@@ -120,7 +121,9 @@ func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uin
 	s.scratch.outcome = make(game.Profile, n)
 	s.scratch.actions = make(game.Profile, n)
 	s.scratch.costs = make([]float64, n)
-	s.scratch.prevView = make(game.Profile, n)
+	if slices.ContainsFunc(agents, func(a *Agent) bool { return a != nil }) {
+		s.scratch.prevView = make(game.Profile, n)
+	}
 	return s, nil
 }
 
@@ -168,10 +171,14 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 	var src prng.Source
 	for i, a := range s.agents {
 		src.Seed(agentStreamState(s.seed, i, s.round))
-		if s.Excluded(i) {
+		restricted := s.Excluded(i)
+		if restricted {
 			excluded = append(excluded, i)
+		}
+		if restricted || a == nil {
+			// The executive commits on the restricted agent's behalf; a
+			// nil (honest) agent's choice is the same best response.
 			chosen[i] = s.executiveAction(i)
-			// The executive commits on the restricted agent's behalf.
 			s.scratch.enc = audit.AppendAction(s.scratch.enc[:0], chosen[i])
 			ev.Commitments[i] = commit.CommitInto(&src, s.scratch.enc, &ev.Openings[i])
 			ev.Revealed[i] = true
