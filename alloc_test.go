@@ -363,16 +363,21 @@ func TestAllocsPerRestore(t *testing.T) {
 
 // TestHeapPerHostedSession gates what a hosted session retains, in
 // ws_pure's shape: pure sessions cycling its six games at history_limit 8,
-// played a full ring. Sessions of one spec share one compiled game, so
-// the six tables amortize to almost nothing and what is left is the
-// session itself (17 KB when every session compiled its own). It
-// measured 3,576 B, and the budget is measured+10% (3,930 B), the rule
+// played a full ring, and ws_pure's one deviant session in eight (a
+// visible deviant under the disconnect scheme, excluded from its first
+// play on, so its plays carry fouls or exclusions). Sessions of one spec
+// share one compiled game, so the six tables amortize to almost nothing
+// and what is left is the session itself (17 KB when every session
+// compiled its own). An honest session measured 2,172 B and a deviant one
+// 3,300 B (3,576 and 3,913 B while every play took a 136-byte ring slot
+// and two slices of its own), and each budget is measured+10%, the rule
 // TestHeapPerHostedDistSession follows: ws_pure holds 8,192 such
 // sessions, so a few hundred bytes more per session would move its live
 // heap past its 5 % bound.
 func TestHeapPerHostedSession(t *testing.T) {
-	const sessions, rounds, budget = 1024, 8, 3_930
+	const sessions, rounds = 1024, 8
 	games := []string{"congestion", "braess", "publicgoods-punish", "minority", "pd", "firstprice"}
+	strategies := []string{"commitment-cheat", "freerider"}
 	ctx := context.Background()
 	heap := func() int64 {
 		runtime.GC()
@@ -381,30 +386,46 @@ func TestHeapPerHostedSession(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	a := ga.NewAuthority()
-	defer a.Close()
-	before := heap()
-	for i := 0; i < sessions; i++ {
-		h, err := a.CreateFromSpec(ga.CreateSessionRequest{Game: games[i%len(games)], Seed: uint64(i) + 1, HistoryLimit: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Run(ctx, rounds); err != nil {
-			t.Fatal(err)
-		}
-	}
-	per := (heap() - before) / sessions
-	runtime.KeepAlive(a)
-	t.Logf("hosted pure session: %d B live (budget %d)", per, budget)
-	if per > budget {
-		t.Errorf("a hosted pure session retains %d B, budget %d", per, budget)
+	for _, tc := range []struct {
+		name    string
+		deviant bool
+		budget  int64
+	}{{"honest", false, 2_390}, {"deviant", true, 3_630}} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := ga.NewAuthority()
+			defer a.Close()
+			before := heap()
+			for i := 0; i < sessions; i++ {
+				req := ga.CreateSessionRequest{Game: games[i%len(games)], Seed: uint64(i) + 1, HistoryLimit: 8}
+				if tc.deviant {
+					req.Deviant = &ga.DeviantSpec{Player: 1, Strategy: strategies[i%len(strategies)]}
+					req.Punishment = &ga.PunishmentSpec{Scheme: "disconnect"}
+				}
+				h, err := a.CreateFromSpec(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := h.Run(ctx, rounds); err != nil {
+					t.Fatal(err)
+				}
+				if tc.deviant && h.Stats().Convictions == 0 {
+					t.Fatalf("%s: deviant %s was not convicted", req.Game, req.Deviant.Strategy)
+				}
+			}
+			per := (heap() - before) / sessions
+			runtime.KeepAlive(a)
+			t.Logf("hosted %s pure session: %d B live (budget %d)", tc.name, per, tc.budget)
+			if per > tc.budget {
+				t.Errorf("a hosted %s pure session retains %d B, budget %d", tc.name, per, tc.budget)
+			}
+		})
 	}
 }
 
 // TestHeapPerHostedDistSession gates what a hosted distributed session
 // retains, in inproc_dist's two shapes at history_limit 8. A session holds
-// at most its budget after 64 plays, pinned at measured+10% (58.8 KB at
-// (4, 1) and 252.8 KB at (7, 2); string-valued agreement trees and 24-byte
+// at most its budget after 64 plays, pinned at measured+10% (58.2 KB at
+// (4, 1) and 252.1 KB at (7, 2); string-valued agreement trees and 24-byte
 // pairs held 58.2 KB and 497 KB, and at (4, 1) the three rotating value
 // pools per processor cost about what the narrower arrays save). And
 // nothing may grow with the play
@@ -429,7 +450,7 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 	for _, tc := range []struct {
 		n, f, sessions int
 		budget         int64
-	}{{4, 1, 4, 64_700}, {7, 2, 2, 278_100}} {
+	}{{4, 1, 4, 64_030}, {7, 2, 2, 277_310}} {
 		t.Run(fmt.Sprintf("n%df%d", tc.n, tc.f), func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()
