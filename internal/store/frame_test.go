@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -131,4 +132,32 @@ func normalized(rec Record) Record {
 		}
 	}
 	return rec
+}
+
+// TestChecksumIsCRC32C holds appendFrame's slicing-by-8 checksum to
+// hash/crc32's CRC-32C at every length from 0 to 1,100 bytes (so every
+// alignment of the eight-byte steps and the byte tail), and for chained
+// calls split at random points, as appendFrame chains the type byte and
+// the body.
+func TestChecksumIsCRC32C(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	data := make([]byte, 1100)
+	for i := range data {
+		data[i] = byte(rng.Uint32())
+	}
+	for n := 0; n <= len(data); n++ {
+		p := data[:n]
+		want := crc32.Checksum(p, crcTable)
+		if got := checksum(0, p); got != want {
+			t.Fatalf("length %d: checksum %08x, CRC-32C %08x", n, got, want)
+		}
+		crc := uint32(0)
+		for rest := p; len(rest) > 0; {
+			k := rng.IntN(len(rest) + 1)
+			crc, rest = checksum(crc, rest[:k]), rest[k:]
+		}
+		if crc != want {
+			t.Fatalf("length %d split at random points: checksum %08x, CRC-32C %08x", n, crc, want)
+		}
+	}
 }
