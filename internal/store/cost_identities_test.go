@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,11 @@ import (
 // pulses and a fixed number of messages, the four interactive
 // consistencies' cost that E-BAP prints: 288 at (4, 1), 1,078 at (7, 2)
 // and 2,200 at (10, 2).
+//
+// Goroutine rows: a hosted distributed session below poolMinProcs steps
+// its pulses in lockstep on the caller's goroutine and starts none of its
+// own, at (4, 1) and at (7, 2). At (10, 2) it starts its worker pool on the
+// first play, min(GOMAXPROCS, n) goroutines, and Close releases them.
 func TestCostIdentities(t *testing.T) {
 	t.Run("journal", func(t *testing.T) {
 		for _, row := range []struct {
@@ -194,4 +200,51 @@ func TestCostIdentities(t *testing.T) {
 			})
 		}
 	})
+
+	t.Run("goroutines", func(t *testing.T) {
+		a := ga.NewAuthority()
+		defer a.Close()
+		for _, row := range []struct{ n, f, pool int }{
+			{4, 1, 0},
+			{7, 2, 0},
+			{10, 2, min(runtime.GOMAXPROCS(0), 10)},
+		} {
+			base := settledGoroutines()
+			req := ga.CreateSessionRequest{Game: "publicgoods", Players: row.n, Seed: 1}
+			req.Distributed = &struct {
+				N int `json:"n"`
+				F int `json:"f"`
+			}{N: row.n, F: row.f}
+			h, err := a.CreateFromSpec(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Run(context.Background(), 2); err != nil {
+				t.Fatal(err)
+			}
+			if added := settledGoroutines() - base; added != row.pool {
+				t.Errorf("a hosted (%d, %d) session added %d goroutines, want %d", row.n, row.f, added, row.pool)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if left := settledGoroutines() - base; left != 0 {
+				t.Errorf("a closed hosted (%d, %d) session left %d goroutines", row.n, row.f, left)
+			}
+		}
+	})
+}
+
+// settledGoroutines reads the goroutine count once it has stopped falling:
+// a closed pool's workers exit when the scheduler next runs them, so a
+// read taken right after Close can still count them.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for quiet := 0; quiet < 20; quiet++ {
+		time.Sleep(time.Millisecond)
+		if now := runtime.NumGoroutine(); now < n {
+			n, quiet = now, 0
+		}
+	}
+	return n
 }
