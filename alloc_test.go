@@ -368,8 +368,8 @@ func TestAllocsPerRestore(t *testing.T) {
 // play on, so its plays carry fouls or exclusions). Sessions of one spec
 // share one compiled game, so the six tables amortize to almost nothing
 // and what is left is the session itself (17 KB when every session
-// compiled its own). An honest session measured 2,172 B and a deviant one
-// 3,300 B (3,576 and 3,913 B while every play took a 136-byte ring slot
+// compiled its own). An honest session measured 2,171 B and a deviant one
+// 3,268 B (3,576 and 3,913 B while every play took a 136-byte ring slot
 // and two slices of its own), and each budget is measured+10%, the rule
 // TestHeapPerHostedDistSession follows: ws_pure holds 8,192 such
 // sessions, so a few hundred bytes more per session would move its live
@@ -390,7 +390,7 @@ func TestHeapPerHostedSession(t *testing.T) {
 		name    string
 		deviant bool
 		budget  int64
-	}{{"honest", false, 2_390}, {"deviant", true, 3_630}} {
+	}{{"honest", false, 2_390}, {"deviant", true, 3_595}} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()

@@ -19,12 +19,12 @@ import (
 //
 // Rows are reused in place: a view returned by at or record aliases ring
 // memory and is overwritten when its round is evicted. External callers
-// always receive views (empty slices normalized to nil) or deep clones —
-// see at, cloneResult, and snapshot.
+// always receive views (empty slices as nil) or deep clones — see at,
+// cloneResult, and snapshot.
 type historyRing struct {
 	limit    int // 0 = unbounded
 	n        int // row width: the player count, fixed by the first record
-	outcomes []int
+	outcomes game.Profile
 	costs    []float64
 	side     []sideSlot // nil until a play needs it; then one per stored row
 	total    int        // plays ever recorded
@@ -65,18 +65,21 @@ func (r *historyRing) row(round int) int {
 }
 
 // at returns a view of the retained play with the absolute round index
-// round, or false when it was evicted or not yet played.
+// round, its empty slices nil, or false when the play was evicted or not
+// yet played.
 func (r *historyRing) at(round int) (RoundResult, bool) {
 	if round < r.firstRetained() || round >= r.total {
 		return RoundResult{}, false
 	}
-	lo, hi := r.row(round)*r.n, (r.row(round)+1)*r.n
-	res := RoundResult{Round: round, Outcome: r.outcomes[lo:hi:hi], Costs: r.costs[lo:hi:hi]}
+	i := r.row(round)
+	lo, hi := i*r.n, (i+1)*r.n
+	res := RoundResult{Round: round, Outcome: orNil(r.outcomes[lo:hi:hi]), Costs: orNil(r.costs[lo:hi:hi])}
 	if r.side != nil {
-		s := &r.side[r.row(round)]
-		res.Pulse, res.Verdict.Fouls, res.Convicted, res.Excluded = s.pulse, s.fouls, s.convicted, s.excluded
+		s := &r.side[i]
+		res.Pulse, res.Verdict.Fouls = s.pulse, orNil(s.fouls)
+		res.Convicted, res.Excluded = orNil(s.convicted), orNil(s.excluded)
 	}
-	return view(&res), true
+	return res, true
 }
 
 // sideOf returns row i's side slot, allocating the side array on first use.
@@ -153,64 +156,23 @@ func (r *historyRing) snapshot() []RoundResult {
 	return out
 }
 
-// view returns a by-value copy of a play with empty slices normalized to
-// nil, matching the shapes the pre-ring implementation produced. The view
-// still aliases the play's non-empty slices.
-func view(s *RoundResult) RoundResult {
-	res := *s
-	if len(res.Verdict.Fouls) == 0 {
-		res.Verdict.Fouls = nil
-	}
-	if len(res.Convicted) == 0 {
-		res.Convicted = nil
-	}
-	if len(res.Excluded) == 0 {
-		res.Excluded = nil
-	}
-	if len(res.Costs) == 0 {
-		res.Costs = nil
-	}
-	if len(res.Outcome) == 0 {
-		res.Outcome = nil
-	}
-	return res
-}
-
 // cloneResult deep-clones a play into an independent RoundResult.
 func cloneResult(s *RoundResult) RoundResult {
 	res := *s
-	res.Outcome = cloneProfile(s.Outcome)
-	res.Verdict = audit.Verdict{Fouls: cloneFouls(s.Verdict.Fouls)}
-	res.Convicted = cloneInts(s.Convicted)
-	res.Excluded = cloneInts(s.Excluded)
-	res.Costs = cloneFloats(s.Costs)
+	res.Outcome, res.Costs = clone(s.Outcome), clone(s.Costs)
+	res.Verdict = audit.Verdict{Fouls: clone(s.Verdict.Fouls)}
+	res.Convicted, res.Excluded = clone(s.Convicted), clone(s.Excluded)
 	return res
 }
 
-func cloneProfile(p game.Profile) game.Profile {
-	if len(p) == 0 {
-		return nil
-	}
-	return append(game.Profile(nil), p...)
-}
+// clone copies s into memory of its own; an empty s clones to nil.
+func clone[S ~[]E, E any](s S) S { return append(S(nil), s...) }
 
-func cloneInts(s []int) []int {
+// orNil returns s, or nil when s is empty: the shape of a view's empty
+// fields, as of a clone's.
+func orNil[S ~[]E, E any](s S) S {
 	if len(s) == 0 {
 		return nil
 	}
-	return append([]int(nil), s...)
-}
-
-func cloneFloats(s []float64) []float64 {
-	if len(s) == 0 {
-		return nil
-	}
-	return append([]float64(nil), s...)
-}
-
-func cloneFouls(s []audit.Foul) []audit.Foul {
-	if len(s) == 0 {
-		return nil
-	}
-	return append([]audit.Foul(nil), s...)
+	return s
 }

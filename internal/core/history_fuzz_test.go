@@ -10,10 +10,7 @@ import (
 
 // normalized is the shape a ring view must have: a deep copy of the
 // recorded play with empty slices as nil.
-func normalized(res RoundResult) RoundResult {
-	c := cloneResult(&res)
-	return view(&c)
-}
+func normalized(res RoundResult) RoundResult { return res.Clone() }
 
 // ringModel drives a historyRing and a plain []RoundResult side by side.
 type ringModel struct {
@@ -121,7 +118,7 @@ func (m *ringModel) fold() {
 	}
 	fouls := m.fouls(int(m.next())%2 + 1)
 	last := &m.plays[len(m.plays)-1]
-	last.Verdict.Fouls = append(cloneFouls(last.Verdict.Fouls), fouls...)
+	last.Verdict.Fouls = append(clone(last.Verdict.Fouls), fouls...)
 	last.Convicted = last.Verdict.Guilty()
 	m.r.fold(fouls)
 	kept := m.views[:0]

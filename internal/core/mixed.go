@@ -244,7 +244,7 @@ func (s *MixedSession) Excluded(i int) bool {
 // actions are played and published; (4) the judicial service audits (per
 // round, or at epoch end in batched mode) and the executive punishes.
 func (s *MixedSession) PlayRound() (game.Profile, error) {
-	strategies := s.cfg.Strategies(s.round, clonePrev(s.prev))
+	strategies := s.cfg.Strategies(s.round, s.prev.Clone())
 	if len(strategies) != s.n {
 		return nil, fmt.Errorf("%w: strategy arity %d", ErrConfig, len(strategies))
 	}

@@ -100,7 +100,7 @@ func (h *RRASupervised) RRA() *game.RRA { return h.rra }
 
 // LastChoices returns the published profile of the most recent play (nil
 // before the first play).
-func (h *RRASupervised) LastChoices() game.Profile { return clonePrev(h.lastChoices) }
+func (h *RRASupervised) LastChoices() game.Profile { return h.lastChoices.Clone() }
 
 // Fouls returns every foul detected so far.
 func (h *RRASupervised) Fouls() []audit.Foul {

@@ -429,8 +429,8 @@ func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
 		d.hub.emit(Event{
 			Kind:    EventPlay,
 			Round:   out.Round,
-			Outcome: cloneProfile(out.Outcome),
-			Costs:   cloneFloats(out.Costs),
+			Outcome: clone(out.Outcome),
+			Costs:   clone(out.Costs),
 			Pulse:   out.Pulse,
 		})
 		d.emitVerdict(out.Round, out.Verdict.Fouls, newly)
@@ -468,7 +468,7 @@ func (d *driver) newlyExcluded(before []int) []int {
 // eviction from a bounded history ring.
 func (d *driver) emitVerdict(round int, fouls []audit.Foul, convicted []int) {
 	if len(fouls) > 0 {
-		d.hub.emit(Event{Kind: EventVerdict, Round: round, Fouls: cloneFouls(fouls)})
+		d.hub.emit(Event{Kind: EventVerdict, Round: round, Fouls: clone(fouls)})
 	}
 	for _, agent := range convicted {
 		d.hub.emit(Event{

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"gameauthority/internal/audit"
 	"gameauthority/internal/commit"
@@ -90,9 +89,10 @@ func (r RoundResult) Clone() RoundResult {
 }
 
 // NewPureSession builds a session over the elected game with one Agent per
-// player; a nil agent is honest, as HonestPure's would be. scheme may be nil for punish-less operation (the "no authority"
-// baseline in experiments). The game is accelerated into cost lookup
-// tables when its profile space is small enough (game.Accelerate).
+// player; a nil agent is honest, as HonestPure's would be. scheme may be
+// nil for punish-less operation (the "no authority" baseline in
+// experiments). The game is accelerated into cost lookup tables when its
+// profile space is small enough (game.Accelerate).
 func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uint64) (*PureSession, error) {
 	if g == nil {
 		return nil, fmt.Errorf("%w: nil game", ErrConfig)
@@ -121,9 +121,6 @@ func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uin
 	s.scratch.outcome = make(game.Profile, n)
 	s.scratch.actions = make(game.Profile, n)
 	s.scratch.costs = make([]float64, n)
-	if slices.ContainsFunc(agents, func(a *Agent) bool { return a != nil }) {
-		s.scratch.prevView = make(game.Profile, n)
-	}
 	return s, nil
 }
 
@@ -257,12 +254,14 @@ func (s *PureSession) finish() (audit.Verdict, error) { return audit.Verdict{}, 
 
 // prevFor returns the previous outcome to hand an agent's Choose hook: a
 // scratch copy so one agent's mutation cannot leak into another agent's
-// view. The slice is only valid during the call.
+// view. The slice is only valid during the call. The scratch is made on
+// the first call: a session of honest (nil) agents never makes it.
 func (s *PureSession) prevFor() game.Profile {
 	if s.prev == nil {
 		return nil
 	}
-	return append(s.scratch.prevView[:0], s.prev...)
+	s.scratch.prevView = append(s.scratch.prevView[:0], s.prev...)
+	return s.scratch.prevView
 }
 
 // executiveAction is the action the executive service substitutes for a
@@ -273,11 +272,4 @@ func (s *PureSession) executiveAction(i int) int {
 		return 0
 	}
 	return game.BestResponse(s.g, i, s.prev)
-}
-
-func clonePrev(p game.Profile) game.Profile {
-	if p == nil {
-		return nil
-	}
-	return p.Clone()
 }
