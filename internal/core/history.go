@@ -28,6 +28,7 @@ type historyRing struct {
 	costs    []float64
 	side     []sideSlot // nil until a play needs it; then one per stored row
 	total    int        // plays ever recorded
+	next     int        // the row of the next record: total % limit, kept without dividing
 }
 
 // sideSlot holds the parts of a play that an honest pure play leaves empty.
@@ -56,12 +57,13 @@ func (r *historyRing) recorded() int { return r.total }
 // play.
 func (r *historyRing) firstRetained() int { return r.total - r.retained() }
 
-// row returns the row of a retained round.
+// row returns the row of a retained round (round % limit when bounded).
 func (r *historyRing) row(round int) int {
-	if r.limit > 0 {
-		return round % r.limit
+	i := r.next - (r.total - round)
+	if i < 0 {
+		i += r.limit
 	}
-	return round
+	return i
 }
 
 // at returns a view of the retained play with the absolute round index
@@ -71,7 +73,11 @@ func (r *historyRing) at(round int) (RoundResult, bool) {
 	if round < r.firstRetained() || round >= r.total {
 		return RoundResult{}, false
 	}
-	i := r.row(round)
+	return r.view(r.row(round), round), true
+}
+
+// view returns the play of the given round, stored in row i.
+func (r *historyRing) view(i, round int) RoundResult {
 	lo, hi := i*r.n, (i+1)*r.n
 	res := RoundResult{Round: round, Outcome: orNil(r.outcomes[lo:hi:hi]), Costs: orNil(r.costs[lo:hi:hi])}
 	if r.side != nil {
@@ -79,7 +85,7 @@ func (r *historyRing) at(round int) (RoundResult, bool) {
 		res.Pulse, res.Verdict.Fouls = s.pulse, orNil(s.fouls)
 		res.Convicted, res.Excluded = orNil(s.convicted), orNil(s.excluded)
 	}
-	return res, true
+	return res
 }
 
 // sideOf returns row i's side slot, allocating the side array on first use.
@@ -97,7 +103,7 @@ func (r *historyRing) record(res *RoundResult) RoundResult {
 	if r.total == 0 {
 		r.n = len(res.Outcome)
 	}
-	i, n := r.row(r.total), r.n
+	i, n := r.next, r.n
 	if grow := r.limit == 0 || r.total < r.limit; grow {
 		r.outcomes = extend(r.outcomes, n, r.limit*n)
 		r.costs = extend(r.costs, n, r.limit*n)
@@ -106,6 +112,9 @@ func (r *historyRing) record(res *RoundResult) RoundResult {
 		}
 	}
 	r.total++
+	if r.next++; r.next == r.limit {
+		r.next = 0
+	}
 	copy(r.outcomes[i*n:(i+1)*n], res.Outcome)
 	copy(r.costs[i*n:(i+1)*n], res.Costs)
 	if r.side != nil || res.Pulse != 0 || len(res.Verdict.Fouls)+len(res.Convicted)+len(res.Excluded) > 0 {
@@ -115,18 +124,17 @@ func (r *historyRing) record(res *RoundResult) RoundResult {
 		s.convicted = append(s.convicted[:0], res.Convicted...)
 		s.excluded = append(s.excluded[:0], res.Excluded...)
 	}
-	out, _ := r.at(r.total - 1)
-	return out
+	return r.view(i, r.total-1)
 }
 
 // fold appends close-time fouls to the last recorded play, re-derives its
 // convicted set from all its fouls, and returns a view of it.
 func (r *historyRing) fold(fouls []audit.Foul) RoundResult {
-	s := r.sideOf(r.row(r.total - 1))
+	i := r.row(r.total - 1)
+	s := r.sideOf(i)
 	s.fouls = append(s.fouls, fouls...)
 	s.convicted = audit.Verdict{Fouls: s.fouls}.AppendGuilty(s.convicted[:0])
-	out, _ := r.at(r.total - 1)
-	return out
+	return r.view(i, r.total-1)
 }
 
 // extend lengthens s by k zero elements, doubling its capacity when it

@@ -58,11 +58,12 @@ type PureSession struct {
 // cannot establish are left zero (Verdict details on distributed plays,
 // Pulse on the trusted kinds).
 //
-// Results returned from sessions with a bounded history (WithHistoryLimit)
-// alias session-owned buffers: they stay valid until the play is evicted
-// from the ring. Use Clone (or Results, which deep-copies) to retain one
-// indefinitely. Unbounded sessions never evict, so their results never go
-// stale.
+// A result a session returns is a view of its history ring (empty slices
+// nil): Outcome and Costs alias the play's row, the other slices its side
+// slot. On a session with a bounded history (WithHistoryLimit) it stays
+// valid until the play is evicted from the ring. Use Clone (or Results,
+// which deep-copies) to retain one indefinitely. Unbounded sessions never
+// evict, so their results never go stale.
 type RoundResult struct {
 	Round int
 	// Outcome is the published PSP of the play (after executive
