@@ -5,22 +5,16 @@ import (
 	"gameauthority/internal/game"
 )
 
-// historyRing stores a session's completed plays as flat rows: row k holds
-// the n outcomes and n costs of one play, and its round is derived from k.
-// Unbounded (limit 0) the rows grow like a plain slice; bounded, round r
-// lives in row r % limit, the rows grow geometrically up to limit × n and
-// are never reallocated after that, so a full ring records a play without
-// allocating.
-//
-// The rest of a play (pulse, fouls, convictions, exclusions) goes in a
-// per-row side slot. The side array is allocated when a play first carries
-// one of them, a distributed play's pulse or a deviant's foul; an honest
-// pure session never allocates it.
-//
-// Rows are reused in place: a view returned by at or record aliases ring
-// memory and is overwritten when its round is evicted. External callers
-// always receive views (empty slices as nil) or deep clones — see at,
-// cloneResult, and snapshot.
+// historyRing stores a session's completed plays as flat rows, each the n
+// outcomes and n costs of one play; a play's round is derived from its row.
+// Unbounded (limit 0) the rows grow like a plain slice. Bounded, round r
+// lives in row r % limit, and the rows double up to limit × n and are never
+// reallocated after, so a full ring records without allocating. A play's
+// pulse, fouls, convictions and exclusions go in a per-row side slot,
+// allocated once a play first carries one (a distributed play's pulse, a
+// deviant's foul): an honest pure session has none. Rows are reused in
+// place: a view from at or record aliases ring memory until its round is
+// evicted, and snapshot deep-clones.
 type historyRing struct {
 	limit    int // 0 = unbounded
 	n        int // row width: the player count, fixed by the first record
@@ -38,9 +32,6 @@ type sideSlot struct {
 	convicted []int
 	excluded  []int
 }
-
-// setLimit configures the bound; it must be called before the first record.
-func (r *historyRing) setLimit(limit int) { r.limit = limit }
 
 // retained returns how many plays the ring currently holds.
 func (r *historyRing) retained() int {

@@ -179,8 +179,7 @@ func FuzzHistoryRing(f *testing.F) {
 		}
 		width := int(ops[0]%4) + 1
 		for _, limit := range []int{0, 1, 3, 8} {
-			m := &ringModel{t: t, limit: limit, width: width, stream: ops[1:]}
-			m.r.setLimit(limit)
+			m := &ringModel{t: t, r: historyRing{limit: limit}, limit: limit, width: width, stream: ops[1:]}
 			for len(m.stream) > 0 {
 				switch m.next() % 5 {
 				case 0, 1:

@@ -24,8 +24,7 @@ func TestHistoryRingUnbounded(t *testing.T) {
 }
 
 func TestHistoryRingWraparoundOrdering(t *testing.T) {
-	var r historyRing
-	r.setLimit(3)
+	r := historyRing{limit: 3}
 	for i := 0; i < 10; i++ {
 		r.record(&RoundResult{Round: i, Outcome: game.Profile{i}, Costs: []float64{float64(i)}})
 	}
@@ -67,8 +66,7 @@ func TestHistoryRingSlotReuseDoesNotAllocate(t *testing.T) {
 	deviant.Convicted, deviant.Excluded = []int{2}, []int{1, 2}
 	var r historyRing
 	fill := testing.AllocsPerRun(10, func() {
-		r = historyRing{}
-		r.setLimit(limit)
+		r = historyRing{limit: limit}
 		for i := 0; i < limit; i++ {
 			r.record(&honest)
 		}
@@ -92,8 +90,7 @@ func TestHistoryRingSlotReuseDoesNotAllocate(t *testing.T) {
 }
 
 func TestHistoryRingSnapshotIsIndependent(t *testing.T) {
-	var r historyRing
-	r.setLimit(2)
+	r := historyRing{limit: 2}
 	r.record(&RoundResult{Round: 0, Outcome: game.Profile{7, 7}})
 	snap := r.snapshot()
 	view0, _ := r.at(0)

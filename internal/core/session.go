@@ -292,9 +292,7 @@ func NewSession(cfg SessionConfig) (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &driver{kind: kind, n: n, eng: eng, hub: hub}
-	d.history.setLimit(cfg.HistoryLimit)
-	return d, nil
+	return &driver{kind: kind, n: n, eng: eng, hub: hub, history: historyRing{limit: cfg.HistoryLimit}}, nil
 }
 
 // EngineOf returns the per-kind engine behind a Session built by

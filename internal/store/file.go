@@ -63,9 +63,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // after byte b and k zero bytes, crcSlices[0] being crcTable.
 var crcSlices = func() (t [8][256]uint32) {
 	t[0] = *crcTable
-	for i := range t[0] {
-		for k := 1; k < 8; k++ {
-			t[k][i] = t[0][byte(t[k-1][i])] ^ t[k-1][i]>>8
+	for k := 1; k < 8; k++ {
+		for i, c := range t[k-1] {
+			t[k][i] = t[0][byte(c)] ^ c>>8
 		}
 	}
 	return t
