@@ -153,7 +153,7 @@ type SessionConfig struct {
 	Scheme punish.Scheme
 	// HistoryLimit bounds the retained play history to the most recent
 	// HistoryLimit plays (0 = unbounded). Bounded sessions stop growing
-	// and record plays into reused ring slots — see Session.Results.
+	// and record plays into reused ring rows — see Session.Results.
 	HistoryLimit int
 
 	// Deviants installs player-level selfish strategies: Deviants[i]

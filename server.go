@@ -911,7 +911,7 @@ func infoFor(h *HostedSession) sessionInfo {
 
 func roundFor(res RoundResult) roundResponse {
 	// Clone before accumulating: on a history-bounded session the result's
-	// slices alias ring slots that later plays in the same batch reuse.
+	// slices alias ring rows that later plays in the same batch reuse.
 	res = res.Clone()
 	return roundResponse{
 		Round:     res.Round,
