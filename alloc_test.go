@@ -369,8 +369,7 @@ func TestAllocsPerRestore(t *testing.T) {
 // share one compiled game, so the six tables amortize to almost nothing
 // and what is left is the session itself (17 KB when every session
 // compiled its own). An honest session measured 2,171 B and a deviant one
-// 3,268 B (3,576 and 3,913 B while every play took a 136-byte ring slot
-// and two slices of its own), and each budget is measured+10%, the rule
+// 3,268 B, and each budget is measured+10%, the rule
 // TestHeapPerHostedDistSession follows: ws_pure holds 8,192 such
 // sessions, so a few hundred bytes more per session would move its live
 // heap past its 5 % bound.
