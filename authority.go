@@ -162,12 +162,12 @@ type HostedSession struct {
 	id string
 	a  *Authority
 
-	// jmu orders journaling against close and removal: each play journals
-	// under the lock (exclusively — its RoundResult aliases the driver's
-	// history ring, which the next play may wrap), Close journals its
-	// close record under it, and Remove decides the ledger's fate under
-	// it, so a play that completed before Close always reaches the WAL
-	// before the close record (whose digest covers it) is written.
+	// jmu orders journaling against close and removal: each PlayN call
+	// fills (through the stage) and appends its one journal scratch under
+	// the lock, Close journals its close record under it, and Remove
+	// decides the ledger's fate under it, so a play that completed before
+	// Close always reaches the WAL before the close record (whose digest
+	// covers it) is written.
 	jmu sync.Mutex
 
 	// durable marks sessions journaled in the authority's store. It flips
@@ -192,14 +192,9 @@ type HostedSession struct {
 	breakerFails atomic.Int64
 	breakerUntil atomic.Int64
 
-	// call accumulates the PlayN call in flight (under jmu); onRound is
-	// observeRound bound once, the sink every driver PlayN is handed.
-	call    playCall
-	onRound func(RoundResult) error
-	// observed is the round count as of the last play observeRound saw
-	// (under jmu): Close re-reads that play to count what a close-time
-	// verdict adds to it.
-	observed int
+	// journal is the journal scratch of the PlayN call in flight, nil
+	// between calls and on a session that is not journaling (under jmu).
+	journal *journalScratch
 }
 
 // ID returns the session's registry key.
@@ -342,6 +337,13 @@ func (a *Authority) Create(id string, g Game, opts ...Option) (*HostedSession, e
 // Host registers an existing session under id (empty = auto-assigned).
 // IDs are restricted to 1–64 characters from [A-Za-z0-9._-] so every
 // session stays addressable over HTTP.
+//
+// Hosting attaches the session's stage to its play order (core.Attach):
+// each later play moves gameauthority_plays_total, _fouls_total and
+// _convictions_total and reaches the journal of the PlayN call that made
+// it. A Session that New did not build gets no stage, so its plays move
+// none of the three. A play made through the embedded Session field skips
+// jmu and the journal, as it always has.
 func (a *Authority) Host(id string, s Session) (*HostedSession, error) {
 	if id == "" {
 		// The counter is monotone, so each candidate is fresh; a collision
@@ -372,7 +374,7 @@ func (a *Authority) hostAt(sh *authorityShard, id string, s Session) (*HostedSes
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, id)
 	}
 	h := &HostedSession{Session: s, id: id, a: a}
-	h.onRound = h.observeRound
+	core.Attach(s, h.stage)
 	sh.sessions[id] = h
 	sessionsCreated.Inc()
 	return h, nil

@@ -261,23 +261,20 @@ func (h *HostedSession) Play(ctx context.Context) (RoundResult, error) {
 }
 
 // PlayN executes n plays on the hosted session under a single journal
-// (and driver) lock acquisition, bumps the play counters, and journals
-// the request as ONE WAL record (durable sessions) carrying each play's
-// canonical transcript hash, which recovery re-verifies. State evolution
-// is identical to n sequential Play calls (the drivers' Play is their
-// PlayN with n = 1); only the journaling is coalesced. sink, when
-// non-nil, observes every completed round in order before the next round
-// runs — results may alias driver scratch, so sink must copy or hash what
-// it keeps.
+// (and driver) lock acquisition and journals the request as ONE WAL record
+// (durable sessions) carrying each play's canonical transcript hash, which
+// recovery re-verifies. State evolution is identical to n sequential Play
+// calls (the drivers' Play is their PlayN with n = 1); only the journaling
+// is coalesced. sink, when non-nil, goes straight to the driver: it
+// observes every completed round in order before the next round runs —
+// results may alias driver scratch, so sink must copy or hash what it
+// keeps.
 //
-// Journaling happens under the session's journal lock, so a play can
-// never race Close into appending after the close record. The lock is
-// exclusive, not shared: a RoundResult aliases the driver's history ring
-// (valid only until its slot is evicted), so each round's hash and
-// convicted list are read in observeRound, before another play of this
-// session can wrap the ring. Plays of one session serialize on the
-// driver's own mutex anyway; this only keeps the journal append inside
-// that window.
+// Inside the driver's play order, the session's stage (see Authority.Host)
+// counts each play and adds it to this call's journal scratch. The
+// journal append runs after the driver's lock is released, so readers
+// never wait on a disk, but under the session's journal lock, so a play
+// can never race Close into appending after the close record.
 //
 // On a mid-batch error the completed prefix is journaled and the last
 // completed result returned with the error. A journal failure after a
@@ -307,23 +304,20 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 	}
 	h.jmu.Lock()
 	defer h.jmu.Unlock()
-	a, c := h.a, &h.call
-	c.sink = sink
 	if h.durable.Load() && !h.dropped.Load() {
 		// dropped: a Remove is deleting the ledger — appending would only
 		// manufacture a spurious ErrDurability for plays that succeeded.
 		// The scratch grows with the plays that complete, never from n: a
 		// cancelled PlayN(math.MaxInt) plays nothing and allocates nothing.
-		c.journal = journalScratches.Get().(*journalScratch)
+		h.journal = journalScratches.Get().(*journalScratch)
 	}
-	res, err := h.Session.PlayN(ctx, n, h.onRound)
-	playsTotal.Add(c.completed)
-	countFouls(c.fouls, c.convictions)
-	if j := c.journal; j != nil {
+	res, err := h.Session.PlayN(ctx, n, sink)
+	if j := h.journal; j != nil {
+		h.journal = nil
 		// Journal whatever completed — on a mid-batch error the prefix
 		// stands, exactly as n sequential Play calls would have journaled it.
 		if plays := j.completed(); len(plays) > 0 {
-			if jerr := a.journal(h, plays); jerr != nil {
+			if jerr := h.a.journal(h, plays); jerr != nil {
 				h.breakerRecord(true)
 				err = errors.Join(err, jerr)
 			} else {
@@ -332,23 +326,27 @@ func (h *HostedSession) PlayN(ctx context.Context, n int, sink func(RoundResult)
 		}
 		j.release()
 	}
-	// Nothing a call filled may outlive it on the session: the sink is the
-	// caller's, and the journal scratch went back to its pool.
-	*c = playCall{}
 	return res, err
 }
 
-// playCall is the accumulator of the one PlayN call a session has in
-// flight. It lives on the HostedSession under jmu, and the driver sink is
-// a func value bound once at Host time (onRound), so a play allocates
-// neither a closure nor the variables one would capture. The journal
-// scratch is one pointer, nil on a session that is not journaling: every
-// hosted session carries the call, so it holds no scratch of its own
-// between calls.
-type playCall struct {
-	sink                          func(RoundResult) error
-	completed, fouls, convictions int64
-	journal                       *journalScratch
+// stage is the hosted session's end of the driver's play order, attached
+// at Host time (core.Attach). It runs under the driver lock: it counts
+// each play, its fouls and its convicted agents, and what a close-time
+// fold adds to the last play, and passes each play to the journal scratch
+// of the PlayN call in flight, if that call journals.
+func (h *HostedSession) stage(res RoundResult, fouls, convicted int, fold bool) {
+	if !fold {
+		playsTotal.Inc()
+		if h.journal != nil {
+			h.journal.observe(&res, fouls)
+		}
+	}
+	if fouls > 0 { // most plays have none: skip the shared cache line
+		foulsTotal.Add(int64(fouls))
+	}
+	if convicted > 0 {
+		convictionsTotal.Add(int64(convicted))
+	}
 }
 
 // journalScratch is the journal state of one PlayN call on a durable
@@ -378,11 +376,7 @@ var journalScratches = sync.Pool{New: func() any {
 // observe adds one completed play.
 func (j *journalScratch) observe(res *RoundResult, fouls int) {
 	j.hex = core.AppendHashResult(j.hex, res)
-	bp := store.BatchPlay{Round: res.Round, Fouls: fouls}
-	if len(res.Convicted) > 0 {
-		bp.Convicted = append([]int(nil), res.Convicted...)
-	}
-	j.batch = append(j.batch, bp)
+	j.batch = append(j.batch, store.BatchPlay{Round: res.Round, Fouls: fouls, Convicted: append([]int(nil), res.Convicted...)})
 }
 
 // completed returns the call's plays with their hashes filled in. The
@@ -404,34 +398,6 @@ func (j *journalScratch) release() {
 	clear(j.plays[:min(len(j.batch), scratchPlays)])
 	j.batch, j.hex = j.plays[:0], j.hexes[:0]
 	journalScratches.Put(j)
-}
-
-// countFouls adds to the process-wide foul and conviction counters.
-func countFouls(fouls, convictions int64) {
-	if fouls > 0 { // most plays have none: skip the shared cache line
-		foulsTotal.Add(fouls)
-	}
-	if convictions > 0 {
-		convictionsTotal.Add(convictions)
-	}
-}
-
-// observeRound is the driver sink of every PlayN call (bound as
-// h.onRound). It runs under jmu, between rounds.
-func (h *HostedSession) observeRound(res RoundResult) error {
-	c := &h.call
-	c.completed++
-	h.observed = res.Round + 1
-	fouls := core.PlayFouls(res)
-	c.fouls += int64(fouls)
-	c.convictions += int64(len(res.Convicted))
-	if c.journal != nil {
-		c.journal.observe(&res, fouls)
-	}
-	if c.sink != nil {
-		return c.sink(res)
-	}
-	return nil
 }
 
 // breakerGate fails fast with ErrBreakerOpen while the session's breaker
@@ -496,16 +462,8 @@ func (h *HostedSession) Run(ctx context.Context, rounds int) (RoundResult, error
 func (h *HostedSession) Close() error {
 	h.jmu.Lock()
 	defer h.jmu.Unlock()
-	// A batched-audit mixed session audits its trailing epoch on close and
-	// folds the verdict into its last play; count what that adds to the
-	// last play observeRound counted.
-	was, _ := h.Session.ResultAt(h.observed - 1)
-	fouls, convicted := core.PlayFouls(was), len(was.Convicted)
 	if err := h.Session.Close(); err != nil {
 		return err
-	}
-	if now, ok := h.Session.ResultAt(h.observed - 1); ok {
-		countFouls(int64(core.PlayFouls(now)-fouls), int64(len(now.Convicted)-convicted))
 	}
 	if h.a == nil || !h.durable.Load() || h.dropped.Load() || h.closeLogged.Swap(true) {
 		return nil
@@ -853,10 +811,8 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 	}
 	h.durable.Store(true)
 	// Seed the cadence counter with the un-compacted tail so long tails
-	// compact soon after recovery, and the observed round so Close counts
-	// what a close-time verdict adds to the last replayed play.
+	// compact soon after recovery.
 	h.walPlays = len(target.Hashes)
-	h.observed = target.Rounds
 	h.jmu.Unlock()
 	if target.Closed {
 		h.closeLogged.Store(true)

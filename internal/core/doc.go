@@ -26,6 +26,7 @@
 // shell (session.go), the package's only Session implementation. The
 // shell owns the lock, history, counters and events, and runs every play
 // in one fixed order: gate (context, closed) → exclusion snapshot →
-// engine step → record in the history ring → counters → events. A play's
-// foul count is PlayFouls, wherever it is counted.
+// engine step → record in the history ring → counters → events → the
+// stage a host attaches (Attach). A play's foul count is playFouls,
+// counted once in the shell and handed to the stage.
 package core

@@ -321,11 +321,11 @@ var playLatency = [...]*obs.Histogram{
 		"Latency of one audited play, by driver.", obs.Label{Key: "driver", Value: "distributed"}),
 }
 
-// PlayFouls is a play's foul count, the one definition behind
-// Stats().Fouls, the host's fouls counter and the journal: one per verdict
-// foul, or, when the play carries no verdict detail (a distributed play
-// agrees only on the foul set), one per convicted agent.
-func PlayFouls(res RoundResult) int {
+// playFouls is a play's foul count, the one definition behind
+// Stats().Fouls and what the shell hands its stage: one per verdict foul,
+// or, when the play carries no verdict detail (a distributed play agrees
+// only on the foul set), one per convicted agent.
+func playFouls(res RoundResult) int {
 	if n := len(res.Verdict.Fouls); n > 0 {
 		return n
 	}
@@ -351,12 +351,30 @@ type engine interface {
 	finish() (audit.Verdict, error)
 }
 
+// Stage is the last step of the shell's play order (see Attach). It runs
+// under the driver lock after events: once per play with its result, foul
+// count and len(res.Convicted), and once more, fold set, with what Close
+// adds to the last play when it folds in a trailing verdict. res may alias
+// the history ring, and the stage must not call back into the session.
+type Stage func(res RoundResult, fouls, convicted int, fold bool)
+
+// Attach installs stage at the end of the play order of a session that
+// NewSession built; plays made before it (a Restore's replay) never reach
+// it. Any other Session is left as it is.
+func Attach(s Session, stage Stage) {
+	if d, ok := s.(*driver); ok {
+		d.mu.Lock()
+		d.stage = stage
+		d.mu.Unlock()
+	}
+}
+
 // driver is the one Session implementation. Every play runs the same
 // order: gate (context, closed) → exclusion snapshot → engine step into
-// the shell's scratch → record in the history ring → counters → events.
-// Events are emitted while the play mutex is held, so concurrent players
-// cannot interleave streams out of round order (observers must not call
-// back into the session — see Observer).
+// the shell's scratch → record in the history ring → counters → events →
+// the attached stage. Events are emitted while the play mutex is held, so
+// concurrent players cannot interleave streams out of round order
+// (observers must not call back into the session — see Observer).
 type driver struct {
 	mu          sync.Mutex
 	kind        SessionKind
@@ -367,6 +385,7 @@ type driver struct {
 	fouls       int
 	convictions int
 	closed      bool
+	stage       Stage
 
 	// result is the per-play scratch the engine writes into; its Excluded,
 	// the agents excluded before the play, is the exclusion snapshot.
@@ -420,7 +439,8 @@ func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
 		return RoundResult{}, err
 	}
 	out := d.history.record(res)
-	d.fouls += PlayFouls(out)
+	fouls := playFouls(out)
+	d.fouls += fouls
 	newly := d.newlyExcluded(res.Excluded)
 	d.convictions += len(newly)
 	if d.hub.active() {
@@ -432,6 +452,9 @@ func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
 			Pulse:   out.Pulse,
 		})
 		d.emitVerdict(out.Round, out.Verdict.Fouls, newly)
+	}
+	if d.stage != nil {
+		d.stage(out, fouls, len(out.Convicted), false)
 	}
 	return out, nil
 }
@@ -535,8 +558,9 @@ func (d *driver) Subscribe(o Observer) func() { return d.hub.subscribe(o) }
 
 // Close finishes the engine (a batched-audit mixed session audits its
 // trailing epoch, a distributed one releases its worker pool) and folds
-// any verdict that issues into the last recorded play. A failed close
-// stays open so callers can retry it; Close is idempotent.
+// any verdict that issues into the last recorded play, telling the stage
+// what the fold added. A failed close stays open so callers can retry it;
+// Close is idempotent.
 func (d *driver) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -554,12 +578,16 @@ func (d *driver) Close() error {
 	if !ok || len(verdict.Fouls) == 0 {
 		return nil
 	}
-	was := PlayFouls(last)
+	fouls, convicted := playFouls(last), len(last.Convicted)
 	last = d.history.fold(verdict.Fouls)
-	d.fouls += PlayFouls(last) - was
+	fouls, convicted = playFouls(last)-fouls, len(last.Convicted)-convicted
+	d.fouls += fouls
 	newly := d.newlyExcluded(before)
 	d.convictions += len(newly)
 	d.emitVerdict(last.Round, verdict.Fouls, newly)
+	if d.stage != nil {
+		d.stage(last, fouls, convicted, true)
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -378,6 +379,69 @@ func TestFoulsTotalMatchesStats(t *testing.T) {
 				t.Errorf("gameauthority_convictions_total moved by %v, the results convict %d", got, convicted)
 			}
 		})
+	}
+}
+
+// TestPlaysTotalCountsHostedPlays pins how far gameauthority_plays_total
+// moves: by the plays a hosted PlayN completed — j when its sink fails
+// after j of k rounds, k on a durable session — and not at all for the
+// plays of a session that was never hosted.
+func TestPlaysTotalCountsHostedPlays(t *testing.T) {
+	const k, j = 5, 2
+	ctx := context.Background()
+	plays := func(play func()) float64 {
+		before := scrapeSamples(t)["gameauthority_plays_total"]
+		play()
+		return scrapeSamples(t)["gameauthority_plays_total"] - before
+	}
+	spec := ga.CreateSessionRequest{Game: "pd", Seed: 1}
+
+	host := ga.NewAuthority()
+	t.Cleanup(func() { host.Close() })
+	volatile, err := host.CreateFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errSink := errors.New("sink failed")
+	if got := plays(func() {
+		seen := 0
+		_, err := volatile.PlayN(ctx, k, func(ga.RoundResult) error {
+			if seen++; seen == j {
+				return errSink
+			}
+			return nil
+		})
+		if !errors.Is(err, errSink) {
+			t.Fatalf("PlayN(%d) with a failing sink: %v", k, err)
+		}
+	}); got != j {
+		t.Errorf("a PlayN(%d) whose sink failed after %d rounds moved plays_total by %v", k, j, got)
+	}
+
+	durableHost := ga.NewAuthority(ga.WithStore(ga.NewMemStore()))
+	t.Cleanup(func() { durableHost.Close() })
+	durable, err := durableHost.CreateFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plays(func() {
+		if _, err := durable.PlayN(ctx, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); got != k {
+		t.Errorf("a durable PlayN(%d) moved plays_total by %v", k, got)
+	}
+
+	unhosted, err := ga.New(ga.PrisonersDilemma(), ga.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plays(func() {
+		if _, err := unhosted.Run(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("%d plays of a session never hosted moved plays_total by %v", k, got)
 	}
 }
 

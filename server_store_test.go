@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -409,6 +410,88 @@ func TestSnapshotRacesPlays(t *testing.T) {
 	if got := r.Snapshot(); got.Rounds != want.Rounds || got.Digest != want.Digest {
 		t.Fatalf("recovered at round %d digest %.12s, acknowledged round %d digest %.12s",
 			got.Rounds, got.Digest, want.Rounds, want.Digest)
+	}
+}
+
+// TestCloseRacesPlayN races Close against four goroutines playing PlayN(3)
+// on a durable batched-audit mixed session with a cheating deviant, so
+// Close's trailing audit folds a verdict into whichever play landed last.
+// The session's stage, PlayN's journal append and Close all run under the
+// journal lock: fouls_total moves by exactly Stats().Fouls,
+// convictions_total by the results' convicted agents, and the detached
+// ledger recovers the session closed, with the digest it closed at.
+func TestCloseRacesPlayN(t *testing.T) {
+	ctx := context.Background()
+	a := ga.NewAuthority(ga.WithStore(ga.NewMemStore()))
+	t.Cleanup(func() { a.Close() })
+	before := scrapeSamples(t)
+	h, err := a.CreateFromSpec(ga.CreateSessionRequest{
+		ID: "close-raced", Game: "matchingpennies", Kind: "mixed", Audit: "batched", EpochLen: 16, Seed: 2,
+		Deviant: &ga.DeviantSpec{Player: 0, Strategy: "commitment-cheat"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		wg      sync.WaitGroup
+		once    sync.Once
+		started = make(chan struct{})
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := h.PlayN(ctx, 3, nil); err != nil {
+					if !errors.Is(err, ga.ErrClosed) {
+						t.Errorf("PlayN: %v", err)
+					}
+					return
+				}
+				once.Do(func() { close(started) })
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-started
+		if err := h.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	wg.Wait()
+
+	st := h.Stats()
+	if st.Fouls == 0 {
+		t.Fatal("the deviant committed no foul; the row proves nothing")
+	}
+	convicted := 0
+	for _, res := range h.Results() {
+		convicted += len(res.Convicted)
+	}
+	after := scrapeSamples(t)
+	if got := after["gameauthority_fouls_total"] - before["gameauthority_fouls_total"]; got != float64(st.Fouls) {
+		t.Errorf("fouls_total moved by %v, Stats().Fouls = %d", got, st.Fouls)
+	}
+	if got := after["gameauthority_convictions_total"] - before["gameauthority_convictions_total"]; got != float64(convicted) {
+		t.Errorf("convictions_total moved by %v, the results convict %d", got, convicted)
+	}
+
+	want := h.Snapshot()
+	b := ga.NewAuthority(ga.WithStore(a.DetachStore()))
+	t.Cleanup(func() { b.Close() })
+	if rep, err := b.Recover(ctx); err != nil || rep.Sessions != 1 || len(rep.Failed) > 0 {
+		t.Fatalf("recover: %+v, %v", rep, err)
+	}
+	r, err := b.Get("close-raced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Snapshot(); !got.Closed || got.Rounds != want.Rounds || got.Digest != want.Digest {
+		t.Fatalf("recovered closed=%v at round %d digest %.12s; closed at round %d digest %.12s",
+			got.Closed, got.Rounds, got.Digest, want.Rounds, want.Digest)
 	}
 }
 
