@@ -341,9 +341,9 @@ func (a *Authority) Create(id string, g Game, opts ...Option) (*HostedSession, e
 // Hosting attaches the session's stage to its play order (core.Attach):
 // each later play moves gameauthority_plays_total, _fouls_total and
 // _convictions_total and reaches the journal of the PlayN call that made
-// it. A Session that New did not build gets no stage, so its plays move
-// none of the three. A play made through the embedded Session field skips
-// jmu and the journal, as it always has.
+// it. A Session that New or RestoreSession did not build gets no stage,
+// so its plays move none of the three. A play made through the embedded
+// Session field skips jmu and the journal.
 func (a *Authority) Host(id string, s Session) (*HostedSession, error) {
 	if id == "" {
 		// The counter is monotone, so each candidate is fresh; a collision
