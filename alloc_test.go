@@ -498,6 +498,51 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 	}
 }
 
+// TestHeapPerHostedMixedSession gates a hosted mixed session's footprint
+// over its plays: a per-round matchingpennies session at history_limit 8
+// holds the same heap after 11,000 plays as after 1,000, within 1 KB. (While
+// the engine kept every verdict it issued, one per play, the session grew
+// by ≈ 30 B a play.) It runs on one P, after a throwaway session played
+// the full run, as TestHeapPerHostedDistSession does.
+func TestHeapPerHostedMixedSession(t *testing.T) {
+	const early, late, slack = 1_000, 11_000, 1 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	a := ga.NewAuthority()
+	defer a.Close()
+	create := func(seed uint64, plays int) *ga.HostedSession {
+		h, err := a.CreateFromSpec(ga.CreateSessionRequest{Game: "matchingpennies", Kind: "mixed", Audit: "per-round", Seed: seed, HistoryLimit: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Run(ctx, plays); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if err := a.Remove(create(0, late).ID()); err != nil {
+		t.Fatal(err)
+	}
+	h := create(1, early)
+	before := heap()
+	if _, err := h.Run(ctx, late-early); err != nil {
+		t.Fatal(err)
+	}
+	grown := heap() - before
+	runtime.KeepAlive(h)
+	t.Logf("hosted mixed session: %+d B from play %d to play %d (slack %d)", grown, early, late, slack)
+	if grown > slack {
+		t.Errorf("a hosted mixed session grew by %d B from play %d to play %d, slack %d", grown, early, late, slack)
+	}
+}
+
 // TestAllocsPerPlayWS gates the /ws round trip end to end over a loopback
 // socket: a hub.Client play against a real authority's /ws endpoint, both
 // sides in this process, so every allocation either side makes counts.
