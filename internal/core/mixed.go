@@ -138,11 +138,10 @@ type MixedSession struct {
 	// window accumulates per-agent action histories for AuditStatistical.
 	window [][]int
 
-	verdicts []audit.Verdict
-	// seenVerdicts counts the verdicts the engine step has already
-	// reported; prevCost is its per-play copy of cumCost.
-	seenVerdicts int
-	prevCost     []float64
+	// pending holds the fouls of the verdicts issued since the engine step
+	// last reported them; prevCost is the step's per-play copy of cumCost.
+	pending  []audit.Foul
+	prevCost []float64
 
 	// Per-round scratch for the per-round audit discipline, reused so the
 	// steady-state play keeps a fixed allocation budget.
@@ -222,11 +221,6 @@ func (s *MixedSession) Round() int { return s.round }
 
 // Stats returns the accumulated protocol overhead counters.
 func (s *MixedSession) Stats() CostStats { return s.stats }
-
-// Verdicts returns all verdicts issued so far.
-func (s *MixedSession) Verdicts() []audit.Verdict {
-	return append([]audit.Verdict(nil), s.verdicts...)
-}
 
 // CumulativeCost returns agent i's total actual cost so far.
 func (s *MixedSession) CumulativeCost(i int) float64 { return s.cumCost[i] }
@@ -460,12 +454,11 @@ func (s *MixedSession) step(_ context.Context, res *RoundResult) error {
 }
 
 // appendNewFouls appends the fouls of the verdicts issued since its last
-// call.
+// call, and forgets them.
 func (s *MixedSession) appendNewFouls(dst []audit.Foul) []audit.Foul {
-	for _, v := range s.verdicts[s.seenVerdicts:] {
-		dst = append(dst, v.Fouls...)
-	}
-	s.seenVerdicts = len(s.verdicts)
+	dst = append(dst, s.pending...)
+	clear(s.pending)
+	s.pending = s.pending[:0]
 	return dst
 }
 
@@ -479,9 +472,10 @@ func (s *MixedSession) finish() (audit.Verdict, error) {
 	return audit.Verdict{Fouls: s.appendNewFouls(nil)}, nil
 }
 
-// applyVerdict records the verdict, agrees on the foul set, and punishes.
+// applyVerdict holds the verdict's fouls for the step to report, agrees
+// on the foul set, and punishes.
 func (s *MixedSession) applyVerdict(v audit.Verdict) {
-	s.verdicts = append(s.verdicts, v)
+	s.pending = append(s.pending, v.Fouls...)
 	s.addAgreement() // agree on the foul set
 	if s.cfg.Scheme == nil {
 		return

@@ -97,11 +97,10 @@ func TestSampledHonestNeverConvicted(t *testing.T) {
 	cfg.Agents = []*MixedAgent{nil, nil}
 	cfg.Actual = nil
 	cfg.SampleProb = 1.0 // audit every round
-	sess, s := newMixed(t, cfg)
-	runRounds(t, sess, 100)
-	for _, v := range s.Verdicts() {
-		if len(v.Fouls) != 0 {
-			t.Fatalf("honest agents convicted: %+v", v.Fouls)
+	sess, _ := newMixed(t, cfg)
+	for _, fouls := range foulsByPlay(t, sess, 100) {
+		if len(fouls) != 0 {
+			t.Fatalf("honest agents convicted: %+v", fouls)
 		}
 	}
 }
@@ -117,7 +116,7 @@ func TestStatisticalModeCatchesBiasedPlayer(t *testing.T) {
 	cfg.Window = 50
 	cfg.ChiThreshold = 6.63 // χ²(1) at 1%
 	sess, s := newMixed(t, cfg)
-	runRounds(t, sess, 600)
+	plays := foulsByPlay(t, sess, 600)
 	if !s.Excluded(1) {
 		t.Fatalf("biased player never excluded; standing %v", scheme.Standing(1))
 	}
@@ -127,8 +126,8 @@ func TestStatisticalModeCatchesBiasedPlayer(t *testing.T) {
 	}
 	// And the fouls carry the right reason.
 	foundSuspicious := false
-	for _, v := range s.Verdicts() {
-		for _, f := range v.Fouls {
+	for _, fouls := range plays {
+		for _, f := range fouls {
 			if f.Agent == 1 && f.Reason == audit.ReasonSuspiciousDistribution {
 				foundSuspicious = true
 			}

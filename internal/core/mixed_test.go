@@ -95,13 +95,12 @@ func TestFig1SupervisedManipulationNeutralized(t *testing.T) {
 	scheme := punish.NewDisconnect(2, 0)
 	cfg := fig1Config(AuditPerRound, 0, scheme, 43)
 	sess, s := newMixed(t, cfg)
-	runRounds(t, sess, rounds)
+	fouls := foulsByPlay(t, sess, rounds)
 	if !s.Excluded(1) {
 		t.Fatal("manipulator not excluded")
 	}
-	verdicts := s.Verdicts()
-	if len(verdicts) == 0 || len(verdicts[0].Fouls) == 0 || verdicts[0].Fouls[0].Agent != 1 {
-		t.Fatalf("first verdict = %+v, want a foul by agent 1", verdicts[0])
+	if len(fouls[0]) == 0 || fouls[0][0].Agent != 1 {
+		t.Fatalf("first play's fouls = %+v, want a foul by agent 1", fouls[0])
 	}
 	perRoundB := s.CumulativePayoff(1) / rounds
 	perRoundA := s.CumulativePayoff(0) / rounds
@@ -119,10 +118,9 @@ func TestMixedHonestSessionNoFouls(t *testing.T) {
 	cfg.Agents = []*MixedAgent{nil, nil} // both honest
 	cfg.Actual = nil                     // pure matching pennies
 	sess, s := newMixed(t, cfg)
-	runRounds(t, sess, 200)
-	for _, v := range s.Verdicts() {
-		if len(v.Fouls) != 0 {
-			t.Fatalf("honest session produced fouls: %+v", v.Fouls)
+	for _, fouls := range foulsByPlay(t, sess, 200) {
+		if len(fouls) != 0 {
+			t.Fatalf("honest session produced fouls: %+v", fouls)
 		}
 	}
 	// Expected payoffs ≈ 0 for both at equilibrium.

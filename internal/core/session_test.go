@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"gameauthority/internal/audit"
 	"gameauthority/internal/game"
 	"gameauthority/internal/punish"
 )
@@ -148,4 +149,18 @@ func runRounds(t testing.TB, s Session, rounds int) {
 	if _, err := s.Run(context.Background(), rounds); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// foulsByPlay plays rounds plays and returns the fouls each play's result
+// carries, indexed by round.
+func foulsByPlay(t testing.TB, s Session, rounds int) [][]audit.Foul {
+	t.Helper()
+	out := make([][]audit.Foul, 0, rounds)
+	if _, err := s.PlayN(context.Background(), rounds, func(res RoundResult) error {
+		out = append(out, clone(res.Verdict.Fouls))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
