@@ -425,101 +425,116 @@ type CatalogEntry struct {
 // Catalog returns the scenario catalog: every generated family with a
 // default parameterization, ordered by name. cmd/loadgen draws its
 // scenario mix from here, and the HTTP API resolves these names in
-// POST /sessions.
-func Catalog() []CatalogEntry {
-	atLeast := func(min int) func(int) int {
-		return func(n int) int {
-			if n < min {
-				return min
-			}
-			return n
+// POST /sessions. The slice is the caller's copy.
+func Catalog() []CatalogEntry { return append([]CatalogEntry(nil), catalog...) }
+
+// ByName resolves a catalog entry, reporting ok=false for unknown names.
+// It allocates nothing: every spec-built session and every restore-on-miss
+// resolves its game here.
+func ByName(name string) (CatalogEntry, bool) {
+	for i := range catalog {
+		if catalog[i].Name == name {
+			return catalog[i], true
 		}
 	}
-	return []CatalogEntry{
-		{
-			Name:        "braess",
-			Players:     atLeast(2),
-			Build:       func(n int) (Game, error) { return BraessRouting(n) },
-			Equilibrium: "all-Zig is a PNE; PoA = 4/3 at even n",
-		},
-		{
-			Name:    "congestion",
-			Players: atLeast(2),
-			Build: func(n int) (Game, error) {
-				// Two fast facilities and one slow one per four players keeps
-				// the load-balanced equilibria non-trivial at every size.
-				m := 2 + n/4
-				rates := make([]float64, m)
-				for j := range rates {
-					rates[j] = 1 + float64(j%2)
-				}
-				return CongestionGame(n, rates)
-			},
-			Equilibrium: "PNEs are the rate-weighted load-balanced assignments",
-		},
-		{
-			// "-n" keeps the registry key clear of the HTTP API's legacy
-			// "coordination" (the fixed 2×2 CoordinationGame).
-			Name:        "coordination-n",
-			Players:     atLeast(2),
-			Build:       func(n int) (Game, error) { return CoordinationN(n, 3) },
-			Equilibrium: "PNEs are exactly the k consensus profiles; PoA = k, PoS = 1",
-		},
-		{
-			Name:    "firstprice",
-			Players: atLeast(2),
-			Build: func(n int) (Game, error) {
-				values := make([]float64, n)
-				for i := range values {
-					values[i] = float64(n - i) // distinct values, bidder 0 highest
-				}
-				return FirstPriceAuction(values, auctionGrid(n))
-			},
-			Equilibrium: "winner bids ~second-highest value on the discrete grid",
-		},
-		{
-			Name:        "mining",
-			Players:     atLeast(3),
-			Build:       func(n int) (Game, error) { return MiningGame(n, 0.5) },
-			Equilibrium: "PNEs are exactly all-extend and all-fork; PoA = 1 + n·reorg/(n−1), PoS = 1",
-		},
-		{
-			Name:        "minority",
-			Players:     func(n int) int { n = atLeast(3)(n); return n | 1 },
-			Build:       func(n int) (Game, error) { return MinorityGame(n) },
-			Equilibrium: "PNEs are the maximal-minority splits ((n−1)/2 vs (n+1)/2); PoA = 1",
-		},
-		{
-			Name:        "pd",
-			Players:     func(int) int { return 2 },
-			Build:       func(int) (Game, error) { return PrisonersDilemmaParams(0, 1, 2, 3) },
-			Equilibrium: "unique PNE (Defect, Defect); PoA = PoS = p/r",
-		},
-		{
-			Name:        "publicgoods-punish",
-			Players:     atLeast(2),
-			Build:       func(n int) (Game, error) { return PublicGoodsPunish(n, 2, 1) },
-			Equilibrium: "fine > 1 − benefit/n ⇒ unique PNE all-contribute",
-		},
-		{
-			Name:    "secondprice",
-			Players: atLeast(2),
-			Build: func(n int) (Game, error) {
-				values := make([]float64, n)
-				for i := range values {
-					values[i] = float64(n - i)
-				}
-				return SecondPriceAuction(values, auctionGrid(n))
-			},
-			Equilibrium: "truthful bidding is weakly dominant; truthful profile is a PNE",
-		},
-		{
-			Name:        "validator-committee",
-			Players:     atLeast(2),
-			Build:       func(n int) (Game, error) { return ValidatorCommittee(n, 4, 0.5) },
-			Equilibrium: "PNEs are exactly the two consensus attestations; PoA = 1 + stale, PoS = 1",
-		},
+	return CatalogEntry{}, false
+}
+
+// atLeast is the sizing rule of a family that needs min players.
+func atLeast(min int) func(int) int {
+	return func(n int) int {
+		if n < min {
+			return min
+		}
+		return n
 	}
+}
+
+// catalog is the one copy of the entries, built once.
+var catalog = []CatalogEntry{
+	{
+		Name:        "braess",
+		Players:     atLeast(2),
+		Build:       func(n int) (Game, error) { return BraessRouting(n) },
+		Equilibrium: "all-Zig is a PNE; PoA = 4/3 at even n",
+	},
+	{
+		Name:    "congestion",
+		Players: atLeast(2),
+		Build: func(n int) (Game, error) {
+			// Two fast facilities and one slow one per four players keeps
+			// the load-balanced equilibria non-trivial at every size.
+			m := 2 + n/4
+			rates := make([]float64, m)
+			for j := range rates {
+				rates[j] = 1 + float64(j%2)
+			}
+			return CongestionGame(n, rates)
+		},
+		Equilibrium: "PNEs are the rate-weighted load-balanced assignments",
+	},
+	{
+		// "-n" keeps the registry key clear of the HTTP API's legacy
+		// "coordination" (the fixed 2×2 CoordinationGame).
+		Name:        "coordination-n",
+		Players:     atLeast(2),
+		Build:       func(n int) (Game, error) { return CoordinationN(n, 3) },
+		Equilibrium: "PNEs are exactly the k consensus profiles; PoA = k, PoS = 1",
+	},
+	{
+		Name:    "firstprice",
+		Players: atLeast(2),
+		Build: func(n int) (Game, error) {
+			values := make([]float64, n)
+			for i := range values {
+				values[i] = float64(n - i) // distinct values, bidder 0 highest
+			}
+			return FirstPriceAuction(values, auctionGrid(n))
+		},
+		Equilibrium: "winner bids ~second-highest value on the discrete grid",
+	},
+	{
+		Name:        "mining",
+		Players:     atLeast(3),
+		Build:       func(n int) (Game, error) { return MiningGame(n, 0.5) },
+		Equilibrium: "PNEs are exactly all-extend and all-fork; PoA = 1 + n·reorg/(n−1), PoS = 1",
+	},
+	{
+		Name:        "minority",
+		Players:     func(n int) int { n = atLeast(3)(n); return n | 1 },
+		Build:       func(n int) (Game, error) { return MinorityGame(n) },
+		Equilibrium: "PNEs are the maximal-minority splits ((n−1)/2 vs (n+1)/2); PoA = 1",
+	},
+	{
+		Name:        "pd",
+		Players:     func(int) int { return 2 },
+		Build:       func(int) (Game, error) { return PrisonersDilemmaParams(0, 1, 2, 3) },
+		Equilibrium: "unique PNE (Defect, Defect); PoA = PoS = p/r",
+	},
+	{
+		Name:        "publicgoods-punish",
+		Players:     atLeast(2),
+		Build:       func(n int) (Game, error) { return PublicGoodsPunish(n, 2, 1) },
+		Equilibrium: "fine > 1 − benefit/n ⇒ unique PNE all-contribute",
+	},
+	{
+		Name:    "secondprice",
+		Players: atLeast(2),
+		Build: func(n int) (Game, error) {
+			values := make([]float64, n)
+			for i := range values {
+				values[i] = float64(n - i)
+			}
+			return SecondPriceAuction(values, auctionGrid(n))
+		},
+		Equilibrium: "truthful bidding is weakly dominant; truthful profile is a PNE",
+	},
+	{
+		Name:        "validator-committee",
+		Players:     atLeast(2),
+		Build:       func(n int) (Game, error) { return ValidatorCommittee(n, 4, 0.5) },
+		Equilibrium: "PNEs are exactly the two consensus attestations; PoA = 1 + stale, PoS = 1",
+	},
 }
 
 // auctionGrid sizes the bid grid for the catalog auctions: one level per
@@ -530,14 +545,4 @@ func auctionGrid(n int) int {
 		return 5
 	}
 	return n + 1
-}
-
-// ByName resolves a catalog entry, reporting ok=false for unknown names.
-func ByName(name string) (CatalogEntry, bool) {
-	for _, e := range Catalog() {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return CatalogEntry{}, false
 }

@@ -459,3 +459,21 @@ func TestCatalogBuildsEverySizeRequested(t *testing.T) {
 		t.Fatal("minority sizing must canonicalize to odd n")
 	}
 }
+
+// TestByNameAllocatesNothing pins the catalog lookup at zero allocations:
+// every spec-built session and every restore-on-miss resolves its game
+// through it, and Catalog's entries are built once, not per lookup.
+func TestByNameAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := ByName("validator-committee"); !ok {
+			t.Fatal("validator-committee not found")
+		}
+	}); allocs != 0 {
+		t.Fatalf("ByName allocates %v times, want 0", allocs)
+	}
+	// Catalog hands out a copy: a caller's edit does not reach ByName.
+	Catalog()[0].Name = "edited"
+	if got := Catalog()[0].Name; got != "braess" {
+		t.Fatalf("Catalog()[0].Name = %q after editing a copy, want braess", got)
+	}
+}
