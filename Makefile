@@ -68,9 +68,9 @@ bench-quick:
 	$(GO) run ./bench -quick > /dev/null
 
 # Fuzz smoke: replay the checked-in seed corpora, then give each fuzz
-# target (HTTP sessions and play, wire, evidence codec, history ring,
-# agreement value pool, session-file reader, session-file record frames) a
-# short live burst. Fails on panics/regressions, never on not finding
+# target (HTTP sessions and play, restore from a snapshot's state, wire,
+# evidence codec, history ring, agreement value pool, session-file reader,
+# session-file record frames) a short live burst. Fails on panics/regressions, never on not finding
 # anything new.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' .
@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' ./internal/store
 	$(GO) test -fuzz '^FuzzServerSessions$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzServerPlay$$' -fuzztime 5s -run '^Fuzz' .
+	$(GO) test -fuzz '^FuzzSnapshotState$$' -fuzztime 5s -run '^Fuzz' .
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime 5s -run '^Fuzz' ./internal/wire
 	$(GO) test -fuzz '^FuzzEvidenceCodec$$' -fuzztime 5s -run '^Fuzz' ./internal/core
 	$(GO) test -fuzz '^FuzzHistoryRing$$' -fuzztime 5s -run '^Fuzz' ./internal/core

@@ -565,3 +565,72 @@ func TestDurableDistributedJournalsFouls(t *testing.T) {
 		t.Fatalf("restored session counts %d fouls, the original %d", got, want)
 	}
 }
+
+// TestRestoreReplaysTailOnly pins the work a restore does, not its time.
+// A 64,112-round pure session journaled on Mem in PlayN(16) requests at
+// the default cadence has its snapshot at 64,000: Recover loads the
+// snapshot's state and re-executes only the 112 plays after it, and
+// RecoveryReport.Rounds and gameauthority_replayed_rounds_total both say
+// so. A (4, 1) distributed session, whose snapshot carries no state,
+// still re-executes every play: that row pins which kinds restore from
+// state.
+func TestRestoreReplaysTailOnly(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		req       ga.CreateSessionRequest
+		rounds    int
+		fromState bool
+	}{
+		{"pure", ga.CreateSessionRequest{ID: "old", Game: "congestion", Seed: 3, HistoryLimit: 64,
+			Deviant: &ga.DeviantSpec{Player: 1, Strategy: "commitment-cheat"}}, 64_000 + 7*16, true},
+		{"distributed", ga.CreateSessionRequest{ID: "old", Game: "publicgoods", Players: 4, Seed: 3, HistoryLimit: 8,
+			Distributed: invariant.DistShape(4, 1)}, 20 * 16, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := ga.NewMemStore()
+			first := ga.NewAuthority(ga.WithStore(st))
+			h, err := first.CreateFromSpec(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for played := 0; played < tc.rounds; played += 16 {
+				if _, err := h.PlayN(ctx, 16, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := h.Snapshot()
+			first.DetachStore()
+			first.Close()
+			state, ok, err := st.LoadSession(tc.req.ID)
+			if err != nil || !ok {
+				t.Fatalf("load: %v (ok %v)", err, ok)
+			}
+			replays := tc.rounds
+			if tc.fromState {
+				if replays -= state.SnapshotRounds; state.SnapshotRounds != 64_000 || replays >= 256 {
+					t.Fatalf("snapshot at %d, %d plays after it; want 64000 and fewer than the cadence", state.SnapshotRounds, replays)
+				}
+			}
+
+			before := scrapeSamples(t)
+			second := ga.NewAuthority(ga.WithStore(st))
+			defer second.Close()
+			rep, err := second.Recover(ctx)
+			if err != nil || rep.Sessions != 1 || len(rep.Failed) > 0 {
+				t.Fatalf("recover: %+v, %v", rep, err)
+			}
+			moved := scrapeSamples(t)["gameauthority_replayed_rounds_total"] - before["gameauthority_replayed_rounds_total"]
+			if rep.Rounds != replays || moved != float64(replays) {
+				t.Errorf("recover re-executed %d plays (counter %v), want %d", rep.Rounds, moved, replays)
+			}
+			r, err := second.Get(tc.req.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Snapshot(); got.Rounds != tc.rounds || got.Digest != want.Digest {
+				t.Errorf("recovered at round %d digest %.12s, want %d %.12s", got.Rounds, got.Digest, tc.rounds, want.Digest)
+			}
+		})
+	}
+}

@@ -23,7 +23,7 @@ var (
 	playNBatchLatency = obs.NewHistogram("gameauthority_playn_batch_seconds",
 		"Latency of one PlayN batch (all rounds + the coalesced journal append).")
 	restoreLatency = obs.NewHistogram("gameauthority_restore_seconds",
-		"Duration of one session restore: journal load + deterministic replay.")
+		"Duration of one session restore: journal load, state load + deterministic replay of the tail.")
 
 	playsTotal = obs.NewCounter("gameauthority_plays_total",
 		"Completed plays across hosted sessions.")
@@ -481,7 +481,7 @@ func (h *HostedSession) Close() error {
 	walRecords.Inc()
 	// Best-effort final compaction; the close record above already makes
 	// recovery exact.
-	_, _, _ = h.snapshotLocked()
+	_, _ = h.snapshotLocked()
 	return nil
 }
 
@@ -512,7 +512,7 @@ func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
 		// A failed compaction leaves the count standing, so the next
 		// journaled play retries it.
 		if h.walPlays += len(plays); h.walPlays >= every {
-			_, _, _ = h.snapshotLocked()
+			_, _ = h.snapshotLocked()
 		}
 	}
 	return nil
@@ -524,31 +524,31 @@ func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
 func (h *HostedSession) snapshot() (SessionSnapshot, bool, error) {
 	h.jmu.Lock()
 	defer h.jmu.Unlock()
-	return h.snapshotLocked()
+	// Under jmu no play runs, so the summary describes what was persisted.
+	persisted, err := h.snapshotLocked()
+	return h.Session.Snapshot(), persisted, err
 }
 
-// snapshotLocked takes and persists every snapshot of a hosted session,
-// compacting its WAL and resetting the compaction cadence; the caller
-// holds jmu. Under the journal lock the snapshot covers every journaled
-// record and no append lands between the capture and the compaction, so
-// the store's log stays in round order behind its snapshot. persisted is
-// false (with a nil error) for volatile sessions.
-func (h *HostedSession) snapshotLocked() (snap SessionSnapshot, persisted bool, err error) {
-	snap = h.Session.Snapshot()
+// snapshotLocked persists every snapshot of a hosted session, compacting
+// its WAL and resetting the compaction cadence; the caller holds jmu.
+// Under the journal lock the snapshot covers every journaled record and no
+// append lands between the capture and the compaction, so the store's log
+// stays in round order behind its snapshot. The payload is
+// core.AppendSnapshot's: the counters, the digest and, for the pure and
+// RRA kinds, the session state a restore loads. persisted is false (with a
+// nil error) for volatile sessions.
+func (h *HostedSession) snapshotLocked() (persisted bool, err error) {
 	st := h.a.getStore()
 	if st == nil || !h.durable.Load() || h.dropped.Load() {
-		return snap, false, nil
+		return false, nil
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return snap, false, fmt.Errorf("gameauthority: snapshot: %w", err)
-	}
-	if err := st.PutSnapshot(h.id, snap.Rounds, payload); err != nil {
-		return snap, false, fmt.Errorf("snapshot: %w", errors.Join(ErrDurability, err))
+	payload, rounds := core.AppendSnapshot(make([]byte, 0, 1024), h.Session)
+	if err := st.PutSnapshot(h.id, rounds, payload); err != nil {
+		return false, fmt.Errorf("snapshot: %w", errors.Join(ErrDurability, err))
 	}
 	h.walPlays = 0
 	snapshotsTotal.Inc()
-	return snap, true, nil
+	return true, nil
 }
 
 // SnapshotSession captures the session's state summary and, when the
@@ -598,7 +598,9 @@ func (a *Authority) DetachStore() Store {
 type RecoveryReport struct {
 	// Sessions is the number of sessions restored and re-hosted.
 	Sessions int
-	// Rounds is the total number of plays replayed across them.
+	// Rounds is the total number of plays re-executed across them: the
+	// plays after each snapshot's state, or every play of a session whose
+	// snapshot carries none (mixed and distributed).
 	Rounds int
 	// Elapsed is the wall-clock recovery time (the replay lag).
 	Elapsed time.Duration
@@ -609,9 +611,10 @@ type RecoveryReport struct {
 }
 
 // Recover restores every persisted session from the durable store:
-// concurrent workers rebuild each session from its journaled spec,
-// deterministically replay it to its WAL watermark (verifying play hashes
-// and state digests), and re-host it under its original id. Sessions that
+// concurrent workers rebuild each session from its journaled spec, load
+// its snapshot's state, deterministically replay the rest to its WAL
+// watermark (verifying play hashes and state digests), and re-host it
+// under its original id. Sessions that
 // fail verification are reported in the RecoveryReport and left in the
 // store. Safe to call on a freshly built authority at startup.
 func (a *Authority) Recover(ctx context.Context) (RecoveryReport, error) {
@@ -774,7 +777,7 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 	if err != nil {
 		return 0, false, fmt.Errorf("spec no longer builds: %w", err)
 	}
-	target, err := restoreTargetFor(state)
+	target, base, err := restoreTargetFor(state)
 	if err != nil {
 		return 0, false, err
 	}
@@ -819,22 +822,24 @@ func (a *Authority) restoreOne(ctx context.Context, state store.SessionState) (r
 	}
 	restoreLatency.Record(time.Since(t0))
 	recoveries.Inc()
-	replayedRounds.Add(int64(target.Rounds))
-	return target.Rounds, true, nil
+	replayed := max(target.Rounds-base, 0)
+	replayedRounds.Add(int64(replayed))
+	return replayed, true, nil
 }
 
-// restoreTargetFor derives the replay target from a journaled state: the
-// snapshot gives the base watermark and digest, the WAL tail extends the
-// watermark and supplies per-play hashes, and a close record (or a
-// close-time snapshot) closes the restored session with its post-close
-// digest.
-func restoreTargetFor(state store.SessionState) (RestoreTarget, error) {
-	target := RestoreTarget{Rounds: state.SnapshotRounds, Closed: state.Closed}
+// restoreTargetFor derives the restore target from a journaled state: the
+// snapshot gives the base watermark, its digest and the session state
+// replay starts from (base is that state's round, 0 when the snapshot
+// carries none), the WAL tail extends the watermark and supplies per-play
+// hashes, and a close record (or a close-time snapshot) closes the
+// restored session with its post-close digest.
+func restoreTargetFor(state store.SessionState) (target RestoreTarget, base int, err error) {
+	target = RestoreTarget{Rounds: state.SnapshotRounds, Closed: state.Closed}
 	snapDigest := ""
 	if len(state.Snapshot) > 0 {
-		var snap SessionSnapshot
-		if err := json.Unmarshal(state.Snapshot, &snap); err != nil {
-			return target, fmt.Errorf("corrupt snapshot: %w", err)
+		snap, st, err := core.ParseSnapshot(state.Snapshot)
+		if err != nil {
+			return target, 0, fmt.Errorf("corrupt snapshot: %w", err)
 		}
 		if snap.Rounds > target.Rounds {
 			target.Rounds = snap.Rounds
@@ -842,6 +847,9 @@ func restoreTargetFor(state store.SessionState) (RestoreTarget, error) {
 		snapDigest = snap.Digest
 		if snap.Closed {
 			target.Closed = true
+		}
+		if len(st) > 0 {
+			target.State, target.StateDigest, base = st, snap.Digest, snap.Rounds
 		}
 	}
 	lastPlay, plays := -1, 0
@@ -862,8 +870,8 @@ func restoreTargetFor(state store.SessionState) (RestoreTarget, error) {
 		case store.RecordBatch:
 			// A batch unpacks into per-play hashes; entries below the
 			// snapshot watermark (a batch straddling a compaction) are
-			// harmless — replay starts at round zero and just verifies them
-			// too.
+			// harmless: a replay that starts below them verifies them too,
+			// and one that starts from the snapshot's state skips them.
 			for _, bp := range rec.Plays {
 				record(bp.Round, bp.Hash)
 			}
@@ -879,11 +887,12 @@ func restoreTargetFor(state store.SessionState) (RestoreTarget, error) {
 		// No plays beyond the snapshot: its digest is the final state.
 		target.Digest = snapDigest
 	}
-	return target, nil
+	return target, base, nil
 }
 
-// RestoreSession rebuilds a session from the same game+options New takes
-// and deterministically replays it to the target (see core.Restore). The
+// RestoreSession rebuilds a session from the same game+options New takes,
+// loads the target's state if it carries one, and deterministically
+// replays it to the target (see core.Restore). The
 // restored session's retained state is byte-identical to the journaled
 // one; any verification mismatch fails with ErrRestore.
 func RestoreSession(ctx context.Context, g Game, target RestoreTarget, opts ...Option) (Session, error) {

@@ -232,3 +232,24 @@ func (h *RRASupervised) step(_ context.Context, res *RoundResult) error {
 func (h *RRASupervised) kindStats(st *SessionStats) { st.MaxLoad = h.rra.MaxLoad() }
 
 func (h *RRASupervised) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }
+
+// appendState appends game.RRA's loads and round count, the cumulative
+// costs and the scheme's ledger.
+func (h *RRASupervised) appendState(dst []byte) ([]byte, bool) {
+	return punish.AppendLedger(appendFloats(h.rra.AppendState(dst), h.cumCost), h.scheme)
+}
+
+func (h *RRASupervised) parseState(r *stateReader, rounds int, prev game.Profile) {
+	if r.err != nil {
+		return
+	}
+	var err error
+	if r.b, err = h.rra.ParseState(r.b); err != nil {
+		r.fail("%v", err)
+	} else if h.rra.Rounds() != rounds {
+		r.fail("engine at round %d, history at %d", h.rra.Rounds(), rounds)
+	}
+	r.floats(h.cumCost)
+	r.ledger(h.scheme)
+	h.lastChoices = clone(prev)
+}

@@ -349,6 +349,14 @@ type engine interface {
 	// finish runs at Close until it first succeeds, and returns any
 	// verdict it issues. On error the session stays open.
 	finish() (audit.Verdict, error)
+	// appendState appends the state a play boundary leaves in the engine
+	// (see AppendSnapshot), or reports false when the kind has no codec.
+	appendState(dst []byte) ([]byte, bool)
+	// parseState loads what appendState wrote into a freshly built
+	// engine. rounds is the session's play count and prev the newest
+	// play's outcome (nil before the first), both from the loaded history;
+	// prev aliases the ring.
+	parseState(r *stateReader, rounds int, prev game.Profile)
 }
 
 // Stage is the last step of the shell's play order (see Attach). It runs

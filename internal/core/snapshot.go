@@ -15,16 +15,16 @@ import (
 // since the state was journaled.
 var ErrRestore = errors.New("core: restore verification failed")
 
-// SessionSnapshot is a driver's durable state summary at a round boundary.
-// It deliberately contains no engine internals: every driver is
-// deterministic in (configuration, seed) — the per-round PRNG streams are
-// derived from the round counter, so the round count *is* the stream
-// position — and Restore rebuilds the full state (bounded history ring,
-// punishment-scheme ledgers, deviant wiring, cumulative costs, network
-// state) by replaying Rounds plays. The snapshot's role is verification
-// and observability: Digest proves the replayed state is byte-identical,
-// and the counters let a store listing describe a session without
-// reviving it.
+// SessionSnapshot is a driver's durable state summary at a round boundary:
+// its counters and its state digest. The snapshot payload a host persists
+// (AppendSnapshot) carries these and, for the pure and RRA kinds, the
+// session state itself, so that Restore loads it and replays only the
+// plays after it; the mixed and distributed kinds carry no state and
+// restore by replaying every play, which is complete because every driver
+// is deterministic in (configuration, seed): the per-round PRNG streams
+// are derived from the round counter, so the round count *is* the stream
+// position. Digest proves a restored session is byte-identical, and the
+// counters let a store listing describe a session without reviving it.
 type SessionSnapshot struct {
 	Kind    SessionKind `json:"kind"`
 	Players int         `json:"players"`
@@ -125,7 +125,8 @@ func (d *driver) Snapshot() SessionSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.statsLocked()
-	snap := SessionSnapshot{
+	sum := d.digestLocked()
+	return SessionSnapshot{
 		Kind:           st.Kind,
 		Players:        st.Players,
 		Rounds:         st.Rounds,
@@ -134,33 +135,61 @@ func (d *driver) Snapshot() SessionSnapshot {
 		CumulativeCost: st.CumulativeCost,
 		Excluded:       st.Excluded,
 		Closed:         d.closed,
+		Digest:         hex.EncodeToString(sum[:]),
 	}
+}
+
+// digestLocked is the state digest, the one path behind Snapshot, a
+// host's compaction (AppendSnapshot) and the check of a loaded state: a
+// SHA-256 over a line of counters, cumulative costs and exclusions, then
+// every retained play's transcript line. Each line is built with strconv
+// in a stack buffer and the hash state lives on the stack, so it allocates
+// nothing. The text is frozen: digests persisted in snapshots were
+// computed over it (TestSessionStatsPinned pins it).
+func (d *driver) digestLocked() [sha256.Size]byte {
 	h := sha256.New()
-	b := fmt.Appendf(nil, "kind=%s players=%d rounds=%d fouls=%d convictions=%d closed=%t\ncum=[",
-		snap.Kind, snap.Players, snap.Rounds, snap.Fouls, snap.Convictions, snap.Closed)
-	for i, c := range snap.CumulativeCost {
+	var buf [512]byte
+	b := append(buf[:0], "kind="...)
+	b = append(b, d.kind.String()...)
+	b = append(b, " players="...)
+	b = strconv.AppendInt(b, int64(d.n), 10)
+	b = append(b, " rounds="...)
+	b = strconv.AppendInt(b, int64(d.history.recorded()), 10)
+	b = append(b, " fouls="...)
+	b = strconv.AppendInt(b, int64(d.fouls), 10)
+	b = append(b, " convictions="...)
+	b = strconv.AppendInt(b, int64(d.convictions), 10)
+	b = append(b, " closed="...)
+	b = strconv.AppendBool(b, d.closed)
+	b = append(b, "\ncum=["...)
+	for i := 0; i < d.n; i++ {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = strconv.AppendFloat(b, c, 'g', -1, 64)
+		b = strconv.AppendFloat(b, d.eng.CumulativeCost(i), 'g', -1, 64)
 	}
-	b = append(b, "] excluded="...)
-	b = fmt.Appendf(b, "%v\n", snap.Excluded)
-	h.Write(b)
+	b = append(b, "] excluded=["...)
+	for i := 0; i < d.n; i++ {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendBool(b, d.eng.Excluded(i))
+	}
+	h.Write(append(b, "]\n"...))
 	first := d.history.firstRetained()
-	var line []byte
 	for i := 0; i < d.history.retained(); i++ {
 		res, _ := d.history.at(first + i)
-		line = appendResultLine(line[:0], &res)
-		h.Write(line)
+		h.Write(appendResultLine(buf[:0], &res))
 	}
-	snap.Digest = hex.EncodeToString(h.Sum(nil))
-	return snap
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
-// RestoreTarget tells Restore how far to replay and what to verify.
+// RestoreTarget tells Restore where to start, how far to replay and what
+// to verify.
 type RestoreTarget struct {
-	// Rounds is the number of plays to replay (the journaled round count).
+	// Rounds is the journaled round count: Restore replays to it.
 	Rounds int
 	// Closed closes the restored session after replay, reproducing
 	// close-time state transitions (trailing-epoch audits).
@@ -171,6 +200,12 @@ type RestoreTarget struct {
 	// Hashes maps absolute round indices to expected transcript hashes
 	// (the WAL tail); every replayed play with an entry is verified.
 	Hashes map[int]string
+	// State, when non-empty, is the session state a snapshot payload
+	// carries (ParseSnapshot): Restore loads it, checks that the loaded
+	// session's digest is StateDigest, the digest of that snapshot, and
+	// replays only the plays after it. Empty, replay starts at round zero.
+	State       []byte
+	StateDigest string
 }
 
 // restoreBudgetRetries bounds how many recoverable pulse-budget errors a
@@ -178,13 +213,17 @@ type RestoreTarget struct {
 // distributed configuration.
 const restoreBudgetRetries = 1000
 
-// Restore rebuilds a session from its configuration and deterministically
-// replays it to the target round count, verifying journaled play hashes
-// along the way and the final state digest at the end. On success the
-// returned session's retained state is byte-identical to the one that was
-// journaled — the cross-driver determinism property the goldens pin is
-// exactly what makes this sound. Any verification mismatch closes the
-// half-restored session and fails with ErrRestore.
+// Restore rebuilds a session from its configuration, loads the target's
+// state when it carries one, and deterministically replays it from there
+// to the target round count, verifying journaled play hashes along the way
+// and the final state digest at the end. On success the returned session's
+// retained state is byte-identical to the one that was journaled — the
+// cross-driver determinism property the goldens pin is exactly what makes
+// this sound, and a loaded state is held to its snapshot's digest before
+// any play is replayed on it. Any verification mismatch closes the
+// half-restored session and fails with ErrRestore. A loaded state assumes
+// what replay would reproduce anyway: agents that choose from the round
+// and the previous outcome alone, as every catalog deviant does.
 func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Session, error) {
 	if target.Rounds < 0 {
 		return nil, fmt.Errorf("%w: negative replay target %d", ErrConfig, target.Rounds)
@@ -197,8 +236,16 @@ func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Sess
 		_ = s.Close()
 		return nil, err
 	}
+	played := 0
+	if len(target.State) > 0 {
+		d := s.(*driver)
+		if err := d.load(target.State, target.StateDigest); err != nil {
+			return fail(err)
+		}
+		played = d.history.recorded()
+	}
 	retries := 0
-	for played := 0; played < target.Rounds; {
+	for played < target.Rounds {
 		res, err := s.Play(ctx)
 		if errors.Is(err, ErrPulseBudget) {
 			// Documented-recoverable: the next Play keeps stepping the

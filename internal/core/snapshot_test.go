@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gameauthority/internal/audit"
+	"gameauthority/internal/commit"
 	"gameauthority/internal/game"
 	"gameauthority/internal/punish"
 )
@@ -410,4 +413,163 @@ func TestSnapshotBoundedRingEviction(t *testing.T) {
 	if want != got {
 		t.Fatalf("retained rings diverged:\n%s\n%s", want, got)
 	}
+}
+
+// stateConfigs adds, to snapshotConfigs, sessions whose state carries
+// more than an honest play leaves: a cheat convicted under each scheme,
+// bounded and unbounded, and an RRA hog under a deposit.
+func stateConfigs(t *testing.T) map[string]func() SessionConfig {
+	cfgs := snapshotConfigs(t)
+	cheat := func(limit int, scheme func() punish.Scheme) func() SessionConfig {
+		return func() SessionConfig {
+			g := game.PrisonersDilemma()
+			return SessionConfig{Game: g, Seed: 13, Scheme: scheme(), HistoryLimit: limit,
+				Agents: []*Agent{nil, {Choose: HonestPure(g, 1).Choose, TamperOpening: func(_ int, op commit.Opening) commit.Opening {
+					a, _ := audit.DecodeAction(op.Value)
+					op.Value = audit.EncodeAction(1 - a)
+					return op
+				}}}}
+		}
+	}
+	cfgs["pure-cheat-disconnect"] = cheat(0, func() punish.Scheme { return punish.NewDisconnect(2, 2) })
+	cfgs["pure-cheat-reputation"] = cheat(4, func() punish.Scheme { return punish.NewReputation(2, 0.8, 0.3, 0) })
+	cfgs["pure-cheat-deposit"] = cheat(5, func() punish.Scheme { return punish.NewDeposit(2, 2.5, 1) })
+	cfgs["rra-hog-deposit"] = func() SessionConfig {
+		return SessionConfig{Seed: 8, RRAAgents: 5, RRAResources: 3, Scheme: punish.NewDeposit(5, 2, 1), HistoryLimit: 6,
+			RRAByz: map[int]func(int, []int64) int{4: game.HogChooser()}}
+	}
+	return cfgs
+}
+
+// TestRestoreFromState snapshots every configuration at several rounds,
+// restores it from the payload's state plus a tail of hash-checked plays,
+// and holds the result to an uninterrupted twin: the same retained plays
+// (foul details included), stats and digest, and the same futures. The
+// pure and RRA kinds carry state; the mixed and distributed kinds carry
+// none and replay from round zero through the same call.
+func TestRestoreFromState(t *testing.T) {
+	ctx := context.Background()
+	const tail, future = 3, 4
+	for name, build := range stateConfigs(t) {
+		for _, at := range []int{0, 1, 6} {
+			t.Run(fmt.Sprintf("%s/at%d", name, at), func(t *testing.T) {
+				orig, err := NewSession(build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer orig.Close()
+				if _, err := orig.Run(ctx, at); at > 0 && err != nil {
+					t.Fatal(err)
+				}
+				payload, rounds := AppendSnapshot(nil, orig)
+				snap, state, err := ParseSnapshot(payload)
+				if err != nil || rounds != at {
+					t.Fatalf("ParseSnapshot: %v (watermark %d, want %d)", err, rounds, at)
+				}
+				if want := orig.Snapshot(); !reflect.DeepEqual(snap, want) {
+					t.Fatalf("parsed snapshot %+v, want %+v", snap, want)
+				}
+				kind := orig.Stats().Kind
+				if stateful := kind == KindPure || kind == KindRRA; stateful != (len(state) > 0) {
+					t.Fatalf("%s session carries %d state bytes", kind, len(state))
+				}
+				hashes := map[int]string{}
+				if _, err := orig.PlayN(ctx, tail, func(res RoundResult) error {
+					hashes[res.Round] = HashResult(res)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := Restore(ctx, build(), RestoreTarget{Rounds: at + tail, Hashes: hashes,
+					State: state, StateDigest: snap.Digest})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer restored.Close()
+				for i := 0; i <= future; i++ {
+					if !reflect.DeepEqual(restored.Results(), orig.Results()) {
+						t.Fatalf("after %d future plays: retained plays\n%+v\nwant\n%+v", i, restored.Results(), orig.Results())
+					}
+					if !reflect.DeepEqual(restored.Stats(), orig.Stats()) || restored.Snapshot().Digest != orig.Snapshot().Digest {
+						t.Fatalf("after %d future plays: stats %+v, want %+v", i, restored.Stats(), orig.Stats())
+					}
+					if i < future {
+						want, err := orig.Play(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := restored.Play(ctx)
+						if err != nil || HashResult(got) != HashResult(want) {
+							t.Fatalf("future play %d: %v\n%s want\n%s", i, err, appendResultLine(nil, &got), appendResultLine(nil, &want))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreRefusesBadState: a state that does not reproduce its
+// snapshot's digest, one cut short, and one with bytes after it are each
+// ErrRestore, and ParseSnapshot refuses a payload cut inside its counters
+// or digest, and a JSON payload.
+func TestRestoreRefusesBadState(t *testing.T) {
+	ctx := context.Background()
+	build := stateConfigs(t)["pure-cheat-deposit"]
+	orig, err := NewSession(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := orig.Run(ctx, 7); err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := AppendSnapshot(nil, orig)
+	snap, state, err := ParseSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := AppendSnapshot(nil, mustRun(t, build(), 6))
+	otherSnap, _, _ := ParseSnapshot(other)
+	for name, target := range map[string]RestoreTarget{
+		"other digest": {Rounds: 7, State: state, StateDigest: otherSnap.Digest},
+		"cut short":    {Rounds: 7, State: state[:len(state)-1], StateDigest: snap.Digest},
+		"bytes after":  {Rounds: 7, State: append(append([]byte(nil), state...), 0), StateDigest: snap.Digest},
+	} {
+		if _, err := Restore(ctx, build(), target); !errors.Is(err, ErrRestore) {
+			t.Errorf("%s: err = %v, want ErrRestore", name, err)
+		}
+	}
+	// The counters and digest delimit themselves; the state is the rest,
+	// and a state cut short is Restore's to refuse (above).
+	for i := range len(payload) - len(state) {
+		if _, _, err := ParseSnapshot(payload[:i]); !errors.Is(err, ErrSnapshot) {
+			t.Fatalf("a %d-byte prefix of the payload: err = %v, want ErrSnapshot", i, err)
+		}
+	}
+	if _, _, err := ParseSnapshot([]byte(`{"kind":1,"rounds":7}`)); !errors.Is(err, ErrSnapshot) || !strings.Contains(err.Error(), "JSON") {
+		t.Fatalf("a JSON payload: err = %v, want ErrSnapshot naming JSON", err)
+	}
+}
+
+// TestDigestAllocatesNothing pins the state digest, the path behind a
+// host's compaction and a loaded state's check, at zero allocations.
+func TestDigestAllocatesNothing(t *testing.T) {
+	s := mustRun(t, stateConfigs(t)["pure-cheat-reputation"](), 9)
+	d := s.(*driver)
+	if allocs := testing.AllocsPerRun(50, func() { _ = d.digestLocked() }); allocs != 0 {
+		t.Fatalf("the state digest allocates %v times, want 0", allocs)
+	}
+}
+
+// mustRun builds a session and plays it rounds times.
+func mustRun(t *testing.T, cfg SessionConfig, rounds int) Session {
+	t.Helper()
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), rounds); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

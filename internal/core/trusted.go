@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"gameauthority/internal/audit"
@@ -252,6 +253,22 @@ func (s *PureSession) step(_ context.Context, res *RoundResult) error {
 func (s *PureSession) kindStats(*SessionStats) {}
 
 func (s *PureSession) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }
+
+// appendState appends the round, the cumulative costs and the scheme's
+// ledger. The previous outcome is the newest play of the history ring.
+func (s *PureSession) appendState(dst []byte) ([]byte, bool) {
+	dst = binary.AppendUvarint(dst, uint64(s.round))
+	return punish.AppendLedger(appendFloats(dst, s.cumCost), s.scheme)
+}
+
+func (s *PureSession) parseState(r *stateReader, rounds int, prev game.Profile) {
+	if s.round = r.int(); s.round != rounds {
+		r.fail("engine at round %d, history at %d", s.round, rounds)
+	}
+	r.floats(s.cumCost)
+	r.ledger(s.scheme)
+	s.prev = clone(prev)
+}
 
 // prevFor returns the previous outcome to hand an agent's Choose hook: a
 // scratch copy so one agent's mutation cannot leak into another agent's

@@ -3,6 +3,7 @@ package game
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -266,5 +267,31 @@ func TestFixedChooser(t *testing.T) {
 	choose := FixedChooser(2)
 	if got := choose(5, []int64{9, 9, 0, 9}); got != 2 {
 		t.Fatalf("FixedChooser(2) returned %d", got)
+	}
+}
+
+// TestRRAStateRoundTrip parses a played game's state into a fresh one of
+// the same shape: the loads and round count come back, and the next step
+// of each sees the same loads; a truncated state is refused.
+func TestRRAStateRoundTrip(t *testing.T) {
+	r, _ := NewRRA(5, 3)
+	for k := 0; k < 7; k++ {
+		if _, err := r.Step(r.EquilibriumChooser(9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := append(r.AppendState(nil), 0xAB)
+	fresh, _ := NewRRA(5, 3)
+	rest, err := fresh.ParseState(b)
+	if err != nil || len(rest) != 1 || rest[0] != 0xAB {
+		t.Fatalf("ParseState = %v, %v; want one byte back", rest, err)
+	}
+	if fresh.Rounds() != r.Rounds() || !reflect.DeepEqual(fresh.Loads(), r.Loads()) {
+		t.Fatalf("state %d %v, want %d %v", fresh.Rounds(), fresh.Loads(), r.Rounds(), r.Loads())
+	}
+	for i := 0; i < len(b)-1; i++ {
+		if _, err := fresh.ParseState(b[:i]); err == nil {
+			t.Fatalf("a %d-byte prefix parsed", i)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"weak"
 
 	"gameauthority/internal/audit"
+	"gameauthority/internal/core"
 	"gameauthority/internal/game"
 	"gameauthority/internal/hub"
 	"gameauthority/internal/obs"
@@ -749,9 +750,9 @@ func handleSnapshotList(a *Authority, w http.ResponseWriter) {
 		return
 	}
 	for _, info := range infos {
-		var snap SessionSnapshot
-		if err := json.Unmarshal(info.Payload, &snap); err != nil {
-			continue // a torn snapshot never lists; recovery falls back to the WAL
+		snap, _, err := core.ParseSnapshot(info.Payload)
+		if err != nil {
+			continue // a payload that does not parse never lists; its restore reports it
 		}
 		out = append(out, snapshotFor(info.ID, snap, true))
 	}
