@@ -752,14 +752,6 @@ func (s *DistSession) kindStats(st *SessionStats) {
 }
 
 // finish releases the pulse engine's worker pool (n ≥ poolMinProcs).
-// appendState reports no codec: a mid-pulse processor mesh has no wire
-// form (DESIGN.md §9), so a distributed session restores by replay.
-func (s *DistSession) appendState(dst []byte) ([]byte, bool) { return dst, false }
-
-func (s *DistSession) parseState(r *stateReader, _ int, _ game.Profile) {
-	r.fail("a distributed session has no state codec")
-}
-
 func (s *DistSession) finish() (audit.Verdict, error) {
 	s.Net.Close()
 	return audit.Verdict{}, nil

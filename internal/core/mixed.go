@@ -464,15 +464,6 @@ func (s *MixedSession) appendNewFouls(dst []audit.Foul) []audit.Foul {
 
 func (s *MixedSession) kindStats(st *SessionStats) { st.Protocol = s.stats }
 
-// appendState reports no codec: each audit mode keeps open state of its
-// own (the batched epoch, the statistical window, the sampler), so a mixed
-// session restores by replay.
-func (s *MixedSession) appendState(dst []byte) ([]byte, bool) { return dst, false }
-
-func (s *MixedSession) parseState(r *stateReader, _ int, _ game.Profile) {
-	r.fail("a mixed session has no state codec")
-}
-
 // finish audits the trailing partial epoch (batched mode).
 func (s *MixedSession) finish() (audit.Verdict, error) {
 	if err := s.CloseEpoch(); err != nil {

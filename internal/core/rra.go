@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"gameauthority/internal/audit"
@@ -30,9 +31,9 @@ type RRASupervised struct {
 	deviantChoose map[int]func(round int, loads []int64, honest int) int
 	supervise     bool
 
-	fouls []audit.Foul
-	// lastChoices is the published profile of the most recent play (the
-	// outcome step reports).
+	// fouls are the most recent play's fouls, lastChoices its published
+	// profile: what step reports.
+	fouls       []audit.Foul
 	lastChoices game.Profile
 	// costs[i] is agent i's cost in the most recent play: the post-step
 	// load of its chosen resource, exactly the §6 strategic-form cost
@@ -98,15 +99,6 @@ func (h *RRASupervised) SetDeviant(agent int, choose func(round int, loads []int
 // RRA exposes the underlying game state for measurements.
 func (h *RRASupervised) RRA() *game.RRA { return h.rra }
 
-// LastChoices returns the published profile of the most recent play (nil
-// before the first play).
-func (h *RRASupervised) LastChoices() game.Profile { return h.lastChoices.Clone() }
-
-// Fouls returns every foul detected so far.
-func (h *RRASupervised) Fouls() []audit.Foul {
-	return append([]audit.Foul(nil), h.fouls...)
-}
-
 // Excluded reports whether agent i has been excluded.
 func (h *RRASupervised) Excluded(i int) bool {
 	return h.scheme != nil && h.scheme.Excluded(i)
@@ -135,6 +127,8 @@ func (h *RRASupervised) ExpectedChoice(agent int) (int, error) {
 func (h *RRASupervised) PlayRound() error {
 	n := h.rra.N()
 	round := h.rra.Rounds()
+	clear(h.fouls)
+	h.fouls = h.fouls[:0]
 	roundView := h.rra.RoundView() // strategic form of this play (pre-step loads)
 	strategy := h.rra.EquilibriumStrategy()
 
@@ -218,12 +212,11 @@ func (h *RRASupervised) CumulativeCost(i int) float64 { return h.cumCost[i] }
 
 // step is the RRA engine's play (see engine).
 func (h *RRASupervised) step(_ context.Context, res *RoundResult) error {
-	seen := len(h.fouls)
 	if err := h.PlayRound(); err != nil {
 		return err
 	}
 	res.Outcome = h.lastChoices
-	res.Verdict.Fouls = append(res.Verdict.Fouls[:0], h.fouls[seen:]...)
+	res.Verdict.Fouls = append(res.Verdict.Fouls[:0], h.fouls...)
 	res.Convicted = res.Verdict.AppendGuilty(res.Convicted[:0])
 	res.Costs = append(res.Costs[:0], h.costs...)
 	return nil
@@ -233,23 +226,26 @@ func (h *RRASupervised) kindStats(st *SessionStats) { st.MaxLoad = h.rra.MaxLoad
 
 func (h *RRASupervised) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }
 
-// appendState appends game.RRA's loads and round count, the cumulative
+// appendState appends game.RRA's round count and loads, the cumulative
 // costs and the scheme's ledger.
 func (h *RRASupervised) appendState(dst []byte) ([]byte, bool) {
-	return punish.AppendLedger(appendFloats(h.rra.AppendState(dst), h.cumCost), h.scheme)
+	dst = binary.AppendUvarint(dst, uint64(h.rra.Rounds()))
+	for _, l := range h.rra.Loads() {
+		dst = binary.AppendUvarint(dst, uint64(l))
+	}
+	return punish.AppendLedger(appendFloats(dst, h.cumCost), h.scheme)
 }
 
-func (h *RRASupervised) parseState(r *stateReader, rounds int, prev game.Profile) {
-	if r.err != nil {
-		return
+func (h *RRASupervised) parseState(r *stateReader, rounds int, _ game.Profile) {
+	k, loads := r.int(), make([]int64, h.rra.B())
+	for a := range loads {
+		loads[a] = int64(r.int())
 	}
-	var err error
-	if r.b, err = h.rra.ParseState(r.b); err != nil {
+	if err := h.rra.SetState(k, loads); err != nil {
 		r.fail("%v", err)
-	} else if h.rra.Rounds() != rounds {
-		r.fail("engine at round %d, history at %d", h.rra.Rounds(), rounds)
+	} else if k != rounds {
+		r.fail("engine at round %d, history at %d", k, rounds)
 	}
 	r.floats(h.cumCost)
 	r.ledger(h.scheme)
-	h.lastChoices = clone(prev)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"gameauthority/internal/audit"
 	"gameauthority/internal/game"
 	"gameauthority/internal/punish"
 	"gameauthority/internal/stats"
@@ -23,9 +24,10 @@ func TestNewRRASupervisedValidation(t *testing.T) {
 
 func TestRRASupervisedHonestNoFouls(t *testing.T) {
 	sess, h := newRRA(t, 6, 3, 11, punish.NewDisconnect(6, 0))
-	runRounds(t, sess, 300)
-	if fouls := h.Fouls(); len(fouls) != 0 {
-		t.Fatalf("honest RRA produced fouls: %+v", fouls[:1])
+	for _, fouls := range foulsByPlay(t, sess, 300) {
+		if len(fouls) != 0 {
+			t.Fatalf("honest RRA produced fouls: %+v", fouls)
+		}
 	}
 	// Theorem 5 shape: ratio near 1 by k=300.
 	r, err := stats.MultiRoundAnarchyCost(float64(h.RRA().MaxLoad()), game.OptMaxLoad(6, 3, 300))
@@ -40,11 +42,13 @@ func TestRRASupervisedHonestNoFouls(t *testing.T) {
 func TestRRASupervisedCatchesHog(t *testing.T) {
 	sess, h := newRRA(t, 4, 4, 12, punish.NewDisconnect(4, 0))
 	h.SetByzantine(0, game.HogChooser())
-	runRounds(t, sess, 50)
+	var fouls []audit.Foul
+	for _, play := range foulsByPlay(t, sess, 50) {
+		fouls = append(fouls, play...)
+	}
 	if !h.Excluded(0) {
 		t.Fatal("hog never excluded")
 	}
-	fouls := h.Fouls()
 	if len(fouls) == 0 || fouls[0].Agent != 0 {
 		t.Fatalf("fouls = %+v", fouls)
 	}

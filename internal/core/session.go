@@ -349,8 +349,14 @@ type engine interface {
 	// finish runs at Close until it first succeeds, and returns any
 	// verdict it issues. On error the session stays open.
 	finish() (audit.Verdict, error)
-	// appendState appends the state a play boundary leaves in the engine
-	// (see AppendSnapshot), or reports false when the kind has no codec.
+}
+
+// stateCodec is what the pure and RRA engines add to engine, so that a
+// snapshot carries their state (see AppendSnapshot). The mixed and
+// distributed engines have none and restore by replay.
+type stateCodec interface {
+	// appendState appends the state a play boundary leaves in the engine,
+	// or reports false when it cannot (a scheme with no ledger encoding).
 	appendState(dst []byte) ([]byte, bool)
 	// parseState loads what appendState wrote into a freshly built
 	// engine. rounds is the session's play count and prev the newest

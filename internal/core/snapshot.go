@@ -149,18 +149,12 @@ func (d *driver) Snapshot() SessionSnapshot {
 func (d *driver) digestLocked() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [512]byte
-	b := append(buf[:0], "kind="...)
-	b = append(b, d.kind.String()...)
-	b = append(b, " players="...)
-	b = strconv.AppendInt(b, int64(d.n), 10)
-	b = append(b, " rounds="...)
-	b = strconv.AppendInt(b, int64(d.history.recorded()), 10)
-	b = append(b, " fouls="...)
-	b = strconv.AppendInt(b, int64(d.fouls), 10)
-	b = append(b, " convictions="...)
-	b = strconv.AppendInt(b, int64(d.convictions), 10)
-	b = append(b, " closed="...)
-	b = strconv.AppendBool(b, d.closed)
+	b := append(append(buf[:0], "kind="...), d.kind.String()...)
+	b = strconv.AppendInt(append(b, " players="...), int64(d.n), 10)
+	b = strconv.AppendInt(append(b, " rounds="...), int64(d.history.recorded()), 10)
+	b = strconv.AppendInt(append(b, " fouls="...), int64(d.fouls), 10)
+	b = strconv.AppendInt(append(b, " convictions="...), int64(d.convictions), 10)
+	b = strconv.AppendBool(append(b, " closed="...), d.closed)
 	b = append(b, "\ncum=["...)
 	for i := 0; i < d.n; i++ {
 		if i > 0 {

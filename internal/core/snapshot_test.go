@@ -443,8 +443,9 @@ func stateConfigs(t *testing.T) map[string]func() SessionConfig {
 
 // TestRestoreFromState snapshots every configuration at several rounds,
 // restores it from the payload's state plus a tail of hash-checked plays,
-// and holds the result to an uninterrupted twin: the same retained plays
-// (foul details included), stats and digest, and the same futures. The
+// overwrites the payload, and holds the result to an uninterrupted twin:
+// the same retained plays (foul details included), stats and digest, and
+// the same futures. The
 // pure and RRA kinds carry state; the mixed and distributed kinds carry
 // none and replay from round zero through the same call.
 func TestRestoreFromState(t *testing.T) {
@@ -486,6 +487,11 @@ func TestRestoreFromState(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer restored.Close()
+				// The restored session must share no memory with the payload
+				// (a store hands out sub-slices of its file buffer).
+				for i := range payload {
+					payload[i] = 0xFF
+				}
 				for i := 0; i <= future; i++ {
 					if !reflect.DeepEqual(restored.Results(), orig.Results()) {
 						t.Fatalf("after %d future plays: retained plays\n%+v\nwant\n%+v", i, restored.Results(), orig.Results())

@@ -21,44 +21,23 @@ var ErrSnapshot = errors.New("core: malformed snapshot payload")
 // binary format, which is refused (DESIGN.md §9).
 const snapshotFormat = 1
 
-// AppendSnapshot appends s's snapshot payload to dst and returns it with
-// the round watermark it covers. The payload is the SessionSnapshot's
-// counters and raw digest, then the session state: what a play boundary
-// leaves in the driver (counters, closed flag, the history ring's retained
-// rows) and in the engine (round, cumulative costs, the scheme's ledger,
-// RRA's loads). The state is empty for the mixed and distributed kinds,
-// which restore by replay, and for a scheme internal/punish does not
-// implement. Driver, counters, digest and state are read under one
-// acquisition of the play lock.
+// AppendSnapshot appends the snapshot payload of s, a session NewSession
+// built, to dst and returns it with the round watermark it covers: the
+// SessionSnapshot's counters and raw digest, then the session state the
+// driver and the engine leave at a play boundary (appendState). Counters,
+// digest and state are read under one hold of the play lock.
 func AppendSnapshot(dst []byte, s Session) ([]byte, int) {
-	d, ok := s.(*driver)
-	if !ok {
-		snap := s.Snapshot()
-		var sum [sha256.Size]byte
-		_, _ = hex.Decode(sum[:], []byte(snap.Digest))
-		return appendSnapshotHead(dst, &snap, sum), snap.Rounds
-	}
+	d := s.(*driver)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.statsLocked()
-	snap := SessionSnapshot{Kind: st.Kind, Players: st.Players, Rounds: st.Rounds, Fouls: st.Fouls,
-		Convictions: st.Convictions, CumulativeCost: st.CumulativeCost, Excluded: st.Excluded, Closed: d.closed}
-	dst = appendSnapshotHead(dst, &snap, d.digestLocked())
-	return d.appendState(dst), snap.Rounds
-}
-
-// appendSnapshotHead appends a payload's format byte, counters and digest.
-func appendSnapshotHead(dst []byte, snap *SessionSnapshot, sum [sha256.Size]byte) []byte {
-	dst = append(dst, snapshotFormat)
-	for _, v := range []int{int(snap.Kind), snap.Players, snap.Rounds, snap.Fouls, snap.Convictions} {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	dst = appendBool(dst, snap.Closed)
-	dst = appendFloats(dst, snap.CumulativeCost)
-	for _, x := range snap.Excluded {
+	dst = appendInts(append(dst, snapshotFormat), []int{int(st.Kind), st.Players, st.Rounds, st.Fouls, st.Convictions})
+	dst = appendFloats(appendBool(dst, d.closed), st.CumulativeCost)
+	for _, x := range st.Excluded {
 		dst = appendBool(dst, x)
 	}
-	return append(dst, sum[:]...)
+	sum := d.digestLocked()
+	return d.appendState(append(dst, sum[:]...)), st.Rounds
 }
 
 // ParseSnapshot reads a payload AppendSnapshot wrote: the SessionSnapshot
@@ -95,12 +74,13 @@ func ParseSnapshot(b []byte) (SessionSnapshot, []byte, error) {
 // appendState appends the session state (see AppendSnapshot), or nothing
 // when the engine has no codec; the caller holds the play lock.
 func (d *driver) appendState(dst []byte) []byte {
+	e, ok := d.eng.(stateCodec)
+	if !ok {
+		return dst
+	}
 	start := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(d.fouls))
-	dst = binary.AppendUvarint(dst, uint64(d.convictions))
-	dst = appendBool(dst, d.closed)
-	dst = d.history.appendRows(dst)
-	if dst, ok := d.eng.appendState(dst); ok {
+	dst = d.history.appendRows(appendBool(appendInts(dst, []int{d.fouls, d.convictions}), d.closed))
+	if dst, ok = e.appendState(dst); ok {
 		return dst
 	}
 	return dst[:start]
@@ -114,6 +94,10 @@ func (d *driver) load(state []byte, want string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	r := stateReader{b: state}
+	e, ok := d.eng.(stateCodec)
+	if !ok {
+		r.fail("a %s session has no state codec", d.kind)
+	}
 	d.fouls, d.convictions, d.closed = r.int(), r.int(), r.bool()
 	d.history.parseRows(&r, d.n)
 	rounds := d.history.recorded()
@@ -122,7 +106,7 @@ func (d *driver) load(state []byte, want string) error {
 		if last, ok := d.history.at(rounds - 1); ok {
 			prev = last.Outcome
 		}
-		d.eng.parseState(&r, rounds, prev)
+		e.parseState(&r, rounds, prev)
 	}
 	if r.err == nil && len(r.b) > 0 {
 		r.fail("%d bytes after the state", len(r.b))
@@ -139,28 +123,17 @@ func (d *driver) load(state []byte, want string) error {
 	return nil
 }
 
-// appendRows appends the ring's play count and its retained plays, oldest
-// first: each play's outcomes and costs, then, when the ring has side
-// slots, each play's pulse, fouls, convicted and excluded agents.
+// appendRows appends the ring's play count, then its rows as they lie:
+// outcomes, costs and, when the ring has side slots, each slot's pulse,
+// fouls, convicted and excluded agents.
 func (r *historyRing) appendRows(dst []byte) []byte {
-	first, rows := r.firstRetained(), r.retained()
-	dst = binary.AppendUvarint(dst, uint64(r.total))
-	dst = binary.AppendUvarint(dst, uint64(rows))
-	for k := 0; k < rows; k++ {
-		i := r.row(first + k)
-		dst = appendInts(dst, r.outcomes[i*r.n:(i+1)*r.n])
-		dst = appendFloats(dst, r.costs[i*r.n:(i+1)*r.n])
-	}
+	dst = appendFloats(appendInts(binary.AppendUvarint(dst, uint64(r.total)), r.outcomes), r.costs)
 	dst = appendBool(dst, r.side != nil)
-	for k := 0; r.side != nil && k < rows; k++ {
-		s := &r.side[r.row(first+k)]
-		dst = binary.AppendUvarint(dst, uint64(s.pulse))
-		dst = binary.AppendUvarint(dst, uint64(len(s.fouls)))
+	for _, s := range r.side {
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(s.pulse)), uint64(len(s.fouls)))
 		for _, f := range s.fouls {
-			dst = binary.AppendUvarint(dst, uint64(f.Agent))
-			dst = binary.AppendUvarint(dst, uint64(f.Reason))
-			dst = binary.AppendUvarint(dst, uint64(len(f.Detail)))
-			dst = append(dst, f.Detail...)
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(f.Agent)), uint64(f.Reason))
+			dst = append(binary.AppendUvarint(dst, uint64(len(f.Detail))), f.Detail...)
 		}
 		dst = appendInts(binary.AppendUvarint(dst, uint64(len(s.convicted))), s.convicted)
 		dst = appendInts(binary.AppendUvarint(dst, uint64(len(s.excluded))), s.excluded)
@@ -168,38 +141,27 @@ func (r *historyRing) appendRows(dst []byte) []byte {
 	return dst
 }
 
-// parseRows loads rows appendRows wrote, n wide, into an empty ring, whose
-// arrays it sizes once: to the retained rows, which is the limit once a
-// bounded ring is full.
+// parseRows loads rows appendRows wrote, n wide, into an empty ring of the
+// same limit, sizing its arrays once, to the rows it retains.
 func (r *historyRing) parseRows(sr *stateReader, n int) {
-	total, rows := sr.int(), sr.count(9*n) // a row is at least 9 bytes a player
-	want := total
+	r.total, r.n = sr.int(), n
+	r.next = r.total
 	if r.limit > 0 {
-		want = min(total, r.limit)
+		r.next = r.total % r.limit
 	}
-	if rows != want {
-		sr.fail("%d rows retained of %d plays at history limit %d", rows, total, r.limit)
-	}
-	if sr.err != nil {
+	rows := r.retained()
+	if rows > len(sr.b)/(9*n) { // a row is at least 9 bytes a player
+		sr.fail("%d rows in %d bytes", rows, len(sr.b))
 		return
-	}
-	r.n, r.total, r.next = n, total, total
-	if r.limit > 0 {
-		r.next = total % r.limit
 	}
 	r.outcomes, r.costs = make(game.Profile, rows*n), make([]float64, rows*n)
-	first := total - rows
-	for k := 0; k < rows; k++ {
-		i := r.row(first + k)
-		sr.ints(r.outcomes[i*n : (i+1)*n])
-		sr.floats(r.costs[i*n : (i+1)*n])
+	sr.ints(r.outcomes)
+	sr.floats(r.costs)
+	if sr.bool() {
+		r.side = make([]sideSlot, rows)
 	}
-	if !sr.bool() {
-		return
-	}
-	r.side = make([]sideSlot, rows)
-	for k := 0; k < rows && sr.err == nil; k++ {
-		s := &r.side[r.row(first+k)]
+	for i := range r.side {
+		s := &r.side[i]
 		s.pulse = sr.int()
 		if c := sr.count(3); c > 0 {
 			s.fouls = make([]audit.Foul, c)
@@ -208,8 +170,7 @@ func (r *historyRing) parseRows(sr *stateReader, n int) {
 				s.fouls[j].Detail = string(sr.bytes(sr.count(1)))
 			}
 		}
-		s.convicted = sr.list()
-		s.excluded = sr.list()
+		s.convicted, s.excluded = sr.list(), sr.list()
 	}
 }
 
@@ -249,10 +210,8 @@ func (r *stateReader) count(size int) int {
 	return c
 }
 
-func (r *stateReader) bool() bool {
-	b := r.bytes(1)
-	return len(b) == 1 && b[0] == 1
-}
+// bool reads what appendBool wrote: a one-byte uvarint, 0 or 1.
+func (r *stateReader) bool() bool { return r.int() == 1 }
 
 // bytes reads n bytes, a sub-slice of the state.
 func (r *stateReader) bytes(n int) []byte {
@@ -281,24 +240,18 @@ func (r *stateReader) ints(dst []int) {
 	}
 }
 
-// list reads a counted list of ints, nil when empty.
+// list reads a counted list of ints.
 func (r *stateReader) list() []int {
-	c := r.count(1)
-	if c == 0 {
-		return nil
-	}
-	out := make([]int, c)
+	out := make([]int, r.count(1))
 	r.ints(out)
 	return out
 }
 
-// ledger parses a punish.AppendLedger encoding into scheme.
+// ledger reads a scheme's ledger (punish.AppendLedger) into scheme.
 func (r *stateReader) ledger(scheme punish.Scheme) {
-	if r.err == nil {
-		var err error
-		if r.b, err = punish.ParseLedger(r.b, scheme); err != nil {
-			r.fail("%v", err)
-		}
+	rest, err := punish.ParseLedger(r.b, scheme)
+	if r.b = rest; err != nil {
+		r.fail("%v", err)
 	}
 }
 

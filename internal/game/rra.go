@@ -1,10 +1,8 @@
 package game
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"gameauthority/internal/prng"
@@ -52,32 +50,15 @@ func (r *RRA) Loads() []int64 {
 // copying the whole vector — the play hot path's per-choice cost read.
 func (r *RRA) Load(a int) int64 { return r.loads[a] }
 
-// AppendState appends the game's state to dst: the round count k and the
-// loads ℓ_a(k), as varints.
-func (r *RRA) AppendState(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.rounds))
-	for _, l := range r.loads {
-		dst = binary.AppendVarint(dst, l)
+// SetState replaces the game's state with a round count k and the loads
+// ℓ_a(k), copied into the game's own slice.
+func (r *RRA) SetState(rounds int, loads []int64) error {
+	if rounds < 0 || len(loads) != r.b {
+		return fmt.Errorf("%w: a state of %d loads for %d resources", ErrRRAConfig, len(loads), r.b)
 	}
-	return dst
-}
-
-// ParseState loads a state AppendState wrote for a game of the same
-// shape into r's own loads, and returns the bytes after it.
-func (r *RRA) ParseState(b []byte) ([]byte, error) {
-	rounds, k := binary.Uvarint(b)
-	if k <= 0 || rounds > math.MaxInt {
-		return b, fmt.Errorf("%w: malformed state", ErrRRAConfig)
-	}
-	b = b[k:]
-	for a := range r.loads {
-		if r.loads[a], k = binary.Varint(b); k <= 0 {
-			return b, fmt.Errorf("%w: malformed state", ErrRRAConfig)
-		}
-		b = b[k:]
-	}
-	r.rounds = int(rounds)
-	return b, nil
+	r.rounds = rounds
+	copy(r.loads, loads)
+	return nil
 }
 
 // MaxLoad returns M(k) = max_a ℓ_a(k).

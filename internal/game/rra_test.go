@@ -270,28 +270,26 @@ func TestFixedChooser(t *testing.T) {
 	}
 }
 
-// TestRRAStateRoundTrip parses a played game's state into a fresh one of
-// the same shape: the loads and round count come back, and the next step
-// of each sees the same loads; a truncated state is refused.
-func TestRRAStateRoundTrip(t *testing.T) {
+// TestRRASetState loads a played game's state into a fresh one of the
+// same shape: the loads and round count come back, in the fresh game's
+// own slice; a state for another shape is refused.
+func TestRRASetState(t *testing.T) {
 	r, _ := NewRRA(5, 3)
 	for k := 0; k < 7; k++ {
 		if _, err := r.Step(r.EquilibriumChooser(9)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b := append(r.AppendState(nil), 0xAB)
+	loads := r.Loads()
 	fresh, _ := NewRRA(5, 3)
-	rest, err := fresh.ParseState(b)
-	if err != nil || len(rest) != 1 || rest[0] != 0xAB {
-		t.Fatalf("ParseState = %v, %v; want one byte back", rest, err)
+	if err := fresh.SetState(r.Rounds(), loads); err != nil {
+		t.Fatal(err)
 	}
+	loads[0]++
 	if fresh.Rounds() != r.Rounds() || !reflect.DeepEqual(fresh.Loads(), r.Loads()) {
 		t.Fatalf("state %d %v, want %d %v", fresh.Rounds(), fresh.Loads(), r.Rounds(), r.Loads())
 	}
-	for i := 0; i < len(b)-1; i++ {
-		if _, err := fresh.ParseState(b[:i]); err == nil {
-			t.Fatalf("a %d-byte prefix parsed", i)
-		}
+	if err := fresh.SetState(1, []int64{1, 2}); !errors.Is(err, ErrRRAConfig) {
+		t.Fatalf("two loads for three resources: err = %v, want ErrRRAConfig", err)
 	}
 }

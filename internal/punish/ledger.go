@@ -11,101 +11,75 @@ import (
 // parsed into.
 var ErrLedger = errors.New("punish: malformed ledger")
 
-// Scheme tags of the ledger encoding.
-const (
-	ledgerNone byte = iota
-	ledgerDisconnect
-	ledgerReputation
-	ledgerDeposit
-)
-
-// ledgerOf returns a scheme's tag and the slices its ledger lives in: the
-// per-agent value (Disconnect's strikes, Reputation's score, Deposit's
-// balance) and the event history. ok is false for a scheme this package
-// does not implement.
+// ledgerOf returns a scheme's tag in the ledger encoding and the slices
+// its ledger lives in: the per-agent value (Disconnect's strikes,
+// Reputation's score, Deposit's balance) and the event history. ok is
+// false for a scheme this package does not implement.
 func ledgerOf(s Scheme) (tag byte, values []float64, events *[]Event, ok bool) {
 	switch s := s.(type) {
 	case nil:
-		return ledgerNone, nil, nil, true
+		return 0, nil, new([]Event), true
 	case *Disconnect:
-		return ledgerDisconnect, s.strikes, &s.events, true
+		return 1, s.strikes, &s.events, true
 	case *Reputation:
-		return ledgerReputation, s.score, &s.events, true
+		return 2, s.score, &s.events, true
 	case *Deposit:
-		return ledgerDeposit, s.balance, &s.events, true
+		return 3, s.balance, &s.events, true
 	}
 	return 0, nil, nil, false
 }
 
 // AppendLedger appends s's ledger to dst in its canonical encoding: a tag
 // naming the scheme, the agent count, each agent's value as float bits,
-// then the event history (agent, round, severity bits). A nil scheme is
-// its tag alone. The parameters (budget, decay, escrow, ...) are not part
-// of it: they come with the scheme the ledger is parsed into. ok is false,
-// and dst unchanged, for a scheme this package does not implement.
+// then the event history (agent, round, severity bits). The parameters
+// (budget, decay, escrow, ...) are not part of it: they come with the
+// scheme the ledger is parsed into. ok is false, and dst unchanged, for a
+// scheme this package does not implement.
 func AppendLedger(dst []byte, s Scheme) (_ []byte, ok bool) {
 	tag, values, events, ok := ledgerOf(s)
 	if !ok {
 		return dst, false
 	}
-	dst = append(dst, tag)
-	if events == nil {
-		return dst, true
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(values)))
+	dst = binary.AppendUvarint(append(dst, tag), uint64(len(values)))
 	for _, v := range values {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(*events)))
 	for _, e := range *events {
-		dst = binary.AppendUvarint(dst, uint64(e.Agent))
-		dst = binary.AppendUvarint(dst, uint64(e.Round))
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(e.Agent)), uint64(e.Round))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Severity))
 	}
 	return dst, true
 }
 
 // ParseLedger parses a ledger AppendLedger wrote into s, a scheme of the
-// same kind and agent count, and returns the bytes after it. The values
-// land in s's own slice and the history in a slice of its own, so s keeps
+// same kind and agent count, and returns the bytes after it. s keeps
 // nothing of b.
 func ParseLedger(b []byte, s Scheme) ([]byte, error) {
 	tag, values, events, ok := ledgerOf(s)
-	if !ok {
-		return b, fmt.Errorf("%w: scheme %q has no ledger encoding", ErrLedger, s.Name())
+	if !ok || len(b) == 0 || b[0] != tag {
+		return nil, fmt.Errorf("%w: not a ledger of the session's scheme", ErrLedger)
 	}
-	if len(b) == 0 || b[0] != tag {
-		return b, fmt.Errorf("%w: not a ledger of the session's scheme", ErrLedger)
-	}
-	b = b[1:]
-	if events == nil {
-		return b, nil
-	}
-	n, b := uvarint(b)
+	n, b := uvarint(b[1:])
 	if n != uint64(len(values)) || uint64(len(b)) < 8*n {
-		return b, fmt.Errorf("%w: a ledger of %d agents for a scheme of %d", ErrLedger, n, len(values))
+		return nil, fmt.Errorf("%w: a ledger of %d agents for a scheme of %d", ErrLedger, n, len(values))
 	}
 	for i := range values {
-		values[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
+		values[i], b = math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:]
 	}
 	count, b := uvarint(b)
 	if count > uint64(len(b))/10 { // an event is at least 10 bytes
-		return b, fmt.Errorf("%w: %d events in %d bytes", ErrLedger, count, len(b))
+		return nil, fmt.Errorf("%w: %d events in %d bytes", ErrLedger, count, len(b))
 	}
 	*events = nil
-	if count > 0 {
-		*events = make([]Event, count)
-	}
-	for i := range *events {
-		var agent, round uint64
-		agent, b = uvarint(b)
-		round, b = uvarint(b)
-		if agent >= n || round > math.MaxInt || len(b) < 8 {
-			return b, fmt.Errorf("%w: event %d", ErrLedger, i)
+	for i := uint64(0); i < count; i++ {
+		agent, b1 := uvarint(b)
+		round, b2 := uvarint(b1)
+		if agent >= n || round > math.MaxInt || len(b2) < 8 {
+			return nil, fmt.Errorf("%w: event %d", ErrLedger, i)
 		}
-		(*events)[i] = Event{Agent: int(agent), Round: int(round), Severity: math.Float64frombits(binary.LittleEndian.Uint64(b))}
-		b = b[8:]
+		*events = append(*events, Event{Agent: int(agent), Round: int(round), Severity: math.Float64frombits(binary.LittleEndian.Uint64(b2))})
+		b = b2[8:]
 	}
 	return b, nil
 }

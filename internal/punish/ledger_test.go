@@ -63,7 +63,7 @@ func TestLedgerRefusesMismatch(t *testing.T) {
 		"other scheme":   {b, NewDeposit(3, 0, 0)},
 		"other size":     {b, NewDisconnect(4, 0)},
 		"no scheme":      {b, nil},
-		"none as scheme": {[]byte{ledgerNone}, NewDisconnect(3, 0)},
+		"none as scheme": {[]byte{0, 0, 0}, NewDisconnect(3, 0)},
 		"empty":          {nil, NewDisconnect(3, 0)},
 	} {
 		if _, err := ParseLedger(tc.b, tc.s); !errors.Is(err, ErrLedger) {

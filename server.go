@@ -694,37 +694,19 @@ func withSession(a *Authority, w http.ResponseWriter, r *http.Request,
 	fn(h, w, r)
 }
 
-// snapshotResponse is the wire form of a SessionSnapshot.
+// snapshotResponse is the wire form of a SessionSnapshot: its JSON, with
+// the session's id and the kind's name.
 type snapshotResponse struct {
-	ID             string    `json:"id"`
-	Kind           string    `json:"kind"`
-	Players        int       `json:"players"`
-	Rounds         int       `json:"rounds"`
-	Fouls          int       `json:"fouls"`
-	Convictions    int       `json:"convictions"`
-	CumulativeCost []float64 `json:"cumulative_cost,omitempty"`
-	Excluded       []bool    `json:"excluded,omitempty"`
-	Closed         bool      `json:"closed"`
-	Digest         string    `json:"digest"`
+	ID   string `json:"id"`
+	Kind string `json:"kind"`
+	SessionSnapshot
 	// Persisted reports whether the snapshot was written to the durable
 	// store (false on volatile sessions or store-less authorities).
 	Persisted bool `json:"persisted"`
 }
 
 func snapshotFor(id string, snap SessionSnapshot, persisted bool) snapshotResponse {
-	return snapshotResponse{
-		ID:             id,
-		Kind:           snap.Kind.String(),
-		Players:        snap.Players,
-		Rounds:         snap.Rounds,
-		Fouls:          snap.Fouls,
-		Convictions:    snap.Convictions,
-		CumulativeCost: snap.CumulativeCost,
-		Excluded:       snap.Excluded,
-		Closed:         snap.Closed,
-		Digest:         snap.Digest,
-		Persisted:      persisted,
-	}
+	return snapshotResponse{ID: id, Kind: snap.Kind.String(), SessionSnapshot: snap, Persisted: persisted}
 }
 
 func handleSnapshot(h *HostedSession, w http.ResponseWriter, _ *http.Request) {

@@ -101,6 +101,45 @@ func TestServerSnapshotEndpoints(t *testing.T) {
 	durPost(t, srv.URL+"/sessions/nope/snapshot", nil, http.StatusNotFound)
 }
 
+// TestRecoverRefusesJSONSnapshot pins the stated format break (DESIGN.md
+// §9): a snapshot payload in the SessionSnapshot JSON written before the
+// binary payload is refused by Recover, which names it in
+// RecoveryReport.Failed and leaves the session in the store, and GET
+// /snapshots does not list it.
+func TestRecoverRefusesJSONSnapshot(t *testing.T) {
+	ctx := context.Background()
+	st := ga.NewMemStore()
+	first := ga.NewAuthority(ga.WithStore(st))
+	h, err := first.CreateFromSpec(ga.CreateSessionRequest{ID: "old-json", Game: "pd", Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(h.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.DetachStore()
+	first.Close()
+	if err := st.PutSnapshot("old-json", 5, payload); err != nil {
+		t.Fatal(err)
+	}
+	second, srv := storeServer(t, st)
+	t.Cleanup(func() { second.Close() })
+	if got := strings.TrimSpace(string(durGet(t, srv.URL+"/snapshots", http.StatusOK))); got != "[]" {
+		t.Fatalf("GET /snapshots listed a JSON payload: %s", got)
+	}
+	rep, err := second.Recover(ctx)
+	if err != nil || rep.Sessions != 0 || len(rep.Failed) != 1 || !strings.Contains(rep.Failed[0], "JSON") {
+		t.Fatalf("recover: %+v, %v; want old-json failed, naming JSON", rep, err)
+	}
+	if has, err := st.Has("old-json"); err != nil || !has {
+		t.Fatalf("the refused session left the store (has %v, %v)", has, err)
+	}
+}
+
 // TestCreateFromSpecPreservesJournaledLedger: re-creating an id that a
 // crashed predecessor journaled must refuse with a conflict and leave
 // the old ledger intact — never scrub acknowledged plays.
