@@ -614,9 +614,9 @@ type RecoveryReport struct {
 // concurrent workers rebuild each session from its journaled spec, load
 // its snapshot's state, deterministically replay the rest to its WAL
 // watermark (verifying play hashes and state digests), and re-host it
-// under its original id. Sessions that
-// fail verification are reported in the RecoveryReport and left in the
-// store. Safe to call on a freshly built authority at startup.
+// under its original id. Sessions that fail verification are reported in
+// the RecoveryReport and left in the store. Safe to call on a freshly
+// built authority at startup.
 func (a *Authority) Recover(ctx context.Context) (RecoveryReport, error) {
 	start := time.Now()
 	st := a.getStore()
@@ -892,9 +892,9 @@ func restoreTargetFor(state store.SessionState) (target RestoreTarget, base int,
 
 // RestoreSession rebuilds a session from the same game+options New takes,
 // loads the target's state if it carries one, and deterministically
-// replays it to the target (see core.Restore). The
-// restored session's retained state is byte-identical to the journaled
-// one; any verification mismatch fails with ErrRestore.
+// replays it to the target (see core.Restore). The restored session's
+// retained state is byte-identical to the journaled one; any verification
+// mismatch fails with ErrRestore.
 func RestoreSession(ctx context.Context, g Game, target RestoreTarget, opts ...Option) (Session, error) {
 	cfg := core.SessionConfig{Game: g}
 	for _, opt := range opts {

@@ -215,9 +215,10 @@ const restoreBudgetRetries = 1000
 // cross-driver determinism property the goldens pin is exactly what makes
 // this sound, and a loaded state is held to its snapshot's digest before
 // any play is replayed on it. Any verification mismatch closes the
-// half-restored session and fails with ErrRestore. A loaded state assumes
-// what replay would reproduce anyway: agents that choose from the round
-// and the previous outcome alone, as every catalog deviant does.
+// half-restored session and fails with ErrRestore. Loading a state
+// assumes agents that choose from the round and the previous outcome
+// alone, as every catalog deviant does: an agent with hidden state of its
+// own would diverge, and the tail's hashes would catch it.
 func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Session, error) {
 	if target.Rounds < 0 {
 		return nil, fmt.Errorf("%w: negative replay target %d", ErrConfig, target.Rounds)
