@@ -571,9 +571,11 @@ func TestDurableDistributedJournalsFouls(t *testing.T) {
 // the default cadence has its snapshot at 64,000: Recover loads the
 // snapshot's state and re-executes only the 112 plays after it, and
 // RecoveryReport.Rounds and gameauthority_replayed_rounds_total both say
-// so. A (4, 1) distributed session, whose snapshot carries no state,
-// still re-executes every play: that row pins which kinds restore from
-// state.
+// so. A pure session of unbounded history and a (4, 1) distributed
+// session, whose snapshots carry no state, still re-execute every play:
+// those rows pin which sessions restore from state. (An unbounded
+// history's state would grow with the session's age, and every
+// compaction would rewrite it.)
 func TestRestoreReplaysTailOnly(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -584,6 +586,8 @@ func TestRestoreReplaysTailOnly(t *testing.T) {
 	}{
 		{"pure", ga.CreateSessionRequest{ID: "old", Game: "congestion", Seed: 3, HistoryLimit: 64,
 			Deviant: &ga.DeviantSpec{Player: 1, Strategy: "commitment-cheat"}}, 64_000 + 7*16, true},
+		{"pure-unbounded", ga.CreateSessionRequest{ID: "old", Game: "congestion", Seed: 3,
+			Deviant: &ga.DeviantSpec{Player: 1, Strategy: "commitment-cheat"}}, 20 * 16, false},
 		{"distributed", ga.CreateSessionRequest{ID: "old", Game: "publicgoods", Players: 4, Seed: 3, HistoryLimit: 8,
 			Distributed: invariant.DistShape(4, 1)}, 20 * 16, false},
 	} {
@@ -605,6 +609,10 @@ func TestRestoreReplaysTailOnly(t *testing.T) {
 			state, ok, err := st.LoadSession(tc.req.ID)
 			if err != nil || !ok {
 				t.Fatalf("load: %v (ok %v)", err, ok)
+			}
+			_, carried, err := core.ParseSnapshot(state.Snapshot)
+			if err != nil || tc.fromState != (len(carried) > 0) {
+				t.Fatalf("snapshot at %d carries %d state bytes (%v)", state.SnapshotRounds, len(carried), err)
 			}
 			replays := tc.rounds
 			if tc.fromState {

@@ -524,9 +524,14 @@ func (a *Authority) journal(h *HostedSession, plays []store.BatchPlay) error {
 func (h *HostedSession) snapshot() (SessionSnapshot, bool, error) {
 	h.jmu.Lock()
 	defer h.jmu.Unlock()
-	// Under jmu no play runs, so the summary describes what was persisted.
-	persisted, err := h.snapshotLocked()
-	return h.Session.Snapshot(), persisted, err
+	// Under jmu no play runs, so the summary describes what was persisted:
+	// it is read back from the payload rather than digested a second time.
+	payload, err := h.snapshotLocked()
+	if payload == nil {
+		return h.Session.Snapshot(), false, nil
+	}
+	snap, _, perr := core.ParseSnapshot(payload)
+	return snap, err == nil, errors.Join(err, perr)
 }
 
 // snapshotLocked persists every snapshot of a hosted session, compacting
@@ -535,20 +540,21 @@ func (h *HostedSession) snapshot() (SessionSnapshot, bool, error) {
 // append lands between the capture and the compaction, so the store's log
 // stays in round order behind its snapshot. The payload is
 // core.AppendSnapshot's: the counters, the digest and, for the pure and
-// RRA kinds, the session state a restore loads. persisted is false (with a
-// nil error) for volatile sessions.
-func (h *HostedSession) snapshotLocked() (persisted bool, err error) {
+// RRA kinds of bounded history, the session state a restore loads. It
+// returns the payload, persisted unless err is set, and nil (with a nil
+// error) for volatile sessions.
+func (h *HostedSession) snapshotLocked() (payload []byte, err error) {
 	st := h.a.getStore()
 	if st == nil || !h.durable.Load() || h.dropped.Load() {
-		return false, nil
+		return nil, nil
 	}
 	payload, rounds := core.AppendSnapshot(make([]byte, 0, 1024), h.Session)
 	if err := st.PutSnapshot(h.id, rounds, payload); err != nil {
-		return false, fmt.Errorf("snapshot: %w", errors.Join(ErrDurability, err))
+		return payload, fmt.Errorf("snapshot: %w", errors.Join(ErrDurability, err))
 	}
 	h.walPlays = 0
 	snapshotsTotal.Inc()
-	return true, nil
+	return payload, nil
 }
 
 // SnapshotSession captures the session's state summary and, when the
@@ -849,7 +855,7 @@ func restoreTargetFor(state store.SessionState) (target RestoreTarget, base int,
 			target.Closed = true
 		}
 		if len(st) > 0 {
-			target.State, target.StateDigest, base = st, snap.Digest, snap.Rounds
+			target.State, target.Base, base = st, snap, snap.Rounds
 		}
 	}
 	lastPlay, plays := -1, 0
@@ -894,7 +900,12 @@ func restoreTargetFor(state store.SessionState) (target RestoreTarget, base int,
 // loads the target's state if it carries one, and deterministically
 // replays it to the target (see core.Restore). The restored session's
 // retained state is byte-identical to the journaled one; any verification
-// mismatch fails with ErrRestore.
+// mismatch fails with ErrRestore. A target with State requires agents
+// (WithAgents) that choose from the round and the previous outcome alone,
+// as the catalog deviants do: the state does not carry an agent's own
+// memory, and a restore with no plays after the snapshot checks nothing
+// past its digest. For other agents leave State empty and replay from
+// round zero.
 func RestoreSession(ctx context.Context, g Game, target RestoreTarget, opts ...Option) (Session, error) {
 	cfg := core.SessionConfig{Game: g}
 	for _, opt := range opts {

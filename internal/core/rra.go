@@ -226,26 +226,23 @@ func (h *RRASupervised) kindStats(st *SessionStats) { st.MaxLoad = h.rra.MaxLoad
 
 func (h *RRASupervised) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }
 
-// appendState appends game.RRA's round count and loads, the cumulative
-// costs and the scheme's ledger.
+// appendState appends game.RRA's loads and the scheme's ledger; the
+// round count and the cumulative costs are the snapshot's.
 func (h *RRASupervised) appendState(dst []byte) ([]byte, bool) {
-	dst = binary.AppendUvarint(dst, uint64(h.rra.Rounds()))
 	for _, l := range h.rra.Loads() {
 		dst = binary.AppendUvarint(dst, uint64(l))
 	}
-	return punish.AppendLedger(appendFloats(dst, h.cumCost), h.scheme)
+	return punish.AppendLedger(dst, h.scheme)
 }
 
-func (h *RRASupervised) parseState(r *stateReader, rounds int, _ game.Profile) {
-	k, loads := r.int(), make([]int64, h.rra.B())
+func (h *RRASupervised) parseState(r *stateReader, rounds int, _ game.Profile, cum []float64) {
+	loads := make([]int64, h.rra.B())
 	for a := range loads {
 		loads[a] = int64(r.int())
 	}
-	if err := h.rra.SetState(k, loads); err != nil {
+	if err := h.rra.SetState(rounds, loads); err != nil {
 		r.fail("%v", err)
-	} else if k != rounds {
-		r.fail("engine at round %d, history at %d", k, rounds)
 	}
-	r.floats(h.cumCost)
+	copy(h.cumCost, cum)
 	r.ledger(h.scheme)
 }

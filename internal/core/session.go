@@ -352,17 +352,20 @@ type engine interface {
 }
 
 // stateCodec is what the pure and RRA engines add to engine, so that a
-// snapshot carries their state (see AppendSnapshot). The mixed and
-// distributed engines have none and restore by replay.
+// snapshot of a bounded-history session carries their state (see
+// AppendSnapshot). The mixed and distributed engines have none and
+// restore by replay.
 type stateCodec interface {
-	// appendState appends the state a play boundary leaves in the engine,
-	// or reports false when it cannot (a scheme with no ledger encoding).
+	// appendState appends the state a play boundary leaves in the engine
+	// beyond the snapshot's counters, or reports false when it cannot (a
+	// scheme with no ledger encoding).
 	appendState(dst []byte) ([]byte, bool)
 	// parseState loads what appendState wrote into a freshly built
-	// engine. rounds is the session's play count and prev the newest
-	// play's outcome (nil before the first), both from the loaded history;
-	// prev aliases the ring.
-	parseState(r *stateReader, rounds int, prev game.Profile)
+	// engine. rounds is the session's play count and cum its cumulative
+	// costs, both from the snapshot, and prev the newest play's outcome
+	// (nil before the first) from the loaded history; prev aliases the
+	// ring.
+	parseState(r *stateReader, rounds int, prev game.Profile, cum []float64)
 }
 
 // Stage is the last step of the shell's play order (see Attach). It runs

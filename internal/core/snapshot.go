@@ -17,9 +17,9 @@ var ErrRestore = errors.New("core: restore verification failed")
 
 // SessionSnapshot is a driver's durable state summary at a round boundary:
 // its counters and its state digest. The snapshot payload a host persists
-// (AppendSnapshot) carries these and, for the pure and RRA kinds, the
-// session state itself, so that Restore loads it and replays only the
-// plays after it; the mixed and distributed kinds carry no state and
+// (AppendSnapshot) carries these and, for the pure and RRA kinds of
+// bounded history, the session state itself, so that Restore loads it and
+// replays only the plays after it; the other sessions carry no state and
 // restore by replaying every play, which is complete because every driver
 // is deterministic in (configuration, seed): the per-round PRNG streams
 // are derived from the round counter, so the round count *is* the stream
@@ -195,11 +195,14 @@ type RestoreTarget struct {
 	// (the WAL tail); every replayed play with an entry is verified.
 	Hashes map[int]string
 	// State, when non-empty, is the session state a snapshot payload
-	// carries (ParseSnapshot): Restore loads it, checks that the loaded
-	// session's digest is StateDigest, the digest of that snapshot, and
-	// replays only the plays after it. Empty, replay starts at round zero.
-	State       []byte
-	StateDigest string
+	// carries, and Base the snapshot that carried it (ParseSnapshot):
+	// Restore loads the state with Base's counters and cumulative costs,
+	// checks that the loaded session's digest is Base.Digest, and replays
+	// only the plays after Base.Rounds. Empty, replay starts at round
+	// zero. A state holds what the engine and the scheme remember, not
+	// what an agent does: see Restore.
+	State []byte
+	Base  SessionSnapshot
 }
 
 // restoreBudgetRetries bounds how many recoverable pulse-budget errors a
@@ -215,10 +218,16 @@ const restoreBudgetRetries = 1000
 // cross-driver determinism property the goldens pin is exactly what makes
 // this sound, and a loaded state is held to its snapshot's digest before
 // any play is replayed on it. Any verification mismatch closes the
-// half-restored session and fails with ErrRestore. Loading a state
-// assumes agents that choose from the round and the previous outcome
-// alone, as every catalog deviant does: an agent with hidden state of its
-// own would diverge, and the tail's hashes would catch it.
+// half-restored session and fails with ErrRestore.
+//
+// Loading a state requires agents that choose from the round and the
+// previous outcome alone, as every catalog deviant does: a state does not
+// hold an agent's memory of its own, so such an agent comes back with a
+// fresh one. The digest cannot see that, and the tail's hashes see it
+// only in the plays they cover; a restore whose tail is empty (after a
+// graceful stop, which snapshots every session) checks nothing past the
+// digest, and the session diverges in its next plays. For agents with
+// memory, leave State empty: replay from round zero rebuilds it.
 func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Session, error) {
 	if target.Rounds < 0 {
 		return nil, fmt.Errorf("%w: negative replay target %d", ErrConfig, target.Rounds)
@@ -234,7 +243,7 @@ func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Sess
 	played := 0
 	if len(target.State) > 0 {
 		d := s.(*driver)
-		if err := d.load(target.State, target.StateDigest); err != nil {
+		if err := d.load(target.State, target.Base); err != nil {
 			return fail(err)
 		}
 		played = d.history.recorded()

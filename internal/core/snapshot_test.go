@@ -416,8 +416,9 @@ func TestSnapshotBoundedRingEviction(t *testing.T) {
 }
 
 // stateConfigs adds, to snapshotConfigs, sessions whose state carries
-// more than an honest play leaves: a cheat convicted under each scheme,
-// bounded and unbounded, and an RRA hog under a deposit.
+// more than an honest play leaves: a cheat convicted under each scheme
+// and an RRA hog under a deposit, all of bounded history (an unbounded
+// one carries no state, like snapshotConfigs' "pure").
 func stateConfigs(t *testing.T) map[string]func() SessionConfig {
 	cfgs := snapshotConfigs(t)
 	cheat := func(limit int, scheme func() punish.Scheme) func() SessionConfig {
@@ -431,7 +432,7 @@ func stateConfigs(t *testing.T) map[string]func() SessionConfig {
 				}}}}
 		}
 	}
-	cfgs["pure-cheat-disconnect"] = cheat(0, func() punish.Scheme { return punish.NewDisconnect(2, 2) })
+	cfgs["pure-cheat-disconnect"] = cheat(2, func() punish.Scheme { return punish.NewDisconnect(2, 2) })
 	cfgs["pure-cheat-reputation"] = cheat(4, func() punish.Scheme { return punish.NewReputation(2, 0.8, 0.3, 0) })
 	cfgs["pure-cheat-deposit"] = cheat(5, func() punish.Scheme { return punish.NewDeposit(2, 2.5, 1) })
 	cfgs["rra-hog-deposit"] = func() SessionConfig {
@@ -470,9 +471,9 @@ func TestRestoreFromState(t *testing.T) {
 				if want := orig.Snapshot(); !reflect.DeepEqual(snap, want) {
 					t.Fatalf("parsed snapshot %+v, want %+v", snap, want)
 				}
-				kind := orig.Stats().Kind
-				if stateful := kind == KindPure || kind == KindRRA; stateful != (len(state) > 0) {
-					t.Fatalf("%s session carries %d state bytes", kind, len(state))
+				kind, limit := orig.Stats().Kind, build().HistoryLimit
+				if stateful := (kind == KindPure || kind == KindRRA) && limit > 0; stateful != (len(state) > 0) {
+					t.Fatalf("%s session of history limit %d carries %d state bytes", kind, limit, len(state))
 				}
 				hashes := map[int]string{}
 				if _, err := orig.PlayN(ctx, tail, func(res RoundResult) error {
@@ -482,7 +483,7 @@ func TestRestoreFromState(t *testing.T) {
 					t.Fatal(err)
 				}
 				restored, err := Restore(ctx, build(), RestoreTarget{Rounds: at + tail, Hashes: hashes,
-					State: state, StateDigest: snap.Digest})
+					State: state, Base: snap})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -515,9 +516,9 @@ func TestRestoreFromState(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesBadState: a state that does not reproduce its
-// snapshot's digest, one cut short, and one with bytes after it are each
-// ErrRestore, and ParseSnapshot refuses a payload cut inside its counters
+// TestRestoreRefusesBadState: a state loaded with a snapshot whose
+// digest, counters, costs or kind it does not reproduce, one cut short,
+// and one with bytes after it are each ErrRestore, and ParseSnapshot refuses a payload cut inside its counters
 // or digest, and a JSON payload.
 func TestRestoreRefusesBadState(t *testing.T) {
 	ctx := context.Background()
@@ -536,10 +537,19 @@ func TestRestoreRefusesBadState(t *testing.T) {
 	}
 	other, _ := AppendSnapshot(nil, mustRun(t, build(), 6))
 	otherSnap, _, _ := ParseSnapshot(other)
+	with := func(edit func(*SessionSnapshot)) SessionSnapshot {
+		base := snap
+		base.CumulativeCost = append([]float64(nil), snap.CumulativeCost...)
+		edit(&base)
+		return base
+	}
 	for name, target := range map[string]RestoreTarget{
-		"other digest": {Rounds: 7, State: state, StateDigest: otherSnap.Digest},
-		"cut short":    {Rounds: 7, State: state[:len(state)-1], StateDigest: snap.Digest},
-		"bytes after":  {Rounds: 7, State: append(append([]byte(nil), state...), 0), StateDigest: snap.Digest},
+		"other digest": {Rounds: 7, State: state, Base: with(func(b *SessionSnapshot) { b.Digest = otherSnap.Digest })},
+		"other fouls":  {Rounds: 7, State: state, Base: with(func(b *SessionSnapshot) { b.Fouls++ })},
+		"other costs":  {Rounds: 7, State: state, Base: with(func(b *SessionSnapshot) { b.CumulativeCost[0]++ })},
+		"other kind":   {Rounds: 7, State: state, Base: with(func(b *SessionSnapshot) { b.Kind = KindRRA })},
+		"cut short":    {Rounds: 7, State: state[:len(state)-1], Base: snap},
+		"bytes after":  {Rounds: 7, State: append(append([]byte(nil), state...), 0), Base: snap},
 	} {
 		if _, err := Restore(ctx, build(), target); !errors.Is(err, ErrRestore) {
 			t.Errorf("%s: err = %v, want ErrRestore", name, err)

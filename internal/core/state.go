@@ -71,42 +71,52 @@ func ParseSnapshot(b []byte) (SessionSnapshot, []byte, error) {
 	return snap, r.b, nil
 }
 
-// appendState appends the session state (see AppendSnapshot), or nothing
-// when the engine has no codec; the caller holds the play lock.
+// appendState appends the session state (see AppendSnapshot): what the
+// counters before it do not already say. That is the history ring's rows
+// and the engine's own state; the caller holds the play lock. It appends
+// nothing when the engine has no codec, and nothing for an unbounded
+// history: that state grows with the session's age, and every compaction
+// would rewrite it, so such a session restores by replay.
 func (d *driver) appendState(dst []byte) []byte {
 	e, ok := d.eng.(stateCodec)
-	if !ok {
+	if !ok || d.history.limit == 0 {
 		return dst
 	}
 	start := len(dst)
-	dst = d.history.appendRows(appendBool(appendInts(dst, []int{d.fouls, d.convictions}), d.closed))
-	if dst, ok = e.appendState(dst); ok {
+	if dst, ok = e.appendState(d.history.appendRows(dst)); ok {
 		return dst
 	}
 	return dst[:start]
 }
 
 // load parses a state appendState wrote into a session NewSession has
-// just built, and checks that the loaded session's digest is want, the
-// digest of the snapshot that carried the state. Nothing it loads aliases
-// state.
-func (d *driver) load(state []byte, want string) error {
+// just built, taking the counters, the closed flag and the cumulative
+// costs from base, the snapshot that carried the state, and checks that
+// the loaded session's digest is base's. Nothing it loads aliases state.
+func (d *driver) load(state []byte, base SessionSnapshot) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	r := stateReader{b: state}
 	e, ok := d.eng.(stateCodec)
-	if !ok {
+	switch {
+	case !ok:
 		r.fail("a %s session has no state codec", d.kind)
+	case d.history.limit == 0:
+		r.fail("a session of unbounded history restores by replay")
+	case base.Kind != d.kind || len(base.CumulativeCost) != d.n:
+		r.fail("a snapshot of a %d-player %s session", len(base.CumulativeCost), base.Kind)
 	}
-	d.fouls, d.convictions, d.closed = r.int(), r.int(), r.bool()
-	d.history.parseRows(&r, d.n)
-	rounds := d.history.recorded()
+	d.fouls, d.convictions, d.closed = base.Fouls, base.Convictions, base.Closed
+	rounds := base.Rounds
+	if r.err == nil {
+		d.history.parseRows(&r, d.n, rounds)
+	}
 	if r.err == nil {
 		var prev game.Profile
 		if last, ok := d.history.at(rounds - 1); ok {
 			prev = last.Outcome
 		}
-		e.parseState(&r, rounds, prev)
+		e.parseState(&r, rounds, prev, base.CumulativeCost)
 	}
 	if r.err == nil && len(r.b) > 0 {
 		r.fail("%d bytes after the state", len(r.b))
@@ -116,18 +126,18 @@ func (d *driver) load(state []byte, want string) error {
 	}
 	var got [HashLen]byte
 	sum := d.digestLocked()
-	if hex.Encode(got[:], sum[:]); string(got[:]) != want {
+	if hex.Encode(got[:], sum[:]); string(got[:]) != base.Digest {
 		return fmt.Errorf("%w: the state loaded at round %d has digest %s, its snapshot %s",
-			ErrRestore, rounds, got[:], want)
+			ErrRestore, rounds, got[:], base.Digest)
 	}
 	return nil
 }
 
-// appendRows appends the ring's play count, then its rows as they lie:
-// outcomes, costs and, when the ring has side slots, each slot's pulse,
-// fouls, convicted and excluded agents.
+// appendRows appends the ring's rows as they lie: outcomes, costs and,
+// when the ring has side slots, each slot's pulse, fouls, convicted and
+// excluded agents. The play count is the snapshot's.
 func (r *historyRing) appendRows(dst []byte) []byte {
-	dst = appendFloats(appendInts(binary.AppendUvarint(dst, uint64(r.total)), r.outcomes), r.costs)
+	dst = appendFloats(appendInts(dst, r.outcomes), r.costs)
 	dst = appendBool(dst, r.side != nil)
 	for _, s := range r.side {
 		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(s.pulse)), uint64(len(s.fouls)))
@@ -141,14 +151,11 @@ func (r *historyRing) appendRows(dst []byte) []byte {
 	return dst
 }
 
-// parseRows loads rows appendRows wrote, n wide, into an empty ring of the
-// same limit, sizing its arrays once, to the rows it retains.
-func (r *historyRing) parseRows(sr *stateReader, n int) {
-	r.total, r.n = sr.int(), n
-	r.next = r.total
-	if r.limit > 0 {
-		r.next = r.total % r.limit
-	}
+// parseRows loads rows appendRows wrote, n wide, for a session of total
+// plays into an empty bounded ring of the same limit, sizing its arrays
+// once, to the rows it retains.
+func (r *historyRing) parseRows(sr *stateReader, n, total int) {
+	r.total, r.n, r.next = total, n, total%r.limit
 	rows := r.retained()
 	if rows > len(sr.b)/(9*n) { // a row is at least 9 bytes a player
 		sr.fail("%d rows in %d bytes", rows, len(sr.b))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"gameauthority/internal/audit"
@@ -254,18 +253,16 @@ func (s *PureSession) kindStats(*SessionStats) {}
 
 func (s *PureSession) finish() (audit.Verdict, error) { return audit.Verdict{}, nil }
 
-// appendState appends the round, the cumulative costs and the scheme's
-// ledger. The previous outcome is the newest play of the history ring.
+// appendState appends the scheme's ledger. The round is the snapshot's,
+// the cumulative costs are its counters, and the previous outcome is the
+// newest play of the history ring.
 func (s *PureSession) appendState(dst []byte) ([]byte, bool) {
-	dst = binary.AppendUvarint(dst, uint64(s.round))
-	return punish.AppendLedger(appendFloats(dst, s.cumCost), s.scheme)
+	return punish.AppendLedger(dst, s.scheme)
 }
 
-func (s *PureSession) parseState(r *stateReader, rounds int, prev game.Profile) {
-	if s.round = r.int(); s.round != rounds {
-		r.fail("engine at round %d, history at %d", s.round, rounds)
-	}
-	r.floats(s.cumCost)
+func (s *PureSession) parseState(r *stateReader, rounds int, prev game.Profile, cum []float64) {
+	s.round = rounds
+	copy(s.cumCost, cum)
 	r.ledger(s.scheme)
 	s.prev = clone(prev)
 }
