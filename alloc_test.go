@@ -372,7 +372,8 @@ func TestAllocsPerRestore(t *testing.T) {
 // share one compiled game, so the six tables amortize to almost nothing
 // and what is left is the session itself (17 KB when every session
 // compiled its own). An honest session measured 2,123 B and a deviant one
-// 3,220 B (2,171 and 3,268 B while the host kept a per-call accumulator
+// 3,180 B (3,220 B while each punishment scheme also kept an event per
+// sanction; 2,171 and 3,268 B while the host kept a per-call accumulator
 // and its own sink beside the driver's), and each budget is measured+10%,
 // the rule TestHeapPerHostedDistSession follows: ws_pure holds 8,192 such
 // sessions, so a few hundred bytes more per session would move its live
@@ -393,7 +394,7 @@ func TestHeapPerHostedSession(t *testing.T) {
 		name    string
 		deviant bool
 		budget  int64
-	}{{"honest", false, 2_335}, {"deviant", true, 3_542}} {
+	}{{"honest", false, 2_335}, {"deviant", true, 3_498}} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()
@@ -430,15 +431,17 @@ func TestHeapPerHostedSession(t *testing.T) {
 // at most its budget after 64 plays, pinned at measured+10% (58.2 KB at
 // (4, 1) and 252.1 KB at (7, 2); string-valued agreement trees and 24-byte
 // pairs held 58.2 KB and 497 KB, and at (4, 1) the three rotating value
-// pools per processor cost about what the narrower arrays save). And
-// nothing may grow with the play
+// pools per processor cost about what the narrower arrays save), and
+// 59.4 KB at (4, 1) with a freerider under the disconnect scheme, as one
+// inproc_dist session in eight has. And nothing may grow with the play
 // count, so a session holds the same heap after 1,024 plays as after 64,
 // within 1 KB. (While every processor appended each play to an unbounded
 // result log, a (4, 1) session grew by ≈ 330 KB over those 960 plays and a
-// (7, 2) session by ≈ 800 KB.) The runtime's own growth must stay out of
-// the window: one more OS thread is ≈ 5 KB of heap, so the test runs on
-// one P, and a throwaway session plays the full run before the first
-// measurement.
+// (7, 2) session by ≈ 800 KB; while every executive replica kept an event
+// per foul, the deviant row grew by ≈ 125 KB.) The runtime's own growth
+// must stay out of the window: one more OS thread is ≈ 5 KB of heap, so
+// the test runs on one P, and a throwaway session plays the full run
+// before the first measurement.
 func TestHeapPerHostedDistSession(t *testing.T) {
 	const early, late, slack = 64, 1024, 1 << 10
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -453,8 +456,9 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 	for _, tc := range []struct {
 		n, f, sessions int
 		budget         int64
-	}{{4, 1, 4, 64_030}, {7, 2, 2, 277_310}} {
-		t.Run(fmt.Sprintf("n%df%d", tc.n, tc.f), func(t *testing.T) {
+		deviant        string
+	}{{4, 1, 4, 64_030, ""}, {7, 2, 2, 277_310, ""}, {4, 1, 4, 65_370, "-deviant"}} {
+		t.Run(fmt.Sprintf("n%df%d%s", tc.n, tc.f, tc.deviant), func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()
 			create := func(seed uint64, plays int) *ga.HostedSession {
@@ -463,6 +467,10 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 					N int `json:"n"`
 					F int `json:"f"`
 				}{N: tc.n, F: tc.f}
+				if tc.deviant != "" {
+					req.Deviant = &ga.DeviantSpec{Player: 1, Strategy: "freerider"}
+					req.Punishment = &ga.PunishmentSpec{Scheme: "disconnect"}
+				}
 				h, err := a.CreateFromSpec(req)
 				if err != nil {
 					t.Fatal(err)

@@ -305,7 +305,9 @@ func Theorem5Bound(b, k int) float64 { return stats.Theorem5Bound(b, k) }
 
 // --- Punishment schemes (executive service, §3.4) --------------------------------
 
-// PunishmentScheme is the executive service's sanction policy.
+// PunishmentScheme is the executive service's sanction policy. It holds
+// each agent's standing, not a history of its sanctions: a session's
+// fouls are in its play results (RoundResult.Verdict).
 type PunishmentScheme = punish.Scheme
 
 // NewDisconnectScheme bars an agent once its offences exhaust the strike

@@ -68,7 +68,8 @@ func TestPureDriverDetection(t *testing.T) {
 				g = game.MatchingPennies()
 			}
 			n := g.NumPlayers()
-			scheme := punish.NewDisconnect(n, 0.5)
+			const budget = 0.5
+			scheme := punish.NewDisconnect(n, budget)
 			s, err := core.NewSession(core.SessionConfig{
 				Game:     g,
 				Seed:     7,
@@ -101,15 +102,17 @@ func TestPureDriverDetection(t *testing.T) {
 				t.Fatalf("%s: fouls never charged to the deviant", d.Name())
 			}
 			// The executive's ledger must agree with the judicial
-			// verdicts: every severity unit charged landed on the
-			// deviant and nothing landed on anyone else.
-			tally := punish.Tally(scheme, n)
-			for p, sev := range tally {
-				switch {
-				case p == deviant && sev != severityOnDeviant:
-					t.Fatalf("%s: executive ledger %.2f vs judicial severity %.2f", d.Name(), sev, severityOnDeviant)
-				case p != deviant && sev != 0:
-					t.Fatalf("%s: honest player %d sanctioned %.2f", d.Name(), p, sev)
+			// verdicts: nothing landed on an honest player, whose standing
+			// is the whole budget, and the deviant's standing is what the
+			// severity charged to it leaves of the budget.
+			for p := 0; p < n; p++ {
+				want := budget
+				if p == deviant {
+					want = max(0, budget-severityOnDeviant)
+				}
+				if got := scheme.Standing(p); got != want {
+					t.Fatalf("%s: player %d stands at %.2f, want %.2f (judicial severity on the deviant %.2f)",
+						d.Name(), p, got, want, severityOnDeviant)
 				}
 			}
 			if !st.Excluded[deviant] {

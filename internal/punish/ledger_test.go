@@ -1,50 +1,58 @@
 package punish
 
 import (
+	"encoding/binary"
 	"errors"
-	"reflect"
 	"testing"
 )
 
-// TestLedgerRoundTrip punishes each scheme, appends its ledger and parses
-// it into a fresh replica: the replica must hold the same standing,
-// exclusions and history, and the bytes after the ledger must come back.
+// TestLedgerRoundTrip punishes each scheme 0, 5 and 500 times, appends
+// its ledger and parses it into a fresh replica: the ledger must be
+// exactly 1 + uvarint(n) + 8n bytes whatever the punishment count, the
+// replica must hold the same standing and exclusions, and the bytes after
+// the ledger must come back.
 func TestLedgerRoundTrip(t *testing.T) {
-	for _, s := range []Scheme{NewDisconnect(4, 2), NewReputation(4, 0.5, 0.3, 0.01), NewDeposit(4, 3, 1), nil} {
+	const n = 4
+	width := 1 + len(binary.AppendUvarint(nil, n)) + 8*n
+	for _, build := range []func() Scheme{
+		func() Scheme { return NewDisconnect(n, 2) },
+		func() Scheme { return NewReputation(n, 0.5, 0.3, 0.01) },
+		func() Scheme { return NewDeposit(n, 3, 1) },
+		nil,
+	} {
 		name := "none"
-		if s != nil {
-			name = s.Name()
-			for round, agent := range []int{1, 3, 1, 2, 1} {
-				if err := s.Punish(agent, round, 0.5+0.25*float64(round%3)); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if build != nil {
+			name = build().Name()
 		}
 		t.Run(name, func(t *testing.T) {
-			b, ok := AppendLedger([]byte("head"), s)
-			if !ok {
-				t.Fatal("AppendLedger refused a built-in scheme")
-			}
-			b = append(b, "tail"...)
-			var fresh Scheme
-			if s != nil {
-				fresh = s.Fresh()
-			}
-			rest, err := ParseLedger(b[len("head"):], fresh)
-			if err != nil || string(rest) != "tail" {
-				t.Fatalf("ParseLedger = %q, %v; want the tail back", rest, err)
-			}
-			if s == nil {
-				return
-			}
-			for i := 0; i < 4; i++ {
-				if fresh.Standing(i) != s.Standing(i) || fresh.Excluded(i) != s.Excluded(i) {
-					t.Fatalf("agent %d: standing %v excluded %v, want %v %v", i,
-						fresh.Standing(i), fresh.Excluded(i), s.Standing(i), s.Excluded(i))
+			for _, punishments := range []int{0, 5, 500} {
+				var s, fresh Scheme
+				want := 1 + 1 // a tag and a zero agent count
+				if build != nil {
+					s, fresh, want = build(), build(), width
+					for round := range punishments {
+						if err := s.Punish([]int{1, 3, 1, 2, 1}[round%5], round, 0.5+0.25*float64(round%3)); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
-			if !reflect.DeepEqual(fresh.History(), s.History()) {
-				t.Fatalf("history %v, want %v", fresh.History(), s.History())
+				b, ok := AppendLedger([]byte("head"), s)
+				if !ok {
+					t.Fatal("AppendLedger refused a built-in scheme")
+				}
+				if got := len(b) - len("head"); got != want {
+					t.Fatalf("after %d punishments: a %d-byte ledger, want %d", punishments, got, want)
+				}
+				rest, err := ParseLedger(append(b, "tail"...)[len("head"):], fresh)
+				if err != nil || string(rest) != "tail" {
+					t.Fatalf("after %d punishments: ParseLedger = %q, %v; want the tail back", punishments, rest, err)
+				}
+				for i := 0; s != nil && i < n; i++ {
+					if fresh.Standing(i) != s.Standing(i) || fresh.Excluded(i) != s.Excluded(i) {
+						t.Fatalf("after %d punishments, agent %d: standing %v excluded %v, want %v %v", punishments, i,
+							fresh.Standing(i), fresh.Excluded(i), s.Standing(i), s.Excluded(i))
+					}
+				}
 			}
 		})
 	}

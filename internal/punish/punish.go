@@ -3,18 +3,10 @@ package punish
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrUnknownAgent is returned for out-of-range agent ids.
 var ErrUnknownAgent = errors.New("punish: unknown agent")
-
-// Event records one punishment application.
-type Event struct {
-	Agent    int
-	Round    int
-	Severity float64
-}
 
 // Scheme is a punishment policy. Implementations must be deterministic.
 type Scheme interface {
@@ -29,25 +21,48 @@ type Scheme interface {
 	// Standing returns a scheme-specific score (reputation, balance,
 	// offence count) for reporting; higher is better.
 	Standing(agent int) float64
-	// History returns all punishment events in application order.
-	History() []Event
-	// Fresh returns an empty replica with the same parameters — the
-	// distributed driver gives every processor's executive its own
-	// replica, and the §4 transient-fault recovery rebuilds ledgers
-	// from fresh state.
+	// Fresh returns an unpunished scheme with the same parameters: the
+	// distributed driver gives every processor's executive its own copy.
 	Fresh() Scheme
+}
+
+// ledger is all a scheme keeps of its agents: one value each
+// (Disconnect's strikes, Reputation's score, Deposit's balance), and the
+// tag that names the scheme in the ledger encoding (AppendLedger).
+type ledger struct {
+	tag    byte
+	values []float64
+}
+
+// newLedger returns the ledger of n agents, each starting at v.
+func newLedger(tag byte, n int, v float64) ledger {
+	l := ledger{tag: tag, values: make([]float64, n)}
+	for i := range l.values {
+		l.values[i] = v
+	}
+	return l
+}
+
+// has reports whether agent is in range.
+func (l *ledger) has(agent int) bool { return agent >= 0 && agent < len(l.values) }
+
+// check is ErrUnknownAgent for an agent out of range.
+func (l *ledger) check(agent int) error {
+	if !l.has(agent) {
+		return fmt.Errorf("%w: %d", ErrUnknownAgent, agent)
+	}
+	return nil
 }
 
 // --- Disconnect --------------------------------------------------------------
 
 // Disconnect bars an agent permanently after its offences reach a strike
 // budget (default 1 — the paper's "only effective option is to disconnect
-// Byzantine agents from the network").
+// Byzantine agents from the network"). Its ledger holds each agent's
+// strikes.
 type Disconnect struct {
-	n       int
-	strikes []float64
-	budget  float64
-	events  []Event
+	ledger
+	budget float64
 }
 
 var _ Scheme = (*Disconnect)(nil)
@@ -58,58 +73,49 @@ func NewDisconnect(n int, budget float64) *Disconnect {
 	if budget <= 0 {
 		budget = 1
 	}
-	return &Disconnect{n: n, strikes: make([]float64, n), budget: budget}
+	return &Disconnect{ledger: newLedger(1, n, 0), budget: budget}
 }
 
 // Name implements Scheme.
 func (d *Disconnect) Name() string { return "disconnect" }
 
 // Punish implements Scheme.
-func (d *Disconnect) Punish(agent, round int, severity float64) error {
-	if agent < 0 || agent >= d.n {
-		return fmt.Errorf("%w: %d", ErrUnknownAgent, agent)
+func (d *Disconnect) Punish(agent, _ int, severity float64) error {
+	if err := d.check(agent); err != nil {
+		return err
 	}
-	d.strikes[agent] += severity
-	d.events = append(d.events, Event{Agent: agent, Round: round, Severity: severity})
+	d.values[agent] += severity
 	return nil
 }
 
 // Excluded implements Scheme.
 func (d *Disconnect) Excluded(agent int) bool {
-	return agent >= 0 && agent < d.n && d.strikes[agent] >= d.budget
+	return d.has(agent) && d.values[agent] >= d.budget
 }
 
 // Standing implements Scheme: remaining strike budget.
 func (d *Disconnect) Standing(agent int) float64 {
-	if agent < 0 || agent >= d.n {
+	if !d.has(agent) {
 		return 0
 	}
-	s := d.budget - d.strikes[agent]
-	if s < 0 {
-		return 0
-	}
-	return s
+	return max(0, d.budget-d.values[agent])
 }
 
-// History implements Scheme.
-func (d *Disconnect) History() []Event { return append([]Event(nil), d.events...) }
-
 // Fresh implements Scheme.
-func (d *Disconnect) Fresh() Scheme { return NewDisconnect(d.n, d.budget) }
+func (d *Disconnect) Fresh() Scheme { return NewDisconnect(len(d.values), d.budget) }
 
 // --- Reputation ---------------------------------------------------------------
 
 // Reputation multiplies an agent's score by a decay factor per offence
 // (weighted by severity) and excludes agents below a threshold. Honest
 // rounds slowly regenerate reputation toward 1, so one-off suspicions
-// (e.g. statistical flags) wash out while repeat offenders fall.
+// (e.g. statistical flags) wash out while repeat offenders fall. Its
+// ledger holds each agent's score.
 type Reputation struct {
-	n         int
-	score     []float64
+	ledger
 	decay     float64 // per-unit-severity multiplicative decay, e.g. 0.5
 	threshold float64
 	regen     float64 // additive per honest round, e.g. 0.01
-	events    []Event
 }
 
 var _ Scheme = (*Reputation)(nil)
@@ -126,73 +132,59 @@ func NewReputation(n int, decay, threshold, regen float64) *Reputation {
 	if regen < 0 || regen >= 1 {
 		regen = 0.01
 	}
-	r := &Reputation{n: n, score: make([]float64, n), decay: decay, threshold: threshold, regen: regen}
-	for i := range r.score {
-		r.score[i] = 1
-	}
-	return r
+	return &Reputation{ledger: newLedger(2, n, 1), decay: decay, threshold: threshold, regen: regen}
 }
 
 // Name implements Scheme.
 func (r *Reputation) Name() string { return "reputation" }
 
 // Punish implements Scheme.
-func (r *Reputation) Punish(agent, round int, severity float64) error {
-	if agent < 0 || agent >= r.n {
-		return fmt.Errorf("%w: %d", ErrUnknownAgent, agent)
+func (r *Reputation) Punish(agent, _ int, severity float64) error {
+	if err := r.check(agent); err != nil {
+		return err
 	}
 	// Severity 1 → full decay; severity 0.5 → half-way (geometric
 	// interpolation keeps repeated small offences compounding).
-	factor := 1 - (1-r.decay)*severity
-	r.score[agent] *= factor
-	r.events = append(r.events, Event{Agent: agent, Round: round, Severity: severity})
+	r.values[agent] *= 1 - (1-r.decay)*severity
 	return nil
 }
 
 // Credit rewards an honest round, regenerating reputation toward 1.
+// Excluded agents do not regenerate.
 func (r *Reputation) Credit(agent int) {
-	if agent < 0 || agent >= r.n {
-		return
-	}
-	if r.score[agent] < r.threshold {
-		return // excluded agents do not regenerate
-	}
-	r.score[agent] += r.regen
-	if r.score[agent] > 1 {
-		r.score[agent] = 1
+	if r.has(agent) && !r.Excluded(agent) {
+		r.values[agent] = min(1, r.values[agent]+r.regen)
 	}
 }
 
 // Excluded implements Scheme.
 func (r *Reputation) Excluded(agent int) bool {
-	return agent >= 0 && agent < r.n && r.score[agent] < r.threshold
+	return r.has(agent) && r.values[agent] < r.threshold
 }
 
 // Standing implements Scheme.
 func (r *Reputation) Standing(agent int) float64 {
-	if agent < 0 || agent >= r.n {
+	if !r.has(agent) {
 		return 0
 	}
-	return r.score[agent]
+	return r.values[agent]
 }
 
-// History implements Scheme.
-func (r *Reputation) History() []Event { return append([]Event(nil), r.events...) }
-
 // Fresh implements Scheme.
-func (r *Reputation) Fresh() Scheme { return NewReputation(r.n, r.decay, r.threshold, r.regen) }
+func (r *Reputation) Fresh() Scheme {
+	return NewReputation(len(r.values), r.decay, r.threshold, r.regen)
+}
 
 // --- Deposit -------------------------------------------------------------------
 
 // Deposit holds a real-money escrow per agent; offences are fined
 // proportionally to severity, and an empty escrow excludes the agent (the
-// paper's "punishment schemes based on ... real money deposits").
+// paper's "punishment schemes based on ... real money deposits"). Its
+// ledger holds each agent's balance.
 type Deposit struct {
-	n       int
-	balance []float64
-	escrow  float64
-	fine    float64
-	events  []Event
+	ledger
+	escrow float64
+	fine   float64
 }
 
 var _ Scheme = (*Deposit)(nil)
@@ -207,69 +199,33 @@ func NewDeposit(n int, escrow, fine float64) *Deposit {
 	if fine <= 0 {
 		fine = 1
 	}
-	d := &Deposit{n: n, balance: make([]float64, n), escrow: escrow, fine: fine}
-	for i := range d.balance {
-		d.balance[i] = escrow
-	}
-	return d
+	return &Deposit{ledger: newLedger(3, n, escrow), escrow: escrow, fine: fine}
 }
 
 // Name implements Scheme.
 func (d *Deposit) Name() string { return "deposit" }
 
 // Punish implements Scheme.
-func (d *Deposit) Punish(agent, round int, severity float64) error {
-	if agent < 0 || agent >= d.n {
-		return fmt.Errorf("%w: %d", ErrUnknownAgent, agent)
+func (d *Deposit) Punish(agent, _ int, severity float64) error {
+	if err := d.check(agent); err != nil {
+		return err
 	}
-	d.balance[agent] -= d.fine * severity
-	d.events = append(d.events, Event{Agent: agent, Round: round, Severity: severity})
+	d.values[agent] -= d.fine * severity
 	return nil
 }
 
 // Excluded implements Scheme.
 func (d *Deposit) Excluded(agent int) bool {
-	return agent >= 0 && agent < d.n && d.balance[agent] <= 0
+	return d.has(agent) && d.values[agent] <= 0
 }
 
 // Standing implements Scheme.
 func (d *Deposit) Standing(agent int) float64 {
-	if agent < 0 || agent >= d.n {
+	if !d.has(agent) {
 		return 0
 	}
-	if d.balance[agent] < 0 {
-		return 0
-	}
-	return d.balance[agent]
+	return max(0, d.values[agent])
 }
-
-// History implements Scheme.
-func (d *Deposit) History() []Event { return append([]Event(nil), d.events...) }
 
 // Fresh implements Scheme.
-func (d *Deposit) Fresh() Scheme { return NewDeposit(d.n, d.escrow, d.fine) }
-
-// Tally sums the severity the scheme has applied to each of the n agents
-// over its history — the per-agent punishment cost a profit audit charges
-// against a deviation.
-func Tally(s Scheme, n int) []float64 {
-	out := make([]float64, n)
-	for _, e := range s.History() {
-		if e.Agent >= 0 && e.Agent < n {
-			out[e.Agent] += e.Severity
-		}
-	}
-	return out
-}
-
-// ExcludedSet returns the sorted ids currently excluded under the scheme.
-func ExcludedSet(s Scheme, n int) []int {
-	var out []int
-	for i := 0; i < n; i++ {
-		if s.Excluded(i) {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+func (d *Deposit) Fresh() Scheme { return NewDeposit(len(d.values), d.escrow, d.fine) }
