@@ -34,14 +34,15 @@ race:
 # on the shard loops against direct HTTP plays of the same session, a
 # shared game's cleanup against a create of its spec, Recover against
 # GetOrRecover and Remove, manual snapshots against a session's plays,
-# Close against a session's plays and the counters its stage moves) lose
+# Close against a session's plays and the counters its stage moves, plays
+# of many sessions borrowing the same lent workspaces) lose
 # on a particular interleaving, so one pass proves little. The second line
 # races the File store's Close against appends, compactions and deletes,
 # with no committer and in both flush modes. The third line
 # hammers the /ws client's recycled reply slots under the race detector:
 # their hazard is a connection dying with replies in flight.
 hammer:
-	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer|TestRecoverRacesGetOrRecoverAndRemove|TestSnapshotRacesPlays|TestCloseRacesPlayN' .
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestStreamHammer|TestCreateRemoveRaceNeverLeaksLedger|TestAuthorityShardedStress|TestGameInternHammer|TestRecoverRacesGetOrRecoverAndRemove|TestSnapshotRacesPlays|TestCloseRacesPlayN|TestLentWorkspaceHammer' .
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFileCloseRacesAppends' ./internal/store
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'TestClientConcurrentPlaysOwnTheirResults|TestClientInFlightCallNotReused|TestClientMidFrameDisconnect|TestClientReconnect|TestClientPlayDedup|TestClientSurvivesRepeatedCuts' ./internal/hub
 

@@ -421,10 +421,11 @@ func trace(n, f, plays, cheat, corrupt int, seed uint64) error {
 		}
 	}
 
-	// A processor keeps a fixed ring of its latest plays, and a transient
-	// fault empties it: check every play the replicas still retain.
+	// A processor keeps a fixed ring of its latest 64 plays' fingerprints,
+	// and a transient fault resets its count: check every play the
+	// replicas still retain.
 	done := s.Stats().Rounds
-	checked := min(done, len(dist.Procs[dist.Honest[0]].Results()))
+	checked := min(done, dist.Procs[dist.Honest[0]].ResultCount(), 64)
 	if err := dist.ConsistentResults(checked); err != nil {
 		return fmt.Errorf("HONEST REPLICA DIVERGENCE: %w", err)
 	}

@@ -425,10 +425,12 @@ func DeviantByName(name string) (DeviantStrategy, bool) { return deviate.ByName(
 // network: self-stabilizing clock + interactive consistency per phase.
 // AsDistributed recovers it from a Session built by New with
 // WithDistributed, for fault injection and consistency checks. Each
-// processor retains only its last 64 completed plays (a fixed ring,
-// emptied by a transient fault): Procs[i].Results returns those, and
-// ConsistentResults compares at most that many. The Session's own
-// history is bounded by WithHistoryLimit as for every driver.
+// processor keeps its newest completed play in full and a fixed ring of
+// its last 64 plays' pulses and 64-bit fingerprints, which a transient
+// fault empties: ConsistentResults compares at most that many, and
+// Procs[i].ResultCount counts the plays since the processor's last fault.
+// The plays themselves are the Session's own history (Results), bounded
+// by WithHistoryLimit as for every driver.
 type DistributedSession = core.DistSession
 
 // Adversary rewrites a Byzantine processor's outgoing traffic.

@@ -90,12 +90,15 @@ func TestEndToEndDistributed(t *testing.T) {
 	// Two-player game on a 4-processor network is not supported (one
 	// player per processor), so use the 2-processor degenerate bound:
 	// f must be 0 (n > 3f).
-	s := distDriver(t, ga.PrisonersDilemma(), 2, 0, 11)
-	s.RunPlays(4)
-	if err := s.ConsistentResults(3); err != nil {
+	s, err := ga.New(ga.PrisonersDilemma(), ga.WithDistributed(2, 0, nil), ga.WithSeed(11))
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Procs[0].Results()
+	playRounds(t, s, 4)
+	if err := ga.AsDistributed(s).ConsistentResults(3); err != nil {
+		t.Fatal(err)
+	}
+	res := s.Results()
 	if len(res) < 3 {
 		t.Fatalf("plays completed = %d", len(res))
 	}

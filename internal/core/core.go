@@ -28,7 +28,10 @@ type Agent struct {
 	Choose func(round int, prev game.Profile) int
 
 	// TamperOpening, if non-nil, lets the agent replace its reveal after
-	// the commitment was agreed (judicial must detect the mismatch).
+	// the commitment was agreed (judicial must detect the mismatch). op is
+	// the agent's own copy; the returned opening's Value passes to the
+	// play's working set, whose later plays reuse its memory, so it must
+	// not be memory the hook keeps.
 	TamperOpening func(round int, op commit.Opening) commit.Opening
 
 	// Withhold, if non-nil, makes the agent refuse to reveal this round.

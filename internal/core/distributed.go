@@ -65,12 +65,13 @@ type distMsg struct {
 	HasInner bool
 }
 
-// resultRing is how many completed plays a processor retains: its result
-// log is a ring that overwrites the oldest play, so a processor's memory
-// stays flat however long it runs. The hosted driver reads only the newest
-// play; 64 covers the longest tail any caller compares (Theorem 1's 50
-// periods plus 2 reconvergence plays in TestDistSessionSelfStabilization).
-const resultRing = 64
+// printRing is how many completed plays ConsistentResults can compare: a
+// processor keeps its newest play in full, which is all the session driver
+// reads, and a ring of the last printRing plays' pulses and fingerprints,
+// so its memory stays flat however long it runs. 64 covers the longest
+// tail any caller compares (Theorem 1's 50 periods plus 2 reconvergence
+// plays in TestDistSessionSelfStabilization).
+const printRing = 64
 
 // slabRounds is how many pulses a sent distMsg must stay untouched before
 // its slab slot can be reused: one pulse in transit, one pulse being read,
@@ -141,13 +142,38 @@ type DistProcessor struct {
 	// in flight); per-pulse sub-spans nest inside it in the dump.
 	phaseSpan obs.Ctx
 
-	// results is the ring of the last resultRing completed plays, built at
-	// the first play: play k since the last fault sits in slot k %
-	// resultRing, whose Outcome is a fixed window of one shared buffer and
-	// whose Guilty grows on the first conviction it records. played counts
-	// every play since the last fault.
-	results []DistRound
-	played  int
+	// last is the newest play since the last fault, in full: its Outcome
+	// is a fixed n-wide buffer and its Guilty grows on the first
+	// conviction it records. prints holds the last printRing plays' pulses
+	// and fingerprints, play k since the last fault in slot k % printRing.
+	// played counts every play since the last fault.
+	last   DistRound
+	prints [printRing]playPrint
+	played int
+}
+
+// playPrint is what a processor keeps of each of its last printRing plays:
+// the pulse it completed at and a fingerprint of its outcome and foul set.
+type playPrint struct {
+	pulse int
+	sum   uint64
+}
+
+// fingerprint is a fixed 64-bit mix (prng.Mix, SplitMix64's finalizer
+// chained) over a play's exact values: the outcome's length and actions,
+// then the foul set's length and ids. Two plays that differ in any value
+// mix to the same fingerprint with probability 2⁻⁶⁴ when the mix is
+// modelled as a random function (DESIGN §13).
+func fingerprint(outcome game.Profile, guilty []int) uint64 {
+	h := prng.Mix(0x9E1A7, uint64(len(outcome)))
+	for _, a := range outcome {
+		h = prng.Mix(h, uint64(a))
+	}
+	h = prng.Mix(h, uint64(len(guilty)))
+	for _, id := range guilty {
+		h = prng.Mix(h, uint64(id))
+	}
+	return h
 }
 
 // phaseSpanNames maps a protocol phase to its trace span name (the
@@ -164,9 +190,8 @@ var phaseSpanNames = [numPhases]string{
 	phaseVerdict: "phase.vote",
 }
 
-// DistRound is one completed play as recorded by a processor. The
-// processor's copy is overwritten resultRing plays later; Results hands
-// out deep copies.
+// DistRound is one completed play as recorded by a processor, which keeps
+// only its newest in full and overwrites it with the next.
 type DistRound struct {
 	Pulse   int
 	Outcome game.Profile
@@ -220,6 +245,7 @@ func NewDistProcessor(id, n, f int, g game.Game, behavior *Agent, scheme punish.
 		convicted: make([]bool, n),
 		prevView:  make(game.Profile, 0, n),
 		actions:   make(game.Profile, n),
+		last:      DistRound{Outcome: make(game.Profile, 0, n)},
 	}
 	for i := range p.slabs {
 		p.slabs[i] = make([]distMsg, 0, n)
@@ -233,38 +259,6 @@ func (p *DistProcessor) ID() int { return p.id }
 // ResultCount returns the number of plays this processor has completed
 // since its last transient fault.
 func (p *DistProcessor) ResultCount() int { return p.played }
-
-// resultRef returns the i-th play since the last fault without copying;
-// i must be one of the retained plays. The session driver clones what it
-// keeps.
-func (p *DistProcessor) resultRef(i int) *DistRound { return &p.results[i%resultRing] }
-
-// Results returns deep copies of the retained plays — the last
-// min(ResultCount, resultRing) — oldest first.
-func (p *DistProcessor) Results() []DistRound {
-	out := make([]DistRound, min(p.played, resultRing))
-	first := p.played - len(out)
-	for k := range out {
-		r := p.resultRef(first + k)
-		out[k] = DistRound{Pulse: r.Pulse, Outcome: r.Outcome.Clone(), Guilty: append([]int(nil), r.Guilty...)}
-	}
-	return out
-}
-
-// nextResult claims the ring slot of the next completed play, overwriting
-// the oldest retained play once the ring is full.
-func (p *DistProcessor) nextResult() *DistRound {
-	if p.results == nil {
-		p.results = make([]DistRound, resultRing)
-		outcomes := make(game.Profile, resultRing*p.n)
-		for i := range p.results {
-			p.results[i].Outcome = outcomes[i*p.n : i*p.n : (i+1)*p.n]
-		}
-	}
-	r := p.resultRef(p.played)
-	p.played++
-	return r
-}
 
 // Excluded reports whether this processor's executive replica has excluded
 // the given agent.
@@ -537,7 +531,7 @@ func (p *DistProcessor) finishPlay(verdictVector []bap.Value, pulse int) {
 		}
 	}
 	prev := p.lastOutcome()
-	r := p.nextResult()
+	r := &p.last
 	r.Pulse = pulse
 	r.Outcome = r.Outcome[:0]
 	for i := 0; i < p.n; i++ {
@@ -551,6 +545,8 @@ func (p *DistProcessor) finishPlay(verdictVector []bap.Value, pulse int) {
 		r.Outcome = append(r.Outcome, a)
 	}
 	r.Guilty = append(r.Guilty[:0], p.guilty...)
+	p.prints[p.played%printRing] = playPrint{pulse, fingerprint(r.Outcome, r.Guilty)}
+	p.played++
 	p.prevBuf = append(p.prevBuf[:0], r.Outcome...)
 	p.prev = p.prevBuf
 	p.round++
@@ -702,12 +698,14 @@ func (s *DistSession) CumulativeCost(i int) float64 { return s.cumCost[i] }
 // the pulse budget, and reports a clock recovery when the play lands more
 // than one period after the previous one. The result carries the agreed
 // foul set as Convicted and no verdict detail.
-func (s *DistSession) step(ctx context.Context, res *RoundResult) error {
+func (s *DistSession) step(ctx context.Context, w *workspace) error {
+	res := &w.result
 	ref := s.ref()
 	if ref == nil {
 		return fmt.Errorf("%w: no honest processors to observe", ErrConfig)
 	}
-	// A transient fault wipes processor histories; re-anchor the cursor.
+	// A transient fault resets a processor's play count; re-anchor the
+	// cursor.
 	if c := ref.ResultCount(); c < s.seen {
 		s.seen = c
 	}
@@ -720,8 +718,8 @@ func (s *DistSession) step(ctx context.Context, res *RoundResult) error {
 		}
 		s.pulse()
 	}
-	r := ref.resultRef(s.seen)
-	s.seen++
+	r := &ref.last
+	s.seen = ref.ResultCount()
 	period := PulsesPerPlay(ref.f)
 	if gap := r.Pulse - s.lastPulse; s.lastPulse > 0 && gap > period && s.hub.active() {
 		s.hub.emit(Event{
@@ -764,14 +762,15 @@ func (s *DistSession) RunPlays(plays int) {
 }
 
 // ConsistentResults checks that all honest processors recorded identical
-// plays — pulse, outcome and foul set — over their last `plays` results,
-// comparing the processors' result rings in place; it returns an error
-// describing the first divergence. It never checks fewer plays than
-// asked: asking for more than resultRing plays, or for more than an honest
-// processor has completed since its last fault, is an error.
+// plays over their last `plays` results: the newest play's pulse, outcome
+// and foul set exactly, and every one of them by pulse and fingerprint
+// (see fingerprint); it returns an error describing the first divergence.
+// It never checks fewer plays than asked: asking for more than printRing
+// plays, or for more than an honest processor has completed since its
+// last fault, is an error.
 func (s *DistSession) ConsistentResults(plays int) error {
-	if plays > resultRing {
-		return fmt.Errorf("core: cannot compare the last %d plays: a processor retains only its last %d", plays, resultRing)
+	if plays > printRing {
+		return fmt.Errorf("core: cannot compare the last %d plays: a processor keeps only its last %d", plays, printRing)
 	}
 	if len(s.Honest) == 0 {
 		return nil
@@ -781,17 +780,22 @@ func (s *DistSession) ConsistentResults(plays int) error {
 			return fmt.Errorf("core: proc %d completed %d plays since its last fault, fewer than the %d to compare", id, c, plays)
 		}
 	}
+	if plays <= 0 {
+		return nil
+	}
 	ref := s.Procs[s.Honest[0]]
 	for _, id := range s.Honest[1:] {
 		p := s.Procs[id]
+		got, want := &p.last, &ref.last
+		if got.Pulse != want.Pulse || !slices.Equal(got.Outcome, want.Outcome) || !slices.Equal(got.Guilty, want.Guilty) {
+			return fmt.Errorf("core: the newest play diverges: proc %d %v@%d guilty %v vs proc %d %v@%d guilty %v",
+				id, got.Outcome, got.Pulse, got.Guilty, s.Honest[0], want.Outcome, want.Pulse, want.Guilty)
+		}
 		for k := 0; k < plays; k++ {
-			got, want := p.resultRef(p.played-plays+k), ref.resultRef(ref.played-plays+k)
-			if got.Pulse != want.Pulse || !slices.Equal(got.Outcome, want.Outcome) {
-				return fmt.Errorf("core: play %d diverges: proc %d %v@%d vs proc %d %v@%d",
-					k, id, got.Outcome, got.Pulse, s.Honest[0], want.Outcome, want.Pulse)
-			}
-			if !slices.Equal(got.Guilty, want.Guilty) {
-				return fmt.Errorf("core: play %d verdicts diverge: %v vs %v", k, got.Guilty, want.Guilty)
+			got, want := p.prints[(p.played-plays+k)%printRing], ref.prints[(ref.played-plays+k)%printRing]
+			if got != want {
+				return fmt.Errorf("core: play %d of the last %d diverges: proc %d fingerprint %016x@%d vs proc %d %016x@%d",
+					k, plays, id, got.sum, got.pulse, s.Honest[0], want.sum, want.pulse)
 			}
 		}
 	}

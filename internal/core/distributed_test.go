@@ -19,11 +19,10 @@ func TestDistSessionAllHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunPlays(6)
+	res := runPlays(s, 0, 6)
 	if err := s.ConsistentResults(5); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Procs[0].Results()
 	if len(res) < 5 {
 		t.Fatalf("only %d plays completed", len(res))
 	}
@@ -74,11 +73,10 @@ func TestDistSessionConvictsIllegitimateAction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunPlays(3)
+	res := runPlays(s, 0, 3)
 	if err := s.ConsistentResults(3); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Procs[0].Results()
 	if len(res) == 0 {
 		t.Fatal("no plays completed")
 	}
@@ -110,11 +108,10 @@ func TestDistSessionWithholdingConvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunPlays(2)
+	res := runPlays(s, 0, 2)
 	if err := s.ConsistentResults(2); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Procs[0].Results()
 	if len(res) == 0 || len(res[0].Guilty) != 1 || res[0].Guilty[0] != 1 {
 		t.Fatalf("results = %+v, want conviction of 1", res)
 	}
@@ -144,12 +141,12 @@ func TestDistSessionEquivocatingNetworkAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunPlays(6)
+	res := runPlays(s, 0, 6)
 	if err := s.ConsistentResults(4); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Procs[0].Results()) < 3 {
-		t.Fatalf("too few plays under equivocation: %d", len(s.Procs[0].Results()))
+	if len(res) < 3 {
+		t.Fatalf("too few plays under equivocation: %d", len(res))
 	}
 }
 
@@ -166,15 +163,14 @@ func TestDistSessionSelfStabilizes(t *testing.T) {
 	ent := prng.New(77)
 	s.Net.Corrupt(ent.Uint64)
 	// Allow generous pulses for clock reconvergence plus several plays.
-	s.Net.Run(40 * PulsesPerPlay(f))
+	res := runPlays(s, s.Honest[0], 40)
 	if err := s.ConsistentResults(3); err != nil {
 		t.Fatalf("post-corruption divergence: %v", err)
 	}
-	minPlays := len(s.Procs[s.Honest[0]].Results())
-	if minPlays < 2 {
-		t.Fatalf("system did not resume playing after corruption: %d plays", minPlays)
+	if len(res) < 2 {
+		t.Fatalf("system did not resume playing after corruption: %d plays", len(res))
 	}
-	for _, r := range tail(s.Procs[s.Honest[0]].Results(), 2) {
+	for _, r := range res[len(res)-2:] {
 		if err := game.ValidateProfile(g, r.Outcome); err != nil {
 			t.Fatalf("post-recovery outcome invalid: %v", err)
 		}
@@ -203,12 +199,20 @@ func TestNewDistProcessorValidation(t *testing.T) {
 	}
 }
 
-// tail returns the last k of rs (all of them when there are fewer).
-func tail(rs []DistRound, k int) []DistRound {
-	if len(rs) > k {
-		return rs[len(rs)-k:]
+// runPlays advances s by the given number of play periods, as RunPlays
+// does, and returns every play processor id completed meanwhile, copied
+// as it completed: a processor keeps only its newest play in full.
+func runPlays(s *DistSession, id, plays int) []DistRound {
+	p := s.Procs[id]
+	var log []DistRound
+	for range plays * PulsesPerPlay(s.Procs[0].f) {
+		c := p.ResultCount()
+		s.Net.StepLockstep()
+		if p.ResultCount() > c {
+			log = append(log, p.last.clone())
+		}
 	}
-	return rs
+	return log
 }
 
 func TestMajorityValueDeterminism(t *testing.T) {

@@ -437,7 +437,8 @@ func (s *MixedSession) closeEpoch() error {
 // difference of cumulative costs, so the costs a session reports sum to
 // its cumulative cost exactly as the engine accrued it. In batched mode
 // an epoch's verdict lands on the play that closed the epoch.
-func (s *MixedSession) step(_ context.Context, res *RoundResult) error {
+func (s *MixedSession) step(_ context.Context, w *workspace) error {
+	res := &w.result
 	copy(s.prevCost, s.cumCost)
 	outcome, err := s.PlayRound()
 	if err != nil {

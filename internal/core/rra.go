@@ -211,7 +211,8 @@ func (h *RRASupervised) PlayRound() error {
 func (h *RRASupervised) CumulativeCost(i int) float64 { return h.cumCost[i] }
 
 // step is the RRA engine's play (see engine).
-func (h *RRASupervised) step(_ context.Context, res *RoundResult) error {
+func (h *RRASupervised) step(_ context.Context, w *workspace) error {
+	res := &w.result
 	if err := h.PlayRound(); err != nil {
 		return err
 	}

@@ -336,10 +336,12 @@ func playFouls(res RoundResult) int {
 // owns the lock, the closed flag, the history, the counters and the
 // events; an engine owns the game state.
 type engine interface {
-	// step plays one round into res, the shell's scratch, whose Round and
-	// Excluded the shell has set: it writes Outcome, Verdict, Convicted,
-	// Costs and Pulse, reusing res's slices where it owns them.
-	step(ctx context.Context, res *RoundResult) error
+	// step plays one round into w.result, whose Round and Excluded the
+	// shell has set: it writes the fields of the result its kind
+	// establishes (Outcome, Verdict, Convicted, Costs, Pulse) on every
+	// play, reusing the result's slices where it owns them. w is lent
+	// for the play (see workspace).
+	step(ctx context.Context, w *workspace) error
 	// Excluded reports whether the executive currently excludes agent i.
 	Excluded(i int) bool
 	// CumulativeCost returns agent i's total cost over every play.
@@ -388,7 +390,7 @@ func Attach(s Session, stage Stage) {
 
 // driver is the one Session implementation. Every play runs the same
 // order: gate (context, closed) → exclusion snapshot → engine step into
-// the shell's scratch → record in the history ring → counters → events →
+// a lent workspace → record in the history ring → counters → events →
 // the attached stage. Events are emitted while the play mutex is held, so
 // concurrent players cannot interleave streams out of round order
 // (observers must not call back into the session — see Observer).
@@ -403,10 +405,6 @@ type driver struct {
 	convictions int
 	closed      bool
 	stage       Stage
-
-	// result is the per-play scratch the engine writes into; its Excluded,
-	// the agents excluded before the play, is the exclusion snapshot.
-	result RoundResult
 }
 
 // Play executes one play: PlayN with n = 1.
@@ -414,9 +412,11 @@ func (d *driver) Play(ctx context.Context) (RoundResult, error) {
 	return d.PlayN(ctx, 1, nil)
 }
 
-// PlayN runs n plays under one lock acquisition, sink observing each
-// result before the next play reuses the scratch; a batch is the same
-// state evolution as n sequential Play calls by construction.
+// PlayN runs n plays under one lock acquisition on one lent workspace,
+// sink observing each result before the next play; a batch is the same
+// state evolution as n sequential Play calls by construction. The
+// workspace goes back to the free list when the batch ends: what a play
+// returns, and what sink and the stage see, is the history ring's view.
 func (d *driver) PlayN(ctx context.Context, n int, sink func(RoundResult) error) (RoundResult, error) {
 	if n <= 0 {
 		return RoundResult{}, fmt.Errorf("%w: non-positive batch size %d", ErrConfig, n)
@@ -424,10 +424,12 @@ func (d *driver) PlayN(ctx context.Context, n int, sink func(RoundResult) error)
 	hist := playLatency[d.kind]
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	w := takeWorkspace(d.kind, d.n)
+	defer w.release()
 	var last RoundResult
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		res, err := d.playLocked(ctx)
+		res, err := d.playLocked(ctx, w)
 		hist.Record(time.Since(t0))
 		if err != nil {
 			return last, err
@@ -442,17 +444,17 @@ func (d *driver) PlayN(ctx context.Context, n int, sink func(RoundResult) error)
 	return last, nil
 }
 
-func (d *driver) playLocked(ctx context.Context) (RoundResult, error) {
+func (d *driver) playLocked(ctx context.Context, w *workspace) (RoundResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
 	if d.closed {
 		return RoundResult{}, fmt.Errorf("%w: play on a closed session", ErrClosed)
 	}
-	res := &d.result
+	res := &w.result
 	res.Round = d.history.recorded()
 	res.Excluded = d.excluded(res.Excluded)
-	if err := d.eng.step(ctx, res); err != nil {
+	if err := d.eng.step(ctx, w); err != nil {
 		return RoundResult{}, err
 	}
 	out := d.history.record(res)
@@ -584,8 +586,10 @@ func (d *driver) Close() error {
 	if d.closed {
 		return nil
 	}
-	before := d.excluded(d.result.Excluded)
-	d.result.Excluded = before
+	w := takeWorkspace(d.kind, d.n)
+	defer w.release()
+	before := d.excluded(w.result.Excluded)
+	w.result.Excluded = before
 	verdict, err := d.eng.finish()
 	if err != nil {
 		return err

@@ -240,39 +240,52 @@ func Restore(ctx context.Context, cfg SessionConfig, target RestoreTarget) (Sess
 		_ = s.Close()
 		return nil, err
 	}
-	played := 0
+	// The replay is one batch on one lent workspace, each play's hash
+	// checked as it completes; a pulse-budget error ends a batch early and
+	// the next one resumes it. rp is what the check updates.
+	var rp struct {
+		played, retries int
+		mismatch        error
+	}
 	if len(target.State) > 0 {
 		d := s.(*driver)
 		if err := d.load(target.State, target.Base); err != nil {
 			return fail(err)
 		}
-		played = d.history.recorded()
+		rp.played = d.history.recorded()
 	}
-	retries := 0
-	for played < target.Rounds {
-		res, err := s.Play(ctx)
+	hashes := target.Hashes
+	check := func(res RoundResult) error {
+		if want, ok := hashes[res.Round]; ok {
+			var got [HashLen]byte // on the stack: only a mismatch builds a string
+			if string(AppendHashResult(got[:0], &res)) != want {
+				rp.mismatch = fmt.Errorf("%w: round %d replayed with hash %s, journal has %s",
+					ErrRestore, res.Round, HashResult(res), want)
+				return rp.mismatch
+			}
+		}
+		rp.retries = 0 // the budget is per play; a long replay may absorb many
+		rp.played++
+		return nil
+	}
+	for rp.played < target.Rounds {
+		_, err := s.PlayN(ctx, target.Rounds-rp.played, check)
+		if rp.mismatch != nil {
+			return fail(rp.mismatch)
+		}
 		if errors.Is(err, ErrPulseBudget) {
-			// Documented-recoverable: the next Play keeps stepping the
+			// Documented-recoverable: the next batch keeps stepping the
 			// network, and the pulse partition does not affect the state a
 			// completed play leaves behind.
-			if retries++; retries > restoreBudgetRetries {
+			if rp.retries++; rp.retries > restoreBudgetRetries {
 				return fail(fmt.Errorf("%w: pulse budget exhausted %d times replaying round %d",
-					ErrRestore, retries, played))
+					ErrRestore, rp.retries, rp.played))
 			}
 			continue
 		}
 		if err != nil {
-			return fail(fmt.Errorf("core: restore replay round %d: %w", played, err))
+			return fail(fmt.Errorf("core: restore replay round %d: %w", rp.played, err))
 		}
-		retries = 0 // the budget is per play; a long replay may absorb many
-		if want, ok := target.Hashes[res.Round]; ok {
-			var got [HashLen]byte // on the stack: only a mismatch builds a string
-			if string(AppendHashResult(got[:0], &res)) != want {
-				return fail(fmt.Errorf("%w: round %d replayed with hash %s, journal has %s",
-					ErrRestore, res.Round, HashResult(res), want))
-			}
-		}
-		played++
 	}
 	if target.Closed {
 		if err := s.Close(); err != nil {

@@ -18,9 +18,10 @@ import (
 // distributed driver proves they can be Byzantine-agreed; this driver
 // reuses the identical audit/punish logic at game-sweep speed.
 //
-// The play loop runs on per-session scratch buffers: an honest play of a
-// compiled game allocates nothing (the alloc_test regression pins a
-// hosted pure play at 0 allocs once its bounded history ring is warm).
+// The play loop runs on a borrowed workspace (see workspace): an honest
+// play of a compiled game allocates nothing (the alloc_test regression
+// pins a hosted pure play at 0 allocs once its bounded history ring is
+// warm).
 // PureSession is also the pure kind's engine behind NewSession.
 type PureSession struct {
 	g      game.Game
@@ -34,22 +35,11 @@ type PureSession struct {
 	// cumulative per-agent cost over plays where the agent was active.
 	cumCost []float64
 
-	// Per-play scratch, reused across rounds. Slices are sized to the
-	// player count at construction; enc and the opening value buffers
-	// amortize to steady state after the first play.
-	scratch struct {
-		commitments []commit.Digest
-		openings    []commit.Opening
-		revealed    []bool
-		chosen      game.Profile
-		outcome     game.Profile
-		actions     game.Profile
-		costs       []float64
-		excluded    []int
-		prevView    game.Profile
-		enc         []byte
-		verdict     audit.Verdict
-	}
+	// ws is the working set a caller of PlayRound keeps from its first
+	// play on, so a result stays valid until the next play. A session
+	// NewSession drives never sets it: its shell lends a workspace per
+	// PlayN instead.
+	ws *workspace
 }
 
 // RoundResult records one audited play. It is the uniform result type of
@@ -115,13 +105,6 @@ func NewPureSession(g game.Game, agents []*Agent, scheme punish.Scheme, seed uin
 		seed:    seed,
 		cumCost: make([]float64, n),
 	}
-	s.scratch.commitments = make([]commit.Digest, n)
-	s.scratch.openings = make([]commit.Opening, n)
-	s.scratch.revealed = make([]bool, n)
-	s.scratch.chosen = make(game.Profile, n)
-	s.scratch.outcome = make(game.Profile, n)
-	s.scratch.actions = make(game.Profile, n)
-	s.scratch.costs = make([]float64, n)
 	return s, nil
 }
 
@@ -149,23 +132,32 @@ func agentStreamState(seed uint64, agent, round int) uint64 {
 
 // PlayRound executes one full play of the protocol: choice → commitment →
 // reveal → audit → punish → publish. All working state lives in the
-// session scratch (see PureSession): the result's slices are valid until
-// the next play.
+// workspace the session takes on its first play and keeps: the result's
+// slices are valid until the next play.
 func (s *PureSession) PlayRound() (RoundResult, error) {
+	if s.ws == nil {
+		s.ws = takeWorkspace(KindPure, s.g.NumPlayers())
+	}
+	return s.play(s.ws)
+}
+
+// play runs one play on the working set w, into which the result's slices
+// point.
+func (s *PureSession) play(w *workspace) (RoundResult, error) {
 	n := s.g.NumPlayers()
 	ev := audit.PlayEvidence{
 		Round:       s.round,
 		PrevOutcome: s.prev,
-		Commitments: s.scratch.commitments,
-		Openings:    s.scratch.openings,
-		Revealed:    s.scratch.revealed,
+		Commitments: w.commitments,
+		Openings:    w.openings,
+		Revealed:    w.revealed,
 	}
-	excluded := s.scratch.excluded[:0]
+	excluded := w.excluded[:0]
 
 	// Choice + commitment phase. Excluded agents do not choose: the
 	// executive restricts them to the authority-computed best response
 	// (§3.4 "restricts the action of dishonest agents").
-	chosen := s.scratch.chosen
+	chosen := w.chosen
 	var src prng.Source
 	for i, a := range s.agents {
 		src.Seed(agentStreamState(s.seed, i, s.round))
@@ -177,14 +169,14 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 			// The executive commits on the restricted agent's behalf; a
 			// nil (honest) agent's choice is the same best response.
 			chosen[i] = s.executiveAction(i)
-			s.scratch.enc = audit.AppendAction(s.scratch.enc[:0], chosen[i])
-			ev.Commitments[i] = commit.CommitInto(&src, s.scratch.enc, &ev.Openings[i])
+			w.enc = audit.AppendAction(w.enc[:0], chosen[i])
+			ev.Commitments[i] = commit.CommitInto(&src, w.enc, &ev.Openings[i])
 			ev.Revealed[i] = true
 			continue
 		}
-		chosen[i] = a.Choose(s.round, s.prevFor())
-		s.scratch.enc = audit.AppendAction(s.scratch.enc[:0], chosen[i])
-		ev.Commitments[i] = commit.CommitInto(&src, s.scratch.enc, &ev.Openings[i])
+		chosen[i] = a.Choose(s.round, s.prevFor(w))
+		w.enc = audit.AppendAction(w.enc[:0], chosen[i])
+		ev.Commitments[i] = commit.CommitInto(&src, w.enc, &ev.Openings[i])
 		// Reveal phase (after all commitments are fixed): cheating hooks
 		// apply here.
 		if a.Withhold != nil && a.Withhold(s.round) {
@@ -196,14 +188,14 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 		}
 		ev.Revealed[i] = true
 	}
-	s.scratch.excluded = excluded
+	w.excluded = excluded
 
 	// Judicial phase.
-	s.scratch.verdict.Fouls = s.scratch.verdict.Fouls[:0]
-	if err := audit.PerRoundInto(s.g, ev, s.scratch.actions, &s.scratch.verdict); err != nil {
+	w.verdict.Fouls = w.verdict.Fouls[:0]
+	if err := audit.PerRoundInto(s.g, ev, w.actions, &w.verdict); err != nil {
 		return RoundResult{}, fmt.Errorf("core: audit: %w", err)
 	}
-	verdict := s.scratch.verdict
+	verdict := w.verdict
 
 	// Executive phase: punish the guilty, substitute actions that could
 	// not be established, and publish the outcome.
@@ -214,16 +206,16 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 			}
 		}
 	}
-	outcome := s.scratch.outcome
+	outcome := w.outcome
 	for i := 0; i < n; i++ {
-		if s.scratch.actions[i] >= 0 {
-			outcome[i] = s.scratch.actions[i]
+		if w.actions[i] >= 0 {
+			outcome[i] = w.actions[i]
 		} else {
 			outcome[i] = s.executiveAction(i)
 		}
 	}
 
-	costs := s.scratch.costs
+	costs := w.costs
 	for i := 0; i < n; i++ {
 		costs[i] = s.g.Cost(i, outcome)
 		s.cumCost[i] += costs[i]
@@ -243,8 +235,9 @@ func (s *PureSession) PlayRound() (RoundResult, error) {
 }
 
 // step is the pure engine's play (see engine).
-func (s *PureSession) step(_ context.Context, res *RoundResult) error {
-	r, err := s.PlayRound()
+func (s *PureSession) step(_ context.Context, w *workspace) error {
+	r, err := s.play(w)
+	res := &w.result
 	res.Outcome, res.Verdict, res.Convicted, res.Costs = r.Outcome, r.Verdict, r.Convicted, r.Costs
 	return err
 }
@@ -268,15 +261,15 @@ func (s *PureSession) parseState(r *stateReader, rounds int, prev game.Profile, 
 }
 
 // prevFor returns the previous outcome to hand an agent's Choose hook: a
-// scratch copy so one agent's mutation cannot leak into another agent's
-// view. The slice is only valid during the call. The scratch is made on
-// the first call: a session of honest (nil) agents never makes it.
-func (s *PureSession) prevFor() game.Profile {
+// copy in w so one agent's mutation cannot leak into another agent's
+// view. The slice is only valid during the call. The copy's buffer is made
+// on the first call: a play of honest (nil) agents never makes it.
+func (s *PureSession) prevFor(w *workspace) game.Profile {
 	if s.prev == nil {
 		return nil
 	}
-	s.scratch.prevView = append(s.scratch.prevView[:0], s.prev...)
-	return s.scratch.prevView
+	w.prevView = append(w.prevView[:0], s.prev...)
+	return w.prevView
 }
 
 // executiveAction is the action the executive service substitutes for a
