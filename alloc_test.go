@@ -311,12 +311,14 @@ func TestAllocsPerPlayHosted(t *testing.T) {
 // and replay checks every tail play's hash in a stack buffer, so what a
 // restore allocates is the file read, those two per record, the hash
 // map, the spec JSON and the options it builds, and the session itself:
-// it measured 78 (99 while the snapshot was JSON, the catalog was rebuilt
-// per lookup and replay started at round zero; 121 when this gate was
-// first set, 512 when the journal was JSON lines and replay built a string
-// per verified play), and the budget is measured+10 %.
+// it measured 68 (78 while every session made its own play scratch and
+// the tail replayed one Play at a time, 99 while the snapshot was JSON,
+// the catalog was rebuilt per lookup and replay started at round zero;
+// 121 when this gate was first set, 512 when the journal was JSON lines
+// and replay built a string per verified play), and the budget is
+// measured+10 %.
 func TestAllocsPerRestore(t *testing.T) {
-	const rounds, budget = 640, 86
+	const rounds, budget = 640, 75
 	ctx := context.Background()
 	st, err := ga.NewFileStore(t.TempDir())
 	if err != nil {
@@ -371,10 +373,12 @@ func TestAllocsPerRestore(t *testing.T) {
 // play on, so its plays carry fouls or exclusions). Sessions of one spec
 // share one compiled game, so the six tables amortize to almost nothing
 // and what is left is the session itself (17 KB when every session
-// compiled its own). An honest session measured 2,123 B and a deviant one
-// 3,180 B (3,220 B while each punishment scheme also kept an event per
-// sanction; 2,171 and 3,268 B while the host kept a per-call accumulator
-// and its own sink beside the driver's), and each budget is measured+10%,
+// compiled its own). An honest session measured 1,230 B and a deviant one
+// 2,225 B (2,124 and 3,180 B while every session held its own play
+// scratch; 3,220 B deviant while each punishment scheme also kept an
+// event per sanction; 2,171 and 3,268 B while the host kept a per-call
+// accumulator and its own sink beside the driver's), and each budget is
+// measured+10%,
 // the rule TestHeapPerHostedDistSession follows: ws_pure holds 8,192 such
 // sessions, so a few hundred bytes more per session would move its live
 // heap past its 5 % bound.
@@ -394,7 +398,7 @@ func TestHeapPerHostedSession(t *testing.T) {
 		name    string
 		deviant bool
 		budget  int64
-	}{{"honest", false, 2_335}, {"deviant", true, 3_498}} {
+	}{{"honest", false, 1_353}, {"deviant", true, 2_448}} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()
@@ -428,12 +432,14 @@ func TestHeapPerHostedSession(t *testing.T) {
 
 // TestHeapPerHostedDistSession gates what a hosted distributed session
 // retains, in inproc_dist's two shapes at history_limit 8. A session holds
-// at most its budget after 64 plays, pinned at measured+10% (58.2 KB at
-// (4, 1) and 252.1 KB at (7, 2); string-valued agreement trees and 24-byte
-// pairs held 58.2 KB and 497 KB, and at (4, 1) the three rotating value
-// pools per processor cost about what the narrower arrays save), and
-// 59.4 KB at (4, 1) with a freerider under the disconnect scheme, as one
-// inproc_dist session in eight has. And nothing may grow with the play
+// at most its budget after 64 plays, pinned at measured+10% (38.6 KB at
+// (4, 1) and 203.8 KB at (7, 2); 58.1 KB and 251.9 KB while every
+// processor kept its last 64 plays in full rather than its newest and 64
+// fingerprints; string-valued agreement trees and 24-byte pairs held
+// 58.2 KB and 497 KB, and at (4, 1) the three rotating value pools per
+// processor cost about what the narrower arrays save), and 37.9 KB at
+// (4, 1) with a freerider under the disconnect scheme, as one inproc_dist
+// session in eight has (59.4 KB with the full plays). And nothing may grow with the play
 // count, so a session holds the same heap after 1,024 plays as after 64,
 // within 1 KB. (While every processor appended each play to an unbounded
 // result log, a (4, 1) session grew by ≈ 330 KB over those 960 plays and a
@@ -457,7 +463,7 @@ func TestHeapPerHostedDistSession(t *testing.T) {
 		n, f, sessions int
 		budget         int64
 		deviant        string
-	}{{4, 1, 4, 64_030, ""}, {7, 2, 2, 277_310, ""}, {4, 1, 4, 65_370, "-deviant"}} {
+	}{{4, 1, 4, 42_445, ""}, {7, 2, 2, 224_150, ""}, {4, 1, 4, 41_688, "-deviant"}} {
 		t.Run(fmt.Sprintf("n%df%d%s", tc.n, tc.f, tc.deviant), func(t *testing.T) {
 			a := ga.NewAuthority()
 			defer a.Close()
