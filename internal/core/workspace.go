@@ -53,10 +53,10 @@ type workspaceShape struct {
 // shape ever ran at once. It is not a sync.Pool: the pool drops items at
 // random under the race detector, and the zero-allocation play gates must
 // hold there too.
-var workspaces struct {
+var workspaces = struct {
 	mu   sync.Mutex
 	free map[workspaceShape][]*workspace
-}
+}{free: make(map[workspaceShape][]*workspace)}
 
 // takeWorkspace lends a workspace for plays of the given kind and player
 // count, making one when none is free.
@@ -88,9 +88,6 @@ func takeWorkspace(kind SessionKind, n int) *workspace {
 // after.
 func (w *workspace) release() {
 	workspaces.mu.Lock()
-	if workspaces.free == nil {
-		workspaces.free = make(map[workspaceShape][]*workspace)
-	}
 	workspaces.free[w.shape] = append(workspaces.free[w.shape], w)
 	workspaces.mu.Unlock()
 }
